@@ -221,23 +221,18 @@ func cmdQuery(args []string) error {
 		}
 	}
 
-	var matches []trass.Match
-	var stats *trass.QueryStats
-	start := time.Now()
+	query := trass.Query{Kind: trass.KindTopK, Traj: q, K: *k}
 	if *epsStr != "" {
 		eps, err := parseEps(*epsStr)
 		if err != nil {
 			return fmt.Errorf("bad -eps: %v", err)
 		}
-		matches, stats, err = db.ThresholdSearchStats(q, eps)
-		if err != nil {
-			return err
-		}
-	} else {
-		matches, stats, err = db.TopKSearchStats(q, *k)
-		if err != nil {
-			return err
-		}
+		query = trass.Query{Kind: trass.KindThreshold, Traj: q, Eps: eps}
+	}
+	start := time.Now()
+	matches, stats, err := db.Search(context.Background(), query, nil)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 

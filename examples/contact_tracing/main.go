@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -70,7 +71,8 @@ func main() {
 
 	// Anyone within 0.002 degrees (~200 m) of the patient's whole path.
 	eps := 0.002 / 360
-	matches, stats, err := db.ThresholdSearchStats(patient, eps)
+	search := trass.Query{Kind: trass.KindThreshold, Traj: patient, Eps: eps}
+	matches, stats, err := db.Search(context.Background(), search, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,8 +80,8 @@ func main() {
 	// Narrowed to the infectious period: same search, but only trajectories
 	// observed during those days qualify (the untimed background population
 	// conservatively matches any window).
-	infectious := trass.TimeWindow{Start: 3 * daySecs, End: 5 * daySecs}
-	inPeriod, err := db.ThresholdSearchWindow(patient, eps, infectious)
+	search.Window = trass.TimeWindow{Start: 3 * daySecs, End: 5 * daySecs}
+	inPeriod, _, err := db.Search(context.Background(), search, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

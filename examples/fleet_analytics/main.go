@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,7 +50,7 @@ func main() {
 		if m == trass.DTW {
 			e *= 50 // DTW sums distances over points; rescale the threshold
 		}
-		matches, stats, err := db.ThresholdSearchStats(query, e)
+		matches, stats, err := db.ThresholdSearchContext(context.Background(), query, e)
 		if err != nil {
 			log.Fatal(err)
 		}

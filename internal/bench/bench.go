@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -286,29 +287,11 @@ func (t *trassSystem) Build(trajs []*traj.Trajectory) (time.Duration, error) {
 }
 
 func (t *trassSystem) Threshold(q *traj.Trajectory, eps float64) ([]baselines.Result, *baselines.Stats, error) {
-	rs, st, err := t.eng.Threshold(q, eps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toBaselineResults(rs), &baselines.Stats{
-		Candidates: st.Retrieved,
-		Scanned:    st.RowsScanned,
-		PruneTime:  st.PruneTime,
-		RefineTime: st.RefineTime,
-	}, nil
+	return toBaseline(t.eng.ThresholdContext(context.Background(), q, eps))
 }
 
 func (t *trassSystem) TopK(q *traj.Trajectory, k int) ([]baselines.Result, *baselines.Stats, error) {
-	rs, st, err := t.eng.TopK(q, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toBaselineResults(rs), &baselines.Stats{
-		Candidates: st.Retrieved,
-		Scanned:    st.RowsScanned,
-		PruneTime:  st.PruneTime,
-		RefineTime: st.RefineTime,
-	}, nil
+	return toBaseline(t.eng.TopKContext(context.Background(), q, k))
 }
 
 func (t *trassSystem) Close() error {
@@ -318,12 +301,20 @@ func (t *trassSystem) Close() error {
 	return t.st.Close()
 }
 
-func toBaselineResults(rs []query.Result) []baselines.Result {
+func toBaseline(rs []query.Result, st *query.Stats, err error) ([]baselines.Result, *baselines.Stats, error) {
+	if err != nil {
+		return nil, nil, err
+	}
 	out := make([]baselines.Result, len(rs))
 	for i, r := range rs {
 		out[i] = baselines.Result{ID: r.ID, Distance: r.Distance}
 	}
-	return out
+	return out, &baselines.Stats{
+		Candidates: st.Retrieved,
+		Scanned:    st.RowsScanned,
+		PruneTime:  st.PruneTime,
+		RefineTime: st.RefineTime,
+	}, nil
 }
 
 // buildSystems constructs and loads the requested systems over one dataset.
@@ -386,7 +377,6 @@ var Runners = []struct {
 	{"io", "I/O reduction of XZ* global pruning vs XZ-Ordering", FigIO},
 	{"ablation", "contribution of each TraSS design choice", Ablation},
 	{"refine", "parallel refinement executor: sequential vs 4-worker refine wall-clock per measure", Refine},
-	{"stream", "streaming scan pipeline: collect-all vs bounded-queue scan/refine overlap under RPC latency", Stream},
 	{"commit", "group-commit WAL: fsync amortization and throughput vs concurrent synced writers", Commit},
 	{"mvcc", "MVCC snapshot reads: Get + threshold p50/p99, idle vs 8 writers + background scanner", MVCC},
 	{"serve", "served-query latency: trassd HTTP/NDJSON p50/p99/p999 per query path under concurrent connections", Serve},

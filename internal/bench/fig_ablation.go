@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -57,7 +58,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 		var scanned, retrieved, results float64
 		for _, q := range queries {
 			t0 := time.Now()
-			rs, qs, err := eng.Threshold(q, eps)
+			rs, qs, err := eng.ThresholdContext(context.Background(), q, eps)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -146,13 +147,13 @@ func Fig14(cfg Config) ([]*Table, error) {
 		var thrTimes, topTimes []time.Duration
 		for _, q := range queries {
 			t0 := time.Now()
-			if _, _, err := eng.Threshold(q, gen.DegreesToNorm(0.01)); err != nil {
+			if _, _, err := eng.ThresholdContext(context.Background(), q, gen.DegreesToNorm(0.01)); err != nil {
 				_ = st.Close()
 				return nil, err
 			}
 			thrTimes = append(thrTimes, time.Since(t0))
 			t1 := time.Now()
-			if _, _, err := eng.TopK(q, 100); err != nil {
+			if _, _, err := eng.TopKContext(context.Background(), q, 100); err != nil {
 				_ = st.Close()
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -97,7 +98,7 @@ func Refine(cfg Config) ([]*Table, error) {
 			var refined float64
 			for qi := 0; qi < queries; qi++ {
 				t0 := time.Now()
-				rs, qs, err := eng.Threshold(base, eps)
+				rs, qs, err := eng.ThresholdContext(context.Background(), base, eps)
 				if err != nil {
 					return nil, err
 				}

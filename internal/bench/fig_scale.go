@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -120,7 +121,7 @@ func Fig19(cfg Config) ([]*Table, error) {
 				defer wg.Done()
 				for i := range next {
 					t0 := time.Now()
-					_, qs, err := eng.Threshold(queries[i], gen.DegreesToNorm(0.01))
+					_, qs, err := eng.ThresholdContext(context.Background(), queries[i], gen.DegreesToNorm(0.01))
 					if err != nil {
 						if slot.err == nil {
 							slot.err = err

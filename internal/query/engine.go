@@ -5,7 +5,6 @@
 package query
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,11 +19,9 @@ import (
 type Engine struct {
 	store         *store.Store
 	measure       dist.Measure
-	budget        int  // global-pruning element budget (0 = default)
-	refineWorkers int  // refinement pool size (0 = default, see refineParallelism)
-	streamBatch   int  // rows per scan batch (0 = cluster default)
-	streamDepth   int  // candidate-queue depth (0 = default, see streamQueueDepth)
-	collectAll    bool // true: disable streaming, collect scans before refining
+	budget        int // global-pruning element budget (0 = default)
+	refineWorkers int // refinement pool size (0 = default, see refineParallelism)
+	streamDepth   int // candidate-queue depth; only tests set it (0 = see streamQueueDepth)
 	tuning        Tuning
 }
 
@@ -60,33 +57,6 @@ func (e *Engine) SetRefineParallelism(n int) {
 	}
 	e.refineWorkers = n
 }
-
-// SetStreamBatch sets the row count per scan batch flowing from the regions
-// into the candidate queue (0 restores the cluster default). Smaller batches
-// lower latency-to-first-candidate; larger ones amortize channel traffic.
-func (e *Engine) SetStreamBatch(rows int) {
-	if rows < 0 {
-		rows = 0
-	}
-	e.streamBatch = rows
-}
-
-// SetStreamQueueDepth bounds the candidates outstanding between the scan and
-// the merge — queued, being refined, or awaiting in-order merge (0 restores
-// the default, a small multiple of the worker count). This is the streaming
-// pipeline's memory bound and its backpressure knob: a full queue blocks the
-// region scans. Results are identical for any depth.
-func (e *Engine) SetStreamQueueDepth(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.streamDepth = n
-}
-
-// SetStreaming toggles the streaming pipeline (on by default). Off, every
-// query collects its scan results fully before refining — the pre-streaming
-// behaviour, kept as the bench baseline and the determinism oracle.
-func (e *Engine) SetStreaming(on bool) { e.collectAll = !on }
 
 // New builds an engine over st using the given similarity measure.
 func New(st *store.Store, measure dist.Measure) *Engine {
@@ -136,8 +106,7 @@ type Stats struct {
 	// result is a (sound but possibly incomplete) subset.
 	PartialErrors int
 
-	// Streaming-pipeline observability; all zero when the collect-all path
-	// ran (SetStreaming(false)).
+	// Streaming-pipeline observability.
 	StreamBatches   int64 // scan batches delivered into the candidate queue
 	StreamPeakDepth int   // peak candidates resident between scan and merge
 	// StreamStallTime is how long the scan producer spent blocked on the
@@ -175,15 +144,14 @@ type queryGeom struct {
 	xq       *xzstar.Query
 }
 
-func (e *Engine) prepare(q *traj.Trajectory) (*queryGeom, error) {
-	if q == nil || len(q.Points) == 0 {
-		return nil, fmt.Errorf("query: empty query trajectory")
-	}
+// prepare pre-computes the geometry of q, which Search has checked is
+// non-empty.
+func (e *Engine) prepare(q *traj.Trajectory) *queryGeom {
 	f := traj.ComputeFeatures(q, e.store.Config().DPTolerance)
 	return &queryGeom{
 		points:   q.Points,
 		features: f,
 		rep:      f.RepPoints(q),
 		xq:       xzstar.NewQuery(q.Points, f.Boxes),
-	}, nil
+	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/store"
 	"repro/internal/traj"
 )
+
+var bg = context.Background()
 
 func walk(rng *rand.Rand, id string, n int, scale float64) *traj.Trajectory {
 	pts := make([]geo.Point, n)
@@ -125,7 +128,7 @@ func TestThresholdMatchesBruteForce(t *testing.T) {
 				if measure == dist.DTW {
 					eps *= 10 // DTW accumulates; use a looser threshold
 				}
-				got, stats, err := f.engine.Threshold(q, eps)
+				got, stats, err := f.engine.ThresholdContext(bg, q, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,7 +173,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 					q = walk(rng, "q", 15, 0.01)
 				}
 				k := []int{1, 5, 20}[rng.Intn(3)]
-				got, stats, err := f.engine.TopK(q, k)
+				got, stats, err := f.engine.TopKContext(bg, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +199,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 func TestTopKMoreThanStored(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 20, 46)
 	q := walk(rand.New(rand.NewSource(47)), "q", 10, 0.01)
-	got, _, err := f.engine.TopK(q, 10000)
+	got, _, err := f.engine.TopKContext(bg, q, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestTopKMoreThanStored(t *testing.T) {
 
 func TestTopKZero(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 10, 48)
-	got, stats, err := f.engine.TopK(walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), 0)
+	got, stats, err := f.engine.TopKContext(bg, walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), 0)
 	if err != nil || len(got) != 0 || stats == nil {
 		t.Fatalf("k=0: %v %v %v", got, stats, err)
 	}
@@ -220,7 +223,7 @@ func TestThresholdEmptyStore(t *testing.T) {
 	}
 	defer st.Close()
 	e := New(st, dist.Frechet)
-	got, stats, err := e.Threshold(walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), 0.01)
+	got, stats, err := e.ThresholdContext(bg, walk(rand.New(rand.NewSource(1)), "q", 5, 0.01), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +237,10 @@ func TestThresholdEmptyStore(t *testing.T) {
 
 func TestEmptyQueryRejected(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 10, 49)
-	if _, _, err := f.engine.Threshold(nil, 0.01); err == nil {
+	if _, _, err := f.engine.ThresholdContext(bg, nil, 0.01); err == nil {
 		t.Fatal("nil query must fail")
 	}
-	if _, _, err := f.engine.TopK(nil, 5); err == nil {
+	if _, _, err := f.engine.TopKContext(bg, nil, 5); err == nil {
 		t.Fatal("nil query must fail")
 	}
 }
@@ -248,7 +251,7 @@ func TestThresholdPrunes(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 400, 50)
 	rng := rand.New(rand.NewSource(51))
 	q := nearWalk(rng, f.trajs[0], "q", 0.002)
-	_, stats, err := f.engine.Threshold(q, 0.005)
+	_, stats, err := f.engine.ThresholdContext(bg, q, 0.005)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +270,7 @@ func TestStatsConsistency(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 300, 52)
 	rng := rand.New(rand.NewSource(53))
 	q := nearWalk(rng, f.trajs[5], "q", 0.002)
-	results, stats, err := f.engine.Threshold(q, 0.01)
+	results, stats, err := f.engine.ThresholdContext(bg, q, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +295,7 @@ func BenchmarkThreshold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.engine.Threshold(q, 0.01); err != nil {
+		if _, _, err := f.engine.ThresholdContext(bg, q, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +308,7 @@ func BenchmarkTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.engine.TopK(q, 50); err != nil {
+		if _, _, err := f.engine.TopKContext(bg, q, 50); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,41 @@ import (
 	"repro/internal/geo"
 )
 
+// bruteRange is the ground truth for a range query: a point-in-window scan
+// of every stored trajectory.
+func bruteRange(f *fixture, window geo.Rect) map[string]bool {
+	want := map[string]bool{}
+	for _, tr := range f.trajs {
+		for _, p := range tr.Points {
+			if window.ContainsPoint(p) {
+				want[tr.ID] = true
+				break
+			}
+		}
+	}
+	return want
+}
+
+// bruteNearest is the ground truth for point-kNN: the k smallest closest
+// approaches to p, ascending.
+func bruteNearest(f *fixture, p geo.Point, k int) []float64 {
+	ds := make([]float64, 0, len(f.trajs))
+	for _, tr := range f.trajs {
+		best := math.Inf(1)
+		for _, q := range tr.Points {
+			if d := p.Dist(q); d < best {
+				best = d
+			}
+		}
+		ds = append(ds, best)
+	}
+	sort.Float64s(ds)
+	if len(ds) > k {
+		ds = ds[:k]
+	}
+	return ds
+}
+
 // Range query results must match a brute-force point-in-window scan exactly.
 func TestRangeMatchesBruteForce(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 300, 70)
@@ -21,19 +56,11 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 			Min: geo.Point{X: cx, Y: cy},
 			Max: geo.Point{X: geo.Clamp01(cx + w), Y: geo.Clamp01(cy + w)},
 		}
-		got, stats, err := f.engine.Range(window)
+		got, stats, err := f.engine.RangeContext(bg, window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[string]bool{}
-		for _, tr := range f.trajs {
-			for _, p := range tr.Points {
-				if window.ContainsPoint(p) {
-					want[tr.ID] = true
-					break
-				}
-			}
-		}
+		want := bruteRange(f, window)
 		gotIDs := map[string]bool{}
 		for _, r := range got {
 			gotIDs[r.ID] = true
@@ -53,7 +80,7 @@ func TestRangeEmptyWindow(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 50, 72)
 	// A window far from every trajectory (generators keep data inside known
 	// areas; the corner at (0,0) normalized is the south pole / dateline).
-	got, _, err := f.engine.Range(geo.Rect{
+	got, _, err := f.engine.RangeContext(bg, geo.Rect{
 		Min: geo.Point{X: 0, Y: 0},
 		Max: geo.Point{X: 0.001, Y: 0.001},
 	})
@@ -69,7 +96,7 @@ func TestRangeEmptyWindow(t *testing.T) {
 func TestRangePrunes(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 400, 73)
 	mbr := f.trajs[0].MBR()
-	_, stats, err := f.engine.Range(mbr)
+	_, stats, err := f.engine.RangeContext(bg, mbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +113,7 @@ func TestTuningVariantsAgree(t *testing.T) {
 	q := nearWalk(rng, f.trajs[10], "q", 0.002)
 	eps := 0.01 / 360 * 10
 
-	full, fullStats, err := f.engine.Threshold(q, eps)
+	full, fullStats, err := f.engine.ThresholdContext(bg, q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +125,7 @@ func TestTuningVariantsAgree(t *testing.T) {
 	}
 	for i, tuning := range variants {
 		f.engine.SetTuning(tuning)
-		got, stats, err := f.engine.Threshold(q, eps)
+		got, stats, err := f.engine.ThresholdContext(bg, q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,12 +153,12 @@ func TestTinyBudgetStaysExact(t *testing.T) {
 	q := nearWalk(rng, f.trajs[20], "q", 0.002)
 	eps := 0.02 / 360 * 10
 
-	full, _, err := f.engine.Threshold(q, eps)
+	full, _, err := f.engine.ThresholdContext(bg, q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.engine.SetBudget(4)
-	small, stats, err := f.engine.Threshold(q, eps)
+	small, stats, err := f.engine.ThresholdContext(bg, q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,22 +184,11 @@ func TestNearestToPointMatchesBruteForce(t *testing.T) {
 			p = geo.Point{X: rng.Float64(), Y: rng.Float64()}
 		}
 		k := []int{1, 5, 25}[iter%3]
-		got, stats, err := f.engine.NearestToPoint(p, k)
+		got, stats, err := f.engine.Search(bg, Query{Kind: KindNearest, Point: p, K: k}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Brute force closest approach.
-		ds := make([]float64, 0, len(f.trajs))
-		for _, tr := range f.trajs {
-			best := math.Inf(1)
-			for _, q := range tr.Points {
-				if d := p.Dist(q); d < best {
-					best = d
-				}
-			}
-			ds = append(ds, best)
-		}
-		sort.Float64s(ds)
+		ds := bruteNearest(f, p, len(f.trajs))
 		if len(got) != k {
 			t.Fatalf("iter %d: got %d results, want %d (stats %+v)", iter, len(got), k, stats)
 		}
@@ -186,10 +202,10 @@ func TestNearestToPointMatchesBruteForce(t *testing.T) {
 
 func TestNearestToPointEdgeCases(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 20, 80)
-	if got, _, err := f.engine.NearestToPoint(geo.Point{X: 0.5, Y: 0.5}, 0); err != nil || len(got) != 0 {
+	if got, _, err := f.engine.Search(bg, Query{Kind: KindNearest, Point: geo.Point{X: 0.5, Y: 0.5}, K: 0}, nil); err != nil || len(got) != 0 {
 		t.Fatalf("k=0: %v %v", got, err)
 	}
-	got, _, err := f.engine.NearestToPoint(geo.Point{X: 0.5, Y: 0.5}, 1000)
+	got, _, err := f.engine.Search(bg, Query{Kind: KindNearest, Point: geo.Point{X: 0.5, Y: 0.5}, K: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,18 @@
 package query
 
-// Refinement contracts and the collect-all adapter. The last stage of every
-// search decodes the rows that survived local filtering and pays for full
-// similarity computations — the stage the paper's evaluation (and DFT/DITA
-// before it) shows dominating query time. The executor itself lives in
-// stream.go (refineFromScan): workers pull candidates from the live scan
-// through a bounded queue while outcomes merge on the calling goroutine
-// strictly in dispatch order, so result slices, heap layouts and tie-breaks
-// match the sequential path for any worker count or queue depth.
+// Refinement contracts. The last stage of every search decodes the rows that
+// survived local filtering and pays for full similarity computations — the
+// stage the paper's evaluation (and DFT/DITA before it) shows dominating
+// query time. The executor itself lives in stream.go (refineFromScan):
+// workers pull candidates from the live scan through a bounded queue while
+// outcomes merge on the calling goroutine strictly in dispatch order, so
+// result slices, heap layouts and tie-breaks match the one-worker run for
+// any worker count or queue depth.
 //
 // Best-first searches (top-k, point-kNN) publish their kth-distance bound
 // through an atomic cell (refineBound) that the merge loop tightens after
-// every insertion; workers — and, in streaming mode, the server-side filters
-// of scans still in flight — read it for early-abandoning prefilters. A
+// every insertion; workers — and the server-side filters of scans still in
+// flight — read it for early-abandoning prefilters. A
 // stale read is always *looser* than the merge-time bound, so concurrency
 // can only refine more candidates than strictly necessary — never admit a
 // wrong result (the merge step re-applies the exact comparison).
@@ -22,13 +22,10 @@ package query
 // with ctx's error even while distance computations are in flight.
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/cluster"
-	"repro/internal/kv"
 	"repro/internal/traj"
 )
 
@@ -76,21 +73,4 @@ func (e *Engine) refineParallelism() int {
 		return p
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// refine runs work over a pre-collected entry slice and merges the outcomes
-// in entry order: the collect-all executor. It is a replay adapter over the
-// streaming executor — the entries feed the pipeline as one batch, with the
-// worker pool clamped to the slice length. A decode failure aborts with the
-// lowest-indexed entry's error, exactly as a sequential loop would surface
-// it. Refinement accounting (RefineTime wall-clock, RefineCPUTime summed
-// worker busy time, RefineWorkers pool size) is owned by the executor.
-func (e *Engine) refine(ctx context.Context, entries []kv.Entry, stats *Stats, work refineWork, merge refineMerge) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	scan := func(_ context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-		return nil, emit(entries)
-	}
-	return e.refineFromScan(ctx, stats, len(entries), scan, work, merge)
 }

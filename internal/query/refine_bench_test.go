@@ -29,7 +29,7 @@ func benchmarkRefine(b *testing.B, workers int) {
 				eps = 0.5 // DTW accumulates; admit the whole cluster
 			}
 			// Warm up and sanity-check the candidate count once.
-			_, stats, err := f.engine.Threshold(base, eps)
+			_, stats, err := f.engine.ThresholdContext(bg, base, eps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func benchmarkRefine(b *testing.B, workers int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := f.engine.Threshold(base, eps); err != nil {
+				if _, _, err := f.engine.ThresholdContext(bg, base, eps); err != nil {
 					b.Fatal(err)
 				}
 			}

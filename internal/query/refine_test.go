@@ -70,16 +70,16 @@ func TestRefineDeterminismAcrossWorkers(t *testing.T) {
 				f.engine.SetRefineParallelism(workers)
 				var r run
 				var err error
-				if r.threshold, _, err = f.engine.Threshold(q, eps); err != nil {
+				if r.threshold, _, err = f.engine.ThresholdContext(bg, q, eps); err != nil {
 					t.Fatal(err)
 				}
-				if r.topk, _, err = f.engine.TopK(q, 25); err != nil {
+				if r.topk, _, err = f.engine.TopKContext(bg, q, 25); err != nil {
 					t.Fatal(err)
 				}
-				if r.rng, _, err = f.engine.Range(window); err != nil {
+				if r.rng, _, err = f.engine.RangeContext(bg, window); err != nil {
 					t.Fatal(err)
 				}
-				if r.knn, _, err = f.engine.NearestToPoint(point, 25); err != nil {
+				if r.knn, _, err = f.engine.Search(bg, Query{Kind: KindNearest, Point: point, K: 25}, nil); err != nil {
 					t.Fatal(err)
 				}
 				runs = append(runs, r)
@@ -112,7 +112,7 @@ func TestRefineDeterminismWindowVariants(t *testing.T) {
 	var prev []Result
 	for i, workers := range []int{1, 8} {
 		f.engine.SetRefineParallelism(workers)
-		got, _, err := f.engine.ThresholdWindow(q, 0.01, w)
+		got, _, err := f.engine.Search(bg, Query{Kind: KindThreshold, Traj: q, Eps: 0.01, Window: w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	defer cancel()
 	var processed atomic.Int64
 	stats := &Stats{}
-	err = f.engine.refine(ctx, res.Entries, stats,
+	err = f.engine.refineFromScan(ctx, stats, sliceScan(res.Entries, len(res.Entries)),
 		func(rec *traj.Record) refineOutcome {
 			if processed.Add(1) == cancelAfter {
 				cancel()
@@ -158,7 +158,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 		},
 		func(o refineOutcome) error { return nil })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("refine returned %v, want context.Canceled", err)
+		t.Fatalf("refineFromScan returned %v, want context.Canceled", err)
 	}
 	// Each worker may have had one candidate in flight when the cancel hit,
 	// plus the scheduler can let a worker claim one more before it observes
@@ -213,7 +213,7 @@ func TestRefinePreCancelled(t *testing.T) {
 func TestRefineStatsAccounting(t *testing.T) {
 	f, base := refineFixture(t, 300, 60, 77)
 	f.engine.SetRefineParallelism(4)
-	_, stats, err := f.engine.Threshold(base, 0.5)
+	_, stats, err := f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRefineStatsAccounting(t *testing.T) {
 	// Sequential: cumulative busy time and wall-clock measure the same loop,
 	// so CPU time cannot exceed wall-clock by more than timer noise.
 	f.engine.SetRefineParallelism(1)
-	_, stats, err = f.engine.Threshold(base, 0.5)
+	_, stats, err = f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRefineParallelismKnob(t *testing.T) {
 		if got := f.engine.refineParallelism(); got < 1 {
 			t.Fatalf("SetRefineParallelism(%d): resolved pool %d < 1", n, got)
 		}
-		if _, _, err := f.engine.Threshold(f.trajs[0], 0.01); err != nil {
+		if _, _, err := f.engine.ThresholdContext(bg, f.trajs[0], 0.01); err != nil {
 			t.Fatal(err)
 		}
 	}

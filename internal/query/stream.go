@@ -1,7 +1,7 @@
 package query
 
 // The streaming pipeline: scan and refinement as overlapped stages with
-// bounded memory, replacing the collect-everything barrier between them.
+// bounded memory.
 //
 //   region scans ──batches──▶ candidate queue ──rows──▶ workers ──▶ merge
 //                    (cluster.ScanStream)    (bounded)         (caller, in
@@ -9,20 +9,19 @@ package query
 //
 // A token semaphore bounds the candidates outstanding anywhere between the
 // scan and the merge (queued + in-flight + completed-but-unmerged) to the
-// configured stream depth, so peak per-query memory is O(depth), not
-// O(candidates): the scan producer acquires one token per row and the merge
-// loop releases it once the row's outcome has been folded in. A full queue
-// therefore blocks the producer — backpressure from refine all the way into
-// the region scans.
+// stream depth, so peak per-query memory is O(depth), not O(candidates): the
+// scan producer acquires one token per row and the merge loop releases it
+// once the row's outcome has been folded in. A full queue therefore blocks
+// the producer — backpressure from refine all the way into the region scans.
 //
 // Determinism: outcomes merge strictly in dispatch (scan-emission) order via
-// a reorder buffer, exactly like the slice executor merged in entry order.
-// Threshold/range sort their results by row key at the end; top-k scans each
-// index space Ordered (region-sequential = global key order), so its merge
-// order equals the sorted-entry order of the collect-all path. The shared
-// kth-distance bound only ever tightens and every rejection it allows is
-// backed by a lower-bound proof, so any interleaving yields the same
-// results — a looser (stale) bound only costs wasted work.
+// a reorder buffer. Threshold/range sort their results by row key at the end;
+// top-k scans each index space Ordered (region-sequential = global key
+// order), so its merge order is the key order whatever the pool size. The
+// shared kth-distance bound only ever tightens and every rejection it allows
+// is backed by a lower-bound proof, so any interleaving yields the results
+// of the one-worker, depth-one run — a looser (stale) bound only costs wasted
+// work.
 
 import (
 	"bytes"
@@ -35,35 +34,48 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/kv"
 	"repro/internal/store"
+	"repro/internal/xzstar"
 )
 
-// sortEntriesByKey restores global key order over entries gathered from
-// per-region batches (each batch is ordered, the interleaving is not).
-func sortEntriesByKey(entries []kv.Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].Key, entries[j].Key) < 0
-	})
-}
-
-// streamOptions assembles the store-level stream knobs from the engine's.
-func (e *Engine) streamOptions(ordered bool) store.StreamOptions {
-	return store.StreamOptions{BatchRows: e.streamBatch, Ordered: ordered}
-}
-
 // keyedResult pairs a result with its row key so threshold/range queries can
-// restore key order after an unordered parallel scan — the order the
-// collect-all path produced by sorting entries up front.
+// restore key order after an unordered parallel scan.
 type keyedResult struct {
 	key []byte
 	res Result
 }
 
-// finishKeyed sorts collected results back into row-key order. Row keys are
-// unique (value ‖ shard ‖ id), so the order is total. Returns nil for an
-// empty set, matching the pre-streaming paths.
-func finishKeyed(out []keyedResult) []Result {
-	if len(out) == 0 {
+// refineRanges is the scan-and-refine stage threshold and range share: scan
+// the planned ranges through the pushed-down filter, run work over every
+// shipped row, and hand each kept outcome to sink as it merges — or, with a
+// nil sink, collect them and return them in row-key order. Row keys are
+// unique (value ‖ shard ‖ id), so that order is total.
+func (e *Engine) refineRanges(ctx context.Context, snap *store.Snapshot, stats *Stats, ranges []xzstar.ValueRange,
+	filter func(key, value []byte) bool, work refineWork, sink func(Result) error) ([]Result, *Stats, error) {
+	stats.Ranges = len(ranges)
+	if len(ranges) == 0 {
+		return nil, stats, nil
+	}
+	scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
+		return snap.ScanRangesStream(sctx, ranges, filter, 0, store.StreamOptions{}, emit)
+	}
+	var out []keyedResult
+	err := e.refineFromScan(ctx, stats, scan, work, func(o refineOutcome) error {
+		if !o.keep {
+			return nil
+		}
+		stats.Results++
+		r := Result{ID: o.rec.ID, Distance: o.dist, Points: o.rec.Points}
+		if sink != nil {
+			return sink(r)
+		}
+		out = append(out, keyedResult{key: o.key, res: r})
 		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(out) == 0 {
+		return nil, stats, nil
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return bytes.Compare(out[i].key, out[j].key) < 0
@@ -72,12 +84,12 @@ func finishKeyed(out []keyedResult) []Result {
 	for i := range out {
 		rs[i] = out[i].res
 	}
-	return rs
+	return rs, stats, nil
 }
 
 // scanFunc is the producer half a query path hands to the pipeline: it runs
 // the storage scan, delivering row batches to emit, and returns the scan's
-// accounting. A nil result is allowed (the slice-replay adapter uses it).
+// accounting (non-nil unless it also returns an error).
 type scanFunc func(ctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error)
 
 // streamCand is one candidate row traveling from the scan to a worker.
@@ -104,8 +116,8 @@ type scanOutcome struct {
 	batches int64
 }
 
-// streamQueueDepth resolves the candidate-queue depth: the engine knob if
-// set, otherwise enough to keep the pool busy without hoarding rows.
+// streamQueueDepth resolves the candidate-queue depth: enough to keep the
+// pool busy without hoarding rows, unless a test pinned streamDepth.
 func (e *Engine) streamQueueDepth(workers int) int {
 	if e.streamDepth > 0 {
 		return e.streamDepth
@@ -117,46 +129,13 @@ func (e *Engine) streamQueueDepth(workers int) int {
 	return d
 }
 
-// runPipeline executes one scan+refine stage. In streaming mode (the
-// default) the stages overlap through the bounded candidate queue; with
-// streaming disabled it reproduces the pre-streaming collect-all path
-// (collect every entry, sort by key, then refine the slice) — the baseline
-// the stream bench and the determinism tests compare against. Scan
-// accounting (ScanTime, absorbScan) is folded into stats either way.
-func (e *Engine) runPipeline(ctx context.Context, stats *Stats, scan scanFunc, work refineWork, merge refineMerge) error {
-	if e.collectAll {
-		t0 := time.Now()
-		var entries []kv.Entry
-		res, err := scan(ctx, func(batch []kv.Entry) error {
-			entries = append(entries, batch...)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		stats.ScanTime += time.Since(t0)
-		if res != nil {
-			stats.absorbScan(res)
-		}
-		sortEntriesByKey(entries)
-		return e.refine(ctx, entries, stats, work, merge)
-	}
-	return e.refineFromScan(ctx, stats, 0, scan, work, merge)
-}
-
 // refineFromScan is the streaming executor: workers pull candidates from the
 // live scan through the bounded queue and the merge loop (on the calling
-// goroutine) folds outcomes in dispatch order. maxWorkers > 0 clamps the
-// pool (the slice adapter clamps to the slice length); 0 uses the engine's
-// refine parallelism.
-func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, maxWorkers int, scan scanFunc, work refineWork, merge refineMerge) error {
+// goroutine) folds outcomes in dispatch order. Scan accounting (ScanTime,
+// absorbScan) and refinement accounting (RefineTime wall-clock, RefineCPUTime
+// summed worker busy time, RefineWorkers pool size) are folded into stats.
+func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc, work refineWork, merge refineMerge) error {
 	workers := e.refineParallelism()
-	if maxWorkers > 0 && workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > stats.RefineWorkers {
 		stats.RefineWorkers = workers
 	}
@@ -357,19 +336,15 @@ func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, maxWorkers in
 		scanned = &so
 	}
 	stats.RefineCPUTime += time.Duration(cpu.Load())
-	if scanned.res != nil { // a real scan fed the pipeline (not the slice adapter)
-		stats.StreamBatches += scanned.batches
-		stats.StreamStallTime += scanned.stall
-		if p := int(peak.Load()); p > stats.StreamPeakDepth {
-			stats.StreamPeakDepth = p
-		}
+	stats.StreamBatches += scanned.batches
+	stats.StreamStallTime += scanned.stall
+	if p := int(peak.Load()); p > stats.StreamPeakDepth {
+		stats.StreamPeakDepth = p
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	if scanned.res != nil {
-		stats.ScanTime += scanned.elapsed
-		stats.absorbScan(scanned.res)
-	}
+	stats.ScanTime += scanned.elapsed
+	stats.absorbScan(scanned.res)
 	return nil
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -20,9 +19,11 @@ import (
 	"repro/internal/xzstar"
 )
 
-// The streaming pipeline's core contract: for every query type, every worker
-// count and every queue depth, results are byte-identical to the collect-all
-// path (scan fully, sort, refine) that predates streaming.
+// The streaming pipeline's core contract: for every query kind, windowed or
+// not, every worker count and every queue depth returns exactly what the
+// fully serialized run (one worker, depth one) returns — and that reference
+// is itself checked against the brute-force ground truth, so the runs cannot
+// all agree on a wrong answer.
 func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 200, 81)
 	rng := rand.New(rand.NewSource(82))
@@ -31,69 +32,72 @@ func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 	window := geo.Rect{Min: geo.Point{X: 0.1, Y: 0.1}, Max: geo.Point{X: 0.9, Y: 0.9}}
 	point := geo.Point{X: 0.5, Y: 0.5}
 
-	type run struct {
-		threshold, topk, rng, knn, thrWin, topkWin, rngWin []Result
+	queries := []Query{
+		{Kind: KindThreshold, Traj: q, Eps: eps},
+		{Kind: KindTopK, Traj: q, K: 25},
+		{Kind: KindRange, Rect: window},
+		{Kind: KindNearest, Point: point, K: 25},
 	}
-	exec := func() run {
-		var r run
-		var err error
-		if r.threshold, _, err = f.engine.Threshold(q, eps); err != nil {
-			t.Fatal(err)
+	// The fixture is untimed, so a bounded window admits every row but still
+	// runs the windowed filter in front of the spatial one.
+	for _, base := range queries[:3] {
+		base.Window = TimeWindow{Start: 1, End: 2}
+		queries = append(queries, base)
+	}
+	exec := func() [][]Result {
+		out := make([][]Result, len(queries))
+		for i, qry := range queries {
+			var err error
+			if out[i], _, err = f.engine.Search(bg, qry, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if r.topk, _, err = f.engine.TopK(q, 25); err != nil {
-			t.Fatal(err)
-		}
-		if r.rng, _, err = f.engine.Range(window); err != nil {
-			t.Fatal(err)
-		}
-		if r.knn, _, err = f.engine.NearestToPoint(point, 25); err != nil {
-			t.Fatal(err)
-		}
-		w := TimeWindow{}
-		if r.thrWin, _, err = f.engine.ThresholdWindow(q, eps, w); err != nil {
-			t.Fatal(err)
-		}
-		if r.topkWin, _, err = f.engine.TopKWindow(q, 25, w); err != nil {
-			t.Fatal(err)
-		}
-		if r.rngWin, _, err = f.engine.RangeWindow(window, w); err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return out
 	}
 
-	// Reference: streaming off, sequential refinement — the pre-streaming
-	// engine exactly.
-	f.engine.SetStreaming(false)
 	f.engine.SetRefineParallelism(1)
+	f.engine.streamDepth = 1
 	ref := exec()
-	if len(ref.threshold) == 0 || len(ref.topk) == 0 || len(ref.rng) == 0 || len(ref.knn) == 0 {
-		t.Fatal("reference run returned empty results; fixture is vacuous")
+
+	wantThr := f.bruteThreshold(q, eps, dist.Frechet)
+	if len(wantThr) == 0 || len(ref[0]) != len(wantThr) {
+		t.Fatalf("reference threshold returned %d results, brute force %d", len(ref[0]), len(wantThr))
+	}
+	for _, r := range ref[0] {
+		if _, ok := wantThr[r.ID]; !ok {
+			t.Fatalf("reference threshold returned %s, which brute force rejects", r.ID)
+		}
+	}
+	wantTop := f.bruteTopK(q, 25, dist.Frechet)
+	if len(ref[1]) != len(wantTop) {
+		t.Fatalf("reference top-k returned %d results, brute force %d", len(ref[1]), len(wantTop))
+	}
+	for i, r := range ref[1] {
+		if math.Abs(r.Distance-wantTop[i]) > 1e-6 {
+			t.Fatalf("reference top-k rank %d: distance %v, brute force %v", i, r.Distance, wantTop[i])
+		}
+	}
+	if want := bruteRange(f, window); len(ref[2]) != len(want) || len(want) == 0 {
+		t.Fatalf("reference range returned %d results, brute force %d", len(ref[2]), len(want))
+	}
+	wantKNN := bruteNearest(f, point, 25)
+	if len(ref[3]) != len(wantKNN) {
+		t.Fatalf("reference point-kNN returned %d results, brute force %d", len(ref[3]), len(wantKNN))
+	}
+	for i, r := range ref[3] {
+		if math.Abs(r.Distance-wantKNN[i]) > 1e-6 {
+			t.Fatalf("reference point-kNN rank %d: distance %v, brute force %v", i, r.Distance, wantKNN[i])
+		}
 	}
 
-	f.engine.SetStreaming(true)
 	for _, workers := range []int{1, 2, 8} {
 		for _, depth := range []int{1, 0} { // 1 = fully serialized hand-off, 0 = default
 			f.engine.SetRefineParallelism(workers)
-			f.engine.SetStreamQueueDepth(depth)
-			got := exec()
-			name := fmt.Sprintf("workers=%d depth=%d", workers, depth)
-			if !reflect.DeepEqual(ref.threshold, got.threshold) {
-				t.Errorf("%s: threshold differs from collect-all", name)
-			}
-			if !reflect.DeepEqual(ref.topk, got.topk) {
-				t.Errorf("%s: topk differs from collect-all", name)
-			}
-			if !reflect.DeepEqual(ref.rng, got.rng) {
-				t.Errorf("%s: range differs from collect-all", name)
-			}
-			if !reflect.DeepEqual(ref.knn, got.knn) {
-				t.Errorf("%s: point-kNN differs from collect-all", name)
-			}
-			if !reflect.DeepEqual(ref.thrWin, got.thrWin) ||
-				!reflect.DeepEqual(ref.topkWin, got.topkWin) ||
-				!reflect.DeepEqual(ref.rngWin, got.rngWin) {
-				t.Errorf("%s: a window variant differs from collect-all", name)
+			f.engine.streamDepth = depth
+			for i, got := range exec() {
+				if !reflect.DeepEqual(ref[i], got) {
+					t.Errorf("workers=%d depth=%d: %+v differs from the serialized run", workers, depth, queries[i])
+				}
 			}
 		}
 	}
@@ -105,8 +109,8 @@ func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 func TestStreamPeakDepthBounded(t *testing.T) {
 	f, base := refineFixture(t, 150, 40, 83)
 	f.engine.SetRefineParallelism(4)
-	f.engine.SetStreamQueueDepth(2)
-	_, stats, err := f.engine.Threshold(base, 0.5)
+	f.engine.streamDepth = 2
+	_, stats, err := f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,26 +128,12 @@ func TestStreamPeakDepthBounded(t *testing.T) {
 	}
 }
 
-// Streaming observability stays silent on the collect-all path.
-func TestStreamStatsZeroWhenDisabled(t *testing.T) {
-	f, base := refineFixture(t, 60, 30, 84)
-	f.engine.SetStreaming(false)
-	_, stats, err := f.engine.Threshold(base, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.StreamBatches != 0 || stats.StreamPeakDepth != 0 || stats.StreamStallTime != 0 {
-		t.Errorf("collect-all run reported stream stats: batches=%d peak=%d stall=%v",
-			stats.StreamBatches, stats.StreamPeakDepth, stats.StreamStallTime)
-	}
-}
-
 // When refinement is slower than the scan and the queue is depth 1, the
 // producer must block — recorded as StreamStallTime. Driven through the
 // executor directly so the slow stage is deterministic.
 func TestStreamBackpressureStalls(t *testing.T) {
 	f, _ := refineFixture(t, 1, 10, 85)
-	res, err := f.store.ScanRanges(context.Background(),
+	res, err := f.store.ScanRanges(bg,
 		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -157,17 +147,9 @@ func TestStreamBackpressureStalls(t *testing.T) {
 		entries = append(entries, res.Entries...)
 	}
 	f.engine.SetRefineParallelism(1)
-	f.engine.SetStreamQueueDepth(1)
+	f.engine.streamDepth = 1
 	stats := &Stats{}
-	scan := func(ctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-		for i := range entries {
-			if err := emit(entries[i : i+1]); err != nil {
-				return nil, err
-			}
-		}
-		return &cluster.ScanResult{}, nil
-	}
-	err = f.engine.refineFromScan(context.Background(), stats, 0, scan,
+	err = f.engine.refineFromScan(bg, stats, sliceScan(entries, 1),
 		func(rec *traj.Record) refineOutcome {
 			time.Sleep(time.Millisecond)
 			return refineOutcome{rec: rec, keep: true}
@@ -187,13 +169,13 @@ func TestStreamBackpressureStalls(t *testing.T) {
 	}
 }
 
-// ThresholdFunc streams every match exactly once and honors an abort from
-// the delivery callback by returning its error unwrapped.
-func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
+// A threshold sink receives every match exactly once, and an error from it
+// aborts the search and comes back unwrapped.
+func TestThresholdSinkDeliveryAndAbort(t *testing.T) {
 	f, base := refineFixture(t, 120, 30, 86)
 	f.engine.SetRefineParallelism(4)
 
-	want, _, err := f.engine.Threshold(base, 0.5)
+	want, _, err := f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +184,16 @@ func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 	}
 
 	var got []Result
-	stats, err := f.engine.ThresholdFunc(context.Background(), base, 0.5, func(r Result) error {
+	qry := Query{Kind: KindThreshold, Traj: base, Eps: 0.5}
+	rs, stats, err := f.engine.Search(bg, qry, func(r Result) error {
 		got = append(got, r)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rs != nil {
+		t.Fatalf("Search returned %d results beside a sink", len(rs))
 	}
 	if stats.Results != len(want) || len(got) != len(want) {
 		t.Fatalf("streamed %d results (stats %d), want %d", len(got), stats.Results, len(want))
@@ -223,7 +209,7 @@ func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 
 	sentinel := errors.New("enough")
 	delivered := 0
-	_, err = f.engine.ThresholdFunc(context.Background(), base, 0.5, func(r Result) error {
+	_, _, err = f.engine.Search(bg, qry, func(r Result) error {
 		delivered++
 		if delivered >= 3 {
 			return sentinel
@@ -231,18 +217,18 @@ func TestThresholdFuncDeliveryAndAbort(t *testing.T) {
 		return nil
 	})
 	if !errors.Is(err, sentinel) {
-		t.Fatalf("aborted ThresholdFunc returned %v, want the callback's error", err)
+		t.Fatalf("aborted search returned %v, want the callback's error", err)
 	}
 	if delivered != 3 {
 		t.Fatalf("callback ran %d times after aborting at 3", delivered)
 	}
 }
 
-// RangeFunc covers the same contract on the range path.
-func TestRangeFuncDelivery(t *testing.T) {
+// A range sink is held to the same contract.
+func TestRangeSinkDelivery(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 100, 87)
 	window := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 1, Y: 1}}
-	want, _, err := f.engine.Range(window)
+	want, _, err := f.engine.RangeContext(bg, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +236,7 @@ func TestRangeFuncDelivery(t *testing.T) {
 		t.Fatal("vacuous window")
 	}
 	count := 0
-	stats, err := f.engine.RangeFunc(context.Background(), window, func(r Result) error {
+	_, stats, err := f.engine.Search(bg, Query{Kind: KindRange, Rect: window}, func(r Result) error {
 		count++
 		return nil
 	})
@@ -259,5 +245,43 @@ func TestRangeFuncDelivery(t *testing.T) {
 	}
 	if count != len(want) || stats.Results != len(want) {
 		t.Fatalf("streamed %d results (stats %d), want %d", count, stats.Results, len(want))
+	}
+}
+
+// A top-k or nearest sink receives the collected answer, in its order.
+func TestBestFirstSinkDeliversInOrder(t *testing.T) {
+	f := newFixture(t, dist.Frechet, 100, 88)
+	for _, qry := range []Query{
+		{Kind: KindTopK, Traj: f.trajs[7], K: 10},
+		{Kind: KindNearest, Point: geo.Point{X: 0.5, Y: 0.5}, K: 10},
+	} {
+		want, _, err := f.engine.Search(bg, qry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Result
+		rs, stats, err := f.engine.Search(bg, qry, func(r Result) error {
+			got = append(got, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs != nil || stats.Results != len(want) || len(want) != 10 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: sink saw %d results (stats %d, returned %d), collected run %d", qry, len(got), stats.Results, len(rs), len(want))
+		}
+	}
+}
+
+// sliceScan is a scanFunc that replays entries in batches of n, for tests
+// that drive refineFromScan without a store scan.
+func sliceScan(entries []kv.Entry, n int) scanFunc {
+	return func(ctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
+		for i := 0; i < len(entries); i += n {
+			if err := emit(entries[i:min(i+n, len(entries))]); err != nil {
+				return nil, err
+			}
+		}
+		return &cluster.ScanResult{}, nil
 	}
 }

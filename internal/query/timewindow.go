@@ -1,11 +1,6 @@
 package query
 
-import (
-	"context"
-
-	"repro/internal/geo"
-	"repro/internal/traj"
-)
+import "repro/internal/traj"
 
 // TimeWindow restricts a query to trajectories observed within [Start, End]
 // (Unix seconds, inclusive). A zero Start or End leaves that side unbounded.
@@ -58,55 +53,4 @@ func wrapWithWindow(w TimeWindow, inner func(key, value []byte) bool) func(key, 
 		}
 		return inner(key, value)
 	}
-}
-
-// ThresholdWindow is Threshold restricted to trajectories overlapping the
-// time window.
-func (e *Engine) ThresholdWindow(q *traj.Trajectory, eps float64, w TimeWindow) ([]Result, *Stats, error) {
-	return e.threshold(context.Background(), q, eps, w)
-}
-
-// ThresholdWindowContext is ThresholdWindow under a context: cancellation
-// aborts the storage scans between rows and surfaces ctx's error. The server
-// layer maps per-request deadlines onto queries through these variants.
-func (e *Engine) ThresholdWindowContext(ctx context.Context, q *traj.Trajectory, eps float64, w TimeWindow) ([]Result, *Stats, error) {
-	return e.threshold(ctx, q, eps, w)
-}
-
-// ThresholdWindowFunc is ThresholdFunc restricted to the time window: each
-// match streams to fn as refinement produces it, under ctx.
-func (e *Engine) ThresholdWindowFunc(ctx context.Context, q *traj.Trajectory, eps float64, w TimeWindow, fn func(Result) error) (*Stats, error) {
-	_, stats, err := e.thresholdImpl(ctx, q, eps, w, fn)
-	return stats, err
-}
-
-// TopKWindow is TopK restricted to trajectories overlapping the time window:
-// the k nearest among those observed in [Start, End].
-func (e *Engine) TopKWindow(q *traj.Trajectory, k int, w TimeWindow) ([]Result, *Stats, error) {
-	return e.topK(context.Background(), q, k, w)
-}
-
-// TopKWindowContext is TopKWindow under a context: cancellation aborts the
-// storage scans between rows and surfaces ctx's error.
-func (e *Engine) TopKWindowContext(ctx context.Context, q *traj.Trajectory, k int, w TimeWindow) ([]Result, *Stats, error) {
-	return e.topK(ctx, q, k, w)
-}
-
-// RangeWindow is Range restricted to trajectories overlapping the time
-// window.
-func (e *Engine) RangeWindow(window geo.Rect, w TimeWindow) ([]Result, *Stats, error) {
-	return e.rangeQuery(context.Background(), window, w)
-}
-
-// RangeWindowContext is RangeWindow under a context: cancellation aborts the
-// storage scans between rows and surfaces ctx's error.
-func (e *Engine) RangeWindowContext(ctx context.Context, window geo.Rect, w TimeWindow) ([]Result, *Stats, error) {
-	return e.rangeQuery(ctx, window, w)
-}
-
-// RangeWindowFunc is RangeFunc restricted to the time window: each match
-// streams to fn as the scans produce it, under ctx.
-func (e *Engine) RangeWindowFunc(ctx context.Context, window geo.Rect, w TimeWindow, fn func(Result) error) (*Stats, error) {
-	_, stats, err := e.rangeImpl(ctx, window, w, fn)
-	return stats, err
 }

@@ -88,7 +88,7 @@ func TestThresholdWindowMatchesBruteForce(t *testing.T) {
 		q := f.trajs[rng.Intn(len(f.trajs))]
 		eps := 0.02 / 360 * 20
 		for wi, w := range windows {
-			got, _, err := f.engine.ThresholdWindow(q, eps, w)
+			got, _, err := f.engine.Search(bg, Query{Kind: KindThreshold, Traj: q, Eps: eps, Window: w}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestTopKWindowMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < 3; qi++ {
 		q := f.trajs[rng.Intn(len(f.trajs))]
 		k := 5 + qi*5
-		got, _, err := f.engine.TopKWindow(q, k, w)
+		got, _, err := f.engine.Search(bg, Query{Kind: KindTopK, Traj: q, K: k, Window: w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestRangeWindow(t *testing.T) {
 	f := newTimedFixture(t, 100, 94)
 	// Window over the whole plane, constrained to day 0: every day-0 and
 	// untimed trajectory, nothing else.
-	got, _, err := f.engine.RangeWindow(geo.World, TimeWindow{End: daySecs - 1})
+	got, _, err := f.engine.Search(bg, Query{Kind: KindRange, Rect: geo.World, Window: TimeWindow{End: daySecs - 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,6 +199,8 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &br):
 		writeError(w, http.StatusBadRequest, "%v", br.err)
+	case errors.Is(err, trass.ErrInvalidQuery):
+		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(err, context.Canceled):

@@ -371,6 +371,7 @@ func TestBadRequests(t *testing.T) {
 		{"knn without point", QueryRequest{Kind: KindKNN, K: 3}},
 		{"knn with window", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: 3, TimeEnd: 10}},
 		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}},
+		{"negative eps", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: -1}},
 		{"stream plus pagination", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: 2}},
 	}
 	for _, tc := range cases {

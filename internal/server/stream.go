@@ -11,9 +11,9 @@ import (
 )
 
 // streamQuery runs the streaming path: a 200 header goes out first, then one
-// NDJSON line per match as the refine workers emit it (the
-// ThresholdSearchFunc/RangeSearchFunc seam), then the footer line with the
-// QueryStats — the trailer a chunked response can't carry in headers. Top-k
+// NDJSON line per match as the refine workers emit it (the Backend's
+// ThresholdSearchWindowFunc/RangeSearchWindowFunc), then the footer line with
+// the QueryStats — the trailer a chunked response can't carry in headers. Top-k
 // and point-kNN compute their (small, ordered) result set first and stream
 // it out line by line, so every kind shares one wire shape.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {

@@ -27,7 +27,8 @@
 #              supervisor); SHORT=1 samples fewer fault points
 #   test       refinement-executor and streaming-pipeline race tests (always
 #              under -race: the parallel refine pool and the bounded
-#              scan-to-refine stream are the code most worth racing), then
+#              scan-to-refine stream are the code most worth racing), vet +
+#              test of the nested benchmark/ module (invisible to ./...), then
 #              go test -race ./... and a 10s fuzz smoke of every native fuzz
 #              target (plain go test -short ./... and no fuzz with SHORT=1)
 #   serve      end-to-end over a real socket: build trassd + trass, generate
@@ -121,6 +122,12 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
     # under the race detector.
     step "stream pipeline (race)"
     go test -race -count=1 -run 'Stream' ./internal/cluster ./internal/store ./internal/query
+
+    # benchmark/ is its own module, so `./...` above and below sees none of
+    # it: a rename in the root module can break the harness that BENCHMARK.json
+    # runs without any root test noticing. Vet and test it here.
+    step "benchmark module (vet + test)"
+    (cd benchmark && go vet ./... && go test -count=1 ./...)
 
     if [[ "${SHORT:-0}" == "1" ]]; then
         step "test (short)"

@@ -19,6 +19,10 @@
 //	matches, err := db.ThresholdSearch(query, 0.005)
 //	nearest, err := db.TopKSearch(query, 50)
 //
+// Those two, RangeSearch and NearestSearch are shorthands for the one entry
+// point, Search, which takes a Query value, a context and an optional sink
+// for streamed delivery.
+//
 // Coordinates live on the normalized plane [0,1)². Use NormalizeLonLat for
 // longitude/latitude data. Three similarity measures are supported: discrete
 // Fréchet (default), Hausdorff, and DTW.
@@ -26,7 +30,6 @@ package trass
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -79,12 +82,31 @@ func NormalizeLonLat(lon, lat float64) Point { return geo.NormalizeLonLat(lon, l
 // DenormalizeLonLat is the inverse of NormalizeLonLat.
 func DenormalizeLonLat(p Point) (lon, lat float64) { return geo.DenormalizeLonLat(p) }
 
-// Match is one query result.
-type Match struct {
-	ID       string
-	Distance float64
-	Points   []Point
-}
+// Match is one query result. Range matches carry no distance.
+type Match = query.Result
+
+// Query is one search request: Kind selects the search and which of the
+// other fields it reads.
+//
+//	Kind           reads                    matches
+//	KindThreshold  Traj, Eps, Window        every trajectory within Eps of Traj
+//	KindTopK       Traj, K, Window          the K trajectories nearest Traj
+//	KindRange      Rect, Window             every trajectory with a point in Rect
+//	KindNearest    Point, K                 the K trajectories passing nearest Point
+type Query = query.Query
+
+// The four searches.
+const (
+	KindThreshold = query.KindThreshold
+	KindTopK      = query.KindTopK
+	KindRange     = query.KindRange
+	KindNearest   = query.KindNearest
+)
+
+// ErrInvalidQuery is wrapped by every error Search returns for a Query that
+// cannot be run as written: a negative or NaN Eps, a nil or empty Traj where
+// one is read, an unknown Kind, or KindNearest with a bounded Window.
+var ErrInvalidQuery = query.ErrInvalidQuery
 
 // QueryStats reports what one query did: planning, scanning and refinement
 // times plus the candidate counts the TraSS paper's evaluation tracks.
@@ -96,8 +118,6 @@ type Option func(*store.Config, *config)
 type config struct {
 	measure           Measure
 	refineParallelism int
-	streamBatch       int
-	streamQueueDepth  int
 }
 
 // WithShards sets the row-key hash fan-out (default 8, the paper's value).
@@ -136,27 +156,6 @@ func WithParallelism(n int) Option {
 // changes. QueryStats.RefineWorkers reports the pool size a query used.
 func WithRefineParallelism(n int) Option {
 	return func(_ *store.Config, c *config) { c.refineParallelism = n }
-}
-
-// WithStreamBatch sets how many rows each region scan batches before handing
-// them to the query pipeline (default 64). Queries stream candidates from
-// the region scans straight into refinement; smaller batches shorten the
-// time to the first refined candidate, larger ones amortize hand-off
-// overhead. Results are identical for any value.
-func WithStreamBatch(rows int) Option {
-	return func(_ *store.Config, c *config) { c.streamBatch = rows }
-}
-
-// WithStreamQueueDepth bounds how many candidate rows may be in flight
-// between the storage scans and refinement — queued, being refined, or
-// awaiting their in-order merge (default: a small multiple of the refine
-// worker count). This is the query pipeline's memory bound and its
-// backpressure knob: when refinement falls behind, a full queue blocks the
-// region scans rather than buffering the backlog. Results are identical for
-// any depth; QueryStats.StreamPeakDepth reports the high-water mark a query
-// actually reached.
-func WithStreamQueueDepth(n int) Option {
-	return func(_ *store.Config, c *config) { c.streamQueueDepth = n }
 }
 
 // WithSyncWrites makes every acknowledged write durable before Put returns
@@ -207,8 +206,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	}
 	eng := query.New(st, c.measure)
 	eng.SetRefineParallelism(c.refineParallelism)
-	eng.SetStreamBatch(c.streamBatch)
-	eng.SetStreamQueueDepth(c.streamQueueDepth)
 	return &DB{store: st, engine: eng}, nil
 }
 
@@ -253,73 +250,36 @@ func (db *DB) Get(id string) (*Trajectory, error) {
 	return &Trajectory{ID: rec.ID, Points: rec.Points}, nil
 }
 
+// Search runs q. With a nil sink it returns the matches in a deterministic
+// order: row-key order for KindThreshold and KindRange, ascending distance
+// for KindTopK and KindNearest. With a non-nil sink it returns no slice and
+// passes every match to sink instead — threshold and range matches as
+// refinement produces them, in no specified order and with memory bounded
+// however many match; top-k and nearest matches in ascending order once the
+// search has finished. A non-nil error from sink aborts the search and is
+// returned as-is; cancelling ctx aborts the storage scans and surfaces ctx's
+// error; a malformed q fails with an error wrapping ErrInvalidQuery.
+//
+// Every other search method below is this one called with a fixed Query
+// shape.
+func (db *DB) Search(ctx context.Context, q Query, sink func(Match) error) ([]Match, *QueryStats, error) {
+	return db.engine.Search(ctx, q, sink)
+}
+
+func matchesOnly(ms []Match, _ *QueryStats, err error) ([]Match, error) { return ms, err }
+
+func statsOnly(_ []Match, st *QueryStats, err error) (*QueryStats, error) { return st, err }
+
 // ThresholdSearch returns every stored trajectory within eps of q under the
 // database's measure (Definition 3 of the paper).
 func (db *DB) ThresholdSearch(q *Trajectory, eps float64) ([]Match, error) {
-	ms, _, err := db.ThresholdSearchStats(q, eps)
-	return ms, err
-}
-
-// ThresholdSearchStats is ThresholdSearch plus per-query statistics.
-func (db *DB) ThresholdSearchStats(q *Trajectory, eps float64) ([]Match, *QueryStats, error) {
-	return db.ThresholdSearchContext(context.Background(), q, eps)
-}
-
-// ThresholdSearchContext is ThresholdSearchStats under a context:
-// cancellation aborts the storage scans and surfaces ctx's error.
-func (db *DB) ThresholdSearchContext(ctx context.Context, q *Trajectory, eps float64) ([]Match, *QueryStats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	rs, stats, err := db.engine.ThresholdContext(ctx, q, eps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// ThresholdSearchFunc is ThresholdSearch with streaming delivery: each match
-// is passed to fn as refinement produces it, so memory stays bounded by the
-// stream queue depth no matter how many trajectories match. Delivery order
-// is unspecified (it follows refinement completion, not key order). A
-// non-nil error from fn aborts the search and is returned as-is.
-func (db *DB) ThresholdSearchFunc(ctx context.Context, q *Trajectory, eps float64, fn func(Match) error) (*QueryStats, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	return db.engine.ThresholdFunc(ctx, q, eps, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
-}
-
-// RangeSearchFunc is RangeSearch with streaming delivery; see
-// ThresholdSearchFunc for the contract. Matches carry no distance.
-func (db *DB) RangeSearchFunc(ctx context.Context, window Rect, fn func(Match) error) (*QueryStats, error) {
-	return db.engine.RangeFunc(ctx, window, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
+	return matchesOnly(db.Search(context.Background(), Query{Kind: KindThreshold, Traj: q, Eps: eps}, nil))
 }
 
 // TopKSearch returns the k stored trajectories nearest to q, ascending by
 // distance (Definition 4 of the paper).
 func (db *DB) TopKSearch(q *Trajectory, k int) ([]Match, error) {
-	ms, _, err := db.TopKSearchStats(q, k)
-	return ms, err
-}
-
-// TopKSearchStats is TopKSearch plus per-query statistics.
-func (db *DB) TopKSearchStats(q *Trajectory, k int) ([]Match, *QueryStats, error) {
-	return db.TopKSearchContext(context.Background(), q, k)
-}
-
-// TopKSearchContext is TopKSearchStats under a context: cancellation aborts
-// the storage scans and surfaces ctx's error.
-func (db *DB) TopKSearchContext(ctx context.Context, q *Trajectory, k int) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.TopKContext(ctx, q, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
+	return matchesOnly(db.Search(context.Background(), Query{Kind: KindTopK, Traj: q, K: k}, nil))
 }
 
 // Rect is an axis-parallel window on the normalized plane.
@@ -327,137 +287,74 @@ type Rect = geo.Rect
 
 // RangeSearch returns every stored trajectory with at least one point inside
 // window (the spatial range query the paper's conclusion mentions XZ* also
-// supports). Matches carry no distance.
+// supports).
 func (db *DB) RangeSearch(window Rect) ([]Match, error) {
-	rs, _, err := db.engine.Range(window)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// RangeSearchContext is RangeSearch under a context, plus per-query
-// statistics: cancellation aborts the storage scans and surfaces ctx's error.
-func (db *DB) RangeSearchContext(ctx context.Context, window Rect) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.RangeContext(ctx, window)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// ThresholdSearchWindow is ThresholdSearch restricted to trajectories
-// observed within the time window.
-func (db *DB) ThresholdSearchWindow(q *Trajectory, eps float64, w TimeWindow) ([]Match, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	rs, _, err := db.engine.ThresholdWindow(q, eps, w)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// ThresholdSearchWindowContext is ThresholdSearchWindow under a context,
-// plus per-query statistics. The serving layer (cmd/trassd) maps per-request
-// deadlines and client disconnects onto queries through these variants.
-func (db *DB) ThresholdSearchWindowContext(ctx context.Context, q *Trajectory, eps float64, w TimeWindow) ([]Match, *QueryStats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	rs, stats, err := db.engine.ThresholdWindowContext(ctx, q, eps, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// ThresholdSearchWindowFunc is ThresholdSearchFunc restricted to the time
-// window; see ThresholdSearchFunc for the streaming contract.
-func (db *DB) ThresholdSearchWindowFunc(ctx context.Context, q *Trajectory, eps float64, w TimeWindow, fn func(Match) error) (*QueryStats, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("trass: negative threshold %v", eps)
-	}
-	return db.engine.ThresholdWindowFunc(ctx, q, eps, w, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
-}
-
-// TopKSearchWindow returns the k nearest trajectories among those observed
-// within the time window.
-func (db *DB) TopKSearchWindow(q *Trajectory, k int, w TimeWindow) ([]Match, error) {
-	rs, _, err := db.engine.TopKWindow(q, k, w)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// TopKSearchWindowContext is TopKSearchWindow under a context, plus
-// per-query statistics.
-func (db *DB) TopKSearchWindowContext(ctx context.Context, q *Trajectory, k int, w TimeWindow) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.TopKWindowContext(ctx, q, k, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// RangeSearchWindow is RangeSearch restricted to trajectories observed
-// within the time window.
-func (db *DB) RangeSearchWindow(window Rect, w TimeWindow) ([]Match, error) {
-	rs, _, err := db.engine.RangeWindow(window, w)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
-}
-
-// RangeSearchWindowContext is RangeSearchWindow under a context, plus
-// per-query statistics.
-func (db *DB) RangeSearchWindowContext(ctx context.Context, window Rect, w TimeWindow) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.RangeWindowContext(ctx, window, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
-}
-
-// RangeSearchWindowFunc is RangeSearchFunc restricted to the time window;
-// see ThresholdSearchFunc for the streaming contract.
-func (db *DB) RangeSearchWindowFunc(ctx context.Context, window Rect, w TimeWindow, fn func(Match) error) (*QueryStats, error) {
-	return db.engine.RangeWindowFunc(ctx, window, w, func(r query.Result) error {
-		return fn(Match{ID: r.ID, Distance: r.Distance, Points: r.Points})
-	})
+	return matchesOnly(db.Search(context.Background(), Query{Kind: KindRange, Rect: window}, nil))
 }
 
 // NearestSearch returns the k stored trajectories whose closest approach to
 // point p is smallest, ascending by that distance.
 func (db *DB) NearestSearch(p Point, k int) ([]Match, error) {
-	rs, _, err := db.engine.NearestToPoint(p, k)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(rs), nil
+	return matchesOnly(db.Search(context.Background(), Query{Kind: KindNearest, Point: p, K: k}, nil))
 }
 
-// NearestSearchContext is NearestSearch under a context, plus per-query
-// statistics: cancellation aborts the storage scans and surfaces ctx's error.
+// The methods from here to Verify are the fixed-shape calls the serving layer
+// (server.Backend) and the repo benchmark are written against.
+
+// ThresholdSearchContext is ThresholdSearch under ctx, plus per-query
+// statistics.
+func (db *DB) ThresholdSearchContext(ctx context.Context, q *Trajectory, eps float64) ([]Match, *QueryStats, error) {
+	return db.Search(ctx, Query{Kind: KindThreshold, Traj: q, Eps: eps}, nil)
+}
+
+// TopKSearchContext is TopKSearch under ctx, plus per-query statistics.
+func (db *DB) TopKSearchContext(ctx context.Context, q *Trajectory, k int) ([]Match, *QueryStats, error) {
+	return db.Search(ctx, Query{Kind: KindTopK, Traj: q, K: k}, nil)
+}
+
+// RangeSearchContext is RangeSearch under ctx, plus per-query statistics.
+func (db *DB) RangeSearchContext(ctx context.Context, window Rect) ([]Match, *QueryStats, error) {
+	return db.Search(ctx, Query{Kind: KindRange, Rect: window}, nil)
+}
+
+// RangeSearchFunc is RangeSearchContext delivering each match to fn.
+func (db *DB) RangeSearchFunc(ctx context.Context, window Rect, fn func(Match) error) (*QueryStats, error) {
+	return statsOnly(db.Search(ctx, Query{Kind: KindRange, Rect: window}, fn))
+}
+
+// NearestSearchContext is NearestSearch under ctx, plus per-query statistics.
 func (db *DB) NearestSearchContext(ctx context.Context, p Point, k int) ([]Match, *QueryStats, error) {
-	rs, stats, err := db.engine.NearestToPointContext(ctx, p, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toMatches(rs), stats, nil
+	return db.Search(ctx, Query{Kind: KindNearest, Point: p, K: k}, nil)
 }
 
-func toMatches(rs []query.Result) []Match {
-	out := make([]Match, len(rs))
-	for i, r := range rs {
-		out[i] = Match{ID: r.ID, Distance: r.Distance, Points: r.Points}
-	}
-	return out
+// ThresholdSearchWindowContext is ThresholdSearchContext restricted to
+// trajectories observed within w.
+func (db *DB) ThresholdSearchWindowContext(ctx context.Context, q *Trajectory, eps float64, w TimeWindow) ([]Match, *QueryStats, error) {
+	return db.Search(ctx, Query{Kind: KindThreshold, Traj: q, Eps: eps, Window: w}, nil)
+}
+
+// ThresholdSearchWindowFunc is ThresholdSearchWindowContext delivering each
+// match to fn.
+func (db *DB) ThresholdSearchWindowFunc(ctx context.Context, q *Trajectory, eps float64, w TimeWindow, fn func(Match) error) (*QueryStats, error) {
+	return statsOnly(db.Search(ctx, Query{Kind: KindThreshold, Traj: q, Eps: eps, Window: w}, fn))
+}
+
+// TopKSearchWindowContext is TopKSearchContext restricted to trajectories
+// observed within w.
+func (db *DB) TopKSearchWindowContext(ctx context.Context, q *Trajectory, k int, w TimeWindow) ([]Match, *QueryStats, error) {
+	return db.Search(ctx, Query{Kind: KindTopK, Traj: q, K: k, Window: w}, nil)
+}
+
+// RangeSearchWindowContext is RangeSearchContext restricted to trajectories
+// observed within w.
+func (db *DB) RangeSearchWindowContext(ctx context.Context, window Rect, w TimeWindow) ([]Match, *QueryStats, error) {
+	return db.Search(ctx, Query{Kind: KindRange, Rect: window, Window: w}, nil)
+}
+
+// RangeSearchWindowFunc is RangeSearchWindowContext delivering each match to
+// fn.
+func (db *DB) RangeSearchWindowFunc(ctx context.Context, window Rect, w TimeWindow, fn func(Match) error) (*QueryStats, error) {
+	return statsOnly(db.Search(ctx, Query{Kind: KindRange, Rect: window, Window: w}, fn))
 }
 
 // Verify checks the integrity (block checksums) of every on-disk file.

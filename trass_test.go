@@ -3,6 +3,7 @@ package trass
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/query"
 )
 
 func openTestDB(t *testing.T, opts ...Option) *DB {
@@ -38,7 +40,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	q := data[42]
 	eps := gen.DegreesToNorm(0.01)
 
-	matches, stats, err := db.ThresholdSearchStats(q, eps)
+	matches, stats, err := db.ThresholdSearchContext(context.Background(), q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +242,7 @@ func TestRefineParallelismOption(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		ms, stats, err := db.ThresholdSearchStats(q, 0.01)
+		ms, stats, err := db.ThresholdSearchContext(context.Background(), q, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,5 +372,229 @@ func TestDurabilityAndContextOptions(t *testing.T) {
 	}
 	if got.ID != q.ID {
 		t.Fatalf("got id %q", got.ID)
+	}
+}
+
+// Every kept search method is Search on a fixed Query shape: for each kind,
+// with and without a time window, collected and through a sink, the wrappers
+// return exactly what Search returns.
+func TestSearchMatchesWrappers(t *testing.T) {
+	db := openTestDB(t, WithShards(2))
+	data := gen.TDrive(gen.TDriveOptions{Seed: 21, N: 200})
+	for i, tr := range data {
+		// Timestamp every other trajectory so a window both admits and
+		// rejects stored rows (untimed ones always pass).
+		if i%2 == 0 {
+			tr.Times = make([]int64, len(tr.Points))
+			for j := range tr.Times {
+				tr.Times[j] = int64(1000*i + j)
+			}
+		}
+	}
+	if err := db.PutBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := data[7]
+	eps := gen.DegreesToNorm(0.5)
+	rect := Rect{Min: Point{X: 0.2, Y: 0.2}, Max: Point{X: 0.9, Y: 0.9}}
+	pt := q.Points[0]
+	w := TimeWindow{Start: 1, End: 50_000}
+
+	type collect func() ([]Match, error)
+	type stream func(fn func(Match) error) error
+	withStats := func(f func() ([]Match, *QueryStats, error)) collect {
+		return func() ([]Match, error) {
+			ms, st, err := f()
+			if err == nil && st.Results != len(ms) {
+				t.Errorf("stats report %d results beside %d matches", st.Results, len(ms))
+			}
+			return ms, err
+		}
+	}
+	cases := []struct {
+		name    string
+		query   Query
+		ordered bool // a sink sees the collected sequence, not just the same set
+		collect []collect
+		stream  []stream
+	}{
+		{"threshold", Query{Kind: KindThreshold, Traj: q, Eps: eps}, false,
+			[]collect{
+				func() ([]Match, error) { return db.ThresholdSearch(q, eps) },
+				withStats(func() ([]Match, *QueryStats, error) { return db.ThresholdSearchContext(ctx, q, eps) }),
+				withStats(func() ([]Match, *QueryStats, error) {
+					return db.ThresholdSearchWindowContext(ctx, q, eps, TimeWindow{})
+				}),
+			},
+			[]stream{func(fn func(Match) error) error {
+				_, err := db.ThresholdSearchWindowFunc(ctx, q, eps, TimeWindow{}, fn)
+				return err
+			}}},
+		{"threshold/window", Query{Kind: KindThreshold, Traj: q, Eps: eps, Window: w}, false,
+			[]collect{withStats(func() ([]Match, *QueryStats, error) { return db.ThresholdSearchWindowContext(ctx, q, eps, w) })},
+			[]stream{func(fn func(Match) error) error {
+				_, err := db.ThresholdSearchWindowFunc(ctx, q, eps, w, fn)
+				return err
+			}}},
+		{"topk", Query{Kind: KindTopK, Traj: q, K: 20}, true,
+			[]collect{
+				func() ([]Match, error) { return db.TopKSearch(q, 20) },
+				withStats(func() ([]Match, *QueryStats, error) { return db.TopKSearchContext(ctx, q, 20) }),
+				withStats(func() ([]Match, *QueryStats, error) { return db.TopKSearchWindowContext(ctx, q, 20, TimeWindow{}) }),
+			}, nil},
+		{"topk/window", Query{Kind: KindTopK, Traj: q, K: 20, Window: w}, true,
+			[]collect{withStats(func() ([]Match, *QueryStats, error) { return db.TopKSearchWindowContext(ctx, q, 20, w) })}, nil},
+		{"range", Query{Kind: KindRange, Rect: rect}, false,
+			[]collect{
+				func() ([]Match, error) { return db.RangeSearch(rect) },
+				withStats(func() ([]Match, *QueryStats, error) { return db.RangeSearchContext(ctx, rect) }),
+				withStats(func() ([]Match, *QueryStats, error) { return db.RangeSearchWindowContext(ctx, rect, TimeWindow{}) }),
+			},
+			[]stream{
+				func(fn func(Match) error) error { _, err := db.RangeSearchFunc(ctx, rect, fn); return err },
+				func(fn func(Match) error) error {
+					_, err := db.RangeSearchWindowFunc(ctx, rect, TimeWindow{}, fn)
+					return err
+				},
+			}},
+		{"range/window", Query{Kind: KindRange, Rect: rect, Window: w}, false,
+			[]collect{withStats(func() ([]Match, *QueryStats, error) { return db.RangeSearchWindowContext(ctx, rect, w) })},
+			[]stream{func(fn func(Match) error) error { _, err := db.RangeSearchWindowFunc(ctx, rect, w, fn); return err }}},
+		// KindNearest has no windowed form; TestSearchRejectsInvalid pins that.
+		{"nearest", Query{Kind: KindNearest, Point: pt, K: 20}, true,
+			[]collect{
+				func() ([]Match, error) { return db.NearestSearch(pt, 20) },
+				withStats(func() ([]Match, *QueryStats, error) { return db.NearestSearchContext(ctx, pt, 20) }),
+			}, nil},
+	}
+	byID := func(ms []Match) []Match {
+		out := append([]Match(nil), ms...)
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		return out
+	}
+	answers := map[string][]Match{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _, err := db.Search(ctx, tc.query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("query matches nothing; the comparison is vacuous")
+			}
+			answers[tc.name] = want
+			for i, c := range tc.collect {
+				got, err := c()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("collecting wrapper %d returned %d matches, Search %d, or in another order", i, len(got), len(want))
+				}
+			}
+			sameStream := func(label string, got []Match) {
+				if !tc.ordered {
+					got, want = byID(got), byID(want)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s delivered %d matches, Search collected %d, or in another order", label, len(got), len(want))
+				}
+			}
+			var viaSink []Match
+			ms, st, err := db.Search(ctx, tc.query, func(m Match) error { viaSink = append(viaSink, m); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms != nil || st.Results != len(viaSink) {
+				t.Errorf("Search with a sink returned %d matches and counted %d beside %d delivered", len(ms), st.Results, len(viaSink))
+			}
+			sameStream("Search sink", viaSink)
+			for i, s := range tc.stream {
+				var got []Match
+				if err := s(func(m Match) error { got = append(got, m); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				sameStream(fmt.Sprintf("streaming wrapper %d", i), got)
+			}
+		})
+	}
+	for _, kind := range []string{"threshold", "topk", "range"} {
+		if reflect.DeepEqual(answers[kind], answers[kind+"/window"]) {
+			t.Errorf("%s: the window changed nothing among %d matches; it must reject some", kind, len(answers[kind]))
+		}
+	}
+}
+
+// Search rejects a malformed Query with ErrInvalidQuery before touching the
+// store. NaN is the regression: `eps < 0` is false for it, so it used to run
+// and silently match nothing.
+func TestSearchRejectsInvalid(t *testing.T) {
+	db := openTestDB(t)
+	q := NewTrajectory("q", []Point{{X: 0.5, Y: 0.5}})
+	if err := db.Put(q); err != nil {
+		t.Fatal(err)
+	}
+	for name, query := range map[string]Query{
+		"negative eps":        {Kind: KindThreshold, Traj: q, Eps: -1},
+		"NaN eps":             {Kind: KindThreshold, Traj: q, Eps: math.NaN()},
+		"threshold nil traj":  {Kind: KindThreshold, Eps: 0.01},
+		"threshold no points": {Kind: KindThreshold, Traj: &Trajectory{ID: "e"}, Eps: 0.01},
+		"topk nil traj":       {Kind: KindTopK, K: 3},
+		"topk no points":      {Kind: KindTopK, Traj: &Trajectory{ID: "e"}, K: 3},
+		"zero kind":           {Traj: q, Eps: 0.01},
+		"unknown kind":        {Kind: KindNearest + 1, Traj: q, Eps: 0.01},
+		"nearest with window": {Kind: KindNearest, Point: q.Points[0], K: 3, Window: TimeWindow{End: 10}},
+	} {
+		ms, st, err := db.Search(context.Background(), query, nil)
+		if !errors.Is(err, ErrInvalidQuery) || ms != nil || st != nil {
+			t.Errorf("%s: got (%v, %v, %v), want an ErrInvalidQuery alone", name, ms, st, err)
+		}
+	}
+	if _, err := db.ThresholdSearch(q, math.NaN()); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("ThresholdSearch(NaN) = %v, want ErrInvalidQuery", err)
+	}
+	if ms, err := db.ThresholdSearch(q, 0); err != nil || len(ms) != 1 {
+		t.Errorf("eps = 0 is valid and must match the stored copy: %v %v", ms, err)
+	}
+}
+
+// The search surface is Search plus fixed-shape calls of it. The lists are
+// exact so the {kind} x {Stats, Context, Func} x {window} cross-product cannot
+// quietly regrow: a new search method has to be added here on purpose.
+func TestSearchSurfacePinned(t *testing.T) {
+	searchMethods := func(v any) []string {
+		var names []string
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			// A search entry returns matches and/or per-query statistics.
+			for j := 0; j < m.Type.NumOut(); j++ {
+				if out := m.Type.Out(j); out == reflect.TypeOf([]Match(nil)) || out == reflect.TypeOf((*QueryStats)(nil)) {
+					names = append(names, m.Name)
+					break
+				}
+			}
+		}
+		return names // reflect lists methods sorted by name
+	}
+	wantDB := []string{
+		"NearestSearch", "NearestSearchContext",
+		"RangeSearch", "RangeSearchContext", "RangeSearchFunc",
+		"RangeSearchWindowContext", "RangeSearchWindowFunc",
+		"Search",
+		"ThresholdSearch", "ThresholdSearchContext",
+		"ThresholdSearchWindowContext", "ThresholdSearchWindowFunc",
+		"TopKSearch", "TopKSearchContext", "TopKSearchWindowContext",
+	}
+	if got := searchMethods(&DB{}); !reflect.DeepEqual(got, wantDB) {
+		t.Errorf("*trass.DB search methods:\n got %v\nwant %v", got, wantDB)
+	}
+	wantEngine := []string{"RangeContext", "Search", "ThresholdContext", "TopKContext"}
+	if got := searchMethods(&query.Engine{}); !reflect.DeepEqual(got, wantEngine) {
+		t.Errorf("*query.Engine search methods:\n got %v\nwant %v", got, wantEngine)
 	}
 }
