@@ -3,32 +3,23 @@
 //	trassbench -list
 //	trassbench -exp fig9
 //	trassbench -exp all -tdrive 20000 -lorry 20000 -queries 30
-//	trassbench -exp refine -format=json -outdir artifacts
-//	trassbench -check artifacts/BENCH_refine.json,artifacts/BENCH_lint.json
 //
-// Each experiment prints one or more tables matching a figure of the paper;
-// EXPERIMENTS.md records the expected shapes. With -format=json each
-// experiment additionally writes BENCH_<exp>.json — the same rows plus run
-// metadata (config, git SHA, wall time) — which CI uploads as an artifact.
-// The git SHA is read from TRASSBENCH_GIT_SHA, falling back to GITHUB_SHA.
+// Each experiment prints one or more text tables matching a figure of the
+// paper (Figs 9-20, plus the io and ablation studies); EXPERIMENTS.md records
+// the expected shapes. -tdrive, -lorry and -queries size the run, -seed fixes
+// it, -dir keeps the scratch stores, -v prints progress to stderr.
 //
-// -check validates a comma-separated list of BENCH_*.json artifacts (exists,
-// parses, carries data rows) and exits nonzero listing every problem — the
-// gate CI's bench-smoke job runs so a silently-skipped experiment fails the
-// build instead of uploading a hole.
+// Performance of this implementation over time is not trassbench's job: the
+// repo benchmark under benchmark/ (see benchmark/README.md) has the
+// workloads, the checked-in baselines and the bounds.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/vfs"
 )
 
 func main() {
@@ -39,22 +30,8 @@ func main() {
 	queries := flag.Int("queries", 0, "queries per data point (default 15)")
 	seed := flag.Int64("seed", 1, "random seed")
 	dir := flag.String("dir", "", "scratch directory (default: temp)")
-	format := flag.String("format", "text", "output format: text, or json to also write BENCH_<exp>.json")
-	outdir := flag.String("outdir", ".", "directory for BENCH_<exp>.json files (with -format=json)")
-	check := flag.String("check", "", "comma-separated BENCH_*.json paths to validate; exits 1 listing every problem")
 	verbose := flag.Bool("v", false, "print progress")
 	flag.Parse()
-
-	if *check != "" {
-		if problems := checkArtifacts(strings.Split(*check, ",")); len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintf(os.Stderr, "trassbench: check: %s\n", p)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("all artifacts ok")
-		return
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
@@ -65,10 +42,6 @@ func main() {
 			os.Exit(2)
 		}
 		return
-	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "trassbench: unknown format %q (want text or json)\n", *format)
-		os.Exit(2)
 	}
 
 	cfg := bench.Config{
@@ -83,13 +56,7 @@ func main() {
 	}
 
 	run := func(name string) {
-		var err error
-		if *format == "json" {
-			err = runJSON(name, cfg, *outdir)
-		} else {
-			err = bench.Run(name, cfg, os.Stdout)
-		}
-		if err != nil {
+		if err := bench.Run(name, cfg, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "trassbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -101,87 +68,4 @@ func main() {
 		return
 	}
 	run(*exp)
-}
-
-// runJSON executes one experiment, prints its text tables as usual, and
-// persists BENCH_<name>.json under outdir.
-func runJSON(name string, cfg bench.Config, outdir string) error {
-	sha := os.Getenv("TRASSBENCH_GIT_SHA")
-	if sha == "" {
-		sha = os.Getenv("GITHUB_SHA")
-	}
-	rep, err := bench.RunReport(name, cfg, sha)
-	if err != nil {
-		return err
-	}
-	for _, t := range rep.Tables {
-		tab := &bench.Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows}
-		if err := tab.Write(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if err := vfs.Default.MkdirAll(outdir); err != nil {
-		return err
-	}
-	path := filepath.Join(outdir, "BENCH_"+name+".json")
-	f, err := vfs.Default.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// checkArtifacts validates every named BENCH_*.json and returns one message
-// per problem (never failing fast — CI should see the full damage at once).
-// An artifact passes when it exists, parses as a JSON object, names its
-// experiment, and carries at least one data row — trassbench reports keep
-// rows under "tables", trasslint's timing artifact under "analyzers".
-func checkArtifacts(paths []string) []string {
-	var problems []string
-	for _, path := range paths {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		if msg := checkArtifact(path); msg != "" {
-			problems = append(problems, msg)
-		}
-	}
-	return problems
-}
-
-func checkArtifact(path string) string {
-	f, err := vfs.Default.Open(path)
-	if err != nil {
-		return fmt.Sprintf("%s: %v", path, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, 64<<20))
-	if err != nil {
-		return fmt.Sprintf("%s: %v", path, err)
-	}
-	var rep struct {
-		Experiment string            `json:"experiment"`
-		Tables     []json.RawMessage `json:"tables"`
-		Analyzers  []json.RawMessage `json:"analyzers"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Sprintf("%s: unparseable: %v", path, err)
-	}
-	if rep.Experiment == "" {
-		return fmt.Sprintf("%s: missing \"experiment\" field", path)
-	}
-	if len(rep.Tables) == 0 && len(rep.Analyzers) == 0 {
-		return fmt.Sprintf("%s: no data rows (empty \"tables\" and \"analyzers\")", path)
-	}
-	return ""
 }

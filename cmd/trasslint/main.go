@@ -24,10 +24,10 @@
 //
 //	-timingjson=PATH   write per-analyzer wall time as a JSON artifact
 //
-// The artifact mirrors the BENCH_<exp>.json shape cmd/trassbench emits
-// (experiment, git SHA from TRASSLINT_GIT_SHA or GITHUB_SHA, started_at,
-// wall_ms) with one {name, ms, findings} row per analyzer, so CI archives
-// lint cost trajectories next to the benchmark ones.
+// The artifact carries run metadata (experiment, git SHA from
+// TRASSLINT_GIT_SHA or GITHUB_SHA, started_at, wall_ms) and one
+// {name, ms, findings} row per analyzer: the per-analyzer cost an audit of
+// the suite reads.
 //
 // Output formats:
 //
@@ -56,7 +56,8 @@
 //
 //	-maxwall=DURATION   exit 2 if the whole run exceeds this wall time
 //
-// CI's bench-smoke uses this as a regression tripwire for lint cost.
+// A regression tripwire for lint cost: a quadratic blowup in one analyzer
+// fails the run instead of silently tripling its wall time.
 //
 // A summary timing line (packages, findings, elapsed) is always written to
 // stderr so CI logs show where lint time goes; it never pollutes stdout,
@@ -252,10 +253,8 @@ func selectAnalyzers(all []*lint.Analyzer, only, skip string) ([]*lint.Analyzer,
 	return out, nil
 }
 
-// timingReport is the -timingjson payload: the same envelope as trassbench's
-// BENCH_<exp>.json (experiment, git SHA, started_at, wall_ms) with one row
-// per analyzer, so CI tooling that diffs benchmark artifacts across commits
-// can diff lint cost the same way.
+// timingReport is the -timingjson payload: run metadata (experiment, git
+// SHA, started_at, wall_ms) with one row per analyzer.
 type timingReport struct {
 	Experiment string      `json:"experiment"`
 	GitSHA     string      `json:"git_sha,omitempty"`

@@ -206,7 +206,6 @@ func distCellToPoints(cell geo.Rect, pts []geo.Point) float64 {
 	for _, p := range pts {
 		if v := geo.DistPointRect(p, cell); v < best {
 			best = v
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				break
 			}

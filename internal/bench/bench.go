@@ -376,55 +376,37 @@ var Runners = []struct {
 	{"fig20", "other measures: Hausdorff and DTW", Fig20},
 	{"io", "I/O reduction of XZ* global pruning vs XZ-Ordering", FigIO},
 	{"ablation", "contribution of each TraSS design choice", Ablation},
-	{"refine", "parallel refinement executor: sequential vs 4-worker refine wall-clock per measure", Refine},
-	{"commit", "group-commit WAL: fsync amortization and throughput vs concurrent synced writers", Commit},
-	{"mvcc", "MVCC snapshot reads: Get + threshold p50/p99, idle vs 8 writers + background scanner", MVCC},
-	{"serve", "served-query latency: trassd HTTP/NDJSON p50/p99/p999 per query path under concurrent connections", Serve},
 }
 
-// Describe returns the one-line description of an experiment, or "".
-func Describe(name string) string {
-	for _, r := range Runners {
-		if r.Name == name {
-			return r.Desc
-		}
-	}
-	return ""
-}
-
-// RunTables executes one experiment by id and returns its tables. A blank
+// Run executes one experiment by id and writes its tables to w. A blank
 // cfg.Dir gets temporary scratch space, removed before returning.
-func RunTables(name string, cfg Config) ([]*Table, error) {
+func Run(name string, cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		dir, err := os.MkdirTemp("", "trassbench-*")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer vfs.Default.RemoveAll(dir)
 		cfg.Dir = dir
 	}
 	for _, r := range Runners {
-		if r.Name == name {
-			return r.Run(cfg)
+		if r.Name != name {
+			continue
 		}
-	}
-	return nil, fmt.Errorf("bench: unknown experiment %q", name)
-}
-
-// Run executes one experiment by id and writes its tables to w.
-func Run(name string, cfg Config, w io.Writer) error {
-	tables, err := RunTables(name, cfg)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := t.Write(w); err != nil {
+		tables, err := r.Run(cfg)
+		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
+		for _, t := range tables {
+			if err := t.Write(w); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
+	return fmt.Errorf("bench: unknown experiment %q", name)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -47,55 +46,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("nope", tinyConfig(t), &buf); err == nil {
 		t.Fatal("unknown experiment must fail")
-	}
-	if _, err := RunReport("nope", tinyConfig(t), ""); err == nil {
-		t.Fatal("unknown experiment must fail as a report too")
-	}
-	if Describe("refine") == "" || Describe("nope") != "" {
-		t.Fatal("Describe must know registered experiments and only those")
-	}
-}
-
-// The JSON report must round-trip the refine experiment: config echo, git
-// SHA, and one row per (measure, workers) pair — the payload the CI
-// bench-smoke job archives.
-func TestRunReportRefineJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke tests are slow")
-	}
-	cfg := tinyConfig(t)
-	cfg.Queries = 1
-	rep, err := RunReport("refine", cfg, "deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "refine" || rep.GitSHA != "deadbeef" || rep.Description == "" {
-		t.Fatalf("report metadata: %+v", rep)
-	}
-	if rep.Config.TDriveN != cfg.TDriveN || rep.Config.Seed != cfg.Seed {
-		t.Fatalf("report config echo: %+v", rep.Config)
-	}
-	if len(rep.Tables) != 1 {
-		t.Fatalf("refine emits 1 table, got %d", len(rep.Tables))
-	}
-	tab := rep.Tables[0]
-	if got, want := len(tab.Rows), 6; got != want {
-		t.Fatalf("refine rows = %d, want %d (3 measures × 2 worker settings)", got, want)
-	}
-	if tab.Columns[len(tab.Columns)-1] != "speedup" {
-		t.Fatalf("last column = %q, want speedup", tab.Columns[len(tab.Columns)-1])
-	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report JSON does not parse: %v\n%s", err, buf.String())
-	}
-	if back.Experiment != rep.Experiment || len(back.Tables) != 1 || len(back.Tables[0].Rows) != 6 {
-		t.Fatalf("JSON round trip lost data: %+v", back)
 	}
 }
 

@@ -191,7 +191,6 @@ func directedHausdorff(a, b []geo.Point, bound float64) float64 {
 		for _, r := range b {
 			if d := p.Dist2(r); d < best {
 				best = d
-				//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 				if best == 0 {
 					break
 				}

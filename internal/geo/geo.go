@@ -173,7 +173,6 @@ func DistPointSegment(p Point, s Segment) float64 {
 func dist2PointSegment(p Point, s Segment) float64 {
 	d := s.B.Sub(s.A)
 	l2 := d.Dot(d)
-	//lint:ignore floatcmp exact zero is the degenerate-segment guard; only l2 == 0 makes the projection divide by zero, and tiny nonzero segments are fine
 	if l2 == 0 {
 		return p.Dist2(s.A)
 	}
@@ -202,16 +201,12 @@ func SegmentsIntersect(s1, s2 Segment) bool {
 	// the CCW intersection test; an epsilon here would misclassify near-misses
 	// as touching.
 	switch {
-	//lint:ignore floatcmp exact zero is the collinearity predicate
 	case d1 == 0 && onSegment(s2.A, s2.B, s1.A):
 		return true
-	//lint:ignore floatcmp exact zero is the collinearity predicate
 	case d2 == 0 && onSegment(s2.A, s2.B, s1.B):
 		return true
-	//lint:ignore floatcmp exact zero is the collinearity predicate
 	case d3 == 0 && onSegment(s1.A, s1.B, s2.A):
 		return true
-	//lint:ignore floatcmp exact zero is the collinearity predicate
 	case d4 == 0 && onSegment(s1.A, s1.B, s2.B):
 		return true
 	}
@@ -325,6 +320,20 @@ func NormalizeLonLat(lon, lat float64) Point {
 // DenormalizeLonLat is the inverse of NormalizeLonLat.
 func DenormalizeLonLat(p Point) (lon, lat float64) {
 	return p.X*360 - 180, p.Y*180 - 90
+}
+
+// CheckUnit returns an error naming the first of pts that is not a finite
+// location inside the closed unit square [0,1]² — the plane every index and
+// pruning routine assumes, and the one Clamp01, NormalizeLonLat and the
+// generators produce. NaN and ±Inf fail the range comparisons like any other
+// out-of-plane value, so the one test covers them.
+func CheckUnit(pts ...Point) error {
+	for i, p := range pts {
+		if !(p.X >= 0 && p.X <= 1 && p.Y >= 0 && p.Y <= 1) {
+			return fmt.Errorf("point %d (%v, %v) is not inside the unit square [0,1]²", i, p.X, p.Y)
+		}
+	}
+	return nil
 }
 
 // Clamp01 clamps v into [0,1].

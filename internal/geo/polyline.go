@@ -37,7 +37,6 @@ func DistRectPolyline(r Rect, pts []Point) float64 {
 		v := DistSegmentRect(Segment{pts[i], pts[i+1]}, r)
 		if v < best {
 			best = v
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				return 0
 			}
@@ -77,7 +76,6 @@ func DistSegmentPolyline(s Segment, pts []Point) float64 {
 		v := DistSegmentSegment(s, Segment{pts[i], pts[i+1]})
 		if v < best {
 			best = v
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				return 0
 			}

@@ -13,8 +13,8 @@ import (
 // request, fsyncs ONCE for the whole group (when SyncWrites is on), applies
 // the group to the memtable under db.mu, and wakes all waiters. Under W
 // concurrent synced writers this amortizes the fsync across the group:
-// fsyncs/op approaches 1/W instead of 1 (see BenchmarkGroupCommit and the
-// bench "commit" experiment).
+// fsyncs/op approaches 1/W instead of 1 (BenchmarkGroupCommit measures it,
+// TestConcurrentPutsShareOneFsync pins one group = one fsync).
 //
 // Failure semantics are the WAL's poison semantics, widened to the group: any
 // append or sync failure fails every waiter in the group with the same error,

@@ -295,6 +295,33 @@ func TestKVConcurrentCloseRace(t *testing.T) {
 	}
 }
 
+// queueBehindGate holds the committer's drain gate, starts n concurrent Puts
+// of keys group-0..group-(n-1) and returns once all n are queued. The returned
+// commit releases exactly one drain — so the n puts form one commit group —
+// waits for every answer, clears the gate and returns the puts' errors.
+func queueBehindGate(db *DB, n int) (commit func() []error) {
+	gate := make(chan struct{})
+	db.commit.setGate(gate)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = db.Put([]byte(fmt.Sprintf("group-%d", i)), []byte("v"))
+		}(i)
+	}
+	for db.commit.pendingLen() < n {
+		runtime.Gosched()
+	}
+	return func() []error {
+		gate <- struct{}{}
+		wg.Wait()
+		db.commit.setGate(nil)
+		return errs
+	}
+}
+
 // TestWALPoisonFanout holds the committer's drain gate so a known set of
 // writers lands in one commit group, fails that group's fsync, and asserts
 // the poison semantics end to end: every waiter in the group gets the same
@@ -320,24 +347,11 @@ func TestWALPoisonFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold the committer and queue one group of K concurrent writes.
-	gate := make(chan struct{})
-	db.commit.setGate(gate)
+	// Hold the committer and queue one group of K concurrent writes. The
+	// model isn't concurrent-safe; acknowledgements are recorded from the
+	// returned errors after the group resolves.
 	const K = 5
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The model isn't concurrent-safe; acknowledgements are recorded
-			// from errs after the group resolves.
-			errs[i] = db.Put([]byte(fmt.Sprintf("group-%d", i)), []byte("v"))
-		}(i)
-	}
-	for db.commit.pendingLen() < K {
-		runtime.Gosched()
-	}
+	commit := queueBehindGate(db, K)
 
 	// Fail the group's single fsync (the WAL's next sync only — healing and
 	// later commits must succeed).
@@ -349,9 +363,7 @@ func TestWALPoisonFanout(t *testing.T) {
 		}
 		return vfs.FaultNone
 	})
-	gate <- struct{}{} // release exactly one drain: the whole group commits together
-	wg.Wait()
-	db.commit.setGate(nil)
+	errs := commit()
 
 	for i := range errs {
 		model.Put(fmt.Sprintf("group-%d", i), "v", errs[i] == nil)
@@ -396,6 +408,135 @@ func TestWALPoisonFanout(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatedSyncDB opens a synced store that never flushes or compacts on its own,
+// so the only wal.log fsyncs are the committer's and no read touches a table.
+func gatedSyncDB(t *testing.T) (*DB, *vfs.FaultFS) {
+	t.Helper()
+	fsys := vfs.NewFault()
+	db, err := Open(Options{Dir: tortureDir, FS: fsys, SyncWrites: true, MemtableBytes: 64 << 20, CompactAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, fsys
+}
+
+// TestConcurrentPutsShareOneFsync is the group-commit contract as counts: N
+// synced Puts queued behind a held drain gate commit as ONE group and pay for
+// exactly ONE wal.log fsync between them. The fsync count is the
+// filesystem's, not the store's, so a store that synced per request (or lied
+// in its stats) fails here.
+func TestConcurrentPutsShareOneFsync(t *testing.T) {
+	db, fsys := gatedSyncDB(t)
+	defer db.Close()
+	walPath := filepath.Join(tortureDir, walName)
+
+	const N = 8
+	commit := queueBehindGate(db, N)
+	before, syncsBefore := db.Stats(), fsys.SyncCalls(walPath)
+
+	for i, err := range commit() {
+		if err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	after := db.Stats()
+	if got := fsys.SyncCalls(walPath) - syncsBefore; got != 1 {
+		t.Fatalf("%d queued puts cost %d wal.log fsyncs, want exactly 1", N, got)
+	}
+	if groups, puts, syncs := after.GroupCommits-before.GroupCommits, after.Puts-before.Puts, after.WALSyncs-before.WALSyncs; groups != 1 || puts != N || syncs != 1 {
+		t.Fatalf("stats: %d groups, %d puts, %d wal syncs; want 1, %d, 1", groups, puts, syncs, N)
+	}
+	for i := 0; i < N; i++ {
+		if _, err := db.Get([]byte(fmt.Sprintf("group-%d", i))); err != nil {
+			t.Fatalf("acknowledged group-%d unreadable: %v", i, err)
+		}
+	}
+}
+
+// TestConcurrentReadsDuringWALFsync is the reader/committer decoupling
+// contract as ordering: with the committer parked INSIDE a wal.log fsync, a
+// Get of a memtable-resident key and a Snapshot acquisition both return, and
+// both observe the pre-commit state — the in-flight write is neither
+// acknowledged nor visible until the fsync is released. A committer that held
+// db.mu across the sync would leave both reads blocked; the watchdog below
+// exists only to turn that deadlock into a failure, not to bound latency.
+func TestConcurrentReadsDuringWALFsync(t *testing.T) {
+	db, fsys := gatedSyncDB(t)
+	defer db.Close()
+	if err := db.Put([]byte("resident"), []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	armed := true // touched only under the filesystem lock the hook runs in
+	fsys.SetInject(func(op vfs.Op) vfs.Fault {
+		if armed && op.Kind == vfs.OpSync && strings.HasSuffix(op.Path, walName) {
+			armed = false
+			close(parked)
+			<-release
+		}
+		return vfs.FaultNone
+	})
+	var acked atomic.Bool
+	putDone := make(chan error, 1)
+	go func() {
+		err := db.Put([]byte("inflight"), []byte("v1"))
+		acked.Store(true)
+		putDone <- err
+	}()
+	<-parked
+
+	type view struct {
+		resident    []byte
+		residentErr error
+		inflightErr error
+		snap        *Snapshot
+		snapErr     error
+	}
+	reads := make(chan view, 1)
+	go func() {
+		var v view
+		v.resident, v.residentErr = db.Get([]byte("resident"))
+		_, v.inflightErr = db.Get([]byte("inflight"))
+		v.snap, v.snapErr = db.Snapshot()
+		reads <- v
+	}()
+	var v view
+	select {
+	case v = <-reads:
+	case <-time.After(30 * time.Second):
+		close(release)
+		t.Fatal("Get/Snapshot did not return while the committer was parked in a WAL fsync: readers wait on the write path")
+	}
+	if acked.Load() {
+		t.Fatal("in-flight put was acknowledged before its fsync returned")
+	}
+	if v.residentErr != nil || string(v.resident) != "v0" {
+		t.Fatalf("Get(resident) during fsync = %q, %v", v.resident, v.residentErr)
+	}
+	if v.inflightErr != ErrNotFound {
+		t.Fatalf("Get(inflight) during fsync: err = %v, want ErrNotFound (not yet durable, so not yet visible)", v.inflightErr)
+	}
+	if v.snapErr != nil {
+		t.Fatalf("Snapshot during fsync: %v", v.snapErr)
+	}
+	defer v.snap.Close()
+
+	close(release)
+	if err := <-putDone; err != nil {
+		t.Fatalf("in-flight put: %v", err)
+	}
+	if got, err := db.Get([]byte("inflight")); err != nil || string(got) != "v1" {
+		t.Fatalf("Get(inflight) after ack = %q, %v", got, err)
+	}
+	if got, err := v.snap.Get([]byte("resident")); err != nil || string(got) != "v0" {
+		t.Fatalf("snapshot Get(resident) = %q, %v", got, err)
+	}
+	if _, err := v.snap.Get([]byte("inflight")); err != ErrNotFound {
+		t.Fatalf("snapshot taken mid-fsync sees the later commit: err = %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -15,8 +16,13 @@ import (
 // intentional exact comparison (e.g. an untouched sentinel value) takes a
 // lint:ignore with its justification.
 //
-// Comparisons where both operands are compile-time constants are exact by
-// definition and exempt.
+// Two shapes are exempt. Comparisons where both operands are compile-time
+// constants are exact by definition. And x == 0 / x != 0 against the
+// compile-time constant zero is a well-defined predicate rather than a
+// rounding accident: it is the guard in front of a division (a degenerate
+// segment, a collinearity test) or the early exit of a nonnegative distance,
+// where a value one ulp off zero is correctly NOT zero — the division is
+// safe, and only the shortcut is skipped. No epsilon would mean more.
 var FloatCmpAnalyzer = &Analyzer{
 	Name: "floatcmp",
 	Doc:  "exact ==/!= comparison of floating-point values; use an epsilon comparison",
@@ -37,10 +43,18 @@ func runFloatCmp(pass *Pass) {
 			if xt.Value != nil && yt.Value != nil {
 				return true // constant folding is exact
 			}
+			if isConstZero(xt.Value) || isConstZero(yt.Value) {
+				return true
+			}
 			pass.Reportf(be.OpPos, "%s compares floating-point values exactly; use an epsilon comparison (or lint:ignore with justification)", be.Op)
 			return true
 		})
 	}
+}
+
+// isConstZero reports whether v is a numeric compile-time constant equal to 0.
+func isConstZero(v constant.Value) bool {
+	return v != nil && (v.Kind() == constant.Int || v.Kind() == constant.Float) && constant.Sign(v) == 0
 }
 
 func isFloat(t types.Type) bool {

@@ -24,10 +24,23 @@ func ordered(a, b float64) bool {
 	return a < b || a >= b
 }
 
+// Comparison against the compile-time constant zero is exempt on either
+// side: a division guard or a nonnegative-distance early exit.
+const zero = 0.0
+
+func zeroOK(d float64) bool {
+	return d == 0 || 0 != d || d == zero || d != 0.0
+}
+
+// Any other constant is not.
+func one(d float64) bool {
+	return d == 1 // want "compares floating-point values exactly"
+}
+
 // A justified suppression must silence the diagnostic.
-func suppressed(d float64) bool {
-	//lint:ignore floatcmp exact zero is a sound early exit in this fixture
-	return d == 0
+func suppressed(d, sentinel float64) bool {
+	//lint:ignore floatcmp the sentinel is stored and compared untouched in this fixture
+	return d == sentinel
 }
 
 // Integer equality is exempt.

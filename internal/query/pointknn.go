@@ -56,7 +56,6 @@ func distPointMask(p geo.Point, quads *[4]geo.Rect, mask xzstar.QuadMask) float6
 		}
 		if d := geo.DistPointRect(p, quads[i]); d < best {
 			best = d
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				break
 			}
@@ -84,7 +83,6 @@ func closestApproach(p geo.Point, pts []geo.Point, boxes []geo.Rect, bound float
 	for _, q := range pts {
 		if d := p.Dist(q); d < best {
 			best = d
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				break
 			}

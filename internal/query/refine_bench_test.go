@@ -9,8 +9,8 @@ import (
 // The refinement benchmarks measure the executor on a refinement-dominated
 // threshold workload: a cluster of near-duplicate trajectories where every
 // stored row survives filtering and pays for a full distance computation.
-// The CI bench-smoke job records the same seq-vs-par comparison through
-// `trassbench -exp refine -format=json`.
+// End to end, the same cost is the repo benchmark's topk_refine workload
+// (benchmark/README.md).
 
 const (
 	benchRefineRows = 250 // candidates refined per query (≥ 200 per the gate)

@@ -47,13 +47,22 @@ func (q *Query) validate() error {
 		if q.Traj == nil || len(q.Traj.Points) == 0 {
 			return fmt.Errorf("%w: empty query trajectory", ErrInvalidQuery)
 		}
+		return checkCoords(q.Traj.Points...)
 	case KindRange:
+		return checkCoords(q.Rect.Min, q.Rect.Max)
 	case KindNearest:
 		if !q.Window.Unbounded() {
 			return fmt.Errorf("%w: nearest-to-point search has no time-window variant", ErrInvalidQuery)
 		}
+		return checkCoords(q.Point)
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrInvalidQuery, q.Kind)
+	}
+}
+
+func checkCoords(pts ...geo.Point) error {
+	if err := geo.CheckUnit(pts...); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
 	return nil
 }

@@ -31,6 +31,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	if req.PageSize < 0 {
+		writeError(w, http.StatusBadRequest, "page_size must be >= 0, got %d", req.PageSize)
+		return
+	}
 	if !s.acquire() {
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -101,14 +105,15 @@ func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
 // deterministic *SearchContext variants (row-key order for threshold/range,
 // ascending distance for top-k/knn), then slice out the requested page.
 func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {
-	matches, stats, err := s.runCollect(ctx, req)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
+	// The token is checked first: a malformed one must not cost a search.
 	offset, err := decodePageToken(req.PageToken)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	matches, stats, err := s.runCollect(ctx, req)
+	if err != nil {
+		writeQueryError(w, err)
 		return
 	}
 	resp := QueryResponse{Stats: statsToWire(stats)}
@@ -116,7 +121,9 @@ func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, req *Q
 		offset = len(matches)
 	}
 	end := len(matches)
-	if req.PageSize > 0 && offset+req.PageSize < end {
+	// Compared against the remainder, not as offset+PageSize: the sum wraps
+	// negative for a page_size near MaxInt.
+	if req.PageSize > 0 && req.PageSize < end-offset {
 		end = offset + req.PageSize
 		resp.NextPageToken = encodePageToken(end)
 	}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -344,13 +345,28 @@ func TestPagination(t *testing.T) {
 		t.Fatal("QueryAll differs from full response")
 	}
 
-	// Malformed tokens are client errors.
+	// A page_size near MaxInt must not wrap offset+page_size negative: a
+	// valid offset-1 token then gets the whole tail, not a dropped connection.
+	huge := req
+	huge.PageToken = encodePageToken(1)
+	huge.PageSize = math.MaxInt
+	tail, err := client.Query(ctx, huge)
+	if err != nil {
+		t.Fatalf("offset 1 + page_size MaxInt: %v", err)
+	}
+	if got, want := formatWire(tail.Matches), formatWire(full.Matches[1:]); got != want || tail.NextPageToken != "" {
+		t.Fatalf("offset 1 + page_size MaxInt: got\n%s(next %q), want the tail\n%s", got, tail.NextPageToken, want)
+	}
+
+	// Malformed tokens are client errors, caught before the query runs: the
+	// unknown query id below would otherwise be the complaint.
 	bad := req
+	bad.QueryID = "no-such-id"
 	bad.PageToken = "not-base64!"
 	_, err = client.Query(ctx, bad)
 	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("malformed token: got %v, want 400", err)
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, "page token") {
+		t.Fatalf("malformed token: got %v, want 400 naming the page token", err)
 	}
 }
 
@@ -373,6 +389,11 @@ func TestBadRequests(t *testing.T) {
 		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}},
 		{"negative eps", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: -1}},
 		{"stream plus pagination", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: 2}},
+		{"negative page size", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 3, PageSize: -1}},
+		{"stream with negative page size", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: -1}},
+		{"inline point out of plane", QueryRequest{Kind: KindThreshold, Points: [][2]float64{{0.5, 0.5}, {1.5, 0.5}}, Eps: 0.01}},
+		{"range rect out of plane", QueryRequest{Kind: KindRange, Rect: &[4]float64{0.2, 0.2, 0.4, 1.5}}},
+		{"knn point out of plane", QueryRequest{Kind: KindKNN, Point: &[2]float64{-0.5, 0.5}, K: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	trass "repro"
+	"repro/internal/geo"
 )
 
 // Query kinds: the four query paths trassd serves. The time-window variants
@@ -215,6 +216,9 @@ func toTrajectory(id string, pts [][2]float64) (*trass.Trajectory, error) {
 	ps := make([]trass.Point, len(pts))
 	for i, p := range pts {
 		ps[i] = trass.Point{X: p[0], Y: p[1]}
+	}
+	if err := geo.CheckUnit(ps...); err != nil {
+		return nil, err
 	}
 	return trass.NewTrajectory(id, ps), nil
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/geo"
 	"repro/internal/kv"
 	"repro/internal/traj"
 	"repro/internal/vfs"
@@ -240,14 +241,29 @@ func (s *Store) RowKey(e xzstar.Entry, tid string) []byte {
 	}
 }
 
+// ErrInvalidTrajectory is wrapped by the error Put and PutBatch return for a
+// trajectory that cannot be indexed: nil, empty, or with a coordinate that is
+// NaN, infinite or outside the unit square. Nothing is written.
+var ErrInvalidTrajectory = errors.New("invalid trajectory")
+
+func checkTrajectory(t *traj.Trajectory) error {
+	if t == nil || len(t.Points) == 0 {
+		return fmt.Errorf("store: %w: no points", ErrInvalidTrajectory)
+	}
+	if err := geo.CheckUnit(t.Points...); err != nil {
+		return fmt.Errorf("store: %w %q: %v", ErrInvalidTrajectory, t.ID, err)
+	}
+	return nil
+}
+
 // Put indexes and stores one trajectory. The data row and the id-index row
 // are applied through one region batch (cluster.Mutate), so a crash cannot
 // acknowledge the data row while losing the index row that makes it
 // reachable by GetByID. Re-putting an existing id deletes the stale data row
 // under the old index value in the same mutation instead of leaking it.
 func (s *Store) Put(t *traj.Trajectory) error {
-	if t == nil || len(t.Points) == 0 {
-		return fmt.Errorf("store: empty trajectory")
+	if err := checkTrajectory(t); err != nil {
+		return err
 	}
 	entry := s.ix.Assign(t.Points)
 	features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
@@ -368,6 +384,12 @@ func (s *Store) dropValueLocked(v int64) {
 // PutBatch stores many trajectories, batching rows per region for bulk-load
 // throughput.
 func (s *Store) PutBatch(ts []*traj.Trajectory) error {
+	// The whole batch is validated before its first chunk is written.
+	for _, t := range ts {
+		if err := checkTrajectory(t); err != nil {
+			return err
+		}
+	}
 	const chunk = 4096
 	for start := 0; start < len(ts); start += chunk {
 		end := start + chunk
@@ -381,9 +403,6 @@ func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 		}
 		metas := make([]meta, 0, end-start)
 		for _, t := range ts[start:end] {
-			if t == nil || len(t.Points) == 0 {
-				return fmt.Errorf("store: empty trajectory")
-			}
 			e := s.ix.Assign(t.Points)
 			features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
 			key := s.RowKey(e, t.ID)

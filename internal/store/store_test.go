@@ -2,7 +2,9 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -332,10 +334,35 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 	}
 }
 
-func TestPutEmptyTrajectory(t *testing.T) {
+// Put and PutBatch fail closed on anything xzstar.Assign cannot place: the
+// typed error comes back and nothing is written, even for the valid
+// trajectories batched alongside.
+func TestPutInvalidTrajectory(t *testing.T) {
 	s := newTestStore(t, Config{})
-	if err := s.Put(nil); err == nil {
-		t.Fatal("nil trajectory must fail")
+	ok := geo.Point{X: 0.5, Y: 0.5}
+	for name, tr := range map[string]*traj.Trajectory{
+		"nil":          nil,
+		"no points":    {ID: "e"},
+		"NaN":          {ID: "n", Points: []geo.Point{ok, {X: math.NaN(), Y: 0.5}}},
+		"+Inf":         {ID: "p", Points: []geo.Point{{X: 0.5, Y: math.Inf(1)}, ok}},
+		"-Inf":         {ID: "m", Points: []geo.Point{{X: math.Inf(-1), Y: 0.5}}},
+		"out of plane": {ID: "o", Points: []geo.Point{ok, {X: 0.5, Y: 1.0000001}}},
+		"negative":     {ID: "g", Points: []geo.Point{{X: -1e-9, Y: 0.5}}},
+	} {
+		if err := s.Put(tr); !errors.Is(err, ErrInvalidTrajectory) {
+			t.Errorf("Put(%s) = %v, want ErrInvalidTrajectory", name, err)
+		}
+		batch := []*traj.Trajectory{traj.New("fine", []geo.Point{ok}), tr}
+		if err := s.PutBatch(batch); !errors.Is(err, ErrInvalidTrajectory) {
+			t.Errorf("PutBatch(%s) = %v, want ErrInvalidTrajectory", name, err)
+		}
+	}
+	if n := s.Count(); n != 0 {
+		t.Fatalf("rejected writes stored %d trajectories", n)
+	}
+	// The closed boundary itself is in the plane.
+	if err := s.Put(traj.New("corners", []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 1}})); err != nil {
+		t.Fatalf("unit-square corners must be storable: %v", err)
 	}
 }
 

@@ -177,7 +177,6 @@ func DistPointBoxes(p geo.Point, boxes []geo.Rect) float64 {
 		d := geo.DistPointRect(p, b)
 		if best < 0 || d < best {
 			best = d
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				return 0
 			}
@@ -203,7 +202,6 @@ func DistSegmentBoxes(s geo.Segment, boxes []geo.Rect) float64 {
 		d := geo.DistRectRect(sb, b)
 		if best < 0 || d < best {
 			best = d
-			//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 			if best == 0 {
 				return 0
 			}

@@ -85,7 +85,6 @@ func MinDistIS(qmbr geo.Rect, quads *[4]geo.Rect, mask QuadMask) float64 {
 			}
 			if d := geo.DistRectRect(eb, quads[i]); d < best {
 				best = d
-				//lint:ignore floatcmp exact zero is a sound early exit for a nonnegative distance; a missed ulp only skips the shortcut
 				if best == 0 {
 					break
 				}

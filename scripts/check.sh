@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the full verification gate, runnable locally and in CI.
 #
-#   usage: check.sh [lint|torture|concurrency|test|all]     (default: all)
+#   usage: check.sh [lint|torture|concurrency|test|serve|all]   (default: all)
 #
 # The optional argument selects a step group, so CI can fan the gate out
 # across parallel jobs while one local `./scripts/check.sh` still runs
@@ -22,8 +22,11 @@
 #   concurrency  the concurrent-writer torture suites under -race: N writer
 #              goroutines race group commits and background compactions while
 #              faults fire at sampled points — crash, injected errors,
-#              close-during-inflight, and WAL poison fan-out. Always -race
-#              (the whole point is racing the committer and the compaction
+#              close-during-inflight, and WAL poison fan-out — plus the write
+#              path's two deterministic contracts: one commit group pays one
+#              WAL fsync, and reads return while the committer is inside an
+#              fsync (counts and ordering; no timing). Always -race (the
+#              whole point is racing the committer and the compaction
 #              supervisor); SHORT=1 samples fewer fault points
 #   test       refinement-executor and streaming-pipeline race tests (always
 #              under -race: the parallel refine pool and the bounded
@@ -36,6 +39,9 @@
 #              the server, and require the wire output byte-identical (cmp);
 #              streamed output must match as a set (sort | cmp). Finishes
 #              with a SIGTERM drain that must exit 0.
+#
+# The gate measures nothing. Performance is benchmark/run.sh's job (see
+# benchmark/README.md): four workloads against a checked-in baseline.
 #
 # SHORT=1 trades the race detector, full fault-point enumeration, and fuzz
 # smoke for speed; CI always runs the full gate. The lint step is NOT trimmed

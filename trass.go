@@ -105,8 +105,15 @@ const (
 
 // ErrInvalidQuery is wrapped by every error Search returns for a Query that
 // cannot be run as written: a negative or NaN Eps, a nil or empty Traj where
-// one is read, an unknown Kind, or KindNearest with a bounded Window.
+// one is read, an unknown Kind, KindNearest with a bounded Window, or a
+// coordinate (of Traj, Rect or Point) that is NaN, infinite or outside the
+// unit square.
 var ErrInvalidQuery = query.ErrInvalidQuery
+
+// ErrInvalidTrajectory is wrapped by the error Put and PutBatch return for a
+// trajectory that cannot be indexed: nil, empty, or with a coordinate that is
+// NaN, infinite or outside the unit square [0,1]². Nothing is written.
+var ErrInvalidTrajectory = store.ErrInvalidTrajectory
 
 // QueryStats reports what one query did: planning, scanning and refinement
 // times plus the candidate counts the TraSS paper's evaluation tracks.
@@ -209,10 +216,11 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	return &DB{store: st, engine: eng}, nil
 }
 
-// Put indexes and stores one trajectory.
+// Put indexes and stores one trajectory; one that cannot be indexed fails
+// with an error wrapping ErrInvalidTrajectory.
 func (db *DB) Put(t *Trajectory) error { return db.store.Put(t) }
 
-// PutBatch stores many trajectories.
+// PutBatch stores many trajectories, validated like Put.
 func (db *DB) PutBatch(ts []*Trajectory) error { return db.store.PutBatch(ts) }
 
 // Flush persists in-memory data to disk.

@@ -527,6 +527,14 @@ func TestSearchMatchesWrappers(t *testing.T) {
 			t.Errorf("%s: the window changed nothing among %d matches; it must reject some", kind, len(answers[kind]))
 		}
 	}
+	// Every path above pinned one snapshot per query; none may still hold it.
+	st, err := db.StorageStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.KV.PinnedSnapshots != 0 {
+		t.Errorf("%d snapshots still pinned after every query returned: a search path leaked its snapshot", st.KV.PinnedSnapshots)
+	}
 }
 
 // Search rejects a malformed Query with ErrInvalidQuery before touching the
@@ -539,15 +547,22 @@ func TestSearchRejectsInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, query := range map[string]Query{
-		"negative eps":        {Kind: KindThreshold, Traj: q, Eps: -1},
-		"NaN eps":             {Kind: KindThreshold, Traj: q, Eps: math.NaN()},
-		"threshold nil traj":  {Kind: KindThreshold, Eps: 0.01},
-		"threshold no points": {Kind: KindThreshold, Traj: &Trajectory{ID: "e"}, Eps: 0.01},
-		"topk nil traj":       {Kind: KindTopK, K: 3},
-		"topk no points":      {Kind: KindTopK, Traj: &Trajectory{ID: "e"}, K: 3},
-		"zero kind":           {Traj: q, Eps: 0.01},
-		"unknown kind":        {Kind: KindNearest + 1, Traj: q, Eps: 0.01},
-		"nearest with window": {Kind: KindNearest, Point: q.Points[0], K: 3, Window: TimeWindow{End: 10}},
+		"negative eps":         {Kind: KindThreshold, Traj: q, Eps: -1},
+		"NaN eps":              {Kind: KindThreshold, Traj: q, Eps: math.NaN()},
+		"threshold nil traj":   {Kind: KindThreshold, Eps: 0.01},
+		"threshold no points":  {Kind: KindThreshold, Traj: &Trajectory{ID: "e"}, Eps: 0.01},
+		"topk nil traj":        {Kind: KindTopK, K: 3},
+		"topk no points":       {Kind: KindTopK, Traj: &Trajectory{ID: "e"}, K: 3},
+		"zero kind":            {Traj: q, Eps: 0.01},
+		"unknown kind":         {Kind: KindNearest + 1, Traj: q, Eps: 0.01},
+		"nearest with window":  {Kind: KindNearest, Point: q.Points[0], K: 3, Window: TimeWindow{End: 10}},
+		"threshold NaN coord":  {Kind: KindThreshold, Traj: &Trajectory{ID: "n", Points: []Point{{X: 0.5, Y: 0.5}, {X: math.NaN(), Y: 0.5}}}, Eps: 0.01},
+		"topk +Inf coord":      {Kind: KindTopK, Traj: &Trajectory{ID: "i", Points: []Point{{X: 0.5, Y: math.Inf(1)}}}, K: 3},
+		"topk out of plane":    {Kind: KindTopK, Traj: &Trajectory{ID: "o", Points: []Point{{X: 1.5, Y: 0.5}}}, K: 3},
+		"range -Inf rect":      {Kind: KindRange, Rect: Rect{Min: Point{X: math.Inf(-1), Y: 0}, Max: Point{X: 1, Y: 1}}},
+		"range out of plane":   {Kind: KindRange, Rect: Rect{Min: Point{X: 0.2, Y: 0.2}, Max: Point{X: 0.4, Y: 1.01}}},
+		"nearest NaN point":    {Kind: KindNearest, Point: Point{X: math.NaN(), Y: 0.5}, K: 3},
+		"nearest out of plane": {Kind: KindNearest, Point: Point{X: -0.001, Y: 0.5}, K: 3},
 	} {
 		ms, st, err := db.Search(context.Background(), query, nil)
 		if !errors.Is(err, ErrInvalidQuery) || ms != nil || st != nil {
