@@ -1,39 +1,21 @@
 // Command trasslint runs the project's static-analysis suite (internal/lint)
 // over the module: stdlib-only analyzers for the invariants TraSS depends on
-// — lock discipline, float comparison hygiene, discarded errors, iterator
-// key aliasing, goroutine lifecycle, the vfs filesystem seam, the
+// — lock pairing, guard and order, float comparison hygiene, discarded
+// errors, goroutine and resource lifetimes, the vfs filesystem seam, the
 // write→Sync→Rename→SyncDir durability order, context observation in retry
-// loops, and loop/buffer retention.
+// loops, and defer accumulation.
 //
 // Usage:
 //
-//	trasslint [-tests] [-v] [-format=text|json|github] [-only=a,b] [-skip=c] [packages]
+//	trasslint [-list] [-format=text|github] [-only=a,b] [packages]
 //
 // where packages is ./... (the default) or one or more package directories.
 //
-// Analyzer selection:
-//
 //	-list       print every analyzer with its one-line doc and exit
-//	-only=a,b   run only the named analyzers
-//	-skip=c,d   run everything except the named analyzers
-//
-// -only is applied before -skip, so "-only=locks,guardedby -skip=locks" runs
-// just guardedby. Unknown names are an error (exit 2), not a silent no-op.
-//
-// Timing:
-//
-//	-timingjson=PATH   write per-analyzer wall time as a JSON artifact
-//
-// The artifact carries run metadata (experiment, git SHA from
-// TRASSLINT_GIT_SHA or GITHUB_SHA, started_at, wall_ms) and one
-// {name, ms, findings} row per analyzer: the per-analyzer cost an audit of
-// the suite reads.
-//
-// Output formats:
-//
-//	text    one "file:line:col: [analyzer] message" line per finding (default)
-//	json    a JSON array of {file,line,col,analyzer,message} objects
-//	github  GitHub Actions ::error annotations, one per finding
+//	-only=a,b   run only the named analyzers, to bisect a finding; unknown
+//	            names are an error (exit 2), not a silent no-op
+//	-format     text: one "file:line:col: [analyzer] message" line per finding
+//	            (default); github: GitHub Actions ::error annotations
 //
 // The default format can also be set with the TRASSLINT_FORMAT environment
 // variable; the -format flag wins when both are given.
@@ -42,30 +24,21 @@
 //
 //	0  every analyzed package is clean
 //	1  at least one diagnostic was reported
-//	2  the module or a requested package failed to load, an analyzer
-//	   panicked, or the -maxwall budget was exceeded
+//	2  the module or a requested package failed to load, or an analyzer
+//	   panicked
 //
 // An analyzer panic is recovered per analyzer — the rest of the suite still
 // runs and its findings are still printed — but the run exits 2, the panic
-// is reported like a finding (in -format=json with the goroutine stack in a
-// "stack" field), and the stack goes to stderr in text mode. A crash must
-// fail the gate loudly rather than silently dropping one analyzer's
-// coverage.
-//
-// Wall-time budget:
-//
-//	-maxwall=DURATION   exit 2 if the whole run exceeds this wall time
-//
-// A regression tripwire for lint cost: a quadratic blowup in one analyzer
-// fails the run instead of silently tripling its wall time.
+// is reported like a finding, and the stack goes to stderr in text mode. A
+// crash must fail the gate loudly rather than silently dropping one
+// analyzer's coverage.
 //
 // A summary timing line (packages, findings, elapsed) is always written to
-// stderr so CI logs show where lint time goes; it never pollutes stdout,
-// which carries only findings.
+// stderr so CI logs show what lint costs; it never pollutes stdout, which
+// carries only findings.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -74,21 +47,15 @@ import (
 	"time"
 
 	"repro/internal/lint"
-	"repro/internal/vfs"
 )
 
 func main() {
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	verbose := flag.Bool("v", false, "log each analyzed package")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	format := flag.String("format", defaultFormat(), "output format: text, json, or github")
+	format := flag.String("format", defaultFormat(), "output format: text or github")
 	only := flag.String("only", "", "comma-separated analyzers to run (default: all)")
-	skip := flag.String("skip", "", "comma-separated analyzers to exclude")
-	timingJSON := flag.String("timingjson", "", "write per-analyzer timing JSON to this path")
-	maxWall := flag.Duration("maxwall", 0, "fail (exit 2) if the run exceeds this wall time; 0 disables")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: trasslint [-tests] [-v] [-format=text|json|github] [-only=a,b] [-skip=c] [-timingjson=path] [-maxwall=30s] [./... | dirs]\n")
-		fmt.Fprintf(os.Stderr, "exit status: 0 clean, 1 findings, 2 load error\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: trasslint [-list] [-format=text|github] [-only=a,b] [./... | dirs]\n")
+		fmt.Fprintf(os.Stderr, "exit status: 0 clean, 1 findings, 2 load error or analyzer panic\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -103,12 +70,12 @@ func main() {
 		return
 	}
 	switch *format {
-	case "text", "json", "github":
+	case "text", "github":
 	default:
-		fmt.Fprintf(os.Stderr, "trasslint: unknown -format %q (want text, json, or github)\n", *format)
+		fmt.Fprintf(os.Stderr, "trasslint: unknown -format %q (want text or github)\n", *format)
 		os.Exit(2)
 	}
-	analyzers, err := selectAnalyzers(lint.All(), *only, *skip)
+	analyzers, err := selectAnalyzers(lint.All(), *only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "trasslint: %v\n", err)
 		os.Exit(2)
@@ -123,7 +90,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	loader.IncludeTests = *tests
 
 	args := flag.Args()
 	if len(args) == 0 {
@@ -161,20 +127,13 @@ func main() {
 		}
 	}
 
-	var timings map[string]time.Duration
-	if *timingJSON != "" {
-		timings = map[string]time.Duration{}
-	}
 	var diags []lint.Diagnostic
 	var panics []lint.AnalyzerPanic
 	for _, pkg := range pkgs {
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "trasslint: %s\n", pkg.Path)
-		}
 		for _, terr := range pkg.TypeErrors {
 			fmt.Fprintf(os.Stderr, "trasslint: warning: %s: %v\n", pkg.Path, terr)
 		}
-		pkgDiags, pkgPanics := lint.RunTimed(pkg, analyzers, timings)
+		pkgDiags, pkgPanics := lint.Run(pkg, analyzers)
 		for _, d := range pkgDiags {
 			if r, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
 				d.Pos.Filename = r
@@ -185,142 +144,47 @@ func main() {
 	}
 
 	emit(*format, diags, panics)
-	if *timingJSON != "" {
-		if err := writeTimings(*timingJSON, analyzers, timings, diags, len(pkgs), start); err != nil {
-			fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "trasslint: %d packages, %d findings, %d panics, %s elapsed\n",
-		len(pkgs), len(diags), len(panics), elapsed.Round(time.Millisecond))
+		len(pkgs), len(diags), len(panics), time.Since(start).Round(time.Millisecond))
 	switch {
 	case len(panics) > 0:
-		os.Exit(2)
-	case *maxWall > 0 && elapsed > *maxWall:
-		fmt.Fprintf(os.Stderr, "trasslint: wall time %s exceeded -maxwall=%s budget\n",
-			elapsed.Round(time.Millisecond), *maxWall)
 		os.Exit(2)
 	case len(diags) > 0:
 		os.Exit(1)
 	}
 }
 
-// selectAnalyzers applies -only then -skip to the full roster. Unknown names
-// are errors so a typo cannot silently disable a gate.
-func selectAnalyzers(all []*lint.Analyzer, only, skip string) ([]*lint.Analyzer, error) {
+// selectAnalyzers narrows the roster to the -only list. Unknown names are
+// errors so a typo cannot silently disable a gate.
+func selectAnalyzers(all []*lint.Analyzer, only string) ([]*lint.Analyzer, error) {
+	if only == "" {
+		return all, nil
+	}
 	byName := map[string]*lint.Analyzer{}
 	for _, a := range all {
 		byName[a.Name] = a
 	}
-	parse := func(flagName, list string) (map[string]bool, error) {
-		if list == "" {
-			return nil, nil
+	picked := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
 		}
-		set := map[string]bool{}
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if byName[name] == nil {
-				return nil, fmt.Errorf("-%s: unknown analyzer %q (run trasslint -list)", flagName, name)
-			}
-			set[name] = true
+		if byName[name] == nil {
+			return nil, fmt.Errorf("-only: unknown analyzer %q (run trasslint -list)", name)
 		}
-		return set, nil
-	}
-	onlySet, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("skip", skip)
-	if err != nil {
-		return nil, err
+		picked[name] = true
 	}
 	var out []*lint.Analyzer
 	for _, a := range all {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
+		if picked[a.Name] {
+			out = append(out, a)
 		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("analyzer selection is empty: -only=%q -skip=%q cancel out", only, skip)
+		return nil, fmt.Errorf("-only=%q names no analyzer", only)
 	}
 	return out, nil
-}
-
-// timingReport is the -timingjson payload: run metadata (experiment, git
-// SHA, started_at, wall_ms) with one row per analyzer.
-type timingReport struct {
-	Experiment string      `json:"experiment"`
-	GitSHA     string      `json:"git_sha,omitempty"`
-	StartedAt  string      `json:"started_at"`
-	WallMS     int64       `json:"wall_ms"`
-	Packages   int         `json:"packages"`
-	Findings   int         `json:"findings"`
-	Analyzers  []timingRow `json:"analyzers"`
-}
-
-type timingRow struct {
-	Name     string  `json:"name"`
-	MS       float64 `json:"ms"`
-	Findings int     `json:"findings"`
-}
-
-// writeTimings persists the per-analyzer timing artifact through the vfs
-// seam. Rows keep roster order — stable across runs, so artifact diffs show
-// cost movement, not reordering.
-func writeTimings(path string, analyzers []*lint.Analyzer, timings map[string]time.Duration, diags []lint.Diagnostic, packages int, start time.Time) error {
-	perAnalyzer := map[string]int{}
-	for _, d := range diags {
-		perAnalyzer[d.Analyzer]++
-	}
-	rep := timingReport{
-		Experiment: "lint",
-		GitSHA:     gitSHA(),
-		StartedAt:  start.UTC().Format(time.RFC3339),
-		WallMS:     time.Since(start).Milliseconds(),
-		Packages:   packages,
-		Findings:   len(diags),
-	}
-	for _, a := range analyzers {
-		rep.Analyzers = append(rep.Analyzers, timingRow{
-			Name:     a.Name,
-			MS:       float64(timings[a.Name].Microseconds()) / 1000,
-			Findings: perAnalyzer[a.Name],
-		})
-	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := vfs.Default.MkdirAll(dir); err != nil {
-			return err
-		}
-	}
-	f, err := vfs.Default.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "trasslint: wrote %s\n", path)
-	return nil
-}
-
-func gitSHA() string {
-	if sha := os.Getenv("TRASSLINT_GIT_SHA"); sha != "" {
-		return sha
-	}
-	return os.Getenv("GITHUB_SHA")
 }
 
 // defaultFormat resolves the format default from TRASSLINT_FORMAT so CI can
@@ -332,17 +196,6 @@ func defaultFormat() string {
 	return "text"
 }
 
-// jsonDiag is the machine-readable finding shape: flat, stable field names.
-// Stack is only set on analyzer-panic rows.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Stack    string `json:"stack,omitempty"`
-}
-
 func emit(format string, diags []lint.Diagnostic, panics []lint.AnalyzerPanic) {
 	switch format {
 	case "text":
@@ -352,30 +205,6 @@ func emit(format string, diags []lint.Diagnostic, panics []lint.AnalyzerPanic) {
 		for _, p := range panics {
 			fmt.Printf("%s: [%s] PANIC: %v\n", p.Package, p.Analyzer, p.Value)
 			fmt.Fprintf(os.Stderr, "trasslint: %v\n%s\n", p.Error(), p.Stack)
-		}
-	case "json":
-		out := make([]jsonDiag, 0, len(diags)+len(panics))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		for _, p := range panics {
-			out = append(out, jsonDiag{
-				File:     p.Package,
-				Analyzer: p.Analyzer,
-				Message:  p.Error(),
-				Stack:    p.Stack,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
 		}
 	case "github":
 		for _, d := range diags {

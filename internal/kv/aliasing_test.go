@@ -9,10 +9,11 @@ import (
 // These tests pin the iterator aliasing contract: the slices returned by
 // Key()/Value() are only valid until the next call to Next(). The merge
 // iterator reuses one backing buffer per scan (append(m.key[:0], ...)), so a
-// retained slice is silently overwritten — the exact bug class the keyalias
-// analyzer exists to catch. If the contract ever changes (per-entry
-// allocation), TestScanKeyAliasing fails and both the docs and the analyzer
-// should be revisited together.
+// retained slice is silently overwritten. Nothing static polices the callers:
+// a retained alias corrupts rows on the first scan, so every store, cluster
+// and query suite fails on it (DESIGN.md §6). If the contract ever changes
+// (per-entry allocation), TestScanKeyAliasing fails and the docs should be
+// revisited.
 
 // fillEqualLen writes n keys of identical length so the reused buffer never
 // reallocates between entries and overwriting is deterministic.

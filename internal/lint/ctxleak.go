@@ -6,84 +6,24 @@ import (
 	"go/types"
 )
 
-// CtxLeakAnalyzer flags goroutines launched with no cancellation or
-// completion path. The cluster layer fans a scan out across regions; a
-// goroutine with neither a context, a WaitGroup join, nor any channel
-// operation can outlive the request that spawned it, holding iterator
-// references (and their retained SSTables) forever — a leak that only shows
-// up under the ROADMAP's sustained-traffic workloads.
-//
-// A `go` statement passes when its body (or, for a same-package named
-// function, that function's body or parameters) involves at least one of:
-//
-//   - a context.Context value,
-//   - a sync.WaitGroup method call (the join protocol),
-//   - any channel operation (send, receive, range, select, close) — a
-//     channel is how the goroutine's lifetime is observed or bounded.
-//
-// Calls into other packages are not inspected (their bodies are out of
-// reach); such launches are the caller's responsibility.
-//
-// The analyzer also covers the handler layer: any function receiving a
+// CtxLeakAnalyzer covers the handler layer: any function receiving a
 // *net/http.Request must not mint a fresh root context with
 // context.Background() or context.TODO(). Query work rooted there keeps
 // running after the client disconnects and ignores per-request deadlines —
 // handlers must derive from r.Context() so cancellation propagates into the
-// engine's ctx plumbing.
+// engine's ctx plumbing. (Goroutines launched with no join or cancellation
+// path are golifetime's, which sees through callees.)
 var CtxLeakAnalyzer = &Analyzer{
 	Name: "ctxleak",
-	Doc:  "goroutine launched without a cancellation or completion path, or handler work rooted outside the request context",
+	Doc:  "handler work rooted outside the request context",
 	Run:  runCtxLeak,
 }
 
-func runCtxLeak(pass *Pass) {
-	runCtxLeakGoroutines(pass)
-	runCtxLeakHandlers(pass)
-}
-
-func runCtxLeakGoroutines(pass *Pass) {
-	// Bodies of package-level functions, for resolving `go fn(...)`.
-	decls := map[types.Object]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj := pass.Info.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			switch fun := ast.Unparen(g.Call.Fun).(type) {
-			case *ast.FuncLit:
-				if !hasLifecycleSignal(pass, fun.Body) && !signatureHasSignal(pass, fun.Type) {
-					pass.Reportf(g.Pos(), "goroutine has no cancellation or completion path (no context, WaitGroup, or channel operation); it can outlive its request")
-				}
-			case *ast.Ident:
-				obj := pass.Info.Uses[fun]
-				fd, known := decls[obj]
-				if !known {
-					return true // other package or method value: not inspectable
-				}
-				if !hasLifecycleSignal(pass, fd.Body) && !signatureHasSignal(pass, fd.Type) && !argsHaveSignal(pass, g.Call) {
-					pass.Reportf(g.Pos(), "goroutine %s has no cancellation or completion path (no context, WaitGroup, or channel operation); it can outlive its request", fun.Name)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// runCtxLeakHandlers flags context.Background()/context.TODO() calls inside
-// any function with a *net/http.Request parameter (including goroutines the
+// runCtxLeak flags context.Background()/context.TODO() calls inside any
+// function with a *net/http.Request parameter (including goroutines the
 // handler spawns): the request already carries the context the work must
 // derive from.
-func runCtxLeakHandlers(pass *Pass) {
+func runCtxLeak(pass *Pass) {
 	reported := map[token.Pos]bool{} // a nested handler literal is walked twice
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -135,83 +75,6 @@ func hasRequestParam(pass *Pass, ft *ast.FuncType) bool {
 		}
 	}
 	return false
-}
-
-// hasLifecycleSignal scans a function body for any lifetime-coordination
-// construct.
-func hasLifecycleSignal(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if isChan(pass.TypeOf(n.X)) {
-				found = true
-			}
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok {
-				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "close" {
-					found = true
-				}
-			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if s := pass.Info.Selections[sel]; s != nil && objInPkg(s.Obj(), "sync") && isPkgType(s.Recv(), "sync", "WaitGroup") {
-					found = true
-				}
-				if s := pass.Info.Selections[sel]; s != nil && objInPkg(s.Obj(), "context") {
-					found = true
-				}
-			}
-		case *ast.Ident:
-			if isContext(pass.TypeOf(n)) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// signatureHasSignal reports whether a parameter is itself a lifecycle
-// handle (context, channel, or WaitGroup pointer).
-func signatureHasSignal(pass *Pass, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, f := range ft.Params.List {
-		t := pass.TypeOf(f.Type)
-		if isContext(t) || isChan(t) || isPkgType(t, "sync", "WaitGroup") {
-			return true
-		}
-	}
-	return false
-}
-
-// argsHaveSignal reports whether the launch site passes a lifecycle handle.
-func argsHaveSignal(pass *Pass, call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		t := pass.TypeOf(arg)
-		if isContext(t) || isChan(t) || isPkgType(t, "sync", "WaitGroup") {
-			return true
-		}
-	}
-	return false
-}
-
-func isChan(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
 }
 
 func isContext(t types.Type) bool {

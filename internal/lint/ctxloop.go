@@ -7,10 +7,10 @@ import (
 	"repro/internal/lint/flow"
 )
 
-// CtxLoopAnalyzer extends PR 1's ctxleak from goroutine launches to the loop
-// bodies PR 2 added around them: the per-region retry/backoff in
+// CtxLoopAnalyzer carries the cancellation rule from goroutine launches
+// (golifetime) into loop bodies: the per-region retry/backoff in
 // Cluster.Scan and any scan plumbing that iterates making RPC-shaped calls.
-// The PR 2 rule is "every retry loop observes its context" — a backoff loop
+// The rule is "every retry loop observes its context" — a backoff loop
 // that never looks at ctx turns cancellation into a no-op and holds region
 // handlers (and their retained SSTables) for the full retry budget.
 //

@@ -90,9 +90,6 @@ func (d *DomTree) intersect(a, b *Block) *Block {
 // Reachable reports whether b is reachable from the graph entry.
 func (d *DomTree) Reachable(b *Block) bool { return d.rpoNo[b.Index] >= 0 }
 
-// Idom returns b's immediate dominator (nil for Entry and unreachable blocks).
-func (d *DomTree) Idom(b *Block) *Block { return d.idom[b.Index] }
-
 // Dominates reports whether a dominates b: every path from Entry to b passes
 // through a. A block dominates itself. Unreachable blocks are dominated by
 // nothing and dominate nothing.

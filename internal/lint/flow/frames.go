@@ -208,15 +208,6 @@ func (ix *Index) paramStrictlyCalled(callee *CallNode, i int) bool {
 	return ok && calls > 0 && calls == total
 }
 
-// SyncFrame returns the function a literal provably runs inside, when known.
-func (ix *Index) SyncFrame(n *CallNode) (*CallNode, bool) {
-	fr := ix.frames[n]
-	if fr == nil {
-		return nil, false
-	}
-	return fr.parent, true
-}
-
 // rootIsFresh reports whether obj is a freshly constructed local visible to
 // n: a fresh local of n itself or of any enclosing synchronous frame (a
 // closure captures the enclosing function's locals directly).

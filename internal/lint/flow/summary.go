@@ -6,7 +6,7 @@ package flow
 //
 // A Summary records what a function does that its callers care about:
 // whether any call chain from it reaches durability I/O or a retry sleep,
-// whether it may block, whether its body observes a lifecycle signal
+// whether its body observes a lifecycle signal
 // (context, channel, WaitGroup), and its net lock effect (locks still held
 // at exit that it acquired, locks it releases that it never acquired — the
 // lock-helper shapes).
@@ -69,9 +69,6 @@ type Summary struct {
 	// Sleeps: reaches time.Sleep or time.After (the retry-backoff surface).
 	Sleeps   bool
 	SleepWhy string
-	// Blocks: may block (channel ops, select without default, sync.WaitGroup
-	// Wait, time.Sleep), directly or through a callee.
-	Blocks bool
 	// Lifecycle: the body observes a lifecycle signal — context Done/Err,
 	// channel operations, WaitGroup use — directly or through a callee.
 	// golifetime treats a spawned function with this set as joinable.
@@ -221,16 +218,6 @@ func (ix *Index) Summary(n *CallNode) *Summary { return ix.sums[n] }
 // EntryHeld returns the locks every non-pre-publication caller provably
 // holds at every call site of n (the helper-called-with-lock-held set).
 func (ix *Index) EntryHeld(n *CallNode) []HeldLock { return ix.entry[n] }
-
-// PrePubRecv reports whether n's receiver is pre-publication: every call
-// site passes a freshly constructed, not-yet-shared value.
-func (ix *Index) PrePubRecv(n *CallNode) bool { return ix.prepub[n] }
-
-// FreshLocal reports whether obj is a local of n bound to a freshly
-// constructed composite value — pre-publication state.
-func (ix *Index) FreshLocal(n *CallNode, obj types.Object) bool {
-	return obj != nil && ix.fresh[n][obj]
-}
 
 // HeldAt returns the locks definitely held (on every path) when control
 // reaches target inside n, including locks held by every caller at entry.
@@ -735,7 +722,6 @@ func (ix *Index) summarize(n *CallNode) bool {
 		if cs.Sleeps && !sum.Sleeps {
 			sum.Sleeps, sum.SleepWhy = true, e.Callee.Name+" → "+cs.SleepWhy
 		}
-		sum.Blocks = sum.Blocks || cs.Blocks
 		sum.Lifecycle = sum.Lifecycle || cs.Lifecycle
 		// Acquisition facts fold only through synchronous call sites: a
 		// deferred call acquires at return and a goroutine on another stack,
@@ -752,32 +738,27 @@ func (ix *Index) summarize(n *CallNode) bool {
 		ix.foldRecvFields(n, e, sum)
 	}
 	return before.IO != sum.IO || before.Sleeps != sum.Sleeps ||
-		before.Blocks != sum.Blocks || before.Lifecycle != sum.Lifecycle ||
+		before.Lifecycle != sum.Lifecycle ||
 		len(before.MayAcquire) != len(sum.MayAcquire) ||
 		len(before.TouchedRecvFields) != len(sum.TouchedRecvFields)
 }
 
 // directFacts scans n's own body (nested literals excluded — they are their
-// own nodes) for blocking, lifecycle, sleep and I/O facts.
+// own nodes) for lifecycle, sleep and I/O facts.
 func (ix *Index) directFacts(n *CallNode, sum *Summary) {
 	inspectNoLitNode(n.Body(), func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.SendStmt:
-			sum.Blocks, sum.Lifecycle = true, true
+		case *ast.SendStmt, *ast.SelectStmt:
+			sum.Lifecycle = true
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				sum.Blocks, sum.Lifecycle = true, true
+				sum.Lifecycle = true
 			}
 		case *ast.RangeStmt:
 			if t := ix.typeOf(x.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
-					sum.Blocks, sum.Lifecycle = true, true
+					sum.Lifecycle = true
 				}
-			}
-		case *ast.SelectStmt:
-			sum.Lifecycle = true
-			if !selectHasDefault(x) {
-				sum.Blocks = true
 			}
 		case *ast.CallExpr:
 			ix.callFacts(x, sum)
@@ -803,7 +784,6 @@ func (ix *Index) callFacts(call *ast.CallExpr, sum *Summary) {
 			if !sum.Sleeps {
 				sum.Sleeps, sum.SleepWhy = true, "time.Sleep"
 			}
-			sum.Blocks = true
 		case "After", "Tick":
 			if !sum.Sleeps {
 				sum.Sleeps, sum.SleepWhy = true, "time."+name
@@ -815,9 +795,6 @@ func (ix *Index) callFacts(call *ast.CallExpr, sum *Summary) {
 			if fn, ok := selection.Obj().(*types.Func); ok && fn.Pkg() != nil {
 				if fn.Pkg().Path() == "sync" && isNamedType(selection.Recv(), "sync", "WaitGroup") {
 					sum.Lifecycle = true
-					if sel.Sel.Name == "Wait" {
-						sum.Blocks = true
-					}
 				}
 				if fn.Pkg().Path() == "context" {
 					switch sel.Sel.Name {
@@ -879,15 +856,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-func selectHasDefault(s *ast.SelectStmt) bool {
-	for _, st := range s.Body.List {
-		if cc, ok := st.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // --- entry-held propagation ----------------------------------------------

@@ -19,10 +19,9 @@ import (
 //     *sync.WaitGroup (the obligation is delegated through the argument).
 //
 // Launch sites whose target cannot be resolved within the package (function
-// values, foreign functions) are skipped rather than guessed at — ctxleak
-// already covers the intraprocedural shapes. A goroutine failing both tests
-// has no way to be joined or cancelled: exactly the leak shape a served,
-// connection-per-client system multiplies without bound.
+// values, foreign functions) are skipped rather than guessed at. A goroutine
+// failing both tests has no way to be joined or cancelled: exactly the leak
+// shape a served, connection-per-client system multiplies without bound.
 var GoLifetimeAnalyzer = &Analyzer{
 	Name: "golifetime",
 	Doc:  "goroutine launch with no interprocedurally visible join obligation (no WaitGroup, channel, or context reaches the spawned body)",

@@ -1,10 +1,10 @@
 // Package lint is trasslint's engine: a project-specific static-analysis
 // suite built entirely on the standard library's go/parser, go/ast and
 // go/types. It exists because TraSS's correctness rests on invariants no
-// general-purpose tool checks — the bijective XZ* encoding, rowkey byte
-// ordering, lock discipline in the LSM substrate, and the aliasing contract
-// of KV iterators — and the project's stdlib-only constraint rules out
-// golang.org/x/tools/go/analysis.
+// general-purpose tool checks — lock discipline in the LSM substrate, the
+// write→Sync→Rename→SyncDir durability order, the vfs filesystem seam,
+// resource and goroutine lifetimes — and the project's stdlib-only constraint
+// rules out golang.org/x/tools/go/analysis.
 //
 // The shape mirrors the x/tools analysis framework so analyzers stay small
 // and testable: each Analyzer inspects one type-checked package through a
@@ -25,7 +25,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/lint/flow"
 )
@@ -40,25 +39,23 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// All returns the full analyzer suite in stable order: the five syntactic
-// analyzers from PR 1, the four flow-aware ones built on internal/lint/flow,
-// the four interprocedural concurrency analyzers built on the call-graph
-// summary layer, and the three deadlock/lifetime analyzers built on the
-// lock-order and obligation passes. waiverhygiene must stay last: it judges
-// the directives every earlier analyzer consulted.
+// All returns the full analyzer suite in stable order: the syntactic
+// analyzers, the flow-aware ones built on internal/lint/flow, the
+// interprocedural concurrency analyzers built on the call-graph summary
+// layer, and the deadlock/lifetime analyzers built on the lock-order and
+// obligation passes. waiverhygiene must stay last: it judges the directives
+// every earlier analyzer consulted.
 func All() []*Analyzer {
 	return []*Analyzer{
 		LocksAnalyzer,
 		FloatCmpAnalyzer,
 		ErrCheckAnalyzer,
-		KeyAliasAnalyzer,
 		CtxLeakAnalyzer,
 		VFSSeamAnalyzer,
 		SyncRenameAnalyzer,
 		CtxLoopAnalyzer,
 		LoopRetainAnalyzer,
 		GuardedByAnalyzer,
-		AtomicMixAnalyzer,
 		GoLifetimeAnalyzer,
 		LockHeldIOAnalyzer,
 		LockOrderAnalyzer,
@@ -163,10 +160,9 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// AnalyzerPanic records an analyzer crash recovered by the runner. The suite
-// keeps going — one broken analyzer must not hide the other fifteen — but the
-// crash is a hard failure for the caller (trasslint exits 2 and prints the
-// stack).
+// AnalyzerPanic records an analyzer crash recovered by Run. The suite keeps
+// going — one broken analyzer must not hide the others — but the crash is a
+// hard failure for the caller (trasslint exits 2 and prints the stack).
 type AnalyzerPanic struct {
 	Analyzer string
 	Package  string
@@ -179,23 +175,9 @@ func (p AnalyzerPanic) Error() string {
 }
 
 // Run executes the analyzers over pkg and returns their diagnostics sorted by
-// position. Malformed lint:ignore directives are reported under analyzer
-// "lint". An analyzer panic propagates (tests want the stack at the crash
-// site); use RunTimed to recover them instead.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	diags, panics := RunTimed(pkg, analyzers, nil)
-	if len(panics) > 0 {
-		panic(panics[0].Error() + "\n" + panics[0].Stack)
-	}
-	return diags
-}
-
-// RunTimed is Run with per-analyzer wall time accumulated into timings
-// (keyed by analyzer name) when timings is non-nil, and with analyzer panics
-// recovered and returned instead of propagated. The first analyzer to
-// touch the flow index pays its construction cost; that attribution is
-// deliberate — it shows up in exactly the configurations that build it.
-func RunTimed(pkg *Package, analyzers []*Analyzer, timings map[string]time.Duration) ([]Diagnostic, []AnalyzerPanic) {
+// position, plus every analyzer panic, recovered with its stack. Malformed
+// lint:ignore directives are reported under analyzer "lint".
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerPanic) {
 	var diags []Diagnostic
 	run, bad := collectIgnores(pkg.Fset, pkg.Files)
 	diags = append(diags, bad...)
@@ -211,14 +193,10 @@ func RunTimed(pkg *Package, analyzers []*Analyzer, timings map[string]time.Durat
 			diags:    &diags,
 			run:      run,
 		}
-		start := time.Now()
 		if p := protectedRun(a, pass); p != nil {
 			panics = append(panics, *p)
 		} else {
 			run.executed[a.Name] = true
-		}
-		if timings != nil {
-			timings[a.Name] += time.Since(start)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -302,37 +280,10 @@ func isPkgType(t types.Type, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// isSyncObject reports whether obj is declared in package sync (or
-// sync/atomic when atomic is true).
+// objInPkg reports whether obj is declared in the package with import path
+// path.
 func objInPkg(obj types.Object, path string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == path
-}
-
-// walkWithStack walks the file keeping the ancestor stack; fn receives the
-// stack with n as its last element.
-func walkWithStack(file *ast.File, fn func(stack []ast.Node, n ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		fn(stack, n)
-		return true
-	})
-}
-
-// funcsOf yields every function body in the file (declarations and literals)
-// exactly once, with a printable name.
-func funcsOf(file *ast.File, fn func(name string, body *ast.BlockStmt)) {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		fn(fd.Name.Name, fd.Body)
-	}
 }
 
 // allFuncs yields every function body in the file — declarations and nested

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -24,25 +25,42 @@ type expectation struct {
 	re   *regexp.Regexp
 }
 
-// loadFixture type-checks one seeded-violation package under testdata/src.
-func loadFixture(t *testing.T, name string) *lint.Package {
+// sharedLoader is the one lint.Loader of the test binary: fixtures, scratch
+// copies and the module-wide test all load through it, so the standard
+// library and the module's own packages are type-checked from source once.
+var sharedLoader = sync.OnceValues(func() (*lint.Loader, error) { return lint.NewLoader(".") })
+
+// loadDir type-checks the package in dir through the shared loader.
+func loadDir(t *testing.T, dir string) *lint.Package {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+	loader, err := sharedLoader()
 	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := lint.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("NewLoader(%s): %v", dir, err)
+		t.Fatalf("NewLoader: %v", err)
 	}
 	pkg, err := loader.LoadDir(dir)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
 	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture %s has type errors: %v", name, pkg.TypeErrors)
+		t.Fatalf("%s has type errors: %v", dir, pkg.TypeErrors)
 	}
 	return pkg
+}
+
+// loadFixture type-checks one seeded-violation package under testdata/src.
+func loadFixture(t *testing.T, name string) *lint.Package {
+	t.Helper()
+	return loadDir(t, filepath.Join("testdata", "src", name))
+}
+
+// run is lint.Run for tests that expect no analyzer to crash.
+func run(t *testing.T, pkg *lint.Package, azs ...*lint.Analyzer) []lint.Diagnostic {
+	t.Helper()
+	diags, panics := lint.Run(pkg, azs)
+	for _, p := range panics {
+		t.Fatalf("%v\n%s", p, p.Stack)
+	}
+	return diags
 }
 
 // wantsOf collects the `// want` markers of a loaded fixture, keyed by line.
@@ -87,7 +105,7 @@ func checkFixtureMulti(t *testing.T, fixture string, azs []*lint.Analyzer) {
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no want markers; it proves nothing", fixture)
 	}
-	diags := lint.Run(pkg, azs)
+	diags := run(t, pkg, azs...)
 
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
@@ -128,8 +146,6 @@ func analyzerByName(t *testing.T, name string) *lint.Analyzer {
 func TestLocksFixture(t *testing.T)    { checkFixture(t, "locksviol", analyzerByName(t, "locks")) }
 func TestFloatcmpFixture(t *testing.T) { checkFixture(t, "floatviol", analyzerByName(t, "floatcmp")) }
 func TestErrcheckFixture(t *testing.T) { checkFixture(t, "errviol", analyzerByName(t, "errcheck")) }
-func TestKeyaliasFixture(t *testing.T) { checkFixture(t, "aliasviol", analyzerByName(t, "keyalias")) }
-func TestCtxleakFixture(t *testing.T)  { checkFixture(t, "ctxviol", analyzerByName(t, "ctxleak")) }
 func TestCtxleakHandlerFixture(t *testing.T) {
 	checkFixture(t, "handlerviol", analyzerByName(t, "ctxleak"))
 }
@@ -145,9 +161,6 @@ func TestLoopretainFixture(t *testing.T) {
 
 func TestGuardedbyFixture(t *testing.T) {
 	checkFixture(t, "guardviol", analyzerByName(t, "guardedby"))
-}
-func TestAtomicmixFixture(t *testing.T) {
-	checkFixture(t, "atomicviol", analyzerByName(t, "atomicmix"))
 }
 func TestGolifetimeFixture(t *testing.T) {
 	checkFixture(t, "lifetimeviol", analyzerByName(t, "golifetime"))
@@ -173,13 +186,13 @@ func TestWaiverhygieneFixture(t *testing.T) {
 	})
 }
 
-// TestAllAnalyzers pins the analyzer roster: sixteen analyzers, distinct
+// TestAllAnalyzers pins the analyzer roster: fourteen analyzers, distinct
 // non-empty names, each with documentation, and waiverhygiene last — it
 // audits the directives every earlier analyzer consulted.
 func TestAllAnalyzers(t *testing.T) {
 	all := lint.All()
-	if len(all) != 16 {
-		t.Fatalf("All() returned %d analyzers, want 16", len(all))
+	if len(all) != 14 {
+		t.Fatalf("All() returned %d analyzers, want 14", len(all))
 	}
 	if all[len(all)-1].Name != "waiverhygiene" {
 		t.Errorf("waiverhygiene must run last, roster ends with %q", all[len(all)-1].Name)
@@ -197,12 +210,12 @@ func TestAllAnalyzers(t *testing.T) {
 }
 
 // TestAnalyzerPanicRecovered: one crashing analyzer must not take down the
-// suite — RunTimed recovers it with a stack, the other analyzers' findings
-// survive, and Run (the strict entry point) re-panics.
+// suite — Run recovers it with a stack and the other analyzers' findings
+// survive.
 func TestAnalyzerPanicRecovered(t *testing.T) {
 	pkg := loadFixture(t, "floatviol")
 	boom := &lint.Analyzer{Name: "boom", Doc: "always panics", Run: func(*lint.Pass) { panic("kaboom") }}
-	diags, panics := lint.RunTimed(pkg, []*lint.Analyzer{boom, analyzerByName(t, "floatcmp")}, nil)
+	diags, panics := lint.Run(pkg, []*lint.Analyzer{boom, analyzerByName(t, "floatcmp")})
 	if len(panics) != 1 {
 		t.Fatalf("want 1 recovered panic, got %+v", panics)
 	}
@@ -216,21 +229,13 @@ func TestAnalyzerPanicRecovered(t *testing.T) {
 	if len(diags) == 0 {
 		t.Errorf("floatcmp findings lost after another analyzer panicked")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Run did not propagate the analyzer panic")
-			}
-		}()
-		lint.Run(pkg, []*lint.Analyzer{boom})
-	}()
 }
 
 // TestIgnoreDirectiveRequiresReason verifies that a bare lint:ignore without
 // an analyzer name and reason is itself reported, not silently honored.
 func TestIgnoreDirectiveRequiresReason(t *testing.T) {
 	pkg := loadFixture(t, "floatviol")
-	diags := lint.Run(pkg, lint.All())
+	diags := run(t, pkg, lint.All()...)
 	for _, d := range diags {
 		if strings.Contains(d.Message, "malformed") {
 			t.Errorf("well-formed fixture reported malformed directive: %s", d.Message)
@@ -238,24 +243,23 @@ func TestIgnoreDirectiveRequiresReason(t *testing.T) {
 	}
 }
 
-// TestSyncRenameCatchesReorder is the durability-contract acceptance test:
-// copy internal/kv into a scratch package under testdata, verify the pristine
-// copy is clean under syncrename, then swap the Sync and Rename steps of
-// sstWriter.finish and verify the analyzer catches the reordering.
-func TestSyncRenameCatchesReorder(t *testing.T) {
-	az := analyzerByName(t, "syncrename")
-	scratch, err := filepath.Abs(filepath.Join("testdata", "scratch_syncrename"))
-	if err != nil {
-		t.Fatal(err)
+// mutatedKV is the harness of the four spliced-bug acceptance tests: it
+// requires az to be clean on the real internal/kv (so every finding below is
+// the mutation's), copies kv's non-test sources into a scratch package under
+// testdata — inside the module, so repro/internal/vfs imports resolve —
+// applies mutate to the copy, and returns az's findings on it.
+func mutatedKV(t *testing.T, az *lint.Analyzer, dirname string, mutate func(dir string)) []lint.Diagnostic {
+	t.Helper()
+	kvDir := filepath.Join("..", "kv")
+	if diags := run(t, loadDir(t, kvDir), az); len(diags) != 0 {
+		t.Fatalf("internal/kv is not clean under %s: %v", az.Name, diags)
 	}
+	scratch := filepath.Join("testdata", dirname)
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.RemoveAll(scratch) })
-
-	// The scratch copy lives inside the module so repro/internal/vfs imports
-	// resolve; _test.go files are skipped (the copy only needs to type-check).
-	entries, err := os.ReadDir(filepath.Join("..", "kv"))
+	entries, err := os.ReadDir(kvDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +268,7 @@ func TestSyncRenameCatchesReorder(t *testing.T) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join("..", "kv", name))
+		data, err := os.ReadFile(filepath.Join(kvDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,274 +276,170 @@ func TestSyncRenameCatchesReorder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mutate(scratch)
+	return run(t, loadDir(t, scratch), az)
+}
 
-	runScratch := func() []lint.Diagnostic {
-		t.Helper()
-		loader, err := lint.NewLoader(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("scratch kv copy has type errors: %v", pkg.TypeErrors)
-		}
-		return lint.Run(pkg, []*lint.Analyzer{az})
-	}
-
-	if diags := runScratch(); len(diags) != 0 {
-		t.Fatalf("pristine kv copy is not clean under syncrename: %v", diags)
-	}
-
-	// Swap the Sync if-statement and the Rename if-statement of finish by
-	// their source ranges; the result is valid Go with the commit steps
-	// reordered.
-	path := filepath.Join(scratch, "sstable.go")
+// rewriteFile replaces a scratch file's contents with edit(contents).
+func rewriteFile(t *testing.T, path string, edit func(src []byte) []byte) {
+	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	parsed, err := parser.ParseFile(fset, path, src, 0)
-	if err != nil {
+	if err := os.WriteFile(path, edit(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var syncStmt, renameStmt ast.Stmt
-	for _, decl := range parsed.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != "finish" || fd.Body == nil {
-			continue
-		}
-		for _, stmt := range fd.Body.List {
-			stmt := stmt
-			ast.Inspect(stmt, func(x ast.Node) bool {
-				sel, ok := x.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				switch sel.Sel.Name {
-				case "Sync":
-					if syncStmt == nil {
-						syncStmt = stmt
-					}
-				case "Rename":
-					if renameStmt == nil {
-						renameStmt = stmt
-					}
-				}
-				return true
-			})
-		}
-	}
-	if syncStmt == nil || renameStmt == nil {
-		t.Fatal("could not locate the Sync and Rename statements in sstWriter.finish")
-	}
-	off := func(p token.Pos) int { return fset.Position(p).Offset }
-	sa, sb := off(syncStmt.Pos()), off(syncStmt.End())
-	ra, rb := off(renameStmt.Pos()), off(renameStmt.End())
-	if sb > ra {
-		t.Fatalf("expected Sync (ends %d) before Rename (starts %d) in finish", sb, ra)
-	}
-	var mutated []byte
-	mutated = append(mutated, src[:sa]...)
-	mutated = append(mutated, src[ra:rb]...)
-	mutated = append(mutated, src[sb:ra]...)
-	mutated = append(mutated, src[sa:sb]...)
-	mutated = append(mutated, src[rb:]...)
-	if err := os.WriteFile(path, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	re := regexp.MustCompile(`not preceded by a completed File\.Sync`)
-	found := false
-	for _, d := range runScratch() {
-		if filepath.Base(d.Pos.Filename) == "sstable.go" && re.MatchString(d.Message) {
-			found = true
+// reported reports whether some diagnostic in file matches re.
+func reported(diags []lint.Diagnostic, file string, re *regexp.Regexp) bool {
+	for _, d := range diags {
+		if filepath.Base(d.Pos.Filename) == file && re.MatchString(d.Message) {
+			return true
 		}
 	}
-	if !found {
+	return false
+}
+
+// TestSyncRenameCatchesReorder is the durability-contract acceptance test:
+// swap the Sync and Rename steps of sstWriter.finish in a scratch copy of
+// internal/kv and verify syncrename catches the reordering. No runtime suite
+// does — FaultFS never persists a rename ahead of SyncDir (DESIGN.md §7).
+func TestSyncRenameCatchesReorder(t *testing.T) {
+	diags := mutatedKV(t, analyzerByName(t, "syncrename"), "scratch_syncrename", func(dir string) {
+		// Swap the Sync if-statement and the Rename if-statement of finish by
+		// their source ranges; the result is valid Go with the commit steps
+		// reordered.
+		path := filepath.Join(dir, "sstable.go")
+		rewriteFile(t, path, func(src []byte) []byte {
+			fset := token.NewFileSet()
+			parsed, err := parser.ParseFile(fset, path, src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var syncStmt, renameStmt ast.Stmt
+			for _, decl := range parsed.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.Name != "finish" || fd.Body == nil {
+					continue
+				}
+				for _, stmt := range fd.Body.List {
+					ast.Inspect(stmt, func(x ast.Node) bool {
+						sel, ok := x.(*ast.SelectorExpr)
+						if !ok {
+							return true
+						}
+						switch sel.Sel.Name {
+						case "Sync":
+							if syncStmt == nil {
+								syncStmt = stmt
+							}
+						case "Rename":
+							if renameStmt == nil {
+								renameStmt = stmt
+							}
+						}
+						return true
+					})
+				}
+			}
+			if syncStmt == nil || renameStmt == nil {
+				t.Fatal("could not locate the Sync and Rename statements in sstWriter.finish")
+			}
+			off := func(p token.Pos) int { return fset.Position(p).Offset }
+			sa, sb := off(syncStmt.Pos()), off(syncStmt.End())
+			ra, rb := off(renameStmt.Pos()), off(renameStmt.End())
+			if sb > ra {
+				t.Fatalf("expected Sync (ends %d) before Rename (starts %d) in finish", sb, ra)
+			}
+			var mutated []byte
+			mutated = append(mutated, src[:sa]...)
+			mutated = append(mutated, src[ra:rb]...)
+			mutated = append(mutated, src[sb:ra]...)
+			mutated = append(mutated, src[sa:sb]...)
+			return append(mutated, src[rb:]...)
+		})
+	})
+	if !reported(diags, "sstable.go", regexp.MustCompile(`not preceded by a completed File\.Sync`)) {
 		t.Fatal("reordered Sync/Rename in sstable.go was not caught by syncrename")
 	}
 }
 
-// copyKVScratch copies internal/kv's non-test sources into a scratch package
-// under testdata so an acceptance test can mutate the copy. The scratch dir
-// lives inside the module so repro/internal/vfs imports resolve.
-func copyKVScratch(t *testing.T, dirname string) string {
-	t.Helper()
-	scratch, err := filepath.Abs(filepath.Join("testdata", dirname))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(scratch) })
-	entries, err := os.ReadDir(filepath.Join("..", "kv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join("..", "kv", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return scratch
-}
-
 // TestGuardedByCatchesDroppedLock is the concurrency-contract acceptance
-// test, the guardedby analogue of TestSyncRenameCatchesReorder: copy
-// internal/kv into a scratch package, verify the pristine copy is clean,
-// then delete the db.mu.Lock()/defer db.mu.Unlock() pair from DB.Tables and
-// verify the now-unguarded db.tables read is caught — proving the guard was
-// inferred from the other accesses, not declared anywhere.
+// test: delete the db.mu.Lock()/defer db.mu.Unlock() pair from DB.Tables in a
+// scratch copy of internal/kv and verify the now-unguarded db.tables read is
+// caught — proving the guard was inferred from the other accesses, not
+// declared anywhere.
 func TestGuardedByCatchesDroppedLock(t *testing.T) {
-	az := analyzerByName(t, "guardedby")
-	scratch := copyKVScratch(t, "scratch_guardedby")
-
-	runScratch := func() []lint.Diagnostic {
-		t.Helper()
-		loader, err := lint.NewLoader(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("scratch kv copy has type errors: %v", pkg.TypeErrors)
-		}
-		return lint.Run(pkg, []*lint.Analyzer{az})
-	}
-
-	if diags := runScratch(); len(diags) != 0 {
-		t.Fatalf("pristine kv copy is not clean under guardedby: %v", diags)
-	}
-
-	// Delete the lock acquisition and its deferred release from Tables by
-	// source range, leaving `return len(db.tables)` outside any guard.
-	path := filepath.Join(scratch, "store.go")
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	parsed, err := parser.ParseFile(fset, path, src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cut []ast.Stmt
-	for _, decl := range parsed.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != "Tables" || fd.Body == nil {
-			continue
-		}
-		for _, stmt := range fd.Body.List {
-			text := func(n ast.Node) string {
-				return string(src[fset.Position(n.Pos()).Offset:fset.Position(n.End()).Offset])
+	diags := mutatedKV(t, analyzerByName(t, "guardedby"), "scratch_guardedby", func(dir string) {
+		// Delete the lock acquisition and its deferred release from Tables by
+		// source range, leaving `return len(db.tables)` outside any guard.
+		path := filepath.Join(dir, "store.go")
+		rewriteFile(t, path, func(src []byte) []byte {
+			fset := token.NewFileSet()
+			parsed, err := parser.ParseFile(fset, path, src, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			s := text(stmt)
-			if strings.Contains(s, "db.mu.Lock") || strings.Contains(s, "db.mu.Unlock") {
-				cut = append(cut, stmt)
+			off := func(p token.Pos) int { return fset.Position(p).Offset }
+			var mutated []byte
+			prev, cut := 0, 0
+			for _, decl := range parsed.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.Name != "Tables" || fd.Body == nil {
+					continue
+				}
+				for _, stmt := range fd.Body.List {
+					text := string(src[off(stmt.Pos()):off(stmt.End())])
+					if strings.Contains(text, "db.mu.Lock") || strings.Contains(text, "db.mu.Unlock") {
+						mutated = append(mutated, src[prev:off(stmt.Pos())]...)
+						prev = off(stmt.End())
+						cut++
+					}
+				}
 			}
-		}
-	}
-	if len(cut) != 2 {
-		t.Fatalf("expected to cut the Lock and deferred Unlock from Tables, found %d statements", len(cut))
-	}
-	var mutated []byte
-	prev := 0
-	for _, stmt := range cut {
-		a, b := fset.Position(stmt.Pos()).Offset, fset.Position(stmt.End()).Offset
-		mutated = append(mutated, src[prev:a]...)
-		prev = b
-	}
-	mutated = append(mutated, src[prev:]...)
-	if err := os.WriteFile(path, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+			if cut != 2 {
+				t.Fatalf("expected to cut the Lock and deferred Unlock from Tables, found %d statements", cut)
+			}
+			return append(mutated, src[prev:]...)
+		})
+	})
 	re := regexp.MustCompile(`DB\.tables is guarded by DB\.mu .* but this access does not hold db\.mu`)
-	found := false
-	for _, d := range runScratch() {
-		if filepath.Base(d.Pos.Filename) == "store.go" && re.MatchString(d.Message) {
-			found = true
-		}
-	}
-	if !found {
+	if !reported(diags, "store.go", re) {
 		t.Fatal("unguarded db.tables read in Tables was not caught by guardedby")
 	}
 }
 
 // TestLockOrderCatchesSplicedCycle is the deadlock-contract acceptance test:
-// copy internal/kv into a scratch package, verify the pristine copy has no
-// lock-order cycle, then splice an inverted acquisition into each side —
-// flush takes db.commit.mu while holding db.mu, submit takes c.db.mu while
-// holding c.mu — and verify lockorder reports the DB.mu/committer.mu cycle
-// with a witness chain for each direction.
+// splice an inverted acquisition into each side of a scratch copy of
+// internal/kv — flush takes db.commit.mu while holding db.mu, submit takes
+// c.db.mu while holding c.mu — and verify lockorder reports the
+// DB.mu/committer.mu cycle with a witness chain for each direction.
 func TestLockOrderCatchesSplicedCycle(t *testing.T) {
-	az := analyzerByName(t, "lockorder")
-	scratch := copyKVScratch(t, "scratch_lockorder")
-
-	runScratch := func() []lint.Diagnostic {
-		t.Helper()
-		loader, err := lint.NewLoader(scratch)
-		if err != nil {
-			t.Fatal(err)
+	diags := mutatedKV(t, analyzerByName(t, "lockorder"), "scratch_lockorder", func(dir string) {
+		// Insert each half of the inversion immediately before a statement
+		// that is provably inside the other lock's critical section.
+		splice := func(file, anchor, inserted string) {
+			rewriteFile(t, filepath.Join(dir, file), func(src []byte) []byte {
+				i := strings.Index(string(src), anchor)
+				if i < 0 {
+					t.Fatalf("anchor %q not found in %s", anchor, file)
+				}
+				return []byte(string(src[:i]) + inserted + string(src[i:]))
+			})
 		}
-		pkg, err := loader.LoadDir(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("scratch kv copy has type errors: %v", pkg.TypeErrors)
-		}
-		return lint.Run(pkg, []*lint.Analyzer{az})
-	}
-
-	if diags := runScratch(); len(diags) != 0 {
-		t.Fatalf("pristine kv copy is not clean under lockorder: %v", diags)
-	}
-
-	// Insert each half of the inversion immediately before a statement that
-	// is provably inside the other lock's critical section.
-	splice := func(file, anchor, inserted string) {
-		t.Helper()
-		path := filepath.Join(scratch, file)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := strings.Index(string(src), anchor)
-		if i < 0 {
-			t.Fatalf("anchor %q not found in %s", anchor, file)
-		}
-		mutated := string(src[:i]) + inserted + string(src[i:])
-		if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// flush holds db.mu around `db.freezeLocked()`; submit holds c.mu around
-	// the queue append.
-	splice("store.go", "db.freezeLocked()", "db.commit.mu.Lock()\n\tdb.commit.mu.Unlock()\n\t")
-	splice("commit.go", "c.queue = append(c.queue, req)", "c.db.mu.Lock()\n\tc.db.mu.Unlock()\n\t")
+		// flush holds db.mu around `db.freezeLocked()`; submit holds c.mu
+		// around the queue append.
+		splice("store.go", "db.freezeLocked()", "db.commit.mu.Lock()\n\tdb.commit.mu.Unlock()\n\t")
+		splice("commit.go", "c.queue = append(c.queue, req)", "c.db.mu.Lock()\n\tc.db.mu.Unlock()\n\t")
+	})
 
 	cycleRe := regexp.MustCompile(`lock-order cycle DB\.mu → committer\.mu → DB\.mu`)
 	abRe := regexp.MustCompile(`committer\.mu \(db\.commit\.mu\) acquired while DB\.mu \(db\.mu\) held in .*flush`)
 	baRe := regexp.MustCompile(`DB\.mu \(c\.db\.mu\) acquired while committer\.mu \(c\.mu\) held in .*submit`)
 	var found bool
-	for _, d := range runScratch() {
+	for _, d := range diags {
 		if !cycleRe.MatchString(d.Message) {
 			continue
 		}
@@ -557,56 +457,21 @@ func TestLockOrderCatchesSplicedCycle(t *testing.T) {
 }
 
 // TestMustCloseCatchesDeletedClose is the resource-lifetime acceptance test:
-// copy internal/kv into a scratch package, verify the pristine copy is clean
-// under mustclose, then delete the `defer merged.Close()` guarding the flush
-// merge iterator in DB.flush and verify the leaked iterator is named.
+// delete the `defer merged.Close()` guarding the flush merge iterator in
+// DB.flush of a scratch copy of internal/kv and verify the leaked iterator is
+// named.
 func TestMustCloseCatchesDeletedClose(t *testing.T) {
-	az := analyzerByName(t, "mustclose")
-	scratch := copyKVScratch(t, "scratch_mustclose")
-
-	runScratch := func() []lint.Diagnostic {
-		t.Helper()
-		loader, err := lint.NewLoader(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("scratch kv copy has type errors: %v", pkg.TypeErrors)
-		}
-		return lint.Run(pkg, []*lint.Analyzer{az})
-	}
-
-	if diags := runScratch(); len(diags) != 0 {
-		t.Fatalf("pristine kv copy is not clean under mustclose: %v", diags)
-	}
-
-	path := filepath.Join(scratch, "store.go")
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const closer = "defer merged.Close()\n"
-	i := strings.Index(string(src), closer)
-	if i < 0 {
-		t.Fatalf("no %q in store.go to delete", strings.TrimSpace(closer))
-	}
-	mutated := string(src[:i]) + string(src[i+len(closer):])
-	if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re := regexp.MustCompile(`merged \(\*mergeIter\) is leaked: .*flush`)
-	found := false
-	for _, d := range runScratch() {
-		if filepath.Base(d.Pos.Filename) == "store.go" && re.MatchString(d.Message) {
-			found = true
-		}
-	}
-	if !found {
+	diags := mutatedKV(t, analyzerByName(t, "mustclose"), "scratch_mustclose", func(dir string) {
+		rewriteFile(t, filepath.Join(dir, "store.go"), func(src []byte) []byte {
+			const closer = "defer merged.Close()\n"
+			i := strings.Index(string(src), closer)
+			if i < 0 {
+				t.Fatalf("no %q in store.go to delete", strings.TrimSpace(closer))
+			}
+			return []byte(string(src[:i]) + string(src[i+len(closer):]))
+		})
+	})
+	if !reported(diags, "store.go", regexp.MustCompile(`merged \(\*mergeIter\) is leaked: .*flush`)) {
 		t.Fatal("deleted defer merged.Close() in flush was not caught by mustclose")
 	}
 }
@@ -618,7 +483,7 @@ func TestModuleLoadAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
 	}
-	loader, err := lint.NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,8 +498,7 @@ func TestModuleLoadAll(t *testing.T) {
 		if strings.Contains(pkg.Path, "testdata") {
 			t.Errorf("LoadAll descended into testdata: %s", pkg.Path)
 		}
-		diags := lint.Run(pkg, lint.All())
-		for _, d := range diags {
+		for _, d := range run(t, pkg, lint.All()...) {
 			t.Errorf("repo is not lint-clean: %s", d)
 		}
 	}

@@ -38,9 +38,6 @@ type Package struct {
 // whole pipeline dependency-free.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests adds in-package _test.go files to each package. External
-	// test packages (package foo_test) are always skipped.
-	IncludeTests bool
 
 	modPath string
 	modDir  string
@@ -216,16 +213,12 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
-		}
-		// External test packages are a separate compilation unit; skip them.
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			continue
 		}
 		if pkgName == "" {
 			pkgName = f.Name.Name

@@ -5,135 +5,22 @@ import (
 	"go/types"
 )
 
-// LocksAnalyzer enforces the lock discipline the LSM substrate (internal/kv),
-// the sharded cluster layer and the store metadata depend on:
-//
-//  1. a value containing a sync.Mutex/RWMutex (or other non-copyable sync or
-//     sync/atomic state) must never be copied — a copied lock guards nothing;
-//  2. a function that calls Lock/RLock on a sync mutex must also contain a
-//     matching Unlock/RUnlock for the same lock expression (deferred or on
-//     some path). A function that acquires and never releases is either a
-//     leak or an undocumented locked-helper and needs a lint:ignore.
+// LocksAnalyzer enforces lock pairing in the LSM substrate (internal/kv), the
+// sharded cluster layer and the store metadata: a function that calls
+// Lock/RLock on a sync mutex must also contain a matching Unlock/RUnlock for
+// the same lock expression (deferred or on some path). A function that
+// acquires and never releases is either a leak or an undocumented
+// locked-helper and needs a lint:ignore. Copied locks are go vet's copylocks
+// check, which runs in the same gate.
 var LocksAnalyzer = &Analyzer{
 	Name: "locks",
-	Doc:  "sync.Mutex/RWMutex copied by value, and Lock() without any matching Unlock()",
+	Doc:  "Lock() without any matching Unlock()",
 	Run:  runLocks,
-}
-
-// nonCopyableSync lists sync and sync/atomic types whose value must not be
-// copied after first use.
-var nonCopyableSync = map[string]map[string]bool{
-	"sync": {
-		"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true,
-		"Cond": true, "Pool": true, "Map": true,
-	},
-	"sync/atomic": {
-		"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-		"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-	},
-}
-
-// containsLock reports whether a value of type t embeds non-copyable sync
-// state (directly, in a struct field, or in an array element).
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil {
-			if names := nonCopyableSync[obj.Pkg().Path()]; names[obj.Name()] {
-				return true
-			}
-		}
-		return containsLock(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
 }
 
 func runLocks(pass *Pass) {
 	for _, file := range pass.Files {
-		checkLockCopies(pass, file)
 		checkLockPairs(pass, file)
-	}
-}
-
-// checkLockCopies flags function signatures and assignments that copy a
-// lock-bearing value.
-func checkLockCopies(pass *Pass, file *ast.File) {
-	byValue := func(e ast.Expr, what string) {
-		t := pass.TypeOf(e)
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return
-		}
-		if containsLock(t, map[types.Type]bool{}) {
-			pass.Reportf(e.Pos(), "%s copies a value containing a sync lock (type %s); use a pointer", what, t)
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Recv != nil {
-				for _, f := range n.Recv.List {
-					byValue(f.Type, "method receiver")
-				}
-			}
-			checkFieldList(pass, n.Type, byValue)
-		case *ast.FuncLit:
-			checkFieldList(pass, n.Type, byValue)
-		case *ast.AssignStmt:
-			// x := *p and y = x copy the lock state wholesale; composite
-			// literals and calls construct fresh values and are fine, as is
-			// assigning to the blank identifier (nothing retains the copy).
-			for i, rhs := range n.Rhs {
-				if len(n.Lhs) == len(n.Rhs) {
-					if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-						continue
-					}
-				}
-				switch rhs.(type) {
-				case *ast.StarExpr, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-					byValue(rhs, "assignment")
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				t := pass.TypeOf(n.Value)
-				if t != nil {
-					if _, isPtr := t.(*types.Pointer); !isPtr && containsLock(t, map[types.Type]bool{}) {
-						pass.Reportf(n.Value.Pos(), "range value copies a value containing a sync lock (type %s); range over indices or pointers", t)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-func checkFieldList(pass *Pass, ft *ast.FuncType, byValue func(ast.Expr, string)) {
-	if ft.Params != nil {
-		for _, f := range ft.Params.List {
-			byValue(f.Type, "function parameter")
-		}
-	}
-	if ft.Results != nil {
-		for _, f := range ft.Results.List {
-			byValue(f.Type, "function result")
-		}
 	}
 }
 

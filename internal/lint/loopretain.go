@@ -2,42 +2,29 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 
 	"repro/internal/lint/flow"
 )
 
-// LoopRetainAnalyzer covers two resource-retention bug classes the storage
-// layer has already been bitten by:
-//
-//  1. defer accumulation — a defer inside a loop runs only at function
-//     return, so a scan that opens an iterator (or file, or region handler
-//     slot) per iteration and defers its Close holds every one of them until
-//     the whole function exits. Loops are detected as natural loops on the
-//     control-flow graph, so goto-formed loops count too; a defer inside a
-//     function literal that merely sits in a loop is fine (the literal is its
-//     own function and runs its defers when it returns).
-//
-//  2. aliased sub-slice returns — a method that returns recv.buf (or
-//     recv.buf[i:j]) where the package elsewhere reuses that buffer with
-//     `recv.buf = append(recv.buf[:0], ...)` or re-slicing hands the caller
-//     memory the next operation silently overwrites — the iterator-aliasing
-//     bug class from internal/kv. Iterator-shaped receivers (those with a
-//     Next() bool method) are exempt: their Key()/Value() aliasing contract
-//     is deliberate and enforced caller-side by the keyalias analyzer.
+// LoopRetainAnalyzer flags defer accumulation: a defer inside a loop runs only
+// at function return, so a scan that opens an iterator (or file, or region
+// handler slot) per iteration and defers its Close holds every one of them
+// until the whole function exits. Loops are detected as natural loops on the
+// control-flow graph, so goto-formed loops count too; a defer inside a
+// function literal that merely sits in a loop is fine (the literal is its own
+// function and runs its defers when it returns). No runtime suite notices the
+// bug — the handles are released, only late — so this rule is its one guard.
 var LoopRetainAnalyzer = &Analyzer{
 	Name: "loopretain",
-	Doc:  "defer accumulation inside a loop, and returned sub-slices of reused internal buffers",
+	Doc:  "defer accumulation inside a loop",
 	Run:  runLoopRetain,
 }
 
 func runLoopRetain(pass *Pass) {
-	reused := reusedBufferFields(pass)
 	for _, file := range pass.Files {
 		allFuncs(file, func(name string, _ *ast.FuncType, body *ast.BlockStmt) {
 			checkDeferInLoops(pass, name, body)
 		})
-		checkBufferReturns(pass, file, reused)
 	}
 }
 
@@ -68,105 +55,5 @@ func checkDeferInLoops(pass *Pass, name string, body *ast.BlockStmt) {
 				pass.Reportf(d.Pos(), "%s: defer inside a loop runs only at function return, accumulating one deferred call per iteration; release explicitly or hoist the body into a function", name)
 			}
 		}
-	}
-}
-
-// reusedBufferFields collects struct fields of slice type that the package
-// reuses in place: x.f = append(x.f...-rooted, ...) or x.f = x.f[...].
-func reusedBufferFields(pass *Pass) map[types.Object]bool {
-	reused := map[types.Object]bool{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				obj := pass.Info.Uses[sel.Sel]
-				if obj == nil {
-					continue
-				}
-				if _, isSlice := obj.Type().Underlying().(*types.Slice); !isSlice {
-					continue
-				}
-				if rhsReusesField(pass, as.Rhs[i], obj) {
-					reused[obj] = true
-				}
-			}
-			return true
-		})
-	}
-	return reused
-}
-
-// rhsReusesField reports whether rhs recycles field's backing array: an
-// append rooted at the field, or a re-slice of it.
-func rhsReusesField(pass *Pass, rhs ast.Expr, field types.Object) bool {
-	switch e := ast.Unparen(rhs).(type) {
-	case *ast.CallExpr:
-		if !isBuiltinAppend(pass, e) || len(e.Args) == 0 {
-			return false
-		}
-		return exprRootsField(pass, e.Args[0], field)
-	case *ast.SliceExpr:
-		return exprRootsField(pass, e, field)
-	}
-	return false
-}
-
-// exprRootsField strips slice expressions off e and reports whether the core
-// selector resolves to field.
-func exprRootsField(pass *Pass, e ast.Expr, field types.Object) bool {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			return pass.Info.Uses[x.Sel] == field
-		default:
-			return false
-		}
-	}
-}
-
-// checkBufferReturns flags methods returning (sub-slices of) reused buffer
-// fields on non-iterator receivers.
-func checkBufferReturns(pass *Pass, file *ast.File, reused map[types.Object]bool) {
-	if len(reused) == 0 {
-		return
-	}
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) == 0 {
-			continue
-		}
-		recvType := pass.TypeOf(fd.Recv.List[0].Type)
-		if recvType != nil && hasNextBool(recvType) {
-			continue // iterator contract: keyalias guards the callers instead
-		}
-		inspectNoLit(fd.Body, func(n ast.Node) bool {
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return true
-			}
-			for _, res := range ret.Results {
-				core := ast.Unparen(res)
-				if se, ok := core.(*ast.SliceExpr); ok {
-					core = ast.Unparen(se.X)
-				}
-				sel, ok := core.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if obj := pass.Info.Uses[sel.Sel]; obj != nil && reused[obj] {
-					pass.Reportf(res.Pos(), "%s returns %s, a buffer this package reuses in place; the caller's slice is overwritten by the next reuse — return a copy", fd.Name.Name, types.ExprString(res))
-				}
-			}
-			return true
-		})
 	}
 }

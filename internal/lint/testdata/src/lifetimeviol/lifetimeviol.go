@@ -4,7 +4,10 @@
 // launch passes it none.
 package lifetimeviol
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 func spin() {
 	n := 0
@@ -15,6 +18,13 @@ func spin() {
 
 func launch() {
 	go spin() // want "cannot be joined or cancelled"
+}
+
+// launchLit is the literal shape: nothing in the body, and nothing passed in.
+func launchLit() {
+	go func() { // want "cannot be joined or cancelled"
+		spin()
+	}()
 }
 
 type ticker struct{ n int }
@@ -76,4 +86,14 @@ func okLit() {
 	ch := make(chan int)
 	go func() { ch <- 1 }()
 	<-ch
+}
+
+// okWaitGroup is joined through the closed-over WaitGroup.
+func okWaitGroup() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+	}()
+	wg.Wait()
 }

@@ -1,5 +1,6 @@
-// Package locksviol seeds violations for the locks analyzer: lock-bearing
-// values copied by value and Lock() calls with no matching Unlock().
+// Package locksviol seeds violations for the locks analyzer: Lock() calls
+// with no matching Unlock(). Copied-lock shapes (by-value parameter, receiver,
+// assignment, range value) are go vet's copylocks check, not this analyzer's.
 package locksviol
 
 import "sync"
@@ -12,27 +13,6 @@ type counter struct {
 type rw struct {
 	mu sync.RWMutex
 	m  map[string]int
-}
-
-func byValueParam(c counter) int { // want "parameter copies a value containing a sync lock"
-	return c.n
-}
-
-func (c counter) get() int { // want "method receiver copies a value containing a sync lock"
-	return c.n
-}
-
-func copyAssign(c *counter) {
-	local := *c // want "assignment copies a value containing a sync lock"
-	_ = local
-}
-
-func rangeCopy(cs []counter) int {
-	total := 0
-	for _, c := range cs { // want "range value copies a value containing a sync lock"
-		total += c.n
-	}
-	return total
 }
 
 func lockNoUnlock(c *counter) { // this line intentionally clean
@@ -57,10 +37,4 @@ func balancedRead(r *rw) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.m["k"]
-}
-
-// Pointer plumbing must not be flagged.
-func viaPointer(c *counter) *counter {
-	p := c
-	return p
 }

@@ -31,28 +31,3 @@ func deferAtTop(name string) {
 		_ = i
 	}
 }
-
-// PayloadCopy is the clean way to expose a reused buffer: copy it.
-func (d *decoder) PayloadCopy() []byte {
-	return append([]byte(nil), d.buf[1:]...)
-}
-
-// iter is iterator-shaped (has Next() bool), so its aliasing contract is
-// deliberate; keyalias guards the call sites instead.
-type iter struct {
-	key []byte
-}
-
-func (it *iter) Next() bool {
-	it.key = append(it.key[:0], 'k')
-	return false
-}
-
-func (it *iter) Key() []byte { return it.key }
-
-// holder never reuses data in place, so returning it is fine.
-type holder struct {
-	data []byte
-}
-
-func (h *holder) Data() []byte { return h.data }

@@ -1,6 +1,5 @@
 // Package retainviol seeds violations for the loopretain analyzer: defer
-// accumulation inside loops (for/range and goto-formed) and methods handing
-// out sub-slices of buffers the package reuses in place.
+// accumulation inside loops (for/range and goto-formed).
 package retainviol
 
 type handle struct{}
@@ -40,22 +39,4 @@ func produceRetains(names []string, out chan<- int) {
 		defer f.Close() // want "defer inside a loop"
 		out <- i
 	}
-}
-
-// decoder reuses buf across fills, so handing out sub-slices of it aliases
-// memory the next fill overwrites.
-type decoder struct {
-	buf []byte
-}
-
-func (d *decoder) fill(src []byte) {
-	d.buf = append(d.buf[:0], src...)
-}
-
-func (d *decoder) Payload() []byte {
-	return d.buf[1:] // want "a buffer this package reuses in place"
-}
-
-func (d *decoder) Raw() []byte {
-	return d.buf // want "a buffer this package reuses in place"
 }

@@ -8,7 +8,7 @@ package lint
 // decays with the code instead of accreting.
 //
 // Staleness is only judged for analyzers that actually completed this run:
-// under -only/-skip (or after an analyzer panic) an unused directive proves
+// under -only (or after an analyzer panic) an unused directive proves
 // nothing. Directives naming "lint" (malformed-directive findings are
 // emitted outside the suppression path) or waiverhygiene itself are checked
 // for roster membership but not staleness. This analyzer must run last —
@@ -45,8 +45,8 @@ func runWaiverHygiene(pass *Pass) {
 			// waiverhygiene is consulted after this pass reports.
 		case d.analyzer == "all" && !allRan:
 		case d.analyzer != "all" && !pass.run.executed[d.analyzer]:
-			// the named analyzer did not complete this run (-only, -skip, or
-			// a panic): unused proves nothing.
+			// the named analyzer did not complete this run (-only or a
+			// panic): unused proves nothing.
 		default:
 			pass.Reportf(d.pos, "stale waiver: %s reports no finding here; delete the lint:ignore or re-point it", d.analyzer)
 		}

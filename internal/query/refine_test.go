@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/kv"
 	"repro/internal/store"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
@@ -42,6 +43,27 @@ func refineFixture(t testing.TB, n, pts int, seed int64) (*fixture, *traj.Trajec
 		t.Fatal(err)
 	}
 	return &fixture{store: st, trajs: trajs, engine: New(st, dist.DTW)}, base
+}
+
+// allRows fetches every stored row raw through a snapshot, bypassing the
+// query pipeline, for the tests that drive the executor directly.
+func allRows(t testing.TB, st *store.Store) []kv.Entry {
+	t.Helper()
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var rows []kv.Entry
+	_, err = snap.ScanRangesStream(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0,
+		store.StreamOptions{Ordered: true}, func(batch []kv.Entry) error {
+			rows = append(rows, batch...)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // The executor's contract: results are byte-identical to the sequential path
@@ -133,15 +155,9 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	const workers = 4
 	f.engine.SetRefineParallelism(workers)
 
-	// Fetch every stored row raw, bypassing the query pipeline: the test
-	// drives the executor directly.
-	res, err := f.store.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) < 100 {
-		t.Fatalf("fixture too small: %d entries", len(res.Entries))
+	rows := allRows(t, f.store)
+	if len(rows) < 100 {
+		t.Fatalf("fixture too small: %d entries", len(rows))
 	}
 
 	const cancelAfter = 5
@@ -149,7 +165,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	defer cancel()
 	var processed atomic.Int64
 	stats := &Stats{}
-	err = f.engine.refineFromScan(ctx, stats, sliceScan(res.Entries, len(res.Entries)),
+	err := f.engine.refineFromScan(ctx, stats, sliceScan(rows, len(rows)),
 		func(rec *traj.Record) refineOutcome {
 			if processed.Add(1) == cancelAfter {
 				cancel()
@@ -166,7 +182,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	if got := processed.Load(); got > cancelAfter+2*workers {
 		t.Errorf("workers processed %d candidates after cancel at %d (workers=%d); cancellation is not prompt", got, cancelAfter, workers)
 	}
-	if stats.Refined >= len(res.Entries) {
+	if stats.Refined >= len(rows) {
 		t.Errorf("merge consumed all %d entries despite cancellation", stats.Refined)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/kv"
 	"repro/internal/traj"
-	"repro/internal/xzstar"
 )
 
 // The streaming pipeline's core contract: for every query kind, windowed or
@@ -133,23 +132,19 @@ func TestStreamPeakDepthBounded(t *testing.T) {
 // executor directly so the slow stage is deterministic.
 func TestStreamBackpressureStalls(t *testing.T) {
 	f, _ := refineFixture(t, 1, 10, 85)
-	res, err := f.store.ScanRanges(bg,
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) == 0 {
+	rows := allRows(t, f.store)
+	if len(rows) == 0 {
 		t.Fatal("empty fixture")
 	}
 	// 30 copies of the row: enough hand-offs for a stall to be inevitable.
 	var entries []kv.Entry
 	for i := 0; i < 30; i++ {
-		entries = append(entries, res.Entries...)
+		entries = append(entries, rows...)
 	}
 	f.engine.SetRefineParallelism(1)
 	f.engine.streamDepth = 1
 	stats := &Stats{}
-	err = f.engine.refineFromScan(bg, stats, sliceScan(entries, 1),
+	err := f.engine.refineFromScan(bg, stats, sliceScan(entries, 1),
 		func(rec *traj.Record) refineOutcome {
 			time.Sleep(time.Millisecond)
 			return refineOutcome{rec: rec, keep: true}

@@ -80,24 +80,26 @@ func (req *QueryRequest) timeWindow() trass.TimeWindow {
 }
 
 // queryTrajectory resolves the query trajectory: a stored id or inline
-// points, exactly one of the two.
+// points, exactly one of the two. The client's mistakes come back marked
+// badRequest; a backend failure reading the stored id does not.
 func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
 	switch {
 	case req.QueryID != "" && len(req.Points) > 0:
-		return nil, fmt.Errorf("query_id and points are mutually exclusive")
+		return nil, badRequest(fmt.Errorf("query_id and points are mutually exclusive"))
 	case req.QueryID != "":
 		q, err := s.db.Get(req.QueryID)
+		if errors.Is(err, trass.ErrNotFound) {
+			return nil, badRequest(fmt.Errorf("query trajectory %q not stored", req.QueryID))
+		}
+		return q, err
+	case len(req.Points) > 0:
+		q, err := toTrajectory("<query>", req.Points)
 		if err != nil {
-			if errors.Is(err, trass.ErrNotFound) {
-				return nil, fmt.Errorf("query trajectory %q not stored", req.QueryID)
-			}
-			return nil, err
+			return nil, badRequest(err)
 		}
 		return q, nil
-	case len(req.Points) > 0:
-		return toTrajectory("<query>", req.Points)
 	default:
-		return nil, fmt.Errorf("one of query_id or points is required")
+		return nil, badRequest(fmt.Errorf("one of query_id or points is required"))
 	}
 }
 
@@ -142,13 +144,13 @@ func (s *Server) runCollect(ctx context.Context, req *QueryRequest) ([]trass.Mat
 	case KindThreshold:
 		q, err := s.queryTrajectory(req)
 		if err != nil {
-			return nil, nil, badRequest(err)
+			return nil, nil, err
 		}
 		return s.db.ThresholdSearchWindowContext(ctx, q, req.Eps, tw)
 	case KindTopK:
 		q, err := s.queryTrajectory(req)
 		if err != nil {
-			return nil, nil, badRequest(err)
+			return nil, nil, err
 		}
 		if req.K <= 0 {
 			return nil, nil, badRequest(fmt.Errorf("topk requires k > 0"))

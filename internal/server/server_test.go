@@ -395,19 +395,91 @@ func TestBadRequests(t *testing.T) {
 		{"range rect out of plane", QueryRequest{Kind: KindRange, Rect: &[4]float64{0.2, 0.2, 0.4, 1.5}}},
 		{"knn point out of plane", QueryRequest{Kind: KindKNN, Point: &[2]float64{-0.5, 0.5}, K: 3}},
 	}
+	// Every case that is not about pagination also runs as its streamed
+	// twin: a request that fails validation gets the same status either way,
+	// not a 200 with the error in the NDJSON footer.
+	for _, tc := range cases {
+		if !tc.req.Stream && tc.req.PageSize == 0 {
+			twin := tc
+			twin.name += " (streamed)"
+			twin.req.Stream = true
+			cases = append(cases, twin)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var err error
-			if tc.req.Stream {
-				_, err = client.QueryStream(ctx, tc.req, func(WireMatch) error { return nil })
-			} else {
-				_, err = client.Query(ctx, tc.req)
-			}
-			var se *StatusError
-			if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			if err := queryErr(ctx, client, tc.req); statusOf(err) != http.StatusBadRequest {
 				t.Fatalf("got %v, want 400", err)
 			}
 		})
+	}
+}
+
+// queryErr issues req over the path its Stream field selects and returns the
+// error; statusOf extracts the HTTP status (0 when err is not a StatusError).
+func queryErr(ctx context.Context, client *Client, req QueryRequest) error {
+	if req.Stream {
+		_, err := client.QueryStream(ctx, req, func(WireMatch) error { return nil })
+		return err
+	}
+	_, err := client.Query(ctx, req)
+	return err
+}
+
+func statusOf(err error) int {
+	var se *StatusError
+	if errors.As(err, &se) {
+		return se.Code
+	}
+	return 0
+}
+
+// failingGetBackend's Get fails with a storage error, not ErrNotFound.
+type failingGetBackend struct{ Backend }
+
+func (failingGetBackend) Get(string) (*trass.Trajectory, error) {
+	return nil, errors.New("disk on fire")
+}
+
+// TestQueryIDStorageFailureIs500: a backend failure while resolving query_id
+// is the server's fault on both paths, not a 400.
+func TestQueryIDStorageFailureIs500(t *testing.T) {
+	db, _ := openLoadedDB(t)
+	_, client := startServer(t, failingGetBackend{db}, Config{})
+	for _, stream := range []bool{false, true} {
+		req := QueryRequest{Kind: KindThreshold, QueryID: "any", Eps: 0.01, Stream: stream}
+		if err := queryErr(context.Background(), client, req); statusOf(err) != http.StatusInternalServerError {
+			t.Errorf("stream=%v: got %v, want 500", stream, err)
+		}
+	}
+}
+
+// failAfterFirstBackend's streamed threshold search delivers one match and
+// then fails.
+type failAfterFirstBackend struct{ Backend }
+
+func (b failAfterFirstBackend) ThresholdSearchWindowFunc(ctx context.Context, q *trass.Trajectory, eps float64, tw trass.TimeWindow, fn func(trass.Match) error) (*trass.QueryStats, error) {
+	first := true
+	_, err := b.Backend.ThresholdSearchWindowFunc(ctx, q, eps, tw, func(m trass.Match) error {
+		if !first {
+			return errors.New("disk on fire")
+		}
+		first = false
+		return fn(m)
+	})
+	return nil, err
+}
+
+// TestStreamErrorAfterFirstMatchStaysInBand: once a match line is on the
+// wire the status is spent, so a later failure still arrives in the footer.
+func TestStreamErrorAfterFirstMatchStaysInBand(t *testing.T) {
+	db, data := openLoadedDB(t)
+	_, client := startServer(t, failAfterFirstBackend{db}, Config{})
+	n := 0
+	req := QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(1.0)}
+	_, err := client.QueryStream(context.Background(), req, func(WireMatch) error { n++; return nil })
+	if n != 1 || err == nil || statusOf(err) != 0 || !strings.Contains(err.Error(), "disk on fire") {
+		t.Fatalf("got %d matches and %v, want 1 match then the in-band footer error", n, err)
 	}
 }
 

@@ -10,15 +10,15 @@ import (
 	trass "repro"
 )
 
-// streamQuery runs the streaming path: a 200 header goes out first, then one
-// NDJSON line per match as the refine workers emit it (the Backend's
-// ThresholdSearchWindowFunc/RangeSearchWindowFunc), then the footer line with
-// the QueryStats — the trailer a chunked response can't carry in headers. Top-k
-// and point-kNN compute their (small, ordered) result set first and stream
-// it out line by line, so every kind shares one wire shape.
+// streamQuery runs the streaming path: a 200 header goes out with the first
+// line, then one NDJSON line per match as the refine workers emit it (the
+// Backend's ThresholdSearchWindowFunc/RangeSearchWindowFunc), then the footer
+// line with the QueryStats — the trailer a chunked response can't carry in
+// headers. Top-k and point-kNN compute their (small, ordered) result set
+// first and stream it out line by line, so every kind shares one wire shape.
+// A query that fails before its first line is answered like a collected one,
+// with the status writeQueryError picks.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
 	sw := &streamWriter{w: w, enc: json.NewEncoder(w), delay: s.streamDelay}
 	if f, ok := w.(http.Flusher); ok {
 		sw.flush = f.Flush
@@ -34,6 +34,11 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req *Qu
 	}
 
 	stats, err := s.runStream(ctx, req, emit)
+	if err != nil && !sw.wrote {
+		// Nothing is on the wire yet, so the status is still ours to set.
+		writeQueryError(w, err)
+		return
+	}
 	if err != nil {
 		// In-band failure: the write error (client gone) or the query error.
 		// Either way the footer carries it; a dead socket just drops it.
@@ -50,7 +55,7 @@ func (s *Server) runStream(ctx context.Context, req *QueryRequest, emit func(tra
 	case KindThreshold:
 		q, err := s.queryTrajectory(req)
 		if err != nil {
-			return nil, badRequest(err)
+			return nil, err
 		}
 		return s.db.ThresholdSearchWindowFunc(ctx, q, req.Eps, tw, emit)
 	case KindRange:
@@ -82,6 +87,7 @@ type streamWriter struct {
 	enc   *json.Encoder
 	flush func()
 	delay time.Duration // test hook: hold the stream open per line
+	wrote bool          // a line (and with it the 200 header) has gone to w
 }
 
 func (sw *streamWriter) writeLine(ctx context.Context, line StreamLine) error {
@@ -91,6 +97,11 @@ func (sw *streamWriter) writeLine(ctx context.Context, line StreamLine) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+	if !sw.wrote {
+		sw.wrote = true
+		sw.w.Header().Set("Content-Type", "application/x-ndjson")
+		sw.w.Header().Set("X-Accel-Buffering", "no")
 	}
 	// Encode appends the newline NDJSON needs.
 	if err := sw.enc.Encode(line); err != nil {

@@ -15,7 +15,8 @@
 //     {"match":{...}} written as refinement produces it; the final line is a
 //     footer {"done":true,...} carrying the result count, the QueryStats
 //     (retries, partial errors, stream backpressure), and any error — the
-//     trailer a chunked response cannot put in headers.
+//     trailer a chunked response cannot put in headers. A query that fails
+//     before its first line gets the non-streaming error status instead.
 //
 // GET /healthz reports liveness (503 while draining), GET /statsz the
 // server's request counters plus the storage layer's health snapshot,
@@ -162,8 +163,8 @@ type StreamLine struct {
 	Done    bool       `json:"done,omitempty"`
 	Results int        `json:"results,omitempty"`
 	Stats   *WireStats `json:"stats,omitempty"`
-	// Error is the query's failure, delivered in-band: by the time a
-	// streaming query fails, the 200 header is long gone.
+	// Error is the failure of a query that had already streamed a line,
+	// delivered in-band: by then the 200 header is long gone.
 	Error string `json:"error,omitempty"`
 }
 

@@ -51,25 +51,15 @@ func (sn *Snapshot) HasValuesIn(lo, hi int64) bool {
 	return i < len(sn.values) && sn.values[i] < hi
 }
 
-// ScanRanges is Store.ScanRanges against the snapshot: the given index-value
-// ranges are scanned across every shard with the filter pushed down, reading
-// the pinned view only.
-func (sn *Snapshot) ScanRanges(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
-	keyRanges, err := sn.s.keyRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return sn.snap.Scan(ctx, cluster.ScanRequest{
-		Ranges:       keyRanges,
-		Filter:       filter,
-		Limit:        limit,
-		AllowPartial: sn.s.cfg.DegradedScans,
-	})
-}
-
-// ScanRangesStream is Store.ScanRangesStream against the snapshot: rows are
-// delivered to emit in bounded batches as regions produce them, all read from
-// the pinned view.
+// ScanRangesStream scans the given index-value ranges across every shard
+// with an optional server-side filter pushed down into the regions — the
+// storage half of Algorithm 3 — reading the pinned view only. Rows are
+// delivered to emit in bounded batches as regions produce them, and the
+// returned ScanResult carries the incrementally-accumulated accounting
+// (Entries is nil). emit owns each batch and is never called concurrently; an
+// error from emit aborts the scan and surfaces verbatim. ctx cancels the
+// scan; with Config.DegradedScans a region failure degrades the result (see
+// cluster.ScanRequest.AllowPartial) instead of failing it.
 func (sn *Snapshot) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, limit int, opt StreamOptions, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 	keyRanges, err := sn.s.keyRanges(ranges)
 	if err != nil {

@@ -342,7 +342,6 @@ func (s *Store) sortedValuesLocked() []int64 {
 		sort.Slice(s.sortedValues, func(i, j int) bool { return s.sortedValues[i] < s.sortedValues[j] })
 		s.valuesDirty = false
 	}
-	//lint:ignore loopretain the Locked suffix is the contract: callers hold s.mu and consume the slice before releasing it
 	return s.sortedValues
 }
 
@@ -486,53 +485,12 @@ func (s *Store) Selectivity() float64 {
 	return float64(len(s.values)) / float64(s.count)
 }
 
-// ScanRanges scans the given index-value ranges across every shard with an
-// optional server-side filter pushed down into the regions. This is the
-// storage half of Algorithm 3. ctx cancels the scan; with
-// Config.DegradedScans a region failure degrades the result (see
-// cluster.ScanRequest.AllowPartial) instead of failing it.
-func (s *Store) ScanRanges(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
-	keyRanges, err := s.keyRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return s.cluster.Scan(ctx, cluster.ScanRequest{
-		Ranges:       keyRanges,
-		Filter:       filter,
-		Limit:        limit,
-		AllowPartial: s.cfg.DegradedScans,
-	})
-}
-
 // StreamOptions shape a streaming range scan (see cluster.StreamRequest for
 // the semantics of each knob).
 type StreamOptions struct {
 	BatchRows  int
 	QueueDepth int
 	Ordered    bool
-}
-
-// ScanRangesStream is the streaming form of ScanRanges: rows are delivered
-// to emit in bounded batches as regions produce them, and the returned
-// ScanResult carries the incrementally-accumulated accounting (Entries is
-// nil). emit owns each batch and is never called concurrently; an error from
-// emit aborts the scan and surfaces verbatim.
-func (s *Store) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, limit int, opt StreamOptions, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-	keyRanges, err := s.keyRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return s.cluster.ScanStream(ctx, cluster.StreamRequest{
-		ScanRequest: cluster.ScanRequest{
-			Ranges:       keyRanges,
-			Filter:       filter,
-			Limit:        limit,
-			AllowPartial: s.cfg.DegradedScans,
-		},
-		BatchRows:  opt.BatchRows,
-		QueueDepth: opt.QueueDepth,
-		Ordered:    opt.Ordered,
-	}, func(b cluster.ScanBatch) error { return emit(b.Entries) })
 }
 
 // keyRanges maps XZ* value ranges onto per-shard row-key ranges.

@@ -1,14 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/geo"
+	"repro/internal/kv"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
 )
@@ -35,6 +39,33 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// collectRows streams ranges out of snap and gathers the rows into the
+// returned result's Entries, in key order.
+func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
+	var rows []kv.Entry
+	res, err := snap.ScanRangesStream(context.Background(), ranges, filter, limit, StreamOptions{}, func(batch []kv.Entry) error {
+		rows = append(rows, batch...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].Key, rows[j].Key) < 0 })
+	res.Entries = rows
+	return res, nil
+}
+
+// scanRows is collectRows over a fresh snapshot of s — the read path every
+// production query takes.
+func scanRows(s *Store, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
+	snap, err := s.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	defer snap.Close()
+	return collectRows(snap, ranges, filter, limit)
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -72,7 +103,7 @@ func TestPutAndScanRoundTrip(t *testing.T) {
 		t.Fatalf("count = %d", s.Count())
 	}
 	// Scan everything back through the value domain.
-	res, err := s.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +142,7 @@ func TestScanRangeSelectsByValue(t *testing.T) {
 	}
 	// Pick one trajectory's value and scan just it.
 	for id, v := range vals {
-		res, err := s.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: v, Hi: v + 1}}, nil, 0)
+		res, err := scanRows(s, []xzstar.ValueRange{{Lo: v, Hi: v + 1}}, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +171,7 @@ func TestServerSideFilterPushdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.ScanRanges(
-		context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}},
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}},
 		func(key, value []byte) bool {
 			rec, err := DecodeRow(value)
 			return err == nil && rec.ID < "t010"
@@ -177,7 +206,7 @@ func TestShardingSpreadsData(t *testing.T) {
 		_ = r
 	}
 	counts := make(map[int]int)
-	res, err := s.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +242,7 @@ func TestStringEncoding(t *testing.T) {
 		t.Fatalf("integer keys (%.1f B) must beat string keys (%.1f B)", intB, strB)
 	}
 	// String-encoded stores cannot plan range scans.
-	if _, err := strStore.ScanRanges(context.Background(), []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil, 0); err == nil {
+	if _, err := scanRows(strStore, []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil, 0); err == nil {
 		t.Fatal("string encoding must reject range scans")
 	}
 }
@@ -316,11 +345,11 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 		}
 	}
 	full := []xzstar.ValueRange{{Lo: 0, Hi: single.Index().TotalIndexSpaces()}}
-	res1, err := single.ScanRanges(context.Background(), full, nil, 0)
+	res1, err := scanRows(single, full, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := batched.ScanRanges(context.Background(), full, nil, 0)
+	res2, err := scanRows(batched, full, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,7 @@ import (
 // id, along with their row keys.
 func dataRowsFor(t *testing.T, s *Store, id string) ([]*traj.Record, [][]byte) {
 	t.Helper()
-	res, err := s.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +119,7 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 
 	// Ground truth: the distinct index values of the data rows in the same
 	// snapshot, decoded from the row keys (shard byte + 8-byte value).
-	res, err := snap.ScanRanges(context.Background(),
-		[]xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
+	res, err := collectRows(snap, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +155,9 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 	}
 }
 
-// ScanRangesStream must deliver exactly the rows ScanRanges collects, batch
-// by batch, honoring the batch size and the limit.
+// ScanRangesStream with a small batch size must deliver exactly the rows a
+// default-sized scan of the same snapshot collects, batch by batch, honoring
+// the batch size and the limit.
 func TestScanRangesStream(t *testing.T) {
 	s := newTestStore(t, Config{Shards: 4})
 	rng := rand.New(rand.NewSource(92))
@@ -168,13 +167,18 @@ func TestScanRangesStream(t *testing.T) {
 		}
 	}
 	ranges := []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}
-	want, err := s.ScanRanges(context.Background(), ranges, nil, 0)
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	want, err := collectRows(snap, ranges, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed []string
 	maxBatch := 0
-	res, err := s.ScanRangesStream(context.Background(), ranges, nil, 0,
+	res, err := snap.ScanRangesStream(context.Background(), ranges, nil, 0,
 		StreamOptions{BatchRows: 8}, func(batch []kv.Entry) error {
 			if len(batch) > maxBatch {
 				maxBatch = len(batch)
@@ -191,7 +195,7 @@ func TestScanRangesStream(t *testing.T) {
 		t.Fatalf("batch of %d rows exceeds BatchRows=8", maxBatch)
 	}
 	if int64(len(streamed)) != want.RowsReturned || res.RowsReturned != want.RowsReturned {
-		t.Fatalf("streamed %d rows (res %d), ScanRanges returned %d",
+		t.Fatalf("streamed %d rows (res %d), the collected scan returned %d",
 			len(streamed), res.RowsReturned, want.RowsReturned)
 	}
 	wantKeys := make([]string, len(want.Entries))
@@ -208,7 +212,7 @@ func TestScanRangesStream(t *testing.T) {
 
 	// Limit: ordered, exact count.
 	n := 0
-	if _, err := s.ScanRangesStream(context.Background(), ranges, nil, 9,
+	if _, err := snap.ScanRangesStream(context.Background(), ranges, nil, 9,
 		StreamOptions{BatchRows: 4}, func(batch []kv.Entry) error {
 			n += len(batch)
 			return nil

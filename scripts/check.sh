@@ -10,13 +10,12 @@
 #   lint       go build ./..., go vet ./..., trasslint ./... (project-specific
 #              analyzers, internal/lint: the syntactic checks, the flow-aware
 #              durability/concurrency checks, and the interprocedural
-#              suite — guardedby, atomicmix, golifetime, lockheldio,
-#              lockorder, mustclose — built on call-graph summaries, plus
-#              waiverhygiene policing the lint:ignore inventory), and an
-#              explicit self-host pass over internal/lint, cmd/..., and
-#              examples/... .
-#              trasslint supports -only/-skip to bisect a finding to one
-#              analyzer locally; the gate always runs all of them.
+#              suite — guardedby, golifetime, lockheldio, lockorder,
+#              mustclose — built on call-graph summaries, plus waiverhygiene
+#              policing the lint:ignore inventory). One trasslint run: the
+#              ./... walk covers internal/lint, cmd/... and examples/... too.
+#              trasslint supports -only to bisect a finding to one analyzer
+#              locally; the gate always runs all of them.
 #   torture    deterministic crash/error-injection suites (kv + cluster);
 #              SHORT=1 runs the strided subset, otherwise every fault point
 #   concurrency  the concurrent-writer torture suites under -race: N writer
@@ -74,15 +73,6 @@ if [[ "$MODE" == "lint" || "$MODE" == "all" ]]; then
 
     step trasslint
     go run ./cmd/trasslint -format="${TRASSLINT_FORMAT:-text}" ./...
-
-    # Self-hosting: the analyzers, the flow engine, and the driver are linted
-    # like any other package, and so are every command and example — the
-    # packages most likely to accumulate quick-and-dirty resource handling.
-    # The ./... walk above already covers them; this explicit pass keeps the
-    # guarantee visible and loud even if the walk ever learns to skip tool or
-    # example packages.
-    step "trasslint self-host (lint, cmds, examples)"
-    go run ./cmd/trasslint -format="${TRASSLINT_FORMAT:-text}" ./internal/lint ./internal/lint/flow ./cmd/... ./examples/...
 fi
 
 if [[ "$MODE" == "torture" || "$MODE" == "all" ]]; then
