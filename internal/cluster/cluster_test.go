@@ -165,22 +165,6 @@ func TestScanServerSideFilter(t *testing.T) {
 	}
 }
 
-func TestScanLimit(t *testing.T) {
-	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})
-	loadRows(t, c, 1000)
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}, Limit: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 37 {
-		t.Fatalf("entries = %d, want 37", len(res.Entries))
-	}
-	// Limit runs in key order: first 37 rows.
-	if string(res.Entries[0].Key) != "row00000" || string(res.Entries[36].Key) != "row00036" {
-		t.Fatalf("limit scan returned wrong window: %q..%q", res.Entries[0].Key, res.Entries[36].Key)
-	}
-}
-
 func TestScanEmptyRangeList(t *testing.T) {
 	c := newTestCluster(t, Config{})
 	loadRows(t, c, 10)

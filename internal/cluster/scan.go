@@ -27,10 +27,6 @@ type Filter func(key, value []byte) bool
 type ScanRequest struct {
 	Ranges []KeyRange
 	Filter Filter // optional
-	// Limit stops the whole scan after this many accepted rows (0 = no
-	// limit). With a limit the scan runs region-sequential so that "first
-	// rows" are deterministic in key order.
-	Limit int
 	// AllowPartial degrades instead of failing: when a region's scan cannot
 	// be completed (even after retries), its rows are omitted, the failure
 	// is recorded in ScanResult.RegionErrors, and the surviving regions'
@@ -89,8 +85,7 @@ type regionTask struct {
 // Scan executes the request across all overlapping regions and collects the
 // shipped rows, sorted by key. It is a thin collect-all wrapper over
 // ScanStream; ranges falling in the same region are batched into one region
-// call, and without a limit region calls run in parallel (bounded by
-// Config.Parallelism).
+// call, and region calls run in parallel (bounded by Config.Parallelism).
 //
 // Transient region errors (kv errors exposing `Transient() bool` = true) are
 // retried per region with capped exponential backoff before counting as

@@ -127,10 +127,7 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 	if parallelism <= 0 {
 		parallelism = len(tasks)
 	}
-	if req.Limit > 0 || req.Ordered {
-		return c.scanStreamOrdered(ctx, req, tasks, c.cfg.RPCLatency, batchRows, acct, start, emit)
-	}
-	return c.scanStreamParallel(ctx, req, tasks, parallelism, c.cfg.RPCLatency, batchRows, acct, start, emit)
+	return c.scanRegions(ctx, req, tasks, parallelism, c.cfg.RPCLatency, batchRows, acct, start, emit)
 }
 
 // scanTasks groups the request's clipped ranges per pinned region, in region

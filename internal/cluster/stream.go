@@ -22,9 +22,11 @@ import (
 // defaultBatchRows is the batch size used when StreamRequest.BatchRows is 0.
 const defaultBatchRows = 64
 
-// defaultQueueDepth is the producer→consumer buffer (in batches) used when
-// StreamRequest.QueueDepth is 0.
-const defaultQueueDepth = 2
+// streamQueueDepth is the buffer (in batches) between the parallel region
+// producers and the emit callback. It is the only buffering in the stream: a
+// stalled consumer blocks the region scans after at most this many in-queue
+// batches plus one in-flight batch per region.
+const streamQueueDepth = 2
 
 // StreamRequest configures a streaming scan: the base request plus the shape
 // of the stream itself.
@@ -35,17 +37,6 @@ type StreamRequest struct {
 	// batches lower time-to-first-row; larger ones amortize per-batch
 	// overhead.
 	BatchRows int
-
-	// QueueDepth bounds the batches buffered between the parallel region
-	// producers and the emit callback (default 2). This is the only buffering
-	// in the stream: a stalled consumer blocks the region scans after at most
-	// QueueDepth in-queue batches plus one in-flight batch per region.
-	QueueDepth int
-
-	// Ordered forces region-sequential scanning, so batches arrive in global
-	// key order (regions partition the key space in key order). Limit > 0
-	// implies Ordered. Costs cross-region scan parallelism.
-	Ordered bool
 }
 
 // ScanBatch is one unit of streamed rows, all from a single region, in key
@@ -92,12 +83,13 @@ func (e *emitError) Unwrap() error { return e.err }
 //
 // Semantics match Scan: per-region transient retries with capped exponential
 // backoff (resuming just past the last delivered key, so no row is delivered
-// twice), AllowPartial degradation with RegionErrors, ctx observed between
-// rows, and deterministic region-sequential key order when Limit > 0 or
-// Ordered is set. The returned ScanResult carries the accounting (Entries is
-// nil); with AllowPartial, rows a region emitted before ultimately failing
-// have already been delivered — RegionErrors tells the consumer which regions
-// are incomplete.
+// twice), AllowPartial degradation with RegionErrors, and ctx observed
+// between rows. Regions scan concurrently, so batches of different regions
+// arrive in no particular order; within a region they arrive in key order.
+// The returned ScanResult carries the accounting (Entries is nil); with
+// AllowPartial, rows a region emitted before ultimately failing have already
+// been delivered — RegionErrors tells the consumer which regions are
+// incomplete.
 //
 // The whole stream runs from one cluster snapshot taken at entry: rows
 // committed after the call starts are invisible, retries re-read the same
@@ -113,54 +105,13 @@ func (c *Cluster) ScanStream(ctx context.Context, req StreamRequest, emit func(S
 	return snap.ScanStream(ctx, req, emit)
 }
 
-// scanStreamOrdered scans regions sequentially in key order, emitting
-// directly from the calling goroutine. Used for Limit > 0 (deterministic
-// "first rows") and Ordered streams.
-func (c *Cluster) scanStreamOrdered(ctx context.Context, req StreamRequest, tasks []regionTask, rpcLatency time.Duration, batchRows int, acct *scanAccount, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
-	var regionErrs []*RegionError
-	emitted := 0
-	for _, t := range tasks {
-		limit := 0
-		if req.Limit > 0 {
-			limit = req.Limit - emitted
-		}
-		n, err := c.scanRegionStream(ctx, t, req.Filter, limit, rpcLatency, batchRows, acct, emit)
-		emitted += n
-		if err != nil {
-			var ee *emitError
-			if errors.As(err, &ee) {
-				return nil, ee.err
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			re := regionError(t.region, err)
-			if !req.AllowPartial {
-				return nil, re
-			}
-			regionErrs = append(regionErrs, re)
-			continue
-		}
-		if req.Limit > 0 && emitted >= req.Limit {
-			break
-		}
-	}
-	res := acct.result(time.Since(start))
-	res.RegionErrors = regionErrs
-	return res, nil
-}
-
-// scanStreamParallel scans regions concurrently (bounded by parallelism),
+// scanRegions scans the tasks' regions concurrently (bounded by parallelism),
 // funneling batches through a bounded channel to the single emit caller.
-func (c *Cluster) scanStreamParallel(ctx context.Context, req StreamRequest, tasks []regionTask, parallelism int, rpcLatency time.Duration, batchRows int, acct *scanAccount, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
-	depth := req.QueueDepth
-	if depth <= 0 {
-		depth = defaultQueueDepth
-	}
+func (c *Cluster) scanRegions(ctx context.Context, req StreamRequest, tasks []regionTask, parallelism int, rpcLatency time.Duration, batchRows int, acct *scanAccount, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	out := make(chan ScanBatch, depth)
+	out := make(chan ScanBatch, streamQueueDepth)
 	errs := make([]error, len(tasks))
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
@@ -175,7 +126,7 @@ func (c *Cluster) scanStreamParallel(ctx context.Context, req StreamRequest, tas
 				return
 			}
 			defer func() { <-sem }()
-			_, errs[i] = c.scanRegionStream(pctx, t, req.Filter, 0, rpcLatency, batchRows, acct, func(b ScanBatch) error {
+			errs[i] = c.scanRegionStream(pctx, t, req.Filter, rpcLatency, batchRows, acct, func(b ScanBatch) error {
 				select {
 				case out <- b:
 					return nil
@@ -224,12 +175,10 @@ func (c *Cluster) scanStreamParallel(ctx context.Context, req StreamRequest, tas
 }
 
 // regionStreamState carries resume information across retry attempts of one
-// region scan: the last key successfully delivered downstream, and how many
-// rows have been delivered.
+// region scan: the last key successfully delivered downstream.
 type regionStreamState struct {
 	lastKey  []byte
 	haveLast bool
-	emitted  int
 }
 
 // resumeClip narrows rng to start just past the last delivered key. The
@@ -252,23 +201,22 @@ func (st *regionStreamState) resumeClip(rng KeyRange) (KeyRange, bool) {
 // scanRegionStream runs one region's streaming scan with transient-retry and
 // resume: after a transient failure the next attempt resumes just past the
 // last delivered key, so the consumer sees every surviving row exactly once.
-// Returns the number of rows delivered. Retries are accounted as they happen,
-// so a region that ultimately fails still reports the attempts it burned —
-// the collect-all path used to drop those.
-func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Filter, limit int, rpcLatency time.Duration, batchRows int, acct *scanAccount, send func(ScanBatch) error) (int, error) {
+// Retries are accounted as they happen, so a region that ultimately fails
+// still reports the attempts it burned.
+func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Filter, rpcLatency time.Duration, batchRows int, acct *scanAccount, send func(ScanBatch) error) error {
 	attempts, delay, maxDelay := c.retryBudget()
 	st := &regionStreamState{}
 	for attempt := 0; ; attempt++ {
-		err := c.scanRegionOnce(ctx, t, filter, limit, rpcLatency, batchRows, st, acct, send)
+		err := c.scanRegionOnce(ctx, t, filter, rpcLatency, batchRows, st, acct, send)
 		if err == nil {
-			return st.emitted, nil
+			return nil
 		}
 		var ee *emitError
 		if errors.As(err, &ee) {
-			return st.emitted, err // consumer aborted; not the region's fault
+			return err // consumer aborted; not the region's fault
 		}
 		if attempt >= attempts || !isTransient(err) {
-			return st.emitted, err
+			return err
 		}
 		// Equal jitter: half the delay is fixed, half uniformly random, so
 		// regions that failed together (one sick store fans out to many
@@ -281,7 +229,7 @@ func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Fil
 		select {
 		case <-ctx.Done():
 			timer.Stop()
-			return st.emitted, ctx.Err()
+			return ctx.Err()
 		case <-timer.C:
 		}
 		if delay *= 2; delay > maxDelay {
@@ -317,7 +265,7 @@ func (c *Cluster) retryBudget() (attempts int, delay, maxDelay time.Duration) {
 // in batches. ctx is observed between rows (amortized every 256). Delivered
 // rows advance st; rows buffered but not yet delivered when an error hits are
 // re-scanned (and re-delivered) by the next attempt.
-func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filter, limit int, rpcLatency time.Duration, batchRows int, st *regionStreamState, acct *scanAccount, send func(ScanBatch) error) error {
+func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filter, rpcLatency time.Duration, batchRows int, st *regionStreamState, acct *scanAccount, send func(ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -341,7 +289,9 @@ func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filte
 	c.rpcs.Add(1)
 	acct.rpcs.Add(1)
 
-	batch := make([]kv.Entry, 0, batchRows)
+	// Most region calls of a best-first search ship nothing, so the batch is
+	// allocated on the first accepted row, not up front.
+	var batch []kv.Entry
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -359,9 +309,7 @@ func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filte
 		acct.bytesShipped.Add(shipped)
 		st.lastKey = append(st.lastKey[:0], batch[len(batch)-1].Key...)
 		st.haveLast = true
-		st.emitted += len(batch)
-		// The consumer owns the delivered slice; start a fresh one.
-		batch = make([]kv.Entry, 0, batchRows)
+		batch = nil // the consumer owns the delivered slice
 		return nil
 	}
 
@@ -388,16 +336,15 @@ func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filte
 				Key:   append([]byte(nil), it.Key()...),
 				Value: append([]byte(nil), it.Value()...),
 			}
+			if batch == nil {
+				batch = make([]kv.Entry, 0, batchRows)
+			}
 			batch = append(batch, e)
 			if len(batch) >= batchRows {
 				if err := flush(); err != nil {
 					_ = it.Close()
 					return err
 				}
-			}
-			if limit > 0 && st.emitted+len(batch) >= limit {
-				_ = it.Close()
-				return flush()
 			}
 		}
 		if err := it.Err(); err != nil {

@@ -26,8 +26,9 @@ type frontier struct {
 	// streaming when a nearer result lands starts rejecting rows at once. A
 	// stale (looser) read only costs a wasted computation or a shipped row:
 	// the exact comparison in the merge decides membership, and rejections
-	// are lower-bound proofs against a bound no tighter than the final kth
-	// distance — so results are identical for any interleaving.
+	// are strict lower-bound proofs (lb > bound) against a bound no tighter
+	// than the final kth distance — so results are identical for any
+	// interleaving, ties at the kth distance included.
 	bound *refineBound
 	// filter is pushed down into every space scan; nil ships every row.
 	filter func(key, value []byte) bool
@@ -41,8 +42,8 @@ type frontier struct {
 // produce a nearer one. Every kth result tightens the working threshold,
 // which prunes the remaining frontier. All HasValuesIn probes and space scans
 // read snap, so that argument holds against a stable ground truth even under
-// concurrent ingest. Results come back ascending by distance, or go to sink
-// in that order; k <= 0 asks for none.
+// concurrent ingest. Results come back ascending by (distance, id), or go to
+// sink in that order; k <= 0 asks for none.
 func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f frontier, sink func(Result) error) ([]Result, *Stats, error) {
 	stats := &Stats{}
 	if k <= 0 {
@@ -75,24 +76,25 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 		}
 	}
 
-	// Ordered streaming: one index space spans one contiguous key range, so
-	// region-sequential delivery is key order and the merge below sees
-	// candidates in the same sequence whatever the pool size.
+	// The merge keeps the k smallest candidates under the total order
+	// (distance, id), so the answer is a function of the candidate set, not of
+	// the order shards and workers deliver it in.
 	scanSpace := func(sc spaceCand) error {
 		stats.Ranges++
 		scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 			return snap.ScanRangesStream(sctx,
 				[]xzstar.ValueRange{{Lo: sc.value, Hi: sc.value + 1}},
-				f.filter, 0, store.StreamOptions{Ordered: true}, emit)
+				f.filter, 0, store.StreamOptions{}, emit)
 		}
 		return e.refineFromScan(ctx, stats, scan, f.work, func(o refineOutcome) error {
 			if !o.keep {
 				return nil
 			}
+			r := Result{ID: o.rec.ID, Distance: o.dist, Points: o.rec.Points}
 			if results.Len() < k {
-				heap.Push(results, Result{ID: o.rec.ID, Distance: o.dist, Points: o.rec.Points})
-			} else if o.dist < (*results)[0].Distance {
-				(*results)[0] = Result{ID: o.rec.ID, Distance: o.dist, Points: o.rec.Points}
+				heap.Push(results, r)
+			} else if resultBefore(r, (*results)[0]) {
+				(*results)[0] = r
 				heap.Fix(results, 0)
 			}
 			f.bound.set(epsOf())
@@ -111,7 +113,7 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 		for iq.Len() > 0 && (eq.Len() == 0 || (*iq)[0].dist <= (*eq)[0].dist) {
 			sc := heap.Pop(iq).(spaceCand)
 			if sc.dist > epsOf() {
-				// Ordered queue: everything behind is farther.
+				// Priority queue: everything behind is farther.
 				*iq = (*iq)[:0]
 				break
 			}
@@ -144,7 +146,7 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 		stats.PruneTime += time.Since(t1)
 	}
 
-	// Extract ascending by distance.
+	// Extract ascending by (distance, id).
 	out := make([]Result, results.Len())
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(results).(Result)
@@ -208,11 +210,23 @@ func (h *spaceHeap) Pop() any {
 	return x
 }
 
-// resultHeap is a max-heap of results by distance (worst on top).
+// resultBefore is the total order on results: ascending distance, ties by
+// id. Written without a float equality so it stays transitive.
+func resultBefore(a, b Result) bool {
+	if a.Distance < b.Distance {
+		return true
+	}
+	if a.Distance > b.Distance {
+		return false
+	}
+	return a.ID < b.ID
+}
+
+// resultHeap is a max-heap of results under resultBefore (worst on top).
 type resultHeap []Result
 
 func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return h[i].Distance > h[j].Distance }
+func (h resultHeap) Less(i, j int) bool { return resultBefore(h[j], h[i]) }
 func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
 func (h *resultHeap) Pop() any {

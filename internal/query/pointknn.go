@@ -37,7 +37,7 @@ func (e *Engine) nearestToPoint(ctx context.Context, snap *store.Snapshot, q Que
 		bound: bound,
 		// closestApproach's feature-box shortcut reads the shared kth bound.
 		// The value it returns under the shortcut is a lower bound that
-		// already exceeds the merge-time kth distance, so the exact
+		// strictly exceeds the merge-time kth distance, so the exact
 		// comparison in the merge decides as it would on the exact value.
 		work: func(rec *traj.Record) refineOutcome {
 			d := closestApproach(p, rec.Points, rec.Features.Boxes, bound.get())
@@ -75,7 +75,9 @@ func closestApproach(p geo.Point, pts []geo.Point, boxes []geo.Rect, bound float
 				lb = d
 			}
 		}
-		if lb >= bound {
+		// Strict: a trajectory that may tie the kth distance gets its exact
+		// value, so the (distance, id) order decides, not arrival order.
+		if lb > bound {
 			return lb // cannot enter the top-k; exact value is irrelevant
 		}
 	}

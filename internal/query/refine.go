@@ -5,9 +5,10 @@ package query
 // stage the paper's evaluation (and DFT/DITA before it) shows dominating
 // query time. The executor itself lives in stream.go (refineFromScan):
 // workers pull candidates from the live scan through a bounded queue while
-// outcomes merge on the calling goroutine strictly in dispatch order, so
-// result slices, heap layouts and tie-breaks match the one-worker run for
-// any worker count or queue depth.
+// outcomes merge on the calling goroutine as they complete. Merge callbacks
+// therefore build results that do not depend on arrival order — a set sorted
+// at the end, or the k smallest under a total order — which is what makes
+// answers identical for any worker count or queue depth.
 //
 // Best-first searches (top-k, point-kNN) publish their kth-distance bound
 // through an atomic cell (refineBound) that the merge loop tightens after
@@ -30,7 +31,7 @@ import (
 )
 
 // refineOutcome is one candidate's refinement result, produced on a worker
-// and consumed by the merge callback in dispatch order.
+// and consumed by the merge callback.
 type refineOutcome struct {
 	rec  *traj.Record
 	key  []byte // the candidate's row key, set by the executor
@@ -44,8 +45,8 @@ type refineOutcome struct {
 type refineWork func(rec *traj.Record) refineOutcome
 
 // refineMerge folds one outcome into the caller's result state. It runs on
-// the calling goroutine only, in dispatch order, and is where per-candidate
-// stats belong. A non-nil error aborts the pipeline (streaming delivery
+// the calling goroutine only, in whatever order workers finish, and is where
+// per-candidate stats belong. A non-nil error aborts the pipeline (streaming delivery
 // callbacks use this to stop a query early).
 type refineMerge func(o refineOutcome) error
 

@@ -70,12 +70,15 @@ func checkCoords(pts ...geo.Point) error {
 // Search runs q against one snapshot of the store: planning and every scan
 // read the same point-in-time view, immune to concurrent ingest and splits.
 //
-// With a nil sink the matches are returned in a deterministic order: row-key
-// order for threshold and range, ascending distance for top-k and nearest.
-// With a non-nil sink the returned slice is nil and every match goes to sink
-// instead: threshold and range matches as refinement produces them (order
+// With a nil sink the matches are returned in a total order that no worker
+// count, queue depth or shard count can change: row-key order for threshold
+// and range, ascending by (distance, id) for top-k and nearest — the k
+// smallest under that order, so a tie at the kth distance goes to the smaller
+// id. With a non-nil sink the returned slice is nil and every match goes to
+// sink instead: threshold and range matches as refinement produces them (order
 // unspecified, memory bounded by the pipeline depth however many match),
-// top-k and nearest matches in ascending order once the search has finished.
+// top-k and nearest matches in (distance, id) order once the search has
+// finished.
 // A non-nil error from sink aborts the search and is returned as-is.
 // Cancelling ctx aborts the storage scans and surfaces ctx's error.
 func (e *Engine) Search(ctx context.Context, q Query, sink func(Result) error) ([]Result, *Stats, error) {

@@ -3,31 +3,30 @@ package query
 // The streaming pipeline: scan and refinement as overlapped stages with
 // bounded memory.
 //
-//   region scans ──batches──▶ candidate queue ──rows──▶ workers ──▶ merge
-//                    (cluster.ScanStream)    (bounded)         (caller, in
-//                                                              dispatch order)
+//   region scans ──batches──▶ candidate queue ──rows──▶ workers ──outcomes──▶ merge
+//   (cluster.ScanStream)        (bounded)                        (bounded)  (caller, as
+//                                                                        they complete)
 //
-// A token semaphore bounds the candidates outstanding anywhere between the
-// scan and the merge (queued + in-flight + completed-but-unmerged) to the
-// stream depth, so peak per-query memory is O(depth), not O(candidates): the
-// scan producer acquires one token per row and the merge loop releases it
-// once the row's outcome has been folded in. A full queue therefore blocks
-// the producer — backpressure from refine all the way into the region scans.
+// The two channel capacities bound the candidates resident between the scan
+// and the merge to depth + 2·workers + 2 — depth queued, one in the producer's
+// hand, one in flight and one finished outcome parked per worker, one being
+// merged — so peak per-query memory is O(depth + workers), not O(candidates).
+// A full queue blocks the producer: backpressure from refine all the way into
+// the region scans.
 //
-// Determinism: outcomes merge strictly in dispatch (scan-emission) order via
-// a reorder buffer. Threshold/range sort their results by row key at the end;
-// top-k scans each index space Ordered (region-sequential = global key
-// order), so its merge order is the key order whatever the pool size. The
-// shared kth-distance bound only ever tightens and every rejection it allows
-// is backed by a lower-bound proof, so any interleaving yields the results
-// of the one-worker, depth-one run — a looser (stale) bound only costs wasted
-// work.
+// Determinism: outcomes merge in whatever order workers finish them, and the
+// answer does not depend on it. Threshold/range keep every row the exact
+// comparison admits and sort by row key at the end; top-k/nearest keep the k
+// smallest under the total order (distance, id). The shared kth-distance
+// bound only ever tightens and every rejection it allows is a strict
+// lower-bound proof (lb > bound), so a candidate tied at the kth distance
+// always reaches the merge: any interleaving, worker count or queue depth
+// yields the same results — a looser (stale) bound only costs wasted work.
 
 import (
 	"bytes"
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,16 +91,8 @@ func (e *Engine) refineRanges(ctx context.Context, snap *store.Snapshot, stats *
 // accounting (non-nil unless it also returns an error).
 type scanFunc func(ctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error)
 
-// streamCand is one candidate row traveling from the scan to a worker.
-type streamCand struct {
-	seq   int // dispatch order; the merge loop restores it
-	key   []byte
-	value []byte
-}
-
 // streamDone is one candidate's completion, heading for the merge loop.
 type streamDone struct {
-	seq int
 	out refineOutcome
 	err error // decode failure
 }
@@ -110,10 +101,10 @@ type streamDone struct {
 type scanOutcome struct {
 	res     *cluster.ScanResult
 	err     error
-	n       int // candidates dispatched
 	elapsed time.Duration
-	stall   time.Duration // time blocked on the token semaphore (backpressure)
+	stall   time.Duration // time blocked on the full candidate queue (backpressure)
 	batches int64
+	peak    int64 // most candidates ever resident between scan and merge
 }
 
 // streamQueueDepth resolves the candidate-queue depth: enough to keep the
@@ -129,17 +120,17 @@ func (e *Engine) streamQueueDepth(workers int) int {
 	return d
 }
 
-// refineFromScan is the streaming executor: workers pull candidates from the
-// live scan through the bounded queue and the merge loop (on the calling
-// goroutine) folds outcomes in dispatch order. Scan accounting (ScanTime,
-// absorbScan) and refinement accounting (RefineTime wall-clock, RefineCPUTime
-// summed worker busy time, RefineWorkers pool size) are folded into stats.
+// refineFromScan is the streaming executor: one producer feeds the bounded
+// queue from the live scan, workers decode and refine, and the merge loop (on
+// the calling goroutine) folds outcomes as they complete. Scan accounting
+// (ScanTime, absorbScan) and refinement accounting (RefineTime wall-clock,
+// RefineCPUTime summed worker busy time, RefineWorkers pool size) are folded
+// into stats.
 func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc, work refineWork, merge refineMerge) error {
 	workers := e.refineParallelism()
 	if workers > stats.RefineWorkers {
 		stats.RefineWorkers = workers
 	}
-	depth := e.streamQueueDepth(workers)
 
 	start := time.Now()
 	defer func() { stats.RefineTime += time.Since(start) }()
@@ -148,201 +139,122 @@ func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc
 	defer cancel()
 
 	var (
-		queue   = make(chan streamCand, depth)
-		done    = make(chan streamDone, depth+workers)
+		queue = make(chan kv.Entry, e.streamQueueDepth(workers))
+		// One slot per worker: a finished outcome parks here while the merge
+		// loop is busy (a sink writing to a socket), and its worker moves on.
+		done    = make(chan streamDone, workers)
 		scanRes = make(chan scanOutcome, 1)
-		tokens  = make(chan struct{}, depth)
-		gauge   atomic.Int64 // candidates outstanding between scan and merge
-		peak    atomic.Int64
-		stop    atomic.Bool
+		gauge   atomic.Int64 // candidates resident between scan and merge
 		cpu     atomic.Int64
 	)
 
-	// Producer: run the scan, feeding rows one token at a time.
+	// Producer: run the scan, feeding the queue row by row. A failed scan
+	// cancels the pipeline so its error is not kept waiting behind the rows
+	// already queued.
 	go func() {
-		seq := 0
-		var stall time.Duration
-		var batches int64
+		var so scanOutcome
 		t0 := time.Now()
-		res, err := scan(pctx, func(batch []kv.Entry) error {
-			batches++
+		so.res, so.err = scan(pctx, func(batch []kv.Entry) error {
+			so.batches++
 			for _, en := range batch {
+				if g := gauge.Add(1); g > so.peak {
+					so.peak = g
+				}
 				tw := time.Now()
 				select {
-				case tokens <- struct{}{}:
+				case queue <- en:
 				case <-pctx.Done():
 					return pctx.Err()
 				}
-				stall += time.Since(tw)
-				if g := gauge.Add(1); g > peak.Load() {
-					peak.Store(g) // producer is the only incrementer, so no CAS race
-				}
-				select {
-				case queue <- streamCand{seq: seq, key: en.Key, value: en.Value}:
-				case <-pctx.Done():
-					return pctx.Err()
-				}
-				seq++
+				so.stall += time.Since(tw)
 			}
 			return nil
 		})
+		so.elapsed = time.Since(t0)
+		if so.err != nil {
+			cancel()
+		}
 		close(queue)
-		scanRes <- scanOutcome{res: res, err: err, n: seq, elapsed: time.Since(t0), stall: stall, batches: batches}
+		scanRes <- so
 	}()
 
-	// Workers decode + work; outcomes go to the merge loop. With a single
-	// worker the merge loop consumes the queue itself (below), keeping the
-	// one-worker path free of extra goroutines beyond the producer.
-	var wg sync.WaitGroup
-	if workers > 1 {
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var busy time.Duration
-				defer func() { cpu.Add(int64(busy)) }()
-				for c := range queue {
-					if stop.Load() || pctx.Err() != nil {
-						return
-					}
-					t0 := time.Now()
-					d := streamDone{seq: c.seq}
-					rec, err := store.DecodeRow(c.value)
-					if err != nil {
-						d.err = err
-					} else {
-						d.out = work(rec)
-						d.out.key = c.key
-					}
-					busy += time.Since(t0)
-					select {
-					case done <- d:
-					case <-pctx.Done():
-						return
-					}
+	// Workers: decode + work, until the queue closes or the pipeline aborts.
+	// The last one out closes done, so the merge loop wakes straight from it.
+	var live atomic.Int64
+	live.Store(int64(workers))
+	for w := 0; w < workers; w++ {
+		go func() {
+			var busy time.Duration
+			defer func() {
+				cpu.Add(int64(busy))
+				if live.Add(-1) == 0 {
+					close(done)
 				}
 			}()
-		}
-	}
-
-	release := func() {
-		gauge.Add(-1)
-		<-tokens
-	}
-
-	var firstErr error
-	abort := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		stop.Store(true)
-		cancel()
-	}
-
-	// Merge loop, on the calling goroutine.
-	var scanned *scanOutcome
-	if workers == 1 {
-		var busy time.Duration
-		q := queue
-		for firstErr == nil {
-			if scanned != nil && q == nil {
-				break
-			}
-			select {
-			case c, ok := <-q:
-				if !ok {
-					q = nil
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					abort(err)
-					continue
+			for c := range queue {
+				if pctx.Err() != nil {
+					return
 				}
 				t0 := time.Now()
-				rec, err := store.DecodeRow(c.value)
+				var d streamDone
+				rec, err := store.DecodeRow(c.Value)
 				if err != nil {
-					abort(err)
-					continue
+					d.err = err
+				} else {
+					d.out = work(rec)
+					d.out.key = c.Key
 				}
-				o := work(rec)
-				o.key = c.key
 				busy += time.Since(t0)
-				stats.Refined++
-				if err := merge(o); err != nil {
-					abort(err)
-					continue
+				select {
+				case done <- d:
+				case <-pctx.Done():
+					return
 				}
-				release()
-			case so := <-scanRes:
-				scanned = &so
-				scanRes = nil
-				if so.err != nil {
-					abort(so.err)
-				}
-			case <-ctx.Done():
-				abort(ctx.Err())
 			}
-		}
-		cpu.Add(int64(busy))
-	} else {
-		pending := make(map[int]streamDone)
-		frontier := 0
-		for firstErr == nil {
-			if scanned != nil && frontier == scanned.n {
-				break
-			}
-			select {
-			case d := <-done:
-				pending[d.seq] = d
-				for firstErr == nil {
-					nd, ok := pending[frontier]
-					if !ok {
-						break
-					}
-					delete(pending, frontier)
-					if nd.err != nil {
-						abort(nd.err)
-						break
-					}
-					stats.Refined++
-					if err := merge(nd.out); err != nil {
-						abort(err)
-						break
-					}
-					release()
-					frontier++
-				}
-			case so := <-scanRes:
-				scanned = &so
-				scanRes = nil
-				if so.err != nil {
-					abort(so.err)
-				}
-			case <-ctx.Done():
-				abort(ctx.Err())
-			}
-		}
+		}()
 	}
 
+	// Merge loop, on the calling goroutine. done closes once the scan has
+	// ended and every worker has drained the queue (or seen the abort).
+	var firstErr error
+merging:
+	for firstErr == nil {
+		select {
+		case d, ok := <-done:
+			if !ok {
+				break merging
+			}
+			if firstErr = d.err; firstErr == nil {
+				stats.Refined++
+				firstErr = merge(d.out)
+				gauge.Add(-1)
+			}
+		case <-ctx.Done():
+			firstErr = ctx.Err()
+		}
+	}
+	if firstErr == nil {
+		firstErr = ctx.Err() // workers quit on cancellation without reporting
+	}
 	if firstErr != nil {
-		stop.Store(true)
 		cancel()
+		for range done { // wait the workers out; their outcomes are moot
+		}
 	}
-	wg.Wait()
-	if scanned == nil {
-		// The producer always reports: its emit callback and the region scans
-		// both observe pctx, which is cancelled on any abort.
-		so := <-scanRes
-		scanned = &so
-	}
+	// The producer always reports: its emit callback and the region scans both
+	// observe pctx, which is cancelled on any abort.
+	scanned := <-scanRes
 	stats.RefineCPUTime += time.Duration(cpu.Load())
 	stats.StreamBatches += scanned.batches
 	stats.StreamStallTime += scanned.stall
-	if p := int(peak.Load()); p > stats.StreamPeakDepth {
+	if p := int(scanned.peak); p > stats.StreamPeakDepth {
 		stats.StreamPeakDepth = p
 	}
 	if firstErr != nil {
 		return firstErr
+	}
+	if scanned.err != nil {
+		return scanned.err
 	}
 	stats.ScanTime += scanned.elapsed
 	stats.absorbScan(scanned.res)

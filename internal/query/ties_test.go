@@ -1,0 +1,179 @@
+package query
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/geo"
+	"repro/internal/store"
+	"repro/internal/traj"
+)
+
+// tieDupIDs names the exact duplicates in an order unrelated to their id
+// order, so neither insertion order nor shard order can stand in for it.
+var tieDupIDs = []string{"dup-f", "dup-b", "dup-h", "dup-a", "dup-e", "dup-c", "dup-g", "dup-d"}
+
+// tieEngines loads trajs into a 1-shard and an 8-shard store, keyed by shard
+// count.
+func tieEngines(t *testing.T, measure dist.Measure, trajs []*traj.Trajectory) map[int]*Engine {
+	t.Helper()
+	out := map[int]*Engine{}
+	for _, shards := range []int{1, 8} {
+		st, err := store.Open(store.Config{Dir: t.TempDir(), Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		for _, tr := range trajs {
+			if err := st.Put(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		out[shards] = New(st, measure)
+	}
+	return out
+}
+
+// When the kth position falls inside a group of exact duplicates, the answer
+// is still a function of the stored set alone: brute force sorted by
+// (distance, id), whatever the worker count, shard count or run.
+func TestRefineTiesStraddlingK(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	var background []*traj.Trajectory
+	for i := 0; i < 120; i++ {
+		background = append(background, walk(rng, fmt.Sprintf("t%03d", i), 5+rng.Intn(30), 0.01))
+	}
+	withDups := func(pts []geo.Point, extra ...*traj.Trajectory) []*traj.Trajectory {
+		out := append(append([]*traj.Trajectory(nil), background...), extra...)
+		for _, id := range tieDupIDs {
+			out = append(out, traj.New(id, pts))
+		}
+		return out
+	}
+
+	// Top-k: the duplicates of one walk, a query jittered off it, and three
+	// trajectories nearer to the query than the duplicates are.
+	dup := walk(rng, "", 20, 0.01)
+	q := nearWalk(rng, dup, "q", 0.002)
+	var nearer []*traj.Trajectory
+	for i := 0; i < 3; i++ {
+		nearer = append(nearer, nearWalk(rng, q, fmt.Sprintf("near-%d", i), 0.0002))
+	}
+	topkTrajs := withDups(dup.Points, nearer...)
+
+	// Nearest: duplicates 0.1 from p, and one trajectory nearer than that.
+	p := geo.Point{X: 0.5, Y: 0.5}
+	nearestTrajs := withDups([]geo.Point{{X: 0.5, Y: 0.6}, {X: 0.52, Y: 0.6}},
+		traj.New("near-0", []geo.Point{{X: 0.5, Y: 0.55}, {X: 0.52, Y: 0.55}}))
+
+	for _, tc := range []struct {
+		name    string
+		measure dist.Measure
+		trajs   []*traj.Trajectory
+		query   Query
+		dist    func(tr *traj.Trajectory) float64
+	}{
+		{"topk-frechet", dist.Frechet, topkTrajs, Query{Kind: KindTopK, Traj: q},
+			func(tr *traj.Trajectory) float64 { return dist.For(dist.Frechet)(q.Points, tr.Points) }},
+		{"topk-dtw", dist.DTW, topkTrajs, Query{Kind: KindTopK, Traj: q},
+			func(tr *traj.Trajectory) float64 { return dist.For(dist.DTW)(q.Points, tr.Points) }},
+		{"nearest", dist.Frechet, nearestTrajs, Query{Kind: KindNearest, Point: p},
+			func(tr *traj.Trajectory) float64 { return closestApproach(p, tr.Points, nil, math.Inf(1)) }},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]Result, len(tc.trajs))
+			for i, tr := range tc.trajs {
+				want[i] = Result{ID: tr.ID, Distance: tc.dist(tr)}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Distance != want[j].Distance {
+					return want[i].Distance < want[j].Distance
+				}
+				return want[i].ID < want[j].ID
+			})
+			lo := 0
+			for !strings.HasPrefix(want[lo].ID, "dup-") {
+				lo++
+			}
+			for i := lo; i < lo+len(tieDupIDs); i++ {
+				if want[i].ID != "dup-"+string(rune('a'+i-lo)) {
+					t.Fatalf("brute-force rank %d is %s: the duplicates are not one tie group starting at %d", i, want[i].ID, lo)
+				}
+			}
+			if lo == 0 {
+				t.Fatal("no trajectory ranks before the tie group; fixture is weaker than intended")
+			}
+			qry := tc.query
+			qry.K = lo + len(tieDupIDs)/2 // the kth position splits the tie group
+			want = want[:qry.K]
+
+			var ref []Result
+			engines := tieEngines(t, tc.measure, tc.trajs)
+			for _, shards := range []int{1, 8} {
+				eng := engines[shards]
+				for _, workers := range []int{1, 2, 8} {
+					eng.SetRefineParallelism(workers)
+					for run := 0; run < 20; run++ {
+						got, _, err := eng.Search(bg, qry, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ref == nil {
+							ref = got
+							if len(got) != len(want) {
+								t.Fatalf("got %d results, brute force %d", len(got), len(want))
+							}
+							for i := range want {
+								if got[i].ID != want[i].ID || math.Abs(got[i].Distance-want[i].Distance) > 1e-6 { // the stored codec is lossy below that
+									t.Fatalf("rank %d: got (%s, %v), brute force by (distance, id) has (%s, %v)",
+										i, got[i].ID, got[i].Distance, want[i].ID, want[i].Distance)
+								}
+							}
+						} else if !reflect.DeepEqual(ref, got) {
+							t.Fatalf("shards=%d workers=%d run=%d: answer differs from the first run", shards, workers, run)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// At lb == bound the feature-box shortcut must not fire: a trajectory that
+// may tie the kth distance gets its exact value.
+func TestClosestApproachAtBound(t *testing.T) {
+	p := geo.Point{X: 0.5, Y: 0.5}
+	pts := []geo.Point{{X: 0.4, Y: 0.6}, {X: 0.6, Y: 0.7}}
+	boxes := []geo.Rect{geo.MBRPoints(pts)}
+	lb := geo.DistPointRect(p, boxes[0])
+	exact := p.Dist(pts[0])
+	if !(lb < exact) {
+		t.Fatalf("fixture: box bound %v must undercut the exact distance %v", lb, exact)
+	}
+	for _, tc := range []struct {
+		name  string
+		boxes []geo.Rect
+		bound float64
+		want  float64
+	}{
+		{"no bound yet", boxes, math.Inf(1), exact},
+		{"lb < bound", boxes, math.Nextafter(lb, 1), exact},
+		{"lb == bound", boxes, lb, exact},
+		{"lb > bound", boxes, math.Nextafter(lb, 0), lb},
+		{"no boxes", nil, math.Nextafter(lb, 0), exact},
+	} {
+		if got := closestApproach(p, pts, tc.boxes, tc.bound); got != tc.want {
+			t.Errorf("%s: closestApproach = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

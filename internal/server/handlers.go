@@ -105,7 +105,7 @@ func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
 
 // collectQuery runs the non-streaming path: execute fully through the
 // deterministic *SearchContext variants (row-key order for threshold/range,
-// ascending distance for top-k/knn), then slice out the requested page.
+// ascending (distance, id) for top-k/knn), then slice out the requested page.
 func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {
 	// The token is checked first: a malformed one must not cost a search.
 	offset, err := decodePageToken(req.PageToken)

@@ -9,7 +9,7 @@
 //
 //   - Non-streaming (default): one JSON QueryResponse — matches in the same
 //     deterministic order the embedded *SearchContext variants return
-//     (row-key order for threshold/range, ascending distance for
+//     (row-key order for threshold/range, ascending (distance, id) for
 //     top-k/point-kNN), an optional pagination token, and the QueryStats.
 //   - Streaming (Stream:true): chunked NDJSON. Each match is one line
 //     {"match":{...}} written as refinement produces it; the final line is a

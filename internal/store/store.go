@@ -67,11 +67,6 @@ type Config struct {
 	// even after retries: surviving regions' rows are used and the failures
 	// are reported in the scan result instead of failing the query.
 	DegradedScans bool
-	// CompactRetryBase and CompactRetryMax bound the capped exponential
-	// backoff each region's background compactor applies to transient
-	// failures. Zero keeps the kv defaults.
-	CompactRetryBase time.Duration
-	CompactRetryMax  time.Duration
 }
 
 func (c *Config) withDefaults() Config {
@@ -130,8 +125,6 @@ func Open(cfg Config) (*Store, error) {
 		FS:                  cfg.FS,
 	}
 	clusterCfg.KV.SyncWrites = cfg.SyncWrites
-	clusterCfg.KV.CompactRetryBase = cfg.CompactRetryBase
-	clusterCfg.KV.CompactRetryMax = cfg.CompactRetryMax
 	cl, err := cluster.Open(clusterCfg)
 	if err != nil {
 		return nil, err
@@ -485,13 +478,9 @@ func (s *Store) Selectivity() float64 {
 	return float64(len(s.values)) / float64(s.count)
 }
 
-// StreamOptions shape a streaming range scan (see cluster.StreamRequest for
-// the semantics of each knob).
-type StreamOptions struct {
-	BatchRows  int
-	QueueDepth int
-	Ordered    bool
-}
+// StreamOptions is empty and benchmark-pinned: it exists only because
+// benchmark/trace.go names it in its ScanRangesStream call (see there).
+type StreamOptions struct{}
 
 // keyRanges maps XZ* value ranges onto per-shard row-key ranges.
 func (s *Store) keyRanges(ranges []xzstar.ValueRange) ([]cluster.KeyRange, error) {

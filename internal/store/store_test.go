@@ -43,9 +43,9 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 
 // collectRows streams ranges out of snap and gathers the rows into the
 // returned result's Entries, in key order.
-func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
+func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filter) (*cluster.ScanResult, error) {
 	var rows []kv.Entry
-	res, err := snap.ScanRangesStream(context.Background(), ranges, filter, limit, StreamOptions{}, func(batch []kv.Entry) error {
+	res, err := snap.ScanRangesStream(context.Background(), ranges, filter, 0, StreamOptions{}, func(batch []kv.Entry) error {
 		rows = append(rows, batch...)
 		return nil
 	})
@@ -59,13 +59,13 @@ func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filt
 
 // scanRows is collectRows over a fresh snapshot of s — the read path every
 // production query takes.
-func scanRows(s *Store, ranges []xzstar.ValueRange, filter cluster.Filter, limit int) (*cluster.ScanResult, error) {
+func scanRows(s *Store, ranges []xzstar.ValueRange, filter cluster.Filter) (*cluster.ScanResult, error) {
 	snap, err := s.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer snap.Close()
-	return collectRows(snap, ranges, filter, limit)
+	return collectRows(snap, ranges, filter)
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -103,7 +103,7 @@ func TestPutAndScanRoundTrip(t *testing.T) {
 		t.Fatalf("count = %d", s.Count())
 	}
 	// Scan everything back through the value domain.
-	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestScanRangeSelectsByValue(t *testing.T) {
 	}
 	// Pick one trajectory's value and scan just it.
 	for id, v := range vals {
-		res, err := scanRows(s, []xzstar.ValueRange{{Lo: v, Hi: v + 1}}, nil, 0)
+		res, err := scanRows(s, []xzstar.ValueRange{{Lo: v, Hi: v + 1}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestServerSideFilterPushdown(t *testing.T) {
 		func(key, value []byte) bool {
 			rec, err := DecodeRow(value)
 			return err == nil && rec.ID < "t010"
-		}, 0)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestShardingSpreadsData(t *testing.T) {
 		_ = r
 	}
 	counts := make(map[int]int)
-	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil, 0)
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: s.Index().TotalIndexSpaces()}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStringEncoding(t *testing.T) {
 		t.Fatalf("integer keys (%.1f B) must beat string keys (%.1f B)", intB, strB)
 	}
 	// String-encoded stores cannot plan range scans.
-	if _, err := scanRows(strStore, []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil, 0); err == nil {
+	if _, err := scanRows(strStore, []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil); err == nil {
 		t.Fatal("string encoding must reject range scans")
 	}
 }
@@ -345,11 +345,11 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 		}
 	}
 	full := []xzstar.ValueRange{{Lo: 0, Hi: single.Index().TotalIndexSpaces()}}
-	res1, err := scanRows(single, full, nil, 0)
+	res1, err := scanRows(single, full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := scanRows(batched, full, nil, 0)
+	res2, err := scanRows(batched, full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // id, along with their row keys.
 func dataRowsFor(t *testing.T, s *Store, id string) ([]*traj.Record, [][]byte) {
 	t.Helper()
-	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
+	res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 
 	// Ground truth: the distinct index values of the data rows in the same
 	// snapshot, decoded from the row keys (shard byte + 8-byte value).
-	res, err := collectRows(snap, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil, 0)
+	res, err := collectRows(snap, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,8 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 	}
 }
 
-// ScanRangesStream with a small batch size must deliver exactly the rows a
-// default-sized scan of the same snapshot collects, batch by batch, honoring
-// the batch size and the limit.
+// ScanRangesStream must deliver exactly the rows a collected scan of the same
+// snapshot returns, and account for them identically.
 func TestScanRangesStream(t *testing.T) {
 	s := newTestStore(t, Config{Shards: 4})
 	rng := rand.New(rand.NewSource(92))
@@ -172,17 +171,13 @@ func TestScanRangesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	want, err := collectRows(snap, ranges, nil, 0)
+	want, err := collectRows(snap, ranges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed []string
-	maxBatch := 0
 	res, err := snap.ScanRangesStream(context.Background(), ranges, nil, 0,
-		StreamOptions{BatchRows: 8}, func(batch []kv.Entry) error {
-			if len(batch) > maxBatch {
-				maxBatch = len(batch)
-			}
+		StreamOptions{}, func(batch []kv.Entry) error {
 			for _, e := range batch {
 				streamed = append(streamed, string(e.Key))
 			}
@@ -190,9 +185,6 @@ func TestScanRangesStream(t *testing.T) {
 		})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if maxBatch > 8 {
-		t.Fatalf("batch of %d rows exceeds BatchRows=8", maxBatch)
 	}
 	if int64(len(streamed)) != want.RowsReturned || res.RowsReturned != want.RowsReturned {
 		t.Fatalf("streamed %d rows (res %d), the collected scan returned %d",
@@ -208,18 +200,5 @@ func TestScanRangesStream(t *testing.T) {
 		if streamed[i] != wantKeys[i] {
 			t.Fatalf("streamed key set diverges at %d: %q vs %q", i, streamed[i], wantKeys[i])
 		}
-	}
-
-	// Limit: ordered, exact count.
-	n := 0
-	if _, err := snap.ScanRangesStream(context.Background(), ranges, nil, 9,
-		StreamOptions{BatchRows: 4}, func(batch []kv.Entry) error {
-			n += len(batch)
-			return nil
-		}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 9 {
-		t.Fatalf("limited stream delivered %d rows, want 9", n)
 	}
 }

@@ -27,12 +27,13 @@
 #              fsync (counts and ordering; no timing). Always -race (the
 #              whole point is racing the committer and the compaction
 #              supervisor); SHORT=1 samples fewer fault points
-#   test       refinement-executor and streaming-pipeline race tests (always
-#              under -race: the parallel refine pool and the bounded
-#              scan-to-refine stream are the code most worth racing), vet +
-#              test of the nested benchmark/ module (invisible to ./...), then
-#              go test -race ./... and a 10s fuzz smoke of every native fuzz
-#              target (plain go test -short ./... and no fuzz with SHORT=1)
+#   test       vet + test of the nested benchmark/ module (invisible to
+#              ./...), then go test -race ./... and a 10s fuzz smoke of every
+#              native fuzz target. With SHORT=1: the refinement-executor and
+#              streaming-pipeline tests alone under -race (the parallel
+#              refine pool and the bounded scan-to-refine stream are the code
+#              most worth racing; the full gate's -race ./... already covers
+#              them), then plain go test -short ./... and no fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
 #              and load a dataset, run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
@@ -106,26 +107,25 @@ if [[ "$MODE" == "concurrency" || "$MODE" == "all" ]]; then
 fi
 
 if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
-    # The parallel refinement executor always runs under the race detector,
-    # even with SHORT=1: its tests force worker pools > 1, so this is the
-    # cheapest way to keep the executor's synchronization honest.
-    step "refine executor (race)"
-    go test -race -count=1 -run 'Refine' ./internal/query
-
-    # The streaming scan pipeline spans three layers (cluster emit loop,
-    # store range mapper, query refine executor); its suites force worker
-    # pools, bounded queues, and mid-stream faults, so they too always run
-    # under the race detector.
-    step "stream pipeline (race)"
-    go test -race -count=1 -run 'Stream' ./internal/cluster ./internal/store ./internal/query
-
-    # benchmark/ is its own module, so `./...` above and below sees none of
-    # it: a rename in the root module can break the harness that BENCHMARK.json
+    # benchmark/ is its own module, so `./...` below sees none of it: a
+    # rename in the root module can break the harness that BENCHMARK.json
     # runs without any root test noticing. Vet and test it here.
     step "benchmark module (vet + test)"
     (cd benchmark && go vet ./... && go test -count=1 ./...)
 
     if [[ "${SHORT:-0}" == "1" ]]; then
+        # SHORT=1 drops the race detector everywhere but here: the refinement
+        # executor's tests force worker pools > 1, and the streaming scan
+        # pipeline's (cluster emit loop, store range mapper, query refine
+        # executor) force bounded queues and mid-stream faults, so racing
+        # just these is the cheapest way to keep that synchronization honest.
+        # The full gate races them inside `go test -race ./...` below.
+        step "refine executor (race)"
+        go test -race -count=1 -run 'Refine' ./internal/query
+
+        step "stream pipeline (race)"
+        go test -race -count=1 -run 'Stream' ./internal/cluster ./internal/store ./internal/query
+
         step "test (short)"
         go test -short ./...
     else

@@ -30,7 +30,6 @@ package trass
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -181,19 +180,6 @@ func WithDegradedScans() Option {
 	return func(sc *store.Config, _ *config) { sc.DegradedScans = true }
 }
 
-// WithCompactionBackoff bounds the capped exponential backoff each region's
-// background compactor applies when a compaction fails with a transient
-// error: retries start at base and double up to max. Zero values keep the
-// storage defaults (10ms base, 1s cap). When retries run out — or the error
-// is permanent — the store keeps serving reads and writes and reports the
-// condition via StorageStats().KV.CompactDegraded instead of wedging writers.
-func WithCompactionBackoff(base, max time.Duration) Option {
-	return func(sc *store.Config, _ *config) {
-		sc.CompactRetryBase = base
-		sc.CompactRetryMax = max
-	}
-}
-
 // DB is an open trajectory store with its query engine.
 type DB struct {
 	store  *store.Store
@@ -236,7 +222,7 @@ func (db *DB) Count() int64 { return db.store.Count() }
 // write and read volumes, flush/compaction activity, group-commit and WAL
 // fsync counts, scan RPCs and retries. KV.CompactDegraded reports whether any
 // region's background compaction is failing — the store keeps serving reads
-// and writes in that state, but merges are behind; see WithCompactionBackoff.
+// and writes in that state, but merges are behind.
 // The MVCC gauges (KV.PinnedSnapshots, KV.FrozenMemtables, KV.ObsoleteTables)
 // report current snapshot-read state: every query pins one snapshot for its
 // lifetime, so a pinned count that never drops — with an obsolete-table
@@ -258,13 +244,14 @@ func (db *DB) Get(id string) (*Trajectory, error) {
 	return &Trajectory{ID: rec.ID, Points: rec.Points}, nil
 }
 
-// Search runs q. With a nil sink it returns the matches in a deterministic
-// order: row-key order for KindThreshold and KindRange, ascending distance
-// for KindTopK and KindNearest. With a non-nil sink it returns no slice and
-// passes every match to sink instead — threshold and range matches as
-// refinement produces them, in no specified order and with memory bounded
-// however many match; top-k and nearest matches in ascending order once the
-// search has finished. A non-nil error from sink aborts the search and is
+// Search runs q. With a nil sink it returns the matches in a total order, the
+// same for any parallelism or shard count: row-key order for KindThreshold
+// and KindRange, ascending by (distance, id) for KindTopK and KindNearest — a
+// tie at the kth distance goes to the smaller id. With a non-nil sink it
+// returns no slice and passes every match to sink instead — threshold and
+// range matches as refinement produces them, in no specified order and with
+// memory bounded however many match; top-k and nearest matches in that
+// (distance, id) order once the search has finished. A non-nil error from sink aborts the search and is
 // returned as-is; cancelling ctx aborts the storage scans and surfaces ctx's
 // error; a malformed q fails with an error wrapping ErrInvalidQuery.
 //
@@ -285,7 +272,7 @@ func (db *DB) ThresholdSearch(q *Trajectory, eps float64) ([]Match, error) {
 }
 
 // TopKSearch returns the k stored trajectories nearest to q, ascending by
-// distance (Definition 4 of the paper).
+// (distance, id) (Definition 4 of the paper, ties settled by id).
 func (db *DB) TopKSearch(q *Trajectory, k int) ([]Match, error) {
 	return matchesOnly(db.Search(context.Background(), Query{Kind: KindTopK, Traj: q, K: k}, nil))
 }
@@ -301,7 +288,7 @@ func (db *DB) RangeSearch(window Rect) ([]Match, error) {
 }
 
 // NearestSearch returns the k stored trajectories whose closest approach to
-// point p is smallest, ascending by that distance.
+// point p is smallest, ascending by (that distance, id).
 func (db *DB) NearestSearch(p Point, k int) ([]Match, error) {
 	return matchesOnly(db.Search(context.Background(), Query{Kind: KindNearest, Point: p, K: k}, nil))
 }
