@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/xzstar"
 )
 
 // tinyConfig keeps experiment smoke tests fast.
@@ -82,5 +84,30 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.TDriveN != 8000 || c.LorryN != 8000 || c.Queries != 15 || c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
+	}
+}
+
+// Fig. 13(c) is arithmetic on each trajectory's index entry: the integer key
+// is shard + 8 value bytes + separator + id whatever the resolution, the
+// TraSS-S key spends one byte per quadrant digit plus the position code — so
+// the integer key is the smaller one, by resolution − 7 bytes.
+func TestRowKeySizes(t *testing.T) {
+	trajs := tinyConfig(t).dataset(dsTDrive)
+	intB, strB := rowKeySizes(trajs)
+	ix := xzstar.MustNew(xzstar.DefaultResolution)
+	var ids, digits int
+	for _, tr := range trajs {
+		ids += len(tr.ID)
+		digits += ix.Assign(tr.Points).Seq.Len()
+	}
+	n := float64(len(trajs))
+	if want := 10 + float64(ids)/n; intB != want {
+		t.Errorf("integer key = %v B, want %v", intB, want)
+	}
+	if want := 3 + float64(ids+digits)/n; strB != want {
+		t.Errorf("string key = %v B, want %v", strB, want)
+	}
+	if intB >= strB {
+		t.Errorf("integer keys (%.1f B) must beat string keys (%.1f B)", intB, strB)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/traj"
+	"repro/internal/xzstar"
 )
 
 // Fig12 reproduces Figure 12: how trajectories distribute over XZ*
@@ -81,10 +82,7 @@ func Fig13(cfg Config) ([]*Table, error) {
 		}
 		closeAll(systems)
 
-		intBytes, strBytes, err := rowKeySizes(cfg, kind, trajs)
-		if err != nil {
-			return nil, err
-		}
+		intBytes, strBytes := rowKeySizes(trajs)
 		keyTab.AddRow(string(kind),
 			fmt.Sprintf("%.1f B", intBytes),
 			fmt.Sprintf("%.1f B", strBytes),
@@ -93,27 +91,19 @@ func Fig13(cfg Config) ([]*Table, error) {
 	return []*Table{buildTab, keyTab}, nil
 }
 
-func rowKeySizes(cfg Config, kind datasetKind, trajs []*traj.Trajectory) (intB, strB float64, err error) {
-	for _, enc := range []store.Encoding{store.IntegerEncoding, store.StringEncoding} {
-		st, err := store.Open(store.Config{
-			Dir:      filepath.Join(cfg.Dir, fmt.Sprintf("fig13-%s-%d", kind, enc)),
-			Encoding: enc,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := st.PutBatch(trajs); err != nil {
-			_ = st.Close()
-			return 0, 0, err
-		}
-		if enc == store.IntegerEncoding {
-			intB = st.AvgRowKeyBytes()
-		} else {
-			strB = st.AvgRowKeyBytes()
-		}
-		_ = st.Close()
+// rowKeySizes computes the mean row-key bytes of the two encodings from each
+// trajectory's index entry: shard + 8-byte value + separator + id for the
+// store's integer key; shard + quadrant digits + position code + separator +
+// id for TraSS-S. Nothing is loaded.
+func rowKeySizes(trajs []*traj.Trajectory) (intB, strB float64) {
+	ix := xzstar.MustNew(xzstar.DefaultResolution)
+	var intSum, strSum int
+	for _, t := range trajs {
+		intSum += 1 + 8 + 1 + len(t.ID)
+		strSum += 1 + ix.Assign(t.Points).Seq.Len() + 1 + 1 + len(t.ID)
 	}
-	return intB, strB, nil
+	n := float64(len(trajs))
+	return float64(intSum) / n, float64(strSum) / n
 }
 
 // Fig14 reproduces Figures 14-15: the effect of the maximum resolution on

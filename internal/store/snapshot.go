@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/kv"
@@ -10,12 +9,13 @@ import (
 )
 
 // MVCC snapshot reads at the store layer. A Snapshot pairs a pinned cluster
-// snapshot (one consistent kv view per region) with an immutable copy of the
-// distinct-index-value set, so a whole query — global pruning probes via
-// HasValuesIn plus every range scan it plans — runs against one point-in-time
-// view of the table. Concurrent ingest neither blocks the query nor shifts
-// the ground truth under its feet, and best-first top-k cannot be misled by
-// a value set that changed between two of its space expansions.
+// snapshot (one consistent kv view per region) with the distinct-index-value
+// set published at that moment, which no write ever mutates, so a whole query
+// — global pruning probes via HasValuesIn plus every range scan it plans —
+// runs against one point-in-time view of the table. Concurrent ingest neither
+// blocks the query nor shifts the ground truth under its feet, and best-first
+// top-k cannot be misled by a value set that changed between two of its space
+// expansions.
 
 // Snapshot is an immutable point-in-time view of the trajectory table.
 // Methods are safe for concurrent use with each other and with writes to the
@@ -23,8 +23,8 @@ import (
 type Snapshot struct {
 	s    *Store
 	snap *cluster.Snapshot
-	// values is the sorted distinct index values at snapshot time, immutable:
-	// HasValuesIn binary-searches it without any lock.
+	// values is the store's sortedValues as published at snapshot time,
+	// shared and immutable: HasValuesIn binary-searches it without any lock.
 	values []int64
 }
 
@@ -36,7 +36,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	values := append([]int64(nil), s.sortedValuesLocked()...)
+	values := s.sortedValues
 	s.mu.Unlock()
 	return &Snapshot{s: s, snap: cs, values: values}, nil
 }
@@ -45,11 +45,8 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 func (sn *Snapshot) Store() *Store { return sn.s }
 
 // HasValuesIn reports whether any trajectory in the snapshot has an index
-// value in [lo, hi). Lock-free: the value set is an immutable copy.
-func (sn *Snapshot) HasValuesIn(lo, hi int64) bool {
-	i := sort.Search(len(sn.values), func(i int) bool { return sn.values[i] >= lo })
-	return i < len(sn.values) && sn.values[i] < hi
-}
+// value in [lo, hi). Lock-free: the value set is immutable.
+func (sn *Snapshot) HasValuesIn(lo, hi int64) bool { return hasValuesIn(sn.values, lo, hi) }
 
 // ScanRangesStream scans the given index-value ranges across every shard
 // with an optional server-side filter pushed down into the regions — the
@@ -66,13 +63,9 @@ func (sn *Snapshot) HasValuesIn(lo, hi int64) bool {
 // may not edit that module beside other code. Both go when ROADMAP item 3(a)'s
 // benchmark PR moves that call.
 func (sn *Snapshot) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, _ int, _ StreamOptions, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
-	keyRanges, err := sn.s.keyRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
 	return sn.snap.ScanStream(ctx, cluster.StreamRequest{
 		ScanRequest: cluster.ScanRequest{
-			Ranges:       keyRanges,
+			Ranges:       sn.s.keyRanges(ranges),
 			Filter:       filter,
 			AllowPartial: sn.s.cfg.DegradedScans,
 		},

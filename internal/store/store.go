@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,20 +21,6 @@ import (
 	"repro/internal/traj"
 	"repro/internal/vfs"
 	"repro/internal/xzstar"
-)
-
-// Encoding selects the row-key encoding. The paper's TraSS uses the integer
-// encoding; TraSS-S is the string-concatenation variant it compares storage
-// overhead against (Fig. 13(c)).
-type Encoding int
-
-const (
-	// IntegerEncoding stores the XZ* index value as 8 big-endian bytes.
-	IntegerEncoding Encoding = iota
-	// StringEncoding stores the quadrant sequence as ASCII digits plus a
-	// position-code byte (always resolution+1 bytes). Supported for writes
-	// and storage accounting; the query planner requires IntegerEncoding.
-	StringEncoding
 )
 
 // Config configures a trajectory store.
@@ -49,8 +35,6 @@ type Config struct {
 	// DPTolerance is the Douglas-Peucker distance for pre-computed features.
 	// Default 0.01 (the paper's).
 	DPTolerance float64
-	// Encoding selects integer (TraSS) or string (TraSS-S) row keys.
-	Encoding Encoding
 	// RPCLatency, Parallelism, HandlersPerRegion and SplitThresholdBytes
 	// pass through to the cluster layer.
 	RPCLatency          time.Duration
@@ -89,14 +73,15 @@ type Store struct {
 	ix      *xzstar.Index
 	cluster *cluster.Cluster
 
-	mu           sync.Mutex
-	count        int64
-	keyBytes     int64
-	resHist      []int64 // trajectories per resolution (Fig. 12(a))
-	codeHist     []int64 // trajectories per position code 1..10 (Fig. 12(b))
-	values       map[int64]int64
-	sortedValues []int64 // cache of the distinct values, rebuilt on demand
-	valuesDirty  bool
+	// The table's metadata record. applyRowsLocked is the only code that
+	// writes it.
+	mu     sync.Mutex
+	count  int64           // data rows, one per trajectory id
+	values map[int64]int64 // data rows per index value
+	// sortedValues is the distinct index values, ascending. A published slice
+	// is never mutated — a write that changes the distinct set installs a new
+	// one — so Snapshot shares it instead of copying.
+	sortedValues []int64
 }
 
 // Open creates or opens a trajectory store.
@@ -129,53 +114,110 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		cfg:      cfg,
-		ix:       ix,
-		cluster:  cl,
-		resHist:  make([]int64, cfg.MaxResolution+1),
-		codeHist: make([]int64, 11),
-		values:   make(map[int64]int64),
-	}
-	if cfg.Encoding == IntegerEncoding {
-		if err := s.recoverMeta(); err != nil {
-			_ = cl.Close()
-			return nil, err
-		}
+	s := &Store{cfg: cfg, ix: ix, cluster: cl, values: make(map[int64]int64)}
+	if err := s.recoverMeta(); err != nil {
+		_ = cl.Close()
+		return nil, err
 	}
 	return s, nil
 }
 
-// recoverMeta rebuilds the in-memory metadata (count, histograms, distinct
-// index values) from the row keys already on disk. The filter rejects every
-// row, so only keys are visited and nothing is shipped.
+// recoverMeta rebuilds the metadata record from the row keys already on disk.
+// The filter rejects every row, so only keys are visited and nothing is
+// shipped. It fails, and Open with it, on a data row this configuration could
+// not have written: a directory written with more shards would be served
+// without the shards no scan visits, and one written at a larger resolution
+// without the rows whose value does not decode. The opposite reopen — a
+// smaller resolution reopened at a larger one — decodes in-domain and is not
+// caught; persisting the shape to close that direction is a later issue.
 func (s *Store) recoverMeta() error {
+	var (
+		mu     sync.Mutex // scan workers invoke the filter concurrently
+		values []int64
+		bad    error
+	)
 	_, err := s.cluster.Scan(context.Background(), cluster.ScanRequest{
 		Ranges: []cluster.KeyRange{{}},
 		Filter: func(key, _ []byte) bool {
-			if len(key) < 1+8+1 || key[0] >= idIndexPrefix {
-				return false // not a trajectory data row; ignore
+			if len(key) > 0 && key[0] >= idIndexPrefix {
+				return false // id-index row
 			}
-			v := int64(binary.BigEndian.Uint64(key[1:9]))
-			seq, code, err := s.ix.Decode(v)
+			v, err := s.dataRowValue(key)
+			mu.Lock()
 			if err != nil {
-				return false
+				bad = err
+			} else {
+				values = append(values, v)
 			}
-			// Scan workers invoke the filter concurrently: serialize on the
-			// same s.mu that guards these fields everywhere else, not a
-			// recovery-local mutex no other access path can see.
-			s.mu.Lock()
-			s.count++
-			s.keyBytes += int64(len(key))
-			s.resHist[seq.Len()]++
-			s.codeHist[code]++
-			s.values[v]++
-			s.valuesDirty = true
-			s.mu.Unlock()
+			mu.Unlock()
 			return false
 		},
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	if bad != nil {
+		return bad
+	}
+	s.mu.Lock()
+	s.applyRowsLocked(values, nil)
+	s.mu.Unlock()
+	return nil
+}
+
+// dataRowValue returns the index value in a data row's key, or an error
+// naming the key when a store of this shape cannot have written it.
+func (s *Store) dataRowValue(key []byte) (int64, error) {
+	if len(key) >= 1+8+1 && int(key[0]) < s.cfg.Shards {
+		if v := keyValue(key); v >= 0 && v < s.ix.TotalIndexSpaces() {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("store: data row %q was not written with Shards=%d, MaxResolution=%d: reopen with the shape the directory was written with",
+		key, s.cfg.Shards, s.cfg.MaxResolution)
+}
+
+// keyValue is the index value of a data-row key (shard byte, then 8
+// big-endian bytes).
+func keyValue(key []byte) int64 { return int64(binary.BigEndian.Uint64(key[1:9])) }
+
+// applyRowsLocked records data rows appearing under the index values in added
+// and disappearing from under those in removed. Bulk load, re-put and
+// recovery all end here. When the distinct set changes it is rebuilt into a
+// new slice by one merge, leaving the published one to the snapshots that
+// share it.
+func (s *Store) applyRowsLocked(added, removed []int64) {
+	s.count += int64(len(added) - len(removed))
+	var crossed []int64 // values whose row count reached or left zero
+	for _, v := range removed {
+		if s.values[v]--; s.values[v] == 0 {
+			delete(s.values, v)
+			crossed = append(crossed, v)
+		}
+	}
+	for _, v := range added {
+		if s.values[v]++; s.values[v] == 1 {
+			crossed = append(crossed, v)
+		}
+	}
+	if len(crossed) == 0 {
+		return
+	}
+	slices.Sort(crossed)
+	rest := s.sortedValues
+	next := make([]int64, 0, len(rest)+len(crossed))
+	for _, c := range slices.Compact(crossed) {
+		j, stored := slices.BinarySearch(rest, c)
+		next = append(next, rest[:j]...)
+		rest = rest[j:]
+		if stored {
+			rest = rest[1:]
+		}
+		if s.values[c] > 0 {
+			next = append(next, c)
+		}
+	}
+	s.sortedValues = append(next, rest...)
 }
 
 // Index returns the store's XZ* index (shared, immutable).
@@ -209,29 +251,15 @@ func (s *Store) shardOf(tid string) byte {
 }
 
 // RowKey builds the row key for an entry: shard + index value + tid
-// (Equation 4). Integer encoding uses 8 big-endian bytes so lexicographic
-// byte order equals numeric order.
+// (Equation 4). The value is 8 big-endian bytes so lexicographic byte order
+// equals numeric order.
 func (s *Store) RowKey(e xzstar.Entry, tid string) []byte {
-	switch s.cfg.Encoding {
-	case StringEncoding:
-		seq := e.Seq.String()
-		key := make([]byte, 0, 1+len(seq)+1+1+len(tid))
-		key = append(key, s.shardOf(tid))
-		key = append(key, seq...)
-		key = append(key, byte(e.Code))
-		key = append(key, 0)
-		key = append(key, tid...)
-		return key
-	default:
-		key := make([]byte, 0, 1+8+1+len(tid))
-		key = append(key, s.shardOf(tid))
-		var v [8]byte
-		binary.BigEndian.PutUint64(v[:], uint64(e.Value))
-		key = append(key, v[:]...)
-		key = append(key, 0)
-		key = append(key, tid...)
-		return key
-	}
+	key := make([]byte, 0, 1+8+1+len(tid))
+	key = append(key, s.shardOf(tid))
+	key = binary.BigEndian.AppendUint64(key, uint64(e.Value))
+	key = append(key, 0)
+	key = append(key, tid...)
+	return key
 }
 
 // ErrInvalidTrajectory is wrapped by the error Put and PutBatch return for a
@@ -249,132 +277,14 @@ func checkTrajectory(t *traj.Trajectory) error {
 	return nil
 }
 
-// Put indexes and stores one trajectory. The data row and the id-index row
-// are applied through one region batch (cluster.Mutate), so a crash cannot
-// acknowledge the data row while losing the index row that makes it
-// reachable by GetByID. Re-putting an existing id deletes the stale data row
-// under the old index value in the same mutation instead of leaking it.
-func (s *Store) Put(t *traj.Trajectory) error {
-	if err := checkTrajectory(t); err != nil {
-		return err
-	}
-	entry := s.ix.Assign(t.Points)
-	features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
-	key := s.RowKey(entry, t.ID)
-	value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
+// Put is PutBatch of one.
+func (s *Store) Put(t *traj.Trajectory) error { return s.PutBatch([]*traj.Trajectory{t}) }
 
-	// The id index tells us which data row (if any) this id already owns.
-	old, err := s.cluster.Get(idKey(t.ID))
-	if err != nil && !errors.Is(err, kv.ErrNotFound) {
-		return err
-	}
-	puts := []cluster.Entry{{Key: key, Value: value}, {Key: idKey(t.ID), Value: key}}
-	var dels [][]byte
-	if old != nil && !bytes.Equal(old, key) {
-		dels = append(dels, old)
-	}
-	if err := s.cluster.Mutate(puts, dels); err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old == nil {
-		s.count++
-	} else {
-		if bytes.Equal(old, key) {
-			return nil // pure overwrite: metadata unchanged
-		}
-		s.keyBytes -= int64(len(old))
-		s.dropOldKeyMetaLocked(old)
-	}
-	s.keyBytes += int64(len(key))
-	s.resHist[entry.Seq.Len()]++
-	s.codeHist[entry.Code]++
-	s.noteValueLocked(entry.Value)
-	return nil
-}
-
-// dropOldKeyMetaLocked reverses the histogram and distinct-value
-// contributions of a replaced data row. Only integer-encoded keys can be
-// decoded; under StringEncoding the histograms keep the old entry (the query
-// planner does not support that encoding anyway).
-func (s *Store) dropOldKeyMetaLocked(old []byte) {
-	if s.cfg.Encoding != IntegerEncoding || len(old) < 1+8+1 {
-		return
-	}
-	v := int64(binary.BigEndian.Uint64(old[1:9]))
-	seq, code, err := s.ix.Decode(v)
-	if err != nil {
-		return
-	}
-	s.resHist[seq.Len()]--
-	s.codeHist[code]--
-	s.dropValueLocked(v)
-}
-
-// HasValuesIn reports whether any stored trajectory has an index value in
-// [lo, hi). Best-first top-k uses it to skip empty subtrees — the same role
-// an HBase region's key-bound metadata plays.
-func (s *Store) HasValuesIn(lo, hi int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vals := s.sortedValuesLocked()
-	i := sort.Search(len(vals), func(i int) bool { return vals[i] >= lo })
-	return i < len(vals) && vals[i] < hi
-}
-
-func (s *Store) sortedValuesLocked() []int64 {
-	if s.valuesDirty || s.sortedValues == nil {
-		// Full rebuild: only the recovery path sets valuesDirty now; writes
-		// maintain the cache incrementally below.
-		s.sortedValues = s.sortedValues[:0]
-		for v := range s.values {
-			s.sortedValues = append(s.sortedValues, v)
-		}
-		sort.Slice(s.sortedValues, func(i, j int) bool { return s.sortedValues[i] < s.sortedValues[j] })
-		s.valuesDirty = false
-	}
-	return s.sortedValues
-}
-
-// noteValueLocked records one more row under index value v, inserting new
-// distinct values into the sorted cache by binary search so interleaved
-// ingest and HasValuesIn reads never pay a full re-sort.
-func (s *Store) noteValueLocked(v int64) {
-	s.values[v]++
-	if s.values[v] > 1 || s.valuesDirty {
-		return // not a new distinct value, or a full rebuild is pending anyway
-	}
-	i := sort.Search(len(s.sortedValues), func(i int) bool { return s.sortedValues[i] >= v })
-	s.sortedValues = append(s.sortedValues, 0)
-	copy(s.sortedValues[i+1:], s.sortedValues[i:])
-	s.sortedValues[i] = v
-}
-
-// dropValueLocked removes one row under index value v, dropping v from the
-// sorted cache when its last row goes away.
-func (s *Store) dropValueLocked(v int64) {
-	n, ok := s.values[v]
-	if !ok {
-		return
-	}
-	if n > 1 {
-		s.values[v] = n - 1
-		return
-	}
-	delete(s.values, v)
-	if s.valuesDirty {
-		return
-	}
-	i := sort.Search(len(s.sortedValues), func(i int) bool { return s.sortedValues[i] >= v })
-	if i < len(s.sortedValues) && s.sortedValues[i] == v {
-		s.sortedValues = append(s.sortedValues[:i], s.sortedValues[i+1:]...)
-	}
-}
-
-// PutBatch stores many trajectories, batching rows per region for bulk-load
-// throughput.
+// PutBatch indexes and stores trajectories; it is the one write path.
+// Re-putting an id replaces its row, and within a batch the last entry for an
+// id wins. Writers of different ids may run concurrently; the caller must
+// serialise writers of the same id, because the row an id owns is read before
+// the mutation that replaces it.
 func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 	// The whole batch is validated before its first chunk is written.
 	for _, t := range ts {
@@ -384,48 +294,57 @@ func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 	}
 	const chunk = 4096
 	for start := 0; start < len(ts); start += chunk {
-		end := start + chunk
-		if end > len(ts) {
-			end = len(ts)
-		}
-		entries := make([]cluster.Entry, 0, end-start)
-		type meta struct {
-			keyLen int
-			entry  xzstar.Entry
-		}
-		metas := make([]meta, 0, end-start)
-		for _, t := range ts[start:end] {
-			e := s.ix.Assign(t.Points)
-			features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
-			key := s.RowKey(e, t.ID)
-			value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
-			entries = append(entries, cluster.Entry{Key: key, Value: value})
-			entries = append(entries, cluster.Entry{Key: idKey(t.ID), Value: key})
-			metas = append(metas, meta{keyLen: len(key), entry: e})
-		}
-		if err := s.cluster.PutBatch(entries); err != nil {
+		if err := s.putChunk(ts[start:min(start+chunk, len(ts))]); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		newVals := false
-		for _, m := range metas {
-			s.count++
-			s.keyBytes += int64(m.keyLen)
-			s.resHist[m.entry.Seq.Len()]++
-			s.codeHist[m.entry.Code]++
-			s.values[m.entry.Value]++
-			if s.values[m.entry.Value] == 1 && !s.valuesDirty {
-				s.sortedValues = append(s.sortedValues, m.entry.Value)
-				newVals = true
-			}
-		}
-		if newVals {
-			// One sort per chunk, amortizing what used to be a full re-sort
-			// on every HasValuesIn after a dirty write.
-			sort.Slice(s.sortedValues, func(i, j int) bool { return s.sortedValues[i] < s.sortedValues[j] })
-		}
-		s.mu.Unlock()
 	}
+	return nil
+}
+
+// putChunk applies one chunk through one cluster.Mutate: each id's data row
+// and id-index row, plus the delete of the data row the id owned under another
+// index value. Rows landing in one region commit or fail together, so a crash
+// cannot acknowledge a data row while losing the index row that makes it
+// reachable by GetByID.
+func (s *Store) putChunk(ts []*traj.Trajectory) error {
+	last := make(map[string]int, len(ts))
+	for i, t := range ts {
+		last[t.ID] = i
+	}
+	puts := make([]cluster.Entry, 0, 2*len(last))
+	var dels [][]byte
+	added := make([]int64, 0, len(last))
+	var removed []int64
+	for i, t := range ts {
+		if last[t.ID] != i {
+			continue // a later entry for this id wins
+		}
+		entry := s.ix.Assign(t.Points)
+		features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
+		key := s.RowKey(entry, t.ID)
+		value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
+		// The id index names the data row (if any) this id already owns.
+		ik := idKey(t.ID)
+		old, err := s.cluster.Get(ik)
+		if err != nil && !errors.Is(err, kv.ErrNotFound) {
+			return err
+		}
+		puts = append(puts, cluster.Entry{Key: key, Value: value}, cluster.Entry{Key: ik, Value: key})
+		if bytes.Equal(old, key) {
+			continue // overwritten in place: metadata unchanged
+		}
+		if old != nil {
+			dels = append(dels, old)
+			removed = append(removed, keyValue(old))
+		}
+		added = append(added, entry.Value)
+	}
+	if err := s.cluster.Mutate(puts, dels); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.applyRowsLocked(added, removed)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -448,22 +367,22 @@ func (s *Store) Count() int64 {
 	return s.count
 }
 
-// AvgRowKeyBytes returns the mean row-key size — the Fig. 13(c) metric.
-func (s *Store) AvgRowKeyBytes() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	return float64(s.keyBytes) / float64(s.count)
-}
-
 // Distribution returns the per-resolution and per-position-code trajectory
-// histograms (Fig. 12).
+// histograms (Fig. 12), derived from the per-value row counts.
 func (s *Store) Distribution() (resolutions, codes []int64) {
+	resolutions = make([]int64, s.cfg.MaxResolution+1)
+	codes = make([]int64, 11)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int64(nil), s.resHist...), append([]int64(nil), s.codeHist...)
+	for v, n := range s.values {
+		seq, code, err := s.ix.Decode(v)
+		if err != nil {
+			panic(err) // every counted value came from Assign or passed dataRowValue
+		}
+		resolutions[seq.Len()] += n
+		codes[code] += n
+	}
+	return resolutions, codes
 }
 
 // Selectivity is the ratio of distinct index values to row keys — the metric
@@ -478,15 +397,26 @@ func (s *Store) Selectivity() float64 {
 	return float64(len(s.values)) / float64(s.count)
 }
 
+// HasValuesIn reports whether any stored trajectory has an index value in
+// [lo, hi). Queries ask their Snapshot instead, for a point-in-time answer.
+func (s *Store) HasValuesIn(lo, hi int64) bool {
+	s.mu.Lock()
+	vals := s.sortedValues
+	s.mu.Unlock()
+	return hasValuesIn(vals, lo, hi)
+}
+
+func hasValuesIn(vals []int64, lo, hi int64) bool {
+	i, _ := slices.BinarySearch(vals, lo)
+	return i < len(vals) && vals[i] < hi
+}
+
 // StreamOptions is empty and benchmark-pinned: it exists only because
 // benchmark/trace.go names it in its ScanRangesStream call (see there).
 type StreamOptions struct{}
 
 // keyRanges maps XZ* value ranges onto per-shard row-key ranges.
-func (s *Store) keyRanges(ranges []xzstar.ValueRange) ([]cluster.KeyRange, error) {
-	if s.cfg.Encoding != IntegerEncoding {
-		return nil, fmt.Errorf("store: range scans require IntegerEncoding")
-	}
+func (s *Store) keyRanges(ranges []xzstar.ValueRange) []cluster.KeyRange {
 	keyRanges := make([]cluster.KeyRange, 0, len(ranges)*s.cfg.Shards)
 	for shard := 0; shard < s.cfg.Shards; shard++ {
 		for _, r := range ranges {
@@ -496,7 +426,7 @@ func (s *Store) keyRanges(ranges []xzstar.ValueRange) ([]cluster.KeyRange, error
 			})
 		}
 	}
-	return keyRanges, nil
+	return keyRanges
 }
 
 // valueKey is the smallest row key with the given shard and index value.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -223,30 +224,6 @@ func TestShardingSpreadsData(t *testing.T) {
 	}
 }
 
-func TestStringEncoding(t *testing.T) {
-	intStore := newTestStore(t, Config{Shards: 2, Encoding: IntegerEncoding})
-	strStore := newTestStore(t, Config{Shards: 2, Encoding: StringEncoding})
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		tr := walk(rng, fmt.Sprintf("t%04d", i), 10, 0.003)
-		if err := intStore.Put(tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := strStore.Put(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The paper's Fig. 13(c): integer keys are materially smaller.
-	intB, strB := intStore.AvgRowKeyBytes(), strStore.AvgRowKeyBytes()
-	if intB >= strB {
-		t.Fatalf("integer keys (%.1f B) must beat string keys (%.1f B)", intB, strB)
-	}
-	// String-encoded stores cannot plan range scans.
-	if _, err := scanRows(strStore, []xzstar.ValueRange{{Lo: 0, Hi: 1}}, nil); err == nil {
-		t.Fatal("string encoding must reject range scans")
-	}
-}
-
 func TestDistributionHistograms(t *testing.T) {
 	s := newTestStore(t, Config{Shards: 2})
 	rng := rand.New(rand.NewSource(6))
@@ -308,57 +285,106 @@ func TestHasValuesIn(t *testing.T) {
 	}
 }
 
-// PutBatch (the region-batched path) and repeated Put produce identical
-// stores: same counts, same metadata, same scan contents.
+// Put is PutBatch of one: a store loaded by repeated Put and one loaded by
+// PutBatch are the same store — same count, metadata, value set and rows —
+// under first puts and under re-puts that move an id, whether the re-put
+// arrives in a later call or twice inside one batch.
 func TestPutBatchEquivalentToPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	trajs := make([]*traj.Trajectory, 60)
 	for i := range trajs {
 		trajs[i] = walk(rng, fmt.Sprintf("t%03d", i), 5+rng.Intn(20), 0.01)
 	}
+	// Every third id moves somewhere else, in a second call...
+	var moved []*traj.Trajectory
+	for i := 0; i < len(trajs); i += 3 {
+		moved = append(moved, walk(rng, trajs[i].ID, 5+rng.Intn(20), 0.01))
+	}
+	// ...and a third call carries five ids twice; the later entry must win.
+	var twice []*traj.Trajectory
+	for i := 1; i < 15; i += 3 {
+		twice = append(twice, walk(rng, trajs[i].ID, 8, 0.01))
+	}
+	for i := 1; i < 15; i += 3 {
+		twice = append(twice, walk(rng, trajs[i].ID, 8, 0.01))
+	}
+	calls := [][]*traj.Trajectory{trajs, moved, twice}
+
 	single := newTestStore(t, Config{Shards: 4})
-	for _, tr := range trajs {
-		if err := single.Put(tr); err != nil {
+	batched := newTestStore(t, Config{Shards: 4})
+	for _, call := range calls {
+		for _, tr := range call {
+			if err := single.Put(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := batched.PutBatch(call); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batched := newTestStore(t, Config{Shards: 4})
-	if err := batched.PutBatch(trajs); err != nil {
-		t.Fatal(err)
+
+	if single.Count() != int64(len(trajs)) || batched.Count() != int64(len(trajs)) {
+		t.Fatalf("count %d (Put) / %d (PutBatch), want %d: one row per id", single.Count(), batched.Count(), len(trajs))
 	}
-	if single.Count() != batched.Count() {
-		t.Fatalf("count %d vs %d", single.Count(), batched.Count())
-	}
-	if single.AvgRowKeyBytes() != batched.AvgRowKeyBytes() {
-		t.Fatal("row-key accounting differs")
+	if a, b := single.Selectivity(), batched.Selectivity(); a != b {
+		t.Fatalf("selectivity %v vs %v", a, b)
 	}
 	r1, c1 := single.Distribution()
 	r2, c2 := batched.Distribution()
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("resolution histogram differs at %d", i)
-		}
-	}
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("code histogram differs at %d", i)
-		}
+	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(c1, c2) {
+		t.Fatalf("histograms differ: resolutions %v vs %v, codes %v vs %v", r1, r2, c1, c2)
 	}
 	full := []xzstar.ValueRange{{Lo: 0, Hi: single.Index().TotalIndexSpaces()}}
-	res1, err := scanRows(single, full, nil)
-	if err != nil {
-		t.Fatal(err)
+	var rows [2][]kv.Entry
+	var sets [2][]int64
+	for i, s := range []*Store{single, batched} {
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		res, err := collectRows(snap, full, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i], sets[i] = res.Entries, snap.values
+		// Every id owns exactly one data row, and the value set is the rows'.
+		ids, values := map[string]bool{}, map[int64]bool{}
+		for _, e := range res.Entries {
+			rec, err := DecodeRow(e.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids[rec.ID] {
+				t.Fatalf("store %d: id %s owns two data rows", i, rec.ID)
+			}
+			ids[rec.ID] = true
+			values[keyValue(e.Key)] = true
+		}
+		if len(snap.values) != len(values) {
+			t.Fatalf("store %d: snapshot lists %d values, the rows carry %d", i, len(snap.values), len(values))
+		}
 	}
-	res2, err := scanRows(batched, full, nil)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Fatalf("whole-plane scans differ: %d rows vs %d", len(rows[0]), len(rows[1]))
 	}
-	if len(res1.Entries) != len(res2.Entries) {
-		t.Fatalf("scan rows %d vs %d", len(res1.Entries), len(res2.Entries))
+	if !reflect.DeepEqual(sets[0], sets[1]) {
+		t.Fatalf("snapshot value sets differ: %d values vs %d", len(sets[0]), len(sets[1]))
 	}
-	for i := range res1.Entries {
-		if string(res1.Entries[i].Key) != string(res2.Entries[i].Key) {
-			t.Fatalf("row %d keys differ", i)
+	// A moved trajectory is gone from where it was.
+	was := single.Index().Assign(trajs[0].Points).Value
+	if now := single.Index().Assign(moved[0].Points).Value; now == was {
+		t.Fatal("trajectory moved but its index value did not; test is vacuous")
+	}
+	for i, s := range []*Store{single, batched} {
+		res, err := scanRows(s, []xzstar.ValueRange{{Lo: was, Hi: was + 1}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Entries {
+			if rec, _ := DecodeRow(e.Value); rec.ID == trajs[0].ID {
+				t.Fatalf("store %d still returns %s at its old index value", i, rec.ID)
+			}
 		}
 	}
 }

@@ -29,11 +29,13 @@
 #              supervisor); SHORT=1 samples fewer fault points
 #   test       vet + test of the nested benchmark/ module (invisible to
 #              ./...), then go test -race ./... and a 10s fuzz smoke of every
-#              native fuzz target. With SHORT=1: the refinement-executor and
-#              streaming-pipeline tests alone under -race (the parallel
-#              refine pool and the bounded scan-to-refine stream are the code
-#              most worth racing; the full gate's -race ./... already covers
-#              them), then plain go test -short ./... and no fuzz
+#              native fuzz target. With SHORT=1: the refinement-executor,
+#              streaming-pipeline and store snapshot/write tests alone under
+#              -race (the parallel refine pool, the bounded scan-to-refine
+#              stream, and the value set that queries share with the writers
+#              that replace it are the code most worth racing; the full
+#              gate's -race ./... already covers them), then plain
+#              go test -short ./... and no fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
 #              and load a dataset, run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
@@ -117,14 +119,17 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # SHORT=1 drops the race detector everywhere but here: the refinement
         # executor's tests force worker pools > 1, and the streaming scan
         # pipeline's (cluster emit loop, store range mapper, query refine
-        # executor) force bounded queues and mid-stream faults, so racing
-        # just these is the cheapest way to keep that synchronization honest.
+        # executor) force bounded queues and mid-stream faults, and the store's
+        # Snapshot/PutBatch tests hold the value slice queries share while
+        # writers replace it, so racing just these is the cheapest way to keep
+        # that synchronization honest.
         # The full gate races them inside `go test -race ./...` below.
         step "refine executor (race)"
         go test -race -count=1 -run 'Refine' ./internal/query
 
         step "stream pipeline (race)"
-        go test -race -count=1 -run 'Stream' ./internal/cluster ./internal/store ./internal/query
+        go test -race -count=1 -run 'Stream' ./internal/cluster ./internal/query
+        go test -race -count=1 -run 'Stream|Snapshot|PutBatch' ./internal/store
 
         step "test (short)"
         go test -short ./...

@@ -202,11 +202,14 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	return &DB{store: st, engine: eng}, nil
 }
 
-// Put indexes and stores one trajectory; one that cannot be indexed fails
-// with an error wrapping ErrInvalidTrajectory.
+// Put is PutBatch of one trajectory.
 func (db *DB) Put(t *Trajectory) error { return db.store.Put(t) }
 
-// PutBatch stores many trajectories, validated like Put.
+// PutBatch indexes and stores trajectories. Putting an id that is already
+// stored replaces its row, and within a batch the last entry for an id wins.
+// If any trajectory cannot be indexed the call fails with an error wrapping
+// ErrInvalidTrajectory and writes nothing. Writers of different ids may run
+// concurrently; writers of the same id must be serialised by the caller.
 func (db *DB) PutBatch(ts []*Trajectory) error { return db.store.PutBatch(ts) }
 
 // Flush persists in-memory data to disk.
@@ -241,7 +244,7 @@ func (db *DB) Get(id string) (*Trajectory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trajectory{ID: rec.ID, Points: rec.Points}, nil
+	return &Trajectory{ID: rec.ID, Points: rec.Points, Times: rec.Times}, nil
 }
 
 // Search runs q. With a nil sink it returns the matches in a total order, the

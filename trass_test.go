@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -291,6 +292,48 @@ func TestRandomizedPublicAPIAgainstBrute(t *testing.T) {
 	}
 }
 
+// A directory reopened with a shape that cannot have written its rows fails
+// Open instead of serving part of the data: fewer shards would leave the
+// upper shards unscanned, a smaller resolution would drop every row whose
+// index value is outside its domain.
+func TestReopenWithDifferentShapeFails(t *testing.T) {
+	for name, tc := range map[string]struct {
+		written, reopened Option
+		names             string
+	}{
+		"fewer shards":       {WithShards(8), WithShards(4), "Shards=4"},
+		"smaller resolution": {WithMaxResolution(16), WithMaxResolution(12), "MaxResolution=12"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, tc.written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.PutBatch(gen.TDrive(gen.TDriveOptions{Seed: 5, N: 50})); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := Open(dir, tc.reopened); err == nil {
+				db.Close()
+				t.Fatal("reopen with a different shape succeeded")
+			} else if !strings.Contains(err.Error(), tc.names) || !strings.Contains(err.Error(), "data row") {
+				t.Fatalf("error does not name the row and %s: %v", tc.names, err)
+			}
+			db, err = Open(dir, tc.written)
+			if err != nil {
+				t.Fatalf("reopen with the written shape: %v", err)
+			}
+			defer db.Close()
+			if db.Count() != 50 {
+				t.Fatalf("Count = %d after the refused reopen, want 50", db.Count())
+			}
+		})
+	}
+}
+
 func TestGetByID(t *testing.T) {
 	db := openTestDB(t)
 	data := gen.TDrive(gen.TDriveOptions{Seed: 11, N: 100})
@@ -526,6 +569,34 @@ func TestSearchMatchesWrappers(t *testing.T) {
 		if reflect.DeepEqual(answers[kind], answers[kind+"/window"]) {
 			t.Errorf("%s: the window changed nothing among %d matches; it must reject some", kind, len(answers[kind]))
 		}
+	}
+	// A timed trajectory read back with Get and re-put stays timed — untimed,
+	// it would start matching every window.
+	var timed string
+	inWindow := map[string]bool{}
+	for _, m := range answers["range/window"] {
+		inWindow[m.ID] = true
+	}
+	for _, m := range answers["range"] {
+		if !inWindow[m.ID] {
+			timed = m.ID // in rect, rejected by w: timed
+		}
+	}
+	got, err := db.Get(timed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Times) != len(got.Points) {
+		t.Fatalf("Get(%s) returned %d timestamps for %d points", timed, len(got.Times), len(got.Points))
+	}
+	if err := db.Put(got); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := db.Get(timed); err != nil || !reflect.DeepEqual(again, got) {
+		t.Errorf("Put(Get(%s)) did not round-trip: %v", timed, err)
+	}
+	if ms, _, err := db.RangeSearchWindowContext(ctx, rect, w); err != nil || !reflect.DeepEqual(byID(ms), byID(answers["range/window"])) {
+		t.Errorf("re-putting what Get returned changed the windowed answer (%d matches, was %d): %v", len(ms), len(answers["range/window"]), err)
 	}
 	// Every path above pinned one snapshot per query; none may still hold it.
 	st, err := db.StorageStats()
