@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -138,10 +139,24 @@ func (j *JUST) Threshold(q *traj.Trajectory, eps float64) ([]Result, *Stats, err
 		}
 		return true
 	}
-	res, err := j.cluster.Scan(context.Background(), cluster.ScanRequest{Ranges: keyRanges, Filter: filter})
+	snap, err := j.cluster.Snapshot()
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() { _ = snap.Close() }()
+	var rows []cluster.Entry
+	res, err := snap.ScanStream(context.Background(),
+		cluster.StreamRequest{ScanRequest: cluster.ScanRequest{Ranges: keyRanges, Filter: filter}},
+		func(b cluster.ScanBatch) error {
+			rows = append(rows, b.Entries...)
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Regions answer in no particular order; refine in key order so equal
+	// distances keep one output order from run to run.
+	sort.Slice(rows, func(a, b int) bool { return bytes.Compare(rows[a].Key, rows[b].Key) < 0 })
 	stats.Scanned = res.RowsScanned
 	stats.Candidates = res.RowsReturned
 
@@ -149,7 +164,7 @@ func (j *JUST) Threshold(q *traj.Trajectory, eps float64) ([]Result, *Stats, err
 	within := dist.WithinFor(j.measure)
 	full := dist.For(j.measure)
 	var out []Result
-	for _, e := range res.Entries {
+	for _, e := range rows {
 		rec, err := traj.DecodeRecord(e.Value)
 		if err != nil {
 			return nil, nil, err

@@ -42,7 +42,8 @@ type Config struct {
 	// analogue of an HBase region server's RPC handler pool. 0 = unlimited.
 	HandlersPerRegion int
 	// SplitThresholdBytes auto-splits a region whose store has written more
-	// than this many bytes. Zero disables auto-splitting.
+	// than this many bytes. Zero disables auto-splitting. Only the cluster's
+	// own suites set it: no trass.Option, CLI flag or benchmark workload does.
 	SplitThresholdBytes int64
 	// KV options applied to each region's store (Dir is overridden; FS
 	// inherits Config.FS when unset).
@@ -50,15 +51,6 @@ type Config struct {
 	// FS is the filesystem the cluster (and, unless overridden, each
 	// region's store) runs on. Default vfs.Default.
 	FS vfs.FS
-	// RetryAttempts is the number of times a failed region scan is retried
-	// when the error is transient (exposes a `Transient() bool` method).
-	// Default 3; negative disables retries.
-	RetryAttempts int
-	// RetryBaseDelay is the backoff before the first retry; it doubles per
-	// attempt, capped at RetryMaxDelay. Defaults 1ms / 50ms.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff between retries.
-	RetryMaxDelay time.Duration
 }
 
 // Entry is one row to write, re-exported from the kv layer.
@@ -174,28 +166,21 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 		c.regions = append(c.regions, r)
 	}
-	if err := writeManifest(fsys, cfg.Dir, c.manifestLocked()); err != nil {
+	if err := writeManifest(fsys, cfg.Dir, c.nextID, c.regions); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// recoverFromManifest rebuilds the region set the manifest records and
+// recoverFromManifest rebuilds the region set the manifest records (already
+// in key order and checked to tile the key space, see readManifest) and
 // deletes unreferenced region directories. names is the root directory
 // listing taken before the manifest was read.
 func (c *Cluster) recoverFromManifest(m *manifest, names []string) error {
 	referenced := make(map[string]bool, len(m.Regions))
-	recs := append([]manifestRegion(nil), m.Regions...)
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i].Start, recs[j].Start
-		if a == nil || b == nil {
-			return a == nil && b != nil // nil start = unbounded = first
-		}
-		return bytes.Compare(a, b) < 0
-	})
 	c.nextID = m.NextID
-	for _, rec := range recs {
+	for _, rec := range m.Regions {
 		referenced[regionDirName(rec.ID)] = true
 		r, err := c.openRegion(rec.ID, rec.Start, rec.End)
 		if err != nil {
@@ -252,98 +237,76 @@ func (c *Cluster) openRegion(id int, start, end []byte) (*Region, error) {
 	return r, nil
 }
 
-// regionFor returns the region containing key. Regions cover the whole key
-// space, so this always succeeds while the cluster is open.
-func (c *Cluster) regionFor(key []byte) *Region {
+// regionIndex returns the position in c.regions of the region containing
+// key. Regions cover the whole key space (Open validates a recovered
+// topology), so this always succeeds while the cluster is open.
+func (c *Cluster) regionIndex(key []byte) int {
 	// First region whose end is > key (nil end sorts last).
-	i := sort.Search(len(c.regions), func(i int) bool {
+	return sort.Search(len(c.regions), func(i int) bool {
 		e := c.regions[i].end
 		return e == nil || bytes.Compare(key, e) < 0
 	})
-	return c.regions[i]
 }
 
 // Put routes a row to its region.
 func (c *Cluster) Put(key, value []byte) error {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return kv.ErrClosed
-	}
-	r := c.regionFor(key)
-	err := r.db.Put(key, value)
-	if err == nil {
-		r.approxSize.Add(int64(len(key) + len(value)))
-	}
-	threshold := c.cfg.SplitThresholdBytes
-	needSplit := threshold > 0 && r.approxSize.Load() > threshold
-	c.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	if needSplit {
-		// Best effort: a failed split leaves the region oversized but
-		// intact, and the row itself was already acknowledged — so the
-		// failure is counted, not surfaced, and the still-oversized region
-		// retries at the next write.
-		if serr := c.splitRegion(r); serr != nil {
-			c.splitFailures.Add(1)
-		}
-	}
-	return nil
+	return c.Mutate([]kv.Entry{{Key: key, Value: value}}, nil)
 }
 
-// PutBatch routes a set of rows to their regions, applying one kv batch per
-// region — the bulk-load path. Auto-splitting is evaluated once at the end.
-func (c *Cluster) PutBatch(entries []kv.Entry) error {
-	return c.Mutate(entries, nil)
+// Delete routes a delete to its region.
+func (c *Cluster) Delete(key []byte) error {
+	return c.Mutate(nil, [][]byte{key})
 }
 
-// Mutate applies puts and deletes, grouped into one kv batch per region —
-// the closest the cluster gets to multi-row atomicity: mutations that land
-// in the same region commit or fail together through a single WAL batch.
-// Mutations spanning regions are applied region by region and are not
-// atomic across them. Auto-splitting is evaluated once at the end.
+// Mutate applies puts and deletes — the one write body. Mutations are grouped
+// into one kv batch per region, the closest the cluster gets to multi-row
+// atomicity: mutations that land in the same region commit or fail together
+// through a single WAL batch. Mutations spanning regions are not atomic across
+// them, but the batches are applied in region key order and the first failure
+// stops the walk, so a failed (or crashed) Mutate leaves a key-order prefix of
+// its regions applied and nothing after it. The store layer leans on that
+// order: its data rows live under shard bytes below the id-index prefix, so a
+// data row is always applied before the id row naming it, never the reverse.
+//
+// Auto-splitting is evaluated once at the end, also in key order. It is best
+// effort: a failed split leaves the region oversized but intact, and the rows
+// were already acknowledged — so the failure is counted, not surfaced, and the
+// still-oversized region retries at the next write.
 func (c *Cluster) Mutate(puts []kv.Entry, deletes [][]byte) error {
 	c.mu.RLock()
 	if c.closed {
 		c.mu.RUnlock()
 		return kv.ErrClosed
 	}
-	batches := make(map[*Region]*kv.Batch)
-	batchFor := func(key []byte) (*Region, *kv.Batch) {
-		r := c.regionFor(key)
-		b := batches[r]
-		if b == nil {
-			b = &kv.Batch{}
-			batches[r] = b
-		}
-		return r, b
-	}
+	// One batch per region, indexed like c.regions: key order by construction.
+	batches := make([]kv.Batch, len(c.regions))
+	sizes := make([]int64, len(c.regions))
 	for _, e := range puts {
-		r, b := batchFor(e.Key)
-		b.Put(e.Key, e.Value)
-		r.approxSize.Add(int64(len(e.Key) + len(e.Value)))
+		i := c.regionIndex(e.Key)
+		batches[i].Put(e.Key, e.Value)
+		sizes[i] += int64(len(e.Key) + len(e.Value))
 	}
 	for _, key := range deletes {
-		r, b := batchFor(key)
-		b.Delete(key)
-		r.approxSize.Add(int64(len(key))) // a tombstone still costs bytes
+		i := c.regionIndex(key)
+		batches[i].Delete(key)
+		sizes[i] += int64(len(key)) // a tombstone still costs bytes
 	}
 	var oversized []*Region
 	threshold := c.cfg.SplitThresholdBytes
-	for r, b := range batches {
-		if err := r.db.Apply(b); err != nil {
+	for i, r := range c.regions {
+		if batches[i].Len() == 0 {
+			continue
+		}
+		if err := r.db.Apply(&batches[i]); err != nil {
 			c.mu.RUnlock()
 			return err
 		}
-		if threshold > 0 && r.approxSize.Load() > threshold {
+		if size := r.approxSize.Add(sizes[i]); threshold > 0 && size > threshold {
 			oversized = append(oversized, r)
 		}
 	}
 	c.mu.RUnlock()
 	for _, r := range oversized {
-		// Best effort, as in Put: the rows are already acknowledged.
 		if err := c.splitRegion(r); err != nil {
 			c.splitFailures.Add(1)
 		}
@@ -358,17 +321,7 @@ func (c *Cluster) Get(key []byte) ([]byte, error) {
 	if c.closed {
 		return nil, kv.ErrClosed
 	}
-	return c.regionFor(key).db.Get(key)
-}
-
-// Delete routes a delete to its region.
-func (c *Cluster) Delete(key []byte) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return kv.ErrClosed
-	}
-	return c.regionFor(key).db.Delete(key)
+	return c.regions[c.regionIndex(key)].db.Get(key)
 }
 
 // Flush flushes every region's memtable.
@@ -589,12 +542,8 @@ func (c *Cluster) splitRegion(r *Region) error {
 	next := append([]*Region(nil), c.regions[:idx]...)
 	next = append(next, left, right)
 	next = append(next, c.regions[idx+1:]...)
-	m := &manifest{Version: 1, NextID: c.nextID}
-	for _, cur := range next {
-		m.Regions = append(m.Regions, manifestRegion{ID: cur.id, Start: cur.start, End: cur.end})
-	}
 	//lint:ignore lockheldio a split is deliberately stop-the-world: the manifest write must commit atomically with the in-memory region-map swap, and splits are rare enough that stalling writers is the simpler correctness story
-	if err := writeManifest(c.fs, c.cfg.Dir, m); err != nil {
+	if err := writeManifest(c.fs, c.cfg.Dir, c.nextID, next); err != nil {
 		rollback()
 		return err
 	}

@@ -25,6 +25,51 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// snapRows is the collect helper the scan tests share: one ScanStream over a
+// snapshot the caller holds, gathering what emit delivers. It checks the
+// stream's own ordering promise on the way — within a region, rows arrive in
+// key order — and returns the rows sorted by key. That sort is the helper's,
+// for comparing against an expectation: across regions the stream promises no
+// order.
+func snapRows(t testing.TB, snap *Snapshot, req ScanRequest) ([]kv.Entry, *ScanResult, error) {
+	t.Helper()
+	var rows []kv.Entry
+	last := map[int][]byte{}
+	res, err := snap.ScanStream(context.Background(), StreamRequest{ScanRequest: req}, func(b ScanBatch) error {
+		for _, e := range b.Entries {
+			if prev, ok := last[b.RegionID]; ok && bytes.Compare(prev, e.Key) >= 0 {
+				t.Errorf("region %d delivered %q after %q: out of key order", b.RegionID, e.Key, prev)
+			}
+			last[b.RegionID] = e.Key
+		}
+		rows = append(rows, b.Entries...)
+		return nil
+	})
+	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].Key, rows[j].Key) < 0 })
+	return rows, res, err
+}
+
+// scanRows is snapRows over a snapshot taken (and released) for the one scan.
+func scanRows(t testing.TB, c *Cluster, req ScanRequest) ([]kv.Entry, *ScanResult, error) {
+	t.Helper()
+	snap, err := c.Snapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer snap.Close()
+	return snapRows(t, snap, req)
+}
+
+// mustScanRows is scanRows for scans that have no reason to fail.
+func mustScanRows(t testing.TB, c *Cluster, req ScanRequest) ([]kv.Entry, *ScanResult) {
+	t.Helper()
+	rows, res, err := scanRows(t, c, req)
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return rows, res
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Config{}); err == nil {
 		t.Fatal("missing dir must fail")
@@ -102,21 +147,19 @@ func loadRows(t *testing.T, c *Cluster, n int) {
 func TestScanSingleRange(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00300"), []byte("row00600")}})
 	loadRows(t, c, 1000)
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{Start: []byte("row00250"), End: []byte("row00350")}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 100 {
-		t.Fatalf("entries = %d, want 100", len(res.Entries))
+	rows, res := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{Start: []byte("row00250"), End: []byte("row00350")}}})
+	if len(rows) != 100 {
+		t.Fatalf("entries = %d, want 100", len(rows))
 	}
 	// Crossing a region boundary needs two RPCs.
 	if res.RPCs != 2 {
 		t.Fatalf("RPCs = %d, want 2", res.RPCs)
 	}
-	// Sorted by key.
-	for i := 1; i < len(res.Entries); i++ {
-		if bytes.Compare(res.Entries[i-1].Key, res.Entries[i].Key) >= 0 {
-			t.Fatal("scan results out of order")
+	// Exactly the requested rows, each once (per-region key order is checked
+	// by the helper).
+	for i, e := range rows {
+		if want := fmt.Sprintf("row%05d", 250+i); string(e.Key) != want {
+			t.Fatalf("row %d is %q, want %q", i, e.Key, want)
 		}
 	}
 }
@@ -124,30 +167,24 @@ func TestScanSingleRange(t *testing.T) {
 func TestScanMultipleRanges(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})
 	loadRows(t, c, 1000)
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{
+	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{
 		{Start: []byte("row00100"), End: []byte("row00110")},
 		{Start: []byte("row00700"), End: []byte("row00720")},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 30 {
-		t.Fatalf("entries = %d, want 30", len(res.Entries))
+	if len(rows) != 30 {
+		t.Fatalf("entries = %d, want 30", len(rows))
 	}
 }
 
 func TestScanServerSideFilter(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})
 	loadRows(t, c, 1000)
-	res, err := c.Scan(context.Background(), ScanRequest{
+	rows, res := mustScanRows(t, c, ScanRequest{
 		Ranges: []KeyRange{{}},
 		Filter: func(key, value []byte) bool { return key[len(key)-1] == '0' },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 100 {
-		t.Fatalf("filtered entries = %d, want 100", len(res.Entries))
+	if len(rows) != 100 {
+		t.Fatalf("filtered entries = %d, want 100", len(rows))
 	}
 	if res.RowsScanned != 1000 {
 		t.Fatalf("rows scanned = %d, want 1000", res.RowsScanned)
@@ -157,7 +194,7 @@ func TestScanServerSideFilter(t *testing.T) {
 	}
 	// Push-down means only accepted rows ship.
 	var want int64
-	for _, e := range res.Entries {
+	for _, e := range rows {
 		want += int64(len(e.Key) + len(e.Value))
 	}
 	if res.BytesShipped != want {
@@ -168,11 +205,8 @@ func TestScanServerSideFilter(t *testing.T) {
 func TestScanEmptyRangeList(t *testing.T) {
 	c := newTestCluster(t, Config{})
 	loadRows(t, c, 10)
-	res, err := c.Scan(context.Background(), ScanRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 0 || res.RPCs != 0 {
+	rows, res := mustScanRows(t, c, ScanRequest{})
+	if len(rows) != 0 || res.RPCs != 0 {
 		t.Fatalf("empty request scanned something: %+v", res)
 	}
 }
@@ -196,14 +230,11 @@ func TestAutoSplit(t *testing.T) {
 		}
 	}
 	// No rows lost.
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
-	if err != nil {
-		t.Fatal(err)
+	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
+	if len(rows) != 200 {
+		t.Fatalf("rows after split = %d, want 200", len(rows))
 	}
-	if len(res.Entries) != 200 {
-		t.Fatalf("rows after split = %d, want 200", len(res.Entries))
-	}
-	for i, e := range res.Entries {
+	for i, e := range rows {
 		if string(e.Key) != fmt.Sprintf("row%05d", i) {
 			t.Fatalf("row %d has key %q", i, e.Key)
 		}
@@ -221,9 +252,7 @@ func TestStatsAggregation(t *testing.T) {
 	if before.KV.Puts != 1000 {
 		t.Fatalf("puts = %d", before.KV.Puts)
 	}
-	if _, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}}); err != nil {
-		t.Fatal(err)
-	}
+	mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
 	after, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +289,7 @@ func TestConcurrentPutsAndScans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}}); err != nil {
+				if _, _, err := scanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}}); err != nil {
 					t.Errorf("scan: %v", err)
 					return
 				}
@@ -268,12 +297,9 @@ func TestConcurrentPutsAndScans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 800 {
-		t.Fatalf("final rows = %d, want 800", len(res.Entries))
+	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
+	if len(rows) != 800 {
+		t.Fatalf("final rows = %d, want 800", len(rows))
 	}
 }
 
@@ -294,14 +320,11 @@ func TestScanMatchesSortedLoad(t *testing.T) {
 			uniq = append(uniq, k)
 		}
 	}
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
-	if err != nil {
-		t.Fatal(err)
+	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
+	if len(rows) != len(uniq) {
+		t.Fatalf("scan rows = %d, want %d", len(rows), len(uniq))
 	}
-	if len(res.Entries) != len(uniq) {
-		t.Fatalf("scan rows = %d, want %d", len(res.Entries), len(uniq))
-	}
-	for i, e := range res.Entries {
+	for i, e := range rows {
 		if string(e.Key) != uniq[i] {
 			t.Fatalf("row %d: %q != %q", i, e.Key, uniq[i])
 		}
@@ -310,12 +333,25 @@ func TestScanMatchesSortedLoad(t *testing.T) {
 
 func TestClosedCluster(t *testing.T) {
 	c := newTestCluster(t, Config{})
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snapRows(t, snap, ScanRequest{Ranges: []KeyRange{{}}}); err != kv.ErrClosed {
+		t.Errorf("ScanStream on a closed snapshot: %v", err)
+	}
 	c.Close()
 	if err := c.Put([]byte("k"), []byte("v")); err != kv.ErrClosed {
 		t.Errorf("Put after close: %v", err)
 	}
-	if _, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}}); err != kv.ErrClosed {
-		t.Errorf("Scan after close: %v", err)
+	if err := c.Delete([]byte("k")); err != kv.ErrClosed {
+		t.Errorf("Delete after close: %v", err)
+	}
+	if _, err := c.Snapshot(); err != kv.ErrClosed {
+		t.Errorf("Snapshot after close: %v", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("double close: %v", err)
@@ -361,11 +397,11 @@ func BenchmarkClusterScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{
+		rows, _, err := scanRows(b, c, ScanRequest{Ranges: []KeyRange{
 			{Start: []byte("row04900"), End: []byte("row05100")},
 		}})
-		if err != nil || len(res.Entries) != 200 {
-			b.Fatalf("scan: %d entries, %v", len(res.Entries), err)
+		if err != nil || len(rows) != 200 {
+			b.Fatalf("scan: %d entries, %v", len(rows), err)
 		}
 	}
 }

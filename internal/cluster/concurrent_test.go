@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -134,11 +133,11 @@ func checkClusterConcurrentRecovered(t *testing.T, fsys *vfs.FaultFS, models []*
 			t.Fatalf("fault point %d: writer %d: %v", point, w, err)
 		}
 	}
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
+	rows, _, err := scanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
 	if err != nil {
 		t.Fatalf("fault point %d: scan: %v", point, err)
 	}
-	for _, e := range res.Entries {
+	for _, e := range rows {
 		key := string(e.Key)
 		w, ok := clusterConcOwner(key)
 		if !ok || w >= len(models) {

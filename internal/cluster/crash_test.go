@@ -38,6 +38,10 @@ type clusterWorkload struct {
 	c       *Cluster
 	model   *vfstest.Model
 	crashed bool
+	// batchRegions is how many regions putBatch's keys routed to when it was
+	// applied; countClusterFaultPoints requires ≥ 2, so the enumeration walks
+	// the window between one region's WAL batch and the next one's.
+	batchRegions int
 }
 
 func (w *clusterWorkload) sawCrash(err error) bool {
@@ -73,7 +77,14 @@ func (w *clusterWorkload) putBatch(keys, vals []string) {
 	for i := range keys {
 		entries[i] = kv.Entry{Key: []byte(keys[i]), Value: []byte(vals[i])}
 	}
-	err := w.c.PutBatch(entries)
+	w.c.mu.RLock()
+	routed := map[int]bool{}
+	for _, e := range entries {
+		routed[w.c.regionIndex(e.Key)] = true
+	}
+	w.c.mu.RUnlock()
+	w.batchRegions = len(routed)
+	err := w.c.Mutate(entries, nil)
 	for i := range keys {
 		w.model.Put(keys[i], vals[i], err == nil)
 	}
@@ -95,7 +106,8 @@ func (w *clusterWorkload) compact() {
 }
 
 // run drives enough volume through one initial region to force several
-// auto-splits, with overwrites, deletes, a batch, and explicit flush/compact.
+// auto-splits, with overwrites, deletes, a batch spanning the first and the
+// last region, and explicit flush/compact.
 func (w *clusterWorkload) run() {
 	val := func(i, round int) string {
 		return fmt.Sprintf("value-%03d-%d-%s", i, round, strings.Repeat("x", 48))
@@ -111,7 +123,11 @@ func (w *clusterWorkload) run() {
 		w.del(fmt.Sprintf("k%03d", i))
 	}
 	var bkeys, bvals []string
-	for i := 48; i < 64; i++ {
+	for i := 0; i < 8; i++ { // sorts before every k-key: the first region
+		bkeys = append(bkeys, fmt.Sprintf("b%03d", i))
+		bvals = append(bvals, val(i, 2))
+	}
+	for i := 48; i < 64; i++ { // sorts after every key so far: the last region
 		bkeys = append(bkeys, fmt.Sprintf("k%03d", i))
 		bvals = append(bvals, val(i, 2))
 	}
@@ -148,6 +164,9 @@ func countClusterFaultPoints(t *testing.T) []int {
 	}
 	if got := len(c.Regions()); got < 2 {
 		t.Fatalf("baseline ended with %d regions; workload must trigger auto-splits", got)
+	}
+	if w.batchRegions < 2 {
+		t.Fatalf("putBatch routed to %d region(s); it must span regions so the fault points cover a partly applied Mutate", w.batchRegions)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("baseline close: %v", err)
@@ -208,11 +227,11 @@ func checkClusterRecovered(t *testing.T, fsys *vfs.FaultFS, model *vfstest.Model
 	if err != nil {
 		t.Fatalf("fault point %d: %v", point, err)
 	}
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
+	rows, _, err := scanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
 	if err != nil {
 		t.Fatalf("fault point %d: scan: %v", point, err)
 	}
-	for _, e := range res.Entries {
+	for _, e := range rows {
 		if err := model.Check(string(e.Key), string(e.Value), true); err != nil {
 			t.Fatalf("fault point %d: scan: %v", point, err)
 		}
@@ -271,9 +290,6 @@ func scanFaultCluster(t *testing.T) (*Cluster, *vfs.FaultFS, []string) {
 		FS:        fsys,
 		SplitKeys: [][]byte{[]byte("m")},
 		KV:        kv.Options{BlockCacheBytes: -1}, // every block read hits the FS
-		// Fast test-sized backoff.
-		RetryBaseDelay: 1,
-		RetryMaxDelay:  1,
 	}
 	c, err := Open(cfg)
 	if err != nil {
@@ -315,12 +331,12 @@ func TestScanRetriesTransientErrors(t *testing.T) {
 		}
 		return vfs.FaultNone
 	})
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
+	rows, res, err := scanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
 	if err != nil {
 		t.Fatalf("scan with transient faults: %v", err)
 	}
-	if len(res.Entries) != len(keys) {
-		t.Fatalf("rows = %d, want %d", len(res.Entries), len(keys))
+	if len(rows) != len(keys) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(keys))
 	}
 	if failures == 0 {
 		t.Fatal("injection never fired; test is vacuous")
@@ -349,7 +365,7 @@ func TestScanStrictFailsWithRegionError(t *testing.T) {
 		}
 		return vfs.FaultNone
 	})
-	_, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
+	_, _, err := scanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
 	if err == nil {
 		t.Fatal("strict scan succeeded despite a permanently failing region")
 	}
@@ -368,55 +384,23 @@ func TestScanStrictFailsWithRegionError(t *testing.T) {
 	}
 }
 
-// TestScanAllowPartialDegrades injects a permanent failure into one region
-// and expects AllowPartial to return the surviving region's rows plus a
-// per-region error, instead of failing the whole scan.
-func TestScanAllowPartialDegrades(t *testing.T) {
-	c, fsys, keys := scanFaultCluster(t)
-	r0 := c.Regions()[0]
-	fsys.SetInject(func(op vfs.Op) vfs.Fault {
-		if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, r0.dir) {
-			return vfs.FaultErr
-		}
-		return vfs.FaultNone
-	})
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true})
-	if err != nil {
-		t.Fatalf("partial scan failed outright: %v", err)
-	}
-	if len(res.RegionErrors) != 1 {
-		t.Fatalf("RegionErrors = %d, want 1", len(res.RegionErrors))
-	}
-	if res.RegionErrors[0].RegionID != r0.ID() {
-		t.Fatalf("failed region = %d, want %d", res.RegionErrors[0].RegionID, r0.ID())
-	}
-	var wantSurvivors int
-	for _, k := range keys {
-		if k[0] >= 'm' {
-			wantSurvivors++
-		}
-	}
-	if len(res.Entries) != wantSurvivors {
-		t.Fatalf("surviving rows = %d, want %d", len(res.Entries), wantSurvivors)
-	}
-	for _, e := range res.Entries {
-		if e.Key[0] < 'm' {
-			t.Fatalf("row %q leaked from the failed region", e.Key)
-		}
-	}
-}
-
 // TestScanContextCancellation cancels the context up front: the scan must
 // return the context's error, not a partial result — even with AllowPartial.
 func TestScanContextCancellation(t *testing.T) {
 	c, _, _ := scanFaultCluster(t)
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Scan(ctx, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
-	}
-	if _, err := c.Scan(ctx, ScanRequest{Ranges: []KeyRange{{}}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled strict scan returned %v, want context.Canceled", err)
+	discard := func(ScanBatch) error { return nil }
+	for _, allowPartial := range []bool{true, false} {
+		req := StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: allowPartial}}
+		if _, err := snap.ScanStream(ctx, req, discard); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled scan (AllowPartial=%v) returned %v, want context.Canceled", allowPartial, err)
+		}
 	}
 }
 

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/kv"
@@ -28,15 +26,15 @@ type ScanRequest struct {
 	Ranges []KeyRange
 	Filter Filter // optional
 	// AllowPartial degrades instead of failing: when a region's scan cannot
-	// be completed (even after retries), its rows are omitted, the failure
-	// is recorded in ScanResult.RegionErrors, and the surviving regions'
-	// rows are returned. Without it the first region failure fails the scan.
+	// be completed (even after retries), the failure is recorded in
+	// ScanResult.RegionErrors and the surviving regions' rows are still
+	// delivered. Without it the first region failure fails the scan.
 	AllowPartial bool
 }
 
 // RegionError records one region's scan failure: which region, covering
-// which key range, and why. It is the error type Scan returns (wrapped) in
-// strict mode and collects in ScanResult.RegionErrors in AllowPartial mode.
+// which key range, and why. It is the error ScanStream returns in strict mode
+// and collects in ScanResult.RegionErrors in AllowPartial mode.
 type RegionError struct {
 	RegionID   int
 	Start, End []byte // the region's bounds; nil = unbounded
@@ -57,18 +55,17 @@ func boundString(b []byte) string {
 	return fmt.Sprintf("%q", b)
 }
 
-// ScanResult carries the shipped rows and the per-query I/O accounting that
-// the evaluation section reports.
+// ScanResult carries the per-query I/O accounting that the evaluation section
+// reports; the rows themselves went to ScanStream's emit callback.
 type ScanResult struct {
-	Entries      []kv.Entry
 	RowsScanned  int64 // rows visited inside regions (all attempts, before filtering)
 	RowsReturned int64 // rows shipped to the client
 	BytesShipped int64 // key+value bytes that crossed the "network"
 	RPCs         int64 // region call attempts issued (all ranges per region batch)
 	Retries      int64 // region call attempts beyond each call's first
 	Elapsed      time.Duration
-	// RegionErrors lists the regions whose rows are missing from Entries;
-	// only ever non-empty with ScanRequest.AllowPartial.
+	// RegionErrors lists the regions whose rows were not all delivered; only
+	// ever non-empty with ScanRequest.AllowPartial.
 	RegionErrors []*RegionError
 }
 
@@ -80,55 +77,6 @@ type regionTask struct {
 	region *Region
 	snap   *kv.Snapshot
 	ranges []KeyRange
-}
-
-// Scan executes the request across all overlapping regions and collects the
-// shipped rows, sorted by key. It is a thin collect-all wrapper over
-// ScanStream; ranges falling in the same region are batched into one region
-// call, and region calls run in parallel (bounded by Config.Parallelism).
-//
-// Transient region errors (kv errors exposing `Transient() bool` = true) are
-// retried per region with capped exponential backoff before counting as
-// failures. ctx cancels the scan between rows; cancellation is returned as
-// ctx's error, never as a partial result.
-//
-// The collected result is all-or-nothing per region: with AllowPartial, a
-// region that fails after streaming a prefix of its rows contributes nothing
-// to Entries (the prefix is dropped here and deducted from the shipped-row
-// accounting). Streaming consumers that want those prefixes should use
-// ScanStream directly.
-func (c *Cluster) Scan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
-	return collectScan(ctx, req, c.ScanStream)
-}
-
-// collectScan is the collect-all wrapper shared by Cluster.Scan and
-// Snapshot.Scan: stream everything, drop the prefixes of failed regions,
-// sort by key.
-func collectScan(ctx context.Context, req ScanRequest, stream func(context.Context, StreamRequest, func(ScanBatch) error) (*ScanResult, error)) (*ScanResult, error) {
-	start := time.Now()
-	perRegion := map[int][]kv.Entry{}
-	res, err := stream(ctx, StreamRequest{ScanRequest: req}, func(b ScanBatch) error {
-		perRegion[b.RegionID] = append(perRegion[b.RegionID], b.Entries...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, re := range res.RegionErrors {
-		for _, e := range perRegion[re.RegionID] {
-			res.RowsReturned--
-			res.BytesShipped -= int64(len(e.Key) + len(e.Value))
-		}
-		delete(perRegion, re.RegionID)
-	}
-	for _, entries := range perRegion {
-		res.Entries = append(res.Entries, entries...)
-	}
-	sort.Slice(res.Entries, func(i, j int) bool {
-		return bytes.Compare(res.Entries[i].Key, res.Entries[j].Key) < 0
-	})
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
 func regionError(r *Region, err error) *RegionError {

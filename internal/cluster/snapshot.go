@@ -90,7 +90,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 		return nil, err
 	}
 	// First region whose end is > key — the pinned topology covers the whole
-	// key space, exactly like Cluster.regionFor over the live one.
+	// key space, exactly like Cluster.regionIndex over the live one.
 	i := sort.Search(len(regions), func(i int) bool {
 		e := regions[i].region.end
 		return e == nil || bytes.Compare(key, e) < 0
@@ -98,36 +98,43 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	return regions[i].snap.Get(key)
 }
 
-// Scan executes the request against the snapshot and collects the shipped
-// rows, sorted by key — Cluster.Scan semantics on a pinned view.
-func (s *Snapshot) Scan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
-	return collectScan(ctx, req, s.ScanStream)
-}
-
-// ScanStream executes the request against the snapshot, delivering rows to
-// emit in batches as regions produce them — Cluster.ScanStream semantics on
-// a pinned view: retries re-read the same immutable data, and concurrent
-// ingest, flushes, compactions and splits are invisible.
+// ScanStream is the cluster's one scan entry. It executes the request across
+// every pinned region it overlaps, delivering rows to emit in batches (at most
+// 64 rows) as they are produced. Ranges falling in one region are served by
+// one region call, and region calls run in parallel (bounded by
+// Config.Parallelism). emit is always called from the ScanStream goroutine —
+// never concurrently — and owns the batch it receives; returning an error from
+// emit aborts the stream and surfaces that error verbatim.
+//
+// Transient region errors (kv errors exposing `Transient() bool` = true) are
+// retried per region (3 times, backing off 1, 2, 4 ms) before counting as
+// failures; a retry resumes just past the last delivered key, so no row is
+// delivered twice. A region that still fails returns a *RegionError — or, with
+// AllowPartial, is listed in ScanResult.RegionErrors while the other regions'
+// rows keep streaming; rows the failing region emitted before giving up have
+// already been delivered, and RegionErrors tells the consumer which regions
+// are incomplete. ctx is observed between rows; cancellation is returned as
+// ctx's error, never as a partial result. After Close the error is
+// kv.ErrClosed.
+//
+// Regions scan concurrently, so batches of different regions arrive in no
+// particular order; within a region they arrive in key order. The returned
+// ScanResult carries the accounting.
+//
+// Everything is read from the snapshot: rows committed after it was taken are
+// invisible, retries re-read the same immutable data, and concurrent ingest,
+// flushes, compactions and splits neither block the stream nor are blocked by
+// it. Several scans against one snapshot see one consistent view.
 func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(ScanBatch) error) (*ScanResult, error) {
 	start := time.Now()
 	tasks, err := s.scanTasks(req.ScanRequest)
 	if err != nil {
 		return nil, err
 	}
-	acct := &scanAccount{}
 	if len(tasks) == 0 {
-		return acct.result(time.Since(start)), nil
+		return (&scanAccount{}).result(time.Since(start)), nil
 	}
-	batchRows := req.BatchRows
-	if batchRows <= 0 {
-		batchRows = defaultBatchRows
-	}
-	c := s.c
-	parallelism := c.cfg.Parallelism
-	if parallelism <= 0 {
-		parallelism = len(tasks)
-	}
-	return c.scanRegions(ctx, req, tasks, parallelism, c.cfg.RPCLatency, batchRows, acct, start, emit)
+	return s.c.scanRegions(ctx, req.ScanRequest, tasks, start, emit)
 }
 
 // scanTasks groups the request's clipped ranges per pinned region, in region

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,12 +33,12 @@ func regionDirs(t *testing.T, fsys vfs.FS, root string) map[string]bool {
 // strings in key order.
 func snapScanKeys(t *testing.T, snap *Snapshot) []string {
 	t.Helper()
-	res, err := snap.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
+	rows, _, err := snapRows(t, snap, ScanRequest{Ranges: []KeyRange{{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]string, len(res.Entries))
-	for i, e := range res.Entries {
+	out := make([]string, len(rows))
+	for i, e := range rows {
 		out[i] = string(e.Key) + "=" + string(e.Value)
 	}
 	return out
@@ -169,12 +168,9 @@ func TestClusterSnapshotPinsAcrossSplits(t *testing.T) {
 	}
 
 	// And the pinned rows are still in the live cluster, just resharded.
-	res, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{Start: []byte("seed-"), End: []byte("seed-~")}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 10 {
-		t.Fatalf("live cluster holds %d seed rows after splits, want 10", len(res.Entries))
+	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{Start: []byte("seed-"), End: []byte("seed-~")}}})
+	if len(rows) != 10 {
+		t.Fatalf("live cluster holds %d seed rows after splits, want 10", len(rows))
 	}
 }
 

@@ -12,15 +12,14 @@ import (
 	"repro/internal/kv"
 )
 
-// This file is the streaming half of the scan path. ScanStream delivers rows
-// in bounded batches as regions produce them, so a consumer (the refinement
-// stage) can overlap its work with the scan instead of waiting behind a
-// collect-everything barrier, and per-scan memory stays O(batch × queue)
-// instead of O(rows shipped). Scan (scan.go) is a thin collect-all wrapper
-// over this stream.
+// This file is the region side of the scan path. (*Snapshot).ScanStream
+// (snapshot.go) delivers rows in bounded batches as regions produce them, so a
+// consumer (the refinement stage) can overlap its work with the scan instead
+// of waiting behind a collect-everything barrier, and per-scan memory stays
+// O(batch × queue) instead of O(rows shipped).
 
-// defaultBatchRows is the batch size used when StreamRequest.BatchRows is 0.
-const defaultBatchRows = 64
+// batchRows caps the rows delivered per emit call.
+const batchRows = 64
 
 // streamQueueDepth is the buffer (in batches) between the parallel region
 // producers and the emit callback. It is the only buffering in the stream: a
@@ -28,15 +27,21 @@ const defaultBatchRows = 64
 // batches plus one in-flight batch per region.
 const streamQueueDepth = 2
 
-// StreamRequest configures a streaming scan: the base request plus the shape
-// of the stream itself.
+// A failed region scan whose error is transient (exposes `Transient() bool` =
+// true) is retried retryAttempts times; the backoff before the first retry is
+// retryBaseDelay and doubles per attempt. A region that keeps failing
+// therefore costs its scan at most 1 + 2 + 4 = 7 ms of backoff.
+const (
+	retryAttempts  = 3
+	retryBaseDelay = time.Millisecond
+)
+
+// StreamRequest is ScanRequest under the name benchmark/trace.go compiles
+// against (`cluster.StreamRequest{ScanRequest: …}`); it has no fields of its
+// own. Like store.StreamOptions it is benchmark-pinned and goes when ROADMAP
+// item 3(a)'s benchmark PR moves that call.
 type StreamRequest struct {
 	ScanRequest
-
-	// BatchRows caps the rows delivered per emit call (default 64). Smaller
-	// batches lower time-to-first-row; larger ones amortize per-batch
-	// overhead.
-	BatchRows int
 }
 
 // ScanBatch is one unit of streamed rows, all from a single region, in key
@@ -47,7 +52,7 @@ type ScanBatch struct {
 }
 
 // scanAccount accumulates scan accounting incrementally across concurrent
-// region producers; ScanStream folds it into the final ScanResult.
+// region producers; scanRegions folds it into the final ScanResult.
 type scanAccount struct {
 	rowsScanned  atomic.Int64
 	rowsReturned atomic.Int64
@@ -75,42 +80,18 @@ type emitError struct{ err error }
 func (e *emitError) Error() string { return e.err.Error() }
 func (e *emitError) Unwrap() error { return e.err }
 
-// ScanStream executes the request across all overlapping regions, delivering
-// rows to emit in batches as they are produced. emit is always called from
-// the ScanStream goroutine — never concurrently — and owns the batch it
-// receives; returning an error from emit aborts the stream and surfaces that
-// error verbatim.
-//
-// Semantics match Scan: per-region transient retries with capped exponential
-// backoff (resuming just past the last delivered key, so no row is delivered
-// twice), AllowPartial degradation with RegionErrors, and ctx observed
-// between rows. Regions scan concurrently, so batches of different regions
-// arrive in no particular order; within a region they arrive in key order.
-// The returned ScanResult carries the accounting (Entries is nil); with
-// AllowPartial, rows a region emitted before ultimately failing have already
-// been delivered — RegionErrors tells the consumer which regions are
-// incomplete.
-//
-// The whole stream runs from one cluster snapshot taken at entry: rows
-// committed after the call starts are invisible, retries re-read the same
-// immutable data, and concurrent splits neither block the stream nor are
-// blocked by it. Callers that issue several scans against one consistent
-// view should take a Snapshot themselves and use its ScanStream.
-func (c *Cluster) ScanStream(ctx context.Context, req StreamRequest, emit func(ScanBatch) error) (*ScanResult, error) {
-	snap, err := c.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = snap.Close() }()
-	return snap.ScanStream(ctx, req, emit)
-}
-
-// scanRegions scans the tasks' regions concurrently (bounded by parallelism),
-// funneling batches through a bounded channel to the single emit caller.
-func (c *Cluster) scanRegions(ctx context.Context, req StreamRequest, tasks []regionTask, parallelism int, rpcLatency time.Duration, batchRows int, acct *scanAccount, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
+// scanRegions scans the tasks' regions concurrently (bounded by
+// Config.Parallelism, default one worker per region), funneling batches
+// through a bounded channel to the single emit caller.
+func (c *Cluster) scanRegions(ctx context.Context, req ScanRequest, tasks []regionTask, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	parallelism := c.cfg.Parallelism
+	if parallelism <= 0 {
+		parallelism = len(tasks)
+	}
+	acct := &scanAccount{}
 	out := make(chan ScanBatch, streamQueueDepth)
 	errs := make([]error, len(tasks))
 	sem := make(chan struct{}, parallelism)
@@ -126,7 +107,7 @@ func (c *Cluster) scanRegions(ctx context.Context, req StreamRequest, tasks []re
 				return
 			}
 			defer func() { <-sem }()
-			errs[i] = c.scanRegionStream(pctx, t, req.Filter, rpcLatency, batchRows, acct, func(b ScanBatch) error {
+			errs[i] = c.scanRegionStream(pctx, t, req.Filter, acct, func(b ScanBatch) error {
 				select {
 				case out <- b:
 					return nil
@@ -203,11 +184,11 @@ func (st *regionStreamState) resumeClip(rng KeyRange) (KeyRange, bool) {
 // last delivered key, so the consumer sees every surviving row exactly once.
 // Retries are accounted as they happen, so a region that ultimately fails
 // still reports the attempts it burned.
-func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Filter, rpcLatency time.Duration, batchRows int, acct *scanAccount, send func(ScanBatch) error) error {
-	attempts, delay, maxDelay := c.retryBudget()
+func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(ScanBatch) error) error {
+	delay := retryBaseDelay
 	st := &regionStreamState{}
 	for attempt := 0; ; attempt++ {
-		err := c.scanRegionOnce(ctx, t, filter, rpcLatency, batchRows, st, acct, send)
+		err := c.scanRegionOnce(ctx, t, filter, st, acct, send)
 		if err == nil {
 			return nil
 		}
@@ -215,13 +196,13 @@ func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Fil
 		if errors.As(err, &ee) {
 			return err // consumer aborted; not the region's fault
 		}
-		if attempt >= attempts || !isTransient(err) {
+		if attempt >= retryAttempts || !isTransient(err) {
 			return err
 		}
 		// Equal jitter: half the delay is fixed, half uniformly random, so
 		// regions that failed together (one sick store fans out to many
 		// region scans) retry spread out instead of in lockstep, while the
-		// cap still bounds the worst case. The timer (rather than
+		// nominal delay still bounds the wait. The timer (rather than
 		// time.After) is stopped on cancellation so an aborted backoff frees
 		// it immediately.
 		d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
@@ -232,32 +213,10 @@ func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Fil
 			return ctx.Err()
 		case <-timer.C:
 		}
-		if delay *= 2; delay > maxDelay {
-			delay = maxDelay
-		}
+		delay *= 2
 		acct.retries.Add(1)
 		c.retries.Add(1)
 	}
-}
-
-// retryBudget resolves the retry knobs to their effective values.
-func (c *Cluster) retryBudget() (attempts int, delay, maxDelay time.Duration) {
-	attempts = c.cfg.RetryAttempts
-	if attempts == 0 {
-		attempts = 3
-	}
-	if attempts < 0 {
-		attempts = 0
-	}
-	delay = c.cfg.RetryBaseDelay
-	if delay <= 0 {
-		delay = time.Millisecond
-	}
-	maxDelay = c.cfg.RetryMaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 50 * time.Millisecond
-	}
-	return attempts, delay, maxDelay
 }
 
 // scanRegionOnce is one region "RPC" attempt: scan every clipped range from
@@ -265,11 +224,11 @@ func (c *Cluster) retryBudget() (attempts int, delay, maxDelay time.Duration) {
 // in batches. ctx is observed between rows (amortized every 256). Delivered
 // rows advance st; rows buffered but not yet delivered when an error hits are
 // re-scanned (and re-delivered) by the next attempt.
-func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filter, rpcLatency time.Duration, batchRows int, st *regionStreamState, acct *scanAccount, send func(ScanBatch) error) error {
+func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filter, st *regionStreamState, acct *scanAccount, send func(ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if rpcLatency > 0 {
+	if rpcLatency := c.cfg.RPCLatency; rpcLatency > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

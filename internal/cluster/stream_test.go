@@ -38,66 +38,71 @@ func (sc *streamCollect) emit(b ScanBatch) error {
 	return nil
 }
 
-// TestScanStreamDeliversAllRows: the streaming scan must deliver exactly the
-// rows Scan would, split into batches no larger than requested, and its
-// incremental accounting must match the collect-all wrapper's.
+// scanStream runs one ScanStream over a snapshot taken (and released) for it,
+// for the tests that need their own emit callback; the rest use scanRows.
+func scanStream(ctx context.Context, t *testing.T, c *Cluster, req ScanRequest, emit func(ScanBatch) error) (*ScanResult, error) {
+	t.Helper()
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	return snap.ScanStream(ctx, StreamRequest{ScanRequest: req}, emit)
+}
+
+// TestScanStreamDeliversAllRows: the scan must deliver exactly the loaded
+// rows, each once, in batches of at most batchRows from both regions, and its
+// accounting must add up to what emit saw.
 func TestScanStreamDeliversAllRows(t *testing.T) {
-	c, _, keys := scanFaultCluster(t)
-	want, err := c.Scan(context.Background(), ScanRequest{Ranges: []KeyRange{{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00200")}})
+	const n = 400 // 200 rows per region: several batches each
+	loadRows(t, c, n)
 	sc := &streamCollect{}
-	res, err := c.ScanStream(context.Background(),
-		StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}}, BatchRows: 7}, sc.emit)
+	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}}, sc.emit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.entries) != len(keys) {
-		t.Fatalf("streamed %d rows, want %d", len(sc.entries), len(keys))
+	if sc.maxRows > batchRows {
+		t.Fatalf("batch of %d rows exceeds the %d-row cap", sc.maxRows, batchRows)
 	}
-	if sc.maxRows > 7 {
-		t.Fatalf("batch of %d rows exceeds BatchRows=7", sc.maxRows)
-	}
-	if sc.batches < len(keys)/7 {
-		t.Fatalf("only %d batches for %d rows at BatchRows=7", sc.batches, len(keys))
+	if sc.batches < n/batchRows {
+		t.Fatalf("only %d batches for %d rows at %d rows a batch", sc.batches, n, batchRows)
 	}
 	if len(sc.regions) != 2 {
 		t.Fatalf("batches came from %d regions, want 2", len(sc.regions))
 	}
 	got := append([]string(nil), sc.entries...)
-	var wantKeys []string
-	for _, e := range want.Entries {
-		wantKeys = append(wantKeys, string(e.Key))
-	}
 	sort.Strings(got)
-	sort.Strings(wantKeys)
-	if !equalStrings(got, wantKeys) {
-		t.Fatal("streamed row set differs from Scan's")
+	var want []string
+	var wantBytes int64
+	for i := 0; i < n; i++ {
+		k, v := fmt.Sprintf("row%05d", i), fmt.Sprintf("val%d", i)
+		want = append(want, k)
+		wantBytes += int64(len(k) + len(v))
 	}
-	if res.RowsReturned != want.RowsReturned || res.BytesShipped != want.BytesShipped {
-		t.Fatalf("stream accounting (rows=%d bytes=%d) != scan accounting (rows=%d bytes=%d)",
-			res.RowsReturned, res.BytesShipped, want.RowsReturned, want.BytesShipped)
+	if !equalStrings(got, want) {
+		t.Fatal("streamed row set differs from the loaded rows")
 	}
-	if res.Entries != nil {
-		t.Fatal("ScanStream must not also collect entries")
+	if res.RowsScanned != n || res.RowsReturned != n || res.BytesShipped != wantBytes || res.RPCs != 2 {
+		t.Fatalf("accounting scanned=%d returned=%d bytes=%d rpcs=%d, want %d/%d/%d/2",
+			res.RowsScanned, res.RowsReturned, res.BytesShipped, res.RPCs, n, n, wantBytes)
 	}
 }
 
-// streamFaultCluster is scanFaultCluster with values fat enough that each
-// region spans several 4 KiB SSTable blocks: block reads then interleave
+// streamFaultCluster is scanFaultCluster with enough rows per region for
+// several batches (400 rows at batchRows = 64) and values fat enough that each
+// region spans dozens of 4 KiB SSTable blocks: block reads then interleave
 // with batch emission, so injected faults fire mid-stream, after rows have
-// already been delivered.
+// already been delivered — even with the producer running its full queue
+// depth (three batches) ahead of the consumer.
 func streamFaultCluster(t *testing.T) (*Cluster, *vfs.FaultFS, []string) {
 	t.Helper()
 	fsys := vfs.NewFault()
 	c, err := Open(Config{
-		Dir:            clusterTortureDir,
-		FS:             fsys,
-		SplitKeys:      [][]byte{[]byte("m")},
-		KV:             kv.Options{BlockCacheBytes: -1},
-		RetryBaseDelay: 1,
-		RetryMaxDelay:  1,
+		Dir:       clusterTortureDir,
+		FS:        fsys,
+		SplitKeys: [][]byte{[]byte("m")},
+		KV:        kv.Options{BlockCacheBytes: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +111,7 @@ func streamFaultCluster(t *testing.T) (*Cluster, *vfs.FaultFS, []string) {
 	pad := strings.Repeat("x", 512)
 	var keys []string
 	for _, prefix := range []string{"a", "z"} {
-		for i := 0; i < 40; i++ {
+		for i := 0; i < 400; i++ {
 			k := fmt.Sprintf("%s%03d", prefix, i)
 			if err := c.Put([]byte(k), []byte(pad+k)); err != nil {
 				t.Fatal(err)
@@ -137,8 +142,7 @@ func TestScanStreamTransientResume(t *testing.T) {
 	})
 	seen := map[string]int{}
 	fromRegion0 := 0
-	res, err := c.ScanStream(context.Background(),
-		StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}}, BatchRows: 4},
+	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}},
 		func(b ScanBatch) error {
 			for _, e := range b.Entries {
 				seen[string(e.Key)]++
@@ -148,7 +152,7 @@ func TestScanStreamTransientResume(t *testing.T) {
 			}
 			// Arm the fault only once region 0 has streamed a prefix, so the
 			// retry must resume mid-region rather than restart cleanly.
-			if fromRegion0 >= 8 {
+			if fromRegion0 > 0 {
 				armed.Store(true)
 			}
 			return nil
@@ -185,8 +189,7 @@ func TestScanStreamStrictRegionFailure(t *testing.T) {
 		}
 		return vfs.FaultNone
 	})
-	_, err := c.ScanStream(context.Background(),
-		StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}}, BatchRows: 4},
+	_, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}},
 		func(b ScanBatch) error { return nil })
 	if err == nil {
 		t.Fatal("strict stream succeeded despite a permanently failing region")
@@ -219,9 +222,7 @@ func TestScanStreamAllowPartialDegrades(t *testing.T) {
 		return vfs.FaultNone
 	})
 	sc := &streamCollect{}
-	res, err := c.ScanStream(context.Background(),
-		StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true}, BatchRows: 4},
-		sc.emit)
+	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true}, sc.emit)
 	if err != nil {
 		t.Fatalf("partial stream failed outright: %v", err)
 	}
@@ -234,14 +235,15 @@ func TestScanStreamAllowPartialDegrades(t *testing.T) {
 			wantSurvivors++
 		}
 	}
-	survivors := 0
+	// Every read of region 0 fails, so it delivers nothing at all: what
+	// streams is exactly the surviving region's rows.
 	for _, k := range sc.entries {
-		if k[0] >= 'm' {
-			survivors++
+		if k[0] < 'm' {
+			t.Fatalf("row %q delivered from the region whose every read fails", k)
 		}
 	}
-	if survivors != wantSurvivors {
-		t.Fatalf("surviving region streamed %d rows, want %d", survivors, wantSurvivors)
+	if len(sc.entries) != wantSurvivors {
+		t.Fatalf("surviving region streamed %d rows, want %d", len(sc.entries), wantSurvivors)
 	}
 }
 
@@ -249,11 +251,10 @@ func TestScanStreamAllowPartialDegrades(t *testing.T) {
 // promptly, be returned verbatim, and never be retried or recorded as a
 // region failure.
 func TestScanStreamEmitErrorAborts(t *testing.T) {
-	c, _, _ := scanFaultCluster(t)
+	c, _, _ := streamFaultCluster(t)
 	sentinel := errors.New("consumer is full")
 	batches := 0
-	res, err := c.ScanStream(context.Background(),
-		StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true}, BatchRows: 4},
+	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true},
 		func(b ScanBatch) error {
 			batches++
 			if batches >= 2 {
@@ -277,12 +278,11 @@ func TestScanStreamEmitErrorAborts(t *testing.T) {
 // callback: the stream must return ctx's error, and the producer side must
 // wind down (no goroutine leak is separately guarded by -race + test exit).
 func TestScanStreamContextCancelMidStream(t *testing.T) {
-	c, _, _ := scanFaultCluster(t)
+	c, _, _ := streamFaultCluster(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	batches := 0
-	_, err := c.ScanStream(ctx,
-		StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}}, BatchRows: 4},
+	_, err := scanStream(ctx, t, c, ScanRequest{Ranges: []KeyRange{{}}},
 		func(b ScanBatch) error {
 			batches++
 			if batches >= 2 {
@@ -332,11 +332,7 @@ func TestScanStreamTortureMidStreamFaults(t *testing.T) {
 			return vfs.FaultNone
 		})
 		seen := map[string]int{}
-		res, err := c.ScanStream(context.Background(),
-			StreamRequest{
-				ScanRequest: ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true},
-				BatchRows:   1 + rng.Intn(9),
-			},
+		res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true},
 			func(b ScanBatch) error {
 				for _, e := range b.Entries {
 					seen[string(e.Key)]++

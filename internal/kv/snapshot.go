@@ -112,27 +112,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 		}
 	}()
 	s.db.stats.Gets.Add(1)
-	for _, m := range mems {
-		if n := m.get(key); n != nil {
-			if n.kind == kindTombstone {
-				return nil, ErrNotFound
-			}
-			return append([]byte(nil), n.value...), nil
-		}
-	}
-	for _, t := range tables {
-		v, kind, found, err := t.get(key)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			if kind == kindTombstone {
-				return nil, ErrNotFound
-			}
-			return append([]byte(nil), v...), nil
-		}
-	}
-	return nil, ErrNotFound
+	return lookup(key, mems, tables)
 }
 
 // Scan returns an iterator over [start, end) as of the snapshot; nil bounds

@@ -300,10 +300,10 @@ func readTables(fsys vfs.FS, dir string) ([]uint64, bool, error) {
 }
 
 // writeTables atomically replaces the TABLES manifest with the current table
-// set (tmp file + sync + rename + directory fsync). This is the commit point
-// for flushes and compactions: a table not listed here is deleted at the next
-// Open. Only recovery (single-threaded) and the committer goroutine call it,
-// so the manifest I/O is serialized without holding db.mu across it.
+// set (vfs.WriteFileAtomic). This is the commit point for flushes and
+// compactions: a table not listed here is deleted at the next Open. Only
+// recovery (single-threaded) and the committer goroutine call it, so the
+// manifest I/O is serialized without holding db.mu across it.
 func (db *DB) writeTables() error {
 	db.mu.Lock()
 	seqs := make([]uint64, len(db.tables))
@@ -324,32 +324,7 @@ func (db *DB) writeManifest(seqs []uint64) error {
 	for _, seq := range seqs {
 		_, _ = fmt.Fprintf(&buf, "%d\n", seq)
 	}
-	fsys := db.opts.FS
-	path := filepath.Join(db.opts.Dir, tablesName)
-	tmp := path + tmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("kv: write tables manifest: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("kv: write tables manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("kv: sync tables manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("kv: close tables manifest: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("kv: commit tables manifest: %w", err)
-	}
-	if err := fsys.SyncDir(db.opts.Dir); err != nil {
+	if err := vfs.WriteFileAtomic(db.opts.FS, filepath.Join(db.opts.Dir, tablesName), buf.Bytes()); err != nil {
 		return fmt.Errorf("kv: commit tables manifest: %w", err)
 	}
 	return nil
@@ -428,7 +403,15 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 			t.release()
 		}
 	}()
-	for _, m := range frozen {
+	return lookup(key, frozen, tables)
+}
+
+// lookup is the point-read path below the active memtable, shared by DB.Get
+// and Snapshot.Get: immutable memtables newest first, then tables newest
+// first; the first source holding the key decides, and a tombstone there means
+// not found. Callers keep the tables retained for the duration of the call.
+func lookup(key []byte, mems []*skiplist, tables []*sstReader) ([]byte, error) {
+	for _, m := range mems {
 		if n := m.get(key); n != nil {
 			if n.kind == kindTombstone {
 				return nil, ErrNotFound
@@ -513,43 +496,18 @@ func (db *DB) flush() error {
 	seq := db.nextSeq
 	db.nextSeq++
 	db.mu.Unlock()
-	total := 0
-	for _, m := range mems {
-		total += m.length
-	}
-	sw, err := newSSTWriter(db.opts.FS, db.opts.Dir, seq, total)
-	if err != nil {
-		return err
-	}
 	// Merge the stack newest first (source order is merge priority) and keep
 	// tombstones: they must continue to shadow versions in older SSTables.
+	total := 0
 	sources := make([]kvIter, 0, len(mems))
 	for _, m := range mems {
+		total += m.length
 		sources = append(sources, m.iter(nil, nil))
 	}
-	merged := newMergeIter(sources, nil, nil)
-	merged.keepTombstones = true
-	defer merged.Close()
-	for merged.Next() {
-		if err := sw.add(merged.kind, merged.Key(), merged.Value()); err != nil {
-			sw.abort()
-			return err
-		}
-	}
-	if err := merged.Err(); err != nil {
-		sw.abort()
-		return err
-	}
-	size, err := sw.finish()
+	sr, err := db.buildTable(seq, total, sources, true, nil)
 	if err != nil {
 		return err
 	}
-	sr, err := openSSTable(db.opts.FS, sw.final, seq, &db.stats, db.cache)
-	if err != nil {
-		return err
-	}
-	sr.retain()
-	db.stats.BytesWritten.Add(size)
 
 	// Commit point: the manifest lists the new table BEFORE it enters the
 	// in-memory table set or the frozen stack is dropped. If this fails,
@@ -595,6 +553,54 @@ func (db *DB) flush() error {
 		db.compactor.schedule()
 	}
 	return nil
+}
+
+// buildTable merges sources (earlier sources win a key tie) into a new SSTable
+// numbered seq and returns it opened and retained — the one table-build loop,
+// under both flush and compactTables. expectedKeys sizes the bloom filter.
+// stop, when non-nil, is polled every 1024 rows and its error abandons the
+// build. A failed build leaves at most an unlisted table file, which the next
+// Open deletes.
+func (db *DB) buildTable(seq uint64, expectedKeys int, sources []kvIter, keepTombstones bool, stop func() error) (*sstReader, error) {
+	sw, err := newSSTWriter(db.opts.FS, db.opts.Dir, seq, expectedKeys)
+	if err != nil {
+		return nil, err
+	}
+	merged := newMergeIter(sources, nil, nil)
+	merged.keepTombstones = keepTombstones
+	defer merged.Close()
+	rows := 0
+	for merged.Next() {
+		if rows++; rows&1023 == 0 && stop != nil {
+			if err := stop(); err != nil {
+				sw.abort()
+				return nil, err
+			}
+		}
+		if err := sw.add(merged.kind, merged.Key(), merged.Value()); err != nil {
+			sw.abort()
+			return nil, err
+		}
+	}
+	if err := merged.Err(); err != nil {
+		sw.abort()
+		return nil, err
+	}
+	if err := merged.Close(); err != nil {
+		sw.abort()
+		return nil, err
+	}
+	size, err := sw.finish()
+	if err != nil {
+		return nil, err
+	}
+	sr, err := openSSTable(db.opts.FS, sw.final, seq, &db.stats, db.cache)
+	if err != nil {
+		return nil, err
+	}
+	sr.retain()
+	db.stats.BytesWritten.Add(size)
+	return sr, nil
 }
 
 // rotateWAL replaces the WAL with a fresh, empty one; committer-goroutine
@@ -720,47 +726,11 @@ func (db *DB) compactTables(n int) error {
 	for _, t := range victims {
 		sources = append(sources, t.iter(nil, nil))
 	}
-	sw, err := newSSTWriter(db.opts.FS, db.opts.Dir, seq, int(total))
+	// The amortized shutdown check means Close never waits out a big merge.
+	sr, err := db.buildTable(seq, int(total), sources, !full, db.bgCtx.Err)
 	if err != nil {
 		return err
 	}
-	merged := newMergeIter(sources, nil, nil)
-	merged.keepTombstones = !full
-	rows := 0
-	for merged.Next() {
-		if rows++; rows&1023 == 0 {
-			// Amortized shutdown check so Close never waits out a big merge.
-			if err := db.bgCtx.Err(); err != nil {
-				sw.abort()
-				_ = merged.Close()
-				return err
-			}
-		}
-		if err := sw.add(merged.kind, merged.Key(), merged.Value()); err != nil {
-			sw.abort()
-			_ = merged.Close()
-			return err
-		}
-	}
-	if err := merged.Err(); err != nil {
-		sw.abort()
-		_ = merged.Close()
-		return err
-	}
-	if err := merged.Close(); err != nil {
-		sw.abort()
-		return err
-	}
-	size, err := sw.finish()
-	if err != nil {
-		return err
-	}
-	sr, err := openSSTable(db.opts.FS, sw.final, seq, &db.stats, db.cache)
-	if err != nil {
-		return err
-	}
-	sr.retain()
-	db.stats.BytesWritten.Add(size)
 	if err := db.runOnCommitter(func() error { return db.installCompaction(victims, sr) }); err != nil {
 		// Not installed (e.g. the store closed mid-merge): the merged file is
 		// unlisted on disk, so the next Open deletes it.

@@ -457,9 +457,9 @@ func TestLockOrderCatchesSplicedCycle(t *testing.T) {
 }
 
 // TestMustCloseCatchesDeletedClose is the resource-lifetime acceptance test:
-// delete the `defer merged.Close()` guarding the flush merge iterator in
-// DB.flush of a scratch copy of internal/kv and verify the leaked iterator is
-// named.
+// delete the `defer merged.Close()` guarding the merge iterator of the
+// table-build loop (DB.buildTable, under flush and compaction) in a scratch
+// copy of internal/kv and verify the leaked iterator is named.
 func TestMustCloseCatchesDeletedClose(t *testing.T) {
 	diags := mutatedKV(t, analyzerByName(t, "mustclose"), "scratch_mustclose", func(dir string) {
 		rewriteFile(t, filepath.Join(dir, "store.go"), func(src []byte) []byte {
@@ -471,8 +471,8 @@ func TestMustCloseCatchesDeletedClose(t *testing.T) {
 			return []byte(string(src[:i]) + string(src[i+len(closer):]))
 		})
 	})
-	if !reported(diags, "store.go", regexp.MustCompile(`merged \(\*mergeIter\) is leaked: .*flush`)) {
-		t.Fatal("deleted defer merged.Close() in flush was not caught by mustclose")
+	if !reported(diags, "store.go", regexp.MustCompile(`merged \(\*mergeIter\) is leaked: .*buildTable`)) {
+		t.Fatal("deleted defer merged.Close() in buildTable was not caught by mustclose")
 	}
 }
 

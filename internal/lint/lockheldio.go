@@ -8,8 +8,9 @@ import (
 )
 
 // LockHeldIOAnalyzer flags call chains that reach durability I/O — the vfs
-// write surface (File.Sync, File.Write, FS.Rename, FS.SyncDir) — or a retry
-// sleep while a sync mutex is held. Holding a lock across an fsync
+// write surface (File.Sync, File.Write, FS.Rename, FS.SyncDir, and the
+// vfs.WriteFileAtomic helper that wraps all four) — or a retry sleep while a
+// sync mutex is held. Holding a lock across an fsync
 // serializes every other writer behind a disk flush, and holding one across
 // a backoff sleep serializes them behind a timer; both are the scalability
 // cliff the ROADMAP's group-commit work exists to remove. The check is
@@ -38,6 +39,13 @@ func vfsWriteClassifier(info *types.Info) func(*ast.CallExpr) (string, bool) {
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return "", false
+		}
+		// The commit helper is a package-level function of the seam: summaries
+		// are per package, so without naming it here a manifest commit would
+		// drop out of sight the moment its body moved into internal/vfs.
+		if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Name() == "WriteFileAtomic" &&
+			fn.Pkg() != nil && isVFSPackage(fn.Pkg().Path()) {
+			return "vfs.WriteFileAtomic", true
 		}
 		if !typeFromVFS(typeOfInfo(info, sel.X)) {
 			return "", false

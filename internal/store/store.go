@@ -35,12 +35,11 @@ type Config struct {
 	// DPTolerance is the Douglas-Peucker distance for pre-computed features.
 	// Default 0.01 (the paper's).
 	DPTolerance float64
-	// RPCLatency, Parallelism, HandlersPerRegion and SplitThresholdBytes
-	// pass through to the cluster layer.
-	RPCLatency          time.Duration
-	Parallelism         int
-	HandlersPerRegion   int
-	SplitThresholdBytes int64
+	// RPCLatency, Parallelism and HandlersPerRegion pass through to the
+	// cluster layer.
+	RPCLatency        time.Duration
+	Parallelism       int
+	HandlersPerRegion int
 	// FS is the filesystem the store runs on (default the real one). Tests
 	// use it to inject faults.
 	FS vfs.FS
@@ -101,13 +100,12 @@ func Open(cfg Config) (*Store, error) {
 		splits = append(splits, []byte{byte(s)})
 	}
 	clusterCfg := cluster.Config{
-		Dir:                 cfg.Dir,
-		SplitKeys:           splits,
-		Parallelism:         cfg.Parallelism,
-		RPCLatency:          cfg.RPCLatency,
-		HandlersPerRegion:   cfg.HandlersPerRegion,
-		SplitThresholdBytes: cfg.SplitThresholdBytes,
-		FS:                  cfg.FS,
+		Dir:               cfg.Dir,
+		SplitKeys:         splits,
+		Parallelism:       cfg.Parallelism,
+		RPCLatency:        cfg.RPCLatency,
+		HandlersPerRegion: cfg.HandlersPerRegion,
+		FS:                cfg.FS,
 	}
 	clusterCfg.KV.SyncWrites = cfg.SyncWrites
 	cl, err := cluster.Open(clusterCfg)
@@ -136,7 +134,12 @@ func (s *Store) recoverMeta() error {
 		values []int64
 		bad    error
 	)
-	_, err := s.cluster.Scan(context.Background(), cluster.ScanRequest{
+	snap, err := s.cluster.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer func() { _ = snap.Close() }()
+	_, err = snap.ScanStream(context.Background(), cluster.StreamRequest{ScanRequest: cluster.ScanRequest{
 		Ranges: []cluster.KeyRange{{}},
 		Filter: func(key, _ []byte) bool {
 			if len(key) > 0 && key[0] >= idIndexPrefix {
@@ -152,7 +155,7 @@ func (s *Store) recoverMeta() error {
 			mu.Unlock()
 			return false
 		},
-	})
+	}}, func(cluster.ScanBatch) error { return nil })
 	if err != nil {
 		return err
 	}
@@ -303,9 +306,14 @@ func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 
 // putChunk applies one chunk through one cluster.Mutate: each id's data row
 // and id-index row, plus the delete of the data row the id owned under another
-// index value. Rows landing in one region commit or fail together, so a crash
-// cannot acknowledge a data row while losing the index row that makes it
-// reachable by GetByID.
+// index value. The two rows of an id share a region — and so one atomic WAL
+// batch — only when the id hashes to the last shard: data rows live under
+// shard bytes 0..Shards-1, every id-index row under idIndexPrefix in the last
+// region. What holds for every id is Mutate's order: regions are applied in
+// key order and the first failure stops the walk, so a failed or crashed chunk
+// — whose rows were never acknowledged — can leave a data row without its id
+// row (queries scan it, GetByID does not find it) but never an id row naming a
+// data row that was not written.
 func (s *Store) putChunk(ts []*traj.Trajectory) error {
 	last := make(map[string]int, len(ts))
 	for i, t := range ts {

@@ -42,9 +42,14 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 	return s
 }
 
-// collectRows streams ranges out of snap and gathers the rows into the
-// returned result's Entries, in key order.
-func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filter) (*cluster.ScanResult, error) {
+// collected is one scan's accounting plus the rows it delivered, in key order.
+type collected struct {
+	*cluster.ScanResult
+	Entries []kv.Entry
+}
+
+// collectRows streams ranges out of snap and gathers the delivered rows.
+func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filter) (*collected, error) {
 	var rows []kv.Entry
 	res, err := snap.ScanRangesStream(context.Background(), ranges, filter, 0, StreamOptions{}, func(batch []kv.Entry) error {
 		rows = append(rows, batch...)
@@ -54,13 +59,12 @@ func collectRows(snap *Snapshot, ranges []xzstar.ValueRange, filter cluster.Filt
 		return nil, err
 	}
 	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].Key, rows[j].Key) < 0 })
-	res.Entries = rows
-	return res, nil
+	return &collected{ScanResult: res, Entries: rows}, nil
 }
 
 // scanRows is collectRows over a fresh snapshot of s — the read path every
 // production query takes.
-func scanRows(s *Store, ranges []xzstar.ValueRange, filter cluster.Filter) (*cluster.ScanResult, error) {
+func scanRows(s *Store, ranges []xzstar.ValueRange, filter cluster.Filter) (*collected, error) {
 	snap, err := s.Snapshot()
 	if err != nil {
 		return nil, err

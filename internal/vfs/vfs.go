@@ -10,6 +10,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -69,6 +70,44 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	}
 	defer f.Close()
 	return io.ReadAll(f)
+}
+
+// WriteFileAtomic replaces the file at path with data and makes the
+// replacement durable. It is the one commit helper of the storage layers (the
+// kv TABLES manifest and the cluster MANIFEST both go through it): the bytes
+// are written to path+".tmp", synced, renamed over path, and the parent
+// directory is synced — so a reader after a crash at any step sees the old
+// content or the new content whole, never a mix and never a missing file. A
+// nil return means the new content survives any later crash. Every failure
+// before the rename removes the temporary file; an error from the directory
+// sync leaves the new content in place but not yet durable. Errors are the
+// filesystem's own, which name the failed operation and path; callers add what
+// was being committed.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
 // OS is the FS backed by the real filesystem via the os package.

@@ -16,8 +16,10 @@
 #              ./... walk covers internal/lint, cmd/... and examples/... too.
 #              trasslint supports -only to bisect a finding to one analyzer
 #              locally; the gate always runs all of them.
-#   torture    deterministic crash/error-injection suites (kv + cluster);
-#              SHORT=1 runs the strided subset, otherwise every fault point
+#   torture    deterministic crash/error-injection suites (kv + cluster, and
+#              the vfs.WriteFileAtomic commit helper both manifests go
+#              through); SHORT=1 runs the strided subset, otherwise every
+#              fault point
 #   concurrency  the concurrent-writer torture suites under -race: N writer
 #              goroutines race group commits and background compactions while
 #              faults fire at sampled points — crash, injected errors,
@@ -86,10 +88,10 @@ if [[ "$MODE" == "torture" || "$MODE" == "all" ]]; then
     # `concurrency` group, which always runs them under -race.
     if [[ "${SHORT:-0}" == "1" ]]; then
         step "crash torture (strided subset)"
-        go test -short -count=1 -run 'Torture|TornTail' -skip 'Concurrent' ./internal/kv ./internal/cluster
+        go test -short -count=1 -run 'Torture|TornTail' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/vfs
     else
         step "crash torture (every fault point)"
-        go test -count=1 -run 'Torture|TornTail' -skip 'Concurrent' ./internal/kv ./internal/cluster
+        go test -count=1 -run 'Torture|TornTail' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/vfs
     fi
 fi
 
@@ -118,8 +120,9 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
     if [[ "${SHORT:-0}" == "1" ]]; then
         # SHORT=1 drops the race detector everywhere but here: the refinement
         # executor's tests force worker pools > 1, and the streaming scan
-        # pipeline's (cluster emit loop, store range mapper, query refine
-        # executor) force bounded queues and mid-stream faults, and the store's
+        # pipeline's (the cluster's one scan entry — Snapshot.ScanStream's
+        # region funnel — store range mapper, query refine executor) force
+        # bounded queues and mid-stream faults, and the store's
         # Snapshot/PutBatch tests hold the value slice queries share while
         # writers replace it, so racing just these is the cheapest way to keep
         # that synchronization honest.
@@ -128,7 +131,9 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         go test -race -count=1 -run 'Refine' ./internal/query
 
         step "stream pipeline (race)"
-        go test -race -count=1 -run 'Stream' ./internal/cluster ./internal/query
+        # 'Scan|Stream': every cluster scan test runs through ScanStream now,
+        # whether or not its name says so.
+        go test -race -count=1 -run 'Scan|Stream' ./internal/cluster ./internal/query
         go test -race -count=1 -run 'Stream|Snapshot|PutBatch' ./internal/store
 
         step "test (short)"
