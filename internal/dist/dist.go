@@ -1,8 +1,8 @@
 // Package dist implements the trajectory similarity measures used by TraSS:
 // discrete Fréchet distance (the paper's default, Definition 2), Hausdorff
 // distance (Definition 12) and Dynamic Time Warping (Definition 13), each
-// with a full-distance form and a threshold-decision form that abandons early
-// once the measure provably exceeds the threshold.
+// with a full-distance form and a bounded form that abandons early once the
+// measure provably exceeds a bound and returns the exact distance otherwise.
 package dist
 
 import (
@@ -53,6 +53,27 @@ func For(m Measure) Func {
 	}
 }
 
+// BoundedFunc computes f(Q,T) against a bound: ok reports f(Q,T) <= bound,
+// and when it does d is bit-identical to For(m)(q, t). When it does not the
+// kernel may have abandoned early and d is unspecified. bound = +Inf never
+// abandons. scratch is a DP row the caller lends (nil is fine); the possibly
+// grown row comes back so one row serves every pair a worker refines.
+type BoundedFunc func(q, t []geo.Point, bound float64, scratch []float64) (d float64, ok bool, _ []float64)
+
+// BoundedFor returns the bounded kernel for m.
+func BoundedFor(m Measure) BoundedFunc {
+	switch m {
+	case Frechet:
+		return frechetBounded
+	case Hausdorff:
+		return hausdorffBounded
+	case DTW:
+		return dtwBounded
+	default:
+		panic("dist: unknown measure")
+	}
+}
+
 // WithinFunc decides f(Q,T) <= eps, potentially much faster than computing
 // the full distance.
 type WithinFunc func(q, t []geo.Point, eps float64) bool
@@ -69,6 +90,25 @@ func WithinFor(m Measure) WithinFunc {
 	default:
 		panic("dist: unknown measure")
 	}
+}
+
+// within is the decision form of a bounded kernel. An empty side is never
+// within anything.
+func within(kernel BoundedFunc, q, t []geo.Point, eps float64) bool {
+	if len(q) == 0 || len(t) == 0 {
+		return false
+	}
+	_, ok, _ := kernel(q, t, eps, nil)
+	return ok
+}
+
+// rowOf returns a DP row of length m carved from scratch, growing it if
+// needed.
+func rowOf(scratch []float64, m int) []float64 {
+	if cap(scratch) < m {
+		return make([]float64, m)
+	}
+	return scratch[:m]
 }
 
 // SupportsEndpointLemma reports whether Lemma 12 (start/end points must match
@@ -119,30 +159,32 @@ func DiscreteFrechet(q, t []geo.Point) float64 {
 }
 
 // FrechetWithin reports whether the discrete Fréchet distance between q and t
-// is at most eps. It runs the same DP but clamps infeasible cells and
-// abandons as soon as an entire row becomes infeasible.
-func FrechetWithin(q, t []geo.Point, eps float64) bool {
+// is at most eps.
+func FrechetWithin(q, t []geo.Point, eps float64) bool { return within(frechetBounded, q, t, eps) }
+
+// frechetBounded runs DiscreteFrechet's DP with every cell above bound
+// clamped to +Inf, and abandons as soon as an entire row is infeasible. The
+// DP only takes maxima and minima of point distances, so a cell that survives
+// the clamp holds exactly the value the unclamped DP would.
+func frechetBounded(q, t []geo.Point, bound float64, scratch []float64) (float64, bool, []float64) {
 	n, m := len(q), len(t)
+	inf := math.Inf(1)
 	if n == 0 || m == 0 {
-		return false
+		return inf, math.IsInf(bound, 1), scratch
 	}
 	// Cheap necessary conditions first (Lemma 12).
-	if q[0].Dist(t[0]) > eps || q[n-1].Dist(t[m-1]) > eps {
-		return false
+	if q[0].Dist(t[0]) > bound || q[n-1].Dist(t[m-1]) > bound {
+		return inf, false, scratch
 	}
-	inf := math.Inf(1)
-	row := make([]float64, m)
+	row := rowOf(scratch, m)
 	row[0] = q[0].Dist(t[0])
-	if row[0] > eps {
-		row[0] = inf
-	}
 	for j := 1; j < m; j++ {
 		if math.IsInf(row[j-1], 1) {
 			row[j] = inf
 			continue
 		}
 		d := fmax(row[j-1], q[0].Dist(t[j]))
-		if d > eps {
+		if d > bound {
 			d = inf
 		}
 		row[j] = d
@@ -150,7 +192,7 @@ func FrechetWithin(q, t []geo.Point, eps float64) bool {
 	for i := 1; i < n; i++ {
 		prevDiag := row[0]
 		first := fmax(row[0], q[i].Dist(t[0]))
-		if first > eps {
+		if first > bound {
 			first = inf
 		}
 		row[0] = first
@@ -163,7 +205,7 @@ func FrechetWithin(q, t []geo.Point, eps float64) bool {
 				continue
 			}
 			d := fmax(best, q[i].Dist(t[j]))
-			if d > eps {
+			if d > bound {
 				d = inf
 			} else {
 				feasible = true
@@ -171,10 +213,10 @@ func FrechetWithin(q, t []geo.Point, eps float64) bool {
 			row[j] = d
 		}
 		if !feasible {
-			return false
+			return inf, false, row
 		}
 	}
-	return !math.IsInf(row[m-1], 1)
+	return row[m-1], !math.IsInf(row[m-1], 1), row
 }
 
 // HausdorffDist computes the symmetric Hausdorff distance between q and t.
@@ -207,14 +249,20 @@ func directedHausdorff(a, b []geo.Point, bound float64) float64 {
 }
 
 // HausdorffWithin reports whether the Hausdorff distance is at most eps.
-func HausdorffWithin(q, t []geo.Point, eps float64) bool {
-	if len(q) == 0 || len(t) == 0 {
-		return false
+func HausdorffWithin(q, t []geo.Point, eps float64) bool { return within(hausdorffBounded, q, t, eps) }
+
+// hausdorffBounded is HausdorffDist with both directed passes abandoning at
+// bound; it needs no DP row.
+func hausdorffBounded(q, t []geo.Point, bound float64, scratch []float64) (float64, bool, []float64) {
+	qt := directedHausdorff(q, t, bound)
+	if qt > bound {
+		return qt, false, scratch
 	}
-	if directedHausdorff(q, t, eps) > eps {
-		return false
+	tq := directedHausdorff(t, q, bound)
+	if tq > bound {
+		return tq, false, scratch
 	}
-	return directedHausdorff(t, q, eps) <= eps
+	return math.Max(qt, tq), true, scratch
 }
 
 // DTWDist computes the Dynamic Time Warping distance (sum of matched
@@ -241,15 +289,18 @@ func DTWDist(q, t []geo.Point) float64 {
 	return row[m-1]
 }
 
-// DTWWithin reports whether the DTW distance is at most eps. Because DTW
-// accumulates, a row whose minimum already exceeds eps proves the whole
-// distance does.
-func DTWWithin(q, t []geo.Point, eps float64) bool {
+// DTWWithin reports whether the DTW distance is at most eps.
+func DTWWithin(q, t []geo.Point, eps float64) bool { return within(dtwBounded, q, t, eps) }
+
+// dtwBounded is DTWDist's DP, abandoning once a whole row exceeds bound:
+// DTW accumulates, so a row whose minimum is already past the bound proves
+// the whole distance is.
+func dtwBounded(q, t []geo.Point, bound float64, scratch []float64) (float64, bool, []float64) {
 	n, m := len(q), len(t)
 	if n == 0 || m == 0 {
-		return false
+		return math.Inf(1), math.IsInf(bound, 1), scratch
 	}
-	row := make([]float64, m)
+	row := rowOf(scratch, m)
 	row[0] = q[0].Dist(t[0])
 	for j := 1; j < m; j++ {
 		row[j] = row[j-1] + q[0].Dist(t[j])
@@ -266,9 +317,9 @@ func DTWWithin(q, t []geo.Point, eps float64) bool {
 				rowMin = row[j]
 			}
 		}
-		if rowMin > eps {
-			return false
+		if rowMin > bound {
+			return rowMin, false, row
 		}
 	}
-	return row[m-1] <= eps
+	return row[m-1], row[m-1] <= bound, row
 }

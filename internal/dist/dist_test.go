@@ -321,3 +321,59 @@ func BenchmarkFrechetWithinReject(b *testing.B) {
 		}
 	}
 }
+
+// fuzzPoints reads a point sequence off a byte string, two bytes a point, on
+// a 256 x 256 grid: coarse enough that repeated points, zero distances and
+// exact ties between cells of the DP are common.
+func fuzzPoints(data []byte) []geo.Point {
+	pts := make([]geo.Point, 0, len(data)/2)
+	for i := 0; i+1 < len(data); i += 2 {
+		pts = append(pts, geo.Point{X: float64(data[i]) / 255, Y: float64(data[i+1]) / 255})
+	}
+	return pts
+}
+
+// FuzzBoundedKernel holds every measure's bounded kernel to its contract
+// against the full one: ok exactly when the full distance is at most the
+// bound, and then the same bits — at the exact distance, one ulp either side
+// of it, 0, +Inf and a fuzzed fraction of it, on empty inputs too, with one
+// scratch row carried dirty from call to call.
+func FuzzBoundedKernel(f *testing.F) {
+	f.Add([]byte{10, 10, 20, 20, 30, 10, 12, 11, 22, 19, 33, 12}, uint8(3), 0.5)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(2), 1.0) // all-identical points
+	f.Add([]byte{5, 5, 200, 200}, uint8(1), 0.99)        // single point each side
+	f.Add([]byte{5, 5, 6, 6}, uint8(0), 2.0)             // empty q
+	f.Add([]byte{5, 5, 6, 6}, uint8(2), 0.0)             // empty t
+	f.Add([]byte{}, uint8(0), 1.5)                       // both empty
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 1, 3, 250}, uint8(5), 1.0000001)
+	f.Fuzz(func(t *testing.T, data []byte, nq uint8, frac float64) {
+		if len(data) > 400 {
+			data = data[:400] // O(n·m) per bound; keep an execution cheap
+		}
+		pts := fuzzPoints(data)
+		split := min(int(nq), len(pts))
+		q, tr := pts[:split], pts[split:]
+		if math.IsNaN(frac) || frac < 0 {
+			frac = 0
+		}
+		var row []float64
+		for _, m := range []Measure{Frechet, Hausdorff, DTW} {
+			full := For(m)(q, tr)
+			kernel := BoundedFor(m)
+			for _, bound := range []float64{full, math.Nextafter(full, math.Inf(-1)), math.Nextafter(full, math.Inf(1)), 0, math.Inf(1), full * frac} {
+				if bound < 0 || math.IsNaN(bound) {
+					continue
+				}
+				var d float64
+				var ok bool
+				d, ok, row = kernel(q, tr, bound, row)
+				if want := full <= bound; ok != want {
+					t.Fatalf("%v bound=%v: ok=%v, full distance %v", m, bound, ok, full)
+				}
+				if ok && math.Float64bits(d) != math.Float64bits(full) {
+					t.Fatalf("%v bound=%v: bounded kernel returned %v, full kernel %v", m, bound, d, full)
+				}
+			}
+		}
+	})
+}

@@ -19,9 +19,10 @@ import (
 type Engine struct {
 	store         *store.Store
 	measure       dist.Measure
-	budget        int // global-pruning element budget (0 = default)
-	refineWorkers int // refinement pool size (0 = default, see refineParallelism)
-	streamDepth   int // candidate-queue depth; only tests set it (0 = see streamQueueDepth)
+	kernel        dist.BoundedFunc // measure's bounded kernel: the one distance call a candidate pays
+	budget        int              // global-pruning element budget (0 = default)
+	refineWorkers int              // refinement pool size (0 = default, see refineParallelism)
+	streamDepth   int              // candidate-queue depth; only tests set it (0 = see streamQueueDepth)
 	tuning        Tuning
 }
 
@@ -60,7 +61,7 @@ func (e *Engine) SetRefineParallelism(n int) {
 
 // New builds an engine over st using the given similarity measure.
 func New(st *store.Store, measure dist.Measure) *Engine {
-	return &Engine{store: st, measure: measure}
+	return &Engine{store: st, measure: measure, kernel: dist.BoundedFor(measure)}
 }
 
 // Measure returns the engine's similarity measure.
@@ -79,14 +80,25 @@ type Stats struct {
 	PruneTime time.Duration // global pruning (index-space planning)
 	ScanTime  time.Duration // storage scans incl. push-down filtering
 	// RefineTime is the refinement stage's wall-clock: decoding shipped rows
-	// plus full similarity computations, accumulated across batches (top-k
-	// refines once per scanned index space). With parallel refinement this
-	// is elapsed time, not work done — see RefineCPUTime for that.
+	// plus similarity computations, accumulated across batches (top-k
+	// refines once per frontier drain). With parallel refinement this is
+	// elapsed time, not work done — see RefineCPUTime for that.
 	RefineTime time.Duration
 	// RefineCPUTime is the cumulative busy time across refinement workers
-	// (decode + distance per candidate, summed). RefineCPUTime/RefineTime
-	// approximates the refinement speedup actually realized.
+	// (decode + lower bound + distance per candidate, summed).
+	// RefineCPUTime/RefineTime approximates the refinement speedup actually
+	// realized.
 	RefineCPUTime time.Duration
+	// DecodeTime and KernelTime split RefineCPUTime: the summed worker time
+	// inside store.DecodeRow of shipped rows, and inside the distance kernel.
+	// What is left is a best-first search's lower-bound ordering.
+	DecodeTime time.Duration
+	KernelTime time.Duration
+	// SeedTime is the wall-clock of a top-k search's seeding phase — the
+	// scans and refinement of the query's own element and the ancestors it
+	// had to climb to hold k results — which ScanTime and RefineTime also
+	// count.
+	SeedTime time.Duration
 	// RefineWorkers is the largest worker-pool size the query's refinement
 	// used (1 = sequential; batches smaller than the pool clamp it).
 	RefineWorkers int
@@ -97,7 +109,7 @@ type Stats struct {
 	BytesShipped int64
 	RPCs         int64
 	Retries      int64 // region scan attempts beyond each call's first
-	Refined      int   // full similarity computations performed
+	Refined      int   // distance-kernel calls (best-first: rows ordered out by their lower bound are not counted)
 	Results      int
 
 	// PartialErrors counts regions whose rows are missing from this answer
@@ -107,8 +119,11 @@ type Stats struct {
 	PartialErrors int
 
 	// Streaming-pipeline observability.
-	StreamBatches   int64 // scan batches delivered into the candidate queue
-	StreamPeakDepth int   // peak candidates resident between scan and merge
+	StreamBatches int64 // scan batches delivered into the candidate queue
+	// StreamPeakDepth is the peak number of candidates resident between scan
+	// and merge: bounded by the pipeline depth for threshold and range, the
+	// largest frontier drain's shipped rows for top-k and nearest.
+	StreamPeakDepth int
 	// StreamStallTime is how long the scan producer spent blocked on the
 	// candidate queue — backpressure from refinement into the region scans.
 	StreamStallTime time.Duration

@@ -13,78 +13,77 @@ import (
 // necessary condition for f(Q,T) <= eps; any failure proves dissimilarity.
 // Checks run cheapest-first, as the paper prescribes.
 
-// localFilter evaluates Lemmas 12-14 for a stored record against the query.
-// It returns false when the record provably cannot be within eps.
-func localFilter(qg *queryGeom, measure dist.Measure, rec *traj.Record, eps float64) bool {
+// localBound evaluates Lemmas 12-14 for a stored record against the query as
+// one number: the smallest eps at which every check passes, which therefore
+// lower-bounds f(Q,T). The pushed-down filter keeps a row iff that number is
+// at most its threshold; a best-first search also orders a drain's rows by it.
+// The evaluation abandons as soon as the running maximum exceeds cutoff and
+// reports ok = false — the record provably cannot be within cutoff, and lb is
+// then only the partial maximum that proved it. cutoff = +Inf never abandons.
+func localBound(qg *queryGeom, measure dist.Measure, rec *traj.Record, cutoff float64) (lb float64, ok bool) {
 	qpts := qg.points
 	tpts := rec.Points
 	if len(tpts) == 0 {
-		return false
-	}
-	if math.IsInf(eps, 1) {
-		// Top-k warm-up: no threshold yet, nothing can be filtered.
-		return true
+		return math.Inf(1), false
 	}
 
 	// Lemma 12: endpoints must match within eps (Fréchet and DTW only).
 	if dist.SupportsEndpointLemma(measure) {
-		if qpts[0].Dist(tpts[0]) > eps {
-			return false
-		}
-		if qpts[len(qpts)-1].Dist(tpts[len(tpts)-1]) > eps {
-			return false
+		lb = math.Max(qpts[0].Dist(tpts[0]), qpts[len(qpts)-1].Dist(tpts[len(tpts)-1]))
+		if lb > cutoff {
+			return lb, false
 		}
 	}
 
 	// Lemma 13, query side: every representative point of Q must be within
 	// eps of T's feature boxes (which cover all of T).
-	if !pointsNearBoxes(qg.rep, rec.Features.Boxes, tpts, eps) {
-		return false
+	if lb = pointsToBoxes(lb, qg.rep, rec.Features.Boxes, tpts, cutoff); lb > cutoff {
+		return lb, false
 	}
 	// Lemma 13, data side: every representative point of T within eps of
 	// Q's boxes.
-	trep := repPointsOf(rec)
-	if !pointsNearBoxes(trep, qg.features.Boxes, qpts, eps) {
-		return false
+	if lb = pointsToBoxes(lb, repPointsOf(rec), qg.features.Boxes, qpts, cutoff); lb > cutoff {
+		return lb, false
 	}
 
 	// Lemma 14, both sides: every feature box's guaranteed point (one per
 	// edge) must reach the other side's boxes within eps.
-	if !boxesNearBoxes(qg.features.Boxes, rec.Features.Boxes, tpts, eps) {
-		return false
+	if lb = boxesToBoxes(lb, qg.features.Boxes, rec.Features.Boxes, tpts, cutoff); lb > cutoff {
+		return lb, false
 	}
-	if !boxesNearBoxes(rec.Features.Boxes, qg.features.Boxes, qpts, eps) {
-		return false
+	if lb = boxesToBoxes(lb, rec.Features.Boxes, qg.features.Boxes, qpts, cutoff); lb > cutoff {
+		return lb, false
 	}
-	return true
+	return lb, true
 }
 
-// pointsNearBoxes checks that every point in pts is within eps of the union
-// of boxes. When the other trajectory has no boxes (a single-point
-// trajectory), it falls back to its raw points.
-func pointsNearBoxes(pts []geo.Point, boxes []geo.Rect, fallback []geo.Point, eps float64) bool {
-	if len(boxes) == 0 {
-		for _, p := range pts {
-			if distToPoints(p, fallback) > eps {
-				return false
+// pointsToBoxes raises lb to the largest distance from a point of pts to the
+// union of boxes, returning early once it exceeds cutoff. When the other
+// trajectory has no boxes (a single-point trajectory), it falls back to its
+// raw points.
+func pointsToBoxes(lb float64, pts []geo.Point, boxes []geo.Rect, fallback []geo.Point, cutoff float64) float64 {
+	for _, p := range pts {
+		var d float64
+		if len(boxes) == 0 {
+			d = distToPoints(p, fallback)
+		} else {
+			d = traj.DistPointBoxes(p, boxes)
+		}
+		if d > lb {
+			if lb = d; lb > cutoff {
+				return lb
 			}
 		}
-		return true
 	}
-	for _, p := range pts {
-		if traj.DistPointBoxes(p, boxes) > eps {
-			return false
-		}
-	}
-	return true
+	return lb
 }
 
-// boxesNearBoxes applies Lemma 14: for each box of a, the farthest of its
-// four edges' minimum distances to b's boxes must be <= eps (every edge of an
-// MBR touches at least one real point).
-func boxesNearBoxes(a, b []geo.Rect, bFallback []geo.Point, eps float64) bool {
+// boxesToBoxes applies Lemma 14: for each box of a, the farthest of its four
+// edges' minimum distances to b's boxes lower-bounds the distance (every edge
+// of an MBR touches at least one real point). It raises lb to the largest of
+// those, returning early once it exceeds cutoff.
+func boxesToBoxes(lb float64, a, b []geo.Rect, bFallback []geo.Point, cutoff float64) float64 {
 	for _, box := range a {
-		worst := 0.0
 		for _, edge := range box.Edges() {
 			var d float64
 			if len(b) == 0 {
@@ -92,15 +91,14 @@ func boxesNearBoxes(a, b []geo.Rect, bFallback []geo.Point, eps float64) bool {
 			} else {
 				d = traj.DistSegmentBoxes(geo.Segment(edge), b)
 			}
-			if d > worst {
-				worst = d
+			if d > lb {
+				if lb = d; lb > cutoff {
+					return lb
+				}
 			}
 		}
-		if worst > eps {
-			return false
-		}
 	}
-	return true
+	return lb
 }
 
 // repPointsOf materializes a stored record's representative points, tolerating
@@ -146,24 +144,8 @@ func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) func(key, va
 			// corruption.
 			return true
 		}
-		return localFilter(qg, measure, rec, eps)
-	}
-}
-
-// serverFilterLive is serverFilter against a bound read per row instead of a
-// snapshot: top-k scans push it down so that every result merged while a
-// scan is still streaming tightens the filtering of the rows that region has
-// not visited yet. Sound for the same reason the worker prefilter is — the
-// bound only tightens, and localFilter rejections are lower-bound proofs, so
-// any row that belongs in the final top-k passes at every bound the scan
-// could observe.
-func serverFilterLive(qg *queryGeom, measure dist.Measure, bound *refineBound) func(key, value []byte) bool {
-	return func(key, value []byte) bool {
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			return true // ship corrupt rows; the client-side decode reports them
-		}
-		return localFilter(qg, measure, rec, bound.get())
+		_, ok := localBound(qg, measure, rec, eps)
+		return ok
 	}
 }
 

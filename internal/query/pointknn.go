@@ -13,14 +13,15 @@ import (
 // nearestToPoint finds the k stored trajectories whose closest approach to
 // q.Point is smallest — "which routes pass nearest this depot". It is the
 // point-query member of the family the paper's conclusion leaves as future
-// work, and it reuses the Algorithm-4 best-first search with a different
-// (still sound) lower bound: every point of a trajectory lies inside its
+// work, and it reuses the Algorithm-4 best-first search with different
+// (still sound) lower bounds: every point of a trajectory lies inside its
 // index space's occupied quads, so the distance from the point to that quad
-// union lower-bounds the trajectory's closest approach.
+// union lower-bounds the closest approach of everything in the space, and
+// every point lies inside the trajectory's feature boxes, so the distance to
+// those lower-bounds its own.
 func (e *Engine) nearestToPoint(ctx context.Context, snap *store.Snapshot, q Query, sink func(Result) error) ([]Result, *Stats, error) {
 	p := q.Point
 	ix := e.store.Index()
-	bound := newRefineBound(math.Inf(1))
 
 	return e.bestFirst(ctx, snap, q.K, frontier{
 		elemBound: func(s xzstar.Seq) (float64, int) {
@@ -34,14 +35,14 @@ func (e *Engine) nearestToPoint(ctx context.Context, snap *store.Snapshot, q Que
 				}
 			}
 		},
-		bound: bound,
-		// closestApproach's feature-box shortcut reads the shared kth bound.
-		// The value it returns under the shortcut is a lower bound that
-		// strictly exceeds the merge-time kth distance, so the exact
-		// comparison in the merge decides as it would on the exact value.
-		work: func(rec *traj.Record) refineOutcome {
-			d := closestApproach(p, rec.Points, rec.Features.Boxes, bound.get())
-			return refineOutcome{rec: rec, dist: d, keep: true}
+		// A point has no element of its own, so nothing seeds the bound.
+		lower: func(rec *traj.Record, cutoff float64) (float64, bool) {
+			lb := pointBoxBound(p, rec.Features.Boxes)
+			return lb, lb <= cutoff
+		},
+		exact: func(rec *traj.Record, bound float64, row []float64) (float64, bool, []float64) {
+			d := closestApproach(p, rec.Points, rec.Features.Boxes, bound)
+			return d, d <= bound, row
 		},
 	}, sink)
 }
@@ -64,22 +65,31 @@ func distPointMask(p geo.Point, quads *[4]geo.Rect, mask xzstar.QuadMask) float6
 	return best
 }
 
+// pointBoxBound lower-bounds the distance from p to a trajectory by its
+// feature boxes, which cover every point of it; 0 when it has none.
+func pointBoxBound(p geo.Point, boxes []geo.Rect) float64 {
+	if len(boxes) == 0 {
+		return 0
+	}
+	lb := math.Inf(1)
+	for _, b := range boxes {
+		if d := geo.DistPointRect(p, b); d < lb {
+			lb = d
+		}
+	}
+	return lb
+}
+
 // closestApproach is the exact minimum distance from p to the trajectory's
 // points, with a feature-box prefilter that abandons once the boxes prove
-// the trajectory cannot beat bound.
+// the trajectory cannot beat bound: the value returned is then the box bound,
+// which strictly exceeds bound, so comparing it against bound decides as the
+// exact value would.
 func closestApproach(p geo.Point, pts []geo.Point, boxes []geo.Rect, bound float64) float64 {
-	if len(boxes) > 0 && !math.IsInf(bound, 1) {
-		lb := math.Inf(1)
-		for _, b := range boxes {
-			if d := geo.DistPointRect(p, b); d < lb {
-				lb = d
-			}
-		}
-		// Strict: a trajectory that may tie the kth distance gets its exact
-		// value, so the (distance, id) order decides, not arrival order.
-		if lb > bound {
-			return lb // cannot enter the top-k; exact value is irrelevant
-		}
+	// Strict: a trajectory that may tie the kth distance gets its exact
+	// value, so the (distance, id) order decides, not arrival order.
+	if lb := pointBoxBound(p, boxes); lb > bound {
+		return lb // cannot enter the top-k; exact value is irrelevant
 	}
 	best := math.Inf(1)
 	for _, q := range pts {

@@ -51,7 +51,7 @@ func (e *Engine) rangeQuery(ctx context.Context, snap *store.Snapshot, q Query, 
 	// decode of every shipped row, which still profits from the pool on
 	// large windows.
 	return e.refineRanges(ctx, snap, stats, ranges, wrapWithWindow(q.Window, filter),
-		func(rec *traj.Record) refineOutcome {
-			return refineOutcome{rec: rec, keep: true}
+		func(rec *traj.Record, row []float64) (refineOutcome, []float64) {
+			return refineOutcome{rec: rec, keep: true}, row
 		}, sink)
 }

@@ -22,7 +22,7 @@ func benchmarkRefine(b *testing.B, workers int) {
 		measure := measure
 		b.Run(measure.String(), func(b *testing.B) {
 			f, base := refineFixture(b, benchRefineRows, benchRefinePts, 91)
-			f.engine.measure = measure
+			f.engine = New(f.store, measure)
 			f.engine.SetRefineParallelism(workers)
 			eps := 0.02
 			if measure == dist.DTW {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -146,9 +147,11 @@ func TestRefineDeterminismWindowVariants(t *testing.T) {
 
 // A context cancelled mid-refinement must stop the executor promptly with
 // ctx's error: no new candidates are claimed once ctx is done, so at most
-// one in-flight candidate per worker completes after the cancel. The cancel
-// fires deterministically from inside the worker-side work function, so this
-// does not depend on wall-clock timing.
+// one candidate per other worker — one that was claimed before the cancel
+// landed — is worked on after it. The work function makes that count
+// structural: the cancelAfter-th call cancels, and any call numbered after it
+// parks until cancel() has returned, so a worker can be past its ctx check at
+// most once, however the scheduler interleaves them.
 func TestRefineCancellationMidRefine(t *testing.T) {
 	f, _ := refineFixture(t, 200, 40, 75)
 	const workers = 4
@@ -162,24 +165,26 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 	const cancelAfter = 5
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var processed atomic.Int64
+	var started atomic.Int64
+	cancelled := make(chan struct{})
 	stats := &Stats{}
 	err := f.engine.refineFromScan(ctx, stats, sliceScan(rows, len(rows)),
-		func(rec *traj.Record) refineOutcome {
-			if processed.Add(1) == cancelAfter {
+		func(rec *traj.Record, row []float64) (refineOutcome, []float64) {
+			switch n := started.Add(1); {
+			case n == cancelAfter:
 				cancel()
+				close(cancelled)
+			case n > cancelAfter:
+				<-cancelled
 			}
-			return refineOutcome{rec: rec, keep: true}
+			return refineOutcome{rec: rec, keep: true}, row
 		},
 		func(o refineOutcome) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("refineFromScan returned %v, want context.Canceled", err)
 	}
-	// Each worker may have had one candidate in flight when the cancel hit,
-	// plus the scheduler can let a worker claim one more before it observes
-	// ctx; anything near the full entry count means cancellation leaked.
-	if got := processed.Load(); got > cancelAfter+2*workers {
-		t.Errorf("workers processed %d candidates after cancel at %d (workers=%d); cancellation is not prompt", got, cancelAfter, workers)
+	if got := started.Load(); got > cancelAfter+workers-1 {
+		t.Errorf("workers started %d candidates with the cancel at %d (workers=%d); a worker claimed one after ctx was done", got, cancelAfter, workers)
 	}
 	if stats.Refined >= len(rows) {
 		t.Errorf("merge consumed all %d entries despite cancellation", stats.Refined)
@@ -271,6 +276,77 @@ func TestRefineParallelismKnob(t *testing.T) {
 		}
 		if _, _, err := f.engine.ThresholdContext(bg, f.trajs[0], 0.01); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// A candidate pays for one distance computation: the threshold work function
+// calls the measure's bounded kernel once per shipped row, match or not, and
+// the distance it reports is the full kernel's, bit for bit.
+func TestThresholdOneKernelCallPerCandidate(t *testing.T) {
+	f, base := refineFixture(t, 120, 30, 92)
+	f.engine.SetRefineParallelism(4)
+	var calls atomic.Int64
+	kernel := f.engine.kernel
+	f.engine.kernel = func(q, tr []geo.Point, bound float64, row []float64) (float64, bool, []float64) {
+		calls.Add(1)
+		return kernel(q, tr, bound, row)
+	}
+	all, _, err := f.engine.ThresholdContext(bg, base, 0.5)
+	if err != nil || len(all) != 120 {
+		t.Fatalf("fixture: %d of 120 rows within 0.5 (%v)", len(all), err)
+	}
+	ds := make([]float64, len(all))
+	for i, r := range all {
+		ds[i] = r.Distance
+	}
+	sort.Float64s(ds)
+	// The median distance admits half the cluster, so matches and rejections
+	// both count.
+	calls.Store(0)
+	res, stats, err := f.engine.ThresholdContext(bg, base, ds[len(ds)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) == 0 || int64(len(res)) >= stats.Retrieved {
+		t.Fatalf("fixture: %d matches of %d shipped rows; want some of each", len(res), stats.Retrieved)
+	}
+	if got := calls.Load(); got != stats.Retrieved || stats.Refined != int(stats.Retrieved) {
+		t.Errorf("%d kernel calls, %d refined, for %d shipped rows and %d matches: want one call per shipped row", got, stats.Refined, stats.Retrieved, len(res))
+	}
+	full := dist.For(dist.DTW)
+	for _, r := range res {
+		if want := full(base.Points, r.Points); math.Float64bits(r.Distance) != math.Float64bits(want) {
+			t.Errorf("%s: distance %v, full kernel %v", r.ID, r.Distance, want)
+		}
+	}
+}
+
+// The engine's own stage timers: decode and kernel time are measured inside
+// the worker's busy time and, on a refinement-dominated query, account for
+// all but a tenth of it — on the streaming executor (threshold) and on the
+// ordered one (top-k), where the remainder is the lower-bound ordering.
+func TestStageTimersAccountForRefineCPU(t *testing.T) {
+	f, base := refineFixture(t, 300, 120, 93)
+	f.engine.SetRefineParallelism(2)
+	for _, q := range []Query{
+		{Kind: KindThreshold, Traj: base, Eps: 2},
+		{Kind: KindTopK, Traj: base, K: 300},
+	} {
+		_, stats, err := f.engine.Search(bg, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Refined < 300 {
+			t.Fatalf("kind %d refined %d rows; the fixture must refine all 300", q.Kind, stats.Refined)
+		}
+		staged := stats.DecodeTime + stats.KernelTime
+		if stats.DecodeTime <= 0 || stats.KernelTime <= 0 || staged > stats.RefineCPUTime || staged < stats.RefineCPUTime*9/10 {
+			t.Errorf("kind %d: decode %v + kernel %v = %v, refine CPU %v: want within a tenth below it",
+				q.Kind, stats.DecodeTime, stats.KernelTime, staged, stats.RefineCPUTime)
+		}
+		if (q.Kind == KindTopK) != (stats.SeedTime > 0) {
+			t.Errorf("kind %d: SeedTime = %v", q.Kind, stats.SeedTime)
 		}
 	}
 }

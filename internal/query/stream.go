@@ -15,13 +15,10 @@ package query
 // the region scans.
 //
 // Determinism: outcomes merge in whatever order workers finish them, and the
-// answer does not depend on it. Threshold/range keep every row the exact
-// comparison admits and sort by row key at the end; top-k/nearest keep the k
-// smallest under the total order (distance, id). The shared kth-distance
-// bound only ever tightens and every rejection it allows is a strict
-// lower-bound proof (lb > bound), so a candidate tied at the kth distance
-// always reaches the merge: any interleaving, worker count or queue depth
-// yields the same results — a looser (stale) bound only costs wasted work.
+// answer does not depend on it: threshold and range keep every row the exact
+// comparison admits and sort by row key at the end, so any interleaving,
+// worker count or queue depth yields the same results. (Top-k and nearest do
+// not stream; see bestfirst.go.)
 
 import (
 	"bytes"
@@ -124,8 +121,8 @@ func (e *Engine) streamQueueDepth(workers int) int {
 // queue from the live scan, workers decode and refine, and the merge loop (on
 // the calling goroutine) folds outcomes as they complete. Scan accounting
 // (ScanTime, absorbScan) and refinement accounting (RefineTime wall-clock,
-// RefineCPUTime summed worker busy time, RefineWorkers pool size) are folded
-// into stats.
+// RefineCPUTime summed worker busy time and its DecodeTime / KernelTime
+// split, RefineWorkers pool size) are folded into stats.
 func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc, work refineWork, merge refineMerge) error {
 	workers := e.refineParallelism()
 	if workers > stats.RefineWorkers {
@@ -145,7 +142,9 @@ func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc
 		done    = make(chan streamDone, workers)
 		scanRes = make(chan scanOutcome, 1)
 		gauge   atomic.Int64 // candidates resident between scan and merge
-		cpu     atomic.Int64
+		cpu     atomic.Int64 // summed worker busy time
+		decode  atomic.Int64 // the share of it inside store.DecodeRow
+		kernel  atomic.Int64 // the share of it inside work
 	)
 
 	// Producer: run the scan, feeding the queue row by row. A failed scan
@@ -184,9 +183,12 @@ func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc
 	live.Store(int64(workers))
 	for w := 0; w < workers; w++ {
 		go func() {
-			var busy time.Duration
+			var busy, decoding, working time.Duration
+			var row []float64 // this worker's DP scratch
 			defer func() {
 				cpu.Add(int64(busy))
+				decode.Add(int64(decoding))
+				kernel.Add(int64(working))
 				if live.Add(-1) == 0 {
 					close(done)
 				}
@@ -198,11 +200,14 @@ func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc
 				t0 := time.Now()
 				var d streamDone
 				rec, err := store.DecodeRow(c.Value)
+				t1 := time.Now()
+				decoding += t1.Sub(t0)
 				if err != nil {
 					d.err = err
 				} else {
-					d.out = work(rec)
+					d.out, row = work(rec, row)
 					d.out.key = c.Key
+					working += time.Since(t1)
 				}
 				busy += time.Since(t0)
 				select {
@@ -245,6 +250,8 @@ merging:
 	// observe pctx, which is cancelled on any abort.
 	scanned := <-scanRes
 	stats.RefineCPUTime += time.Duration(cpu.Load())
+	stats.DecodeTime += time.Duration(decode.Load())
+	stats.KernelTime += time.Duration(kernel.Load())
 	stats.StreamBatches += scanned.batches
 	stats.StreamStallTime += scanned.stall
 	if p := int(scanned.peak); p > stats.StreamPeakDepth {

@@ -152,9 +152,9 @@ func TestStreamBackpressureStalls(t *testing.T) {
 	f.engine.streamDepth = 1
 	stats := &Stats{}
 	err := f.engine.refineFromScan(bg, stats, sliceScan(entries, 1),
-		func(rec *traj.Record) refineOutcome {
+		func(rec *traj.Record, row []float64) (refineOutcome, []float64) {
 			time.Sleep(time.Millisecond)
-			return refineOutcome{rec: rec, keep: true}
+			return refineOutcome{rec: rec, keep: true}, row
 		},
 		func(o refineOutcome) error { return nil })
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/store"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
@@ -12,8 +11,8 @@ import (
 
 // threshold runs the threshold similarity search of Algorithm 3: global
 // pruning plans the key ranges, local filtering runs pushed down inside the
-// regions, and the survivors stream through refinement with the full
-// similarity measure as the scans produce them.
+// regions, and the survivors stream through refinement — one call of the
+// measure's bounded kernel each — as the scans produce them.
 func (e *Engine) threshold(ctx context.Context, snap *store.Snapshot, q Query, sink func(Result) error) ([]Result, *Stats, error) {
 	qg := e.prepare(q.Traj)
 	stats := &Stats{}
@@ -23,13 +22,9 @@ func (e *Engine) threshold(ctx context.Context, snap *store.Snapshot, q Query, s
 		xzstar.PruneOptions{DisableCodePruning: e.tuning.DisablePosCodes})
 	stats.PruneTime = time.Since(t0)
 
-	within := dist.WithinFor(e.measure)
-	full := dist.For(e.measure)
 	return e.refineRanges(ctx, snap, stats, ranges, wrapWithWindow(q.Window, e.buildFilter(qg, q.Eps)),
-		func(rec *traj.Record) refineOutcome {
-			if !within(qg.points, rec.Points, q.Eps) {
-				return refineOutcome{}
-			}
-			return refineOutcome{rec: rec, dist: full(qg.points, rec.Points), keep: true}
+		func(rec *traj.Record, row []float64) (refineOutcome, []float64) {
+			d, ok, row := e.kernel(qg.points, rec.Points, q.Eps, row)
+			return refineOutcome{rec: rec, dist: d, keep: ok}, row
 		}, sink)
 }

@@ -2,27 +2,26 @@ package query
 
 import (
 	"context"
-	"math"
 
-	"repro/internal/dist"
 	"repro/internal/store"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
 )
 
-// topK runs the best-first top-k similarity search of Algorithm 4: elements
-// are ordered by minDistEE, their index spaces by minDistIS after Lemmas
-// 10-11 at the current threshold, and the pushed-down local filter follows
-// the kth distance live.
+// topK runs the best-first top-k similarity search of Algorithm 4, seeded
+// from the element the query's own MBR indexes at: elements are ordered by
+// minDistEE, their index spaces by minDistIS after Lemmas 10-11 at the
+// current threshold, the pushed-down local filter follows the kth distance,
+// and each drain's survivors are refined in order of their Lemma 12-14 bound
+// by the measure's bounded kernel.
 func (e *Engine) topK(ctx context.Context, snap *store.Snapshot, q Query, sink func(Result) error) ([]Result, *Stats, error) {
 	qg := e.prepare(q.Traj)
 	ix := e.store.Index()
-	// The resolution the query's own MBR indexes at; elements near it are
-	// the most promising, so it breaks minDistEE ties.
-	prefRes := ix.SEE(qg.xq.MBR).Len()
-	within := dist.WithinFor(e.measure)
-	full := dist.For(e.measure)
-	bound := newRefineBound(math.Inf(1))
+	// The element the query's own MBR indexes at: same-shaped trajectories
+	// live there, so it seeds the bound, and elements near its resolution
+	// are the most promising, so it breaks minDistEE ties.
+	see := ix.SEE(qg.xq.MBR)
+	prefRes := see.Len()
 
 	return e.bestFirst(ctx, snap, q.K, frontier{
 		elemBound: func(s xzstar.Seq) (float64, int) {
@@ -37,14 +36,13 @@ func (e *Engine) topK(ctx context.Context, snap *store.Snapshot, q Query, sink f
 				emit(sp.Value, sp.Dist)
 			}
 		},
-		bound:  bound,
-		filter: wrapWithWindow(q.Window, serverFilterLive(qg, e.measure, bound)),
-		work: func(rec *traj.Record) refineOutcome {
-			b := bound.get()
-			if !math.IsInf(b, 1) && !within(qg.points, rec.Points, b) {
-				return refineOutcome{}
-			}
-			return refineOutcome{rec: rec, dist: full(qg.points, rec.Points), keep: true}
+		seed:   see,
+		window: q.Window,
+		lower: func(rec *traj.Record, cutoff float64) (float64, bool) {
+			return localBound(qg, e.measure, rec, cutoff)
+		},
+		exact: func(rec *traj.Record, bound float64, row []float64) (float64, bool, []float64) {
+			return e.kernel(qg.points, rec.Points, bound, row)
 		},
 	}, sink)
 }

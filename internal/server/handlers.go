@@ -15,6 +15,23 @@ import (
 // can be large, but not unbounded).
 const maxRequestBody = 8 << 20
 
+// maxK bounds k on the wire: a top-k or nearest search holds k decoded
+// trajectories plus one frontier drain's candidates in memory, so an
+// unbounded k is an unbounded allocation on a client's say-so. Embedded
+// callers are not capped.
+const maxK = 10000
+
+// checkK validates the k of a top-k or nearest request.
+func checkK(kind string, k int) error {
+	if k <= 0 {
+		return badRequest(fmt.Errorf("%s requires k > 0", kind))
+	}
+	if k > maxK {
+		return fmt.Errorf("%w: k %d exceeds the server's limit of %d", trass.ErrInvalidQuery, k, maxK)
+	}
+	return nil
+}
+
 // handleQuery is POST /v1/query: decode, admit (shed with 429 when the
 // in-flight bound is hit), map the deadline onto a context derived from the
 // request's (so client disconnects and drain cancellation both propagate),
@@ -152,8 +169,8 @@ func (s *Server) runCollect(ctx context.Context, req *QueryRequest) ([]trass.Mat
 		if err != nil {
 			return nil, nil, err
 		}
-		if req.K <= 0 {
-			return nil, nil, badRequest(fmt.Errorf("topk requires k > 0"))
+		if err := checkK(KindTopK, req.K); err != nil {
+			return nil, nil, err
 		}
 		return s.db.TopKSearchWindowContext(ctx, q, req.K, tw)
 	case KindRange:
@@ -166,8 +183,8 @@ func (s *Server) runCollect(ctx context.Context, req *QueryRequest) ([]trass.Mat
 		if req.Point == nil {
 			return nil, nil, badRequest(fmt.Errorf("knn requires a point"))
 		}
-		if req.K <= 0 {
-			return nil, nil, badRequest(fmt.Errorf("knn requires k > 0"))
+		if err := checkK(KindKNN, req.K); err != nil {
+			return nil, nil, err
 		}
 		if !tw.Unbounded() {
 			return nil, nil, badRequest(fmt.Errorf("knn has no time-window variant"))

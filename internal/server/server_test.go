@@ -385,6 +385,8 @@ func TestBadRequests(t *testing.T) {
 		{"range without rect", QueryRequest{Kind: KindRange}},
 		{"range inverted rect", QueryRequest{Kind: KindRange, Rect: &[4]float64{1, 1, 0, 0}}},
 		{"knn without point", QueryRequest{Kind: KindKNN, K: 3}},
+		{"topk with k above the cap", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: maxK + 1}},
+		{"knn with k above the cap", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: maxK + 1}},
 		{"knn with window", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: 3, TimeEnd: 10}},
 		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}},
 		{"negative eps", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: -1}},

@@ -55,7 +55,7 @@ type QueryRequest struct {
 
 	// Eps is the threshold (normalized plane units) for kind=threshold.
 	Eps float64 `json:"eps,omitempty"`
-	// K is the result bound for kind=topk and kind=knn.
+	// K is the result bound for kind=topk and kind=knn, 1 to 10,000.
 	K int `json:"k,omitempty"`
 	// Rect is the spatial window [minX,minY,maxX,maxY] for kind=range.
 	Rect *[4]float64 `json:"rect,omitempty"`

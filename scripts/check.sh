@@ -32,12 +32,13 @@
 #   test       vet + test of the nested benchmark/ module (invisible to
 #              ./...), then go test -race ./... and a 10s fuzz smoke of every
 #              native fuzz target. With SHORT=1: the refinement-executor,
-#              streaming-pipeline and store snapshot/write tests alone under
-#              -race (the parallel refine pool, the bounded scan-to-refine
-#              stream, and the value set that queries share with the writers
-#              that replace it are the code most worth racing; the full
-#              gate's -race ./... already covers them), then plain
-#              go test -short ./... and no fuzz
+#              best-first, streaming-pipeline and store snapshot/write tests
+#              alone under -race (the parallel refine pool, the bounded
+#              scan-to-refine stream, the ordered refine and seed of top-k
+#              whose workers share the kth-distance bound, and the value set
+#              that queries share with the writers that replace it are the
+#              code most worth racing; the full gate's -race ./... already
+#              covers them), then plain go test -short ./... and no fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
 #              and load a dataset, run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
@@ -118,22 +119,23 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
     (cd benchmark && go vet ./... && go test -count=1 ./...)
 
     if [[ "${SHORT:-0}" == "1" ]]; then
-        # SHORT=1 drops the race detector everywhere but here: the refinement
-        # executor's tests force worker pools > 1, and the streaming scan
-        # pipeline's (the cluster's one scan entry — Snapshot.ScanStream's
-        # region funnel — store range mapper, query refine executor) force
-        # bounded queues and mid-stream faults, and the store's
-        # Snapshot/PutBatch tests hold the value slice queries share while
-        # writers replace it, so racing just these is the cheapest way to keep
-        # that synchronization honest.
+        # SHORT=1 drops the race detector everywhere but here: the query
+        # engine's refinement tests force worker pools > 1 — the streaming
+        # executor's bounded queues, and the best-first searches' ordered
+        # refine and seed, whose workers offer results and read the
+        # kth-distance bound concurrently — the cluster's scan tests (its one
+        # scan entry, Snapshot.ScanStream's region funnel) force mid-stream
+        # faults, and the store's Snapshot/PutBatch tests hold the value slice
+        # queries share while writers replace it, so racing just these is the
+        # cheapest way to keep that synchronization honest.
         # The full gate races them inside `go test -race ./...` below.
-        step "refine executor (race)"
-        go test -race -count=1 -run 'Refine' ./internal/query
+        step "refine executors, streaming and best-first (race)"
+        go test -race -count=1 -run 'Refine|Stream|TopK|BestFirst' ./internal/query
 
         step "stream pipeline (race)"
         # 'Scan|Stream': every cluster scan test runs through ScanStream now,
         # whether or not its name says so.
-        go test -race -count=1 -run 'Scan|Stream' ./internal/cluster ./internal/query
+        go test -race -count=1 -run 'Scan|Stream' ./internal/cluster
         go test -race -count=1 -run 'Stream|Snapshot|PutBatch' ./internal/store
 
         step "test (short)"
