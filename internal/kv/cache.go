@@ -76,11 +76,7 @@ func (c *blockCache) put(k blockKey, data []byte) {
 		c.size += int64(len(data))
 	}
 	for c.size > c.capacity && c.ll.Len() > 0 {
-		back := c.ll.Back()
-		be := back.Value.(*blockEntry)
-		c.ll.Remove(back)
-		delete(c.items, be.key)
-		c.size -= int64(len(be.data))
+		c.removeLocked(c.ll.Back())
 	}
 }
 
@@ -90,12 +86,25 @@ func (c *blockCache) dropTable(seq uint64) {
 	defer c.mu.Unlock()
 	for e := c.ll.Front(); e != nil; {
 		next := e.Next()
-		be := e.Value.(*blockEntry)
-		if be.key.seq == seq {
-			c.ll.Remove(e)
-			delete(c.items, be.key)
-			c.size -= int64(len(be.data))
+		if e.Value.(*blockEntry).key.seq == seq {
+			c.removeLocked(e)
 		}
 		e = next
 	}
+}
+
+// drop evicts one block, if cached.
+func (c *blockCache) drop(k blockKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.items[k]; ok {
+		c.removeLocked(e)
+	}
+}
+
+func (c *blockCache) removeLocked(e *list.Element) {
+	be := e.Value.(*blockEntry)
+	c.ll.Remove(e)
+	delete(c.items, be.key)
+	c.size -= int64(len(be.data))
 }

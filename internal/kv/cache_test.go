@@ -106,6 +106,57 @@ func TestCacheServesRepeatedScans(t *testing.T) {
 	}
 }
 
+// A snapshot keeps reading the tables compaction has retired, and those reads
+// must not put their blocks back in the cache, where nothing but LRU pressure
+// would ever remove them.
+func TestCacheHoldsNoBlocksOfRetiredTables(t *testing.T) {
+	db := newTestDB(t, Options{CompactAt: -1})
+	for table := 0; table < 3; table++ {
+		for i := 0; i < 500; i++ {
+			db.Put([]byte(fmt.Sprintf("k%d-%05d", table, i)), bytes.Repeat([]byte("v"), 100))
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	it := snap.Scan(nil, nil) // reads the three victims, which the snapshot pins
+	for it.Next() {
+		rows++
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 1500 {
+		t.Fatalf("snapshot scan saw %d rows, want 1500", rows)
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db.mu.Lock()
+	live := map[uint64]bool{}
+	for _, sr := range db.tables {
+		live[sr.seq] = true
+	}
+	db.mu.Unlock()
+	db.cache.mu.Lock()
+	defer db.cache.mu.Unlock()
+	for k, e := range db.cache.items {
+		if !live[k.seq] {
+			t.Errorf("block %d of table %d is cached (%d bytes); the table set is %v",
+				k.block, k.seq, len(e.Value.(*blockEntry).data), live)
+		}
+	}
+}
+
 func TestBatchApply(t *testing.T) {
 	db := newTestDB(t, Options{})
 	var b Batch

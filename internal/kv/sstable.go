@@ -339,8 +339,16 @@ func (sr *sstReader) readBlock(i int) ([]byte, error) {
 	}
 	sr.stats.BlocksRead.Add(1)
 	sr.stats.BytesRead.Add(ie.length)
-	if sr.cache != nil {
+	// A table compaction has retired is still read through older snapshots,
+	// but nothing would ever drop its blocks again: installCompaction marks it
+	// obsolete before it calls dropTable, so either the first check sees the
+	// mark, or the drop ran after the put, or the second check does and
+	// takes the block back out.
+	if sr.cache != nil && !sr.obsolete.Load() {
 		sr.cache.put(key, buf)
+		if sr.obsolete.Load() {
+			sr.cache.drop(key)
+		}
 	}
 	return buf, nil
 }

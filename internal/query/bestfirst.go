@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
 	"math"
@@ -30,11 +31,12 @@ type frontier struct {
 	seed xzstar.Seq
 	// window restricts the search to rows observed within it.
 	window TimeWindow
-	// lower lower-bounds one decoded row's distance from its features. It
-	// abandons with ok = false once the bound provably exceeds cutoff. It is
-	// the pushed-down filter of every scan (cutoff = the live kth distance)
-	// and the key a drain's shipped rows are refined in order of.
-	lower func(rec *traj.Record, cutoff float64) (lb float64, ok bool)
+	// lower lower-bounds one row's distance from its stored bytes. It
+	// abandons with ok = false once the bound provably exceeds cutoff, and
+	// answers (0, true) for bytes it cannot parse. It is the pushed-down
+	// filter of every scan (cutoff = the live kth distance) and the key a
+	// drain's shipped rows are refined in order of.
+	lower func(v traj.RecordView, s *filterScratch, cutoff float64) (lb float64, ok bool)
 	// exact is the one distance call a candidate pays: ok reports that the
 	// distance is at most bound, and d is then exact. row is the calling
 	// worker's DP scratch, handed back possibly grown.
@@ -73,16 +75,12 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 	ix := e.store.Index()
 	top := newTopResults(k)
 
-	filter := wrapWithWindow(f.window, func(_, value []byte) bool {
+	filter, walked := wrapWithWindow(f.window, func(v traj.RecordView, s *filterScratch) bool {
 		cutoff := top.bound.get()
 		if math.IsInf(cutoff, 1) {
 			return true // fewer than k results held: nothing can be rejected
 		}
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			return true // ship corrupt rows; the client-side decode reports them
-		}
-		_, ok := f.lower(rec, cutoff)
+		_, ok := f.lower(v, s, cutoff)
 		return ok
 	})
 
@@ -184,6 +182,7 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 
 	out := top.ascending()
 	stats.Results = len(out)
+	stats.RowsWalked = walked.Load()
 	if sink == nil {
 		return out, stats, nil
 	}
@@ -205,18 +204,20 @@ func parentSeq(s xzstar.Seq) xzstar.Seq {
 	return xzstar.SeqOf(digits...)
 }
 
-// orderedCand is one shipped row of a drain, decoded, with the lower bound it
-// is refined in order of.
+// orderedCand is one shipped row of a drain, still encoded, with the lower
+// bound it is refined in order of.
 type orderedCand struct {
-	rec *traj.Record
-	lb  float64
+	value []byte
+	id    []byte // aliases value
+	lb    float64
 }
 
 // refineOrdered is one drain: scan ranges through the pushed-down filter,
-// decode what ships once and lower-bound it, then refine ascending by that
-// bound on the worker pool. A worker stops at the first row whose bound
-// exceeds the live kth distance — every row after it is at least as far — so
-// once k near results are in, the rest of the drain costs a comparison.
+// lower-bound what ships from its bytes, then refine ascending by that bound
+// on the worker pool. A worker decodes a row when it claims it and stops at
+// the first row whose bound exceeds the live kth distance — every row after
+// it is at least as far — so once k near results are in, the rest of the
+// drain costs a comparison and is never decoded.
 //
 // Ordering needs the whole drain in hand before the first kernel runs, so the
 // drain's shipped rows are the query's resident set (Stats.StreamPeakDepth),
@@ -245,7 +246,31 @@ func (e *Engine) refineOrdered(ctx context.Context, snap *store.Snapshot, stats 
 
 	t1 := time.Now()
 	defer func() { stats.RefineTime += time.Since(t1) }()
-	workers := min(e.refineParallelism(), len(rows))
+
+	// Lower-bound and order. A row whose framing does not parse is bounded
+	// by 0, like one lower cannot parse: claimed first, reported by its
+	// decode.
+	cands := make([]orderedCand, 0, len(rows))
+	cutoff := top.bound.get()
+	s := scratchPool.Get().(*filterScratch)
+	for _, row := range rows {
+		c := orderedCand{value: row.Value}
+		if v, err := traj.ViewRecord(row.Value); err == nil {
+			var ok bool
+			if c.lb, ok = f.lower(v, s, cutoff); !ok {
+				continue // proved beyond the cutoff
+			}
+			c.id = v.ID()
+		}
+		cands = append(cands, c)
+	}
+	s.walked = false
+	scratchPool.Put(s)
+	sort.Slice(cands, func(i, j int) bool { return candBefore(cands[i], cands[j]) })
+	ordering := time.Since(t1)
+
+	// Refine ascending, each worker claiming the next row.
+	workers := min(e.refineParallelism(), len(cands))
 	if workers > stats.RefineWorkers {
 		stats.RefineWorkers = workers
 	}
@@ -254,33 +279,40 @@ func (e *Engine) refineOrdered(ctx context.Context, snap *store.Snapshot, stats 
 		refined                 atomic.Int64 // kernel calls
 		next                    atomic.Int64 // next row a worker claims
 	)
-
-	// Decode and lower-bound, each worker claiming the next row.
-	cands := make([]orderedCand, len(rows))
 	errs := make([]error, workers)
-	cutoff := top.bound.get()
 	runWorkers(workers, func(w int) {
-		var dec time.Duration
+		var row []float64 // this worker's DP scratch
+		var dec, work time.Duration
 		start := time.Now()
-		for ctx.Err() == nil && errs[w] == nil {
+		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
-			if i >= len(rows) {
+			if i >= len(cands) || cands[i].lb > top.bound.get() {
 				break
 			}
 			td := time.Now()
-			rec, err := store.DecodeRow(rows[i].Value)
-			dec += time.Since(td)
+			rec, err := store.DecodeRow(cands[i].value)
+			tk := time.Now()
+			dec += tk.Sub(td)
 			if err != nil {
 				errs[w] = err
 				break
 			}
-			if lb, ok := f.lower(rec, cutoff); ok {
-				cands[i] = orderedCand{rec: rec, lb: lb}
+			d, ok, r := f.exact(rec, top.bound.get(), row)
+			row = r
+			work += time.Since(tk)
+			refined.Add(1)
+			if ok {
+				top.offer(Result{ID: rec.ID, Distance: d, Points: rec.Points})
 			}
 		}
 		decoding.Add(int64(dec))
+		working.Add(int64(work))
 		busy.Add(int64(time.Since(start)))
 	})
+	stats.Refined += int(refined.Load())
+	stats.RefineCPUTime += ordering + time.Duration(busy.Load())
+	stats.DecodeTime += time.Duration(decoding.Load())
+	stats.KernelTime += time.Duration(working.Load())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -289,44 +321,7 @@ func (e *Engine) refineOrdered(ctx context.Context, snap *store.Snapshot, stats 
 			return err
 		}
 	}
-	kept := cands[:0]
-	for _, c := range cands {
-		if c.rec != nil { // lower proved the others beyond the cutoff
-			kept = append(kept, c)
-		}
-	}
-	cands = kept
-	sort.Slice(cands, func(i, j int) bool { return candBefore(cands[i], cands[j]) })
-
-	// Refine ascending.
-	next.Store(0)
-	runWorkers(workers, func(int) {
-		var row []float64 // this worker's DP scratch
-		var work time.Duration
-		start := time.Now()
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(cands) || cands[i].lb > top.bound.get() {
-				break
-			}
-			c := cands[i]
-			tk := time.Now()
-			d, ok, r := f.exact(c.rec, top.bound.get(), row)
-			row = r
-			work += time.Since(tk)
-			refined.Add(1)
-			if ok {
-				top.offer(Result{ID: c.rec.ID, Distance: d, Points: c.rec.Points})
-			}
-		}
-		working.Add(int64(work))
-		busy.Add(int64(time.Since(start)))
-	})
-	stats.Refined += int(refined.Load())
-	stats.RefineCPUTime += time.Duration(busy.Load())
-	stats.DecodeTime += time.Duration(decoding.Load())
-	stats.KernelTime += time.Duration(working.Load())
-	return ctx.Err()
+	return nil
 }
 
 // runWorkers runs fn(0..n-1) concurrently and waits for all of them; a pool
@@ -356,7 +351,7 @@ func candBefore(a, b orderedCand) bool {
 	if a.lb > b.lb {
 		return false
 	}
-	return a.rec.ID < b.rec.ID
+	return bytes.Compare(a.id, b.id) < 0
 }
 
 // refineBound is the pruning bound a best-first search shares between its

@@ -12,8 +12,9 @@ import (
 )
 
 // refLocalFilter is Lemmas 12-14 written as the yes/no decision Algorithm 2
-// states — each check compared against eps on its own, no shared running
-// maximum — and is the reference localBound is held to.
+// states over a decoded record — each check compared against eps on its own,
+// no shared running maximum, no particular order — and is the reference
+// localBound is held to.
 func refLocalFilter(qg *queryGeom, measure dist.Measure, rec *traj.Record, eps float64) bool {
 	qpts, tpts := qg.points, rec.Points
 	if len(tpts) == 0 {
@@ -55,8 +56,9 @@ func refLocalFilter(qg *queryGeom, measure dist.Measure, rec *traj.Record, eps f
 		}
 		return true
 	}
+	trep := rec.Features.RepPoints(&traj.Trajectory{Points: tpts})
 	return pointsNear(qg.rep, rec.Features.Boxes, tpts) &&
-		pointsNear(repPointsOf(rec), qg.features.Boxes, qpts) &&
+		pointsNear(trep, qg.features.Boxes, qpts) &&
 		boxesNear(qg.features.Boxes, rec.Features.Boxes, tpts) &&
 		boxesNear(rec.Features.Boxes, qg.features.Boxes, qpts)
 }
@@ -78,25 +80,36 @@ func boundShapes() []*traj.Trajectory {
 	)
 }
 
-// localBound is a lower bound on the exact distance, and deciding with it is
-// deciding with the lemmas one by one: for every pair of shapes, every
-// measure, and thresholds below, at and above the bound.
+// localBound over the stored bytes is a lower bound on the exact distance, and
+// deciding with it is deciding with the lemmas one by one over the decoded
+// record: for every pair of shapes, every measure, and thresholds below, at
+// and above the bound. Passing at lb and failing one ulp below it pins lb to
+// the reference's largest term bit for bit.
 func TestLocalBoundIsLowerBoundAndMatchesFilter(t *testing.T) {
 	const theta = 0.01 / 360 // fine enough that a city trip keeps several feature boxes
 	shapes := boundShapes()
 	geoms := make([]*queryGeom, len(shapes))
 	recs := make([]*traj.Record, len(shapes))
+	views := make([]traj.RecordView, len(shapes))
 	for i, s := range shapes {
 		f := traj.ComputeFeatures(s, theta)
 		geoms[i] = &queryGeom{points: s.Points, features: f, rep: f.RepPoints(s)}
-		recs[i] = &traj.Record{ID: s.ID, Points: s.Points, Features: f}
+		value := traj.EncodeRecord(&traj.Record{ID: s.ID, Points: s.Points, Features: f})
+		var err error
+		if recs[i], err = traj.DecodeRecord(value); err != nil {
+			t.Fatal(err)
+		}
+		if views[i], err = traj.ViewRecord(value); err != nil {
+			t.Fatal(err)
+		}
 	}
+	scratch := new(filterScratch)
 	for _, measure := range []dist.Measure{dist.Frechet, dist.Hausdorff, dist.DTW} {
 		exact := dist.For(measure)
 		for qi, qg := range geoms {
 			for ti, rec := range recs {
 				name := fmt.Sprintf("%v %s vs %s", measure, shapes[qi].ID, shapes[ti].ID)
-				lb, ok := localBound(qg, measure, rec, math.Inf(1))
+				lb, ok := localBound(qg, measure, views[ti], scratch, math.Inf(1))
 				if !ok {
 					t.Fatalf("%s: abandoned at cutoff +Inf", name)
 				}
@@ -107,7 +120,7 @@ func TestLocalBoundIsLowerBoundAndMatchesFilter(t *testing.T) {
 					if eps < 0 {
 						continue // Nextafter(0, 0) side of a zero bound
 					}
-					got, ok := localBound(qg, measure, rec, eps)
+					got, ok := localBound(qg, measure, views[ti], scratch, eps)
 					if want := refLocalFilter(qg, measure, rec, eps); ok != want || ok != (lb <= eps) {
 						t.Fatalf("%s eps=%v: localBound ok=%v, the lemmas one by one say %v, lb=%v", name, eps, ok, want, lb)
 					}
@@ -122,7 +135,11 @@ func TestLocalBoundIsLowerBoundAndMatchesFilter(t *testing.T) {
 		}
 	}
 	// A record with no points is never within anything.
-	if _, ok := localBound(geoms[0], dist.Frechet, &traj.Record{Features: &traj.Features{}}, math.Inf(1)); ok {
+	empty, err := traj.ViewRecord(traj.EncodeRecord(&traj.Record{Features: &traj.Features{}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := localBound(geoms[0], dist.Frechet, empty, scratch, math.Inf(1)); ok {
 		t.Fatal("an empty record passed the filter")
 	}
 }

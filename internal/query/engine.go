@@ -90,8 +90,9 @@ type Stats struct {
 	// realized.
 	RefineCPUTime time.Duration
 	// DecodeTime and KernelTime split RefineCPUTime: the summed worker time
-	// inside store.DecodeRow of shipped rows, and inside the distance kernel.
-	// What is left is a best-first search's lower-bound ordering.
+	// decoding the rows the workers reached — the one decode a row ever gets —
+	// and inside the distance kernel. What is left is a best-first search's
+	// bounding and ordering of a drain's shipped rows from their bytes.
 	DecodeTime time.Duration
 	KernelTime time.Duration
 	// SeedTime is the wall-clock of a top-k search's seeding phase — the
@@ -103,8 +104,12 @@ type Stats struct {
 	// used (1 = sequential; batches smaller than the pool clamp it).
 	RefineWorkers int
 
-	Ranges       int   // key ranges scanned (after merging)
-	RowsScanned  int64 // rows visited inside regions
+	Ranges      int   // key ranges scanned (after merging)
+	RowsScanned int64 // rows visited inside regions
+	// RowsWalked is how many of the scanned rows had their point stream
+	// walked by the pushed-down filter; the rest fell at their first point or
+	// feature boxes, or were never checked.
+	RowsWalked   int64
 	Retrieved    int64 // rows that survived local filtering and were shipped
 	BytesShipped int64
 	RPCs         int64

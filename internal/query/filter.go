@@ -2,10 +2,10 @@ package query
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/geo"
-	"repro/internal/store"
 	"repro/internal/traj"
 )
 
@@ -13,45 +13,95 @@ import (
 // necessary condition for f(Q,T) <= eps; any failure proves dissimilarity.
 // Checks run cheapest-first, as the paper prescribes.
 
-// localBound evaluates Lemmas 12-14 for a stored record against the query as
+// filterScratch is what the pushed-down filters decode a row's features and
+// picked points into. Region scans run a query's filter concurrently, so
+// each call takes its own from scratchPool.
+type filterScratch struct {
+	idx    []int
+	boxes  []geo.Rect
+	rep    []geo.Point
+	one    [1]geo.Point // a single-point row's whole point set
+	walked bool         // the row's point stream was walked; wrapWithWindow counts and clears it
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(filterScratch) }}
+
+// rowFilter is a pushed-down predicate over one located row: true ships it.
+type rowFilter func(v traj.RecordView, s *filterScratch) bool
+
+// localBound evaluates Lemmas 12-14 for a stored row against the query as
 // one number: the smallest eps at which every check passes, which therefore
 // lower-bounds f(Q,T). The pushed-down filter keeps a row iff that number is
 // at most its threshold; a best-first search also orders a drain's rows by it.
 // The evaluation abandons as soon as the running maximum exceeds cutoff and
-// reports ok = false — the record provably cannot be within cutoff, and lb is
+// reports ok = false — the row provably cannot be within cutoff, and lb is
 // then only the partial maximum that proved it. cutoff = +Inf never abandons.
-func localBound(qg *queryGeom, measure dist.Measure, rec *traj.Record, cutoff float64) (lb float64, ok bool) {
-	qpts := qg.points
-	tpts := rec.Points
-	if len(tpts) == 0 {
+//
+// The checks read the stored bytes cheapest first: the first point (two
+// varints), then the feature boxes — the points section is skipped by its
+// length prefix — and only a row that survives both has its point stream
+// walked, once, for its last and representative points. Bytes that do not
+// parse prove nothing, so the row is kept with bound 0: it ships, is refined
+// first, and the worker's decode reports it.
+func localBound(qg *queryGeom, measure dist.Measure, v traj.RecordView, s *filterScratch, cutoff float64) (lb float64, ok bool) {
+	if v.Len() == 0 {
 		return math.Inf(1), false
 	}
+	qpts := qg.points
+	endpoints := dist.SupportsEndpointLemma(measure)
+	first, err := v.First()
+	if err != nil {
+		return 0, true
+	}
 
-	// Lemma 12: endpoints must match within eps (Fréchet and DTW only).
-	if dist.SupportsEndpointLemma(measure) {
-		lb = math.Max(qpts[0].Dist(tpts[0]), qpts[len(qpts)-1].Dist(tpts[len(tpts)-1]))
-		if lb > cutoff {
+	// Lemma 12: endpoints must match within eps (Fréchet and DTW only). The
+	// start points first; the end points wait for the walk.
+	if endpoints {
+		if lb = qpts[0].Dist(first); lb > cutoff {
 			return lb, false
 		}
 	}
 
+	if s.idx, s.boxes, err = v.Features(s.idx, s.boxes); err != nil {
+		return 0, true
+	}
+	// A row has no boxes when it is a single point, and that point then
+	// stands in for them. (Several points and no boxes is not a row this
+	// store writes; nothing bounds it.)
+	if len(s.boxes) == 0 && v.Len() > 1 {
+		return 0, true
+	}
+	s.one[0] = first
+
 	// Lemma 13, query side: every representative point of Q must be within
 	// eps of T's feature boxes (which cover all of T).
-	if lb = pointsToBoxes(lb, qg.rep, rec.Features.Boxes, tpts, cutoff); lb > cutoff {
+	if lb = pointsToBoxes(lb, qg.rep, s.boxes, s.one[:], cutoff); lb > cutoff {
 		return lb, false
 	}
-	// Lemma 13, data side: every representative point of T within eps of
-	// Q's boxes.
-	if lb = pointsToBoxes(lb, repPointsOf(rec), qg.features.Boxes, qpts, cutoff); lb > cutoff {
+	// Lemma 14, both sides: every feature box's guaranteed point (one per
+	// edge) must reach the other side's boxes within eps.
+	if lb = boxesToBoxes(lb, qg.features.Boxes, s.boxes, s.one[:], cutoff); lb > cutoff {
+		return lb, false
+	}
+	if lb = boxesToBoxes(lb, s.boxes, qg.features.Boxes, qpts, cutoff); lb > cutoff {
 		return lb, false
 	}
 
-	// Lemma 14, both sides: every feature box's guaranteed point (one per
-	// edge) must reach the other side's boxes within eps.
-	if lb = boxesToBoxes(lb, qg.features.Boxes, rec.Features.Boxes, tpts, cutoff); lb > cutoff {
-		return lb, false
+	s.walked = true
+	var last geo.Point
+	if last, s.rep, err = v.Walk(s.idx, s.rep); err != nil {
+		return 0, true
 	}
-	if lb = boxesToBoxes(lb, rec.Features.Boxes, qg.features.Boxes, qpts, cutoff); lb > cutoff {
+	if endpoints {
+		if d := qpts[len(qpts)-1].Dist(last); d > lb {
+			if lb = d; lb > cutoff {
+				return lb, false
+			}
+		}
+	}
+	// Lemma 13, data side: every representative point of T within eps of
+	// Q's boxes.
+	if lb = pointsToBoxes(lb, s.rep, qg.features.Boxes, qpts, cutoff); lb > cutoff {
 		return lb, false
 	}
 	return lb, true
@@ -101,18 +151,6 @@ func boxesToBoxes(lb float64, a, b []geo.Rect, bFallback []geo.Point, cutoff flo
 	return lb
 }
 
-// repPointsOf materializes a stored record's representative points, tolerating
-// out-of-range indexes from corrupt rows by skipping them.
-func repPointsOf(rec *traj.Record) []geo.Point {
-	out := make([]geo.Point, 0, len(rec.Features.PointIdx))
-	for _, idx := range rec.Features.PointIdx {
-		if idx >= 0 && idx < len(rec.Points) {
-			out = append(out, rec.Points[idx])
-		}
-	}
-	return out
-}
-
 func distToPoints(p geo.Point, pts []geo.Point) float64 {
 	best := math.Inf(1)
 	for _, q := range pts {
@@ -133,46 +171,40 @@ func distSegToPoints(s geo.Segment, pts []geo.Point) float64 {
 	return best
 }
 
-// serverFilter builds the coprocessor push-down: decode the row, run the
-// local filter. Rows that fail never leave the region server.
-func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) func(key, value []byte) bool {
-	return func(key, value []byte) bool {
-		rec, err := store.DecodeRow(value)
-		if err != nil {
-			// A row we cannot decode is surfaced rather than silently
-			// dropped: ship it and let the client-side decode report the
-			// corruption.
-			return true
-		}
-		_, ok := localBound(qg, measure, rec, eps)
+// serverFilter is the coprocessor push-down: the local filter over the
+// stored bytes. Rows that fail never leave the region server.
+func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) rowFilter {
+	return func(v traj.RecordView, s *filterScratch) bool {
+		_, ok := localBound(qg, measure, v, s, eps)
 		return ok
 	}
 }
 
 // endpointOnlyFilter is the reduced push-down of the ablation study and of
 // JUST-style systems: Lemma 12 only.
-func endpointOnlyFilter(qg *queryGeom, measure dist.Measure, eps float64) func(key, value []byte) bool {
-	supports := dist.SupportsEndpointLemma(measure)
-	return func(key, value []byte) bool {
-		if !supports {
-			return true
+func endpointOnlyFilter(qg *queryGeom, measure dist.Measure, eps float64) rowFilter {
+	if !dist.SupportsEndpointLemma(measure) {
+		return nil
+	}
+	return func(v traj.RecordView, s *filterScratch) bool {
+		if v.Len() == 0 {
+			return false
 		}
-		rec, err := store.DecodeRow(value)
+		first, err := v.First()
 		if err != nil {
-			return true
+			return true // unparseable rows ship; the worker's decode reports them
 		}
-		if len(rec.Points) == 0 {
+		if qg.points[0].Dist(first) > eps {
 			return false
 		}
-		if qg.points[0].Dist(rec.Points[0]) > eps {
-			return false
-		}
-		return qg.points[len(qg.points)-1].Dist(rec.Points[len(rec.Points)-1]) <= eps
+		s.walked = true
+		last, _, err := v.Walk(nil, nil)
+		return err != nil || qg.points[len(qg.points)-1].Dist(last) <= eps
 	}
 }
 
 // buildFilter selects the push-down according to the engine's tuning.
-func (e *Engine) buildFilter(qg *queryGeom, eps float64) func(key, value []byte) bool {
+func (e *Engine) buildFilter(qg *queryGeom, eps float64) rowFilter {
 	switch {
 	case e.tuning.DisableLocalFilter:
 		return nil

@@ -36,8 +36,12 @@ func (e *Engine) nearestToPoint(ctx context.Context, snap *store.Snapshot, q Que
 			}
 		},
 		// A point has no element of its own, so nothing seeds the bound.
-		lower: func(rec *traj.Record, cutoff float64) (float64, bool) {
-			lb := pointBoxBound(p, rec.Features.Boxes)
+		lower: func(v traj.RecordView, s *filterScratch, cutoff float64) (float64, bool) {
+			var err error
+			if s.idx, s.boxes, err = v.Features(s.idx, s.boxes); err != nil {
+				return 0, true
+			}
+			lb := pointBoxBound(p, s.boxes)
 			return lb, lb <= cutoff
 		},
 		exact: func(rec *traj.Record, bound float64, row []float64) (float64, bool, []float64) {

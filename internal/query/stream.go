@@ -41,16 +41,18 @@ type keyedResult struct {
 }
 
 // refineRanges is the scan-and-refine stage threshold and range share: scan
-// the planned ranges through the pushed-down filter, run work over every
-// shipped row, and hand each kept outcome to sink as it merges — or, with a
-// nil sink, collect them and return them in row-key order. Row keys are
-// unique (value ‖ shard ‖ id), so that order is total.
+// the planned ranges through the pushed-down filter (window and pushed, see
+// wrapWithWindow), run work over every shipped row, and hand each kept
+// outcome to sink as it merges — or, with a nil sink, collect them and return
+// them in row-key order. Row keys are unique (value ‖ shard ‖ id), so that
+// order is total.
 func (e *Engine) refineRanges(ctx context.Context, snap *store.Snapshot, stats *Stats, ranges []xzstar.ValueRange,
-	filter func(key, value []byte) bool, work refineWork, sink func(Result) error) ([]Result, *Stats, error) {
+	window TimeWindow, pushed rowFilter, work refineWork, sink func(Result) error) ([]Result, *Stats, error) {
 	stats.Ranges = len(ranges)
 	if len(ranges) == 0 {
 		return nil, stats, nil
 	}
+	filter, walked := wrapWithWindow(window, pushed)
 	scan := func(sctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 		return snap.ScanRangesStream(sctx, ranges, filter, 0, store.StreamOptions{}, emit)
 	}
@@ -70,6 +72,7 @@ func (e *Engine) refineRanges(ctx context.Context, snap *store.Snapshot, stats *
 	if err != nil {
 		return nil, nil, err
 	}
+	stats.RowsWalked = walked.Load()
 	if len(out) == 0 {
 		return nil, stats, nil
 	}

@@ -22,7 +22,7 @@ func (e *Engine) threshold(ctx context.Context, snap *store.Snapshot, q Query, s
 		xzstar.PruneOptions{DisableCodePruning: e.tuning.DisablePosCodes})
 	stats.PruneTime = time.Since(t0)
 
-	return e.refineRanges(ctx, snap, stats, ranges, wrapWithWindow(q.Window, e.buildFilter(qg, q.Eps)),
+	return e.refineRanges(ctx, snap, stats, ranges, q.Window, e.buildFilter(qg, q.Eps),
 		func(rec *traj.Record, row []float64) (refineOutcome, []float64) {
 			d, ok, row := e.kernel(qg.points, rec.Points, q.Eps, row)
 			return refineOutcome{rec: rec, dist: d, keep: ok}, row

@@ -1,6 +1,10 @@
 package query
 
-import "repro/internal/traj"
+import (
+	"sync/atomic"
+
+	"repro/internal/traj"
+)
 
 // TimeWindow restricts a query to trajectories observed within [Start, End]
 // (Unix seconds, inclusive). A zero Start or End leaves that side unbounded.
@@ -14,14 +18,11 @@ type TimeWindow struct {
 // Unbounded reports whether the window constrains nothing.
 func (w TimeWindow) Unbounded() bool { return w.Start == 0 && w.End == 0 }
 
-// admits reports whether a record overlaps the window. Untimed trajectories
-// always qualify: absence of timestamps must not silently hide data.
-func (w TimeWindow) admits(rec *traj.Record) bool {
-	if w.Unbounded() {
-		return true
-	}
-	min, max, ok := rec.TimeBounds()
-	if !ok {
+// admits reports whether a timestamp range overlaps the window. Untimed
+// trajectories (timed = false) always qualify: absence of timestamps must not
+// silently hide data.
+func (w TimeWindow) admits(min, max int64, timed bool) bool {
+	if !timed {
 		return true
 	}
 	if w.Start != 0 && max < w.Start {
@@ -33,24 +34,39 @@ func (w TimeWindow) admits(rec *traj.Record) bool {
 	return true
 }
 
-// wrapWithWindow composes a time predicate around a spatial push-down
-// filter. A nil inner filter yields a pure time filter; an unbounded window
-// returns the inner filter unchanged.
-func wrapWithWindow(w TimeWindow, inner func(key, value []byte) bool) func(key, value []byte) bool {
-	if w.Unbounded() {
-		return inner
+// wrapWithWindow makes the filter a region scan runs out of a time window
+// and a spatial push-down (either may be absent; with neither there is no
+// filter). It locates the row's sections once, for both, and lends inner a
+// pooled scratch. The spatial check goes first — most rows fall at their
+// first point, two varints, where the time check reads one per point. A row
+// whose framing or timestamps do not parse ships, so that the worker's decode
+// reports it. walked counts the rows whose point stream inner had to walk.
+func wrapWithWindow(w TimeWindow, inner rowFilter) (filter func(key, value []byte) bool, walked *atomic.Int64) {
+	walked = new(atomic.Int64)
+	if w.Unbounded() && inner == nil {
+		return nil, walked
 	}
-	return func(key, value []byte) bool {
-		rec, err := traj.DecodeRecord(value)
+	return func(_, value []byte) bool {
+		v, err := traj.ViewRecord(value)
 		if err != nil {
-			return true // surface corruption at the client decode
-		}
-		if !w.admits(rec) {
-			return false
-		}
-		if inner == nil {
 			return true
 		}
-		return inner(key, value)
-	}
+		if inner != nil {
+			s := scratchPool.Get().(*filterScratch)
+			keep := inner(v, s)
+			if s.walked {
+				s.walked = false
+				walked.Add(1)
+			}
+			scratchPool.Put(s)
+			if !keep {
+				return false
+			}
+		}
+		if w.Unbounded() {
+			return true
+		}
+		min, max, timed, err := v.TimeBounds()
+		return err != nil || w.admits(min, max, timed)
+	}, walked
 }

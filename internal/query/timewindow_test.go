@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -64,7 +66,7 @@ func (f *timedFixture) bruteThresholdWindow(q *traj.Trajectory, eps float64, w T
 	out := map[string]bool{}
 	for _, tr := range f.trajs {
 		rec := &traj.Record{ID: tr.ID, Points: tr.Points, Times: tr.Times}
-		if !w.admits(rec) {
+		if !w.admits(rec.TimeBounds()) {
 			continue
 		}
 		if dist.DiscreteFrechet(q.Points, tr.Points) <= eps {
@@ -120,7 +122,7 @@ func TestTopKWindowMatchesBruteForce(t *testing.T) {
 		var ds []float64
 		for _, tr := range f.trajs {
 			rec := &traj.Record{ID: tr.ID, Points: tr.Points, Times: tr.Times}
-			if !w.admits(rec) {
+			if !w.admits(rec.TimeBounds()) {
 				continue
 			}
 			ds = append(ds, dist.DiscreteFrechet(q.Points, tr.Points))
@@ -151,7 +153,7 @@ func TestRangeWindow(t *testing.T) {
 	want := 0
 	for _, tr := range f.trajs {
 		rec := &traj.Record{ID: tr.ID, Points: tr.Points, Times: tr.Times}
-		if (TimeWindow{End: daySecs - 1}).admits(rec) {
+		if (TimeWindow{End: daySecs - 1}).admits(rec.TimeBounds()) {
 			want++
 		}
 	}
@@ -179,8 +181,83 @@ func TestTimeWindowSemantics(t *testing.T) {
 		{TimeWindow{Start: 1, End: 4}, &traj.Record{ID: "u", Points: make([]geo.Point, 2)}, true}, // untimed
 	}
 	for i, tc := range cases {
-		if got := tc.w.admits(tc.rec); got != tc.admit {
+		if got := tc.w.admits(tc.rec.TimeBounds()); got != tc.admit {
 			t.Errorf("case %d: admits = %v, want %v", i, got, tc.admit)
+		}
+	}
+}
+
+// The pushed-down time check reads a row's timestamp range in one pass over
+// its stored bytes. Windows whose edges sit exactly on, and one second off, a
+// stored trajectory's first and last timestamp must admit and exclude it as
+// brute force over the decoded rows does — for threshold, range and top-k,
+// timed and untimed rows mixed.
+func TestWindowEdgesMatchBruteForce(t *testing.T) {
+	f := newTimedFixture(t, 150, 96)
+	recs, _ := storedTable(t, f.store)
+	for _, ti := range []int{1, 7, 13} { // days 1-3: no timestamp is 0, which would read as unbounded
+		target := f.trajs[ti]
+		tmin, tmax, _ := target.TimeBounds()
+		const eps = 0.02 / 360 * 20
+		rect := target.MBR()
+		for _, tc := range []struct {
+			w      TimeWindow
+			admits bool
+		}{
+			{TimeWindow{Start: tmax}, true},
+			{TimeWindow{Start: tmax + 1}, false},
+			{TimeWindow{End: tmin}, true},
+			{TimeWindow{End: tmin - 1}, false},
+			{TimeWindow{Start: tmax, End: tmax}, true},
+			{TimeWindow{Start: tmin, End: tmin}, true},
+			{TimeWindow{Start: tmin + 1, End: tmax - 1}, true},
+		} {
+			name := fmt.Sprintf("%s window %+v", target.ID, tc.w)
+			wantIDs := func(match func(*traj.Record) bool) []string {
+				var ids []string
+				for _, rec := range recs {
+					if tc.w.admits(rec.TimeBounds()) && match(rec) {
+						ids = append(ids, rec.ID)
+					}
+				}
+				sort.Strings(ids)
+				return ids
+			}
+			gotIDs := func(q Query) []string {
+				rs, _, err := f.engine.Search(bg, q, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				ids := make([]string, len(rs))
+				for i, r := range rs {
+					ids[i] = r.ID
+				}
+				sort.Strings(ids)
+				return ids
+			}
+
+			got := gotIDs(Query{Kind: KindThreshold, Traj: target, Eps: eps, Window: tc.w})
+			want := wantIDs(func(rec *traj.Record) bool { return dist.DiscreteFrechet(target.Points, rec.Points) <= eps })
+			if !slices.Equal(got, want) {
+				t.Errorf("%s threshold: got %v, want %v", name, got, want)
+			}
+			if slices.Contains(got, target.ID) != tc.admits {
+				t.Errorf("%s threshold: the trajectory on the edge is in the answer = %v", name, !tc.admits)
+			}
+
+			got = gotIDs(Query{Kind: KindRange, Rect: rect, Window: tc.w})
+			want = wantIDs(func(rec *traj.Record) bool { return slices.ContainsFunc(rec.Points, rect.ContainsPoint) })
+			if !slices.Equal(got, want) {
+				t.Errorf("%s range: got %v, want %v", name, got, want)
+			}
+
+			top, _, err := f.engine.Search(bg, Query{Kind: KindTopK, Traj: target, K: 8, Window: tc.w}, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if wantTop := bruteTopKStored(recs, target, 8, dist.Frechet, tc.w); !reflect.DeepEqual(top, wantTop) {
+				t.Errorf("%s top-k: differs from brute force at rank %d", name, firstDiff(top, wantTop))
+			}
 		}
 	}
 }

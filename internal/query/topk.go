@@ -38,8 +38,8 @@ func (e *Engine) topK(ctx context.Context, snap *store.Snapshot, q Query, sink f
 		},
 		seed:   see,
 		window: q.Window,
-		lower: func(rec *traj.Record, cutoff float64) (float64, bool) {
-			return localBound(qg, e.measure, rec, cutoff)
+		lower: func(v traj.RecordView, s *filterScratch, cutoff float64) (float64, bool) {
+			return localBound(qg, e.measure, v, s, cutoff)
 		},
 		exact: func(rec *traj.Record, bound float64, row []float64) (float64, bool, []float64) {
 			return e.kernel(qg.points, rec.Points, bound, row)

@@ -40,7 +40,7 @@ func bruteTopKStored(recs []*traj.Record, q *traj.Trajectory, k int, measure dis
 	fn := dist.For(measure)
 	var all []Result
 	for _, rec := range recs {
-		if w.admits(rec) {
+		if w.admits(rec.TimeBounds()) {
 			all = append(all, Result{ID: rec.ID, Distance: fn(q.Points, rec.Points), Points: rec.Points})
 		}
 	}
@@ -231,15 +231,7 @@ func firstDiff(a, b []Result) int {
 // are 1.5 x what this fixture records (mean per query: 153.9 refined, 317.5
 // RPCs, 763.8 rows scanned, 275.9 shipped).
 func TestTopKWorkCounts(t *testing.T) {
-	st, err := store.Open(store.Config{Dir: t.TempDir(), Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	trajs := gen.TDrive(gen.TDriveOptions{Seed: 7, N: 20000})
-	if err := st.PutBatch(trajs); err != nil {
-		t.Fatal(err)
-	}
+	st, trajs := tdriveStore(t)
 	eng := New(st, dist.Frechet)
 	eng.SetRefineParallelism(1)
 

@@ -21,6 +21,11 @@ const maxRequestBody = 8 << 20
 // callers are not capped.
 const maxK = 10000
 
+// maxQueryPoints bounds an inline query trajectory on the wire: every
+// candidate pays an O(n·m) DP against it, and the body limit alone admits
+// some 400,000 points. Embedded callers are not capped.
+const maxQueryPoints = 10000
+
 // checkK validates the k of a top-k or nearest request.
 func checkK(kind string, k int) error {
 	if k <= 0 {
@@ -109,6 +114,8 @@ func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
 			return nil, badRequest(fmt.Errorf("query trajectory %q not stored", req.QueryID))
 		}
 		return q, err
+	case len(req.Points) > maxQueryPoints:
+		return nil, fmt.Errorf("%w: %d query points exceed the server's limit of %d", trass.ErrInvalidQuery, len(req.Points), maxQueryPoints)
 	case len(req.Points) > 0:
 		q, err := toTrajectory("<query>", req.Points)
 		if err != nil {

@@ -375,6 +375,10 @@ func TestBadRequests(t *testing.T) {
 	_, client := startServer(t, db, Config{})
 	ctx := context.Background()
 
+	tooLong := make([][2]float64, maxQueryPoints+1)
+	for i := range tooLong {
+		tooLong[i] = [2]float64{0.5, 0.5}
+	}
 	cases := []struct {
 		name string
 		req  QueryRequest
@@ -394,6 +398,7 @@ func TestBadRequests(t *testing.T) {
 		{"negative page size", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 3, PageSize: -1}},
 		{"stream with negative page size", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: -1}},
 		{"inline point out of plane", QueryRequest{Kind: KindThreshold, Points: [][2]float64{{0.5, 0.5}, {1.5, 0.5}}, Eps: 0.01}},
+		{"inline query above the length cap", QueryRequest{Kind: KindThreshold, Points: tooLong, Eps: 0.0001}},
 		{"range rect out of plane", QueryRequest{Kind: KindRange, Rect: &[4]float64{0.2, 0.2, 0.4, 1.5}}},
 		{"knn point out of plane", QueryRequest{Kind: KindKNN, Point: &[2]float64{-0.5, 0.5}, K: 3}},
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 )
@@ -53,30 +54,23 @@ func EncodePoints(pts []geo.Point) []byte {
 
 // DecodePoints is the inverse of EncodePoints.
 func DecodePoints(buf []byte) ([]geo.Point, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, errCorrupt
+	n, stream, err := pointCount(buf)
+	if err != nil {
+		return nil, err
 	}
-	buf = buf[sz:]
-	// Bound the allocation by what the buffer can actually hold: each point
-	// is two varints of at least one byte each. A corrupt count would
-	// otherwise allocate gigabytes before the decode loop ever fails.
-	if n > 1<<26 || n > uint64(len(buf))/2 {
-		return nil, fmt.Errorf("traj: implausible point count %d for %d bytes", n, len(buf))
-	}
+	return decodePointStream(stream, n)
+}
+
+// decodePointStream materializes the n points of a delta-varint stream.
+func decodePointStream(stream []byte, n int) ([]geo.Point, error) {
 	pts := make([]geo.Point, n)
 	var px, py int64
 	for i := range pts {
-		dx, s1 := binary.Varint(buf)
-		if s1 <= 0 {
-			return nil, errCorrupt
+		dx, dy, rest, err := nextPoint(stream)
+		if err != nil {
+			return nil, err
 		}
-		buf = buf[s1:]
-		dy, s2 := binary.Varint(buf)
-		if s2 <= 0 {
-			return nil, errCorrupt
-		}
-		buf = buf[s2:]
+		stream = rest
 		px += dx
 		py += dy
 		pts[i] = geo.Point{X: dequantize(px), Y: dequantize(py)}
@@ -105,55 +99,62 @@ func EncodeFeatures(f *Features) []byte {
 
 // DecodeFeatures is the inverse of EncodeFeatures.
 func DecodeFeatures(buf []byte) (*Features, error) {
+	idx, boxes, err := decodeFeaturesInto(buf, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Features{PointIdx: idx, Boxes: boxes}, nil
+}
+
+// decodeFeaturesInto appends the indexes and boxes of a features section to
+// idx and boxes, allocating only what their capacity lacks.
+func decodeFeaturesInto(buf []byte, idx []int, boxes []geo.Rect) ([]int, []geo.Rect, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		return nil, errCorrupt
+		return idx, boxes, errCorrupt
 	}
 	buf = buf[sz:]
 	// Each index delta is at least one byte; cap the allocation accordingly.
 	if n > 1<<26 || n > uint64(len(buf)) {
-		return nil, fmt.Errorf("traj: implausible feature count %d for %d bytes", n, len(buf))
+		return idx, boxes, fmt.Errorf("traj: implausible feature count %d for %d bytes", n, len(buf))
 	}
-	f := &Features{PointIdx: make([]int, n)}
+	idx = slices.Grow(idx, int(n))
 	prev := 0
-	for i := range f.PointIdx {
+	for i := 0; i < int(n); i++ {
 		d, s := binary.Uvarint(buf)
 		if s <= 0 {
-			return nil, errCorrupt
+			return idx, boxes, errCorrupt
 		}
 		buf = buf[s:]
 		prev += int(d)
-		f.PointIdx[i] = prev
+		idx = append(idx, prev)
 	}
 	m, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		return nil, errCorrupt
+		return idx, boxes, errCorrupt
 	}
 	buf = buf[sz:]
 	// Each box is four varints of at least one byte each.
 	if m > 1<<26 || m > uint64(len(buf))/4 {
-		return nil, fmt.Errorf("traj: implausible box count %d for %d bytes", m, len(buf))
+		return idx, boxes, fmt.Errorf("traj: implausible box count %d for %d bytes", m, len(buf))
 	}
-	f.Boxes = make([]geo.Rect, m)
-	for i := range f.Boxes {
+	boxes = slices.Grow(boxes, int(m))
+	for i := 0; i < int(m); i++ {
 		var vals [4]int64
-		for j := 0; j < 4; j++ {
+		for j := range vals {
 			v, s := binary.Varint(buf)
 			if s <= 0 {
-				return nil, errCorrupt
+				return idx, boxes, errCorrupt
 			}
 			buf = buf[s:]
 			vals[j] = v
 		}
-		f.Boxes[i] = geo.Rect{
+		boxes = append(boxes, geo.Rect{
 			Min: geo.Point{X: dequantize(vals[0]), Y: dequantize(vals[1])},
 			Max: geo.Point{X: dequantize(vals[2]), Y: dequantize(vals[3])},
-		}
+		})
 	}
-	if m == 0 {
-		f.Boxes = nil
-	}
-	return f, nil
+	return idx, boxes, nil
 }
 
 // Record bundles everything TraSS stores per trajectory row.
@@ -226,47 +227,26 @@ func EncodeRecord(r *Record) []byte {
 	return buf
 }
 
-// DecodeRecord is the inverse of EncodeRecord.
+// DecodeRecord is the inverse of EncodeRecord, and the one full decoder: it
+// decodes every section ViewRecord locates.
 func DecodeRecord(buf []byte) (*Record, error) {
-	idLen, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < idLen {
-		return nil, errCorrupt
-	}
-	buf = buf[sz:]
-	id := string(buf[:idLen])
-	buf = buf[idLen:]
-
-	ptsLen, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < ptsLen {
-		return nil, errCorrupt
-	}
-	buf = buf[sz:]
-	pts, err := DecodePoints(buf[:ptsLen])
+	v, err := ViewRecord(buf)
 	if err != nil {
 		return nil, err
 	}
-	buf = buf[ptsLen:]
-
-	ftLen, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < ftLen {
-		return nil, errCorrupt
-	}
-	buf = buf[sz:]
-	ft, err := DecodeFeatures(buf[:ftLen])
+	pts, err := decodePointStream(v.pts, v.n)
 	if err != nil {
 		return nil, err
 	}
-	buf = buf[ftLen:]
-
-	rec := &Record{ID: id, Points: pts, Features: ft}
-	if len(buf) == 0 {
+	ft, err := DecodeFeatures(v.ft)
+	if err != nil {
+		return nil, err
+	}
+	rec := &Record{ID: string(v.id), Points: pts, Features: ft}
+	if v.tm == nil {
 		return rec, nil // row written before the timestamp section existed
 	}
-	tmLen, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < tmLen {
-		return nil, errCorrupt
-	}
-	times, err := decodeTimes(buf[sz : sz+int(tmLen)])
+	times, err := decodeTimes(v.tm)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package traj
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -27,9 +28,77 @@ func pointsClose(a, b []geo.Point) bool {
 	return true
 }
 
-// FuzzTrajCodec feeds arbitrary bytes to the record decoder: it must never
-// panic or over-allocate, and anything it accepts must survive an
-// encode/decode round trip with identical structure.
+// checkViewAgainstDecode holds RecordView to DecodeRecord's outcome (rec, err)
+// on the same bytes: the view never panics and never reads outside data,
+// whatever the bytes; whatever the decoder accepts the view accepts, and every
+// accessor agrees with the decoded record bit for bit.
+func checkViewAgainstDecode(t *testing.T, data []byte, rec *Record, decErr error) {
+	// A copy with no spare capacity, so that reading past the value panics.
+	data = append(make([]byte, 0, len(data)), data...)
+	v, err := ViewRecord(data[:len(data):len(data)])
+	if err != nil {
+		if decErr == nil {
+			t.Fatalf("DecodeRecord accepted what ViewRecord refuses: %v", err)
+		}
+		return
+	}
+	first, firstErr := v.First()
+	idx, boxes, ftErr := v.Features(nil, nil)
+	last, picked, walkErr := v.Walk(idx, nil)
+	tmin, tmax, timed, tmErr := v.TimeBounds()
+	_, anyErr := v.AnyPointIn(geo.Rect{Min: geo.Point{X: 2, Y: 2}, Max: geo.Point{X: 3, Y: 3}})
+	if decErr != nil {
+		return // accessors may fail on what the decoder refuses; they may not panic
+	}
+
+	if string(v.ID()) != rec.ID || v.Len() != len(rec.Points) {
+		t.Fatalf("view id %q, %d points; decoded %q, %d", v.ID(), v.Len(), rec.ID, len(rec.Points))
+	}
+	if ftErr != nil || walkErr != nil || tmErr != nil || anyErr != nil || (firstErr != nil && v.Len() > 0) {
+		t.Fatalf("accessors failed on a decodable row: first %v, features %v, walk %v, times %v, any %v",
+			firstErr, ftErr, walkErr, tmErr, anyErr)
+	}
+	if !slices.Equal(idx, rec.Features.PointIdx) || !slices.Equal(boxes, rec.Features.Boxes) {
+		t.Fatalf("view features (%v, %v), decoded (%v, %v)", idx, boxes, rec.Features.PointIdx, rec.Features.Boxes)
+	}
+	if wmin, wmax, wtimed := rec.TimeBounds(); tmin != wmin || tmax != wmax || timed != wtimed {
+		t.Fatalf("view time bounds (%d, %d, %v), decoded (%d, %d, %v)", tmin, tmax, timed, wmin, wmax, wtimed)
+	}
+	if len(rec.Points) == 0 {
+		return
+	}
+	if first != rec.Points[0] || last != rec.Points[len(rec.Points)-1] {
+		t.Fatalf("view endpoints %v, %v; decoded %v, %v", first, last, rec.Points[0], rec.Points[len(rec.Points)-1])
+	}
+	if slices.IsSorted(idx) {
+		var want []geo.Point
+		for _, i := range idx {
+			if i >= 0 && i < len(rec.Points) {
+				want = append(want, rec.Points[i])
+			}
+		}
+		if !slices.Equal(picked, want) {
+			t.Fatalf("Walk picked %v at %v, decoded points there are %v", picked, idx, want)
+		}
+	}
+	mid := rec.Points[len(rec.Points)/2]
+	for _, r := range []geo.Rect{
+		{Min: mid, Max: mid},
+		{Min: first, Max: last},
+		{Min: geo.Point{X: mid.X + 1e-9, Y: mid.Y}, Max: geo.Point{X: mid.X + 1, Y: mid.Y + 1}},
+		geo.MBRPoints(rec.Points[:1+len(rec.Points)/3]),
+	} {
+		got, err := v.AnyPointIn(r)
+		if want := slices.ContainsFunc(rec.Points, r.ContainsPoint); err != nil || got != want {
+			t.Fatalf("AnyPointIn(%v) = %v, %v; the decoded points say %v", r, got, err, want)
+		}
+	}
+}
+
+// FuzzTrajCodec feeds arbitrary bytes to the record decoder and the record
+// view: neither may panic or over-allocate, the view must agree with the
+// decoder, and anything accepted must survive an encode/decode round trip
+// with identical structure.
 func FuzzTrajCodec(f *testing.F) {
 	rec := &Record{
 		ID:     "t-001",
@@ -42,11 +111,14 @@ func FuzzTrajCodec(f *testing.F) {
 	}
 	f.Add(EncodeRecord(rec))
 	f.Add(EncodeRecord(&Record{ID: "", Points: nil, Features: &Features{}}))
+	f.Add(EncodeRecord(&Record{ID: "one", Points: rec.Points[:1], Features: &Features{PointIdx: []int{0}}}))
+	f.Add(EncodeRecord(rec)[:len(EncodeRecord(rec))-len(encodeTimes(rec.Times))-1]) // a row from before the timestamp section
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge uvarint count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
+		checkViewAgainstDecode(t, data, rec, err)
 		if err != nil {
 			return // rejected input is fine; panics and OOMs are not
 		}

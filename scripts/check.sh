@@ -32,13 +32,16 @@
 #   test       vet + test of the nested benchmark/ module (invisible to
 #              ./...), then go test -race ./... and a 10s fuzz smoke of every
 #              native fuzz target. With SHORT=1: the refinement-executor,
-#              best-first, streaming-pipeline and store snapshot/write tests
-#              alone under -race (the parallel refine pool, the bounded
-#              scan-to-refine stream, the ordered refine and seed of top-k
-#              whose workers share the kth-distance bound, and the value set
-#              that queries share with the writers that replace it are the
-#              code most worth racing; the full gate's -race ./... already
-#              covers them), then plain go test -short ./... and no fuzz
+#              best-first, streaming-pipeline, pushed-down filter, kv block
+#              cache and store snapshot/write tests alone under -race (the
+#              parallel refine pool, the bounded scan-to-refine stream, the
+#              ordered refine and seed of top-k whose workers share the
+#              kth-distance bound, the filter scratch that concurrent region
+#              scans draw from one pool, the block cache that snapshot reads
+#              and compaction installs both touch, and the value set that
+#              queries share with the writers that replace it are the code
+#              most worth racing; the full gate's -race ./... already covers
+#              them), then plain go test -short ./... and no fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
 #              and load a dataset, run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
@@ -123,19 +126,22 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # engine's refinement tests force worker pools > 1 — the streaming
         # executor's bounded queues, and the best-first searches' ordered
         # refine and seed, whose workers offer results and read the
-        # kth-distance bound concurrently — the cluster's scan tests (its one
-        # scan entry, Snapshot.ScanStream's region funnel) force mid-stream
-        # faults, and the store's Snapshot/PutBatch tests hold the value slice
-        # queries share while writers replace it, so racing just these is the
-        # cheapest way to keep that synchronization honest.
+        # kth-distance bound concurrently — the filter tests run one query's
+        # pushed-down filter from several region scans at once, the cluster's
+        # scan tests (its one scan entry, Snapshot.ScanStream's region funnel)
+        # force mid-stream faults, the kv cache test reads retired tables
+        # through a snapshot, and the store's Snapshot/PutBatch tests hold the
+        # value slice queries share while writers replace it, so racing just
+        # these is the cheapest way to keep that synchronization honest.
         # The full gate races them inside `go test -race ./...` below.
-        step "refine executors, streaming and best-first (race)"
-        go test -race -count=1 -run 'Refine|Stream|TopK|BestFirst' ./internal/query
+        step "refine executors, streaming, best-first and pushed-down filters (race)"
+        go test -race -count=1 -run 'Refine|Stream|TopK|BestFirst|Filter|Window' ./internal/query
 
         step "stream pipeline (race)"
         # 'Scan|Stream': every cluster scan test runs through ScanStream now,
         # whether or not its name says so.
         go test -race -count=1 -run 'Scan|Stream' ./internal/cluster
+        go test -race -count=1 -run 'Cache' ./internal/kv
         go test -race -count=1 -run 'Stream|Snapshot|PutBatch' ./internal/store
 
         step "test (short)"
