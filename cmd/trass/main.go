@@ -105,8 +105,8 @@ func cmdLoad(args []string) error {
 	dbDir := fs.String("db", "", "store directory (required)")
 	in := fs.String("in", "", "input dataset file (text format)")
 	tdriveDir := fs.String("tdrive-dir", "", "directory with a real T-Drive release (one txt per taxi)")
-	shards := fs.Int("shards", 8, "row-key shards")
-	res := fs.Int("resolution", 16, "XZ* maximum resolution")
+	shards := fs.Int("shards", 0, "row-key shards (0: an existing store's own, 8 for a new one)")
+	res := fs.Int("resolution", 0, "XZ* maximum resolution (0: an existing store's own, 16 for a new one)")
 	_ = fs.Parse(args)
 	if *dbDir == "" || (*in == "") == (*tdriveDir == "") {
 		return fmt.Errorf("load: -db plus exactly one of -in or -tdrive-dir is required")

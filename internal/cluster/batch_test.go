@@ -36,27 +36,6 @@ func TestPutBatchRoutesAcrossRegions(t *testing.T) {
 	}
 }
 
-func TestPutBatchTriggersSplit(t *testing.T) {
-	c := newTestCluster(t, Config{SplitThresholdBytes: 4 << 10})
-	entries := make([]Entry, 0, 200)
-	for i := 0; i < 200; i++ {
-		entries = append(entries, Entry{
-			Key:   []byte(fmt.Sprintf("row%05d", i)),
-			Value: make([]byte, 64),
-		})
-	}
-	if err := c.Mutate(entries, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Regions()) < 2 {
-		t.Fatalf("expected auto-split after batch, regions = %d", len(c.Regions()))
-	}
-	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
-	if len(rows) != 200 {
-		t.Fatalf("rows after split = %d", len(rows))
-	}
-}
-
 func TestPutBatchClosed(t *testing.T) {
 	c := newTestCluster(t, Config{})
 	c.Close()

@@ -211,36 +211,6 @@ func TestScanEmptyRangeList(t *testing.T) {
 	}
 }
 
-func TestAutoSplit(t *testing.T) {
-	c := newTestCluster(t, Config{SplitThresholdBytes: 8 << 10})
-	val := bytes.Repeat([]byte("x"), 128)
-	for i := 0; i < 200; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("row%05d", i)), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	regions := c.Regions()
-	if len(regions) < 2 {
-		t.Fatalf("expected auto-split, regions = %d", len(regions))
-	}
-	// Regions stay sorted and contiguous.
-	for i := 1; i < len(regions); i++ {
-		if !bytes.Equal(regions[i-1].End(), regions[i].Start()) {
-			t.Fatalf("regions not contiguous at %d", i)
-		}
-	}
-	// No rows lost.
-	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
-	if len(rows) != 200 {
-		t.Fatalf("rows after split = %d, want 200", len(rows))
-	}
-	for i, e := range rows {
-		if string(e.Key) != fmt.Sprintf("row%05d", i) {
-			t.Fatalf("row %d has key %q", i, e.Key)
-		}
-	}
-}
-
 func TestStatsAggregation(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})
 	loadRows(t, c, 1000)

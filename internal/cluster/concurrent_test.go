@@ -15,10 +15,10 @@ import (
 )
 
 // Cluster-level concurrent torture: racing writers drive every region's
-// group-commit pipeline while splits and background compactions run, and a
-// fault or crash lands at a sampled filesystem operation. Each writer owns a
-// disjoint key space with its own model (the model is single-writer); the
-// writer prefixes interleave across split boundaries so region routing is
+// group-commit pipeline while background compactions run, and a fault or
+// crash lands at a sampled filesystem operation. Each writer owns a disjoint
+// key space with its own model (the model is single-writer); the pre-splits
+// fall between and inside the writers' key spaces so region routing is
 // exercised too.
 
 const (
@@ -28,6 +28,7 @@ const (
 
 func clusterConcurrentConfig(fsys vfs.FS) Config {
 	cfg := clusterTortureConfig(fsys)
+	cfg.SplitKeys = [][]byte{[]byte("w1"), []byte("w2-k006"), []byte("w3")}
 	// Test-sized compaction backoff so injected transients don't stall runs.
 	cfg.KV.CompactRetryBase = 100 * time.Microsecond
 	cfg.KV.CompactRetryMax = time.Millisecond
@@ -80,8 +81,7 @@ func runClusterConcurrentWorkload(c *Cluster) []*vfstest.Model {
 	return models
 }
 
-// countClusterConcurrentOps sizes the op range fault-free and asserts the
-// workload splits regions (so injected faults land inside split windows too).
+// countClusterConcurrentOps sizes the op range fault-free.
 func countClusterConcurrentOps(t *testing.T) int {
 	t.Helper()
 	fsys := vfs.NewFault()
@@ -92,9 +92,6 @@ func countClusterConcurrentOps(t *testing.T) int {
 	runClusterConcurrentWorkload(c)
 	if err := c.Flush(); err != nil {
 		t.Fatalf("baseline flush: %v", err)
-	}
-	if got := len(c.Regions()); got < 2 {
-		t.Fatalf("baseline ended with %d regions; workload must trigger auto-splits", got)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("baseline close: %v", err)
@@ -189,7 +186,7 @@ func clusterConcSamplePoints(t *testing.T, total int) []int {
 }
 
 // TestClusterConcurrentCrashTorture pulls the power at sampled operations
-// while writers race across regions mid-split and mid-compaction.
+// while writers race across regions mid-compaction.
 func TestClusterConcurrentCrashTorture(t *testing.T) {
 	points := clusterConcSamplePoints(t, countClusterConcurrentOps(t))
 	runClusterConcurrentTorture(t, vfs.FaultCrash, points)

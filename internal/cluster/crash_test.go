@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -13,19 +14,20 @@ import (
 	"repro/internal/vfs/vfstest"
 )
 
-// Cluster-level torture: the workload is sized to trigger auto-splits, so the
-// fault points enumerate every filesystem operation of region splitting
-// (children build, manifest commit, parent removal) as well as the per-region
-// flush/compact paths. After each simulated crash the cluster must reopen
-// with a sane topology and contents matching the acknowledged-writes model.
+// Cluster-level torture: the fault points enumerate every filesystem operation
+// of creating a pre-split cluster (MANIFEST commit, region stores) and of the
+// per-region write, flush and compact paths under it. After each simulated
+// crash the cluster must reopen with the configured topology and contents
+// matching the acknowledged-writes model.
 
 const clusterTortureDir = "ctorture"
 
 func clusterTortureConfig(fsys vfs.FS) Config {
 	return Config{
-		Dir:                 clusterTortureDir,
-		FS:                  fsys,
-		SplitThresholdBytes: 2 << 10, // split after a couple dozen rows
+		Dir:       clusterTortureDir,
+		FS:        fsys,
+		SplitKeys: [][]byte{[]byte("k020"), []byte("k050")},
+		Schema:    "torture",
 		KV: kv.Options{
 			SyncWrites:    true,
 			MemtableBytes: 1 << 10,
@@ -77,12 +79,10 @@ func (w *clusterWorkload) putBatch(keys, vals []string) {
 	for i := range keys {
 		entries[i] = kv.Entry{Key: []byte(keys[i]), Value: []byte(vals[i])}
 	}
-	w.c.mu.RLock()
 	routed := map[int]bool{}
 	for _, e := range entries {
 		routed[w.c.regionIndex(e.Key)] = true
 	}
-	w.c.mu.RUnlock()
 	w.batchRegions = len(routed)
 	err := w.c.Mutate(entries, nil)
 	for i := range keys {
@@ -105,9 +105,9 @@ func (w *clusterWorkload) compact() {
 	w.sawCrash(w.c.Compact())
 }
 
-// run drives enough volume through one initial region to force several
-// auto-splits, with overwrites, deletes, a batch spanning the first and the
-// last region, and explicit flush/compact.
+// run drives enough volume through the three regions to flush and compact
+// them, with overwrites, deletes, a batch spanning all three, and explicit
+// flush/compact.
 func (w *clusterWorkload) run() {
 	val := func(i, round int) string {
 		return fmt.Sprintf("value-%03d-%d-%s", i, round, strings.Repeat("x", 48))
@@ -127,7 +127,7 @@ func (w *clusterWorkload) run() {
 		bkeys = append(bkeys, fmt.Sprintf("b%03d", i))
 		bvals = append(bvals, val(i, 2))
 	}
-	for i := 48; i < 64; i++ { // sorts after every key so far: the last region
+	for i := 48; i < 64; i++ { // the end of the middle region, then the last
 		bkeys = append(bkeys, fmt.Sprintf("k%03d", i))
 		bvals = append(bvals, val(i, 2))
 	}
@@ -141,8 +141,7 @@ func (w *clusterWorkload) run() {
 }
 
 // countClusterFaultPoints runs the workload fault-free, recording every
-// mutating filesystem operation, and sanity-checks that auto-splits happened
-// (otherwise the suite would not be exercising the split windows at all).
+// mutating filesystem operation — those of the creating Open included.
 func countClusterFaultPoints(t *testing.T) []int {
 	t.Helper()
 	fsys := vfs.NewFault()
@@ -161,9 +160,6 @@ func countClusterFaultPoints(t *testing.T) []int {
 	w.run()
 	if w.crashed {
 		t.Fatal("baseline run crashed without injection")
-	}
-	if got := len(c.Regions()); got < 2 {
-		t.Fatalf("baseline ended with %d regions; workload must trigger auto-splits", got)
 	}
 	if w.batchRegions < 2 {
 		t.Fatalf("putBatch routed to %d region(s); it must span regions so the fault points cover a partly applied Mutate", w.batchRegions)
@@ -205,12 +201,16 @@ func checkTopology(t *testing.T, c *Cluster, point int) {
 func checkClusterRecovered(t *testing.T, fsys *vfs.FaultFS, model *vfstest.Model, point int) {
 	t.Helper()
 	fsys.SetInject(nil)
-	c, err := Open(clusterTortureConfig(fsys))
+	cfg := clusterTortureConfig(fsys)
+	c, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("fault point %d: reopen: %v", point, err)
 	}
 	defer c.Close()
 	checkTopology(t, c, point)
+	if got, want := len(c.Regions()), len(cfg.SplitKeys)+1; got != want || c.Schema() != cfg.Schema {
+		t.Fatalf("fault point %d: reopened with %d regions and schema %q, want %d and %q", point, got, c.Schema(), want, cfg.Schema)
+	}
 	if err := c.Verify(); err != nil {
 		t.Fatalf("fault point %d: Verify: %v", point, err)
 	}
@@ -239,8 +239,8 @@ func checkClusterRecovered(t *testing.T, fsys *vfs.FaultFS, model *vfstest.Model
 }
 
 // TestClusterCrashTorture simulates a power loss at every mutating filesystem
-// operation — including every operation inside region splits — and checks
-// that reopening recovers a consistent topology and all acknowledged data.
+// operation — including every operation of the creating Open — and checks
+// that reopening recovers the configured topology and all acknowledged data.
 func TestClusterCrashTorture(t *testing.T) {
 	points := strided(t, countClusterFaultPoints(t))
 	for _, p := range points {
@@ -262,6 +262,65 @@ func TestClusterCrashTorture(t *testing.T) {
 			t.Fatalf("fault point %d: open failed non-crash: %v", point, err)
 		}
 		checkClusterRecovered(t, fsys, model, point)
+	}
+}
+
+// TestClusterCreationCrashTorture crashes at every filesystem operation of the
+// Open that creates the directory — reads too, and never strided. What the
+// crash leaves must hold no MANIFEST or a whole one, and must reopen as the
+// configured cluster, empty.
+func TestClusterCreationCrashTorture(t *testing.T) {
+	fsys := vfs.NewFault()
+	var points []int
+	fsys.SetInject(func(op vfs.Op) vfs.Fault {
+		points = append(points, op.N)
+		return vfs.FaultNone
+	})
+	c, err := Open(clusterTortureConfig(fsys))
+	if err != nil {
+		t.Fatalf("baseline open: %v", err)
+	}
+	fsys.SetInject(nil)
+	manifestPath := clusterTortureDir + "/" + manifestName
+	whole, err := vfs.ReadFile(fsys, manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(points) < 10 {
+		t.Fatalf("creating Open issued only %d filesystem operations", len(points))
+	}
+	for _, point := range points {
+		fsys := vfs.NewFault()
+		fsys.SetInject(func(op vfs.Op) vfs.Fault {
+			if op.N == point {
+				return vfs.FaultCrash
+			}
+			return vfs.FaultNone
+		})
+		if c, err := Open(clusterTortureConfig(fsys)); err == nil {
+			_ = c.Close()
+			t.Fatalf("fault point %d: Open survived its crash", point)
+		} else if !errors.Is(err, vfs.ErrCrashed) {
+			t.Fatalf("fault point %d: open failed non-crash: %v", point, err)
+		}
+		fsys.SetInject(nil)
+		if got, err := vfs.ReadFile(fsys, manifestPath); err == nil && !bytes.Equal(got, whole) {
+			t.Fatalf("fault point %d: crash left a partial MANIFEST %q", point, got)
+		} else if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("fault point %d: read MANIFEST: %v", point, err)
+		}
+		checkClusterRecovered(t, fsys, vfstest.NewModel(), point)
+		if got, _ := vfs.ReadFile(fsys, manifestPath); !bytes.Equal(got, whole) {
+			t.Fatalf("fault point %d: MANIFEST after reopen %q, want %q", point, got, whole)
+		}
+		// The one commit there ever is either never happened, and the reopen
+		// redid it, or was durable: Open has no temporary file to sweep.
+		if _, err := vfs.ReadFile(fsys, manifestPath+".tmp"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("fault point %d: MANIFEST.tmp left behind after reopen (err=%v)", point, err)
+		}
 	}
 }
 
@@ -401,62 +460,5 @@ func TestScanContextCancellation(t *testing.T) {
 		if _, err := snap.ScanStream(ctx, req, discard); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled scan (AllowPartial=%v) returned %v, want context.Canceled", allowPartial, err)
 		}
-	}
-}
-
-// TestClusterReopenRecoversSplits checks the plain (fault-free) recovery
-// path: a cluster that auto-split must come back with the same topology and
-// contents after Close + Open.
-func TestClusterReopenRecoversSplits(t *testing.T) {
-	fsys := vfs.NewFault()
-	cfg := clusterTortureConfig(fsys)
-	c, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := vfstest.NewModel()
-	w := &clusterWorkload{c: c, model: model}
-	w.run()
-	if w.crashed {
-		t.Fatal("workload crashed without injection")
-	}
-	wantRegions := len(c.Regions())
-	if wantRegions < 2 {
-		t.Fatalf("expected auto-splits, got %d regions", wantRegions)
-	}
-	var wantIDs []int
-	for _, r := range c.Regions() {
-		wantIDs = append(wantIDs, r.ID())
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if got := len(c2.Regions()); got != wantRegions {
-		t.Fatalf("reopened with %d regions, want %d", got, wantRegions)
-	}
-	for i, r := range c2.Regions() {
-		if r.ID() != wantIDs[i] {
-			t.Fatalf("region %d has id %d, want %d", i, r.ID(), wantIDs[i])
-		}
-	}
-	checkTopology(t, c2, -1)
-	err = model.CheckAll(func(key string) (string, bool, error) {
-		v, err := c2.Get([]byte(key))
-		if err == kv.ErrNotFound {
-			return "", false, nil
-		}
-		if err != nil {
-			return "", false, err
-		}
-		return string(v), true, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,65 +10,49 @@ import (
 	"repro/internal/kv"
 )
 
-// MVCC snapshot reads at the cluster layer. A Snapshot pins the region
-// topology together with one kv snapshot per region, all captured under one
-// read-lock acquisition, so a long ScanStream runs against a single
-// consistent view of the whole table: it neither blocks splits and ingest
-// nor is blocked by them. Region splits that retire a region while a
-// snapshot holds it defer the physical teardown (store close + directory
-// removal) until the last snapshot releases its pin — the cluster-level
-// mirror of the kv layer's refcount-drain table reaper.
+// MVCC snapshot reads at the cluster layer. A Snapshot pins one kv snapshot
+// per region, so a long ScanStream runs against a single view of the whole
+// table: it neither blocks ingest nor is blocked by it.
 
 // Snapshot is an immutable point-in-time view of the whole cluster. Methods
-// are safe for concurrent use with each other and with writes and splits on
-// the parent cluster; Close releases every pinned region and kv snapshot
-// (idempotent).
+// are safe for concurrent use with each other and with writes on the parent
+// cluster; Close releases every pinned kv snapshot (idempotent) and does no
+// filesystem I/O of its own. A Snapshot outlives Cluster.Close, as each kv
+// snapshot outlives its store.
 type Snapshot struct {
 	c *Cluster
 
 	// regions is immutable after construction (mu only guards the Close
-	// handshake): the pinned topology in key order.
+	// handshake): the cluster's regions in key order.
 	mu      sync.Mutex
 	closed  bool
 	regions []snapRegion
 }
 
-// snapRegion pairs one pinned region with the kv snapshot serving its reads.
+// snapRegion pairs one region with the kv snapshot serving its reads.
 type snapRegion struct {
 	region *Region
 	snap   *kv.Snapshot
 }
 
-// Snapshot pins the current topology and a kv snapshot of every region in
-// one critical section. The returned view is consistent: rows a concurrent
-// writer commits after this call are invisible, and a concurrent split never
-// makes a row appear twice or not at all.
+// Snapshot pins a kv snapshot of every region. Rows a concurrent writer
+// commits after this call are invisible to the returned view.
 func (c *Cluster) Snapshot() (*Snapshot, error) {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if c.closed {
-		c.mu.RUnlock()
 		return nil, kv.ErrClosed
 	}
 	regions := make([]snapRegion, 0, len(c.regions))
-	var failed error
 	for _, r := range c.regions {
 		ks, err := r.db.Snapshot()
 		if err != nil {
-			failed = err
-			break
+			for _, sr := range regions {
+				_ = sr.snap.Close()
+			}
+			return nil, err
 		}
-		r.pin()
 		regions = append(regions, snapRegion{region: r, snap: ks})
-	}
-	c.mu.RUnlock()
-	if failed != nil {
-		// Undo outside the lock: the last unpin of a retired region runs the
-		// reaper's I/O, which must never happen under c.mu.
-		for _, sr := range regions {
-			_ = sr.snap.Close()
-			sr.region.unpin()
-		}
-		return nil, failed
 	}
 	return &Snapshot{c: c, regions: regions}, nil
 }
@@ -89,18 +73,12 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// First region whose end is > key — the pinned topology covers the whole
-	// key space, exactly like Cluster.regionIndex over the live one.
-	i := sort.Search(len(regions), func(i int) bool {
-		e := regions[i].region.end
-		return e == nil || bytes.Compare(key, e) < 0
-	})
-	return regions[i].snap.Get(key)
+	return regions[s.c.regionIndex(key)].snap.Get(key)
 }
 
 // ScanStream is the cluster's one scan entry. It executes the request across
-// every pinned region it overlaps, delivering rows to emit in batches (at most
-// 64 rows) as they are produced. Ranges falling in one region are served by
+// every region it overlaps, delivering rows to emit in batches (at most 64
+// rows) as they are produced. Ranges falling in one region are served by
 // one region call, and region calls run in parallel (bounded by
 // Config.Parallelism). emit is always called from the ScanStream goroutine —
 // never concurrently — and owns the batch it receives; returning an error from
@@ -123,8 +101,8 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 //
 // Everything is read from the snapshot: rows committed after it was taken are
 // invisible, retries re-read the same immutable data, and concurrent ingest,
-// flushes, compactions and splits neither block the stream nor are blocked by
-// it. Several scans against one snapshot see one consistent view.
+// flushes and compactions neither block the stream nor are blocked by it.
+// Several scans against one snapshot see one consistent view.
 func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(ScanBatch) error) (*ScanResult, error) {
 	start := time.Now()
 	tasks, err := s.scanTasks(req.ScanRequest)
@@ -137,8 +115,8 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 	return s.c.scanRegions(ctx, req.ScanRequest, tasks, start, emit)
 }
 
-// scanTasks groups the request's clipped ranges per pinned region, in region
-// (= key) order, with each region's ranges sorted by start key.
+// scanTasks groups the request's clipped ranges per region, in region (= key)
+// order, with each region's ranges sorted by start key.
 func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 	regions, err := s.pinned()
 	if err != nil {
@@ -169,9 +147,7 @@ func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 	return tasks, nil
 }
 
-// Close releases every pinned kv snapshot and region pin. Idempotent. The kv
-// snapshots are closed before the regions are unpinned so a retired region's
-// deferred teardown never races its own snapshot's reads.
+// Close releases every pinned kv snapshot. Idempotent.
 func (s *Snapshot) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -186,45 +162,6 @@ func (s *Snapshot) Close() error {
 		if err := sr.snap.Close(); err != nil && first == nil {
 			first = err
 		}
-		sr.region.unpin()
 	}
 	return first
-}
-
-// pin marks the region held by one snapshot. Callers hold c.mu (read or
-// write), which serializes pins against retire: a region can only be pinned
-// while it is still in the live topology.
-func (r *Region) pin() { r.pins.Add(1) }
-
-// unpin releases one snapshot's hold. The last unpin of a retired region
-// performs the deferred teardown.
-func (r *Region) unpin() {
-	if r.pins.Add(-1) == 0 && r.retired.Load() {
-		r.reap()
-	}
-}
-
-// retire marks the region replaced (a split committed its children). Caller
-// holds c.mu, so no new pin can arrive. Teardown happens now if no snapshot
-// holds the region, otherwise at the last unpin.
-func (r *Region) retire() {
-	r.retired.Store(true)
-	if r.pins.Load() == 0 {
-		r.reap()
-	}
-}
-
-// reap closes the region's store and removes its directory — once. The
-// retire/unpin race (retire sees pins drop just as the last unpin observes
-// retired) is resolved by the CAS: exactly one caller tears down. Durability
-// of the removal is best-effort — if a crash beats the SyncDir, Open deletes
-// the resurrected directory as unreferenced debris.
-func (r *Region) reap() {
-	if !r.reaped.CompareAndSwap(false, true) {
-		return
-	}
-	_ = r.db.Close()
-	if err := r.fs.RemoveAll(r.dir); err == nil {
-		_ = r.fs.SyncDir(r.rootDir)
-	}
 }

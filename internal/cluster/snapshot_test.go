@@ -6,12 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/kv"
 	"repro/internal/vfs"
 )
 
-// Cluster-level MVCC: a snapshot pins both the region topology and each
-// region's kv snapshot, so a long scan is immune to splits — and a split's
-// deferred teardown is immune to the scan.
+// Cluster-level MVCC: a snapshot pins each region's kv snapshot, so a long
+// scan is immune to the ingest racing it.
 
 // regionDirs lists the region-* directory names currently under root.
 func regionDirs(t *testing.T, fsys vfs.FS, root string) map[string]bool {
@@ -44,17 +44,16 @@ func snapScanKeys(t *testing.T, snap *Snapshot) []string {
 	return out
 }
 
-// TestClusterSnapshotPinsAcrossSplits pins a snapshot, then ingests enough —
-// from racing writers — to force region splits underneath it. The contract:
+// TestClusterSnapshotPointInTime pins a snapshot, then ingests from racing
+// writers underneath it. The contract:
 //
 //   - Point-in-time: the snapshot's scans keep returning exactly the
-//     pre-ingest rows, twice over, while the live topology is being replaced.
-//   - Deferred teardown: split parents are retired, not destroyed — their
-//     directories survive on disk while the snapshot pins them, and are
-//     removed the moment the last pin releases.
-//   - The live cluster is undisturbed: its topology stays gapless and its
-//     own reads see the new rows throughout.
-func TestClusterSnapshotPinsAcrossSplits(t *testing.T) {
+//     pre-ingest rows, mid-ingest and after it, and so does its Get.
+//   - The live cluster is undisturbed: its own reads see the new rows
+//     throughout.
+//   - The snapshot outlives Cluster.Close, as each kv snapshot outlives its
+//     store.
+func TestClusterSnapshotPointInTime(t *testing.T) {
 	fsys := vfs.NewFault()
 	c, err := Open(clusterTortureConfig(fsys))
 	if err != nil {
@@ -71,31 +70,32 @@ func TestClusterSnapshotPinsAcrossSplits(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := regionDirs(t, fsys, clusterTortureDir)
-	liveBefore := len(c.Regions())
 
 	snap, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Close()
 	want := snapScanKeys(t, snap)
 	if len(want) != 10 {
 		t.Fatalf("pinned view holds %d rows, want 10", len(want))
 	}
 
-	// Ingest well past SplitThresholdBytes from racing writers, re-scanning
-	// the pinned view mid-flight.
+	// Racing writers overwrite the seeds and add rows in every region (the
+	// tiny torture memtable flushes and compacts under the snapshot), while
+	// the pinned view is re-scanned mid-flight.
+	val := strings.Repeat("x", 64)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			val := []byte(strings.Repeat("x", 64))
 			for i := 0; i < 60; i++ {
-				k := fmt.Sprintf("w%d-%04d", w, i)
-				if err := c.Put([]byte(k), val); err != nil {
-					t.Errorf("writer %d: %v", w, err)
-					return
+				for _, k := range []string{fmt.Sprintf("a%d-%04d", w, i), fmt.Sprintf("k%03d-%d", i, w), fmt.Sprintf("seed-%03d", i%10)} {
+					if err := c.Put([]byte(k), []byte(val)); err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -103,116 +103,35 @@ func TestClusterSnapshotPinsAcrossSplits(t *testing.T) {
 	mid := snapScanKeys(t, snap)
 	wg.Wait()
 
-	if got := len(c.Regions()); got <= liveBefore {
-		t.Fatalf("ingest left %d regions (started with %d); no split happened — test is vacuous", got, liveBefore)
-	}
-	// The original regions are all retired (every one absorbed enough bytes
-	// to split); their directories must still exist while the snapshot pins
-	// them, even though the live topology has moved on.
-	onDisk := regionDirs(t, fsys, clusterTortureDir)
-	retired := 0
-	liveNames := make(map[string]bool)
-	for _, r := range c.Regions() {
-		liveNames[regionDirName(r.ID())] = true
-	}
-	for name := range before {
-		if liveNames[name] {
-			continue
-		}
-		retired++
-		if !onDisk[name] {
-			t.Fatalf("retired region dir %s removed while a snapshot still pins it", name)
-		}
-	}
-	if retired == 0 {
-		t.Fatalf("no pre-snapshot region was retired by the splits; dirs=%v", onDisk)
-	}
-
-	// Point-in-time, twice: mid-ingest and post-ingest scans of the pinned
-	// view both equal the pre-ingest state.
 	for pass, got := range [][]string{mid, snapScanKeys(t, snap)} {
-		if len(got) != len(want) {
-			t.Fatalf("pass %d: pinned view returned %d rows, want %d", pass, len(got), len(want))
+		if !equalStrings(got, want) {
+			t.Fatalf("pass %d: pinned view returned %v, want %v", pass, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d: pinned view diverges at row %d: %q vs %q", pass, i, got[i], want[i])
-			}
-		}
+	}
+	if v, err := snap.Get([]byte("seed-003")); err != nil || string(v) != "base" {
+		t.Fatalf("snapshot Get of an overwritten row: %q, %v", v, err)
+	}
+	if _, err := snap.Get([]byte("a0-0000")); err != kv.ErrNotFound {
+		t.Fatalf("snapshot Get of a row written after it: %v, want ErrNotFound", err)
 	}
 
 	// The live cluster reads its own writes while the snapshot is open.
-	if v, err := c.Get([]byte("w0-0000")); err != nil || string(v) != strings.Repeat("x", 64) {
-		t.Fatalf("live read of ingested row: %q, %v", v, err)
-	}
-	checkTopology(t, c, 0)
-
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Last pin gone: the deferred teardown runs and the retired parents'
-	// directories disappear.
-	final := regionDirs(t, fsys, clusterTortureDir)
-	for name := range before {
-		if liveNames[name] {
-			continue
-		}
-		if final[name] {
-			t.Fatalf("retired region dir %s still on disk after the last pin released", name)
+	for _, k := range []string{"a0-0000", "k059-3", "seed-003"} {
+		if v, err := c.Get([]byte(k)); err != nil || string(v) != val {
+			t.Fatalf("live read of ingested row %s: %q, %v", k, v, err)
 		}
 	}
-	for name := range liveNames {
-		if !final[name] {
-			t.Fatalf("live region dir %s missing", name)
-		}
+	if rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}}); len(rows) != 10+2*4*60 {
+		t.Fatalf("live cluster holds %d rows, want %d", len(rows), 10+2*4*60)
 	}
 
-	// And the pinned rows are still in the live cluster, just resharded.
-	rows, _ := mustScanRows(t, c, ScanRequest{Ranges: []KeyRange{{Start: []byte("seed-"), End: []byte("seed-~")}}})
-	if len(rows) != 10 {
-		t.Fatalf("live cluster holds %d seed rows after splits, want 10", len(rows))
-	}
-}
-
-// TestClusterSnapshotOutlivesRetiredRegionReads drives the narrower kv
-// guarantee end to end: reads through a cluster snapshot keep working after
-// every region it pinned has been retired and replaced, because each pinned
-// kv snapshot holds its own table references.
-func TestClusterSnapshotOutlivesRetiredRegionReads(t *testing.T) {
-	fsys := vfs.NewFault()
-	cfg := clusterTortureConfig(fsys)
-	c, err := Open(cfg)
-	if err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Put([]byte("pinned-key"), []byte("pinned-value")); err != nil {
-		t.Fatal(err)
+	if got := snapScanKeys(t, snap); !equalStrings(got, want) {
+		t.Fatalf("pinned view after Cluster.Close returned %v, want %v", got, want)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-
-	val := []byte(strings.Repeat("y", 64))
-	for i := 0; i < 200; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("fill-%04d", i)), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(c.Regions()) < 2 {
-		t.Fatal("fill did not split; test is vacuous")
-	}
-	v, err := snap.Get([]byte("pinned-key"))
-	if err != nil || string(v) != "pinned-value" {
-		t.Fatalf("snapshot Get through retired region: %q, %v", v, err)
-	}
-	got := snapScanKeys(t, snap)
-	if len(got) != 1 || got[0] != "pinned-key=pinned-value" {
-		t.Fatalf("snapshot scan through retired region = %v, want the one pinned row", got)
+	if v, err := snap.Get([]byte("seed-003")); err != nil || string(v) != "base" {
+		t.Fatalf("snapshot Get after Cluster.Close: %q, %v", v, err)
 	}
 }

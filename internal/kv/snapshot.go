@@ -32,7 +32,7 @@ const maxFrozenMemtables = 8
 //
 // A Snapshot outlives its DB: reads keep working after DB.Close because the
 // snapshot holds its own table references — the cluster layer relies on this
-// to let region splits retire a region's store under a long scan.
+// when Cluster.Close runs under an open cluster snapshot.
 type Snapshot struct {
 	db *DB
 

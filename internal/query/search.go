@@ -68,7 +68,7 @@ func checkCoords(pts ...geo.Point) error {
 }
 
 // Search runs q against one snapshot of the store: planning and every scan
-// read the same point-in-time view, immune to concurrent ingest and splits.
+// read the same point-in-time view, immune to concurrent ingest.
 //
 // With a nil sink the matches are returned in a total order that no worker
 // count, queue depth or shard count can change: row-key order for threshold

@@ -28,8 +28,8 @@ type Snapshot struct {
 	values []int64
 }
 
-// Snapshot pins the store's current state: the cluster topology, one kv
-// snapshot per region, and the distinct-value set global pruning consults.
+// Snapshot pins the store's current state: one kv snapshot per region and the
+// distinct-value set global pruning consults.
 func (s *Store) Snapshot() (*Snapshot, error) {
 	cs, err := s.cluster.Snapshot()
 	if err != nil {

@@ -27,10 +27,12 @@ import (
 type Config struct {
 	// Dir is the root directory. Required.
 	Dir string
-	// Shards is the hash fan-out of the row key (Section IV-E); the paper's
-	// default cluster value is 8. Default 8.
+	// Shards is the hash fan-out of the row key (Section IV-E). Zero means the
+	// value an existing directory was created with, and the paper's default
+	// cluster value, 8, for a new one.
 	Shards int
-	// MaxResolution is the XZ* maximum resolution. Default 16 (the paper's).
+	// MaxResolution is the XZ* maximum resolution. Zero means the value an
+	// existing directory was created with, and 16 (the paper's) for a new one.
 	MaxResolution int
 	// DPTolerance is the Douglas-Peucker distance for pre-computed features.
 	// Default 0.01 (the paper's).
@@ -83,14 +85,24 @@ type Store struct {
 	sortedValues []int64
 }
 
-// Open creates or opens a trajectory store.
+// schemaFormat is what a directory records about itself when it is created —
+// the choices every later Open has to share to read its rows. rowFormat
+// versions the row layout (row keys here, values in traj.EncodeRecord).
+const (
+	schemaFormat = "trass shards=%d max_resolution=%d row_format=%d"
+	rowFormat    = 1
+)
+
+// Open creates a trajectory store, or opens the one in cfg.Dir at the shape it
+// was created with: a Shards or MaxResolution left at zero adopts the recorded
+// value, and one that differs from it is refused.
 func Open(cfg Config) (*Store, error) {
+	asked := cfg
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("store: Config.Dir is required")
 	}
-	ix, err := xzstar.New(cfg.MaxResolution)
-	if err != nil {
+	if _, err := xzstar.New(cfg.MaxResolution); err != nil {
 		return nil, err
 	}
 	// Pre-split on the shard byte so each shard maps to one region, like the
@@ -102,6 +114,7 @@ func Open(cfg Config) (*Store, error) {
 	clusterCfg := cluster.Config{
 		Dir:               cfg.Dir,
 		SplitKeys:         splits,
+		Schema:            fmt.Sprintf(schemaFormat, cfg.Shards, cfg.MaxResolution, rowFormat),
 		Parallelism:       cfg.Parallelism,
 		RPCLatency:        cfg.RPCLatency,
 		HandlersPerRegion: cfg.HandlersPerRegion,
@@ -112,22 +125,49 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, ix: ix, cluster: cl, values: make(map[int64]int64)}
-	if err := s.recoverMeta(); err != nil {
+	s := &Store{cfg: cfg, cluster: cl, values: make(map[int64]int64)}
+	if err = s.adoptShape(asked); err == nil {
+		err = s.recoverMeta()
+	}
+	if err != nil {
 		_ = cl.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
+// adoptShape sets the store's shape to the one its directory records — for a
+// directory just created, the one Open wrote — and refuses a shape the caller
+// asked for that differs from it.
+func (s *Store) adoptShape(asked Config) error {
+	dir, schema := s.cfg.Dir, s.cluster.Schema()
+	var format int
+	if n, err := fmt.Sscanf(schema, schemaFormat, &s.cfg.Shards, &s.cfg.MaxResolution, &format); n != 3 || err != nil {
+		return fmt.Errorf("store: %s records schema %q, not a trajectory store's", dir, schema)
+	}
+	if regions := len(s.cluster.Regions()); regions != s.cfg.Shards {
+		return fmt.Errorf("store: %s records schema %q over %d regions, want one per shard", dir, schema, regions)
+	}
+	if format != rowFormat {
+		return fmt.Errorf("store: %s holds rows of format %d, this build reads format %d", dir, format, rowFormat)
+	}
+	if asked.Shards > 0 && asked.Shards != s.cfg.Shards {
+		return fmt.Errorf("store: %s was created with Shards=%d and cannot be opened with Shards=%d", dir, s.cfg.Shards, asked.Shards)
+	}
+	if asked.MaxResolution > 0 && asked.MaxResolution != s.cfg.MaxResolution {
+		return fmt.Errorf("store: %s was created with MaxResolution=%d and cannot be opened with MaxResolution=%d", dir, s.cfg.MaxResolution, asked.MaxResolution)
+	}
+	ix, err := xzstar.New(s.cfg.MaxResolution)
+	if err != nil {
+		return fmt.Errorf("store: %s records schema %q: %w", dir, schema, err)
+	}
+	s.ix = ix
+	return nil
+}
+
 // recoverMeta rebuilds the metadata record from the row keys already on disk.
 // The filter rejects every row, so only keys are visited and nothing is
-// shipped. It fails, and Open with it, on a data row this configuration could
-// not have written: a directory written with more shards would be served
-// without the shards no scan visits, and one written at a larger resolution
-// without the rows whose value does not decode. The opposite reopen — a
-// smaller resolution reopened at a larger one — decodes in-domain and is not
-// caught; persisting the shape to close that direction is a later issue.
+// shipped.
 func (s *Store) recoverMeta() error {
 	var (
 		mu     sync.Mutex // scan workers invoke the filter concurrently
@@ -145,12 +185,11 @@ func (s *Store) recoverMeta() error {
 			if len(key) > 0 && key[0] >= idIndexPrefix {
 				return false // id-index row
 			}
-			v, err := s.dataRowValue(key)
 			mu.Lock()
-			if err != nil {
-				bad = err
+			if len(key) < 1+8+1 {
+				bad = fmt.Errorf("store: corrupt data row key %q", key)
 			} else {
-				values = append(values, v)
+				values = append(values, keyValue(key))
 			}
 			mu.Unlock()
 			return false
@@ -166,18 +205,6 @@ func (s *Store) recoverMeta() error {
 	s.applyRowsLocked(values, nil)
 	s.mu.Unlock()
 	return nil
-}
-
-// dataRowValue returns the index value in a data row's key, or an error
-// naming the key when a store of this shape cannot have written it.
-func (s *Store) dataRowValue(key []byte) (int64, error) {
-	if len(key) >= 1+8+1 && int(key[0]) < s.cfg.Shards {
-		if v := keyValue(key); v >= 0 && v < s.ix.TotalIndexSpaces() {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("store: data row %q was not written with Shards=%d, MaxResolution=%d: reopen with the shape the directory was written with",
-		key, s.cfg.Shards, s.cfg.MaxResolution)
 }
 
 // keyValue is the index value of a data-row key (shard byte, then 8
@@ -385,7 +412,7 @@ func (s *Store) Distribution() (resolutions, codes []int64) {
 	for v, n := range s.values {
 		seq, code, err := s.ix.Decode(v)
 		if err != nil {
-			panic(err) // every counted value came from Assign or passed dataRowValue
+			panic(err) // every counted value came from Assign at this resolution
 		}
 		resolutions[seq.Len()] += n
 		codes[code] += n

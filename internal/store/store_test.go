@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -79,6 +80,37 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(Config{Dir: t.TempDir(), MaxResolution: 99}); err == nil {
 		t.Fatal("bad resolution must fail")
+	}
+}
+
+// Open reads what the directory says about itself before it reads a row: a
+// cluster directory that records no trajectory-store schema is refused, and so
+// is a data row whose key is too short to hold an index value.
+func TestOpenRefusesForeignDirectoryAndCorruptRowKey(t *testing.T) {
+	dir := t.TempDir()
+	cl, err := cluster.Open(cluster.Config{Dir: dir, Schema: "someone else's"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if s, err := Open(Config{Dir: dir}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a directory with a foreign schema")
+	} else if !strings.Contains(err.Error(), `"someone else's"`) {
+		t.Fatalf("error does not quote the recorded schema: %v", err)
+	}
+
+	dir = t.TempDir()
+	s := newTestStore(t, Config{Dir: dir, Shards: 2})
+	if err := s.Cluster().Put([]byte{1, 0, 0, 7}, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s, err := Open(Config{Dir: dir}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a data row with a 4-byte key")
+	} else if !strings.Contains(err.Error(), "corrupt data row key") {
+		t.Fatalf("error does not report the corrupt row: %v", err)
 	}
 }
 

@@ -43,7 +43,8 @@
 #              most worth racing; the full gate's -race ./... already covers
 #              them), then plain go test -short ./... and no fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
-#              and load a dataset, run the same queries embedded and against
+#              and load a dataset (at a non-default shape, so every reopen
+#              adopts it), run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
 #              streamed output must match as a set (sort | cmp). Finishes
 #              with a SIGTERM drain that must exit 0.
@@ -186,7 +187,9 @@ if [[ "$MODE" == "serve" || "$MODE" == "all" ]]; then
 
     step "serve e2e (dataset + embedded baseline)"
     "$SERVE_TMP/trass" gen -kind tdrive -n 2000 -seed 7 -out "$SERVE_TMP/data.txt"
-    "$SERVE_TMP/trass" load -db "$SERVE_TMP/db" -in "$SERVE_TMP/data.txt"
+    # A non-default shape: query and trassd have no shape flags, so every
+    # comparison below runs on the shape the directory records, adopted.
+    "$SERVE_TMP/trass" load -db "$SERVE_TMP/db" -in "$SERVE_TMP/data.txt" -shards 4 -resolution 12
     # Embedded runs happen before trassd opens the store.
     "$SERVE_TMP/trass" query -db "$SERVE_TMP/db" -id td000042 -eps 0.2deg 2>/dev/null > "$SERVE_TMP/embedded-threshold.txt"
     "$SERVE_TMP/trass" query -db "$SERVE_TMP/db" -id td000042 -k 20 2>/dev/null > "$SERVE_TMP/embedded-topk.txt"

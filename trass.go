@@ -126,12 +126,16 @@ type config struct {
 	refineParallelism int
 }
 
-// WithShards sets the row-key hash fan-out (default 8, the paper's value).
+// WithShards sets the row-key hash fan-out of a new database (default 8, the
+// paper's value). An existing directory records the value it was created
+// with: Open without this option adopts it, and refuses one that differs.
 func WithShards(n int) Option {
 	return func(sc *store.Config, _ *config) { sc.Shards = n }
 }
 
-// WithMaxResolution sets the XZ* maximum resolution (default 16).
+// WithMaxResolution sets the XZ* maximum resolution of a new database
+// (default 16). Like WithShards, it is recorded at creation, adopted by an
+// Open without the option and refused when it differs.
 func WithMaxResolution(r int) Option {
 	return func(sc *store.Config, _ *config) { sc.MaxResolution = r }
 }
@@ -186,7 +190,8 @@ type DB struct {
 	engine *query.Engine
 }
 
-// Open creates or opens a TraSS database rooted at dir.
+// Open creates a TraSS database rooted at dir, or opens the one already there
+// at the shards and resolution it was created with.
 func Open(dir string, opts ...Option) (*DB, error) {
 	sc := store.Config{Dir: dir}
 	c := config{measure: Frechet}

@@ -292,17 +292,20 @@ func TestRandomizedPublicAPIAgainstBrute(t *testing.T) {
 	}
 }
 
-// A directory reopened with a shape that cannot have written its rows fails
-// Open instead of serving part of the data: fewer shards would leave the
-// upper shards unscanned, a smaller resolution would drop every row whose
-// index value is outside its domain.
+// A directory reopened with an explicit shape other than the one it records
+// fails Open, naming both, instead of serving wrong or partial answers: fewer
+// shards would leave the upper shards unscanned, more would route ids to
+// shards that do not hold them, and any other resolution decodes the stored
+// index values into other index spaces.
 func TestReopenWithDifferentShapeFails(t *testing.T) {
 	for name, tc := range map[string]struct {
 		written, reopened Option
 		names             string
 	}{
-		"fewer shards":       {WithShards(8), WithShards(4), "Shards=4"},
-		"smaller resolution": {WithMaxResolution(16), WithMaxResolution(12), "MaxResolution=12"},
+		"fewer shards":       {WithShards(8), WithShards(4), "created with Shards=8 and cannot be opened with Shards=4"},
+		"more shards":        {WithShards(4), WithShards(8), "created with Shards=4 and cannot be opened with Shards=8"},
+		"smaller resolution": {WithMaxResolution(16), WithMaxResolution(12), "created with MaxResolution=16 and cannot be opened with MaxResolution=12"},
+		"larger resolution":  {WithMaxResolution(12), WithMaxResolution(16), "created with MaxResolution=12 and cannot be opened with MaxResolution=16"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -319,8 +322,8 @@ func TestReopenWithDifferentShapeFails(t *testing.T) {
 			if db, err := Open(dir, tc.reopened); err == nil {
 				db.Close()
 				t.Fatal("reopen with a different shape succeeded")
-			} else if !strings.Contains(err.Error(), tc.names) || !strings.Contains(err.Error(), "data row") {
-				t.Fatalf("error does not name the row and %s: %v", tc.names, err)
+			} else if !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("error does not name the recorded and the requested value (%s): %v", tc.names, err)
 			}
 			db, err = Open(dir, tc.written)
 			if err != nil {
@@ -331,6 +334,55 @@ func TestReopenWithDifferentShapeFails(t *testing.T) {
 				t.Fatalf("Count = %d after the refused reopen, want 50", db.Count())
 			}
 		})
+	}
+}
+
+// A directory reopened with no shape option is served at the shape it
+// records, not at the defaults: written at 4 shards and resolution 12, top-k
+// equals brute force and every id is found.
+func TestReopenAdoptsRecordedShape(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, WithShards(4), WithMaxResolution(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := gen.TDrive(gen.TDriveOptions{Seed: 9, N: 200})
+	if err := db.PutBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatalf("reopen with no shape option: %v", err)
+	}
+	defer db.Close()
+	for _, tr := range data {
+		if got, err := db.Get(tr.ID); err != nil || got.Len() != tr.Len() {
+			t.Fatalf("Get(%s) after reopen: %v, %v", tr.ID, got, err)
+		}
+	}
+	fn := dist.For(Frechet)
+	for _, q := range []*Trajectory{data[0], data[77], data[199]} {
+		got, err := db.TopKSearch(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := make([]float64, len(data))
+		for j, tr := range data {
+			ds[j] = fn(q.Points, tr.Points)
+		}
+		sort.Float64s(ds)
+		if len(got) != 5 || got[0].ID != q.ID {
+			t.Fatalf("top-5 of %s returned %d matches, want 5 led by the query's own row", q.ID, len(got))
+		}
+		for j := range got {
+			if math.Abs(got[j].Distance-ds[j]) > 1e-6 {
+				t.Fatalf("query %s rank %d: distance %v, brute force %v", q.ID, j, got[j].Distance, ds[j])
+			}
+		}
 	}
 }
 
