@@ -332,11 +332,11 @@ func serverQuery(srvURL string, stream bool, in, id, epsStr string, k int, showS
 	fmt.Fprintf(os.Stderr, "%d results in %v\n", n, elapsed.Round(time.Microsecond))
 	if showStats && stats != nil {
 		fmt.Fprintf(os.Stderr,
-			"prune %v | scan %v | refine %v | ranges %d | rows scanned %d | retrieved %d | retries %d | partial %d\n",
+			"prune %v | scan %v | refine %v | ranges %d | rows scanned %d | retrieved %d\n",
 			time.Duration(stats.PruneNS).Round(time.Microsecond),
 			time.Duration(stats.ScanNS).Round(time.Microsecond),
 			time.Duration(stats.RefineNS).Round(time.Microsecond),
-			stats.Ranges, stats.RowsScanned, stats.Retrieved, stats.Retries, stats.PartialErrors)
+			stats.Ranges, stats.RowsScanned, stats.Retrieved)
 	}
 	return nil
 }

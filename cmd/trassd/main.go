@@ -46,7 +46,6 @@ func run() error {
 	defaultDeadline := flag.Duration("deadline", 30*time.Second, "per-request deadline when the client sets none")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "clamp on client-requested deadlines")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long SIGTERM drain waits for in-flight streams before cancelling them")
-	degraded := flag.Bool("degraded-scans", false, "serve partial results when storage regions fail after retries")
 	flag.Parse()
 	if *dbDir == "" {
 		return fmt.Errorf("-db is required")
@@ -64,11 +63,7 @@ func run() error {
 		return fmt.Errorf("unknown measure %q", *measure)
 	}
 
-	opts := []trass.Option{trass.WithMeasure(m)}
-	if *degraded {
-		opts = append(opts, trass.WithDegradedScans())
-	}
-	db, err := trass.Open(*dbDir, opts...)
+	db, err := trass.Open(*dbDir, trass.WithMeasure(m))
 	if err != nil {
 		return err
 	}

@@ -70,8 +70,7 @@ type Cluster struct {
 	mu     sync.RWMutex // holds Close off while an operation uses the region stores
 	closed bool
 
-	rpcs    atomic.Int64
-	retries atomic.Int64 // region scan attempts beyond the first
+	rpcs atomic.Int64
 }
 
 // Region is one key-range partition. start is inclusive, end exclusive; nil
@@ -270,8 +269,8 @@ func (c *Cluster) Compact() error {
 func (c *Cluster) Regions() []*Region { return slices.Clone(c.regions) }
 
 // Stats aggregates the kv counters of every region; RPCs is the number of
-// region scan calls issued so far, Retries the scan attempts beyond each
-// call's first.
+// region scan calls issued so far. Retries is always zero (a failed region
+// call is not retried); it stays until the benchmark stops reading it.
 type Stats struct {
 	KV      kv.StatsSnapshot
 	RPCs    int64
@@ -290,7 +289,7 @@ func (c *Cluster) Stats() (Stats, error) {
 	for _, r := range c.regions {
 		agg = agg.Add(r.db.Stats())
 	}
-	return Stats{KV: agg, RPCs: c.rpcs.Load(), Retries: c.retries.Load()}, nil
+	return Stats{KV: agg, RPCs: c.rpcs.Load()}, nil
 }
 
 // Verify checks every SSTable block checksum in every region.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/kv"
 	"repro/internal/vfs"
@@ -29,9 +28,6 @@ const (
 func clusterConcurrentConfig(fsys vfs.FS) Config {
 	cfg := clusterTortureConfig(fsys)
 	cfg.SplitKeys = [][]byte{[]byte("w1"), []byte("w2-k006"), []byte("w3")}
-	// Test-sized compaction backoff so injected transients don't stall runs.
-	cfg.KV.CompactRetryBase = 100 * time.Microsecond
-	cfg.KV.CompactRetryMax = time.Millisecond
 	return cfg
 }
 
@@ -196,7 +192,7 @@ func TestClusterConcurrentCrashTorture(t *testing.T) {
 // operations under racing writers, then fails the power.
 func TestClusterConcurrentErrorTorture(t *testing.T) {
 	points := clusterConcSamplePoints(t, countClusterConcurrentOps(t))
-	for _, kind := range []vfs.Fault{vfs.FaultErr, vfs.FaultTorn, vfs.FaultDiskFull, vfs.FaultTransient} {
+	for _, kind := range []vfs.Fault{vfs.FaultErr, vfs.FaultTorn, vfs.FaultDiskFull} {
 		kind := kind
 		t.Run(fmt.Sprintf("fault%d", int(kind)), func(t *testing.T) {
 			runClusterConcurrentTorture(t, kind, points)

@@ -376,42 +376,6 @@ func scanFaultCluster(t *testing.T) (*Cluster, *vfs.FaultFS, []string) {
 	return c, fsys, keys
 }
 
-// TestScanRetriesTransientErrors injects a burst of transient read errors
-// into one region and expects the per-region retry loop to absorb them: the
-// scan succeeds, returns every row, and reports the retries it spent.
-func TestScanRetriesTransientErrors(t *testing.T) {
-	c, fsys, keys := scanFaultCluster(t)
-	region0 := c.Regions()[0].dir
-	failures := 0
-	fsys.SetInject(func(op vfs.Op) vfs.Fault {
-		if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, region0) && failures < 2 {
-			failures++
-			return vfs.FaultTransient
-		}
-		return vfs.FaultNone
-	})
-	rows, res, err := scanRows(t, c, ScanRequest{Ranges: []KeyRange{{}}})
-	if err != nil {
-		t.Fatalf("scan with transient faults: %v", err)
-	}
-	if len(rows) != len(keys) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(keys))
-	}
-	if failures == 0 {
-		t.Fatal("injection never fired; test is vacuous")
-	}
-	if res.Retries == 0 {
-		t.Fatal("scan succeeded without recording any retries")
-	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Retries == 0 {
-		t.Fatal("cluster retry counter not incremented")
-	}
-}
-
 // TestScanStrictFailsWithRegionError injects a permanent failure into one
 // region: a strict scan must fail with a RegionError naming the region and
 // its key range.
@@ -444,7 +408,7 @@ func TestScanStrictFailsWithRegionError(t *testing.T) {
 }
 
 // TestScanContextCancellation cancels the context up front: the scan must
-// return the context's error, not a partial result — even with AllowPartial.
+// return the context's error, never a RegionError.
 func TestScanContextCancellation(t *testing.T) {
 	c, _, _ := scanFaultCluster(t)
 	snap, err := c.Snapshot()
@@ -454,11 +418,13 @@ func TestScanContextCancellation(t *testing.T) {
 	defer snap.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	discard := func(ScanBatch) error { return nil }
-	for _, allowPartial := range []bool{true, false} {
-		req := StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: allowPartial}}
-		if _, err := snap.ScanStream(ctx, req, discard); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled scan (AllowPartial=%v) returned %v, want context.Canceled", allowPartial, err)
-		}
+	req := StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}}}
+	_, err = snap.ScanStream(ctx, req, func(ScanBatch) error { return nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+	}
+	var re *RegionError
+	if errors.As(err, &re) {
+		t.Fatal("cancellation was misreported as a region failure")
 	}
 }

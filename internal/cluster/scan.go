@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,16 +24,11 @@ type Filter func(key, value []byte) bool
 type ScanRequest struct {
 	Ranges []KeyRange
 	Filter Filter // optional
-	// AllowPartial degrades instead of failing: when a region's scan cannot
-	// be completed (even after retries), the failure is recorded in
-	// ScanResult.RegionErrors and the surviving regions' rows are still
-	// delivered. Without it the first region failure fails the scan.
-	AllowPartial bool
 }
 
 // RegionError records one region's scan failure: which region, covering
-// which key range, and why. It is the error ScanStream returns in strict mode
-// and collects in ScanResult.RegionErrors in AllowPartial mode.
+// which key range, and why. It is the error ScanStream returns when a region
+// fails.
 type RegionError struct {
 	RegionID   int
 	Start, End []byte // the region's bounds; nil = unbounded
@@ -58,15 +52,14 @@ func boundString(b []byte) string {
 // ScanResult carries the per-query I/O accounting that the evaluation section
 // reports; the rows themselves went to ScanStream's emit callback.
 type ScanResult struct {
-	RowsScanned  int64 // rows visited inside regions (all attempts, before filtering)
+	RowsScanned  int64 // rows visited inside regions (before filtering)
 	RowsReturned int64 // rows shipped to the client
 	BytesShipped int64 // key+value bytes that crossed the "network"
-	RPCs         int64 // region call attempts issued (all ranges per region batch)
-	Retries      int64 // region call attempts beyond each call's first
-	Elapsed      time.Duration
-	// RegionErrors lists the regions whose rows were not all delivered; only
-	// ever non-empty with ScanRequest.AllowPartial.
-	RegionErrors []*RegionError
+	RPCs         int64 // region calls issued (all ranges per region batch)
+	// Retries is always zero: a failed region call is not retried. The field
+	// stays until the benchmark stops reading it.
+	Retries int64
+	Elapsed time.Duration
 }
 
 // regionTask is all the work one region receives for a request: its clipped
@@ -81,13 +74,6 @@ type regionTask struct {
 
 func regionError(r *Region, err error) *RegionError {
 	return &RegionError{RegionID: r.id, Start: r.start, End: r.end, Err: err}
-}
-
-// isTransient reports whether err (or anything it wraps) declares itself
-// transient — worth retrying.
-func isTransient(err error) bool {
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
 }
 
 // rangesOverlap reports whether [s1,e1) and [s2,e2) intersect; nil = open.

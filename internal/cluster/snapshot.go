@@ -84,24 +84,20 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // never concurrently — and owns the batch it receives; returning an error from
 // emit aborts the stream and surfaces that error verbatim.
 //
-// Transient region errors (kv errors exposing `Transient() bool` = true) are
-// retried per region (3 times, backing off 1, 2, 4 ms) before counting as
-// failures; a retry resumes just past the last delivered key, so no row is
-// delivered twice. A region that still fails returns a *RegionError — or, with
-// AllowPartial, is listed in ScanResult.RegionErrors while the other regions'
-// rows keep streaming; rows the failing region emitted before giving up have
-// already been delivered, and RegionErrors tells the consumer which regions
-// are incomplete. ctx is observed between rows; cancellation is returned as
-// ctx's error, never as a partial result. After Close the error is
-// kv.ErrClosed.
+// A region whose scan fails fails the whole scan with a *RegionError naming
+// the region and its key range; there is no partial answer, since a missing
+// region could hold a true match. Rows streamed before the failure have
+// already been delivered, each at most once. ctx is observed between rows;
+// cancellation is returned as ctx's error, never as a RegionError. After
+// Close the error is kv.ErrClosed.
 //
 // Regions scan concurrently, so batches of different regions arrive in no
 // particular order; within a region they arrive in key order. The returned
 // ScanResult carries the accounting.
 //
 // Everything is read from the snapshot: rows committed after it was taken are
-// invisible, retries re-read the same immutable data, and concurrent ingest,
-// flushes and compactions neither block the stream nor are blocked by it.
+// invisible, and concurrent ingest, flushes and compactions neither block the
+// stream nor are blocked by it.
 // Several scans against one snapshot see one consistent view.
 func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(ScanBatch) error) (*ScanResult, error) {
 	start := time.Now()
@@ -112,7 +108,7 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 	if len(tasks) == 0 {
 		return (&scanAccount{}).result(time.Since(start)), nil
 	}
-	return s.c.scanRegions(ctx, req.ScanRequest, tasks, start, emit)
+	return s.c.scanRegions(ctx, req.Filter, tasks, start, emit)
 }
 
 // scanTasks groups the request's clipped ranges per region, in region (= key)

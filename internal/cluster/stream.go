@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,19 +25,10 @@ const batchRows = 64
 // batches plus one in-flight batch per region.
 const streamQueueDepth = 2
 
-// A failed region scan whose error is transient (exposes `Transient() bool` =
-// true) is retried retryAttempts times; the backoff before the first retry is
-// retryBaseDelay and doubles per attempt. A region that keeps failing
-// therefore costs its scan at most 1 + 2 + 4 = 7 ms of backoff.
-const (
-	retryAttempts  = 3
-	retryBaseDelay = time.Millisecond
-)
-
 // StreamRequest is ScanRequest under the name benchmark/trace.go compiles
 // against (`cluster.StreamRequest{ScanRequest: …}`); it has no fields of its
 // own. Like store.StreamOptions it is benchmark-pinned and goes when ROADMAP
-// item 3(a)'s benchmark PR moves that call.
+// item 1(C)'s benchmark PR moves that call.
 type StreamRequest struct {
 	ScanRequest
 }
@@ -58,7 +47,6 @@ type scanAccount struct {
 	rowsReturned atomic.Int64
 	bytesShipped atomic.Int64
 	rpcs         atomic.Int64
-	retries      atomic.Int64
 }
 
 func (a *scanAccount) result(elapsed time.Duration) *ScanResult {
@@ -67,14 +55,13 @@ func (a *scanAccount) result(elapsed time.Duration) *ScanResult {
 		RowsReturned: a.rowsReturned.Load(),
 		BytesShipped: a.bytesShipped.Load(),
 		RPCs:         a.rpcs.Load(),
-		Retries:      a.retries.Load(),
 		Elapsed:      elapsed,
 	}
 }
 
 // emitError marks an error that came from the consumer (the emit callback or
-// the stream plumbing), not from the region itself: it is never retried and
-// never reported as a RegionError.
+// the stream plumbing), not from the region itself: it is never reported as a
+// RegionError.
 type emitError struct{ err error }
 
 func (e *emitError) Error() string { return e.err.Error() }
@@ -82,8 +69,9 @@ func (e *emitError) Unwrap() error { return e.err }
 
 // scanRegions scans the tasks' regions concurrently (bounded by
 // Config.Parallelism, default one worker per region), funneling batches
-// through a bounded channel to the single emit caller.
-func (c *Cluster) scanRegions(ctx context.Context, req ScanRequest, tasks []regionTask, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
+// through a bounded channel to the single emit caller. The first failing
+// region, in region order, fails the scan with its *RegionError.
+func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []regionTask, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -107,7 +95,7 @@ func (c *Cluster) scanRegions(ctx context.Context, req ScanRequest, tasks []regi
 				return
 			}
 			defer func() { <-sem }()
-			errs[i] = c.scanRegionStream(pctx, t, req.Filter, acct, func(b ScanBatch) error {
+			errs[i] = c.scanRegion(pctx, t, filter, acct, func(b ScanBatch) error {
 				select {
 				case out <- b:
 					return nil
@@ -135,96 +123,20 @@ func (c *Cluster) scanRegions(ctx context.Context, req ScanRequest, tasks []regi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var regionErrs []*RegionError
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
 		var ee *emitError
-		if errors.As(err, &ee) {
-			continue // stream-side abort, not the region's failure
+		if err != nil && !errors.As(err, &ee) { // an emitError is a stream-side abort
+			return nil, regionError(tasks[i].region, err)
 		}
-		re := regionError(tasks[i].region, err)
-		if !req.AllowPartial {
-			return nil, re
-		}
-		regionErrs = append(regionErrs, re)
 	}
-	res := acct.result(time.Since(start))
-	res.RegionErrors = regionErrs
-	return res, nil
+	return acct.result(time.Since(start)), nil
 }
 
-// regionStreamState carries resume information across retry attempts of one
-// region scan: the last key successfully delivered downstream.
-type regionStreamState struct {
-	lastKey  []byte
-	haveLast bool
-}
-
-// resumeClip narrows rng to start just past the last delivered key. The
-// second result is false when the range is entirely behind the resume point.
-func (st *regionStreamState) resumeClip(rng KeyRange) (KeyRange, bool) {
-	if !st.haveLast {
-		return rng, true
-	}
-	// The smallest possible key strictly greater than lastKey.
-	succ := append(append([]byte(nil), st.lastKey...), 0)
-	if rng.End != nil && bytes.Compare(rng.End, succ) <= 0 {
-		return rng, false
-	}
-	if rng.Start == nil || bytes.Compare(rng.Start, succ) < 0 {
-		rng.Start = succ
-	}
-	return rng, true
-}
-
-// scanRegionStream runs one region's streaming scan with transient-retry and
-// resume: after a transient failure the next attempt resumes just past the
-// last delivered key, so the consumer sees every surviving row exactly once.
-// Retries are accounted as they happen, so a region that ultimately fails
-// still reports the attempts it burned.
-func (c *Cluster) scanRegionStream(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(ScanBatch) error) error {
-	delay := retryBaseDelay
-	st := &regionStreamState{}
-	for attempt := 0; ; attempt++ {
-		err := c.scanRegionOnce(ctx, t, filter, st, acct, send)
-		if err == nil {
-			return nil
-		}
-		var ee *emitError
-		if errors.As(err, &ee) {
-			return err // consumer aborted; not the region's fault
-		}
-		if attempt >= retryAttempts || !isTransient(err) {
-			return err
-		}
-		// Equal jitter: half the delay is fixed, half uniformly random, so
-		// regions that failed together (one sick store fans out to many
-		// region scans) retry spread out instead of in lockstep, while the
-		// nominal delay still bounds the wait. The timer (rather than
-		// time.After) is stopped on cancellation so an aborted backoff frees
-		// it immediately.
-		d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		timer := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-timer.C:
-		}
-		delay *= 2
-		acct.retries.Add(1)
-		c.retries.Add(1)
-	}
-}
-
-// scanRegionOnce is one region "RPC" attempt: scan every clipped range from
-// the resume point, apply the server-side filter, and deliver accepted rows
-// in batches. ctx is observed between rows (amortized every 256). Delivered
-// rows advance st; rows buffered but not yet delivered when an error hits are
-// re-scanned (and re-delivered) by the next attempt.
-func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filter, st *regionStreamState, acct *scanAccount, send func(ScanBatch) error) error {
+// scanRegion is one region "RPC": scan every clipped range, apply the
+// server-side filter, and deliver accepted rows in batches. ctx is observed
+// between rows (amortized every 256). A consumer-side failure comes back as
+// an *emitError; anything else is the region's own failure.
+func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -262,22 +174,14 @@ func (c *Cluster) scanRegionOnce(ctx context.Context, t regionTask, filter Filte
 		if err := send(ScanBatch{RegionID: t.region.id, Entries: batch}); err != nil {
 			return &emitError{err}
 		}
-		// Shipped bytes/rows count at delivery, so a batch lost to a failed
-		// attempt is not double-counted when the retry re-ships it.
 		acct.rowsReturned.Add(int64(len(batch)))
 		acct.bytesShipped.Add(shipped)
-		st.lastKey = append(st.lastKey[:0], batch[len(batch)-1].Key...)
-		st.haveLast = true
 		batch = nil // the consumer owns the delivered slice
 		return nil
 	}
 
 	scanned := 0
 	for _, rng := range t.ranges {
-		rng, ok := st.resumeClip(rng)
-		if !ok {
-			continue
-		}
 		it := t.snap.Scan(rng.Start, rng.End)
 		for it.Next() {
 			scanned++

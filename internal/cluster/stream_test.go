@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -125,67 +126,14 @@ func streamFaultCluster(t *testing.T) (*Cluster, *vfs.FaultFS, []string) {
 	return c, fsys, keys
 }
 
-// TestScanStreamTransientResume injects transient faults that first fire only
-// after the faulty region has already emitted rows: the retry must resume
-// after the last delivered key — every row exactly once, retries recorded.
-func TestScanStreamTransientResume(t *testing.T) {
-	c, fsys, keys := streamFaultCluster(t)
-	region0 := c.Regions()[0].dir
-	var armed atomic.Bool
-	var failures atomic.Int32
-	fsys.SetInject(func(op vfs.Op) vfs.Fault {
-		if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, region0) &&
-			armed.Load() && failures.Add(1) <= 2 {
-			return vfs.FaultTransient
-		}
-		return vfs.FaultNone
-	})
-	seen := map[string]int{}
-	fromRegion0 := 0
-	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}},
-		func(b ScanBatch) error {
-			for _, e := range b.Entries {
-				seen[string(e.Key)]++
-				if e.Key[0] == 'a' {
-					fromRegion0++
-				}
-			}
-			// Arm the fault only once region 0 has streamed a prefix, so the
-			// retry must resume mid-region rather than restart cleanly.
-			if fromRegion0 > 0 {
-				armed.Store(true)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("stream with transient faults: %v", err)
-	}
-	if failures.Load() == 0 {
-		t.Fatal("injection never fired; test is vacuous")
-	}
-	if res.Retries == 0 {
-		t.Fatal("stream succeeded without recording retries")
-	}
-	if len(seen) != len(keys) {
-		t.Fatalf("saw %d distinct rows, want %d", len(seen), len(keys))
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("row %q delivered %d times after retry resume", k, n)
-		}
-	}
-}
-
-// TestScanStreamStrictRegionFailure: a permanent mid-stream region failure in
-// strict mode must surface as a RegionError without deadlocking the
-// producer, and the retries burned on the ultimately-failing region must
-// still be counted.
+// TestScanStreamStrictRegionFailure: a permanent region failure must surface
+// as a RegionError without deadlocking the producer.
 func TestScanStreamStrictRegionFailure(t *testing.T) {
 	c, fsys, _ := scanFaultCluster(t)
 	r0 := c.Regions()[0]
 	fsys.SetInject(func(op vfs.Op) vfs.Fault {
 		if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, r0.dir) {
-			return vfs.FaultTransient // transient forever: retries, then gives up
+			return vfs.FaultErr
 		}
 		return vfs.FaultNone
 	})
@@ -201,60 +149,15 @@ func TestScanStreamStrictRegionFailure(t *testing.T) {
 	if re.RegionID != r0.ID() {
 		t.Fatalf("RegionError names region %d, want %d", re.RegionID, r0.ID())
 	}
-	stats, err2 := c.Stats()
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if stats.Retries == 0 {
-		t.Fatal("retries burned on the failing region were not counted")
-	}
-}
-
-// TestScanStreamAllowPartialDegrades: with AllowPartial a failing region is
-// reported in RegionErrors while the surviving region's rows still stream.
-func TestScanStreamAllowPartialDegrades(t *testing.T) {
-	c, fsys, keys := scanFaultCluster(t)
-	r0 := c.Regions()[0]
-	fsys.SetInject(func(op vfs.Op) vfs.Fault {
-		if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, r0.dir) {
-			return vfs.FaultErr
-		}
-		return vfs.FaultNone
-	})
-	sc := &streamCollect{}
-	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true}, sc.emit)
-	if err != nil {
-		t.Fatalf("partial stream failed outright: %v", err)
-	}
-	if len(res.RegionErrors) != 1 || res.RegionErrors[0].RegionID != r0.ID() {
-		t.Fatalf("RegionErrors = %v, want one naming region %d", res.RegionErrors, r0.ID())
-	}
-	var wantSurvivors int
-	for _, k := range keys {
-		if k[0] >= 'm' {
-			wantSurvivors++
-		}
-	}
-	// Every read of region 0 fails, so it delivers nothing at all: what
-	// streams is exactly the surviving region's rows.
-	for _, k := range sc.entries {
-		if k[0] < 'm' {
-			t.Fatalf("row %q delivered from the region whose every read fails", k)
-		}
-	}
-	if len(sc.entries) != wantSurvivors {
-		t.Fatalf("surviving region streamed %d rows, want %d", len(sc.entries), wantSurvivors)
-	}
 }
 
 // TestScanStreamEmitErrorAborts: a consumer error must abort the scan
-// promptly, be returned verbatim, and never be retried or recorded as a
-// region failure.
+// promptly, be returned verbatim, and never be recorded as a region failure.
 func TestScanStreamEmitErrorAborts(t *testing.T) {
 	c, _, _ := streamFaultCluster(t)
 	sentinel := errors.New("consumer is full")
 	batches := 0
-	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true},
+	res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}},
 		func(b ScanBatch) error {
 			batches++
 			if batches >= 2 {
@@ -296,9 +199,11 @@ func TestScanStreamContextCancelMidStream(t *testing.T) {
 }
 
 // TestScanStreamTortureMidStreamFaults hammers the streaming scan with
-// randomized mid-stream transient and permanent faults under AllowPartial.
-// Invariants: no duplicated or phantom rows, failed regions reported, and a
-// fault-free pass delivers everything. Runs in the torture group under -race.
+// permanent region failures that start after a random number of good reads,
+// mid-stream. Invariants: a fault-free pass delivers every row
+// exactly once; a faulted pass fails with a RegionError naming the faulted
+// region and its bounds; rows delivered before the failure carry no
+// duplicates and no phantoms. Runs in the torture group under -race.
 func TestScanStreamTortureMidStreamFaults(t *testing.T) {
 	c, fsys, keys := streamFaultCluster(t)
 	want := map[string]bool{}
@@ -307,41 +212,30 @@ func TestScanStreamTortureMidStreamFaults(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 25; iter++ {
-		mode := iter % 3 // 0: fault-free, 1: transient burst, 2: permanent region failure
-		var region string
-		regionID := -1
-		if mode != 0 {
-			r := c.Regions()[rng.Intn(2)]
-			region = r.dir
-			regionID = r.ID()
-		}
-		var remaining atomic.Int32
-		remaining.Store(int32(rng.Intn(4)))
-		fsys.SetInject(func(op vfs.Op) vfs.Fault {
-			if op.Kind != vfs.OpRead || !strings.HasPrefix(op.Path, region) {
-				return vfs.FaultNone
-			}
-			switch mode {
-			case 1:
-				if remaining.Add(-1) >= 0 {
-					return vfs.FaultTransient
+		faulted := iter%2 == 1
+		var r *Region
+		if faulted {
+			r = c.Regions()[rng.Intn(2)]
+			// A region's scan reads 50 blocks, about 8 per 64-row batch: the
+			// fault fires after the region has shipped at least one batch and
+			// before its scan can finish.
+			var goodReads atomic.Int32
+			goodReads.Store(int32(10 + rng.Intn(30)))
+			fsys.SetInject(func(op vfs.Op) vfs.Fault {
+				if op.Kind == vfs.OpRead && strings.HasPrefix(op.Path, r.dir) && goodReads.Add(-1) < 0 {
+					return vfs.FaultErr
 				}
-			case 2:
-				return vfs.FaultErr
-			}
-			return vfs.FaultNone
-		})
+				return vfs.FaultNone
+			})
+		}
 		seen := map[string]int{}
-		res, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}, AllowPartial: true},
+		_, err := scanStream(context.Background(), t, c, ScanRequest{Ranges: []KeyRange{{}}},
 			func(b ScanBatch) error {
 				for _, e := range b.Entries {
 					seen[string(e.Key)]++
 				}
 				return nil
 			})
-		if err != nil {
-			t.Fatalf("iter %d (mode %d): %v", iter, mode, err)
-		}
 		for k, n := range seen {
 			if !want[k] {
 				t.Fatalf("iter %d: phantom row %q", iter, k)
@@ -350,16 +244,28 @@ func TestScanStreamTortureMidStreamFaults(t *testing.T) {
 				t.Fatalf("iter %d: row %q delivered %d times", iter, k, n)
 			}
 		}
-		switch mode {
-		case 0:
-			if len(res.RegionErrors) != 0 || len(seen) != len(keys) {
-				t.Fatalf("iter %d: fault-free pass lost rows (%d/%d, %d region errors)",
-					iter, len(seen), len(keys), len(res.RegionErrors))
+		if !faulted {
+			if err != nil || len(seen) != len(keys) {
+				t.Fatalf("iter %d: fault-free pass delivered %d/%d rows, err %v", iter, len(seen), len(keys), err)
 			}
-		case 2:
-			if len(res.RegionErrors) != 1 || res.RegionErrors[0].RegionID != regionID {
-				t.Fatalf("iter %d: RegionErrors = %v, want one for region %d", iter, res.RegionErrors, regionID)
+			continue
+		}
+		fromFaulted := 0
+		for k := range seen {
+			if (r.Start() == nil || k >= string(r.Start())) && (r.End() == nil || k < string(r.End())) {
+				fromFaulted++
 			}
+		}
+		if fromFaulted == 0 {
+			t.Fatalf("iter %d: fault fired before region %d shipped a row; not mid-stream", iter, r.ID())
+		}
+		var re *RegionError
+		if !errors.As(err, &re) {
+			t.Fatalf("iter %d: faulted pass returned %v, want a RegionError", iter, err)
+		}
+		if re.RegionID != r.ID() || !bytes.Equal(re.Start, r.Start()) || !bytes.Equal(re.End, r.End()) {
+			t.Fatalf("iter %d: RegionError names region %d [%q,%q), want %d [%q,%q)",
+				iter, re.RegionID, re.Start, re.End, r.ID(), r.Start(), r.End())
 		}
 		fsys.SetInject(nil)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // Background compaction. Merging SSTables used to run inline on whichever
@@ -16,13 +15,10 @@ import (
 // table-set swap plus the manifest commit — runs back on the committer
 // goroutine, serialized with flushes without holding db.mu across I/O.
 //
-// A failed round whose error is transient (errors.As to interface{
-// Transient() bool }, the same contract the cluster retry path uses) retries
-// with capped exponential backoff. When the error is permanent or the retry
-// budget runs out, the compactor marks the store degraded in Stats instead of
+// A failed round marks the store degraded in Stats at once instead of
 // wedging writers: writes keep committing, reads keep merging the unmerged
 // tables, and the next successful round clears the flag. One goroutine runs
-// at most one merge at a time — that, plus the backoff, is the rate limit.
+// at most one merge at a time — that is the rate limit.
 
 // compactRequest is a synchronous full-compaction demand (DB.Compact).
 type compactRequest struct {
@@ -81,8 +77,8 @@ func (c *compactor) waitIdle() {
 }
 
 // stop wakes the loop for shutdown; queued full-compaction requests fail with
-// ErrClosed. The caller cancels db.bgCtx alongside so an in-flight backoff
-// aborts immediately.
+// ErrClosed. The caller cancels db.bgCtx alongside so an in-flight merge
+// aborts promptly.
 func (c *compactor) stop() {
 	c.mu.Lock()
 	c.stopped = true
@@ -90,8 +86,8 @@ func (c *compactor) stop() {
 	c.mu.Unlock()
 }
 
-// loop is the supervisor: wait for work, run one round with retries, publish
-// the outcome. Joined by DB.Close through db.bg.
+// loop is the supervisor: wait for work, run one round, publish the outcome.
+// Joined by DB.Close through db.bg.
 func (c *compactor) loop() {
 	for {
 		c.mu.Lock()
@@ -130,43 +126,18 @@ func (c *compactor) loop() {
 	}
 }
 
-// runRound attempts one compaction, retrying transient failures with capped
-// exponential backoff, and maintains the degraded-health flag.
+// runRound runs one compaction and maintains the degraded-health flag.
 func (c *compactor) runRound(n int) error {
 	db := c.db
-	delay := db.opts.CompactRetryBase
-	for attempt := 0; ; attempt++ {
-		err := db.compactTables(n)
-		if err == nil {
-			db.stats.CompactDegraded.Store(false)
-			return nil
-		}
-		if errors.Is(err, ErrClosed) || errors.Is(err, context.Canceled) {
-			// Shutdown raced the round; not a health signal.
-			return err
-		}
-		if attempt >= db.opts.CompactRetries || !isTransient(err) {
-			db.stats.CompactFailures.Add(1)
-			db.stats.CompactDegraded.Store(true)
-			return err
-		}
-		db.stats.CompactRetries.Add(1)
-		t := time.NewTimer(delay)
-		select {
-		case <-db.bgCtx.Done():
-			t.Stop()
-			return db.bgCtx.Err()
-		case <-t.C:
-		}
-		if delay *= 2; delay > db.opts.CompactRetryMax {
-			delay = db.opts.CompactRetryMax
-		}
+	err := db.compactTables(n)
+	switch {
+	case err == nil:
+		db.stats.CompactDegraded.Store(false)
+	case errors.Is(err, ErrClosed) || errors.Is(err, context.Canceled):
+		// Shutdown raced the round; not a health signal.
+	default:
+		db.stats.CompactFailures.Add(1)
+		db.stats.CompactDegraded.Store(true)
 	}
-}
-
-// isTransient mirrors the cluster layer's retry contract: an error is worth
-// retrying iff some error in its chain says so.
-func isTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
+	return err
 }

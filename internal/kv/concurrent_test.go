@@ -40,9 +40,6 @@ func concurrentTortureOpts(fsys vfs.FS) Options {
 		SyncWrites:    true,
 		MemtableBytes: 2 << 10, // force flushes mid-run
 		CompactAt:     3,       // and background compactions
-		// Test-sized backoff so injected transients don't stall the suite.
-		CompactRetryBase: 100 * time.Microsecond,
-		CompactRetryMax:  time.Millisecond,
 	}
 }
 
@@ -226,10 +223,10 @@ func TestKVConcurrentCrashTorture(t *testing.T) {
 
 // TestKVConcurrentErrorTorture injects each failure flavor at a sampled
 // operation; the racing writers carry on best-effort (healing the WAL,
-// retrying or degrading compaction), then the power fails.
+// degrading compaction), then the power fails.
 func TestKVConcurrentErrorTorture(t *testing.T) {
 	points := concSamplePoints(t, countConcurrentOps(t))
-	for _, kind := range []vfs.Fault{vfs.FaultErr, vfs.FaultTorn, vfs.FaultDiskFull, vfs.FaultTransient} {
+	for _, kind := range []vfs.Fault{vfs.FaultErr, vfs.FaultTorn, vfs.FaultDiskFull} {
 		kind := kind
 		t.Run(fmt.Sprintf("fault%d", int(kind)), func(t *testing.T) {
 			runConcurrentTorture(t, kind, points)
@@ -674,65 +671,34 @@ func TestReopenHonorsManifestOrder(t *testing.T) {
 	}
 }
 
-// TestCompactionRetryAndDegradedHealth exercises the compaction supervisor's
-// failure ladder: transient faults are retried with backoff and succeed
-// without degrading; a permanent fault abandons the round and raises
-// CompactDegraded while writes keep flowing; the next clean round clears it.
-func TestCompactionRetryAndDegradedHealth(t *testing.T) {
+// TestCompactionDegradedHealth exercises the compaction supervisor's
+// failure handling: a permanent fault fails the round and raises
+// CompactDegraded at once while writes keep flowing; the next clean round
+// clears it.
+func TestCompactionDegradedHealth(t *testing.T) {
 	fsys := vfs.NewFault()
 	opts := Options{
-		Dir:              tortureDir,
-		FS:               fsys,
-		MemtableBytes:    1 << 20,
-		CompactAt:        -1, // only explicit Compact calls
-		CompactRetries:   3,
-		CompactRetryBase: 100 * time.Microsecond,
-		CompactRetryMax:  time.Millisecond,
+		Dir:           tortureDir,
+		FS:            fsys,
+		MemtableBytes: 1 << 20,
+		CompactAt:     -1, // only explicit Compact calls
 	}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	buildTables := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("k%02d-%d", i, db.Tables())), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < 3; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	buildTables(3)
 
-	// Two transient failures on the merged table's create, then success.
-	remaining := 2
-	fsys.SetInject(func(op vfs.Op) vfs.Fault {
-		if remaining > 0 && op.Kind == vfs.OpCreate && strings.Contains(op.Path, sstSuffix) {
-			remaining--
-			return vfs.FaultTransient
-		}
-		return vfs.FaultNone
-	})
-	if err := db.Compact(); err != nil {
-		t.Fatalf("compaction did not retry through transients: %v", err)
-	}
-	snap := db.Stats()
-	if snap.CompactRetries < 2 {
-		t.Fatalf("CompactRetries = %d, want >= 2", snap.CompactRetries)
-	}
-	if snap.CompactDegraded {
-		t.Fatal("store degraded after a successful (retried) compaction")
-	}
-	if got := db.Tables(); got != 1 {
-		t.Fatalf("tables = %d after full compaction, want 1", got)
-	}
-
-	// A permanent fault: the round is abandoned, health degrades, writers
-	// don't wedge.
-	buildTables(2)
+	// A permanent fault: the round fails, health degrades, writers don't
+	// wedge.
 	fsys.SetInject(func(op vfs.Op) vfs.Fault {
 		if op.Kind == vfs.OpCreate && strings.Contains(op.Path, sstSuffix) {
 			return vfs.FaultErr
@@ -742,12 +708,12 @@ func TestCompactionRetryAndDegradedHealth(t *testing.T) {
 	if err := db.Compact(); err == nil {
 		t.Fatal("compaction succeeded through a permanent create fault")
 	}
-	snap = db.Stats()
+	snap := db.Stats()
 	if !snap.CompactDegraded {
-		t.Fatal("CompactDegraded not set after an abandoned round")
+		t.Fatal("CompactDegraded not set after a failed round")
 	}
-	if snap.CompactFailures == 0 {
-		t.Fatal("CompactFailures = 0 after an abandoned round")
+	if snap.CompactFailures != 1 {
+		t.Fatalf("CompactFailures = %d after one failed round, want 1", snap.CompactFailures)
 	}
 	if err := db.Put([]byte("degraded-write"), []byte("still-works")); err != nil {
 		t.Fatalf("write while degraded: %v", err)
@@ -763,6 +729,9 @@ func TestCompactionRetryAndDegradedHealth(t *testing.T) {
 	}
 	if snap = db.Stats(); snap.CompactDegraded {
 		t.Fatal("CompactDegraded still set after a clean round")
+	}
+	if got := db.Tables(); got != 1 {
+		t.Fatalf("tables = %d after full compaction, want 1", got)
 	}
 }
 

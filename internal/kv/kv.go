@@ -67,11 +67,10 @@ type Stats struct {
 	WALSyncs     atomic.Int64 // WAL fsyncs issued (one per synced commit group)
 	GroupCommits atomic.Int64 // commit groups committed (≥1 write each)
 
-	CompactRetries  atomic.Int64 // transient compaction failures retried
-	CompactFailures atomic.Int64 // compaction rounds abandoned after retries
+	CompactFailures atomic.Int64 // compaction rounds that failed
 	// CompactDegraded is health, not a counter: set while the last compaction
-	// round failed terminally, cleared by the next successful round. Writes
-	// and reads keep working degraded; the table count just stops shrinking.
+	// round failed, cleared by the next successful round. Writes and reads
+	// keep working degraded; the table count just stops shrinking.
 	CompactDegraded atomic.Bool
 
 	// MVCC gauges (current state, not cumulative): snapshots pinned and not
@@ -85,16 +84,16 @@ type Stats struct {
 
 // StatsSnapshot is a plain-value copy of Stats.
 type StatsSnapshot struct {
-	Puts, Gets, Scans               int64
-	EntriesRead, EntriesWalked      int64
-	BlocksRead, BytesRead           int64
-	BytesWritten                    int64
-	BloomNegative                   int64
-	CacheHits                       int64
-	Flushes, Compactions            int64
-	WALSyncs, GroupCommits          int64
-	CompactRetries, CompactFailures int64
-	CompactDegraded                 bool
+	Puts, Gets, Scans          int64
+	EntriesRead, EntriesWalked int64
+	BlocksRead, BytesRead      int64
+	BytesWritten               int64
+	BloomNegative              int64
+	CacheHits                  int64
+	Flushes, Compactions       int64
+	WALSyncs, GroupCommits     int64
+	CompactFailures            int64
+	CompactDegraded            bool
 	// MVCC gauges: see Stats.
 	PinnedSnapshots int64
 	FrozenMemtables int64
@@ -117,7 +116,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		Compactions:     s.Compactions.Load(),
 		WALSyncs:        s.WALSyncs.Load(),
 		GroupCommits:    s.GroupCommits.Load(),
-		CompactRetries:  s.CompactRetries.Load(),
 		CompactFailures: s.CompactFailures.Load(),
 		CompactDegraded: s.CompactDegraded.Load(),
 		PinnedSnapshots: s.PinnedSnapshots.Load(),
@@ -143,7 +141,6 @@ func (s StatsSnapshot) Sub(t StatsSnapshot) StatsSnapshot {
 		Compactions:     s.Compactions - t.Compactions,
 		WALSyncs:        s.WALSyncs - t.WALSyncs,
 		GroupCommits:    s.GroupCommits - t.GroupCommits,
-		CompactRetries:  s.CompactRetries - t.CompactRetries,
 		CompactFailures: s.CompactFailures - t.CompactFailures,
 		// Health and the MVCC gauges are state, not counters: the difference
 		// of two snapshots keeps the newer (receiver's) state.
@@ -171,7 +168,6 @@ func (s StatsSnapshot) Add(t StatsSnapshot) StatsSnapshot {
 		Compactions:     s.Compactions + t.Compactions,
 		WALSyncs:        s.WALSyncs + t.WALSyncs,
 		GroupCommits:    s.GroupCommits + t.GroupCommits,
-		CompactRetries:  s.CompactRetries + t.CompactRetries,
 		CompactFailures: s.CompactFailures + t.CompactFailures,
 		// Aggregating across regions: one degraded store degrades the whole,
 		// and the gauges sum — a cluster-wide backlog is the sum of per-region

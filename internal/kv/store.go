@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/vfs"
 )
@@ -31,15 +30,6 @@ type Options struct {
 	// HBase offers too. Concurrent synced writers share fsyncs: the committer
 	// goroutine syncs once per commit group, not once per write.
 	SyncWrites bool
-	// CompactRetries bounds how many times the background compactor retries
-	// a round whose failure is transient (an error in the chain implementing
-	// interface{ Transient() bool }) before marking the store degraded.
-	// Default 5; negative never retries.
-	CompactRetries int
-	// CompactRetryBase and CompactRetryMax bound the capped exponential
-	// backoff between compaction retries. Defaults 10ms and 1s.
-	CompactRetryBase time.Duration
-	CompactRetryMax  time.Duration
 	// BlockCacheBytes sizes the per-store LRU block cache. Default 8 MiB;
 	// negative disables caching.
 	BlockCacheBytes int64
@@ -55,18 +45,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.CompactAt == 0 {
 		out.CompactAt = 6
-	}
-	if out.CompactRetries == 0 {
-		out.CompactRetries = 5
-	}
-	if out.CompactRetries < 0 {
-		out.CompactRetries = 0
-	}
-	if out.CompactRetryBase <= 0 {
-		out.CompactRetryBase = 10 * time.Millisecond
-	}
-	if out.CompactRetryMax <= 0 {
-		out.CompactRetryMax = time.Second
 	}
 	if out.BlockCacheBytes == 0 {
 		out.BlockCacheBytes = 8 << 20
@@ -106,7 +84,7 @@ type DB struct {
 
 	commit    *committer
 	compactor *compactor
-	bgCtx     context.Context // cancelled by Close; aborts compaction backoff
+	bgCtx     context.Context // cancelled by Close; aborts an in-flight merge
 	bgCancel  context.CancelFunc
 	bg        sync.WaitGroup
 
@@ -857,7 +835,7 @@ func (db *DB) Close() error {
 
 	db.commit.close()
 	db.compactor.stop()
-	db.bgCancel() // aborts a compaction backoff or mid-merge wait immediately
+	db.bgCancel() // aborts an in-flight merge promptly
 	db.bg.Wait()
 
 	err := db.wal.close()

@@ -8,11 +8,11 @@ import (
 )
 
 // CtxLoopAnalyzer carries the cancellation rule from goroutine launches
-// (golifetime) into loop bodies: the per-region retry/backoff in
-// Cluster.Scan and any scan plumbing that iterates making RPC-shaped calls.
-// The rule is "every retry loop observes its context" — a backoff loop
-// that never looks at ctx turns cancellation into a no-op and holds region
-// handlers (and their retained SSTables) for the full retry budget.
+// (golifetime) into loop bodies: backoff and polling loops, and any scan
+// plumbing that iterates making RPC-shaped calls. The rule is "every retry
+// loop observes its context" — a backoff loop that never looks at ctx turns
+// cancellation into a no-op and holds region handlers (and their retained
+// SSTables) for the full retry budget.
 //
 // Loops are found on the control-flow graph as natural loops (back edges
 // whose target dominates their source), so goto-formed and labeled-continue

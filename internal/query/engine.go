@@ -113,15 +113,9 @@ type Stats struct {
 	Retrieved    int64 // rows that survived local filtering and were shipped
 	BytesShipped int64
 	RPCs         int64
-	Retries      int64 // region scan attempts beyond each call's first
+	Retries      int64 // always zero: a failed region call is not retried; kept for the benchmark
 	Refined      int   // distance-kernel calls (best-first: rows ordered out by their lower bound are not counted)
 	Results      int
-
-	// PartialErrors counts regions whose rows are missing from this answer
-	// because they failed even after retries. Only ever non-zero when the
-	// store runs with degraded scans enabled; a non-zero value means the
-	// result is a (sound but possibly incomplete) subset.
-	PartialErrors int
 
 	// Streaming-pipeline observability.
 	StreamBatches int64 // scan batches delivered into the candidate queue
@@ -140,8 +134,6 @@ func (s *Stats) absorbScan(res *cluster.ScanResult) {
 	s.Retrieved += res.RowsReturned
 	s.BytesShipped += res.BytesShipped
 	s.RPCs += res.RPCs
-	s.Retries += res.Retries
-	s.PartialErrors += len(res.RegionErrors)
 }
 
 // Candidates returns the number of candidate trajectories after pruning and

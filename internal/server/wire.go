@@ -14,7 +14,7 @@
 //   - Streaming (Stream:true): chunked NDJSON. Each match is one line
 //     {"match":{...}} written as refinement produces it; the final line is a
 //     footer {"done":true,...} carrying the result count, the QueryStats
-//     (retries, partial errors, stream backpressure), and any error — the
+//     (stream backpressure included), and any error — the
 //     trailer a chunked response cannot put in headers. A query that fails
 //     before its first line gets the non-streaming error status instead.
 //
@@ -94,8 +94,8 @@ type WireMatch struct {
 }
 
 // WireStats is QueryStats flattened for the wire: the per-query numbers the
-// paper's evaluation tracks plus the serving-relevant health counters
-// (retries, partial errors, stream backpressure).
+// paper's evaluation tracks plus the stream's backpressure counters. Retries
+// is always zero (a failed region call is not retried).
 type WireStats struct {
 	PruneNS       int64 `json:"prune_ns"`
 	ScanNS        int64 `json:"scan_ns"`
@@ -111,8 +111,6 @@ type WireStats struct {
 	Retries      int64 `json:"retries"`
 	Refined      int   `json:"refined"`
 	Results      int   `json:"results"`
-
-	PartialErrors int `json:"partial_errors"`
 
 	StreamBatches   int64 `json:"stream_batches"`
 	StreamPeakDepth int   `json:"stream_peak_depth"`
@@ -138,7 +136,6 @@ func statsToWire(st *trass.QueryStats) *WireStats {
 		Retries:         st.Retries,
 		Refined:         st.Refined,
 		Results:         st.Results,
-		PartialErrors:   st.PartialErrors,
 		StreamBatches:   st.StreamBatches,
 		StreamPeakDepth: st.StreamPeakDepth,
 		StreamStallNS:   st.StreamStallTime.Nanoseconds(),

@@ -55,20 +55,16 @@ func (sn *Snapshot) HasValuesIn(lo, hi int64) bool { return hasValuesIn(sn.value
 // returned ScanResult carries the incrementally-accumulated accounting
 // (Entries is nil). emit owns each batch and is never called concurrently; an
 // error from emit aborts the scan and surfaces verbatim. ctx cancels the
-// scan; with Config.DegradedScans a region failure degrades the result (see
-// cluster.ScanRequest.AllowPartial) instead of failing it.
+// scan. A failing region fails it with a *cluster.RegionError naming the
+// region and its key range.
 //
 // The unnamed int and StreamOptions parameters are benchmark-pinned:
 // benchmark/trace.go passes `0, store.StreamOptions{}` positionally and a PR
-// may not edit that module beside other code. Both go when ROADMAP item 3(a)'s
+// may not edit that module beside other code. Both go when ROADMAP item 1(C)'s
 // benchmark PR moves that call.
 func (sn *Snapshot) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, _ int, _ StreamOptions, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
 	return sn.snap.ScanStream(ctx, cluster.StreamRequest{
-		ScanRequest: cluster.ScanRequest{
-			Ranges:       sn.s.keyRanges(ranges),
-			Filter:       filter,
-			AllowPartial: sn.s.cfg.DegradedScans,
-		},
+		ScanRequest: cluster.ScanRequest{Ranges: sn.s.keyRanges(ranges), Filter: filter},
 	}, func(b cluster.ScanBatch) error { return emit(b.Entries) })
 }
 

@@ -48,10 +48,6 @@ type Config struct {
 	// SyncWrites makes every acknowledged write durable (WAL fsync per
 	// write/batch) in each region's store.
 	SyncWrites bool
-	// DegradedScans lets queries return partial results when a region fails
-	// even after retries: surviving regions' rows are used and the failures
-	// are reported in the scan result instead of failing the query.
-	DegradedScans bool
 }
 
 func (c *Config) withDefaults() Config {

@@ -77,11 +77,11 @@ type Fault int
 const (
 	// FaultNone lets the operation through.
 	FaultNone Fault = iota
-	// FaultErr fails the operation with a permanent injected error.
+	// FaultErr fails the operation with an injected error.
 	FaultErr
-	// FaultTransient fails the operation with an error whose Transient()
-	// method reports true — the kind a retry is allowed to absorb.
-	FaultTransient
+	// 2 is skipped: torture subtests are named by a fault's number
+	// ("fault3" is FaultTorn), so the numbers stay put.
+	_
 	// FaultTorn writes only half the buffer, then fails: a torn write.
 	FaultTorn
 	// FaultDiskFull fails a write with ErrDiskFull before any byte lands.
@@ -98,24 +98,15 @@ const (
 	FaultCrash
 )
 
-// InjectedError is the error produced by FaultErr and FaultTransient (and by
-// the failing half of FaultTorn).
+// InjectedError is the error produced by FaultErr (and by the failing half of
+// FaultTorn).
 type InjectedError struct {
-	Op        Op
-	transient bool
+	Op Op
 }
 
 func (e *InjectedError) Error() string {
-	kind := "injected fault"
-	if e.transient {
-		kind = "transient injected fault"
-	}
-	return fmt.Sprintf("vfs: %s at op %d (%s %s)", kind, e.Op.N, e.Op.Kind, e.Op.Path)
+	return fmt.Sprintf("vfs: injected fault at op %d (%s %s)", e.Op.N, e.Op.Kind, e.Op.Path)
 }
-
-// Transient reports whether a retry may succeed; the cluster's scan retry
-// loop keys off this.
-func (e *InjectedError) Transient() bool { return e.transient }
 
 // FaultFS is an in-memory filesystem with fault injection and crash
 // simulation. It tracks durability exactly as the FS contract states: file
@@ -292,8 +283,6 @@ func (f *FaultFS) op(kind OpKind, path string) (Op, Fault, error) {
 		f.crashLocked()
 		f.down = true
 		return o, fault, fmt.Errorf("vfs: op %d (%s %s): %w", o.N, kind, path, ErrCrashed)
-	case FaultTransient:
-		return o, fault, &InjectedError{Op: o, transient: true}
 	case FaultTorn, FaultDiskFull:
 		if kind == OpWrite {
 			return o, fault, nil // handled by Write itself

@@ -226,18 +226,11 @@ func TestFaultFSInjection(t *testing.T) {
 	}
 	_, err = f.Write([]byte("x")) // op target
 	var inj *InjectedError
-	if !errors.As(err, &inj) || inj.Transient() {
-		t.Fatalf("want permanent InjectedError, got %v", err)
+	if !errors.As(err, &inj) {
+		t.Fatalf("want InjectedError, got %v", err)
 	}
 	if inj.Op.Kind != OpWrite {
 		t.Fatalf("op kind = %v", inj.Op.Kind)
-	}
-
-	// Transient error reports Transient() == true.
-	fsys.SetInject(func(op Op) Fault { return FaultTransient })
-	_, err = f.Write([]byte("x"))
-	if !errors.As(err, &inj) || !inj.Transient() {
-		t.Fatalf("want transient InjectedError, got %v", err)
 	}
 
 	// Torn write: half the bytes land, then an error.

@@ -108,10 +108,10 @@ if [[ "$MODE" == "concurrency" || "$MODE" == "all" ]]; then
     # Always under -race — these suites exist to race the committer.
     if [[ "${SHORT:-0}" == "1" ]]; then
         step "concurrent torture (race, sampled subset)"
-        go test -race -short -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|RetryAndDegraded' ./internal/kv ./internal/cluster
+        go test -race -short -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth' ./internal/kv ./internal/cluster
     else
         step "concurrent torture (race)"
-        go test -race -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|RetryAndDegraded' ./internal/kv ./internal/cluster
+        go test -race -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth' ./internal/kv ./internal/cluster
     fi
 fi
 

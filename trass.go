@@ -176,14 +176,6 @@ func WithSyncWrites() Option {
 	return func(sc *store.Config, _ *config) { sc.SyncWrites = true }
 }
 
-// WithDegradedScans lets queries degrade instead of fail when part of the
-// storage layer is unavailable: rows from regions that fail even after
-// retries are omitted, and QueryStats.PartialErrors reports how many regions
-// are missing from the (sound but possibly incomplete) answer.
-func WithDegradedScans() Option {
-	return func(sc *store.Config, _ *config) { sc.DegradedScans = true }
-}
-
 // DB is an open trajectory store with its query engine.
 type DB struct {
 	store  *store.Store
@@ -228,7 +220,8 @@ func (db *DB) Count() int64 { return db.store.Count() }
 
 // StorageStats aggregates the storage layer's counters across every region:
 // write and read volumes, flush/compaction activity, group-commit and WAL
-// fsync counts, scan RPCs and retries. KV.CompactDegraded reports whether any
+// fsync counts and scan RPCs (Retries is always zero: a failed region call is
+// not retried). KV.CompactDegraded reports whether any
 // region's background compaction is failing — the store keeps serving reads
 // and writes in that state, but merges are behind.
 // The MVCC gauges (KV.PinnedSnapshots, KV.FrozenMemtables, KV.ObsoleteTables)
