@@ -165,6 +165,11 @@ func cmdQuery(args []string) error {
 	showStats := fs.Bool("stats", false, "print per-query statistics")
 	_ = fs.Parse(args)
 	if *srvURL != "" {
+		measureSet := false
+		fs.Visit(func(f *flag.Flag) { measureSet = measureSet || f.Name == "measure" })
+		if measureSet {
+			return fmt.Errorf("query: -measure does not apply with -server: the server answers under its own measure (trassd -measure)")
+		}
 		return serverQuery(*srvURL, *stream, *in, *id, *epsStr, *k, *showStats)
 	}
 	if *stream {

@@ -105,14 +105,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// ExtendPoint returns the smallest rect containing r and p.
-func (r Rect) ExtendPoint(p Point) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
-		Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
-	}
-}
-
 // Union returns the smallest rect containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {

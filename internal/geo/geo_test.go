@@ -294,21 +294,6 @@ func TestDistPointPolyline(t *testing.T) {
 	}
 }
 
-func TestDistRectPolyline(t *testing.T) {
-	poly := []Point{{0, 0}, {1, 0}}
-	r := Rect{Point{0.4, 0.5}, Point{0.6, 1}}
-	if got := DistRectPolyline(r, poly); !almostEq(got, 0.5) {
-		t.Errorf("got %v, want 0.5", got)
-	}
-	touching := Rect{Point{0.4, 0}, Point{0.6, 1}}
-	if got := DistRectPolyline(touching, poly); got != 0 {
-		t.Errorf("touching rect must be at distance 0, got %v", got)
-	}
-	if got := DistRectPolyline(r, []Point{{0.5, 2}}); !almostEq(got, 1) {
-		t.Errorf("single-point polyline: got %v, want 1", got)
-	}
-}
-
 // Property: DistSegmentSegment is consistent with dense point sampling.
 func TestDistSegmentSegmentSampled(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

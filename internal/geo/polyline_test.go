@@ -1,67 +1,6 @@
 package geo
 
-import (
-	"math"
-	"testing"
-)
-
-func TestPolylineIntersectsRect(t *testing.T) {
-	r := Rect{Min: Point{X: 0.4, Y: 0.4}, Max: Point{X: 0.6, Y: 0.6}}
-	tests := []struct {
-		pts  []Point
-		want bool
-	}{
-		{nil, false},
-		{[]Point{{X: 0.5, Y: 0.5}}, true},                    // single point inside
-		{[]Point{{X: 0.1, Y: 0.1}}, false},                   // single point outside
-		{[]Point{{X: 0.1, Y: 0.5}, {X: 0.9, Y: 0.5}}, true},  // crosses through
-		{[]Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}}, false}, // stays outside
-		{[]Point{{X: 0.45, Y: 0.45}, {X: 0.55, Y: 0.5}}, true},
-	}
-	for i, tc := range tests {
-		if got := PolylineIntersectsRect(tc.pts, r); got != tc.want {
-			t.Errorf("case %d: got %v, want %v", i, got, tc.want)
-		}
-	}
-}
-
-func TestDistSegmentPolyline(t *testing.T) {
-	poly := []Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
-	s := Segment{A: Point{X: 0.2, Y: 0.5}, B: Point{X: 0.8, Y: 0.5}}
-	if got := DistSegmentPolyline(s, poly); !almostEq(got, 0.5) {
-		t.Errorf("got %v, want 0.5", got)
-	}
-	crossing := Segment{A: Point{X: 0.5, Y: -1}, B: Point{X: 0.5, Y: 1}}
-	if got := DistSegmentPolyline(crossing, poly); got != 0 {
-		t.Errorf("crossing segment: %v", got)
-	}
-	if got := DistSegmentPolyline(s, []Point{{X: 0.5, Y: 1.5}}); !almostEq(got, 1) {
-		t.Errorf("single-point polyline: %v", got)
-	}
-	if got := DistSegmentPolyline(s, nil); !math.IsInf(got, 1) {
-		t.Errorf("empty polyline: %v", got)
-	}
-}
-
-func TestDistRectPolylineDegenerate(t *testing.T) {
-	r := Rect{Min: Point{X: 0, Y: 0}, Max: Point{X: 1, Y: 1}}
-	if got := DistRectPolyline(r, nil); !math.IsInf(got, 1) {
-		t.Errorf("empty polyline: %v", got)
-	}
-}
-
-func TestExtendPoint(t *testing.T) {
-	r := Rect{Min: Point{X: 0.4, Y: 0.4}, Max: Point{X: 0.6, Y: 0.6}}
-	got := r.ExtendPoint(Point{X: 0.9, Y: 0.1})
-	want := Rect{Min: Point{X: 0.4, Y: 0.1}, Max: Point{X: 0.9, Y: 0.6}}
-	if got != want {
-		t.Fatalf("ExtendPoint = %v, want %v", got, want)
-	}
-	// Point already inside: no change.
-	if got := r.ExtendPoint(Point{X: 0.5, Y: 0.5}); got != r {
-		t.Fatalf("inside point changed the rect: %v", got)
-	}
-}
+import "testing"
 
 func TestClamp01(t *testing.T) {
 	for _, tc := range []struct{ in, want float64 }{

@@ -20,8 +20,8 @@ type Engine struct {
 	store         *store.Store
 	measure       dist.Measure
 	kernel        dist.BoundedFunc // measure's bounded kernel: the one distance call a candidate pays
-	budget        int              // global-pruning element budget (0 = default)
-	refineWorkers int              // refinement pool size (0 = default, see refineParallelism)
+	budget        int              // global-pruning element budget; only tests set it (0 = default)
+	refineWorkers int              // refinement pool size; only tests set it (0 = see refineParallelism)
 	streamDepth   int              // candidate-queue depth; only tests set it (0 = see streamQueueDepth)
 	tuning        Tuning
 }
@@ -43,29 +43,10 @@ type Tuning struct {
 // SetTuning replaces the engine's ablation switches.
 func (e *Engine) SetTuning(t Tuning) { e.tuning = t }
 
-// SetBudget overrides the global-pruning element budget (0 restores the
-// default). Small budgets trade plan precision for planning time; results
-// stay exact because truncation only widens the scan.
-func (e *Engine) SetBudget(n int) { e.budget = n }
-
-// SetRefineParallelism bounds the refinement worker pool — the stage that
-// decodes shipped rows and runs full similarity computations (0 restores the
-// default: the store's scan parallelism, else GOMAXPROCS). Results are
-// identical for any value; only the wall-clock changes.
-func (e *Engine) SetRefineParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.refineWorkers = n
-}
-
 // New builds an engine over st using the given similarity measure.
 func New(st *store.Store, measure dist.Measure) *Engine {
 	return &Engine{store: st, measure: measure, kernel: dist.BoundedFor(measure)}
 }
-
-// Measure returns the engine's similarity measure.
-func (e *Engine) Measure() dist.Measure { return e.measure }
 
 // Result is one matched trajectory.
 type Result struct {
@@ -110,7 +91,7 @@ type Stats struct {
 	// walked by the pushed-down filter; the rest fell at their first point or
 	// feature boxes, or were never checked.
 	RowsWalked   int64
-	Retrieved    int64 // rows that survived local filtering and were shipped
+	Retrieved    int64 // rows that survived local filtering and were shipped: the candidates Fig. 9(b)/10(b) plot
 	BytesShipped int64
 	RPCs         int64
 	Retries      int64 // always zero: a failed region call is not retried; kept for the benchmark
@@ -135,10 +116,6 @@ func (s *Stats) absorbScan(res *cluster.ScanResult) {
 	s.BytesShipped += res.BytesShipped
 	s.RPCs += res.RPCs
 }
-
-// Candidates returns the number of candidate trajectories after pruning and
-// local filtering — the quantity Fig. 9(b)/10(b) plot.
-func (s *Stats) Candidates() int64 { return s.Retrieved }
 
 // Precision is final answers over candidates (Fig. 11(c)).
 func (s *Stats) Precision() float64 {

@@ -122,7 +122,7 @@ func TestUnparseableRowContract(t *testing.T) {
 			}
 
 			eng := New(st, dist.Frechet)
-			eng.SetRefineParallelism(2)
+			eng.refineWorkers = 2
 			window := geo.MBRPoints(base.Points)
 			everything := TimeWindow{Start: 1, End: math.MaxInt64}
 			lone := good[len(good)-1] // a well-formed far row

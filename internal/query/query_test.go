@@ -283,9 +283,6 @@ func TestStatsConsistency(t *testing.T) {
 	if int64(stats.Refined) != stats.Retrieved {
 		t.Fatalf("refined %d != retrieved %d", stats.Refined, stats.Retrieved)
 	}
-	if stats.Candidates() != stats.Retrieved {
-		t.Fatal("Candidates() must mirror Retrieved")
-	}
 }
 
 func BenchmarkThreshold(b *testing.B) {

@@ -157,12 +157,12 @@ func TestTinyBudgetStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.engine.SetBudget(4)
+	f.engine.budget = 4
 	small, stats, err := f.engine.ThresholdContext(bg, q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.engine.SetBudget(0)
+	f.engine.budget = 0
 	if len(small) != len(full) {
 		t.Fatalf("budget 4: %d results, full plan gave %d", len(small), len(full))
 	}

@@ -44,8 +44,9 @@ type refineWork func(rec *traj.Record, row []float64) (refineOutcome, []float64)
 // callbacks use this to stop a query early).
 type refineMerge func(o refineOutcome) error
 
-// refineParallelism resolves the worker count: the engine knob if set,
-// otherwise the store's scan parallelism, otherwise GOMAXPROCS.
+// refineParallelism resolves the worker count: refineWorkers if a test set
+// it, otherwise the store's scan parallelism, otherwise GOMAXPROCS. Results
+// are identical for any value; only the wall-clock changes.
 func (e *Engine) refineParallelism() int {
 	if e.refineWorkers > 0 {
 		return e.refineWorkers

@@ -23,7 +23,7 @@ func benchmarkRefine(b *testing.B, workers int) {
 		b.Run(measure.String(), func(b *testing.B) {
 			f, base := refineFixture(b, benchRefineRows, benchRefinePts, 91)
 			f.engine = New(f.store, measure)
-			f.engine.SetRefineParallelism(workers)
+			f.engine.refineWorkers = workers
 			eps := 0.02
 			if measure == dist.DTW {
 				eps = 0.5 // DTW accumulates; admit the whole cluster

@@ -89,7 +89,7 @@ func TestRefineDeterminismAcrossWorkers(t *testing.T) {
 			}
 			var runs []run
 			for _, workers := range []int{1, 2, 8} {
-				f.engine.SetRefineParallelism(workers)
+				f.engine.refineWorkers = workers
 				var r run
 				var err error
 				if r.threshold, _, err = f.engine.ThresholdContext(bg, q, eps); err != nil {
@@ -133,7 +133,7 @@ func TestRefineDeterminismWindowVariants(t *testing.T) {
 	w := TimeWindow{} // unbounded: exercises the shared code path
 	var prev []Result
 	for i, workers := range []int{1, 8} {
-		f.engine.SetRefineParallelism(workers)
+		f.engine.refineWorkers = workers
 		got, _, err := f.engine.Search(bg, Query{Kind: KindThreshold, Traj: q, Eps: 0.01, Window: w}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestRefineDeterminismWindowVariants(t *testing.T) {
 func TestRefineCancellationMidRefine(t *testing.T) {
 	f, _ := refineFixture(t, 200, 40, 75)
 	const workers = 4
-	f.engine.SetRefineParallelism(workers)
+	f.engine.refineWorkers = workers
 
 	rows := allRows(t, f.store)
 	if len(rows) < 100 {
@@ -196,7 +196,7 @@ func TestRefineCancellationMidRefine(t *testing.T) {
 // swallowed into a partial result.
 func TestRefineCancellationEndToEnd(t *testing.T) {
 	f, base := refineFixture(t, 200, 80, 79)
-	f.engine.SetRefineParallelism(2)
+	f.engine.refineWorkers = 2
 	eps := 0.5 // admits every near-duplicate under DTW
 
 	t0 := time.Now()
@@ -232,7 +232,7 @@ func TestRefinePreCancelled(t *testing.T) {
 // still mirrors the shipped candidate count on threshold queries.
 func TestRefineStatsAccounting(t *testing.T) {
 	f, base := refineFixture(t, 300, 60, 77)
-	f.engine.SetRefineParallelism(4)
+	f.engine.refineWorkers = 4
 	_, stats, err := f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestRefineStatsAccounting(t *testing.T) {
 
 	// Sequential: cumulative busy time and wall-clock measure the same loop,
 	// so CPU time cannot exceed wall-clock by more than timer noise.
-	f.engine.SetRefineParallelism(1)
+	f.engine.refineWorkers = 1
 	_, stats, err = f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -265,14 +265,14 @@ func TestRefineStatsAccounting(t *testing.T) {
 	}
 }
 
-// SetRefineParallelism(0) restores the default (store parallelism, else
+// refineWorkers 0 resolves to the default (store parallelism, else
 // GOMAXPROCS) and negative values are treated as the default, never a hang.
 func TestRefineParallelismKnob(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 30, 78)
 	for _, n := range []int{0, -3} {
-		f.engine.SetRefineParallelism(n)
+		f.engine.refineWorkers = n
 		if got := f.engine.refineParallelism(); got < 1 {
-			t.Fatalf("SetRefineParallelism(%d): resolved pool %d < 1", n, got)
+			t.Fatalf("refineWorkers %d: resolved pool %d < 1", n, got)
 		}
 		if _, _, err := f.engine.ThresholdContext(bg, f.trajs[0], 0.01); err != nil {
 			t.Fatal(err)
@@ -285,7 +285,7 @@ func TestRefineParallelismKnob(t *testing.T) {
 // the distance it reports is the full kernel's, bit for bit.
 func TestThresholdOneKernelCallPerCandidate(t *testing.T) {
 	f, base := refineFixture(t, 120, 30, 92)
-	f.engine.SetRefineParallelism(4)
+	f.engine.refineWorkers = 4
 	var calls atomic.Int64
 	kernel := f.engine.kernel
 	f.engine.kernel = func(q, tr []geo.Point, bound float64, row []float64) (float64, bool, []float64) {
@@ -328,7 +328,7 @@ func TestThresholdOneKernelCallPerCandidate(t *testing.T) {
 // ordered one (top-k), where the remainder is the lower-bound ordering.
 func TestStageTimersAccountForRefineCPU(t *testing.T) {
 	f, base := refineFixture(t, 300, 120, 93)
-	f.engine.SetRefineParallelism(2)
+	f.engine.refineWorkers = 2
 	for _, q := range []Query{
 		{Kind: KindThreshold, Traj: base, Eps: 2},
 		{Kind: KindTopK, Traj: base, K: 300},

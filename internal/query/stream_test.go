@@ -54,7 +54,7 @@ func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 		return out
 	}
 
-	f.engine.SetRefineParallelism(1)
+	f.engine.refineWorkers = 1
 	f.engine.streamDepth = 1
 	ref := exec()
 
@@ -91,7 +91,7 @@ func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		for _, depth := range []int{1, 0} { // 1 = fully serialized hand-off, 0 = default
-			f.engine.SetRefineParallelism(workers)
+			f.engine.refineWorkers = workers
 			f.engine.streamDepth = depth
 			for i, got := range exec() {
 				if !reflect.DeepEqual(ref[i], got) {
@@ -114,7 +114,7 @@ func streamOccupancyBound(depth, workers int) int { return depth + 2*workers + 2
 // shipped row is still refined.
 func TestStreamPeakDepthBounded(t *testing.T) {
 	f, base := refineFixture(t, 150, 40, 83)
-	f.engine.SetRefineParallelism(4)
+	f.engine.refineWorkers = 4
 	f.engine.streamDepth = 2
 	_, stats, err := f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestStreamBackpressureStalls(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		entries = append(entries, rows...)
 	}
-	f.engine.SetRefineParallelism(1)
+	f.engine.refineWorkers = 1
 	f.engine.streamDepth = 1
 	stats := &Stats{}
 	err := f.engine.refineFromScan(bg, stats, sliceScan(entries, 1),
@@ -175,7 +175,7 @@ func TestStreamBackpressureStalls(t *testing.T) {
 // aborts the search and comes back unwrapped.
 func TestThresholdSinkDeliveryAndAbort(t *testing.T) {
 	f, base := refineFixture(t, 120, 30, 86)
-	f.engine.SetRefineParallelism(4)
+	f.engine.refineWorkers = 4
 
 	want, _, err := f.engine.ThresholdContext(bg, base, 0.5)
 	if err != nil {

@@ -122,7 +122,7 @@ func TestRefineTiesStraddlingK(t *testing.T) {
 			for _, shards := range []int{1, 8} {
 				eng := engines[shards]
 				for _, workers := range []int{1, 2, 8} {
-					eng.SetRefineParallelism(workers)
+					eng.refineWorkers = workers
 					for run := 0; run < 20; run++ {
 						got, _, err := eng.Search(bg, qry, nil)
 						if err != nil {

@@ -175,7 +175,7 @@ func TestTopKSeedEdgesMatchBruteForce(t *testing.T) {
 					tc.premise(t, eng, bruteTopKStored(recs, tc.q, len(recs), tc.measure, tc.window))
 				}
 				for _, workers := range []int{1, 4} {
-					eng.SetRefineParallelism(workers)
+					eng.refineWorkers = workers
 					got, stats, err := eng.Search(bg, Query{Kind: KindTopK, Traj: tc.q, K: tc.k, Window: tc.window}, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -233,7 +233,7 @@ func firstDiff(a, b []Result) int {
 func TestTopKWorkCounts(t *testing.T) {
 	st, trajs := tdriveStore(t)
 	eng := New(st, dist.Frechet)
-	eng.SetRefineParallelism(1)
+	eng.refineWorkers = 1
 
 	const queries, k = 32, 50
 	var refined, rpcs, scanned, shipped float64

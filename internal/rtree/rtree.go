@@ -1,14 +1,11 @@
-// Package rtree is an R-tree over axis-parallel rectangles with quadratic
-// splits for dynamic inserts and Sort-Tile-Recursive (STR) bulk loading. It
-// is the index substrate of the DFT baseline (DFT builds R-trees over
-// trajectory partitions) and a general dynamic-index counterpoint to the
-// static XZ* index.
+// Package rtree is an R-tree over axis-parallel rectangles, built by dynamic
+// inserts with quadratic node splits. It is the index substrate of the DFT
+// baseline (DFT builds R-trees over trajectory partitions, insert by insert)
+// and a dynamic-index counterpoint to the static XZ* index.
 package rtree
 
 import (
-	"container/heap"
 	"math"
-	"sort"
 
 	"repro/internal/geo"
 )
@@ -46,9 +43,6 @@ func New() *Tree {
 
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the root MBR (empty when the tree is empty).
-func (t *Tree) Bounds() geo.Rect { return t.root.rect }
 
 // Insert adds an item, growing and splitting nodes as needed.
 func (t *Tree) Insert(it Item) {
@@ -220,133 +214,4 @@ func (t *Tree) Search(query geo.Rect, fn func(Item) bool) {
 		return true
 	}
 	walk(t.root)
-}
-
-// NearestBy visits items in ascending order of dist(item), a caller-supplied
-// lower-boundable distance: nodeDist must never exceed dist of any item in
-// the node. Visiting stops when fn returns false.
-func (t *Tree) NearestBy(nodeDist func(geo.Rect) float64, fn func(Item, float64) bool) {
-	pq := &nnHeap{}
-	heap.Push(pq, nnEntry{d: nodeDist(t.root.rect), node: t.root})
-	for pq.Len() > 0 {
-		e := heap.Pop(pq).(nnEntry)
-		if e.node == nil {
-			if !fn(e.item, e.d) {
-				return
-			}
-			continue
-		}
-		n := e.node
-		if n.leaf {
-			for i := range n.items {
-				heap.Push(pq, nnEntry{d: nodeDist(n.items[i].Rect), item: n.items[i]})
-			}
-			continue
-		}
-		for _, c := range n.children {
-			heap.Push(pq, nnEntry{d: nodeDist(c.rect), node: c})
-		}
-	}
-}
-
-type nnEntry struct {
-	d    float64
-	node *node
-	item Item
-}
-
-type nnHeap []nnEntry
-
-func (h nnHeap) Len() int           { return len(h) }
-func (h nnHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h nnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x any)        { *h = append(*h, x.(nnEntry)) }
-func (h *nnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// BulkLoad builds a tree from items with Sort-Tile-Recursive packing:
-// sort by center X, slice into vertical strips, sort each strip by center Y,
-// pack runs of maxEntries into leaves, then build upper levels the same way.
-func BulkLoad(items []Item) *Tree {
-	t := New()
-	if len(items) == 0 {
-		return t
-	}
-	leaves := packLeaves(items)
-	level := leaves
-	for len(level) > 1 {
-		level = packNodes(level)
-	}
-	t.root = level[0]
-	t.size = len(items)
-	return t
-}
-
-func packLeaves(items []Item) []*node {
-	cp := make([]Item, len(items))
-	copy(cp, items)
-	slices := int(math.Ceil(math.Sqrt(float64(len(cp)) / maxEntries)))
-	if slices < 1 {
-		slices = 1
-	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Rect.Center().X < cp[j].Rect.Center().X })
-	perSlice := (len(cp) + slices - 1) / slices
-	var leaves []*node
-	for s := 0; s < len(cp); s += perSlice {
-		e := s + perSlice
-		if e > len(cp) {
-			e = len(cp)
-		}
-		strip := cp[s:e]
-		sort.Slice(strip, func(i, j int) bool { return strip[i].Rect.Center().Y < strip[j].Rect.Center().Y })
-		for i := 0; i < len(strip); i += maxEntries {
-			j := i + maxEntries
-			if j > len(strip) {
-				j = len(strip)
-			}
-			leaf := &node{leaf: true, rect: geo.EmptyRect()}
-			leaf.items = append(leaf.items, strip[i:j]...)
-			for _, it := range leaf.items {
-				leaf.rect = leaf.rect.Union(it.Rect)
-			}
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
-}
-
-func packNodes(level []*node) []*node {
-	sort.Slice(level, func(i, j int) bool { return level[i].rect.Center().X < level[j].rect.Center().X })
-	slices := int(math.Ceil(math.Sqrt(float64(len(level)) / maxEntries)))
-	if slices < 1 {
-		slices = 1
-	}
-	perSlice := (len(level) + slices - 1) / slices
-	var out []*node
-	for s := 0; s < len(level); s += perSlice {
-		e := s + perSlice
-		if e > len(level) {
-			e = len(level)
-		}
-		strip := level[s:e]
-		sort.Slice(strip, func(i, j int) bool { return strip[i].rect.Center().Y < strip[j].rect.Center().Y })
-		for i := 0; i < len(strip); i += maxEntries {
-			j := i + maxEntries
-			if j > len(strip) {
-				j = len(strip)
-			}
-			n := &node{rect: geo.EmptyRect()}
-			n.children = append(n.children, strip[i:j]...)
-			for _, c := range n.children {
-				n.rect = n.rect.Union(c.rect)
-			}
-			out = append(out, n)
-		}
-	}
-	return out
 }

@@ -1,9 +1,7 @@
 package rtree
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geo"
@@ -23,6 +21,15 @@ func bruteSearch(items []Item, q geo.Rect) map[int]bool {
 		}
 	}
 	return out
+}
+
+// build inserts items one by one, the way the DFT baseline builds its trees.
+func build(items []Item) *Tree {
+	tree := New()
+	for _, it := range items {
+		tree.Insert(it)
+	}
+	return tree
 }
 
 func collect(t *Tree, q geo.Rect) map[int]bool {
@@ -61,44 +68,13 @@ func TestInsertSearchMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestBulkLoadMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var items []Item
-	for i := 0; i < 3000; i++ {
-		items = append(items, Item{Rect: randRect(rng), Data: i})
-	}
-	tree := BulkLoad(items)
-	if tree.Len() != 3000 {
-		t.Fatalf("len = %d", tree.Len())
-	}
-	for q := 0; q < 50; q++ {
-		query := randRect(rng)
-		got := collect(tree, query)
-		want := bruteSearch(items, query)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d, want %d", q, len(got), len(want))
-		}
-	}
-}
-
-func TestBulkLoadEmptyAndSmall(t *testing.T) {
-	if tr := BulkLoad(nil); tr.Len() != 0 {
-		t.Fatal("empty bulk load")
-	}
-	one := BulkLoad([]Item{{Rect: geo.Rect{Min: geo.Point{X: 0.1, Y: 0.1}, Max: geo.Point{X: 0.2, Y: 0.2}}, Data: 7}})
-	got := collect(one, geo.World)
-	if len(got) != 1 || !got[7] {
-		t.Fatalf("single-item tree: %v", got)
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var items []Item
 	for i := 0; i < 500; i++ {
 		items = append(items, Item{Rect: randRect(rng), Data: i})
 	}
-	tree := BulkLoad(items)
+	tree := build(items)
 	count := 0
 	tree.Search(geo.World, func(Item) bool {
 		count++
@@ -109,48 +85,23 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNearestByOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var items []Item
-	for i := 0; i < 1000; i++ {
-		items = append(items, Item{Rect: randRect(rng), Data: i})
-	}
-	tree := BulkLoad(items)
-	q := geo.Point{X: 0.5, Y: 0.5}
-	nodeDist := func(r geo.Rect) float64 { return geo.DistPointRect(q, r) }
-
-	var visited []float64
-	tree.NearestBy(nodeDist, func(it Item, d float64) bool {
-		visited = append(visited, d)
-		return len(visited) < 20
-	})
-	if len(visited) != 20 {
-		t.Fatalf("visited %d", len(visited))
-	}
-	if !sort.Float64sAreSorted(visited) {
-		t.Fatalf("not ascending: %v", visited)
-	}
-	// The first visited is the true nearest.
-	best := math.Inf(1)
-	for _, it := range items {
-		if d := geo.DistPointRect(q, it.Rect); d < best {
-			best = d
-		}
-	}
-	if math.Abs(visited[0]-best) > 1e-12 {
-		t.Fatalf("first visited %v, true nearest %v", visited[0], best)
-	}
-}
-
+// The root MBR starts empty and grows to cover every insert, and an empty or
+// single-item tree answers searches.
 func TestBoundsGrow(t *testing.T) {
 	tree := New()
-	if !tree.Bounds().IsEmpty() {
+	if !tree.root.rect.IsEmpty() {
 		t.Fatal("empty tree must have empty bounds")
 	}
-	tree.Insert(Item{Rect: geo.Rect{Min: geo.Point{X: 0.1, Y: 0.1}, Max: geo.Point{X: 0.2, Y: 0.2}}})
-	tree.Insert(Item{Rect: geo.Rect{Min: geo.Point{X: 0.8, Y: 0.8}, Max: geo.Point{X: 0.9, Y: 0.9}}})
-	b := tree.Bounds()
-	if b.Min.X > 0.1 || b.Max.X < 0.9 {
+	if got := collect(tree, geo.World); len(got) != 0 {
+		t.Fatalf("empty tree found %v", got)
+	}
+	tree.Insert(Item{Rect: geo.Rect{Min: geo.Point{X: 0.1, Y: 0.1}, Max: geo.Point{X: 0.2, Y: 0.2}}, Data: 7})
+	if got := collect(tree, geo.World); len(got) != 1 || !got[7] {
+		t.Fatalf("single-item tree: %v", got)
+	}
+	tree.Insert(Item{Rect: geo.Rect{Min: geo.Point{X: 0.8, Y: 0.8}, Max: geo.Point{X: 0.9, Y: 0.9}}, Data: 8})
+	b := tree.root.rect
+	if b.Min.X > 0.1 || b.Min.Y > 0.1 || b.Max.X < 0.9 || b.Max.Y < 0.9 {
 		t.Fatalf("bounds %v do not cover inserts", b)
 	}
 }
@@ -165,26 +116,13 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkBulkLoad10k(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	items := make([]Item, 10000)
-	for i := range items {
-		items[i] = Item{Rect: randRect(rng), Data: i}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BulkLoad(items)
-	}
-}
-
 func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	items := make([]Item, 50000)
 	for i := range items {
 		items[i] = Item{Rect: randRect(rng), Data: i}
 	}
-	tree := BulkLoad(items)
+	tree := build(items)
 	q := geo.Rect{Min: geo.Point{X: 0.4, Y: 0.4}, Max: geo.Point{X: 0.45, Y: 0.45}}
 	b.ReportAllocs()
 	b.ResetTimer()

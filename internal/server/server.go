@@ -132,9 +132,6 @@ func (s *Server) Serve(lis net.Listener) error {
 // InFlight returns the number of queries currently executing.
 func (s *Server) InFlight() int { return len(s.inflight) }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains gracefully: stop accepting, let in-flight streams finish
 // until ctx expires, then cancel them through the engine's context plumbing,
 // and finally close the database — exactly once, no matter how many times

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/kv"
@@ -46,7 +47,10 @@ func (sn *Snapshot) Store() *Store { return sn.s }
 
 // HasValuesIn reports whether any trajectory in the snapshot has an index
 // value in [lo, hi). Lock-free: the value set is immutable.
-func (sn *Snapshot) HasValuesIn(lo, hi int64) bool { return hasValuesIn(sn.values, lo, hi) }
+func (sn *Snapshot) HasValuesIn(lo, hi int64) bool {
+	i, _ := slices.BinarySearch(sn.values, lo)
+	return i < len(sn.values) && sn.values[i] < hi
+}
 
 // ScanRangesStream scans the given index-value ranges across every shard
 // with an optional server-side filter pushed down into the regions — the

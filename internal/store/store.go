@@ -34,8 +34,12 @@ type Config struct {
 	// MaxResolution is the XZ* maximum resolution. Zero means the value an
 	// existing directory was created with, and 16 (the paper's) for a new one.
 	MaxResolution int
-	// DPTolerance is the Douglas-Peucker distance for pre-computed features.
-	// Default 0.01 (the paper's).
+	// DPTolerance is the Douglas-Peucker distance for pre-computed features,
+	// in normalized plane units. Default 0.01, which is NOT the paper's
+	// setting: the paper's 0.01° is gen.DegreesToNorm(0.01) ≈ 2.8e-5, so the
+	// default is 360× coarser and leaves most trajectories one feature box
+	// (their MBR). The figures pass 0.01°; trass.Open, trassd and cmd/trass
+	// run the default (DESIGN.md §2).
 	DPTolerance float64
 	// RPCLatency, Parallelism and HandlersPerRegion pass through to the
 	// cluster layer.
@@ -426,20 +430,6 @@ func (s *Store) Selectivity() float64 {
 		return 0
 	}
 	return float64(len(s.values)) / float64(s.count)
-}
-
-// HasValuesIn reports whether any stored trajectory has an index value in
-// [lo, hi). Queries ask their Snapshot instead, for a point-in-time answer.
-func (s *Store) HasValuesIn(lo, hi int64) bool {
-	s.mu.Lock()
-	vals := s.sortedValues
-	s.mu.Unlock()
-	return hasValuesIn(vals, lo, hi)
-}
-
-func hasValuesIn(vals []int64, lo, hi int64) bool {
-	i, _ := slices.BinarySearch(vals, lo)
-	return i < len(vals) && vals[i] < hi
 }
 
 // StreamOptions is empty and benchmark-pinned: it exists only because

@@ -309,14 +309,19 @@ func TestHasValuesIn(t *testing.T) {
 	if err := s.Put(tr); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
 	v := s.Index().Assign(tr.Points).Value
-	if !s.HasValuesIn(v, v+1) {
+	if !snap.HasValuesIn(v, v+1) {
 		t.Fatal("stored value not found")
 	}
-	if s.HasValuesIn(v+1, v+100) {
+	if snap.HasValuesIn(v+1, v+100) {
 		t.Fatal("phantom values")
 	}
-	if !s.HasValuesIn(0, s.Index().TotalIndexSpaces()) {
+	if !snap.HasValuesIn(0, s.Index().TotalIndexSpaces()) {
 		t.Fatal("full range must contain the value")
 	}
 }

@@ -46,8 +46,9 @@
 #              and load a dataset (at a non-default shape, so every reopen
 #              adopts it), run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
-#              streamed output must match as a set (sort | cmp). Finishes
-#              with a SIGTERM drain that must exit 0.
+#              streamed output must match as a set (sort | cmp); a client
+#              -measure beside -server must be refused. Finishes with a
+#              SIGTERM drain that must exit 0.
 #
 # The gate measures nothing. Performance is benchmark/run.sh's job (see
 # benchmark/README.md): four workloads against a checked-in baseline.
@@ -216,6 +217,13 @@ if [[ "$MODE" == "serve" || "$MODE" == "all" ]]; then
     sort "$SERVE_TMP/embedded-threshold.txt" > "$SERVE_TMP/embedded-threshold.sorted"
     sort "$SERVE_TMP/stream-threshold.txt" > "$SERVE_TMP/stream-threshold.sorted"
     cmp "$SERVE_TMP/embedded-threshold.sorted" "$SERVE_TMP/stream-threshold.sorted"
+
+    # The measure is trassd's: a client-side -measure must be refused, not
+    # silently answered under the server's measure.
+    if "$SERVE_TMP/trass" query -server "$ADDR" -measure dtw -id td000042 -k 20 > /dev/null 2> "$SERVE_TMP/measure.err"; then
+        echo "serve e2e: trass query -server accepted -measure" >&2; exit 1
+    fi
+    grep -q 'trassd -measure' "$SERVE_TMP/measure.err"
 
     step "serve e2e (SIGTERM drain)"
     kill -TERM "$TRASSD_PID"

@@ -11,6 +11,12 @@
 // servers like an HBase coprocessor — rejects candidates using pre-computed
 // Douglas-Peucker features.
 //
+// The Douglas-Peucker tolerance is 0.01 in normalized plane units, which is
+// not the paper's 0.01° (≈ 2.8e-5 plane units) but 360× coarser: most
+// trajectories keep a single feature box, their MBR, so local filtering
+// prunes less than the paper's. Filtering stays sound; only its strength
+// differs (DESIGN.md §2).
+//
 // Basic use:
 //
 //	db, err := trass.Open("/data/taxis", trass.WithShards(8))
@@ -122,8 +128,7 @@ type QueryStats = query.Stats
 type Option func(*store.Config, *config)
 
 type config struct {
-	measure           Measure
-	refineParallelism int
+	measure Measure
 }
 
 // WithShards sets the row-key hash fan-out of a new database (default 8, the
@@ -140,32 +145,9 @@ func WithMaxResolution(r int) Option {
 	return func(sc *store.Config, _ *config) { sc.MaxResolution = r }
 }
 
-// WithDPTolerance sets the Douglas-Peucker feature tolerance in normalized
-// plane units (default 0.01, the paper's value in its own units).
-func WithDPTolerance(theta float64) Option {
-	return func(sc *store.Config, _ *config) { sc.DPTolerance = theta }
-}
-
 // WithMeasure selects the similarity measure (default Fréchet).
 func WithMeasure(m Measure) Option {
 	return func(_ *store.Config, c *config) { c.measure = m }
-}
-
-// WithParallelism bounds concurrent region scans per query (default: one per
-// region). It governs the storage stage only; the client-side refinement
-// stage that follows is bounded by WithRefineParallelism.
-func WithParallelism(n int) Option {
-	return func(sc *store.Config, _ *config) { sc.Parallelism = n }
-}
-
-// WithRefineParallelism bounds the refinement worker pool per query — the
-// client-side stage that decodes shipped candidates and runs the full
-// similarity measure over each one, typically the dominant cost of a search.
-// Default: the WithParallelism value, else GOMAXPROCS. Results are identical
-// for any value (the executor merges deterministically); only wall-clock
-// changes. QueryStats.RefineWorkers reports the pool size a query used.
-func WithRefineParallelism(n int) Option {
-	return func(_ *store.Config, c *config) { c.refineParallelism = n }
 }
 
 // WithSyncWrites makes every acknowledged write durable before Put returns
@@ -194,9 +176,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := query.New(st, c.measure)
-	eng.SetRefineParallelism(c.refineParallelism)
-	return &DB{store: st, engine: eng}, nil
+	return &DB{store: st, engine: query.New(st, c.measure)}, nil
 }
 
 // Put is PutBatch of one trajectory.

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
 	"reflect"
@@ -14,7 +17,13 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/query"
+	"repro/internal/store"
 )
+
+// withStore sets store.Config fields that no public option exposes.
+func withStore(set func(*store.Config)) Option {
+	return func(sc *store.Config, _ *config) { set(sc) }
+}
 
 func openTestDB(t *testing.T, opts ...Option) *DB {
 	t.Helper()
@@ -204,8 +213,7 @@ func TestRangeSearchPublicAPI(t *testing.T) {
 
 func TestCompactAndOptions(t *testing.T) {
 	db := openTestDB(t,
-		WithDPTolerance(0.005/360),
-		WithParallelism(2),
+		withStore(func(sc *store.Config) { sc.DPTolerance = gen.DegreesToNorm(0.005); sc.Parallelism = 2 }),
 		WithShards(2),
 		WithMaxResolution(14),
 	)
@@ -229,14 +237,14 @@ func TestCompactAndOptions(t *testing.T) {
 	}
 }
 
-// WithRefineParallelism must change only wall-clock, never results, and
-// surface the pool size through QueryStats.
+// The refinement pool defaults to the store's Parallelism. Its size must change
+// only wall-clock, never results, and QueryStats must report it.
 func TestRefineParallelismOption(t *testing.T) {
 	data := gen.TDrive(gen.TDriveOptions{Seed: 11, N: 200})
 	q := data[7]
 	var baseline []Match
 	for i, workers := range []int{1, 4} {
-		db := openTestDB(t, WithShards(2), WithRefineParallelism(workers))
+		db := openTestDB(t, WithShards(2), withStore(func(sc *store.Config) { sc.Parallelism = workers }))
 		if err := db.PutBatch(data); err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +262,7 @@ func TestRefineParallelismOption(t *testing.T) {
 			t.Fatalf("RefineWorkers = %d after refining %d candidates", stats.RefineWorkers, stats.Refined)
 		}
 		if workers == 1 && stats.RefineWorkers > 1 {
-			t.Fatalf("RefineWorkers = %d with WithRefineParallelism(1)", stats.RefineWorkers)
+			t.Fatalf("RefineWorkers = %d with Parallelism 1", stats.RefineWorkers)
 		}
 		if i == 0 {
 			baseline = ms
@@ -697,25 +705,32 @@ func TestSearchRejectsInvalid(t *testing.T) {
 	}
 }
 
+// methodNames lists v's exported methods, sorted by name: the search entries
+// (those returning matches and/or per-query statistics) when search is true,
+// every other method when it is false.
+func methodNames(v any, search bool) []string {
+	var names []string
+	typ := reflect.TypeOf(v)
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		isSearch := false
+		for j := 0; j < m.Type.NumOut(); j++ {
+			if out := m.Type.Out(j); out == reflect.TypeOf([]Match(nil)) || out == reflect.TypeOf((*QueryStats)(nil)) {
+				isSearch = true
+				break
+			}
+		}
+		if isSearch == search {
+			names = append(names, m.Name)
+		}
+	}
+	return names // reflect lists methods sorted by name
+}
+
 // The search surface is Search plus fixed-shape calls of it. The lists are
 // exact so the {kind} x {Stats, Context, Func} x {window} cross-product cannot
 // quietly regrow: a new search method has to be added here on purpose.
 func TestSearchSurfacePinned(t *testing.T) {
-	searchMethods := func(v any) []string {
-		var names []string
-		typ := reflect.TypeOf(v)
-		for i := 0; i < typ.NumMethod(); i++ {
-			m := typ.Method(i)
-			// A search entry returns matches and/or per-query statistics.
-			for j := 0; j < m.Type.NumOut(); j++ {
-				if out := m.Type.Out(j); out == reflect.TypeOf([]Match(nil)) || out == reflect.TypeOf((*QueryStats)(nil)) {
-					names = append(names, m.Name)
-					break
-				}
-			}
-		}
-		return names // reflect lists methods sorted by name
-	}
 	wantDB := []string{
 		"NearestSearch", "NearestSearchContext",
 		"RangeSearch", "RangeSearchContext", "RangeSearchFunc",
@@ -725,11 +740,82 @@ func TestSearchSurfacePinned(t *testing.T) {
 		"ThresholdSearchWindowContext", "ThresholdSearchWindowFunc",
 		"TopKSearch", "TopKSearchContext", "TopKSearchWindowContext",
 	}
-	if got := searchMethods(&DB{}); !reflect.DeepEqual(got, wantDB) {
+	if got := methodNames(&DB{}, true); !reflect.DeepEqual(got, wantDB) {
 		t.Errorf("*trass.DB search methods:\n got %v\nwant %v", got, wantDB)
 	}
 	wantEngine := []string{"RangeContext", "Search", "ThresholdContext", "TopKContext"}
-	if got := searchMethods(&query.Engine{}); !reflect.DeepEqual(got, wantEngine) {
+	if got := methodNames(&query.Engine{}, true); !reflect.DeepEqual(got, wantEngine) {
 		t.Errorf("*query.Engine search methods:\n got %v\nwant %v", got, wantEngine)
+	}
+}
+
+// exportedNames lists the exported names declared at the top level of the Go
+// file at path, sorted: types, values and functions by name, methods as
+// "Recv.Name".
+func exportedNames(t *testing.T, path string) []string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range file.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			name := d.Name.Name
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
+			}
+			names = append(names, name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					if spec.Name.IsExported() {
+						names = append(names, spec.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						if id.IsExported() {
+							names = append(names, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// The configuration surface is exact too: four Open options, one engine knob
+// besides the searches (the ablation switches), and an R-tree that is built by
+// Insert and read by Search. Everything else a test or a figure needs is a
+// store.Config field or an unexported field.
+func TestConfigSurfacePinned(t *testing.T) {
+	var options []string
+	for _, name := range exportedNames(t, "trass.go") {
+		if strings.HasPrefix(name, "With") {
+			options = append(options, name)
+		}
+	}
+	wantOptions := []string{"WithMaxResolution", "WithMeasure", "WithShards", "WithSyncWrites"}
+	if !reflect.DeepEqual(options, wantOptions) {
+		t.Errorf("trass.go options:\n got %v\nwant %v", options, wantOptions)
+	}
+	wantEngine := []string{"SetTuning"}
+	if got := methodNames(&query.Engine{}, false); !reflect.DeepEqual(got, wantEngine) {
+		t.Errorf("*query.Engine non-search methods:\n got %v\nwant %v", got, wantEngine)
+	}
+	wantRtree := []string{"Item", "New", "Tree", "Tree.Insert", "Tree.Len", "Tree.Search"}
+	if got := exportedNames(t, "internal/rtree/rtree.go"); !reflect.DeepEqual(got, wantRtree) {
+		t.Errorf("internal/rtree exports:\n got %v\nwant %v", got, wantRtree)
 	}
 }
