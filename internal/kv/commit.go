@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Group commit. Put, Delete and Apply no longer touch the WAL themselves:
-// they validate and copy their input, enqueue a commitReq on the committer's
+// Group commit. Put, Delete and Apply do not touch the WAL themselves: they
+// validate and copy their input, enqueue a commitReq on the committer's
 // queue, and block until the committer acknowledges it. A single committer
 // goroutine — the sole owner of the WAL and the only mutator of the memtable
 // once Open returns — drains the queue, appends every record of every queued
@@ -225,8 +225,7 @@ func (c *committer) commitGroup(group []*commitReq) {
 	var err error
 	if full {
 		// The records are durable (in the WAL) either way; a flush failure
-		// still fails the group so the caller knows the store is degraded,
-		// matching the pre-group-commit Put contract.
+		// still fails the group so the caller knows the store is degraded.
 		err = db.flush()
 	}
 	for _, r := range group {

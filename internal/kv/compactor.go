@@ -6,14 +6,13 @@ import (
 	"sync"
 )
 
-// Background compaction. Merging SSTables used to run inline on whichever
-// Put tripped the flush threshold, stalling that writer (and, under db.mu,
-// every other one) for the whole merge. The compactor moves the merge onto a
-// supervised background goroutine: the committer schedules a round after a
-// flush leaves the table count at or above CompactAt, the compactor does the
-// heavy merge I/O off every lock, and only the final install — the in-memory
-// table-set swap plus the manifest commit — runs back on the committer
-// goroutine, serialized with flushes without holding db.mu across I/O.
+// Background compaction. SSTables merge on one supervised background
+// goroutine, so no writer waits for a merge: the committer schedules a round
+// after a flush leaves the table count at or above CompactAt, the compactor
+// does the heavy merge I/O off every lock, and only the final install — the
+// in-memory table-set swap plus the manifest commit — runs back on the
+// committer goroutine, serialized with flushes without holding db.mu across
+// I/O.
 //
 // A failed round marks the store degraded in Stats at once instead of
 // wedging writers: writes keep committing, reads keep merging the unmerged
@@ -66,8 +65,7 @@ func (c *compactor) compactAll() error {
 }
 
 // waitIdle blocks until no round is scheduled or running. DB.Flush uses it so
-// an explicit flush observes the compaction it may have triggered — the
-// pre-background behavior callers (and tests) rely on.
+// an explicit flush observes the compaction it may have triggered.
 func (c *compactor) waitIdle() {
 	c.mu.Lock()
 	for (c.pending || c.running || len(c.full) > 0) && !c.stopped {

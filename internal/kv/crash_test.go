@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/vfs"
@@ -430,5 +431,49 @@ func TestTablesManifestGoldenBytes(t *testing.T) {
 		if v, err := db.Get([]byte(fmt.Sprintf("k%d", i))); err != nil || string(v) != "v" {
 			t.Fatalf("k%d after reopen: %q, %v", i, v, err)
 		}
+	}
+}
+
+// A directory holding a table but no TABLES manifest is refused by name,
+// and the refusal deletes nothing.
+func TestOpenRefusesTablesWithoutManifest(t *testing.T) {
+	fsys := vfs.NewFault()
+	opts := Options{Dir: tortureDir, FS: fsys, CompactAt: -1}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove(filepath.Join(tortureDir, tablesName)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := fsys.List(tortureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(opts)
+	if err == nil {
+		_ = db.Close()
+		t.Fatal("opened a directory with a table and no TABLES manifest")
+	}
+	table := filepath.Base(sstPath(tortureDir, 1))
+	if !strings.Contains(err.Error(), tortureDir) || !strings.Contains(err.Error(), table) {
+		t.Fatalf("refusal %q does not name the directory %s and the table %s", err, tortureDir, table)
+	}
+	after, err := fsys.List(tortureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refused Open changed the directory: %v → %v", before, after)
 	}
 }

@@ -16,8 +16,7 @@ import "sync"
 // memtable onto the frozen stack (an O(1) pointer move — no entry is copied),
 // where it becomes immutable and therefore safe to iterate lock-free. The
 // committer starts a fresh active list and the next flush merges the whole
-// frozen stack into one SSTable. This replaces the old snapshotMem path,
-// which copied the entire memtable under db.mu on every scan.
+// frozen stack into one SSTable and drops it.
 
 // maxFrozenMemtables bounds the frozen stack: scan-heavy interleaved
 // workloads freeze lots of tiny memtables, and the committer forces a flush

@@ -2,16 +2,18 @@ package kv
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/vfs"
 )
 
 // MVCC snapshot suite: the pinned-view contract under concurrency, the
-// deferred-unlink reaper, and the critical-section microbenchmark that
-// motivated killing the old copy-the-memtable snapshot path.
+// deferred-unlink reaper, the flushed memtable's release, and the cost of
+// pinning a snapshot.
 
 // snapKey encodes writer w's seq'th write; the zero padding keeps per-writer
 // keys in write order under a byte-ordered scan.
@@ -254,9 +256,7 @@ func benchPreloadedDB(b *testing.B, n int) *DB {
 // BenchmarkSnapshotAcquire measures the MVCC pin: Snapshot freezes the
 // active memtable once (an O(1) pointer move) and every later acquisition is
 // a handful of pointer copies and refcount bumps under db.mu — independent
-// of how much data the store holds. Compare against
-// BenchmarkSnapshotCopyBaseline at the same sizes: the baseline's
-// critical section grows linearly, this one stays flat.
+// of how much data the store holds, so the three sizes should time alike.
 func BenchmarkSnapshotAcquire(b *testing.B) {
 	for _, n := range []int{1024, 8192, 65536} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
@@ -275,35 +275,41 @@ func BenchmarkSnapshotAcquire(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotCopyBaseline reproduces the pre-MVCC snapshot path this
-// refactor deleted: every scan copied the entire memtable entry by entry
-// while holding db.mu, stalling the committer for the whole walk. Held here
-// as the before/after evidence for the critical-section shrink.
-func BenchmarkSnapshotCopyBaseline(b *testing.B) {
-	type entry struct {
-		key, value []byte
-		kind       byte
-	}
-	for _, n := range []int{1024, 8192, 65536} {
-		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
-			db := benchPreloadedDB(b, n)
-			defer db.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.mu.Lock()
-				it := db.mem.iter(nil, nil)
-				out := make([]entry, 0, db.mem.length)
-				for it.Next() {
-					out = append(out, entry{
-						key:   append([]byte(nil), it.Key()...),
-						value: append([]byte(nil), it.Value()...),
-						kind:  it.Kind(),
-					})
-				}
-				_ = it.Close()
-				db.mu.Unlock()
-				benchSink = len(out)
+// TestFlushedMemtableIsCollectable holds flush to dropping what it flushed:
+// once a memtable's records are in a table, nothing the store keeps may
+// reach the memtable, whether flush froze it or a snapshot did.
+func TestFlushedMemtableIsCollectable(t *testing.T) {
+	for _, freeze := range []string{"flush", "snapshot"} {
+		t.Run(freeze, func(t *testing.T) {
+			db := newTestDB(t, Options{CompactAt: -1})
+			if err := db.Put([]byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
 			}
+			collected := make(chan struct{})
+			db.mu.Lock()
+			runtime.SetFinalizer(db.mem, func(*skiplist) { close(collected) })
+			db.mu.Unlock()
+			if freeze == "snapshot" {
+				snap, err := db.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := snap.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the flushed memtable is still reachable from the store")
 		})
 	}
 }

@@ -100,13 +100,17 @@ const (
 // Open opens (or creates) a store in opts.Dir, replaying any WAL left behind
 // by an unclean shutdown.
 //
-// Recovery sequence: leftover .tmp files (from flushes or compactions that
-// never committed) are deleted; the TABLES manifest names the live SSTables,
-// and any .sst file not listed there is deleted too — it is either an
-// uncommitted flush (its records are still in the WAL) or a compaction
-// victim whose durable removal never happened (its records live in the
-// merged table that the manifest does list). Then the WAL replays into the
-// memtable.
+// Recovery sequence: the TABLES manifest names the live SSTables, and any
+// .sst file not listed there is deleted — it is either an uncommitted flush
+// (its records are still in the WAL) or a compaction victim whose durable
+// removal never happened (its records live in the merged table that the
+// manifest does list). Leftover .tmp files (table or manifest commits that
+// never renamed) are deleted too. Then the WAL replays into the memtable.
+//
+// A directory without a manifest is new, and Open writes an empty one before
+// any table can exist. A directory that holds an .sst file but no manifest
+// therefore did not come from this store: Open refuses it, naming the file,
+// and deletes nothing.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -125,15 +129,6 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kv: list dir: %w", err)
 	}
-	// Uncommitted temp files never hold the only copy of anything: delete.
-	for _, name := range names {
-		if strings.HasSuffix(name, tmpSuffix) {
-			if err := fsys.Remove(filepath.Join(opts.Dir, name)); err != nil {
-				return nil, fmt.Errorf("kv: clean %s: %w", name, err)
-			}
-		}
-	}
-
 	order, haveManifest, err := readTables(fsys, opts.Dir)
 	if err != nil {
 		return nil, err
@@ -143,20 +138,19 @@ func Open(opts Options) (*DB, error) {
 	for i, seq := range order {
 		rank[seq] = i
 	}
-	live := make(map[uint64]bool, len(order))
-	for _, seq := range order {
-		live[seq] = true
-	}
 	for _, name := range names {
-		if strings.HasSuffix(name, tmpSuffix) || !strings.HasSuffix(name, sstSuffix) {
+		if !strings.HasSuffix(name, sstSuffix) {
 			continue
 		}
 		seq, perr := strconv.ParseUint(strings.TrimSuffix(name, sstSuffix), 10, 64)
 		if perr != nil {
 			continue // not one of ours
 		}
+		if !haveManifest {
+			return nil, fmt.Errorf("kv: %s holds sstable %s but no %s manifest; re-load the data into a new directory", opts.Dir, name, tablesName)
+		}
 		path := filepath.Join(opts.Dir, name)
-		if haveManifest && !live[seq] {
+		if _, live := rank[seq]; !live {
 			// Stale: uncommitted flush or unremoved compaction victim.
 			if err := fsys.Remove(path); err != nil {
 				db.releaseAll()
@@ -171,25 +165,28 @@ func Open(opts Options) (*DB, error) {
 		}
 		sr.retain()
 		db.tables = append(db.tables, sr)
-		delete(live, seq)
 		if seq >= db.nextSeq {
 			db.nextSeq = seq + 1
 		}
 	}
-	if haveManifest && len(live) > 0 {
+	if missing := len(rank) - len(db.tables); missing > 0 {
 		db.releaseAll()
-		return nil, fmt.Errorf("kv: manifest lists %d missing sstable(s) in %s", len(live), opts.Dir)
+		return nil, fmt.Errorf("kv: manifest lists %d missing sstable(s) in %s", missing, opts.Dir)
 	}
 	// Newest first so the merge heap prefers fresher versions. The manifest's
 	// line order is the authority: a background merge's output can carry a
 	// higher sequence number than a concurrently-started flush whose data is
-	// newer, so sorting by seq alone would let old merged versions shadow
-	// acknowledged writes. Without a manifest (first open of a pre-manifest
-	// directory) every table is a plain flush and seq order is recency order.
-	if haveManifest {
-		sort.Slice(db.tables, func(i, j int) bool { return rank[db.tables[i].seq] < rank[db.tables[j].seq] })
-	} else {
-		sort.Slice(db.tables, func(i, j int) bool { return db.tables[i].seq > db.tables[j].seq })
+	// newer, so sorting by seq would let old merged versions shadow
+	// acknowledged writes.
+	sort.Slice(db.tables, func(i, j int) bool { return rank[db.tables[i].seq] < rank[db.tables[j].seq] })
+	// Uncommitted temp files never hold the only copy of anything: delete.
+	for _, name := range names {
+		if strings.HasSuffix(name, tmpSuffix) {
+			if err := fsys.Remove(filepath.Join(opts.Dir, name)); err != nil {
+				db.releaseAll()
+				return nil, fmt.Errorf("kv: clean %s: %w", name, err)
+			}
+		}
 	}
 
 	// Replay the WAL into the memtable.
@@ -209,8 +206,8 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.wal = w
 	if !haveManifest {
-		// First open (or a pre-manifest directory): record the current table
-		// set so later crash cleanup has a baseline.
+		// First open: record the empty table set, so no table file is ever
+		// on disk without a manifest to judge it by.
 		if err := db.writeTables(); err != nil {
 			_ = db.wal.close()
 			db.releaseAll()
@@ -246,11 +243,10 @@ func Open(opts Options) (*DB, error) {
 
 // readTables parses the TABLES manifest: a header line then one live table
 // sequence number per line, newest first. The line order is authoritative —
-// writeTables records the in-memory table order, and with background
-// compaction a merged table's sequence number no longer encodes its recency
-// rank (a flush that began before the merge snapshot can hold newer data
-// under a lower number). Returns haveManifest=false when the file does not
-// exist.
+// writeTables records the in-memory table order, and a merged table's
+// sequence number does not encode its recency rank (a flush that began
+// before the merge snapshot can hold newer data under a lower number).
+// Returns haveManifest=false when the file does not exist.
 func readTables(fsys vfs.FS, dir string) ([]uint64, bool, error) {
 	data, err := vfs.ReadFile(fsys, filepath.Join(dir, tablesName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -425,10 +421,9 @@ func (db *DB) Scan(start, end []byte) Iterator {
 }
 
 // Flush persists the memtable to a new SSTable and truncates the WAL, then
-// waits for any compaction the flush scheduled to finish — the explicit
-// durability barrier behaves as it did when compaction ran inline. A failed
-// background compaction does not fail Flush; it surfaces as CompactDegraded
-// in Stats.
+// waits for any compaction the flush scheduled to finish, so the table count
+// a caller sees after Flush is settled. A failed background compaction does
+// not fail Flush; it surfaces as CompactDegraded in Stats.
 func (db *DB) Flush() error {
 	if err := db.runOnCommitter(db.flush); err != nil {
 		return err
@@ -455,14 +450,15 @@ func (db *DB) Flush() error {
 // The committer is the sole writer of memtables, so while flush runs no
 // record can enter any memtable: a concurrent Snapshot can only freeze the
 // (empty, untouched) fresh active list, which freezeLocked skips. The frozen
-// stack captured below is therefore exactly the set of records the WAL
-// holds, which is what makes the rotation at the end safe. The long SSTable
-// write needs no lock — frozen lists are immutable — only the install does.
+// stack taken below is therefore exactly the set of records the WAL holds,
+// and it is still the whole stack when flush drops it — which is what makes
+// the rotation at the end safe. The long SSTable write needs no lock —
+// frozen lists are immutable, and freezeLocked builds a new slice rather
+// than writing into this one — only the install does.
 func (db *DB) flush() error {
 	db.mu.Lock()
 	db.freezeLocked()
-	mems := make([]*skiplist, len(db.frozen))
-	copy(mems, db.frozen)
+	mems := db.frozen
 	db.mu.Unlock()
 	if len(mems) == 0 {
 		if db.wal.poisoned() {
@@ -492,10 +488,9 @@ func (db *DB) flush() error {
 	// nothing in memory has changed — the memtables and WAL remain the
 	// authoritative copy of these records, so a later WAL heal cannot rotate
 	// away their only committed copy (the table file, unlisted, is deleted at
-	// the next Open). The reverse order lost acknowledged writes: a failed
-	// manifest commit after the swap left empty memtables, and the
-	// empty-memtable heal below would then rotate the WAL while the flushed
-	// table was not durable in the manifest.
+	// the next Open). Dropping the stack first would leave empty memtables
+	// behind a failed commit, and the empty-memtable heal above would then
+	// rotate the WAL while the table was not in the manifest.
 	db.mu.Lock()
 	seqs := make([]uint64, 0, len(db.tables)+1)
 	seqs = append(seqs, seq)
@@ -509,14 +504,8 @@ func (db *DB) flush() error {
 	}
 	db.mu.Lock()
 	db.tables = append([]*sstReader{sr}, db.tables...)
-	// The flushed memtables are the oldest suffix of the frozen stack (later
-	// freezes prepend; and in fact none can happen mid-flush, see above).
-	db.frozen = db.frozen[:len(db.frozen)-len(mems)]
-	freed := 0
-	for _, m := range mems {
-		freed += m.bytes
-	}
-	db.frozenBytes -= freed
+	db.frozen = nil
+	db.frozenBytes = 0
 	nTables := len(db.tables)
 	db.mu.Unlock()
 	db.stats.FrozenMemtables.Add(int64(-len(mems)))

@@ -23,10 +23,12 @@
 #   concurrency  the concurrent-writer torture suites under -race: N writer
 #              goroutines race group commits and background compactions while
 #              faults fire at sampled points — crash, injected errors,
-#              close-during-inflight, and WAL poison fan-out — plus the write
-#              path's two deterministic contracts: one commit group pays one
-#              WAL fsync, and reads return while the committer is inside an
-#              fsync (counts and ordering; no timing). Always -race (the
+#              close-during-inflight, and WAL poison fan-out — plus the kv
+#              and cluster snapshot suites (point-in-time views while writers,
+#              flushes and compactions race) and the write path's two
+#              deterministic contracts: one commit group pays one WAL fsync,
+#              and reads return while the committer is inside an fsync
+#              (counts and ordering; no timing). Always -race (the
 #              whole point is racing the committer and the compaction
 #              supervisor); SHORT=1 samples fewer fault points
 #   test       vet + test of the nested benchmark/ module (invisible to
@@ -109,10 +111,10 @@ if [[ "$MODE" == "concurrency" || "$MODE" == "all" ]]; then
     # Always under -race — these suites exist to race the committer.
     if [[ "${SHORT:-0}" == "1" ]]; then
         step "concurrent torture (race, sampled subset)"
-        go test -race -short -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth' ./internal/kv ./internal/cluster
+        go test -race -short -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth|Snapshot' ./internal/kv ./internal/cluster
     else
         step "concurrent torture (race)"
-        go test -race -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth' ./internal/kv ./internal/cluster
+        go test -race -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth|Snapshot' ./internal/kv ./internal/cluster
     fi
 fi
 
