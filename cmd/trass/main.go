@@ -257,9 +257,11 @@ func cmdQuery(args []string) error {
 
 // serverQuery runs the query against a trassd server instead of an embedded
 // store. Match lines print in the exact format the embedded path uses, so a
-// non-streaming server query over the same store is byte-identical to
-// `trass query -db` — the serve-e2e check in scripts/check.sh compares them
-// with cmp. Streamed delivery arrives in refinement-completion order.
+// collected server query over the same store is byte-identical to `trass
+// query -db`, and so is a streamed top-k one: its matches arrive in (distance,
+// id) order once the search ends. Streamed threshold matches arrive in
+// refinement-completion order. The serve-e2e check in scripts/check.sh
+// compares them with cmp.
 func serverQuery(srvURL string, stream bool, in, id, epsStr string, k int, showStats bool) error {
 	if id == "" {
 		return fmt.Errorf("query: -id is required")
@@ -321,17 +323,17 @@ func serverQuery(srvURL string, stream bool, in, id, epsStr string, k int, showS
 		}
 		stats = st
 	} else {
-		matches, st, err := client.QueryAll(ctx, req)
+		resp, err := client.Query(ctx, req)
 		if err != nil {
 			return err
 		}
-		for _, m := range matches {
+		for _, m := range resp.Matches {
 			if err := printMatch(m); err != nil {
 				return err
 			}
 		}
-		n = len(matches)
-		stats = st
+		n = len(resp.Matches)
+		stats = resp.Stats
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "%d results in %v\n", n, elapsed.Round(time.Microsecond))

@@ -49,6 +49,9 @@ func (q *Query) validate() error {
 		}
 		return checkCoords(q.Traj.Points...)
 	case KindRange:
+		if q.Rect.IsEmpty() {
+			return fmt.Errorf("%w: rect min %v exceeds max %v", ErrInvalidQuery, q.Rect.Min, q.Rect.Max)
+		}
 		return checkCoords(q.Rect.Min, q.Rect.Max)
 	case KindNearest:
 		if !q.Window.Unbounded() {

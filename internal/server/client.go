@@ -78,8 +78,8 @@ func decodeStatusError(resp *http.Response) error {
 	return &StatusError{Code: resp.StatusCode, Message: msg}
 }
 
-// Query runs one non-streaming query and returns the (possibly paginated)
-// response.
+// Query runs one non-streaming query and returns the response: every match
+// plus the QueryStats.
 func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	req.Stream = false
 	body, err := c.post(ctx, "/v1/query", req)
@@ -92,24 +92,6 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		return nil, fmt.Errorf("decoding response: %w", err)
 	}
 	return &qr, nil
-}
-
-// QueryAll follows pagination until the result list is exhausted.
-func (c *Client) QueryAll(ctx context.Context, req QueryRequest) ([]WireMatch, *WireStats, error) {
-	var all []WireMatch
-	var stats *WireStats
-	for {
-		qr, err := c.Query(ctx, req)
-		if err != nil {
-			return nil, nil, err
-		}
-		all = append(all, qr.Matches...)
-		stats = qr.Stats
-		if qr.NextPageToken == "" {
-			return all, stats, nil
-		}
-		req.PageToken = qr.NextPageToken
-	}
 }
 
 // QueryStream runs one streaming query, invoking fn per match as lines

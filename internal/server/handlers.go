@@ -26,21 +26,10 @@ const maxK = 10000
 // some 400,000 points. Embedded callers are not capped.
 const maxQueryPoints = 10000
 
-// checkK validates the k of a top-k or nearest request.
-func checkK(kind string, k int) error {
-	if k <= 0 {
-		return badRequest(fmt.Errorf("%s requires k > 0", kind))
-	}
-	if k > maxK {
-		return fmt.Errorf("%w: k %d exceeds the server's limit of %d", trass.ErrInvalidQuery, k, maxK)
-	}
-	return nil
-}
-
 // handleQuery is POST /v1/query: decode, admit (shed with 429 when the
 // in-flight bound is hit), map the deadline onto a context derived from the
 // request's (so client disconnects and drain cancellation both propagate),
-// and dispatch to the query path.
+// turn the request into one trass.Query and run it, collected or streamed.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
@@ -53,10 +42,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.PageSize < 0 {
-		writeError(w, http.StatusBadRequest, "page_size must be >= 0, got %d", req.PageSize)
-		return
-	}
 	if !s.acquire() {
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -66,172 +51,177 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	s.served.Add(1)
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(&req))
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMS))
 	defer cancel()
 	if s.queryCtxHook != nil {
 		s.queryCtxHook(ctx)
 	}
 
-	if req.Stream {
-		if req.PageSize > 0 || req.PageToken != "" {
-			writeError(w, http.StatusBadRequest, "stream and pagination are mutually exclusive")
-			return
-		}
-		s.streamQuery(ctx, w, &req)
-		return
-	}
-	s.collectQuery(ctx, w, &req)
-}
-
-// deadline resolves the request's execution budget: the client's ask clamped
-// to the server maximum, or the server default.
-func (s *Server) deadline(req *QueryRequest) time.Duration {
-	d := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		d = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return d
-}
-
-// timeWindow assembles the optional time restriction.
-func (req *QueryRequest) timeWindow() trass.TimeWindow {
-	return trass.TimeWindow{Start: req.TimeStart, End: req.TimeEnd}
-}
-
-// queryTrajectory resolves the query trajectory: a stored id or inline
-// points, exactly one of the two. The client's mistakes come back marked
-// badRequest; a backend failure reading the stored id does not.
-func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
-	switch {
-	case req.QueryID != "" && len(req.Points) > 0:
-		return nil, badRequest(fmt.Errorf("query_id and points are mutually exclusive"))
-	case req.QueryID != "":
-		q, err := s.db.Get(req.QueryID)
-		if errors.Is(err, trass.ErrNotFound) {
-			return nil, badRequest(fmt.Errorf("query trajectory %q not stored", req.QueryID))
-		}
-		return q, err
-	case len(req.Points) > maxQueryPoints:
-		return nil, fmt.Errorf("%w: %d query points exceed the server's limit of %d", trass.ErrInvalidQuery, len(req.Points), maxQueryPoints)
-	case len(req.Points) > 0:
-		q, err := toTrajectory("<query>", req.Points)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		return q, nil
-	default:
-		return nil, badRequest(fmt.Errorf("one of query_id or points is required"))
-	}
-}
-
-// collectQuery runs the non-streaming path: execute fully through the
-// deterministic *SearchContext variants (row-key order for threshold/range,
-// ascending (distance, id) for top-k/knn), then slice out the requested page.
-func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest) {
-	// The token is checked first: a malformed one must not cost a search.
-	offset, err := decodePageToken(req.PageToken)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	matches, stats, err := s.runCollect(ctx, req)
+	q, err := s.decode(&req)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	resp := QueryResponse{Stats: statsToWire(stats)}
-	if offset > len(matches) {
-		offset = len(matches)
+	if req.Stream {
+		s.streamQuery(ctx, w, q, req.IncludePoints)
+		return
 	}
-	end := len(matches)
-	// Compared against the remainder, not as offset+PageSize: the sum wraps
-	// negative for a page_size near MaxInt.
-	if req.PageSize > 0 && req.PageSize < end-offset {
-		end = offset + req.PageSize
-		resp.NextPageToken = encodePageToken(end)
+	s.collectQuery(ctx, w, q, req.IncludePoints)
+}
+
+// deadline resolves the request's execution budget: the client's ask in
+// milliseconds clamped to the server maximum, or the server default. The
+// clamp compares milliseconds: converting first would wrap a huge ask to a
+// zero or negative duration.
+func (s *Server) deadline(ms int64) time.Duration {
+	d := s.cfg.DefaultDeadline
+	if ms > 0 {
+		d = s.cfg.MaxDeadline
+		if ms < s.cfg.MaxDeadline.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
-	resp.Matches = make([]WireMatch, 0, end-offset)
-	for _, m := range matches[offset:end] {
-		resp.Matches = append(resp.Matches, matchToWire(m, req.IncludePoints))
+	return min(d, s.cfg.MaxDeadline)
+}
+
+// invalid reports a client mistake the wire itself catches. Like every
+// mistake the engine catches, it wraps trass.ErrInvalidQuery.
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", trass.ErrInvalidQuery, fmt.Sprintf(format, args...))
+}
+
+// decode turns the request into the one trass.Query it asks for. It checks
+// only what the wire adds to the engine's own validation: the kind's query
+// trajectory, rect or point is present, k is within 1..maxK, an inline query
+// is within maxQueryPoints, and knn carries no window (its Backend method
+// cannot). Coordinates, eps and rect bounds are the engine's to reject.
+func (s *Server) decode(req *QueryRequest) (trass.Query, error) {
+	q := trass.Query{Eps: req.Eps, K: req.K, Window: trass.TimeWindow{Start: req.TimeStart, End: req.TimeEnd}}
+	var err error
+	switch req.Kind {
+	case KindThreshold:
+		q.Kind = trass.KindThreshold
+		q.Traj, err = s.queryTrajectory(req)
+	case KindTopK:
+		q.Kind = trass.KindTopK
+		if err = checkK(req.K); err == nil {
+			q.Traj, err = s.queryTrajectory(req)
+		}
+	case KindRange:
+		if req.Rect == nil {
+			return q, invalid("range requires a rect [minX,minY,maxX,maxY]")
+		}
+		r := req.Rect
+		q.Kind = trass.KindRange
+		q.Rect = trass.Rect{Min: trass.Point{X: r[0], Y: r[1]}, Max: trass.Point{X: r[2], Y: r[3]}}
+	case KindKNN:
+		if req.Point == nil {
+			return q, invalid("knn requires a point")
+		}
+		if !q.Window.Unbounded() {
+			return q, invalid("knn has no time-window variant")
+		}
+		q.Kind = trass.KindNearest
+		q.Point = trass.Point{X: req.Point[0], Y: req.Point[1]}
+		err = checkK(req.K)
+	default:
+		return q, invalid("unknown query kind %q", req.Kind)
+	}
+	return q, err
+}
+
+// checkK validates the k of a top-k or nearest request.
+func checkK(k int) error {
+	if k <= 0 || k > maxK {
+		return invalid("k %d is outside the server's range 1..%d", k, maxK)
+	}
+	return nil
+}
+
+// queryTrajectory resolves the query trajectory: a stored id or inline
+// points, exactly one of the two. A backend failure reading the stored id is
+// the server's, not the client's.
+func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
+	switch {
+	case (req.QueryID == "") == (len(req.Points) == 0):
+		return nil, invalid("exactly one of query_id or points is required")
+	case len(req.Points) > maxQueryPoints:
+		return nil, invalid("%d query points exceed the server's limit of %d", len(req.Points), maxQueryPoints)
+	case len(req.Points) > 0:
+		pts := make([]trass.Point, len(req.Points))
+		for i, p := range req.Points {
+			pts[i] = trass.Point{X: p[0], Y: p[1]}
+		}
+		return &trass.Trajectory{ID: "<query>", Points: pts}, nil
+	}
+	q, err := s.db.Get(req.QueryID)
+	if errors.Is(err, trass.ErrNotFound) {
+		return nil, invalid("query trajectory %q not stored", req.QueryID)
+	}
+	return q, err
+}
+
+// run executes q through the Backend method for its kind. With a nil sink it
+// returns the matches in the engine's deterministic order (row-key order for
+// threshold and range, ascending (distance, id) for top-k and nearest). With
+// a sink it returns none and passes every match to sink instead: threshold
+// and range matches as refinement confirms them, top-k and nearest matches
+// in (distance, id) order once the search has finished — DB.Search's sink
+// contract.
+func (s *Server) run(ctx context.Context, q trass.Query, sink func(trass.Match) error) ([]trass.Match, *trass.QueryStats, error) {
+	var ms []trass.Match
+	var st *trass.QueryStats
+	var err error
+	switch q.Kind {
+	case trass.KindThreshold:
+		if sink != nil {
+			st, err = s.db.ThresholdSearchWindowFunc(ctx, q.Traj, q.Eps, q.Window, sink)
+			return nil, st, err
+		}
+		return s.db.ThresholdSearchWindowContext(ctx, q.Traj, q.Eps, q.Window)
+	case trass.KindRange:
+		if sink != nil {
+			st, err = s.db.RangeSearchWindowFunc(ctx, q.Rect, q.Window, sink)
+			return nil, st, err
+		}
+		return s.db.RangeSearchWindowContext(ctx, q.Rect, q.Window)
+	case trass.KindTopK:
+		ms, st, err = s.db.TopKSearchWindowContext(ctx, q.Traj, q.K, q.Window)
+	default:
+		ms, st, err = s.db.NearestSearchContext(ctx, q.Point, q.K)
+	}
+	if err != nil || sink == nil {
+		return ms, st, err
+	}
+	for _, m := range ms {
+		if err := sink(m); err != nil {
+			return nil, st, err
+		}
+	}
+	return nil, st, nil
+}
+
+// collectQuery runs the non-streaming path: one JSON QueryResponse with
+// every match in run's deterministic order.
+func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, includePoints bool) {
+	matches, stats, err := s.run(ctx, q, nil)
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
+	resp := QueryResponse{Matches: make([]WireMatch, len(matches)), Stats: statsToWire(stats)}
+	for i, m := range matches {
+		resp.Matches[i] = matchToWire(m, includePoints)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// runCollect dispatches one fully-collected query.
-func (s *Server) runCollect(ctx context.Context, req *QueryRequest) ([]trass.Match, *trass.QueryStats, error) {
-	tw := req.timeWindow()
-	switch req.Kind {
-	case KindThreshold:
-		q, err := s.queryTrajectory(req)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s.db.ThresholdSearchWindowContext(ctx, q, req.Eps, tw)
-	case KindTopK:
-		q, err := s.queryTrajectory(req)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := checkK(KindTopK, req.K); err != nil {
-			return nil, nil, err
-		}
-		return s.db.TopKSearchWindowContext(ctx, q, req.K, tw)
-	case KindRange:
-		rect, err := req.rect()
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		return s.db.RangeSearchWindowContext(ctx, rect, tw)
-	case KindKNN:
-		if req.Point == nil {
-			return nil, nil, badRequest(fmt.Errorf("knn requires a point"))
-		}
-		if err := checkK(KindKNN, req.K); err != nil {
-			return nil, nil, err
-		}
-		if !tw.Unbounded() {
-			return nil, nil, badRequest(fmt.Errorf("knn has no time-window variant"))
-		}
-		return s.db.NearestSearchContext(ctx, trass.Point{X: req.Point[0], Y: req.Point[1]}, req.K)
-	default:
-		return nil, nil, badRequest(fmt.Errorf("unknown query kind %q", req.Kind))
-	}
-}
-
-// rect validates the range query's spatial window.
-func (req *QueryRequest) rect() (trass.Rect, error) {
-	if req.Rect == nil {
-		return trass.Rect{}, fmt.Errorf("range requires a rect [minX,minY,maxX,maxY]")
-	}
-	r := *req.Rect
-	if r[0] > r[2] || r[1] > r[3] {
-		return trass.Rect{}, fmt.Errorf("malformed rect: min exceeds max")
-	}
-	return trass.Rect{
-		Min: trass.Point{X: r[0], Y: r[1]},
-		Max: trass.Point{X: r[2], Y: r[3]},
-	}, nil
-}
-
-// badRequestError marks a client error so writeQueryError picks 400 over 500.
-type badRequestError struct{ err error }
-
-func (e badRequestError) Error() string { return e.err.Error() }
-func (e badRequestError) Unwrap() error { return e.err }
-
-func badRequest(err error) error { return badRequestError{err: err} }
-
 // writeQueryError maps a query failure onto a status code: client mistakes
-// are 400, deadline expiry 504, everything else 500.
+// (trass.ErrInvalidQuery, from the engine or the wire) are 400, deadline
+// expiry 504, everything else 500.
 func writeQueryError(w http.ResponseWriter, err error) {
-	var br badRequestError
 	switch {
-	case errors.As(err, &br):
-		writeError(w, http.StatusBadRequest, "%v", br.err)
 	case errors.Is(err, trass.ErrInvalidQuery):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):

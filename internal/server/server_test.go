@@ -2,8 +2,9 @@ package server
 
 // End-to-end tests of the serving layer over real sockets: wire-vs-embedded
 // result equivalence (the served numbers must be byte-identical to the
-// library's), pagination, admission control, mid-stream client disconnects
-// cancelling query work, and graceful drain closing the store exactly once.
+// library's), the pinned request surface, admission control, mid-stream
+// client disconnects cancelling query work, and graceful drain closing the
+// store exactly once.
 // All run under -race in CI.
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -124,7 +126,8 @@ func sortMatches(ms []trass.Match) {
 // TestWireEquivalence is the tentpole guarantee: every query path served
 // over the wire returns byte-identical results to the same query run
 // embedded — collected responses in the same deterministic order, streamed
-// responses as the same set.
+// responses as the same set (top-k and knn in the same order too) — and
+// footers whose rows_walked is the embedded RowsWalked where that is fixed.
 func TestWireEquivalence(t *testing.T) {
 	db, data := openLoadedDB(t)
 	_, client := startServer(t, db, Config{})
@@ -150,89 +153,80 @@ func TestWireEquivalence(t *testing.T) {
 	cases := []struct {
 		name     string
 		req      QueryRequest
-		embedded func() ([]trass.Match, error)
-		ordered  bool // collected responses must match in order, not just as a set
+		embedded func() ([]trass.Match, *trass.QueryStats, error)
 	}{
 		{
 			name: "threshold",
 			req:  QueryRequest{Kind: KindThreshold, QueryID: q.ID, Eps: eps},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.ThresholdSearchWindowContext(ctx, q, eps, trass.TimeWindow{})
-				return ms, err
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.ThresholdSearchWindowContext(ctx, q, eps, trass.TimeWindow{})
 			},
-			ordered: true,
 		},
 		{
 			name: "threshold-window",
 			req:  QueryRequest{Kind: KindThreshold, Points: queryPts, Eps: eps, TimeEnd: 2500},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.ThresholdSearchWindowContext(ctx, q, eps, window)
-				return ms, err
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.ThresholdSearchWindowContext(ctx, q, eps, window)
 			},
-			ordered: true,
 		},
 		{
 			name: "topk",
 			req:  QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 10},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.TopKSearchWindowContext(ctx, q, 10, trass.TimeWindow{})
-				return ms, err
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.TopKSearchWindowContext(ctx, q, 10, trass.TimeWindow{})
 			},
-			ordered: true,
 		},
 		{
 			name: "topk-window",
 			req:  QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 10, TimeEnd: 2500},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.TopKSearchWindowContext(ctx, q, 10, window)
-				return ms, err
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.TopKSearchWindowContext(ctx, q, 10, window)
 			},
-			ordered: true,
 		},
 		{
 			name: "range",
 			req:  QueryRequest{Kind: KindRange, Rect: wireRect},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.RangeSearchWindowContext(ctx, trass.Rect{
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.RangeSearchWindowContext(ctx, trass.Rect{
 					Min: trass.Point{X: wireRect[0], Y: wireRect[1]},
 					Max: trass.Point{X: wireRect[2], Y: wireRect[3]},
 				}, trass.TimeWindow{})
-				return ms, err
 			},
-			ordered: true,
 		},
 		{
 			name: "range-window",
 			req:  QueryRequest{Kind: KindRange, Rect: wireRect, TimeEnd: 2500},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.RangeSearchWindowContext(ctx, trass.Rect{
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.RangeSearchWindowContext(ctx, trass.Rect{
 					Min: trass.Point{X: wireRect[0], Y: wireRect[1]},
 					Max: trass.Point{X: wireRect[2], Y: wireRect[3]},
 				}, window)
-				return ms, err
 			},
-			ordered: true,
 		},
 		{
 			name: "knn",
 			req:  QueryRequest{Kind: KindKNN, Point: &[2]float64{q.Points[0].X, q.Points[0].Y}, K: 5},
-			embedded: func() ([]trass.Match, error) {
-				ms, _, err := db.NearestSearchContext(ctx, q.Points[0], 5)
-				return ms, err
+			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
+				return db.NearestSearchContext(ctx, q.Points[0], 5)
 			},
-			ordered: true,
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.embedded()
+			want, wantStats, err := tc.embedded()
 			if err != nil {
 				t.Fatalf("embedded: %v", err)
 			}
 			if tc.name == "threshold" && len(want) == 0 {
 				t.Fatal("threshold found nothing; workload too sparse to test equivalence")
 			}
+			// Threshold and range stream through the refine pipeline: their
+			// filter's walk count is deterministic and their line order is
+			// not. Top-k and knn are the reverse: the walk depends on how fast
+			// the refine workers tighten the bound, and their lines follow
+			// the search in (distance, id) order.
+			pipelined := tc.req.Kind == KindThreshold || tc.req.Kind == KindRange
 
 			// Collected: byte-identical, including order.
 			resp, err := client.Query(ctx, tc.req)
@@ -246,9 +240,11 @@ func TestWireEquivalence(t *testing.T) {
 			if resp.Stats == nil {
 				t.Fatal("collected response missing stats footer")
 			}
+			if pipelined && resp.Stats.RowsWalked != wantStats.RowsWalked {
+				t.Fatalf("collected rows_walked %d, embedded RowsWalked %d", resp.Stats.RowsWalked, wantStats.RowsWalked)
+			}
 
-			// Streamed: same result set (delivery order is the refine
-			// pipeline's, unspecified for threshold/range).
+			// Streamed: the same set, and for top-k and knn the same order.
 			var streamed []WireMatch
 			stats, err := client.QueryStream(ctx, tc.req, func(m WireMatch) error {
 				streamed = append(streamed, m)
@@ -259,6 +255,14 @@ func TestWireEquivalence(t *testing.T) {
 			}
 			if stats == nil {
 				t.Fatal("stream footer missing stats")
+			}
+			if pipelined && stats.RowsWalked != wantStats.RowsWalked {
+				t.Fatalf("streamed rows_walked %d, embedded RowsWalked %d", stats.RowsWalked, wantStats.RowsWalked)
+			}
+			if !pipelined {
+				if got := formatWire(streamed); got != wantText {
+					t.Fatalf("streamed %s out of (distance, id) order\nwire:\n%s\nembedded:\n%s", tc.req.Kind, got, wantText)
+				}
 			}
 			wantSorted := append([]trass.Match(nil), want...)
 			sortMatches(wantSorted)
@@ -290,86 +294,6 @@ func TestIncludePoints(t *testing.T) {
 	}
 }
 
-func TestPagination(t *testing.T) {
-	db, data := openLoadedDB(t)
-	_, client := startServer(t, db, Config{})
-	ctx := context.Background()
-	q := data[42]
-	req := QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 9}
-
-	full, err := client.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Matches) < 3 {
-		t.Fatalf("need >=3 results to exercise pagination, got %d", len(full.Matches))
-	}
-	if full.NextPageToken != "" {
-		t.Fatal("unpaginated query returned a page token")
-	}
-
-	// Walk pages of 2 and verify the concatenation reproduces the full list
-	// byte for byte.
-	paged := req
-	paged.PageSize = 2
-	var pages int
-	var all []WireMatch
-	for {
-		resp, err := client.Query(ctx, paged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Matches) > 2 {
-			t.Fatalf("page of %d exceeds page_size 2", len(resp.Matches))
-		}
-		all = append(all, resp.Matches...)
-		pages++
-		if resp.NextPageToken == "" {
-			break
-		}
-		paged.PageToken = resp.NextPageToken
-	}
-	if pages < 2 {
-		t.Fatalf("expected multiple pages, got %d", pages)
-	}
-	if got, want := formatWire(all), formatWire(full.Matches); got != want {
-		t.Fatalf("paged walk differs from full response\npaged:\n%s\nfull:\n%s", got, want)
-	}
-
-	// QueryAll follows tokens to the same answer.
-	ms, _, err := client.QueryAll(ctx, QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 9, PageSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := formatWire(ms), formatWire(full.Matches); got != want {
-		t.Fatal("QueryAll differs from full response")
-	}
-
-	// A page_size near MaxInt must not wrap offset+page_size negative: a
-	// valid offset-1 token then gets the whole tail, not a dropped connection.
-	huge := req
-	huge.PageToken = encodePageToken(1)
-	huge.PageSize = math.MaxInt
-	tail, err := client.Query(ctx, huge)
-	if err != nil {
-		t.Fatalf("offset 1 + page_size MaxInt: %v", err)
-	}
-	if got, want := formatWire(tail.Matches), formatWire(full.Matches[1:]); got != want || tail.NextPageToken != "" {
-		t.Fatalf("offset 1 + page_size MaxInt: got\n%s(next %q), want the tail\n%s", got, tail.NextPageToken, want)
-	}
-
-	// Malformed tokens are client errors, caught before the query runs: the
-	// unknown query id below would otherwise be the complaint.
-	bad := req
-	bad.QueryID = "no-such-id"
-	bad.PageToken = "not-base64!"
-	_, err = client.Query(ctx, bad)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, "page token") {
-		t.Fatalf("malformed token: got %v, want 400 naming the page token", err)
-	}
-}
-
 func TestBadRequests(t *testing.T) {
 	db, data := openLoadedDB(t)
 	_, client := startServer(t, db, Config{})
@@ -394,24 +318,19 @@ func TestBadRequests(t *testing.T) {
 		{"knn with window", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: 3, TimeEnd: 10}},
 		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}},
 		{"negative eps", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: -1}},
-		{"stream plus pagination", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: 2}},
-		{"negative page size", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 3, PageSize: -1}},
-		{"stream with negative page size", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: 0.01, Stream: true, PageSize: -1}},
 		{"inline point out of plane", QueryRequest{Kind: KindThreshold, Points: [][2]float64{{0.5, 0.5}, {1.5, 0.5}}, Eps: 0.01}},
 		{"inline query above the length cap", QueryRequest{Kind: KindThreshold, Points: tooLong, Eps: 0.0001}},
 		{"range rect out of plane", QueryRequest{Kind: KindRange, Rect: &[4]float64{0.2, 0.2, 0.4, 1.5}}},
 		{"knn point out of plane", QueryRequest{Kind: KindKNN, Point: &[2]float64{-0.5, 0.5}, K: 3}},
 	}
-	// Every case that is not about pagination also runs as its streamed
-	// twin: a request that fails validation gets the same status either way,
-	// not a 200 with the error in the NDJSON footer.
+	// Every case also runs as its streamed twin: a request that fails
+	// validation gets the same status either way, not a 200 with the error
+	// in the NDJSON footer.
 	for _, tc := range cases {
-		if !tc.req.Stream && tc.req.PageSize == 0 {
-			twin := tc
-			twin.name += " (streamed)"
-			twin.req.Stream = true
-			cases = append(cases, twin)
-		}
+		twin := tc
+		twin.name += " (streamed)"
+		twin.req.Stream = true
+		cases = append(cases, twin)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -419,6 +338,80 @@ func TestBadRequests(t *testing.T) {
 				t.Fatalf("got %v, want 400", err)
 			}
 		})
+	}
+}
+
+// TestWireSurfacePinned lists the request's JSON names. A name the request
+// does not have — pagination's among them — is a 400 naming it, on both
+// paths, before any query runs.
+func TestWireSurfacePinned(t *testing.T) {
+	var names []string
+	typ := reflect.TypeOf(QueryRequest{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		names = append(names, name)
+	}
+	want := []string{"kind", "query_id", "points", "eps", "k", "rect", "point",
+		"time_start", "time_end", "include_points", "stream", "deadline_ms"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("QueryRequest JSON names:\n got %v\nwant %v", names, want)
+	}
+
+	db, data := openLoadedDB(t)
+	_, client := startServer(t, db, Config{})
+	for _, field := range []string{"page_size", "page_token"} {
+		for _, stream := range []bool{false, true} {
+			name := field
+			if stream {
+				name += " (streamed)"
+			}
+			t.Run(name, func(t *testing.T) {
+				body := map[string]any{"kind": KindTopK, "query_id": data[0].ID, "k": 3, "stream": stream, field: 2}
+				resp, err := client.post(context.Background(), "/v1/query", body)
+				if err == nil {
+					_ = resp.Close()
+				}
+				var se *StatusError
+				if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, field) {
+					t.Fatalf("got %v, want a 400 naming %q", err, field)
+				}
+			})
+		}
+	}
+}
+
+// TestHugeDeadlineIsClamped: a deadline_ms beyond what a time.Duration holds
+// in milliseconds is clamped to the server maximum, not wrapped to an
+// already-expired context.
+func TestHugeDeadlineIsClamped(t *testing.T) {
+	db, data := openLoadedDB(t)
+	_, client := startServer(t, db, Config{})
+	ctx := context.Background()
+	req := QueryRequest{Kind: KindTopK, QueryID: data[42].ID, K: 5}
+	base, err := client.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := formatWire(base.Matches)
+	for _, ms := range []int64{math.MaxInt64, 1 << 62} {
+		req.DeadlineMS = ms
+		resp, err := client.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("deadline_ms %d, collected: %v", ms, err)
+		}
+		if got := formatWire(resp.Matches); got != want {
+			t.Fatalf("deadline_ms %d, collected:\n%swant\n%s", ms, got, want)
+		}
+		var streamed []WireMatch
+		if _, err := client.QueryStream(ctx, req, func(m WireMatch) error {
+			streamed = append(streamed, m)
+			return nil
+		}); err != nil {
+			t.Fatalf("deadline_ms %d, streamed: %v", ms, err)
+		}
+		if got := formatWire(streamed); got != want {
+			t.Fatalf("deadline_ms %d, streamed:\n%swant\n%s", ms, got, want)
+		}
 	}
 }
 

@@ -3,35 +3,32 @@
 // results over chunked NDJSON as the refine workers emit them, with
 // per-request deadlines and client disconnects mapped onto the engine's
 // context plumbing, a bounded in-flight request limit with 429 shedding,
-// pagination for non-streaming clients, and graceful SIGTERM drain.
+// and graceful SIGTERM drain.
 //
 // Wire protocol (all under POST /v1/query):
 //
-//   - Non-streaming (default): one JSON QueryResponse — matches in the same
-//     deterministic order the embedded *SearchContext variants return
+//   - Non-streaming (default): one JSON QueryResponse — every match in the
+//     same deterministic order the embedded *SearchContext variants return
 //     (row-key order for threshold/range, ascending (distance, id) for
-//     top-k/point-kNN), an optional pagination token, and the QueryStats.
+//     top-k/point-kNN), and the QueryStats.
 //   - Streaming (Stream:true): chunked NDJSON. Each match is one line
-//     {"match":{...}} written as refinement produces it; the final line is a
+//     {"match":{...}} written as refinement produces it (top-k/point-kNN:
+//     in (distance, id) order once the search ends); the final line is a
 //     footer {"done":true,...} carrying the result count, the QueryStats
 //     (stream backpressure included), and any error — the
 //     trailer a chunked response cannot put in headers. A query that fails
 //     before its first line gets the non-streaming error status instead.
+//
+// Two things are a 400, on both paths: a body that is not one QueryRequest
+// (an unknown field included), and a query the engine or the wire cannot run
+// as written, whose error wraps trass.ErrInvalidQuery.
 //
 // GET /healthz reports liveness (503 while draining), GET /statsz the
 // server's request counters plus the storage layer's health snapshot,
 // including CompactDegraded.
 package server
 
-import (
-	"encoding/base64"
-	"encoding/json"
-	"fmt"
-	"strings"
-
-	trass "repro"
-	"repro/internal/geo"
-)
+import trass "repro"
 
 // Query kinds: the four query paths trassd serves. The time-window variants
 // are the same kinds with TimeStart/TimeEnd set.
@@ -71,14 +68,8 @@ type QueryRequest struct {
 	// id+distance is enough for most clients and keeps the wire cheap.
 	IncludePoints bool `json:"include_points,omitempty"`
 
-	// Stream selects chunked NDJSON delivery. Mutually exclusive with
-	// pagination.
+	// Stream selects chunked NDJSON delivery.
 	Stream bool `json:"stream,omitempty"`
-
-	// PageSize bounds the matches in one non-streaming response (0 = all).
-	// PageToken resumes from a previous response's NextPageToken.
-	PageSize  int    `json:"page_size,omitempty"`
-	PageToken string `json:"page_token,omitempty"`
 
 	// DeadlineMS is the client's per-request deadline in milliseconds; the
 	// server clamps it to its configured maximum. 0 applies the server
@@ -101,10 +92,14 @@ type WireStats struct {
 	ScanNS        int64 `json:"scan_ns"`
 	RefineNS      int64 `json:"refine_ns"`
 	RefineCPUNS   int64 `json:"refine_cpu_ns"`
+	DecodeNS      int64 `json:"decode_ns"`
+	KernelNS      int64 `json:"kernel_ns"`
+	SeedNS        int64 `json:"seed_ns"`
 	RefineWorkers int   `json:"refine_workers"`
 
 	Ranges       int   `json:"ranges"`
 	RowsScanned  int64 `json:"rows_scanned"`
+	RowsWalked   int64 `json:"rows_walked"`
 	Retrieved    int64 `json:"retrieved"`
 	BytesShipped int64 `json:"bytes_shipped"`
 	RPCs         int64 `json:"rpcs"`
@@ -127,9 +122,13 @@ func statsToWire(st *trass.QueryStats) *WireStats {
 		ScanNS:          st.ScanTime.Nanoseconds(),
 		RefineNS:        st.RefineTime.Nanoseconds(),
 		RefineCPUNS:     st.RefineCPUTime.Nanoseconds(),
+		DecodeNS:        st.DecodeTime.Nanoseconds(),
+		KernelNS:        st.KernelTime.Nanoseconds(),
+		SeedNS:          st.SeedTime.Nanoseconds(),
 		RefineWorkers:   st.RefineWorkers,
 		Ranges:          st.Ranges,
 		RowsScanned:     st.RowsScanned,
+		RowsWalked:      st.RowsWalked,
 		Retrieved:       st.Retrieved,
 		BytesShipped:    st.BytesShipped,
 		RPCs:            st.RPCs,
@@ -145,10 +144,7 @@ func statsToWire(st *trass.QueryStats) *WireStats {
 // QueryResponse is the non-streaming response body.
 type QueryResponse struct {
 	Matches []WireMatch `json:"matches"`
-	// NextPageToken resumes the result list where this page ended; empty on
-	// the last page.
-	NextPageToken string     `json:"next_page_token,omitempty"`
-	Stats         *WireStats `json:"stats,omitempty"`
+	Stats   *WireStats  `json:"stats,omitempty"`
 }
 
 // StreamLine is one NDJSON line of a streaming response: either a match or
@@ -204,62 +200,4 @@ func matchToWire(m trass.Match, includePoints bool) WireMatch {
 		}
 	}
 	return wm
-}
-
-// toTrajectory builds the query trajectory from inline points.
-func toTrajectory(id string, pts [][2]float64) (*trass.Trajectory, error) {
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("empty query point sequence")
-	}
-	ps := make([]trass.Point, len(pts))
-	for i, p := range pts {
-		ps[i] = trass.Point{X: p[0], Y: p[1]}
-	}
-	if err := geo.CheckUnit(ps...); err != nil {
-		return nil, err
-	}
-	return trass.NewTrajectory(id, ps), nil
-}
-
-// pageToken is the opaque pagination cursor: the offset into the full,
-// deterministically ordered result list. Stateless by design — the server
-// re-runs the query and slices — so tokens survive restarts and need no
-// server-side cursor table (the shape of the pagination helpers in the
-// geth-sharding gateway).
-type pageToken struct {
-	Offset int `json:"offset"`
-}
-
-// encodePageToken renders a cursor. A zero offset means "no more pages" to
-// callers and encodes as "".
-func encodePageToken(offset int) string {
-	if offset <= 0 {
-		return ""
-	}
-	b, err := json.Marshal(pageToken{Offset: offset})
-	if err != nil {
-		// A two-field struct of ints cannot fail to marshal; keep the
-		// signature clean for callers.
-		return ""
-	}
-	return base64.URLEncoding.EncodeToString(b)
-}
-
-// decodePageToken parses a cursor; "" is offset 0.
-func decodePageToken(tok string) (int, error) {
-	if tok == "" {
-		return 0, nil
-	}
-	b, err := base64.URLEncoding.DecodeString(strings.TrimSpace(tok))
-	if err != nil {
-		return 0, fmt.Errorf("malformed page token: %w", err)
-	}
-	var pt pageToken
-	if err := json.Unmarshal(b, &pt); err != nil {
-		return 0, fmt.Errorf("malformed page token: %w", err)
-	}
-	if pt.Offset < 0 {
-		return 0, fmt.Errorf("malformed page token: negative offset")
-	}
-	return pt.Offset, nil
 }

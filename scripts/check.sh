@@ -48,9 +48,10 @@
 #              and load a dataset (at a non-default shape, so every reopen
 #              adopts it), run the same queries embedded and against
 #              the server, and require the wire output byte-identical (cmp);
-#              streamed output must match as a set (sort | cmp); a client
-#              -measure beside -server must be refused. Finishes with a
-#              SIGTERM drain that must exit 0.
+#              streamed threshold output must match as a set (sort | cmp),
+#              streamed top-k byte for byte; a client -measure beside
+#              -server must be refused. Finishes with a SIGTERM drain that
+#              must exit 0.
 #
 # The gate measures nothing. Performance is benchmark/run.sh's job (see
 # benchmark/README.md): four workloads against a checked-in baseline.
@@ -173,8 +174,8 @@ fi
 if [[ "$MODE" == "serve" || "$MODE" == "all" ]]; then
     # Served-vs-embedded equivalence over a real socket. The non-streaming
     # wire path uses the same deterministic result ordering as the embedded
-    # CLI, so the outputs must be byte-identical; streamed delivery order is
-    # the refine pipeline's, so the streamed check compares the sorted sets.
+    # CLI, so the outputs must be byte-identical; streamed threshold delivery
+    # order is the refine pipeline's, so that check compares the sorted sets.
     step "serve e2e (build)"
     SERVE_TMP=$(mktemp -d)
     TRASSD_PID=""
@@ -219,6 +220,10 @@ if [[ "$MODE" == "serve" || "$MODE" == "all" ]]; then
     sort "$SERVE_TMP/embedded-threshold.txt" > "$SERVE_TMP/embedded-threshold.sorted"
     sort "$SERVE_TMP/stream-threshold.txt" > "$SERVE_TMP/stream-threshold.sorted"
     cmp "$SERVE_TMP/embedded-threshold.sorted" "$SERVE_TMP/stream-threshold.sorted"
+    # Streamed top-k is emitted in (distance, id) order after the search, so
+    # it must match the embedded answer byte for byte, unsorted.
+    "$SERVE_TMP/trass" query -server "$ADDR" -stream -id td000042 -k 20 2>/dev/null > "$SERVE_TMP/stream-topk.txt"
+    cmp "$SERVE_TMP/embedded-topk.txt" "$SERVE_TMP/stream-topk.txt"
 
     # The measure is trassd's: a client-side -measure must be refused, not
     # silently answered under the server's measure.

@@ -110,9 +110,9 @@ const (
 
 // ErrInvalidQuery is wrapped by every error Search returns for a Query that
 // cannot be run as written: a negative or NaN Eps, a nil or empty Traj where
-// one is read, an unknown Kind, KindNearest with a bounded Window, or a
-// coordinate (of Traj, Rect or Point) that is NaN, infinite or outside the
-// unit square.
+// one is read, an unknown Kind, KindNearest with a bounded Window, an
+// inverted Rect (Min above Max on either axis), or a coordinate (of Traj,
+// Rect or Point) that is NaN, infinite or outside the unit square.
 var ErrInvalidQuery = query.ErrInvalidQuery
 
 // ErrInvalidTrajectory is wrapped by the error Put and PutBatch return for a

@@ -689,6 +689,7 @@ func TestSearchRejectsInvalid(t *testing.T) {
 		"topk out of plane":    {Kind: KindTopK, Traj: &Trajectory{ID: "o", Points: []Point{{X: 1.5, Y: 0.5}}}, K: 3},
 		"range -Inf rect":      {Kind: KindRange, Rect: Rect{Min: Point{X: math.Inf(-1), Y: 0}, Max: Point{X: 1, Y: 1}}},
 		"range out of plane":   {Kind: KindRange, Rect: Rect{Min: Point{X: 0.2, Y: 0.2}, Max: Point{X: 0.4, Y: 1.01}}},
+		"range inverted rect":  {Kind: KindRange, Rect: Rect{Min: Point{X: 0.2, Y: 0.6}, Max: Point{X: 0.4, Y: 0.4}}},
 		"nearest NaN point":    {Kind: KindNearest, Point: Point{X: math.NaN(), Y: 0.5}, K: 3},
 		"nearest out of plane": {Kind: KindNearest, Point: Point{X: -0.001, Y: 0.5}, K: 3},
 	} {
