@@ -6,7 +6,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -213,11 +212,11 @@ type orderedCand struct {
 }
 
 // refineOrdered is one drain: scan ranges through the pushed-down filter,
-// lower-bound what ships from its bytes, then refine ascending by that bound
-// on the worker pool. A worker decodes a row when it claims it and stops at
-// the first row whose bound exceeds the live kth distance — every row after
-// it is at least as far — so once k near results are in, the rest of the
-// drain costs a comparison and is never decoded.
+// lower-bound what ships from its bytes, then feed the refine pool the rows
+// ascending by that bound. Workers claim rows off a cursor that stops at the
+// first row whose bound exceeds the live kth distance — every row after it is
+// at least as far — so once k near results are in, the rest of the drain
+// costs a comparison and is never decoded.
 //
 // Ordering needs the whole drain in hand before the first kernel runs, so the
 // drain's shipped rows are the query's resident set (Stats.StreamPeakDepth),
@@ -240,16 +239,12 @@ func (e *Engine) refineOrdered(ctx context.Context, snap *store.Snapshot, stats 
 	if len(rows) == 0 {
 		return nil
 	}
-	if len(rows) > stats.StreamPeakDepth {
-		stats.StreamPeakDepth = len(rows)
-	}
-
-	t1 := time.Now()
-	defer func() { stats.RefineTime += time.Since(t1) }()
+	stats.StreamPeakDepth = max(stats.StreamPeakDepth, len(rows))
 
 	// Lower-bound and order. A row whose framing does not parse is bounded
 	// by 0, like one lower cannot parse: claimed first, reported by its
 	// decode.
+	t1 := time.Now()
 	cands := make([]orderedCand, 0, len(rows))
 	cutoff := top.bound.get()
 	s := scratchPool.Get().(*filterScratch)
@@ -268,78 +263,28 @@ func (e *Engine) refineOrdered(ctx context.Context, snap *store.Snapshot, stats 
 	scratchPool.Put(s)
 	sort.Slice(cands, func(i, j int) bool { return candBefore(cands[i], cands[j]) })
 	ordering := time.Since(t1)
+	stats.RefineTime += ordering
+	stats.RefineCPUTime += ordering
 
-	// Refine ascending, each worker claiming the next row.
-	workers := min(e.refineParallelism(), len(cands))
-	if workers > stats.RefineWorkers {
-		stats.RefineWorkers = workers
-	}
-	var (
-		busy, decoding, working atomic.Int64 // summed worker time
-		refined                 atomic.Int64 // kernel calls
-		next                    atomic.Int64 // next row a worker claims
-	)
-	errs := make([]error, workers)
-	runWorkers(workers, func(w int) {
-		var row []float64 // this worker's DP scratch
-		var dec, work time.Duration
-		start := time.Now()
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
+	var cursor atomic.Int64 // the next row a worker claims
+	return startRefine(ctx, stats, min(e.refineParallelism(), len(cands)),
+		func(context.Context) (kv.Entry, bool) {
+			i := int(cursor.Add(1)) - 1
 			if i >= len(cands) || cands[i].lb > top.bound.get() {
-				break
+				return kv.Entry{}, false
 			}
-			td := time.Now()
-			rec, err := store.DecodeRow(cands[i].value)
-			tk := time.Now()
-			dec += tk.Sub(td)
-			if err != nil {
-				errs[w] = err
-				break
+			return kv.Entry{Value: cands[i].value}, true
+		},
+		func(rec *traj.Record, row []float64) (refineOutcome, []float64) {
+			d, ok, row := f.exact(rec, top.bound.get(), row)
+			return refineOutcome{rec: rec, dist: d, keep: ok}, row
+		},
+		func(o refineOutcome) error {
+			if o.keep {
+				top.offer(Result{ID: o.rec.ID, Distance: o.dist, Points: o.rec.Points})
 			}
-			d, ok, r := f.exact(rec, top.bound.get(), row)
-			row = r
-			work += time.Since(tk)
-			refined.Add(1)
-			if ok {
-				top.offer(Result{ID: rec.ID, Distance: d, Points: rec.Points})
-			}
-		}
-		decoding.Add(int64(dec))
-		working.Add(int64(work))
-		busy.Add(int64(time.Since(start)))
-	})
-	stats.Refined += int(refined.Load())
-	stats.RefineCPUTime += ordering + time.Duration(busy.Load())
-	stats.DecodeTime += time.Duration(decoding.Load())
-	stats.KernelTime += time.Duration(working.Load())
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runWorkers runs fn(0..n-1) concurrently and waits for all of them; a pool
-// of one runs on the calling goroutine.
-func runWorkers(n int, fn func(w int)) {
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
+			return nil
+		}).wait()
 }
 
 // candBefore orders a drain's candidates: ascending lower bound, ties by id
@@ -366,12 +311,12 @@ func (b *refineBound) set(d float64) { b.bits.Store(math.Float64bits(d)) }
 
 // topResults keeps the k smallest results offered under resultBefore and
 // publishes the kth distance as the search's bound: +Inf until k results are
-// held, tightening with every insertion after that. Workers offer
-// concurrently; the search loop reads between drains.
+// held, tightening with every insertion after that. Its one writer is the
+// refine pool's merge, which runs under the pool's mutex; the search loop
+// reads it between drains, once the pool has been joined.
 type topResults struct {
 	bound refineBound
 
-	mu   sync.Mutex
 	k    int
 	heap resultHeap // max-heap: worst of the current best k on top
 }
@@ -384,8 +329,6 @@ func newTopResults(k int) *topResults {
 
 // offer inserts r if it is among the k smallest seen so far.
 func (t *topResults) offer(r Result) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.heap.Len() < t.k {
 		heap.Push(&t.heap, r)
 	} else if resultBefore(r, t.heap[0]) {
@@ -397,16 +340,10 @@ func (t *topResults) offer(r Result) {
 	}
 }
 
-func (t *topResults) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.heap.Len()
-}
+func (t *topResults) len() int { return t.heap.Len() }
 
 // ascending empties the set into a slice ordered by (distance, id).
 func (t *topResults) ascending() []Result {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Result, t.heap.Len())
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(&t.heap).(Result)

@@ -104,8 +104,8 @@ type Stats struct {
 	// and merge: bounded by the pipeline depth for threshold and range, the
 	// largest frontier drain's shipped rows for top-k and nearest.
 	StreamPeakDepth int
-	// StreamStallTime is how long the scan producer spent blocked on the
-	// candidate queue — backpressure from refinement into the region scans.
+	// StreamStallTime is how long the scan spent blocked on the candidate
+	// queue — backpressure from refinement into the region scans.
 	StreamStallTime time.Duration
 }
 

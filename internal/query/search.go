@@ -39,6 +39,9 @@ type Query struct {
 var ErrInvalidQuery = errors.New("invalid query")
 
 func (q *Query) validate() error {
+	if w := q.Window; w.Start != 0 && w.End != 0 && w.Start > w.End {
+		return fmt.Errorf("%w: window start %d is after its end %d", ErrInvalidQuery, w.Start, w.End)
+	}
 	switch q.Kind {
 	case KindThreshold, KindTopK:
 		if q.Kind == KindThreshold && (q.Eps < 0 || math.IsNaN(q.Eps)) {
@@ -81,7 +84,8 @@ func checkCoords(pts ...geo.Point) error {
 // sink instead: threshold and range matches as refinement produces them (order
 // unspecified, memory bounded by the pipeline depth however many match),
 // top-k and nearest matches in (distance, id) order once the search has
-// finished.
+// finished. Sink calls are never concurrent, may come from a goroutine other
+// than the caller's (the refine workers), and all return before Search does.
 // A non-nil error from sink aborts the search and is returned as-is.
 // Cancelling ctx aborts the storage scans and surfaces ctx's error.
 func (e *Engine) Search(ctx context.Context, q Query, sink func(Result) error) ([]Result, *Stats, error) {

@@ -3,16 +3,16 @@ package query
 // The streaming pipeline: scan and refinement as overlapped stages with
 // bounded memory.
 //
-//   region scans ──batches──▶ candidate queue ──rows──▶ workers ──outcomes──▶ merge
-//   (cluster.ScanStream)        (bounded)                        (bounded)  (caller, as
-//                                                                        they complete)
+//   region scans ──batches──▶ candidate queue ──rows──▶ refine pool workers
+//   (cluster.ScanStream,        (bounded)                (decode, work, then
+//    on the caller)                                        merge under its mutex)
 //
-// The two channel capacities bound the candidates resident between the scan
-// and the merge to depth + 2·workers + 2 — depth queued, one in the producer's
-// hand, one in flight and one finished outcome parked per worker, one being
-// merged — so peak per-query memory is O(depth + workers), not O(candidates).
-// A full queue blocks the producer: backpressure from refine all the way into
-// the region scans.
+// The queue's capacity bounds the candidates resident between the scan and
+// the merge to depth + workers + 1 — depth queued, one in the scan's hand,
+// one per worker from the moment it takes a row until its merge returns — so
+// peak per-query memory is O(depth + workers), not O(candidates). A full
+// queue blocks the scan: backpressure from refine all the way into the
+// region scans.
 //
 // Determinism: outcomes merge in whatever order workers finish them, and the
 // answer does not depend on it: threshold and range keep every row the exact
@@ -86,26 +86,10 @@ func (e *Engine) refineRanges(ctx context.Context, snap *store.Snapshot, stats *
 	return rs, stats, nil
 }
 
-// scanFunc is the producer half a query path hands to the pipeline: it runs
-// the storage scan, delivering row batches to emit, and returns the scan's
+// scanFunc is the scan a query path hands to refineFromScan: it runs the
+// storage scan, delivering row batches to emit, and returns the scan's
 // accounting (non-nil unless it also returns an error).
 type scanFunc func(ctx context.Context, emit func([]kv.Entry) error) (*cluster.ScanResult, error)
-
-// streamDone is one candidate's completion, heading for the merge loop.
-type streamDone struct {
-	out refineOutcome
-	err error // decode failure
-}
-
-// scanOutcome is the producer's final report.
-type scanOutcome struct {
-	res     *cluster.ScanResult
-	err     error
-	elapsed time.Duration
-	stall   time.Duration // time blocked on the full candidate queue (backpressure)
-	batches int64
-	peak    int64 // most candidates ever resident between scan and merge
-}
 
 // streamQueueDepth resolves the candidate-queue depth: enough to keep the
 // pool busy without hoarding rows, unless a test pinned streamDepth.
@@ -120,153 +104,64 @@ func (e *Engine) streamQueueDepth(workers int) int {
 	return d
 }
 
-// refineFromScan is the streaming executor: one producer feeds the bounded
-// queue from the live scan, workers decode and refine, and the merge loop (on
-// the calling goroutine) folds outcomes as they complete. Scan accounting
-// (ScanTime, absorbScan) and refinement accounting (RefineTime wall-clock,
-// RefineCPUTime summed worker busy time and its DecodeTime / KernelTime
-// split, RefineWorkers pool size) are folded into stats.
+// refineFromScan feeds the refine pool from the live scan: the scan runs on
+// the calling goroutine and pushes every shipped row into the bounded queue
+// the workers take from. Scan accounting (ScanTime, absorbScan, the stream
+// counters) is folded into stats here, refinement accounting by the pool.
 func (e *Engine) refineFromScan(ctx context.Context, stats *Stats, scan scanFunc, work refineWork, merge refineMerge) error {
 	workers := e.refineParallelism()
-	if workers > stats.RefineWorkers {
-		stats.RefineWorkers = workers
-	}
-
-	start := time.Now()
-	defer func() { stats.RefineTime += time.Since(start) }()
-
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		queue = make(chan kv.Entry, e.streamQueueDepth(workers))
-		// One slot per worker: a finished outcome parks here while the merge
-		// loop is busy (a sink writing to a socket), and its worker moves on.
-		done    = make(chan streamDone, workers)
-		scanRes = make(chan scanOutcome, 1)
+		queue   = make(chan kv.Entry, e.streamQueueDepth(workers))
 		gauge   atomic.Int64 // candidates resident between scan and merge
-		cpu     atomic.Int64 // summed worker busy time
-		decode  atomic.Int64 // the share of it inside store.DecodeRow
-		kernel  atomic.Int64 // the share of it inside work
+		peak    int64
+		batches int64
+		stall   time.Duration // time blocked on the full queue (backpressure)
 	)
-
-	// Producer: run the scan, feeding the queue row by row. A failed scan
-	// cancels the pipeline so its error is not kept waiting behind the rows
-	// already queued.
-	go func() {
-		var so scanOutcome
-		t0 := time.Now()
-		so.res, so.err = scan(pctx, func(batch []kv.Entry) error {
-			so.batches++
-			for _, en := range batch {
-				if g := gauge.Add(1); g > so.peak {
-					so.peak = g
-				}
-				tw := time.Now()
-				select {
-				case queue <- en:
-				case <-pctx.Done():
-					return pctx.Err()
-				}
-				so.stall += time.Since(tw)
-			}
-			return nil
-		})
-		so.elapsed = time.Since(t0)
-		if so.err != nil {
-			cancel()
-		}
-		close(queue)
-		scanRes <- so
-	}()
-
-	// Workers: decode + work, until the queue closes or the pipeline aborts.
-	// The last one out closes done, so the merge loop wakes straight from it.
-	var live atomic.Int64
-	live.Store(int64(workers))
-	for w := 0; w < workers; w++ {
-		go func() {
-			var busy, decoding, working time.Duration
-			var row []float64 // this worker's DP scratch
-			defer func() {
-				cpu.Add(int64(busy))
-				decode.Add(int64(decoding))
-				kernel.Add(int64(working))
-				if live.Add(-1) == 0 {
-					close(done)
-				}
-			}()
-			for c := range queue {
-				if pctx.Err() != nil {
-					return
-				}
-				t0 := time.Now()
-				var d streamDone
-				rec, err := store.DecodeRow(c.Value)
-				t1 := time.Now()
-				decoding += t1.Sub(t0)
-				if err != nil {
-					d.err = err
-				} else {
-					d.out, row = work(rec, row)
-					d.out.key = c.Key
-					working += time.Since(t1)
-				}
-				busy += time.Since(t0)
-				select {
-				case done <- d:
-				case <-pctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
-	// Merge loop, on the calling goroutine. done closes once the scan has
-	// ended and every worker has drained the queue (or seen the abort).
-	var firstErr error
-merging:
-	for firstErr == nil {
+	p := startRefine(ctx, stats, workers, func(ctx context.Context) (kv.Entry, bool) {
 		select {
-		case d, ok := <-done:
-			if !ok {
-				break merging
-			}
-			if firstErr = d.err; firstErr == nil {
-				stats.Refined++
-				firstErr = merge(d.out)
-				gauge.Add(-1)
-			}
+		case en, ok := <-queue:
+			return en, ok
 		case <-ctx.Done():
-			firstErr = ctx.Err()
+			return kv.Entry{}, false
 		}
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err() // workers quit on cancellation without reporting
-	}
-	if firstErr != nil {
-		cancel()
-		for range done { // wait the workers out; their outcomes are moot
+	}, work, func(o refineOutcome) error {
+		gauge.Add(-1)
+		return merge(o)
+	})
+
+	// A failed scan cancels the pool, so its error is not kept waiting behind
+	// the rows already queued; a failed pool cancels the scan.
+	t0 := time.Now()
+	res, err := scan(p.ctx, func(batch []kv.Entry) error {
+		batches++
+		for _, en := range batch {
+			peak = max(peak, gauge.Add(1))
+			tw := time.Now()
+			select {
+			case queue <- en:
+			case <-p.ctx.Done():
+				return p.ctx.Err()
+			}
+			stall += time.Since(tw)
 		}
+		return nil
+	})
+	elapsed := time.Since(t0)
+	if err != nil {
+		p.cancel()
 	}
-	// The producer always reports: its emit callback and the region scans both
-	// observe pctx, which is cancelled on any abort.
-	scanned := <-scanRes
-	stats.RefineCPUTime += time.Duration(cpu.Load())
-	stats.DecodeTime += time.Duration(decode.Load())
-	stats.KernelTime += time.Duration(kernel.Load())
-	stats.StreamBatches += scanned.batches
-	stats.StreamStallTime += scanned.stall
-	if p := int(scanned.peak); p > stats.StreamPeakDepth {
-		stats.StreamPeakDepth = p
+	close(queue)
+	perr := p.wait()
+	stats.StreamBatches += batches
+	stats.StreamStallTime += stall
+	stats.StreamPeakDepth = max(stats.StreamPeakDepth, int(peak))
+	if perr != nil {
+		return perr
 	}
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
-	if scanned.err != nil {
-		return scanned.err
-	}
-	stats.ScanTime += scanned.elapsed
-	stats.absorbScan(scanned.res)
+	stats.ScanTime += elapsed
+	stats.absorbScan(res)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,11 +105,10 @@ func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 
 // streamOccupancyBound is the pipeline's documented hard cap on candidates
 // resident between the scan and the merge (see the head of stream.go): depth
-// queued, one in the producer's hand, one in flight and one parked outcome
-// per worker, one being merged.
-func streamOccupancyBound(depth, workers int) int { return depth + 2*workers + 2 }
+// queued, one in the scan's hand, one per worker until its merge returns.
+func streamOccupancyBound(depth, workers int) int { return depth + workers + 1 }
 
-// The channel capacities are a hard occupancy bound: with depth 2 and four
+// The queue's capacity is a hard occupancy bound: with depth 2 and four
 // workers no more than streamOccupancyBound(2, 4) candidates — far fewer than
 // the rows shipped — may ever sit between the scan and the merge, while every
 // shipped row is still refined.
@@ -134,9 +134,9 @@ func TestStreamPeakDepthBounded(t *testing.T) {
 	}
 }
 
-// When refinement is slower than the scan and the queue is depth 1, the
-// producer must block — recorded as StreamStallTime. Driven through the
-// executor directly so the slow stage is deterministic.
+// When refinement is slower than the scan and the queue is depth 1, the scan
+// must block — recorded as StreamStallTime. Driven through the executor
+// directly so the slow stage is deterministic.
 func TestStreamBackpressureStalls(t *testing.T) {
 	f, _ := refineFixture(t, 1, 10, 85)
 	rows := allRows(t, f.store)
@@ -164,7 +164,7 @@ func TestStreamBackpressureStalls(t *testing.T) {
 		t.Fatalf("refined %d of %d candidates", stats.Refined, len(entries))
 	}
 	if stats.StreamStallTime <= 0 {
-		t.Errorf("StreamStallTime = %v with a slow consumer and depth 1; backpressure never reached the producer", stats.StreamStallTime)
+		t.Errorf("StreamStallTime = %v with a slow consumer and depth 1; backpressure never reached the scan", stats.StreamStallTime)
 	}
 	if bound := streamOccupancyBound(1, 1); stats.StreamPeakDepth > bound {
 		t.Errorf("StreamPeakDepth = %d exceeds the bound %d for depth 1, one worker", stats.StreamPeakDepth, bound)
@@ -247,6 +247,56 @@ func TestRangeSinkDelivery(t *testing.T) {
 	}
 	if count != len(want) || stats.Results != len(want) {
 		t.Fatalf("streamed %d results (stats %d), want %d", count, stats.Results, len(want))
+	}
+}
+
+// Threshold and range sinks run on the refine workers, and the pool never
+// lets two calls overlap: with eight workers and a sink that sleeps inside,
+// every match still arrives exactly once, one call at a time, and every call
+// has returned by the time Search does.
+func TestStreamSinkCallsSerialized(t *testing.T) {
+	f, base := refineFixture(t, 150, 20, 89)
+	f.engine.refineWorkers = 8
+	for _, qry := range []Query{
+		{Kind: KindThreshold, Traj: base, Eps: 0.5},
+		{Kind: KindRange, Rect: geo.Rect{Max: geo.Point{X: 1, Y: 1}}},
+	} {
+		want, _, err := f.engine.Search(bg, qry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inside atomic.Bool
+		var calls atomic.Int64   // counted as each call returns
+		seen := map[string]int{} // written only by a call that is alone inside
+		_, stats, err := f.engine.Search(bg, qry, func(r Result) error {
+			defer calls.Add(1)
+			if !inside.CompareAndSwap(false, true) {
+				t.Errorf("kind %d: sink entered while another call was inside it", qry.Kind)
+				return nil
+			}
+			seen[r.ID]++
+			time.Sleep(50 * time.Microsecond)
+			if !inside.CompareAndSwap(true, false) {
+				t.Errorf("kind %d: sink left while another call was inside it", qry.Kind)
+			}
+			return nil
+		})
+		n := calls.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Retrieved < 100 || len(want) < 100 {
+			t.Fatalf("kind %d: fixture shipped %d rows, matched %d; test is vacuous", qry.Kind, stats.Retrieved, len(want))
+		}
+		if n != int64(stats.Results) || len(seen) != len(want) {
+			t.Fatalf("kind %d: %d sink calls returned before Search, %d distinct ids, stats.Results %d, want %d",
+				qry.Kind, n, len(seen), stats.Results, len(want))
+		}
+		for _, r := range want {
+			if seen[r.ID] != 1 {
+				t.Errorf("kind %d: %s delivered %d times", qry.Kind, r.ID, seen[r.ID])
+			}
+		}
 	}
 }
 

@@ -316,6 +316,7 @@ func TestBadRequests(t *testing.T) {
 		{"topk with k above the cap", QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: maxK + 1}},
 		{"knn with k above the cap", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: maxK + 1}},
 		{"knn with window", QueryRequest{Kind: KindKNN, Point: &[2]float64{0.5, 0.5}, K: 3, TimeEnd: 10}},
+		{"range inverted window", QueryRequest{Kind: KindRange, Rect: &[4]float64{0, 0, 1, 1}, TimeStart: 800, TimeEnd: 200}},
 		{"unknown query id", QueryRequest{Kind: KindThreshold, QueryID: "no-such-id", Eps: 0.01}},
 		{"negative eps", QueryRequest{Kind: KindThreshold, QueryID: data[0].ID, Eps: -1}},
 		{"inline point out of plane", QueryRequest{Kind: KindThreshold, Points: [][2]float64{{0.5, 0.5}, {1.5, 0.5}}, Eps: 0.01}},

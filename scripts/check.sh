@@ -33,17 +33,19 @@
 #              supervisor); SHORT=1 samples fewer fault points
 #   test       vet + test of the nested benchmark/ module (invisible to
 #              ./...), then go test -race ./... and a 10s fuzz smoke of every
-#              native fuzz target. With SHORT=1: the refinement-executor,
-#              best-first, streaming-pipeline, pushed-down filter, kv block
-#              cache and store snapshot/write tests alone under -race (the
-#              parallel refine pool, the bounded scan-to-refine stream, the
-#              ordered refine and seed of top-k whose workers share the
-#              kth-distance bound, the filter scratch that concurrent region
-#              scans draw from one pool, the block cache that snapshot reads
-#              and compaction installs both touch, and the value set that
-#              queries share with the writers that replace it are the code
-#              most worth racing; the full gate's -race ./... already covers
-#              them), then plain go test -short ./... and no fuzz
+#              native fuzz target. With SHORT=1: the refine-pool,
+#              best-first, streaming-pipeline, served-streaming, pushed-down
+#              filter, kv block cache and store snapshot/write tests alone
+#              under -race (the parallel refine pool, the bounded
+#              scan-to-refine stream, the ordered refine and seed of top-k
+#              whose workers share the kth-distance bound, the NDJSON lines
+#              trassd writes from those workers, the filter scratch that
+#              concurrent region scans draw from one pool, the block cache
+#              that snapshot reads and compaction installs both touch, and
+#              the value set that queries share with the writers that replace
+#              it are the code most worth racing; the full gate's -race ./...
+#              already covers them), then plain go test -short ./... and no
+#              fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
 #              and load a dataset (at a non-default shape, so every reopen
 #              adopts it), run the same queries embedded and against
@@ -128,19 +130,27 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
 
     if [[ "${SHORT:-0}" == "1" ]]; then
         # SHORT=1 drops the race detector everywhere but here: the query
-        # engine's refinement tests force worker pools > 1 — the streaming
-        # executor's bounded queues, and the best-first searches' ordered
-        # refine and seed, whose workers offer results and read the
-        # kth-distance bound concurrently — the filter tests run one query's
-        # pushed-down filter from several region scans at once, the cluster's
+        # engine's refinement tests force the refine pool above one worker —
+        # fed from the stream's bounded queue, or by best-first drains whose
+        # workers read the kth-distance bound while merges tighten it — the
+        # server's streaming tests write NDJSON from those workers, the filter
+        # tests run one query's pushed-down filter from several region scans
+        # at once, the cluster's
         # scan tests (its one scan entry, Snapshot.ScanStream's region funnel)
         # force mid-stream faults, the kv cache test reads retired tables
         # through a snapshot, and the store's Snapshot/PutBatch tests hold the
         # value slice queries share while writers replace it, so racing just
         # these is the cheapest way to keep that synchronization honest.
         # The full gate races them inside `go test -race ./...` below.
-        step "refine executors, streaming, best-first and pushed-down filters (race)"
+        step "refine pool, streaming, best-first and pushed-down filters (race)"
         go test -race -count=1 -run 'Refine|Stream|TopK|BestFirst|Filter|Window' ./internal/query
+
+        step "served streaming (race)"
+        # A streamed reply's NDJSON lines are written by the search's sink,
+        # which runs on the refine pool's workers, not on the handler's
+        # goroutine: the pool's mutex and Search's join are what keep the
+        # response writer and the line count race-free.
+        go test -race -count=1 -run 'Wire|Stream|Drain' ./internal/server
 
         step "stream pipeline (race)"
         # 'Scan|Stream': every cluster scan test runs through ScanStream now,

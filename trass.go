@@ -111,8 +111,9 @@ const (
 // ErrInvalidQuery is wrapped by every error Search returns for a Query that
 // cannot be run as written: a negative or NaN Eps, a nil or empty Traj where
 // one is read, an unknown Kind, KindNearest with a bounded Window, an
-// inverted Rect (Min above Max on either axis), or a coordinate (of Traj,
-// Rect or Point) that is NaN, infinite or outside the unit square.
+// inverted Window (both ends set and Start after End), an inverted Rect (Min
+// above Max on either axis), or a coordinate (of Traj, Rect or Point) that is
+// NaN, infinite or outside the unit square.
 var ErrInvalidQuery = query.ErrInvalidQuery
 
 // ErrInvalidTrajectory is wrapped by the error Put and PutBatch return for a
@@ -232,9 +233,11 @@ func (db *DB) Get(id string) (*Trajectory, error) {
 // returns no slice and passes every match to sink instead — threshold and
 // range matches as refinement produces them, in no specified order and with
 // memory bounded however many match; top-k and nearest matches in that
-// (distance, id) order once the search has finished. A non-nil error from sink aborts the search and is
-// returned as-is; cancelling ctx aborts the storage scans and surfaces ctx's
-// error; a malformed q fails with an error wrapping ErrInvalidQuery.
+// (distance, id) order once the search has finished. Sink calls are never
+// concurrent, may come from a goroutine other than the caller's, and all
+// return before Search does. A non-nil error from sink aborts the search and
+// is returned as-is; cancelling ctx aborts the storage scans and surfaces
+// ctx's error; a malformed q fails with an error wrapping ErrInvalidQuery.
 //
 // Every other search method below is this one called with a fixed Query
 // shape.

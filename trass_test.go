@@ -684,6 +684,8 @@ func TestSearchRejectsInvalid(t *testing.T) {
 		"zero kind":            {Traj: q, Eps: 0.01},
 		"unknown kind":         {Kind: KindNearest + 1, Traj: q, Eps: 0.01},
 		"nearest with window":  {Kind: KindNearest, Point: q.Points[0], K: 3, Window: TimeWindow{End: 10}},
+		"inverted window":      {Kind: KindRange, Rect: Rect{Max: Point{X: 1, Y: 1}}, Window: TimeWindow{Start: 800, End: 200}},
+		"topk inverted window": {Kind: KindTopK, Traj: q, K: 3, Window: TimeWindow{Start: 800, End: 200}},
 		"threshold NaN coord":  {Kind: KindThreshold, Traj: &Trajectory{ID: "n", Points: []Point{{X: 0.5, Y: 0.5}, {X: math.NaN(), Y: 0.5}}}, Eps: 0.01},
 		"topk +Inf coord":      {Kind: KindTopK, Traj: &Trajectory{ID: "i", Points: []Point{{X: 0.5, Y: math.Inf(1)}}}, K: 3},
 		"topk out of plane":    {Kind: KindTopK, Traj: &Trajectory{ID: "o", Points: []Point{{X: 1.5, Y: 0.5}}}, K: 3},
@@ -703,6 +705,11 @@ func TestSearchRejectsInvalid(t *testing.T) {
 	}
 	if ms, err := db.ThresholdSearch(q, 0); err != nil || len(ms) != 1 {
 		t.Errorf("eps = 0 is valid and must match the stored copy: %v %v", ms, err)
+	}
+	for _, w := range []TimeWindow{{Start: 800}, {End: 200}} {
+		if _, _, err := db.Search(context.Background(), Query{Kind: KindRange, Rect: Rect{Max: Point{X: 1, Y: 1}}, Window: w}, nil); err != nil {
+			t.Errorf("one-sided window %+v is valid: %v", w, err)
+		}
 	}
 }
 
