@@ -110,37 +110,6 @@ func TestMutateOpTraceIsDeterministic(t *testing.T) {
 	}
 }
 
-// A Mutate that fails at its k-th region leaves exactly the regions before it
-// applied: a key-order prefix, never a random subset. The store's id-index
-// rows live in the last region, so this is what keeps an id row from becoming
-// durable without the data row it names.
-func TestMutateFailureLeavesKeyOrderPrefix(t *testing.T) {
-	for k := 0; k < 4; k++ {
-		c, fsys, entries := fourRegionMutate(t)
-		failing := c.Regions()[k].dir
-		fsys.SetInject(func(op vfs.Op) vfs.Fault {
-			if op.Kind == vfs.OpWrite && strings.HasPrefix(op.Path, failing) {
-				return vfs.FaultErr
-			}
-			return vfs.FaultNone
-		})
-		if err := c.Mutate(entries, nil); err == nil {
-			t.Fatalf("k=%d: Mutate succeeded despite region %d's WAL write failing", k, k)
-		}
-		fsys.SetInject(nil)
-		for _, e := range entries {
-			region := int(e.Key[0] - 'a')
-			_, err := c.Get(e.Key)
-			switch {
-			case region < k && err != nil:
-				t.Errorf("k=%d: row %q of earlier region %d missing: %v", k, e.Key, region, err)
-			case region >= k && err != kv.ErrNotFound:
-				t.Errorf("k=%d: row %q of region %d present (err=%v); only regions before %d may be applied", k, e.Key, region, err, k)
-			}
-		}
-	}
-}
-
 // RPC batching: many ranges landing in one region cost one RPC.
 func TestScanBatchesRangesPerRegion(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00500")}})

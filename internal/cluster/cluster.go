@@ -192,14 +192,11 @@ func (c *Cluster) Delete(key []byte) error {
 }
 
 // Mutate applies puts and deletes — the one write body. Mutations are grouped
-// into one kv batch per region, the closest the cluster gets to multi-row
-// atomicity: mutations that land in the same region commit or fail together
-// through a single WAL batch. Mutations spanning regions are not atomic across
-// them, but the batches are applied in region key order and the first failure
-// stops the walk, so a failed (or crashed) Mutate leaves a key-order prefix of
-// its regions applied and nothing after it. The store layer leans on that
-// order: its data rows live under shard bytes below the id-index prefix, so a
-// data row is always applied before the id row naming it, never the reverse.
+// into one kv batch per region, and a region's batch is one WAL record, so the
+// mutations that land in one region commit or fail together. Nothing is atomic
+// across regions: a failed Mutate may have applied some regions' batches and
+// not others. Regions are applied in key order, so a given Mutate's filesystem
+// operations are the same from run to run.
 func (c *Cluster) Mutate(puts []kv.Entry, deletes [][]byte) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -1,12 +1,12 @@
 package kv
 
 // Batch collects writes to apply atomically-in-order as one commit-queue
-// request — the bulk-load path: one enqueue, one group commit (sharing its
-// fsync with any concurrent writers), one memtable application. A Batch is
-// not safe for concurrent use; build it on one goroutine, then Apply it.
+// request — the bulk-load path: one enqueue, one WAL record, one group commit
+// (sharing its fsync with any concurrent writers), one memtable application.
+// A Batch is not safe for concurrent use; build it on one goroutine, then
+// Apply it.
 type Batch struct {
 	entries []batchEntry
-	bytes   int
 }
 
 type batchEntry struct {
@@ -21,7 +21,6 @@ func (b *Batch) Put(key, value []byte) {
 		key:   append([]byte(nil), key...),
 		value: append([]byte(nil), value...),
 	})
-	b.bytes += len(key) + len(value)
 }
 
 // Delete queues a tombstone.
@@ -30,7 +29,6 @@ func (b *Batch) Delete(key []byte) {
 		kind: kindTombstone,
 		key:  append([]byte(nil), key...),
 	})
-	b.bytes += len(key)
 }
 
 // Len returns the number of queued operations.
@@ -39,14 +37,13 @@ func (b *Batch) Len() int { return len(b.entries) }
 // Reset empties the batch for reuse.
 func (b *Batch) Reset() {
 	b.entries = b.entries[:0]
-	b.bytes = 0
 }
 
 // Apply writes the whole batch. Later operations on the same key win, as if
 // applied in order. The batch travels to the committer as a single request:
 // its entries commit (and fsync, with SyncWrites) together with whatever
 // group they land in, and a failure anywhere in that group fails the batch
-// as a whole.
+// as a whole. The batch is one WAL record: a crash leaves all of it or none.
 //
 // Entries were copied at queue time; the memtable takes ownership of them,
 // so the Batch must not be mutated until Apply returns (Reset-and-reuse

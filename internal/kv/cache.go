@@ -16,15 +16,6 @@ type blockCache struct {
 	size     int64
 	ll       *list.List // front = most recent
 	items    map[blockKey]*list.Element
-
-	hits, misses int64
-}
-
-// counters returns the hit/miss counters.
-func (c *blockCache) counters() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 type blockKey struct {
@@ -51,10 +42,8 @@ func (c *blockCache) get(k blockKey) []byte {
 	defer c.mu.Unlock()
 	if e, ok := c.items[k]; ok {
 		c.ll.MoveToFront(e)
-		c.hits++
 		return e.Value.(*blockEntry).data
 	}
-	c.misses++
 	return nil
 }
 

@@ -18,10 +18,6 @@ func TestBlockCacheBasics(t *testing.T) {
 	if got := c.get(k1); string(got) != "hello" {
 		t.Fatalf("get = %q", got)
 	}
-	hits, misses := c.counters()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("counters = %d/%d", hits, misses)
-	}
 	// Replacement updates size and value.
 	c.put(k1, []byte("world!"))
 	if got := c.get(k1); string(got) != "world!" {

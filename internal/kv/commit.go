@@ -9,7 +9,7 @@ import (
 // validate and copy their input, enqueue a commitReq on the committer's
 // queue, and block until the committer acknowledges it. A single committer
 // goroutine — the sole owner of the WAL and the only mutator of the memtable
-// once Open returns — drains the queue, appends every record of every queued
+// once Open returns — drains the queue, appends one record per queued
 // request, fsyncs ONCE for the whole group (when SyncWrites is on), applies
 // the group to the memtable under db.mu, and wakes all waiters. Under W
 // concurrent synced writers this amortizes the fsync across the group:
@@ -19,9 +19,9 @@ import (
 // Failure semantics are the WAL's poison semantics, widened to the group: any
 // append or sync failure fails every waiter in the group with the same error,
 // the WAL stays poisoned (sticky), and the next group heals it by flush +
-// rotation before accepting records. Close drains queued-but-uncommitted
-// requests with ErrClosed — a waiter always hears exactly one answer, never a
-// lost acknowledgement.
+// rotation before accepting records. A failed write was not applied. Close
+// drains queued-but-uncommitted requests with ErrClosed — a waiter always
+// hears exactly one answer, never a lost acknowledgement.
 
 // commitReq is one unit of work submitted to the committer goroutine: either
 // a group-committable write (entries != nil) or an exclusive structural step
@@ -164,11 +164,11 @@ func (c *committer) process(reqs []*commitReq) {
 }
 
 // commitGroup durably commits a group of write requests with one WAL sync,
-// then applies them to the memtable and acknowledges every waiter. Any
-// failure before the acknowledgement point fails the whole group with the
-// same error (poison fan-out): the group's records may be partially on disk,
-// which is exactly the "maybe" state an unacknowledged write is allowed to
-// occupy.
+// then applies them to the memtable and acknowledges every waiter. Each
+// request is one WAL record. Any failure fails the whole group with the same
+// error (poison fan-out) before the memtable is touched: a failed request's
+// record may have reached the disk, which is the "maybe" state an
+// unacknowledged write may occupy after a crash.
 func (c *committer) commitGroup(group []*commitReq) {
 	db := c.db
 	fail := func(err error) {
@@ -178,24 +178,30 @@ func (c *committer) commitGroup(group []*commitReq) {
 	}
 	// A poisoned WAL (earlier append/sync failure, possibly torn bytes on
 	// disk) must be rotated before accepting new records; flushing first
-	// makes everything acknowledged so far durable in an SSTable.
-	if db.wal.poisoned() {
+	// makes everything acknowledged so far durable in an SSTable. A full
+	// memtable is flushed here too, so a failed flush fails writes it did not
+	// apply. The threshold covers the frozen stack too (snapshots freeze
+	// without writing anything to disk), and a deep stack forces a flush on its
+	// own so scans cannot pile up unbounded memtable merge sources.
+	db.mu.Lock()
+	full := db.mem.bytes+db.frozenBytes >= db.opts.MemtableBytes ||
+		len(db.frozen) >= maxFrozenMemtables
+	db.mu.Unlock()
+	if full || db.wal.poisoned() {
 		if err := db.flush(); err != nil {
-			fail(fmt.Errorf("kv: wal unavailable: %w", err))
+			fail(fmt.Errorf("kv: flush before write: %w", err))
 			return
 		}
 	}
 	var bytes, count int64
 	for _, r := range group {
-		for _, e := range r.entries {
-			n, err := db.wal.append(e.kind, e.key, e.value)
-			if err != nil {
-				fail(fmt.Errorf("kv: wal append: %w", err))
-				return
-			}
-			bytes += int64(n)
-			count++
+		n, err := db.wal.append(r.entries)
+		if err != nil {
+			fail(fmt.Errorf("kv: wal append: %w", err))
+			return
 		}
+		bytes += int64(n)
+		count += int64(len(r.entries))
 	}
 	if db.opts.SyncWrites {
 		if err := db.wal.sync(); err != nil {
@@ -214,21 +220,8 @@ func (c *committer) commitGroup(group []*commitReq) {
 			db.mem.set(e.key, e.value, e.kind)
 		}
 	}
-	// The flush threshold covers the active list plus the frozen stack
-	// (snapshots freeze without writing anything to disk, so frozen bytes
-	// still occupy memory and still live only in the WAL), and a deep frozen
-	// stack forces a flush on its own so scan-heavy workloads cannot pile up
-	// an unbounded number of memtable merge sources.
-	full := db.mem.bytes+db.frozenBytes >= db.opts.MemtableBytes ||
-		len(db.frozen) >= maxFrozenMemtables
 	db.mu.Unlock()
-	var err error
-	if full {
-		// The records are durable (in the WAL) either way; a flush failure
-		// still fails the group so the caller knows the store is degraded.
-		err = db.flush()
-	}
 	for _, r := range group {
-		r.done <- err
+		r.done <- nil
 	}
 }

@@ -292,8 +292,7 @@ func TestKVErrorTorture(t *testing.T) {
 func TestWALTornTailEveryOffset(t *testing.T) {
 	// Build a WAL with known record boundaries.
 	fsys := vfs.NewFault()
-	opts := Options{Dir: tortureDir, FS: fsys, SyncWrites: true}
-	db, err := Open(opts)
+	db, err := Open(Options{Dir: tortureDir, FS: fsys, SyncWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,67 +302,17 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 		if err := db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("value-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.runOnCommitter(func() error {
-			boundaries = append(boundaries, db.wal.size)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		boundaries = append(boundaries, walSize(t, db))
 	}
-	walPath := filepath.Join(tortureDir, walName)
-	walBytes, err := vfs.ReadFile(fsys, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(walBytes)) != boundaries[n-1] {
-		t.Fatalf("wal size %d != last boundary %d", len(walBytes), boundaries[n-1])
-	}
+	walBytes := closedWAL(t, fsys, db, boundaries[n-1])
 
-	offsets := make([]int, 0, len(walBytes)+1)
-	if testing.Short() {
-		for off := 0; off <= len(walBytes); off += 7 {
-			offsets = append(offsets, off)
-		}
-		offsets = append(offsets, len(walBytes))
-	} else {
-		for off := 0; off <= len(walBytes); off++ {
-			offsets = append(offsets, off)
-		}
-	}
-	for _, off := range offsets {
-		// Rebuild a directory whose WAL is the truncated prefix.
-		tfs := vfs.NewFault()
-		if err := tfs.MkdirAll(tortureDir); err != nil {
-			t.Fatal(err)
-		}
-		f, err := tfs.Create(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(walBytes[:off]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tfs.SyncDir(tortureDir); err != nil {
-			t.Fatal(err)
-		}
+	for _, off := range truncations(len(walBytes)) {
 		// How many complete records fit in off bytes?
 		want := 0
 		for want < n && boundaries[want] <= int64(off) {
 			want++
 		}
-		db2, err := Open(Options{Dir: tortureDir, FS: tfs, SyncWrites: true})
-		if err != nil {
-			t.Fatalf("offset %d: reopen: %v", off, err)
-		}
+		db2 := openTruncatedWAL(t, walBytes, off)
 		for i := 0; i < n; i++ {
 			got, err := db2.Get([]byte(fmt.Sprintf("k%02d", i)))
 			if i < want {
@@ -378,6 +327,136 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 			t.Fatalf("offset %d: close: %v", off, err)
 		}
 	}
+}
+
+// TestWALTornBatchEveryOffset truncates a WAL holding a Put and then a
+// five-entry Apply at every byte offset: the Put is back exactly when its
+// record survived, and the batch is back whole or not at all.
+func TestWALTornBatchEveryOffset(t *testing.T) {
+	fsys := vfs.NewFault()
+	db, err := Open(Options{Dir: tortureDir, FS: fsys, SyncWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("single"), []byte("value-single")); err != nil {
+		t.Fatal(err)
+	}
+	putEnd := walSize(t, db)
+	var b Batch
+	var batchKeys []string
+	for i := 0; i < 4; i++ {
+		k := fmt.Sprintf("b%d", i)
+		b.Put([]byte(k), []byte("value-"+k))
+		batchKeys = append(batchKeys, k)
+	}
+	b.Delete([]byte("single"))
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	walBytes := closedWAL(t, fsys, db, walSize(t, db))
+
+	for _, off := range truncations(len(walBytes)) {
+		db2 := openTruncatedWAL(t, walBytes, off)
+		present := 0
+		for _, k := range batchKeys {
+			got, err := db2.Get([]byte(k))
+			switch {
+			case err == nil && string(got) == "value-"+k:
+				present++
+			case err != ErrNotFound:
+				t.Fatalf("offset %d: batch key %s = %q, %v", off, k, got, err)
+			}
+		}
+		whole := int64(off) == int64(len(walBytes))
+		if (whole && present != len(batchKeys)) || (!whole && present != 0) {
+			t.Fatalf("offset %d of %d: %d of the batch's %d puts recovered, want all or none", off, len(walBytes), present, len(batchKeys))
+		}
+		// The batch deletes the single key, so it is present exactly when its
+		// own record survived and the batch's did not.
+		_, err := db2.Get([]byte("single"))
+		if wantSingle := int64(off) >= putEnd && !whole; (err == nil) != wantSingle {
+			t.Fatalf("offset %d: Get(single) = %v, want present=%v", off, err, wantSingle)
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatalf("offset %d: close: %v", off, err)
+		}
+	}
+}
+
+// walSize is the size of db's WAL, read on the committer that owns it.
+func walSize(t *testing.T, db *DB) int64 {
+	t.Helper()
+	var size int64
+	if err := db.runOnCommitter(func() error {
+		size = db.wal.size
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return size
+}
+
+// closedWAL closes db and returns its WAL's bytes, which must be size long.
+func closedWAL(t *testing.T, fsys vfs.FS, db *DB, size int64) []byte {
+	t.Helper()
+	walBytes, err := vfs.ReadFile(fsys, filepath.Join(tortureDir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(walBytes)) != size {
+		t.Fatalf("wal size %d, want %d", len(walBytes), size)
+	}
+	return walBytes
+}
+
+// truncations lists the offsets to cut an n-byte WAL at: every one, or every
+// seventh and the end under -short.
+func truncations(n int) []int {
+	var offsets []int
+	step := 1
+	if testing.Short() {
+		step = 7
+	}
+	for off := 0; off <= n; off += step {
+		offsets = append(offsets, off)
+	}
+	if offsets[len(offsets)-1] != n {
+		offsets = append(offsets, n)
+	}
+	return offsets
+}
+
+// openTruncatedWAL opens a fresh store whose WAL is walBytes cut at off.
+func openTruncatedWAL(t *testing.T, walBytes []byte, off int) *DB {
+	t.Helper()
+	tfs := vfs.NewFault()
+	if err := tfs.MkdirAll(tortureDir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := tfs.Create(filepath.Join(tortureDir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(walBytes[:off]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tfs.SyncDir(tortureDir); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{Dir: tortureDir, FS: tfs, SyncWrites: true})
+	if err != nil {
+		t.Fatalf("offset %d: reopen: %v", off, err)
+	}
+	return db
 }
 
 // The TABLES encoding, pinned byte for byte: a header line, then one live

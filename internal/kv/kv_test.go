@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 func newTestDB(t *testing.T, opts Options) *DB {
@@ -260,6 +263,41 @@ func TestAutoFlushOnMemtableSize(t *testing.T) {
 		if _, err := db.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil {
 			t.Fatalf("k%04d lost: %v", i, err)
 		}
+	}
+}
+
+// A write that finds the memtable full flushes it first; when that flush
+// fails, the write fails and is not applied, so an error always means the
+// write is absent from the live store.
+func TestFailedFlushLeavesWriteUnapplied(t *testing.T) {
+	fsys := vfs.NewFault()
+	db, err := Open(Options{Dir: tortureDir, FS: fsys, MemtableBytes: 1 << 10, CompactAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := bytes.Repeat([]byte("x"), 2<<10)
+	if err := db.Put([]byte("k1"), val); err != nil {
+		t.Fatal(err)
+	}
+	fsys.SetInject(func(op vfs.Op) vfs.Fault {
+		if op.Kind == vfs.OpCreate && strings.HasSuffix(op.Path, sstSuffix+tmpSuffix) {
+			return vfs.FaultErr
+		}
+		return vfs.FaultNone
+	})
+	if err := db.Put([]byte("k2"), val); err == nil {
+		t.Fatal("put succeeded although the flush before it failed")
+	}
+	fsys.SetInject(nil)
+	if _, err := db.Get([]byte("k2")); err != ErrNotFound {
+		t.Fatalf("failed put is visible: Get(k2) = %v", err)
+	}
+	if _, err := db.Get([]byte("k1")); err != nil {
+		t.Fatalf("Get(k1) = %v", err)
+	}
+	if err := db.Put([]byte("k3"), val); err != nil {
+		t.Fatalf("put after the flush recovers: %v", err)
 	}
 }
 

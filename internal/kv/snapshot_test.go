@@ -120,7 +120,11 @@ func TestKVSnapshotWriterRace(t *testing.T) {
 	wg.Wait()
 
 	// The race must have exercised the machinery the snapshots claim to be
-	// immune to, or the test is vacuous.
+	// immune to, or the test is vacuous. A compaction a flush scheduled may
+	// still be running; Flush returns once the compactor is idle.
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	st := db.Stats()
 	if st.Flushes == 0 || st.Compactions == 0 {
 		t.Fatalf("stats %+v: race saw no flush or no compaction; shrink MemtableBytes/CompactAt", st)

@@ -98,11 +98,7 @@ func (sw *sstWriter) add(kind byte, key, value []byte) error {
 			offset:   sw.off,
 		})
 	}
-	sw.block = append(sw.block, kind)
-	sw.block = binary.AppendUvarint(sw.block, uint64(len(key)))
-	sw.block = append(sw.block, key...)
-	sw.block = binary.AppendUvarint(sw.block, uint64(len(value)))
-	sw.block = append(sw.block, value...)
+	sw.block = appendEntry(sw.block, kind, key, value)
 	sw.bloom.add(key)
 	sw.count++
 
@@ -316,8 +312,6 @@ func openSSTable(fsys vfs.FS, path string, seq uint64, stats *Stats, cache *bloc
 	return &sstReader{fs: fsys, f: f, path: path, seq: seq, index: index, bloom: bloom, count: count, stats: stats, cache: cache}, nil
 }
 
-func (sr *sstReader) close() error { return sr.f.Close() }
-
 // readBlock fetches and verifies data block i, consulting the block cache
 // first. Returned blocks may be shared with other readers: treat as
 // read-only.
@@ -329,16 +323,12 @@ func (sr *sstReader) readBlock(i int) ([]byte, error) {
 			return buf, nil
 		}
 	}
-	ie := sr.index[i]
-	buf := make([]byte, ie.length)
-	if _, err := sr.f.ReadAt(buf, ie.offset); err != nil {
-		return nil, fmt.Errorf("kv: read block: %w", err)
-	}
-	if crc32.ChecksumIEEE(buf) != ie.crc {
-		return nil, fmt.Errorf("kv: sstable %s block %d checksum mismatch", sr.path, i)
+	buf, err := sr.diskBlock(i)
+	if err != nil {
+		return nil, err
 	}
 	sr.stats.BlocksRead.Add(1)
-	sr.stats.BytesRead.Add(ie.length)
+	sr.stats.BytesRead.Add(int64(len(buf)))
 	// A table compaction has retired is still read through older snapshots,
 	// but nothing would ever drop its blocks again: installCompaction marks it
 	// obsolete before it calls dropTable, so either the first check sees the
@@ -353,18 +343,18 @@ func (sr *sstReader) readBlock(i int) ([]byte, error) {
 	return buf, nil
 }
 
-// verifyBlock re-reads block i from disk (bypassing the cache) and checks
-// its checksum.
-func (sr *sstReader) verifyBlock(i int) error {
+// diskBlock reads data block i from disk, bypassing the cache, and checks its
+// checksum: the read under readBlock's cache miss and under Verify.
+func (sr *sstReader) diskBlock(i int) ([]byte, error) {
 	ie := sr.index[i]
 	buf := make([]byte, ie.length)
 	if _, err := sr.f.ReadAt(buf, ie.offset); err != nil {
-		return fmt.Errorf("kv: verify read: %w", err)
+		return nil, fmt.Errorf("kv: read block: %w", err)
 	}
 	if crc32.ChecksumIEEE(buf) != ie.crc {
-		return fmt.Errorf("kv: sstable %s block %d checksum mismatch", sr.path, i)
+		return nil, fmt.Errorf("kv: sstable %s block %d checksum mismatch", sr.path, i)
 	}
-	return nil
+	return buf, nil
 }
 
 // blockFor returns the index of the block that could contain key: the last
@@ -404,6 +394,16 @@ func (sr *sstReader) get(key []byte) ([]byte, byte, bool, error) {
 		pos = next
 	}
 	return nil, 0, false, nil
+}
+
+// appendEntry appends one entry in the data-block encoding, which WAL records
+// share: kind byte | klen uvarint | key | vlen uvarint | value.
+func appendEntry(dst []byte, kind byte, key, value []byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	return append(dst, value...)
 }
 
 // decodeEntry parses one entry at pos, returning the next position.

@@ -191,10 +191,10 @@ func Open(opts Options) (*DB, error) {
 
 	// Replay the WAL into the memtable.
 	walPath := filepath.Join(opts.Dir, walName)
-	if err := replayWAL(fsys, walPath, func(kind byte, key, value []byte) {
-		k := append([]byte(nil), key...)
-		v := append([]byte(nil), value...)
-		db.mem.set(k, v, kind)
+	if err := replayWAL(fsys, walPath, func(entries []batchEntry) {
+		for _, e := range entries {
+			db.mem.set(append([]byte(nil), e.key...), append([]byte(nil), e.value...), e.kind)
+		}
 	}); err != nil {
 		db.releaseAll()
 		return nil, err
@@ -788,7 +788,7 @@ func (db *DB) Verify() error {
 	}()
 	for _, t := range tables {
 		for i := range t.index {
-			if err := t.verifyBlock(i); err != nil {
+			if _, err := t.diskBlock(i); err != nil {
 				return err
 			}
 		}

@@ -12,13 +12,15 @@ import (
 	"repro/internal/vfs"
 )
 
-// Write-ahead log. Records are framed as
+// Write-ahead log. One record holds one write request (a Put, a Delete or an
+// Apply), framed as
 //
 //	crc32(payload) uint32 | payloadLen uint32 | payload
 //
-// where payload = kind byte | klen uvarint | key | vlen uvarint | value.
-// Replay stops silently at the first torn or corrupt record: everything
-// before it was acknowledged durable, everything after was not.
+// where payload = count uvarint | count entries in the SSTable data-block
+// encoding (appendEntry). Replay applies a record whole or stops silently at
+// it, torn or corrupt: everything before was acknowledged durable, nothing of
+// it or after it was.
 //
 // A wal is poisoned by its first append/flush/sync failure: the error is
 // sticky and every later operation refuses to run. A failed write may have
@@ -64,16 +66,19 @@ func (w *wal) poison(err error) error {
 	return err
 }
 
-func (w *wal) append(kind byte, key, value []byte) (int, error) {
+// append writes one request's entries as one record and returns its size.
+func (w *wal) append(entries []batchEntry) (int, error) {
 	if w.err != nil {
 		return 0, fmt.Errorf("kv: wal poisoned by earlier failure: %w", w.err)
 	}
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen32+len(key)+len(value))
-	payload = append(payload, kind)
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = binary.AppendUvarint(payload, uint64(len(value)))
-	payload = append(payload, value...)
+	size := binary.MaxVarintLen32
+	for _, e := range entries {
+		size += 1 + 2*binary.MaxVarintLen32 + len(e.key) + len(e.value)
+	}
+	payload := binary.AppendUvarint(make([]byte, 0, size), uint64(len(entries)))
+	for _, e := range entries {
+		payload = appendEntry(payload, e.kind, e.key, e.value)
+	}
 
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
@@ -123,13 +128,11 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// replayWAL feeds every intact record to fn in order. A corrupt or truncated
-// tail ends replay without error.
-//
-// The kind/key/value arguments alias a payload buffer that is overwritten by
-// the next record: fn must not retain them past its return — copy anything it
-// keeps (recovery in Open does).
-func replayWAL(fsys vfs.FS, path string, fn func(kind byte, key, value []byte)) error {
+// replayWAL feeds each intact record's entries to fn, in order. A corrupt or
+// truncated record, or one that does not decode to exactly its count of
+// entries, ends replay without error: fn never sees part of a record. The
+// entries alias a buffer the next record overwrites; fn copies what it keeps.
+func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) error {
 	f, err := fsys.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
@@ -141,7 +144,8 @@ func replayWAL(fsys vfs.FS, path string, fn func(kind byte, key, value []byte)) 
 
 	r := bufio.NewReaderSize(f, 64<<10)
 	var hdr [8]byte
-	var payload []byte // grown once, reused across records
+	var payload []byte       // grown once, reused across records
+	var entries []batchEntry // likewise
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return nil // clean EOF or torn header: stop
@@ -161,27 +165,23 @@ func replayWAL(fsys vfs.FS, path string, fn func(kind byte, key, value []byte)) 
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			return nil
 		}
-		if len(payload) == 0 {
-			// An all-zero header passes the CRC check (crc32("") == 0) but
-			// carries no record; a zero-filled tail must read as torn, not
-			// panic on payload[0].
+		// An all-zero header passes the CRC check; its empty payload has no count.
+		count, pos := binary.Uvarint(payload)
+		if pos <= 0 || count > uint64(len(payload)) {
 			return nil
 		}
-		kind := payload[0]
-		rest := payload[1:]
-		klen, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < klen {
+		entries = entries[:0]
+		for ; count > 0; count-- {
+			kind, key, value, next, err := decodeEntry(payload, pos)
+			if err != nil {
+				return nil
+			}
+			entries = append(entries, batchEntry{kind: kind, key: key, value: value})
+			pos = next
+		}
+		if pos != len(payload) {
 			return nil
 		}
-		rest = rest[sz:]
-		key := rest[:klen]
-		rest = rest[klen:]
-		vlen, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < vlen {
-			return nil
-		}
-		rest = rest[sz:]
-		value := rest[:vlen]
-		fn(kind, key, value)
+		fn(entries)
 	}
 }

@@ -5,7 +5,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -90,7 +89,7 @@ type Store struct {
 // versions the row layout (row keys here, values in traj.EncodeRecord).
 const (
 	schemaFormat = "trass shards=%d max_resolution=%d row_format=%d"
-	rowFormat    = 1
+	rowFormat    = 2
 )
 
 // Open creates a trajectory store, or opens the one in cfg.Dir at the shape it
@@ -149,7 +148,7 @@ func (s *Store) adoptShape(asked Config) error {
 		return fmt.Errorf("store: %s records schema %q over %d regions, want one per shard", dir, schema, regions)
 	}
 	if format != rowFormat {
-		return fmt.Errorf("store: %s holds rows of format %d, this build reads format %d", dir, format, rowFormat)
+		return fmt.Errorf("store: %s holds rows of format %d, this build reads format %d; re-load the data into a new directory", dir, format, rowFormat)
 	}
 	if asked.Shards > 0 && asked.Shards != s.cfg.Shards {
 		return fmt.Errorf("store: %s was created with Shards=%d and cannot be opened with Shards=%d", dir, s.cfg.Shards, asked.Shards)
@@ -182,8 +181,8 @@ func (s *Store) recoverMeta() error {
 	_, err = snap.ScanStream(context.Background(), cluster.StreamRequest{ScanRequest: cluster.ScanRequest{
 		Ranges: []cluster.KeyRange{{}},
 		Filter: func(key, _ []byte) bool {
-			if len(key) > 0 && key[0] >= idIndexPrefix {
-				return false // id-index row
+			if len(key) > 1 && key[1] == idRow {
+				return false
 			}
 			mu.Lock()
 			if len(key) < 1+8+1 {
@@ -259,17 +258,24 @@ func (s *Store) Cluster() *cluster.Cluster { return s.cluster }
 // Config returns the effective configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// idIndexPrefix begins the row keys of the id→rowkey secondary index. It is
-// far above any shard byte, so data scans (which stay inside one shard's
-// prefix) never touch index rows.
-const idIndexPrefix byte = 0xFE
+// idRow is the second byte of an id row's key, shard ‖ idRow ‖ tid, whose
+// value is the trajectory's index value (8 bytes, big-endian): the secondary
+// index GetByID reads. Index values are below 13·4^28, so a data key's second
+// byte is at most 0x0C; an id row sorts after every data row of its shard, no
+// planned range reaches it, and it shares its trajectory's region.
+const idRow byte = 0xFF
 
-// idKey is the secondary-index key for a trajectory id.
-func idKey(tid string) []byte {
-	key := make([]byte, 0, 1+len(tid))
-	key = append(key, idIndexPrefix)
-	key = append(key, tid...)
-	return key
+// idKey is the key of tid's id row.
+func idKey(shard byte, tid string) []byte {
+	return append([]byte{shard, idRow}, tid...)
+}
+
+// idValue parses the index value an id row holds.
+func idValue(tid string, v []byte) (int64, error) {
+	if len(v) != 8 {
+		return 0, fmt.Errorf("store: corrupt id row for %q: %d-byte value", tid, len(v))
+	}
+	return int64(binary.BigEndian.Uint64(v)), nil
 }
 
 // shardOf hashes a trajectory id onto a shard (the decentralizing hash of
@@ -284,12 +290,15 @@ func (s *Store) shardOf(tid string) byte {
 // (Equation 4). The value is 8 big-endian bytes so lexicographic byte order
 // equals numeric order.
 func (s *Store) RowKey(e xzstar.Entry, tid string) []byte {
+	return rowKey(s.shardOf(tid), e.Value, tid)
+}
+
+func rowKey(shard byte, value int64, tid string) []byte {
 	key := make([]byte, 0, 1+8+1+len(tid))
-	key = append(key, s.shardOf(tid))
-	key = binary.BigEndian.AppendUint64(key, uint64(e.Value))
+	key = append(key, shard)
+	key = binary.BigEndian.AppendUint64(key, uint64(value))
 	key = append(key, 0)
-	key = append(key, tid...)
-	return key
+	return append(key, tid...)
 }
 
 // ErrInvalidTrajectory is wrapped by the error Put and PutBatch return for a
@@ -312,9 +321,12 @@ func (s *Store) Put(t *traj.Trajectory) error { return s.PutBatch([]*traj.Trajec
 
 // PutBatch indexes and stores trajectories; it is the one write path.
 // Re-putting an id replaces its row, and within a batch the last entry for an
-// id wins. Writers of different ids may run concurrently; the caller must
-// serialise writers of the same id, because the row an id owns is read before
-// the mutation that replaces it.
+// id wins. Each trajectory is written all or nothing: its data row, its id row
+// and the delete of the row it replaces share its shard's region and commit as
+// one batch. A failed PutBatch may have applied the trajectories of shards it
+// had already committed. Writers of different ids may run concurrently; the
+// caller must serialise writers of the same id, because the row an id owns is
+// read before the mutation that replaces it.
 func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 	// The whole batch is validated before its first chunk is written.
 	for _, t := range ts {
@@ -324,62 +336,63 @@ func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 	}
 	const chunk = 4096
 	for start := 0; start < len(ts); start += chunk {
-		if err := s.putChunk(ts[start:min(start+chunk, len(ts))]); err != nil {
-			return err
+		part := ts[start:min(start+chunk, len(ts))]
+		last := make(map[string]int, len(part))
+		for i, t := range part {
+			last[t.ID] = i
+		}
+		shards := make([][]*traj.Trajectory, s.cfg.Shards)
+		for i, t := range part {
+			if last[t.ID] == i { // a later entry for this id wins
+				shard := s.shardOf(t.ID)
+				shards[shard] = append(shards[shard], t)
+			}
+		}
+		// One cluster.Mutate per shard, a single region's batch: each id's
+		// data row and id row, plus the delete of the data row the id owned
+		// under another index value. The metadata records a batch once it has
+		// committed.
+		for shard, group := range shards {
+			if len(group) == 0 {
+				continue
+			}
+			puts := make([]cluster.Entry, 0, 2*len(group))
+			var dels [][]byte
+			var added, removed []int64
+			for _, t := range group {
+				entry := s.ix.Assign(t.Points)
+				features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
+				value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
+				ik := idKey(byte(shard), t.ID)
+				puts = append(puts,
+					cluster.Entry{Key: rowKey(byte(shard), entry.Value, t.ID), Value: value},
+					cluster.Entry{Key: ik, Value: binary.BigEndian.AppendUint64(nil, uint64(entry.Value))})
+				old, err := s.cluster.Get(ik)
+				if errors.Is(err, kv.ErrNotFound) {
+					added = append(added, entry.Value)
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				was, err := idValue(t.ID, old)
+				if err != nil {
+					return err
+				}
+				if was != entry.Value { // else overwritten in place: metadata unchanged
+					dels = append(dels, rowKey(byte(shard), was, t.ID))
+					added = append(added, entry.Value)
+					removed = append(removed, was)
+				}
+			}
+			if err := s.cluster.Mutate(puts, dels); err != nil {
+				return err
+			}
+			s.mu.Lock()
+			s.applyRowsLocked(added, removed)
+			s.mu.Unlock()
 		}
 	}
-	return nil
-}
-
-// putChunk applies one chunk through one cluster.Mutate: each id's data row
-// and id-index row, plus the delete of the data row the id owned under another
-// index value. The two rows of an id share a region — and so one atomic WAL
-// batch — only when the id hashes to the last shard: data rows live under
-// shard bytes 0..Shards-1, every id-index row under idIndexPrefix in the last
-// region. What holds for every id is Mutate's order: regions are applied in
-// key order and the first failure stops the walk, so a failed or crashed chunk
-// — whose rows were never acknowledged — can leave a data row without its id
-// row (queries scan it, GetByID does not find it) but never an id row naming a
-// data row that was not written.
-func (s *Store) putChunk(ts []*traj.Trajectory) error {
-	last := make(map[string]int, len(ts))
-	for i, t := range ts {
-		last[t.ID] = i
-	}
-	puts := make([]cluster.Entry, 0, 2*len(last))
-	var dels [][]byte
-	added := make([]int64, 0, len(last))
-	var removed []int64
-	for i, t := range ts {
-		if last[t.ID] != i {
-			continue // a later entry for this id wins
-		}
-		entry := s.ix.Assign(t.Points)
-		features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
-		key := s.RowKey(entry, t.ID)
-		value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
-		// The id index names the data row (if any) this id already owns.
-		ik := idKey(t.ID)
-		old, err := s.cluster.Get(ik)
-		if err != nil && !errors.Is(err, kv.ErrNotFound) {
-			return err
-		}
-		puts = append(puts, cluster.Entry{Key: key, Value: value}, cluster.Entry{Key: ik, Value: key})
-		if bytes.Equal(old, key) {
-			continue // overwritten in place: metadata unchanged
-		}
-		if old != nil {
-			dels = append(dels, old)
-			removed = append(removed, keyValue(old))
-		}
-		added = append(added, entry.Value)
-	}
-	if err := s.cluster.Mutate(puts, dels); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.applyRowsLocked(added, removed)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -458,18 +471,23 @@ func valueKey(shard byte, value int64) []byte {
 	return key
 }
 
-// GetByID fetches one trajectory by its identifier via the secondary index.
-// It returns cluster/kv errors unchanged; a missing id yields kv.ErrNotFound.
+// GetByID fetches one trajectory by its identifier via its id row. It returns
+// cluster/kv errors unchanged; a missing id yields kv.ErrNotFound.
 func (s *Store) GetByID(tid string) (*traj.Record, error) {
-	rowkey, err := s.cluster.Get(idKey(tid))
+	shard := s.shardOf(tid)
+	v, err := s.cluster.Get(idKey(shard, tid))
 	if err != nil {
 		return nil, err
 	}
-	value, err := s.cluster.Get(rowkey)
+	value, err := idValue(tid, v)
+	if err != nil {
+		return nil, err
+	}
+	row, err := s.cluster.Get(rowKey(shard, value, tid))
 	if err != nil {
 		return nil, fmt.Errorf("store: id index points to missing row for %q: %w", tid, err)
 	}
-	return traj.DecodeRecord(value)
+	return traj.DecodeRecord(row)
 }
 
 // DecodeRow parses a stored row back into a record.

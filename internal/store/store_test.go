@@ -3,10 +3,14 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -16,6 +20,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/kv"
 	"repro/internal/traj"
+	"repro/internal/vfs"
 	"repro/internal/xzstar"
 )
 
@@ -112,6 +117,69 @@ func TestOpenRefusesForeignDirectoryAndCorruptRowKey(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "corrupt data row key") {
 		t.Fatalf("error does not report the corrupt row: %v", err)
 	}
+}
+
+// A directory of row format 1 kept its id rows under 0xFE in the last region.
+// Open refuses it, naming both formats and what to do, and changes no file:
+// the regions' WAL replay runs before the schema check, under a record format
+// the old directory's WAL does not use.
+func TestOpenRefusesOldRowFormat(t *testing.T) {
+	const dir = "/old"
+	fsys := vfs.NewFault()
+	cl, err := cluster.Open(cluster.Config{
+		Dir:       dir,
+		FS:        fsys,
+		SplitKeys: [][]byte{{1}, {2}, {3}},
+		Schema:    fmt.Sprintf(schemaFormat, 4, 16, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// One format-1 WAL record: an id row naming its data row, framed as
+	// crc32 | length | kind | klen | key | vlen | value.
+	payload := []byte{0, 4, 0xFE, 'a', 'b', 'c', 13, 3, 0, 0, 0, 0, 0, 0, 0, 42, 0, 'a', 'b', 'c'}
+	record := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))
+	record = binary.LittleEndian.AppendUint32(record, uint32(len(payload)))
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, "region-0003", "wal.log"), append(record, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, fsys, dir)
+
+	if s, err := Open(Config{Dir: dir, FS: fsys}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a directory of row format 1")
+	} else if msg := err.Error(); !strings.Contains(msg, "format 1") || !strings.Contains(msg, "format 2") || !strings.Contains(msg, "re-load") {
+		t.Fatalf("refusal %q does not name both formats and say to re-load", msg)
+	}
+	if after := dirFiles(t, fsys, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Open changed the directory:\n before %q\n after  %q", before, after)
+	}
+}
+
+// dirFiles maps every file under dir to its contents.
+func dirFiles(t *testing.T, fsys vfs.FS, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	names, err := fsys.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if _, err := fsys.List(path); err == nil {
+			maps.Copy(files, dirFiles(t, fsys, path))
+			continue
+		}
+		data, err := vfs.ReadFile(fsys, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = string(data)
+	}
+	return files
 }
 
 func TestDefaults(t *testing.T) {
@@ -459,25 +527,5 @@ func TestPutInvalidTrajectory(t *testing.T) {
 	// The closed boundary itself is in the plane.
 	if err := s.Put(traj.New("corners", []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 1}})); err != nil {
 		t.Fatalf("unit-square corners must be storable: %v", err)
-	}
-}
-
-func TestRowKeyShape(t *testing.T) {
-	s := newTestStore(t, Config{Shards: 4})
-	tr := traj.New("abc", []geo.Point{{X: 0.5, Y: 0.5}, {X: 0.51, Y: 0.51}})
-	e := s.Index().Assign(tr.Points)
-	key := s.RowKey(e, tr.ID)
-	// shard byte + 8 value bytes + separator + tid
-	if len(key) != 1+8+1+3 {
-		t.Fatalf("key length = %d", len(key))
-	}
-	if int(key[0]) >= 4 {
-		t.Fatalf("shard byte %d out of range", key[0])
-	}
-	if key[9] != 0 {
-		t.Fatal("missing separator")
-	}
-	if string(key[10:]) != "abc" {
-		t.Fatalf("tid suffix = %q", key[10:])
 	}
 }

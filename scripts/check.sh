@@ -16,10 +16,11 @@
 #              ./... walk covers internal/lint, cmd/... and examples/... too.
 #              trasslint supports -only to bisect a finding to one analyzer
 #              locally; the gate always runs all of them.
-#   torture    deterministic crash/error-injection suites (kv + cluster, and
-#              the vfs.WriteFileAtomic commit helper both manifests go
-#              through); SHORT=1 runs the strided subset, otherwise every
-#              fault point
+#   torture    deterministic crash/error-injection suites (kv + cluster, the
+#              store's put/re-put suite TestStorePutTorture, and the
+#              vfs.WriteFileAtomic commit helper both manifests go through),
+#              plus the WAL truncated at every byte offset; SHORT=1 runs the
+#              strided subset, otherwise every fault point
 #   concurrency  the concurrent-writer torture suites under -race: N writer
 #              goroutines race group commits and background compactions while
 #              faults fire at sampled points — crash, injected errors,
@@ -99,10 +100,10 @@ if [[ "$MODE" == "torture" || "$MODE" == "all" ]]; then
     # `concurrency` group, which always runs them under -race.
     if [[ "${SHORT:-0}" == "1" ]]; then
         step "crash torture (strided subset)"
-        go test -short -count=1 -run 'Torture|TornTail' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/vfs
+        go test -short -count=1 -run 'Torture|Torn' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/store ./internal/vfs
     else
         step "crash torture (every fault point)"
-        go test -count=1 -run 'Torture|TornTail' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/vfs
+        go test -count=1 -run 'Torture|Torn' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/store ./internal/vfs
     fi
 fi
 

@@ -186,8 +186,10 @@ func (db *DB) Put(t *Trajectory) error { return db.store.Put(t) }
 // PutBatch indexes and stores trajectories. Putting an id that is already
 // stored replaces its row, and within a batch the last entry for an id wins.
 // If any trajectory cannot be indexed the call fails with an error wrapping
-// ErrInvalidTrajectory and writes nothing. Writers of different ids may run
-// concurrently; writers of the same id must be serialised by the caller.
+// ErrInvalidTrajectory and writes nothing. Each trajectory is written all or
+// nothing, crash included; a PutBatch that fails otherwise may have stored
+// some of its trajectories. Writers of different ids may run concurrently;
+// writers of the same id must be serialised by the caller.
 func (db *DB) PutBatch(ts []*Trajectory) error { return db.store.PutBatch(ts) }
 
 // Flush persists in-memory data to disk.
