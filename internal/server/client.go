@@ -109,8 +109,17 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Wire
 	sc := bufio.NewScanner(body)
 	// Lines carry whole point sequences with include_points; size accordingly.
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	var scratch [][2]float64
 	for sc.Scan() {
 		line := sc.Bytes()
+		// A match line as trassd writes it skips encoding/json; the footer,
+		// an escaped id and any other formatting take the general path.
+		if m, ok := parseMatchLine(line, &scratch); ok {
+			if err := fn(m); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}

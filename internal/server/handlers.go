@@ -202,19 +202,31 @@ func (s *Server) run(ctx context.Context, q trass.Query, sink func(trass.Match) 
 }
 
 // collectQuery runs the non-streaming path: one JSON QueryResponse with
-// every match in run's deterministic order.
+// every match in run's deterministic order, written as encoding/json would
+// write it.
 func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, includePoints bool) {
 	matches, stats, err := s.run(ctx, q, nil)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	resp := QueryResponse{Matches: make([]WireMatch, len(matches)), Stats: statsToWire(stats)}
+	b := []byte(`{"matches":[`)
 	for i, m := range matches {
-		resp.Matches[i] = matchToWire(m, includePoints)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = appendMatch(b, m, includePoints); err != nil {
+			writeQueryError(w, err)
+			return
+		}
+	}
+	b = append(b, ']')
+	if st := statsToWire(stats); st != nil {
+		js, _ := json.Marshal(st) // integers only: cannot fail
+		b = append(append(b, `,"stats":`...), js...)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_, _ = w.Write(append(b, "}\n"...))
 }
 
 // writeQueryError maps a query failure onto a status code: client mistakes

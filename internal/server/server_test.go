@@ -123,11 +123,40 @@ func sortMatches(ms []trass.Match) {
 	})
 }
 
+// checkPoints requires each wire match to carry, bit for bit, the points of
+// the embedded match with its id when includePoints is set, and none
+// otherwise.
+func checkPoints(t *testing.T, path string, got []WireMatch, want []trass.Match, includePoints bool) {
+	t.Helper()
+	byID := make(map[string]trass.Match, len(want))
+	for _, m := range want {
+		byID[m.ID] = m
+	}
+	for _, m := range got {
+		var pts []trass.Point
+		if includePoints {
+			pts = byID[m.ID].Points
+			if len(pts) == 0 {
+				t.Fatalf("%s: embedded match %s has no points to compare", path, m.ID)
+			}
+		}
+		if len(m.Points) != len(pts) {
+			t.Fatalf("%s match %s: %d points on the wire, %d embedded", path, m.ID, len(m.Points), len(pts))
+		}
+		for i, p := range pts {
+			if math.Float64bits(m.Points[i][0]) != math.Float64bits(p.X) || math.Float64bits(m.Points[i][1]) != math.Float64bits(p.Y) {
+				t.Fatalf("%s match %s point %d: wire %v, embedded %v", path, m.ID, i, m.Points[i], p)
+			}
+		}
+	}
+}
+
 // TestWireEquivalence is the tentpole guarantee: every query path served
 // over the wire returns byte-identical results to the same query run
 // embedded — collected responses in the same deterministic order, streamed
-// responses as the same set (top-k and knn in the same order too) — and
-// footers whose rows_walked is the embedded RowsWalked where that is fixed.
+// responses as the same set (top-k and knn in the same order too), every
+// point bit for bit where the request includes them — and footers whose
+// rows_walked is the embedded RowsWalked where that is fixed.
 func TestWireEquivalence(t *testing.T) {
 	db, data := openLoadedDB(t)
 	_, client := startServer(t, db, Config{})
@@ -171,7 +200,7 @@ func TestWireEquivalence(t *testing.T) {
 		},
 		{
 			name: "topk",
-			req:  QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 10},
+			req:  QueryRequest{Kind: KindTopK, QueryID: q.ID, K: 10, IncludePoints: true},
 			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
 				return db.TopKSearchWindowContext(ctx, q, 10, trass.TimeWindow{})
 			},
@@ -185,7 +214,7 @@ func TestWireEquivalence(t *testing.T) {
 		},
 		{
 			name: "range",
-			req:  QueryRequest{Kind: KindRange, Rect: wireRect},
+			req:  QueryRequest{Kind: KindRange, Rect: wireRect, IncludePoints: true},
 			embedded: func() ([]trass.Match, *trass.QueryStats, error) {
 				return db.RangeSearchWindowContext(ctx, trass.Rect{
 					Min: trass.Point{X: wireRect[0], Y: wireRect[1]},
@@ -243,6 +272,7 @@ func TestWireEquivalence(t *testing.T) {
 			if pipelined && resp.Stats.RowsWalked != wantStats.RowsWalked {
 				t.Fatalf("collected rows_walked %d, embedded RowsWalked %d", resp.Stats.RowsWalked, wantStats.RowsWalked)
 			}
+			checkPoints(t, "collected", resp.Matches, want, tc.req.IncludePoints)
 
 			// Streamed: the same set, and for top-k and knn the same order.
 			var streamed []WireMatch
@@ -259,6 +289,7 @@ func TestWireEquivalence(t *testing.T) {
 			if pipelined && stats.RowsWalked != wantStats.RowsWalked {
 				t.Fatalf("streamed rows_walked %d, embedded RowsWalked %d", stats.RowsWalked, wantStats.RowsWalked)
 			}
+			checkPoints(t, "streamed", streamed, want, tc.req.IncludePoints)
 			if !pipelined {
 				if got := formatWire(streamed); got != wantText {
 					t.Fatalf("streamed %s out of (distance, id) order\nwire:\n%s\nembedded:\n%s", tc.req.Kind, got, wantText)
@@ -292,6 +323,42 @@ func TestIncludePoints(t *testing.T) {
 			t.Fatalf("match %s missing points despite include_points", m.ID)
 		}
 	}
+}
+
+// TestStreamKeptMatchesOwnTheirPoints: QueryStream's fn may keep what it is
+// given. Every match of a multi-match range stream with points, kept until
+// the footer has been read, must still carry its embedded match's points,
+// so no line buffer or point scratch is shared between lines.
+func TestStreamKeptMatchesOwnTheirPoints(t *testing.T) {
+	db, data := openLoadedDB(t)
+	_, client := startServer(t, db, Config{})
+	ctx := context.Background()
+
+	rect := data[42].MBR()
+	pad := gen.DegreesToNorm(0.1)
+	wireRect := &[4]float64{rect.Min.X - pad, rect.Min.Y - pad, rect.Max.X + pad, rect.Max.Y + pad}
+	want, _, err := db.RangeSearchWindowContext(ctx, trass.Rect{
+		Min: trass.Point{X: wireRect[0], Y: wireRect[1]},
+		Max: trass.Point{X: wireRect[2], Y: wireRect[3]},
+	}, trass.TimeWindow{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 {
+		t.Fatalf("range found %d matches; the test needs several lines", len(want))
+	}
+
+	var kept []WireMatch
+	if _, err := client.QueryStream(ctx, QueryRequest{Kind: KindRange, Rect: wireRect, IncludePoints: true}, func(m WireMatch) error {
+		kept = append(kept, m)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(want) {
+		t.Fatalf("streamed %d matches, embedded %d", len(kept), len(want))
+	}
+	checkPoints(t, "kept", kept, want, true)
 }
 
 func TestBadRequests(t *testing.T) {

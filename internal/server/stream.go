@@ -15,14 +15,22 @@ import (
 // carry in headers. A query that fails before its first line is answered
 // like a collected one, with the status writeQueryError picks.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, includePoints bool) {
-	sw := &streamWriter{w: w, enc: json.NewEncoder(w), delay: s.streamDelay}
+	sw := &streamWriter{w: w, delay: s.streamDelay}
 	if f, ok := w.(http.Flusher); ok {
 		sw.flush = f.Flush
 	}
 
+	// The sink runs on the refine workers, one call at a time, and Search
+	// joins them before it returns, so one line buffer serves the request.
+	var line []byte
 	n := 0
 	emit := func(m trass.Match) error {
-		if err := sw.writeLine(ctx, StreamLine{Match: ptr(matchToWire(m, includePoints))}); err != nil {
+		b, err := appendMatch(append(line[:0], `{"match":`...), m, includePoints)
+		if err != nil {
+			return err
+		}
+		line = append(b, "}\n"...)
+		if err := sw.writeLine(ctx, line); err != nil {
 			return err
 		}
 		n++
@@ -35,26 +43,27 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q trass
 		writeQueryError(w, err)
 		return
 	}
+	footer := StreamLine{Done: true, Results: n, Stats: statsToWire(stats)}
 	if err != nil {
 		// In-band failure: the write error (client gone) or the query error.
 		// Either way the footer carries it; a dead socket just drops it.
-		_ = sw.writeLine(ctx, StreamLine{Done: true, Results: n, Stats: statsToWire(stats), Error: err.Error()})
-		return
+		footer.Error = err.Error()
 	}
-	_ = sw.writeLine(ctx, StreamLine{Done: true, Results: n, Stats: statsToWire(stats)})
+	b, _ := json.Marshal(footer) // integers and strings only: cannot fail
+	_ = sw.writeLine(ctx, append(b, '\n'))
 }
 
 // streamWriter writes NDJSON lines, flushing each one so matches reach the
 // client as they are produced rather than when a buffer fills.
 type streamWriter struct {
 	w     http.ResponseWriter
-	enc   *json.Encoder
 	flush func()
 	delay time.Duration // test hook: hold the stream open per line
 	wrote bool          // a line (and with it the 200 header) has gone to w
 }
 
-func (sw *streamWriter) writeLine(ctx context.Context, line StreamLine) error {
+// writeLine writes one newline-terminated line.
+func (sw *streamWriter) writeLine(ctx context.Context, line []byte) error {
 	if sw.delay > 0 {
 		select {
 		case <-time.After(sw.delay):
@@ -67,8 +76,7 @@ func (sw *streamWriter) writeLine(ctx context.Context, line StreamLine) error {
 		sw.w.Header().Set("Content-Type", "application/x-ndjson")
 		sw.w.Header().Set("X-Accel-Buffering", "no")
 	}
-	// Encode appends the newline NDJSON needs.
-	if err := sw.enc.Encode(line); err != nil {
+	if _, err := sw.w.Write(line); err != nil {
 		return err
 	}
 	if sw.flush != nil {
@@ -76,5 +84,3 @@ func (sw *streamWriter) writeLine(ctx context.Context, line StreamLine) error {
 	}
 	return nil
 }
-
-func ptr[T any](v T) *T { return &v }

@@ -19,6 +19,13 @@
 //     trailer a chunked response cannot put in headers. A query that fails
 //     before its first line gets the non-streaming error status instead.
 //
+// Match objects, collected or streamed, are the bulk of a reply and are not
+// encoded through reflection: appendMatch writes each one and the client's
+// parseMatchLine reads a match line back, declining any line of another
+// shape to json.Unmarshal. Their bytes are encoding/json's, byte for byte;
+// FuzzMatchLine and TestMatchBytesMatchEncodingJSON pin both against it.
+// Requests, footers, stats and errors go through encoding/json.
+//
 // Two things are a 400, on both paths: a body that is not one QueryRequest
 // (an unknown field included), and a query the engine or the wire cannot run
 // as written, whose error wraps trass.ErrInvalidQuery.
@@ -28,7 +35,13 @@
 // including CompactDegraded.
 package server
 
-import trass "repro"
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+
+	trass "repro"
+)
 
 // Query kinds: the four query paths trassd serves. The time-window variants
 // are the same kinds with TimeStart/TimeEnd set.
@@ -190,14 +203,185 @@ type StatszResponse struct {
 	Storage trass.StorageStats `json:"storage"`
 }
 
-// matchToWire converts one engine match.
-func matchToWire(m trass.Match, includePoints bool) WireMatch {
-	wm := WireMatch{ID: m.ID, Distance: m.Distance}
-	if includePoints {
-		wm.Points = make([][2]float64, len(m.Points))
+// appendMatch appends m as the JSON object encoding/json writes for its
+// WireMatch: keys id, distance, then points when includePoints is set and m
+// has any. A non-finite number is an error, as it is for encoding/json.
+func appendMatch(b []byte, m trass.Match, includePoints bool) ([]byte, error) {
+	b = append(b, `{"id":`...)
+	b = appendString(b, m.ID)
+	b = append(b, `,"distance":`...)
+	b, err := appendFloat(b, m.Distance)
+	if err != nil {
+		return b, err
+	}
+	if includePoints && len(m.Points) > 0 {
+		b = append(b, `,"points":[`...)
 		for i, p := range m.Points {
-			wm.Points[i] = [2]float64{p.X, p.Y}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '[')
+			if b, err = appendFloat(b, p.X); err != nil {
+				return b, err
+			}
+			b = append(b, ',')
+			if b, err = appendFloat(b, p.Y); err != nil {
+				return b, err
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendString appends s quoted. Printable ASCII other than '"', '\\' and
+// the HTML-escaped '<', '>', '&' is copied; a string with any other byte is
+// left to encoding/json, whose escaping it must match.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
-	return wm
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends f formatted by encoding/json's float64 rule: the
+// shortest decimal that round-trips, in exponent form below 1e-6 or from
+// 1e21 up, with a two-digit negative exponent cut to one.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// parseMatchLine reads a stream line of exactly the shape appendMatch
+// writes, {"match":{...}} with no whitespace, keys in appendMatch's order and
+// an id without escapes, into what json.Unmarshal would decode from it. Any
+// other line returns false and is left to json.Unmarshal. Points are read
+// into *scratch and then copied out, so the returned match owns its points.
+func parseMatchLine(line []byte, scratch *[][2]float64) (WireMatch, bool) {
+	var m WireMatch
+	p := wireParser{b: line}
+	if !p.lit(`{"match":{"id":"`) {
+		return m, false
+	}
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] != '"' {
+		if c := p.b[p.i]; c < 0x20 || c >= 0x80 || c == '\\' {
+			return m, false
+		}
+		p.i++
+	}
+	end := p.i
+	if !p.lit(`","distance":`) {
+		return m, false
+	}
+	var ok bool
+	if m.Distance, ok = p.number(); !ok {
+		return m, false
+	}
+	if p.lit(`,"points":[`) {
+		pts := (*scratch)[:0]
+		for {
+			var pt [2]float64
+			if !p.lit("[") {
+				return m, false
+			}
+			if pt[0], ok = p.number(); !ok || !p.lit(",") {
+				return m, false
+			}
+			if pt[1], ok = p.number(); !ok || !p.lit("]") {
+				return m, false
+			}
+			pts = append(pts, pt)
+			if !p.lit(",") {
+				break
+			}
+		}
+		*scratch = pts
+		if !p.lit("]") {
+			return m, false
+		}
+		m.Points = append([][2]float64(nil), pts...)
+	}
+	if !p.lit("}}") || p.i != len(p.b) {
+		return m, false
+	}
+	m.ID = string(line[start:end])
+	return m, true
+}
+
+// wireParser is parseMatchLine's cursor over one line.
+type wireParser struct {
+	b []byte
+	i int
+}
+
+// lit consumes s if the line continues with it.
+func (p *wireParser) lit(s string) bool {
+	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// number consumes one number in JSON's grammar and parses it as
+// json.Unmarshal does into a float64; a number out of float64's range fails.
+func (p *wireParser) number() (float64, bool) {
+	b, i := p.b, p.i
+	digits := func() bool {
+		j := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		return i > j
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case !digits():
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if !digits() {
+			return 0, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[p.i:i]), 64)
+	if err != nil {
+		return 0, false
+	}
+	p.i = i
+	return f, true
 }

@@ -150,7 +150,8 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # A streamed reply's NDJSON lines are written by the search's sink,
         # which runs on the refine pool's workers, not on the handler's
         # goroutine: the pool's mutex and Search's join are what keep the
-        # response writer and the line count race-free.
+        # response writer, the line count and the per-request line buffer
+        # every worker appends its match into race-free.
         go test -race -count=1 -run 'Wire|Stream|Drain' ./internal/server
 
         step "stream pipeline (race)"
