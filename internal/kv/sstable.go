@@ -260,8 +260,9 @@ func openSSTable(fsys vfs.FS, path string, seq uint64, stats *Stats, cache *bloc
 	bloomOff := int64(binary.LittleEndian.Uint64(footer[16:24]))
 	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:32]))
 	count := int64(binary.LittleEndian.Uint64(footer[32:40]))
+	// Compared by subtraction: offset+length can wrap past the int64 range.
 	if indexOff < 0 || indexLen < 0 || bloomOff < 0 || bloomLen < 0 ||
-		indexOff+indexLen > size || bloomOff+bloomLen > size {
+		indexOff > size || indexLen > size-indexOff || bloomOff > size || bloomLen > size-bloomOff {
 		_ = f.Close()
 		return nil, fmt.Errorf("kv: sstable %s has corrupt footer", path)
 	}
@@ -290,6 +291,11 @@ func openSSTable(fsys vfs.FS, path string, seq uint64, stats *Stats, cache *bloc
 			}
 			idxBuf = idxBuf[sz:]
 			vals[i] = v
+		}
+		// A block lies inside the file: diskBlock allocates its length.
+		if vals[0] > uint64(size) || vals[1] > uint64(size)-vals[0] {
+			_ = f.Close()
+			return nil, fmt.Errorf("kv: sstable %s has corrupt index", path)
 		}
 		index = append(index, indexEntry{
 			firstKey: key,

@@ -80,8 +80,8 @@ func boundShapes() []*traj.Trajectory {
 	)
 }
 
-// localBound over the stored bytes is a lower bound on the exact distance, and
-// deciding with it is deciding with the lemmas one by one over the decoded
+// localBound over the stored bytes is a lower bound on the exact distance, its
+// coupling bound an upper bound, and deciding with it is deciding with the lemmas one by one over the decoded
 // record: for every pair of shapes, every measure, and thresholds below, at
 // and above the bound. Passing at lb and failing one ulp below it pins lb to
 // the reference's largest term bit for bit.
@@ -109,18 +109,18 @@ func TestLocalBoundIsLowerBoundAndMatchesFilter(t *testing.T) {
 		for qi, qg := range geoms {
 			for ti, rec := range recs {
 				name := fmt.Sprintf("%v %s vs %s", measure, shapes[qi].ID, shapes[ti].ID)
-				lb, ok := localBound(qg, measure, views[ti], scratch, math.Inf(1))
+				lb, ub, ok := localBound(qg, measure, views[ti], scratch, math.Inf(1), true)
 				if !ok {
 					t.Fatalf("%s: abandoned at cutoff +Inf", name)
 				}
-				if d := exact(qg.points, rec.Points); lb > d {
-					t.Fatalf("%s: bound %v exceeds the exact distance %v", name, lb, d)
+				if d := exact(qg.points, rec.Points); lb > d || ub < d {
+					t.Fatalf("%s: bounds [%v, %v] miss the exact distance %v", name, lb, ub, d)
 				}
 				for _, eps := range []float64{0, lb / 2, math.Nextafter(lb, 0), lb, math.Nextafter(lb, 1), 2*lb + 1e-9, math.Inf(1)} {
 					if eps < 0 {
 						continue // Nextafter(0, 0) side of a zero bound
 					}
-					got, ok := localBound(qg, measure, views[ti], scratch, eps)
+					got, _, ok := localBound(qg, measure, views[ti], scratch, eps, false)
 					if want := refLocalFilter(qg, measure, rec, eps); ok != want || ok != (lb <= eps) {
 						t.Fatalf("%s eps=%v: localBound ok=%v, the lemmas one by one say %v, lb=%v", name, eps, ok, want, lb)
 					}
@@ -139,7 +139,7 @@ func TestLocalBoundIsLowerBoundAndMatchesFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := localBound(geoms[0], dist.Frechet, empty, scratch, math.Inf(1)); ok {
+	if _, _, ok := localBound(geoms[0], dist.Frechet, empty, scratch, math.Inf(1), true); ok {
 		t.Fatal("an empty record passed the filter")
 	}
 }

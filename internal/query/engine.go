@@ -73,13 +73,13 @@ type Stats struct {
 	// DecodeTime and KernelTime split RefineCPUTime: the summed worker time
 	// decoding the rows the workers reached — the one decode a row ever gets —
 	// and inside the distance kernel. What is left is a best-first search's
-	// bounding and ordering of a drain's shipped rows from their bytes.
+	// bounding of its shipped rows from their bytes.
 	DecodeTime time.Duration
 	KernelTime time.Duration
 	// SeedTime is the wall-clock of a top-k search's seeding phase — the
-	// scans and refinement of the query's own element and the ancestors it
-	// had to climb to hold k results — which ScanTime and RefineTime also
-	// count.
+	// scans of the query's own element and the ancestors it had to climb
+	// until k rows had shipped, and the bounding of those rows; no kernel
+	// runs in it — which ScanTime and RefineTime also count.
 	SeedTime time.Duration
 	// RefineWorkers is the largest worker-pool size the query's refinement
 	// used (1 = sequential; batches smaller than the pool clamp it).
@@ -95,14 +95,14 @@ type Stats struct {
 	BytesShipped int64
 	RPCs         int64
 	Retries      int64 // always zero: a failed region call is not retried; kept for the benchmark
-	Refined      int   // distance-kernel calls (best-first: rows ordered out by their lower bound are not counted)
+	Refined      int   // distance-kernel calls (best-first: shipped rows whose lower bound never came within the kth distance are not counted)
 	Results      int
 
 	// Streaming-pipeline observability.
 	StreamBatches int64 // scan batches delivered into the candidate queue
 	// StreamPeakDepth is the peak number of candidates resident between scan
-	// and merge: bounded by the pipeline depth for threshold and range, the
-	// largest frontier drain's shipped rows for top-k and nearest.
+	// and merge: bounded by the pipeline depth for threshold and range; for
+	// top-k and nearest, the most shipped rows held unrefined at once.
 	StreamPeakDepth int
 	// StreamStallTime is how long the scan spent blocked on the candidate
 	// queue — backpressure from refinement into the region scans.

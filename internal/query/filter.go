@@ -32,10 +32,16 @@ type rowFilter func(v traj.RecordView, s *filterScratch) bool
 // localBound evaluates Lemmas 12-14 for a stored row against the query as
 // one number: the smallest eps at which every check passes, which therefore
 // lower-bounds f(Q,T). The pushed-down filter keeps a row iff that number is
-// at most its threshold; a best-first search also orders a drain's rows by it.
-// The evaluation abandons as soon as the running maximum exceeds cutoff and
-// reports ok = false — the row provably cannot be within cutoff, and lb is
-// then only the partial maximum that proved it. cutoff = +Inf never abandons.
+// at most its threshold; a best-first search also refines its held rows in
+// order of it. The evaluation abandons as soon as the running maximum exceeds
+// cutoff and reports ok = false — the row provably cannot be within cutoff,
+// and lb is then only the partial maximum that proved it. cutoff = +Inf never
+// abandons.
+//
+// With upper set, the walk that reads the row's last and representative
+// points also couples them with the query (traj.RecordView.Walk), and
+// ub is that coupling's cost, an upper bound on f(Q,T); otherwise, and
+// whenever the walk is not reached, ub is +Inf.
 //
 // The checks read the stored bytes cheapest first: the first point (two
 // varints), then the feature boxes — the points section is skipped by its
@@ -43,68 +49,73 @@ type rowFilter func(v traj.RecordView, s *filterScratch) bool
 // walked, once, for its last and representative points. Bytes that do not
 // parse prove nothing, so the row is kept with bound 0: it ships, is refined
 // first, and the worker's decode reports it.
-func localBound(qg *queryGeom, measure dist.Measure, v traj.RecordView, s *filterScratch, cutoff float64) (lb float64, ok bool) {
+func localBound(qg *queryGeom, measure dist.Measure, v traj.RecordView, s *filterScratch, cutoff float64, upper bool) (lb, ub float64, ok bool) {
+	ub = math.Inf(1)
 	if v.Len() == 0 {
-		return math.Inf(1), false
+		return math.Inf(1), ub, false
 	}
 	qpts := qg.points
 	endpoints := dist.SupportsEndpointLemma(measure)
 	first, err := v.First()
 	if err != nil {
-		return 0, true
+		return 0, ub, true
 	}
 
 	// Lemma 12: endpoints must match within eps (Fréchet and DTW only). The
 	// start points first; the end points wait for the walk.
 	if endpoints {
 		if lb = qpts[0].Dist(first); lb > cutoff {
-			return lb, false
+			return lb, ub, false
 		}
 	}
 
 	if s.idx, s.boxes, err = v.Features(s.idx, s.boxes); err != nil {
-		return 0, true
+		return 0, ub, true
 	}
 	// A row has no boxes when it is a single point, and that point then
 	// stands in for them. (Several points and no boxes is not a row this
 	// store writes; nothing bounds it.)
 	if len(s.boxes) == 0 && v.Len() > 1 {
-		return 0, true
+		return 0, ub, true
 	}
 	s.one[0] = first
 
 	// Lemma 13, query side: every representative point of Q must be within
 	// eps of T's feature boxes (which cover all of T).
 	if lb = pointsToBoxes(lb, qg.rep, s.boxes, s.one[:], cutoff); lb > cutoff {
-		return lb, false
+		return lb, ub, false
 	}
 	// Lemma 14, both sides: every feature box's guaranteed point (one per
 	// edge) must reach the other side's boxes within eps.
 	if lb = boxesToBoxes(lb, qg.features.Boxes, s.boxes, s.one[:], cutoff); lb > cutoff {
-		return lb, false
+		return lb, ub, false
 	}
 	if lb = boxesToBoxes(lb, s.boxes, qg.features.Boxes, qpts, cutoff); lb > cutoff {
-		return lb, false
+		return lb, ub, false
 	}
 
 	s.walked = true
+	var coupled []geo.Point
+	if upper {
+		coupled = qpts
+	}
 	var last geo.Point
-	if last, s.rep, err = v.Walk(s.idx, s.rep); err != nil {
-		return 0, true
+	if last, s.rep, ub, err = v.Walk(s.idx, s.rep, coupled, measure == dist.DTW); err != nil {
+		return 0, math.Inf(1), true
 	}
 	if endpoints {
 		if d := qpts[len(qpts)-1].Dist(last); d > lb {
 			if lb = d; lb > cutoff {
-				return lb, false
+				return lb, ub, false
 			}
 		}
 	}
 	// Lemma 13, data side: every representative point of T within eps of
 	// Q's boxes.
 	if lb = pointsToBoxes(lb, s.rep, qg.features.Boxes, qpts, cutoff); lb > cutoff {
-		return lb, false
+		return lb, ub, false
 	}
-	return lb, true
+	return lb, ub, true
 }
 
 // pointsToBoxes raises lb to the largest distance from a point of pts to the
@@ -175,7 +186,7 @@ func distSegToPoints(s geo.Segment, pts []geo.Point) float64 {
 // stored bytes. Rows that fail never leave the region server.
 func serverFilter(qg *queryGeom, measure dist.Measure, eps float64) rowFilter {
 	return func(v traj.RecordView, s *filterScratch) bool {
-		_, ok := localBound(qg, measure, v, s, eps)
+		_, _, ok := localBound(qg, measure, v, s, eps, false)
 		return ok
 	}
 }
@@ -198,7 +209,7 @@ func endpointOnlyFilter(qg *queryGeom, measure dist.Measure, eps float64) rowFil
 			return false
 		}
 		s.walked = true
-		last, _, err := v.Walk(nil, nil)
+		last, _, _, err := v.Walk(nil, nil, nil, false)
 		return err != nil || qg.points[len(qg.points)-1].Dist(last) <= eps
 	}
 }

@@ -36,13 +36,21 @@ func (e *Engine) nearestToPoint(ctx context.Context, snap *store.Snapshot, q Que
 			}
 		},
 		// A point has no element of its own, so nothing seeds the bound.
-		lower: func(v traj.RecordView, s *filterScratch, cutoff float64) (float64, bool) {
+		// The distance to a row's first point bounds its closest approach
+		// from above.
+		bounds: func(v traj.RecordView, s *filterScratch, cutoff float64, upper bool) (float64, float64, bool) {
+			ub := math.Inf(1)
 			var err error
 			if s.idx, s.boxes, err = v.Features(s.idx, s.boxes); err != nil {
-				return 0, true
+				return 0, ub, true
 			}
 			lb := pointBoxBound(p, s.boxes)
-			return lb, lb <= cutoff
+			if upper && lb <= cutoff {
+				if first, err := v.First(); err == nil {
+					ub = p.Dist(first)
+				}
+			}
+			return lb, ub, lb <= cutoff
 		},
 		exact: func(rec *traj.Record, bound float64, row []float64) (float64, bool, []float64) {
 			d := closestApproach(p, rec.Points, rec.Features.Boxes, bound)

@@ -6,8 +6,8 @@ package query
 // Every query kind runs it on one pool (refinePool): workers take rows from a
 // feeder, decode each, run the kind's work function and merge the outcome.
 // Threshold and range feed the pool from the live scan through a bounded
-// queue (refineFromScan, stream.go); a best-first drain feeds it its shipped
-// rows in lower-bound order (refineOrdered, bestfirst.go).
+// queue (refineFromScan, stream.go); a best-first search feeds it the rows it
+// holds in lower-bound order (refine, bestfirst.go).
 //
 // Merges run one at a time, under the pool's mutex, in whatever order the
 // workers finish. Merge callbacks therefore build results that do not depend

@@ -12,8 +12,9 @@ import (
 // from the element the query's own MBR indexes at: elements are ordered by
 // minDistEE, their index spaces by minDistIS after Lemmas 10-11 at the
 // current threshold, the pushed-down local filter follows the kth distance,
-// and each drain's survivors are refined in order of their Lemma 12-14 bound
-// by the measure's bounded kernel.
+// and the shipped rows are refined in order of their Lemma 12-14 bound by the
+// measure's bounded kernel, the kth distance bounded from above by their
+// coupling bounds until k of them are refined.
 func (e *Engine) topK(ctx context.Context, snap *store.Snapshot, q Query, sink func(Result) error) ([]Result, *Stats, error) {
 	qg := e.prepare(q.Traj)
 	ix := e.store.Index()
@@ -38,8 +39,8 @@ func (e *Engine) topK(ctx context.Context, snap *store.Snapshot, q Query, sink f
 		},
 		seed:   see,
 		window: q.Window,
-		lower: func(v traj.RecordView, s *filterScratch, cutoff float64) (float64, bool) {
-			return localBound(qg, e.measure, v, s, cutoff)
+		bounds: func(v traj.RecordView, s *filterScratch, cutoff float64, upper bool) (float64, float64, bool) {
+			return localBound(qg, e.measure, v, s, cutoff, upper)
 		},
 		exact: func(rec *traj.Record, bound float64, row []float64) (float64, bool, []float64) {
 			return e.kernel(qg.points, rec.Points, bound, row)

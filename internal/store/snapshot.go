@@ -30,16 +30,18 @@ type Snapshot struct {
 }
 
 // Snapshot pins the store's current state: one kv snapshot per region and the
-// distinct-value set global pruning consults.
+// distinct-value set global pruning consults, read at one instant under the
+// metadata lock. PutBatch publishes a batch's values before it commits and
+// retires the vacated ones after, both under that lock, so the set covers
+// every row the pinned view holds.
 func (s *Store) Snapshot() (*Snapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	cs, err := s.cluster.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	values := s.sortedValues
-	s.mu.Unlock()
-	return &Snapshot{s: s, snap: cs, values: values}, nil
+	return &Snapshot{s: s, snap: cs, values: s.sortedValues}, nil
 }
 
 // Store returns the parent store (for its immutable index and config).

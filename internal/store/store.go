@@ -73,8 +73,12 @@ type Store struct {
 	ix      *xzstar.Index
 	cluster *cluster.Cluster
 
-	// The table's metadata record. applyRowsLocked is the only code that
-	// writes it.
+	// commitHook, when set, runs after each shard batch of PutBatch commits
+	// and before the metadata records it. Only tests set it.
+	commitHook func()
+
+	// The table's metadata record. PutBatch and recoverMeta write it, the
+	// value set only through applyValuesLocked.
 	mu     sync.Mutex
 	count  int64           // data rows, one per trajectory id
 	values map[int64]int64 // data rows per index value
@@ -201,7 +205,8 @@ func (s *Store) recoverMeta() error {
 		return bad
 	}
 	s.mu.Lock()
-	s.applyRowsLocked(values, nil)
+	s.applyValuesLocked(values, nil)
+	s.count += int64(len(values))
 	s.mu.Unlock()
 	return nil
 }
@@ -210,13 +215,12 @@ func (s *Store) recoverMeta() error {
 // big-endian bytes).
 func keyValue(key []byte) int64 { return int64(binary.BigEndian.Uint64(key[1:9])) }
 
-// applyRowsLocked records data rows appearing under the index values in added
-// and disappearing from under those in removed. Bulk load, re-put and
+// applyValuesLocked records data rows appearing under the index values in
+// added and disappearing from under those in removed. Bulk load, re-put and
 // recovery all end here. When the distinct set changes it is rebuilt into a
 // new slice by one merge, leaving the published one to the snapshots that
 // share it.
-func (s *Store) applyRowsLocked(added, removed []int64) {
-	s.count += int64(len(added) - len(removed))
+func (s *Store) applyValuesLocked(added, removed []int64) {
 	var crossed []int64 // values whose row count reached or left zero
 	for _, v := range removed {
 		if s.values[v]--; s.values[v] == 0 {
@@ -350,8 +354,10 @@ func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 		}
 		// One cluster.Mutate per shard, a single region's batch: each id's
 		// data row and id row, plus the delete of the data row the id owned
-		// under another index value. The metadata records a batch once it has
-		// committed.
+		// under another index value. The value set gains the batch's values
+		// before it commits and loses the ones it vacates after, so it covers
+		// the rows of every state a snapshot can pin (Snapshot reads both at
+		// one instant); the count changes once the batch has committed.
 		for shard, group := range shards {
 			if len(group) == 0 {
 				continue
@@ -385,11 +391,21 @@ func (s *Store) PutBatch(ts []*traj.Trajectory) error {
 					removed = append(removed, was)
 				}
 			}
+			s.mu.Lock()
+			s.applyValuesLocked(added, nil)
+			s.mu.Unlock()
 			if err := s.cluster.Mutate(puts, dels); err != nil {
+				s.mu.Lock()
+				s.applyValuesLocked(nil, added)
+				s.mu.Unlock()
 				return err
 			}
+			if s.commitHook != nil {
+				s.commitHook()
+			}
 			s.mu.Lock()
-			s.applyRowsLocked(added, removed)
+			s.applyValuesLocked(nil, removed)
+			s.count += int64(len(added) - len(removed))
 			s.mu.Unlock()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/geo"
 )
 
@@ -44,7 +45,7 @@ func checkViewAgainstDecode(t *testing.T, data []byte, rec *Record, decErr error
 	}
 	first, firstErr := v.First()
 	idx, boxes, ftErr := v.Features(nil, nil)
-	last, picked, walkErr := v.Walk(idx, nil)
+	last, picked, _, walkErr := v.Walk(idx, nil, nil, false)
 	tmin, tmax, timed, tmErr := v.TimeBounds()
 	_, anyErr := v.AnyPointIn(geo.Rect{Min: geo.Point{X: 2, Y: 2}, Max: geo.Point{X: 3, Y: 3}})
 	if decErr != nil {
@@ -190,6 +191,57 @@ func FuzzPointsRoundTrip(f *testing.F) {
 		for i := range pts {
 			if math.Abs(dec[i].X-pts[i].X) > 0.5/coordScale || math.Abs(dec[i].Y-pts[i].Y) > 0.5/coordScale {
 				t.Fatalf("point %d drifted: %v -> %v", i, pts[i], dec[i])
+			}
+		}
+	})
+}
+
+// fuzzPoints reads two 16-bit fixed-point coordinates per point, spanning
+// [0,1), off data.
+func fuzzPoints(data []byte) []geo.Point {
+	var pts []geo.Point
+	for i := 0; i+4 <= len(data); i += 4 {
+		x := float64(uint16(data[i])|uint16(data[i+1])<<8) / 65536
+		y := float64(uint16(data[i+2])|uint16(data[i+3])<<8) / 65536
+		pts = append(pts, geo.Point{X: x, Y: y})
+	}
+	return pts
+}
+
+// FuzzCouplingBound holds Walk's coupling bound to the measures it
+// bounds: for a query q and a trajectory stored as a record, the maximum over
+// the coupling is at least the discrete Fréchet and Hausdorff distances, and
+// its path-order sum at least the DTW distance, each as dist.For computes it
+// on the decoded points. The first qLen points of the input are q, the rest
+// the stored trajectory.
+func FuzzCouplingBound(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))                                // one point each
+	f.Add([]byte{1, 2, 3, 4, 200, 6, 70, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1)) // one query point, three stored
+	f.Add([]byte{1, 2, 3, 4, 200, 6, 70, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(3)) // three query points, one stored
+	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255, 0, 128, 0, 128, 9, 9, 9, 9, 40, 0, 0, 40, 7, 7, 70, 70, 1, 1}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, qLen uint8) {
+		pts := fuzzPoints(data)
+		n := int(qLen)
+		if n < 1 || n >= len(pts) {
+			return
+		}
+		q, stored := pts[:n], New("t", pts[n:])
+		value := EncodeRecord(&Record{ID: stored.ID, Points: stored.Points, Features: ComputeFeatures(stored, 0.01)})
+		rec, err := DecodeRecord(value)
+		if err != nil {
+			t.Fatalf("decode of a fresh encoding failed: %v", err)
+		}
+		v, err := ViewRecord(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []dist.Measure{dist.Frechet, dist.Hausdorff, dist.DTW} {
+			_, _, bound, err := v.Walk(nil, nil, q, m == dist.DTW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := dist.For(m)(q, rec.Points); bound < d {
+				t.Fatalf("%v: coupling bound %v below the distance %v (%d query points, %d stored)", m, bound, d, len(q), len(rec.Points))
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package traj
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/geo"
 )
@@ -113,25 +114,56 @@ func (v RecordView) Features(idx []int, boxes []geo.Rect) ([]int, []geo.Rect, er
 // representative points, from Features — written over out from its start. An
 // index past the end or out of order picks nothing. A view of no points
 // yields the zero point.
-func (v RecordView) Walk(idx []int, out []geo.Point) (last geo.Point, picked []geo.Point, err error) {
+//
+// In the same pass it couples the row's points with q along the proportional
+// monotone coupling and returns that coupling's cost, an upper bound on the
+// distance between q and the decoded points: the largest coupled distance
+// when sum is false, which bounds the discrete Fréchet and Hausdorff
+// distances, and the coupled distances added in path order when it is true,
+// which bounds DTW. Row point j (of m) is coupled with q[i] (of n) for i from
+// ⌊j·n/m⌋ to max(⌊j·n/m⌋, ⌊(j+1)·n/m⌋−1): a path from (0,0) to (n−1,m−1)
+// through every index of both sides in steps (1,0), (0,1) and (1,1), so it is
+// one of the couplings each measure minimises over. The distances are the
+// kernels' own (geo.Point.Dist on the same dequantized points), and the path
+// order is the order the DTW recurrence adds in, so the bound holds bit for
+// bit, not just up to rounding. An empty side couples nothing — pass a nil q
+// to skip the coupling — and the bound is then +Inf.
+func (v RecordView) Walk(idx []int, out []geo.Point, q []geo.Point, sum bool) (last geo.Point, picked []geo.Point, bound float64, err error) {
 	picked = out[:0]
 	stream := v.pts
+	n, m := len(q), v.n
 	var x, y int64
 	k := 0
-	for i := 0; i < v.n; i++ {
+	for j := 0; j < m; j++ {
 		var dx, dy int64
 		if dx, dy, stream, err = nextPoint(stream); err != nil {
-			return geo.Point{}, picked, err
+			return geo.Point{}, picked, 0, err
 		}
 		x += dx
 		y += dy
-		for ; k < len(idx) && idx[k] <= i; k++ {
-			if idx[k] == i {
+		for ; k < len(idx) && idx[k] <= j; k++ {
+			if idx[k] == j {
 				picked = append(picked, geo.Point{X: dequantize(x), Y: dequantize(y)})
 			}
 		}
+		if n == 0 {
+			continue
+		}
+		p := geo.Point{X: dequantize(x), Y: dequantize(y)}
+		lo := j * n / m
+		for i := lo; i <= max(lo, (j+1)*n/m-1); i++ {
+			d := q[i].Dist(p)
+			if sum {
+				bound += d
+			} else if d > bound {
+				bound = d
+			}
+		}
 	}
-	return geo.Point{X: dequantize(x), Y: dequantize(y)}, picked, nil
+	if n == 0 || m == 0 {
+		bound = math.Inf(1)
+	}
+	return geo.Point{X: dequantize(x), Y: dequantize(y)}, picked, bound, nil
 }
 
 // AnyPointIn reports whether some point lies in the closed rectangle r,

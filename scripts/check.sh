@@ -20,7 +20,11 @@
 #              store's put/re-put suite TestStorePutTorture, and the
 #              vfs.WriteFileAtomic commit helper both manifests go through),
 #              plus the WAL truncated at every byte offset; SHORT=1 runs the
-#              strided subset, otherwise every fault point
+#              strided subset, otherwise every fault point. Then, under -race,
+#              writers re-put ids across index values and shards beside
+#              nearest and top-k searches with k above the store's size:
+#              every id must appear exactly once in every answer (the
+#              snapshot's value set must cover its rows)
 #   concurrency  the concurrent-writer torture suites under -race: N writer
 #              goroutines race group commits and background compactions while
 #              faults fire at sampled points — crash, injected errors,
@@ -104,6 +108,14 @@ if [[ "$MODE" == "torture" || "$MODE" == "all" ]]; then
     else
         step "crash torture (every fault point)"
         go test -count=1 -run 'Torture|Torn' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/store ./internal/vfs
+    fi
+    # Best-first searches prune by the snapshot's value set, so a re-put that
+    # moves an id must never leave a snapshot whose set lacks the id's row.
+    step "re-put beside best-first search (race)"
+    if [[ "${SHORT:-0}" == "1" ]]; then
+        go test -race -short -count=1 -run 'TestReputBesideSearch' ./internal/store
+    else
+        go test -race -count=1 -run 'TestReputBesideSearch' ./internal/store
     fi
 fi
 
