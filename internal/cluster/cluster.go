@@ -192,8 +192,9 @@ func (c *Cluster) Delete(key []byte) error {
 }
 
 // Mutate applies puts and deletes — the one write body. Mutations are grouped
-// into one kv batch per region, and a region's batch is one WAL record, so the
-// mutations that land in one region commit or fail together. Nothing is atomic
+// into one kv batch per region, and a region's batch is one WAL record (or,
+// past a memtable, one ingested table; see kv.DB.Apply), so the mutations that
+// land in one region commit or fail together. Nothing is atomic
 // across regions: a failed Mutate may have applied some regions' batches and
 // not others. Regions are applied in key order, so a given Mutate's filesystem
 // operations are the same from run to run.

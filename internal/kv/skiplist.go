@@ -82,8 +82,13 @@ func (s *skiplist) set(k, v []byte, kind byte) {
 		prev[level].next[level] = n
 	}
 	s.length++
-	s.bytes += len(k) + len(v) + 64 // 64 approximates node overhead
+	s.bytes += entryBytes(k, v)
 }
+
+// entryBytes is what one new memtable entry adds to its list's byte count:
+// key, value and an approximate node overhead. The memtable flush threshold
+// and the ingest threshold (DB.Apply) both measure in it.
+func entryBytes(k, v []byte) int { return len(k) + len(v) + 64 }
 
 // get returns the node for k, or nil.
 func (s *skiplist) get(k []byte) *skipNode {

@@ -26,9 +26,10 @@ type Options struct {
 	// automatic compaction.
 	CompactAt int
 	// SyncWrites fsyncs the WAL before acknowledging a write. Default off:
-	// the evaluation workloads are bulk loads where group durability is what
-	// HBase offers too. Concurrent synced writers share fsyncs: the committer
-	// goroutine syncs once per commit group, not once per write.
+	// group durability is what HBase offers too. Concurrent synced writers
+	// share fsyncs: the committer goroutine syncs once per commit group, not
+	// once per write. An Apply big enough to be ingested writes no WAL
+	// record and is durable when it returns either way.
 	SyncWrites bool
 	// BlockCacheBytes sizes the per-store LRU block cache. Default 8 MiB;
 	// negative disables caching.
@@ -483,17 +484,33 @@ func (db *DB) flush() error {
 		return err
 	}
 
-	// Commit point: the manifest lists the new table BEFORE it enters the
-	// in-memory table set or the frozen stack is dropped. If this fails,
-	// nothing in memory has changed — the memtables and WAL remain the
-	// authoritative copy of these records, so a later WAL heal cannot rotate
-	// away their only committed copy (the table file, unlisted, is deleted at
-	// the next Open). Dropping the stack first would leave empty memtables
-	// behind a failed commit, and the empty-memtable heal above would then
-	// rotate the WAL while the table was not in the manifest.
+	if err := db.installNewest(sr, len(mems)); err != nil {
+		return err
+	}
+	db.stats.Flushes.Add(1)
+
+	// The WAL's contents are durable in the committed SSTable now.
+	return db.rotateWAL()
+}
+
+// installNewest publishes a freshly built table as the store's newest — the
+// last step of both a flush and an ingest, so their crash ordering lives
+// here. The manifest lists sr ahead of the current set BEFORE sr enters the
+// in-memory set; only then are the frozen memtables it supersedes dropped
+// (frozen is how many: the whole stack for a flush, none for an ingest).
+//
+// The manifest is the commit point. If it fails, nothing in memory has
+// changed — for a flush the memtables and WAL remain the authoritative copy
+// of its records, so a later WAL heal cannot rotate away their only committed
+// copy (the table file, unlisted, is deleted at the next Open). Dropping the
+// stack first would leave empty memtables behind a failed commit, and the
+// empty-memtable heal in flush would then rotate the WAL while the table was
+// not in the manifest. Committer goroutine only; schedules a compaction when
+// the table count reaches CompactAt.
+func (db *DB) installNewest(sr *sstReader, frozen int) error {
 	db.mu.Lock()
 	seqs := make([]uint64, 0, len(db.tables)+1)
-	seqs = append(seqs, seq)
+	seqs = append(seqs, sr.seq)
 	for _, t := range db.tables {
 		seqs = append(seqs, t.seq)
 	}
@@ -504,21 +521,48 @@ func (db *DB) flush() error {
 	}
 	db.mu.Lock()
 	db.tables = append([]*sstReader{sr}, db.tables...)
-	db.frozen = nil
-	db.frozenBytes = 0
+	if frozen > 0 {
+		db.frozen = nil
+		db.frozenBytes = 0
+	}
 	nTables := len(db.tables)
 	db.mu.Unlock()
-	db.stats.FrozenMemtables.Add(int64(-len(mems)))
-	db.stats.Flushes.Add(1)
-
-	// The WAL's contents are durable in the committed SSTable now.
-	if err := db.rotateWAL(); err != nil {
-		return err
-	}
-
+	db.stats.FrozenMemtables.Add(int64(-frozen))
 	if db.opts.CompactAt > 0 && nTables >= db.opts.CompactAt {
 		db.compactor.schedule()
 	}
+	return nil
+}
+
+// ingest writes a batch that fills a memtable (see Apply) straight into a
+// new table: no WAL record, no memtable, no later flush. entries are sorted,
+// one per key, tombstones kept. Committer goroutine only, so no record can
+// enter a memtable while it runs.
+//
+// The memtables are flushed first: the batch is newer than every
+// acknowledged write, and a version left in a memtable (or in the WAL, whose
+// replay refills one) would shadow the batch's table. The flush also leaves
+// the WAL empty, so a crash at any later step replays nothing older over the
+// batch. Then the table is built and committed exactly as a flush commits
+// its own (installNewest): a crash before the manifest lists it leaves the
+// batch absent, after it the batch is whole — and durable, with or without
+// SyncWrites, because the table file and the manifest are both synced.
+func (db *DB) ingest(entries []batchEntry) error {
+	if err := db.flush(); err != nil {
+		return fmt.Errorf("kv: flush before ingest: %w", err)
+	}
+	db.mu.Lock()
+	seq := db.nextSeq
+	db.nextSeq++
+	db.mu.Unlock()
+	sr, err := db.buildTable(seq, len(entries), []kvIter{&sliceIter{entries: entries}}, true, nil)
+	if err != nil {
+		return err
+	}
+	if err := db.installNewest(sr, 0); err != nil {
+		return err
+	}
+	db.stats.Puts.Add(int64(len(entries)))
 	return nil
 }
 

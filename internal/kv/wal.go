@@ -141,8 +141,15 @@ func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) error {
 		return fmt.Errorf("kv: open wal for replay: %w", err)
 	}
 	defer f.Close()
+	// left is the bytes not yet read: a length the header claims is checked
+	// against it before anything is allocated, so a corrupt header over a
+	// small file cannot make replay allocate what the file does not hold.
+	left, err := f.Size()
+	if err != nil {
+		return fmt.Errorf("kv: size wal for replay: %w", err)
+	}
 
-	r := bufio.NewReaderSize(f, 64<<10)
+	r := bufio.NewReaderSize(f, int(min(left, 64<<10)))
 	var hdr [8]byte
 	var payload []byte       // grown once, reused across records
 	var entries []batchEntry // likewise
@@ -150,11 +157,13 @@ func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) error {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return nil // clean EOF or torn header: stop
 		}
+		left -= int64(len(hdr))
 		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
 		n := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > 1<<30 {
-			return nil // implausible length: treat as torn tail
+		if int64(n) > left {
+			return nil // longer than the rest of the file: a torn tail
 		}
+		left -= int64(n)
 		if uint32(cap(payload)) < n {
 			payload = make([]byte, n)
 		}

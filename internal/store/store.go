@@ -74,7 +74,8 @@ type Store struct {
 	cluster *cluster.Cluster
 
 	// commitHook, when set, runs after each shard batch of PutBatch commits
-	// and before the metadata records it. Only tests set it.
+	// and before the metadata records it, on that shard's goroutine. Only
+	// tests set it.
 	commitHook func()
 
 	// The table's metadata record. PutBatch and recoverMeta write it, the
@@ -327,88 +328,99 @@ func (s *Store) Put(t *traj.Trajectory) error { return s.PutBatch([]*traj.Trajec
 // Re-putting an id replaces its row, and within a batch the last entry for an
 // id wins. Each trajectory is written all or nothing: its data row, its id row
 // and the delete of the row it replaces share its shard's region and commit as
-// one batch. A failed PutBatch may have applied the trajectories of shards it
-// had already committed. Writers of different ids may run concurrently; the
-// caller must serialise writers of the same id, because the row an id owns is
-// read before the mutation that replaces it.
+// one batch. Shards are written concurrently, one goroutine each, and
+// PutBatch returns once every one has finished: a failed PutBatch may have
+// applied the trajectories of any subset of its shards. The whole batch's
+// encoded rows are held at once, about 0.3× the bytes of its points. Writers
+// of different ids may run concurrently; the caller must serialise writers of
+// the same id, because the row an id owns is read before the mutation that
+// replaces it.
 func (s *Store) PutBatch(ts []*traj.Trajectory) error {
-	// The whole batch is validated before its first chunk is written.
+	// The whole batch is validated before any shard is written.
 	for _, t := range ts {
 		if err := checkTrajectory(t); err != nil {
 			return err
 		}
 	}
-	const chunk = 4096
-	for start := 0; start < len(ts); start += chunk {
-		part := ts[start:min(start+chunk, len(ts))]
-		last := make(map[string]int, len(part))
-		for i, t := range part {
-			last[t.ID] = i
-		}
-		shards := make([][]*traj.Trajectory, s.cfg.Shards)
-		for i, t := range part {
-			if last[t.ID] == i { // a later entry for this id wins
-				shard := s.shardOf(t.ID)
-				shards[shard] = append(shards[shard], t)
-			}
-		}
-		// One cluster.Mutate per shard, a single region's batch: each id's
-		// data row and id row, plus the delete of the data row the id owned
-		// under another index value. The value set gains the batch's values
-		// before it commits and loses the ones it vacates after, so it covers
-		// the rows of every state a snapshot can pin (Snapshot reads both at
-		// one instant); the count changes once the batch has committed.
-		for shard, group := range shards {
-			if len(group) == 0 {
-				continue
-			}
-			puts := make([]cluster.Entry, 0, 2*len(group))
-			var dels [][]byte
-			var added, removed []int64
-			for _, t := range group {
-				entry := s.ix.Assign(t.Points)
-				features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
-				value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
-				ik := idKey(byte(shard), t.ID)
-				puts = append(puts,
-					cluster.Entry{Key: rowKey(byte(shard), entry.Value, t.ID), Value: value},
-					cluster.Entry{Key: ik, Value: binary.BigEndian.AppendUint64(nil, uint64(entry.Value))})
-				old, err := s.cluster.Get(ik)
-				if errors.Is(err, kv.ErrNotFound) {
-					added = append(added, entry.Value)
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				was, err := idValue(t.ID, old)
-				if err != nil {
-					return err
-				}
-				if was != entry.Value { // else overwritten in place: metadata unchanged
-					dels = append(dels, rowKey(byte(shard), was, t.ID))
-					added = append(added, entry.Value)
-					removed = append(removed, was)
-				}
-			}
-			s.mu.Lock()
-			s.applyValuesLocked(added, nil)
-			s.mu.Unlock()
-			if err := s.cluster.Mutate(puts, dels); err != nil {
-				s.mu.Lock()
-				s.applyValuesLocked(nil, added)
-				s.mu.Unlock()
-				return err
-			}
-			if s.commitHook != nil {
-				s.commitHook()
-			}
-			s.mu.Lock()
-			s.applyValuesLocked(nil, removed)
-			s.count += int64(len(added) - len(removed))
-			s.mu.Unlock()
+	last := make(map[string]int, len(ts))
+	for i, t := range ts {
+		last[t.ID] = i
+	}
+	shards := make([][]*traj.Trajectory, s.cfg.Shards)
+	for i, t := range ts {
+		if last[t.ID] == i { // a later entry for this id wins
+			shard := s.shardOf(t.ID)
+			shards[shard] = append(shards[shard], t)
 		}
 	}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for shard, group := range shards {
+		if len(group) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[shard] = s.putShard(byte(shard), group)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// putShard writes one shard's trajectories as one cluster.Mutate, a single
+// region's batch: each id's data row and id row, plus the delete of the data
+// row the id owned under another index value. The value set gains the
+// batch's values before it commits and loses the ones it vacates after, so it
+// covers the rows of every state a snapshot can pin (Snapshot reads both at
+// one instant); the count changes once the batch has committed.
+func (s *Store) putShard(shard byte, group []*traj.Trajectory) error {
+	puts := make([]cluster.Entry, 0, 2*len(group))
+	var dels [][]byte
+	var added, removed []int64
+	for _, t := range group {
+		entry := s.ix.Assign(t.Points)
+		features := traj.ComputeFeatures(t, s.cfg.DPTolerance)
+		value := traj.EncodeRecord(&traj.Record{ID: t.ID, Points: t.Points, Times: t.Times, Features: features})
+		ik := idKey(shard, t.ID)
+		puts = append(puts,
+			cluster.Entry{Key: rowKey(shard, entry.Value, t.ID), Value: value},
+			cluster.Entry{Key: ik, Value: binary.BigEndian.AppendUint64(nil, uint64(entry.Value))})
+		old, err := s.cluster.Get(ik)
+		if errors.Is(err, kv.ErrNotFound) {
+			added = append(added, entry.Value)
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		was, err := idValue(t.ID, old)
+		if err != nil {
+			return err
+		}
+		if was != entry.Value { // else overwritten in place: metadata unchanged
+			dels = append(dels, rowKey(shard, was, t.ID))
+			added = append(added, entry.Value)
+			removed = append(removed, was)
+		}
+	}
+	s.mu.Lock()
+	s.applyValuesLocked(added, nil)
+	s.mu.Unlock()
+	if err := s.cluster.Mutate(puts, dels); err != nil {
+		s.mu.Lock()
+		s.applyValuesLocked(nil, added)
+		s.mu.Unlock()
+		return err
+	}
+	if s.commitHook != nil {
+		s.commitHook()
+	}
+	s.mu.Lock()
+	s.applyValuesLocked(nil, removed)
+	s.count += int64(len(added) - len(removed))
+	s.mu.Unlock()
 	return nil
 }
 

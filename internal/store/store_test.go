@@ -397,8 +397,11 @@ func TestHasValuesIn(t *testing.T) {
 // Put is PutBatch of one: a store loaded by repeated Put and one loaded by
 // PutBatch are the same store — same count, metadata, value set and rows —
 // under first puts and under re-puts that move an id, whether the re-put
-// arrives in a later call or twice inside one batch.
+// arrives in a later call or twice inside one batch, and whether the batch
+// reaches its regions through the WAL or, past a memtable, as a table.
 func TestPutBatchEquivalentToPut(t *testing.T) {
+	single := newTestStore(t, Config{Shards: 4})
+	batched := newTestStore(t, Config{Shards: 4})
 	rng := rand.New(rand.NewSource(8))
 	trajs := make([]*traj.Trajectory, 60)
 	for i := range trajs {
@@ -417,10 +420,25 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 	for i := 1; i < 15; i += 3 {
 		twice = append(twice, walk(rng, trajs[i].ID, 8, 0.01))
 	}
-	calls := [][]*traj.Trajectory{trajs, moved, twice}
+	// A fourth call fills shard 0's region past a memtable (4 MiB, kv's
+	// default), so that region takes it as a table: it moves the shard's old
+	// ids, carries one of them twice, and adds long new ones.
+	var big []*traj.Trajectory
+	for _, tr := range trajs {
+		if single.shardOf(tr.ID) == 0 {
+			big = append(big, walk(rng, tr.ID, 5+rng.Intn(20), 0.01))
+		}
+	}
+	big = append(big, walk(rng, big[0].ID, 12, 0.01))
+	bigIDs := map[string]bool{}
+	for i := 0; len(bigIDs) < 300; i++ {
+		if id := fmt.Sprintf("b%04d", i); single.shardOf(id) == 0 {
+			big = append(big, walk(rng, id, 2000, 0.01))
+			bigIDs[id] = true
+		}
+	}
+	calls := [][]*traj.Trajectory{trajs, moved, twice, big}
 
-	single := newTestStore(t, Config{Shards: 4})
-	batched := newTestStore(t, Config{Shards: 4})
 	for _, call := range calls {
 		for _, tr := range call {
 			if err := single.Put(tr); err != nil {
@@ -432,8 +450,8 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 		}
 	}
 
-	if single.Count() != int64(len(trajs)) || batched.Count() != int64(len(trajs)) {
-		t.Fatalf("count %d (Put) / %d (PutBatch), want %d: one row per id", single.Count(), batched.Count(), len(trajs))
+	if want := int64(len(trajs) + len(bigIDs)); single.Count() != want || batched.Count() != want {
+		t.Fatalf("count %d (Put) / %d (PutBatch), want %d: one row per id", single.Count(), batched.Count(), want)
 	}
 	if a, b := single.Selectivity(), batched.Selectivity(); a != b {
 		t.Fatalf("selectivity %v vs %v", a, b)
@@ -476,6 +494,17 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows[0], rows[1]) {
 		t.Fatalf("whole-plane scans differ: %d rows vs %d", len(rows[0]), len(rows[1]))
+	}
+	// The fourth call's data rows alone pass the memtable threshold, counted
+	// as the memtable counts them, so shard 0's batch was ingested.
+	bigBytes := 0
+	for _, e := range rows[1] {
+		if rec, _ := DecodeRow(e.Value); bigIDs[rec.ID] {
+			bigBytes += len(e.Key) + len(e.Value) + 64
+		}
+	}
+	if bigBytes < 4<<20 {
+		t.Fatalf("the big call's rows take %d bytes, under a memtable; test is vacuous", bigBytes)
 	}
 	if !reflect.DeepEqual(sets[0], sets[1]) {
 		t.Fatalf("snapshot value sets differ: %d values vs %d", len(sets[0]), len(sets[1]))

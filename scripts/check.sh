@@ -19,9 +19,11 @@
 #   torture    deterministic crash/error-injection suites (kv + cluster, the
 #              store's put/re-put suite TestStorePutTorture, and the
 #              vfs.WriteFileAtomic commit helper both manifests go through),
-#              plus the WAL truncated at every byte offset; SHORT=1 runs the
+#              plus the WAL truncated at every byte offset and a kv ingest
+#              failed or crashed at each of its operations; SHORT=1 runs the
 #              strided subset, otherwise every fault point. Then, under -race,
-#              writers re-put ids across index values and shards beside
+#              writers re-put ids across index values and shards, and one
+#              bulk PutBatch ingests a region's share as a table, beside
 #              nearest and top-k searches with k above the store's size:
 #              every id must appear exactly once in every answer (the
 #              snapshot's value set must cover its rows)
@@ -110,12 +112,14 @@ if [[ "$MODE" == "torture" || "$MODE" == "all" ]]; then
         go test -count=1 -run 'Torture|Torn' -skip 'Concurrent' ./internal/kv ./internal/cluster ./internal/store ./internal/vfs
     fi
     # Best-first searches prune by the snapshot's value set, so a re-put that
-    # moves an id must never leave a snapshot whose set lacks the id's row.
-    step "re-put beside best-first search (race)"
+    # moves an id must never leave a snapshot whose set lacks the id's row —
+    # nor may a bulk PutBatch whose shards commit concurrently, one of them
+    # ingested as a table.
+    step "re-put and bulk put beside best-first search (race)"
     if [[ "${SHORT:-0}" == "1" ]]; then
-        go test -race -short -count=1 -run 'TestReputBesideSearch' ./internal/store
+        go test -race -short -count=1 -run 'TestReputBesideSearch|TestBulkPutBesideSearch' ./internal/store
     else
-        go test -race -count=1 -run 'TestReputBesideSearch' ./internal/store
+        go test -race -count=1 -run 'TestReputBesideSearch|TestBulkPutBesideSearch' ./internal/store
     fi
 fi
 
