@@ -9,9 +9,8 @@ import (
 )
 
 // KeyRange is a half-open row-key range [Start, End); nil bounds are open.
-type KeyRange struct {
-	Start, End []byte
-}
+// It is kv's range, so a region call hands its ranges to kv as they are.
+type KeyRange = kv.Range
 
 // Filter is a server-side row predicate, the coprocessor push-down hook.
 // It runs inside the region scan; rejected rows never leave the region.

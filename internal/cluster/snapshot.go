@@ -3,7 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -111,34 +111,42 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 	return s.c.scanRegions(ctx, req.Filter, tasks, start, emit)
 }
 
-// scanTasks groups the request's clipped ranges per region, in region (= key)
-// order, with each region's ranges sorted by start key.
+// scanTasks assigns the request's ranges to the regions they overlap, in
+// region (= key) order, each region's ranges clipped to its bounds and sorted
+// by start key. Ranges and regions are both walked in key order, once; all
+// clipped ranges share one backing array.
 func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 	regions, err := s.pinned()
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]regionTask, 0, len(regions))
-	byRegion := make(map[*Region]int, len(regions))
-	for _, sr := range regions { // region order = key order
-		r := sr.region
-		for _, rng := range req.Ranges {
-			if !rangesOverlap(rng.Start, rng.End, r.start, r.end) {
-				continue
-			}
-			idx, ok := byRegion[r]
-			if !ok {
-				idx = len(tasks)
-				byRegion[r] = idx
-				tasks = append(tasks, regionTask{region: r, snap: sr.snap})
-			}
-			tasks[idx].ranges = append(tasks[idx].ranges, clipRange(rng, r))
-		}
+	byStart := func(a, b KeyRange) int { return bytes.Compare(a.Start, b.Start) }
+	ranges := req.Ranges
+	if !slices.IsSortedFunc(ranges, byStart) {
+		ranges = slices.Clone(ranges)
+		slices.SortStableFunc(ranges, byStart)
 	}
-	for i := range tasks {
-		sort.Slice(tasks[i].ranges, func(a, b int) bool {
-			return bytes.Compare(tasks[i].ranges[a].Start, tasks[i].ranges[b].Start) < 0
-		})
+	// Disjoint ranges cross each region boundary at most once between them.
+	clipped := make([]KeyRange, 0, len(ranges)+len(regions))
+	var tasks []regionTask
+	lo := 0 // ranges before lo end at or before the current region
+	for _, sr := range regions {
+		r := sr.region
+		for lo < len(ranges) && ranges[lo].End != nil && r.start != nil && bytes.Compare(ranges[lo].End, r.start) <= 0 {
+			lo++
+		}
+		first := len(clipped)
+		for _, rng := range ranges[lo:] {
+			if r.end != nil && rng.Start != nil && bytes.Compare(rng.Start, r.end) >= 0 {
+				break // this and every later range starts past the region
+			}
+			if rangesOverlap(rng.Start, rng.End, r.start, r.end) {
+				clipped = append(clipped, clipRange(rng, r))
+			}
+		}
+		if n := len(clipped); n > first {
+			tasks = append(tasks, regionTask{region: r, snap: sr.snap, ranges: clipped[first:n:n]})
+		}
 	}
 	return tasks, nil
 }

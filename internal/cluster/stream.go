@@ -132,10 +132,11 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 	return acct.result(time.Since(start)), nil
 }
 
-// scanRegion is one region "RPC": scan every clipped range, apply the
-// server-side filter, and deliver accepted rows in batches. ctx is observed
-// between rows (amortized every 256). A consumer-side failure comes back as
-// an *emitError; anything else is the region's own failure.
+// scanRegion is one region "RPC": one iterator over every clipped range,
+// the server-side filter applied to each row, accepted rows delivered in
+// batches. ctx is observed between rows (amortized every 256). A
+// consumer-side failure comes back as an *emitError; anything else is the
+// region's own failure.
 func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -180,41 +181,38 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, a
 		return nil
 	}
 
-	scanned := 0
-	for _, rng := range t.ranges {
-		it := t.snap.Scan(rng.Start, rng.End)
-		for it.Next() {
-			scanned++
-			if scanned%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					_ = it.Close()
-					return err
-				}
-			}
-			acct.rowsScanned.Add(1)
-			if filter != nil && !filter(it.Key(), it.Value()) {
-				continue
-			}
-			e := kv.Entry{
-				Key:   append([]byte(nil), it.Key()...),
-				Value: append([]byte(nil), it.Value()...),
-			}
-			if batch == nil {
-				batch = make([]kv.Entry, 0, batchRows)
-			}
-			batch = append(batch, e)
-			if len(batch) >= batchRows {
-				if err := flush(); err != nil {
-					_ = it.Close()
-					return err
-				}
+	// One iterator walks every range, as one HBase scanner serves a region's
+	// multi-range scan; rows scanned are counted here and added once.
+	it := t.snap.ScanRanges(t.ranges)
+	var scanned int64
+	var err error
+	for err == nil && it.Next() {
+		if scanned++; scanned%256 == 0 {
+			if err = ctx.Err(); err != nil {
+				break
 			}
 		}
-		if err := it.Err(); err != nil {
-			_ = it.Close()
-			return err
+		if filter != nil && !filter(it.Key(), it.Value()) {
+			continue
 		}
-		_ = it.Close()
+		e := kv.Entry{
+			Key:   append([]byte(nil), it.Key()...),
+			Value: append([]byte(nil), it.Value()...),
+		}
+		if batch == nil {
+			batch = make([]kv.Entry, 0, batchRows)
+		}
+		if batch = append(batch, e); len(batch) >= batchRows {
+			err = flush()
+		}
+	}
+	if err == nil {
+		err = it.Err()
+	}
+	_ = it.Close()
+	acct.rowsScanned.Add(scanned)
+	if err != nil {
+		return err
 	}
 	return flush()
 }

@@ -282,3 +282,113 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestScanRegionAllocsFlatInRanges pins that a region call opens one
+// iterator for all its ranges: 64 ranges allocate within a small constant of
+// what one range does. Every row is rejected by the filter, so nothing is
+// copied out or shipped.
+func TestScanRegionAllocsFlatInRanges(t *testing.T) {
+	c := newTestCluster(t, Config{}) // one region
+	loadRows(t, c, 4000)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i += 7 { // overwrites in a memtable the snapshot freezes
+		if err := c.Put([]byte(fmt.Sprintf("row%05d", i)), []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	task := func(n int) regionTask {
+		ranges := make([]KeyRange, n)
+		for i := range ranges {
+			lo := 10 + 60*i
+			ranges[i] = KeyRange{Start: []byte(fmt.Sprintf("row%05d", lo)), End: []byte(fmt.Sprintf("row%05d", lo+3))}
+		}
+		return regionTask{region: snap.regions[0].region, snap: snap.regions[0].snap, ranges: ranges}
+	}
+	acct := &scanAccount{}
+	reject := func(_, _ []byte) bool { return false }
+	send := func(ScanBatch) error { return nil }
+	allocs := func(task regionTask) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := c.scanRegion(context.Background(), task, reject, acct, send); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(task(1)), allocs(task(64))
+	t.Logf("allocations per region call: %.0f with 1 range, %.0f with 64", one, many)
+	if many > one+2 {
+		t.Fatalf("64 ranges allocate %.0f per region call, 1 range %.0f: want within 2", many, one)
+	}
+	if rows := acct.rowsScanned.Load(); rows != 21*(3+64*3) {
+		t.Fatalf("rows scanned = %d, want %d", rows, 21*(3+64*3))
+	}
+}
+
+// TestScanTasksMatchPerRegionPlan checks the one-pass planner against the
+// plan it replaces: sort the ranges by start, then give each region every
+// range overlapping it, clipped to its bounds. Ranges come sorted or not,
+// overlapping, empty or open-ended; the request's slice is left as it was.
+func TestScanTasksMatchPerRegionPlan(t *testing.T) {
+	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("b"), []byte("d"), []byte("f")}})
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	rng := rand.New(rand.NewSource(38))
+	key := func() []byte {
+		if rng.Intn(6) == 0 {
+			return nil
+		}
+		return []byte{byte('a' + rng.Intn(8)), byte('a' + rng.Intn(3))}
+	}
+	byStart := func(rs []KeyRange) {
+		sort.SliceStable(rs, func(i, j int) bool { return bytes.Compare(rs[i].Start, rs[j].Start) < 0 })
+	}
+	for iter := 0; iter < 2000; iter++ {
+		ranges := make([]KeyRange, rng.Intn(10))
+		for i := range ranges {
+			ranges[i] = KeyRange{Start: key(), End: key()}
+		}
+		if rng.Intn(2) == 0 {
+			byStart(ranges)
+		}
+		before := fmt.Sprintf("%q", ranges)
+
+		sorted := append([]KeyRange(nil), ranges...)
+		byStart(sorted)
+		var want []string
+		for _, sr := range snap.regions {
+			var rs []KeyRange
+			for _, rg := range sorted {
+				if rangesOverlap(rg.Start, rg.End, sr.region.start, sr.region.end) {
+					rs = append(rs, clipRange(rg, sr.region))
+				}
+			}
+			if len(rs) > 0 {
+				want = append(want, fmt.Sprintf("%d %q", sr.region.id, rs))
+			}
+		}
+		tasks, err := snap.scanTasks(ScanRequest{Ranges: ranges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, task := range tasks {
+			got = append(got, fmt.Sprintf("%d %q", task.region.id, task.ranges))
+		}
+		if !equalStrings(got, want) {
+			t.Fatalf("ranges %s: planned %v, want %v", before, got, want)
+		}
+		if after := fmt.Sprintf("%q", ranges); after != before {
+			t.Fatalf("planning reordered the request's ranges: %s, was %s", after, before)
+		}
+	}
+}

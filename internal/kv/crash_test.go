@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -312,7 +313,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 		for want < n && boundaries[want] <= int64(off) {
 			want++
 		}
-		db2 := openTruncatedWAL(t, walBytes, off)
+		db2, _ := openTruncatedWAL(t, walBytes, off)
 		for i := 0; i < n; i++ {
 			got, err := db2.Get([]byte(fmt.Sprintf("k%02d", i)))
 			if i < want {
@@ -356,7 +357,7 @@ func TestWALTornBatchEveryOffset(t *testing.T) {
 	walBytes := closedWAL(t, fsys, db, walSize(t, db))
 
 	for _, off := range truncations(len(walBytes)) {
-		db2 := openTruncatedWAL(t, walBytes, off)
+		db2, _ := openTruncatedWAL(t, walBytes, off)
 		present := 0
 		for _, k := range batchKeys {
 			got, err := db2.Get([]byte(k))
@@ -379,6 +380,53 @@ func TestWALTornBatchEveryOffset(t *testing.T) {
 		}
 		if err := db2.Close(); err != nil {
 			t.Fatalf("offset %d: close: %v", off, err)
+		}
+	}
+}
+
+// TestWALTornTailThenAckedWrite tears a synced WAL 3 bytes into its last
+// record. Reopening must not change the file, and must not append after the
+// tear either: a record acknowledged after that reopen survives a power loss
+// and the next replay, instead of sitting behind the tear where replay stops.
+func TestWALTornTailThenAckedWrite(t *testing.T) {
+	fsys := vfs.NewFault()
+	db, err := Open(Options{Dir: tortureDir, FS: fsys, SyncWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	intact := walSize(t, db)
+	if err := db.Put([]byte("b"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	walBytes := closedWAL(t, fsys, db, walSize(t, db))
+
+	torn := walBytes[:intact+3]
+	db2, tfs := openTruncatedWAL(t, walBytes, len(torn))
+	if got, err := vfs.ReadFile(tfs, filepath.Join(tortureDir, walName)); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("Open changed the torn WAL: %q, %v; want %q", got, err, torn)
+	}
+	if err := db2.Put([]byte("c"), []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	tfs.Crash()
+	_ = db2.Close() // its handles died with the power loss
+
+	db3, err := Open(Options{Dir: tortureDir, FS: tfs, SyncWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	for _, kv := range []struct{ key, want string }{{"a", "1"}, {"b", ""}, {"c", "3"}} {
+		got, err := db3.Get([]byte(kv.key))
+		if kv.want == "" {
+			if err != ErrNotFound {
+				t.Fatalf("torn record %s resurfaced: %q, %v", kv.key, got, err)
+			}
+		} else if err != nil || string(got) != kv.want {
+			t.Fatalf("acknowledged record %s after the crash: %q, %v; want %q", kv.key, got, err, kv.want)
 		}
 	}
 }
@@ -429,8 +477,9 @@ func truncations(n int) []int {
 	return offsets
 }
 
-// openTruncatedWAL opens a fresh store whose WAL is walBytes cut at off.
-func openTruncatedWAL(t *testing.T, walBytes []byte, off int) *DB {
+// openTruncatedWAL opens a fresh store whose WAL is walBytes cut at off, on a
+// filesystem of its own.
+func openTruncatedWAL(t *testing.T, walBytes []byte, off int) (*DB, *vfs.FaultFS) {
 	t.Helper()
 	tfs := vfs.NewFault()
 	if err := tfs.MkdirAll(tortureDir); err != nil {
@@ -456,7 +505,7 @@ func openTruncatedWAL(t *testing.T, walBytes []byte, off int) *DB {
 	if err != nil {
 		t.Fatalf("offset %d: reopen: %v", off, err)
 	}
-	return db
+	return db, tfs
 }
 
 // The TABLES encoding, pinned byte for byte: a header line, then one live

@@ -392,7 +392,7 @@ func TestWALReplayBoundsRecordLength(t *testing.T) {
 	walBytes = append(walBytes, hdr[:]...)
 	walBytes = append(walBytes, "tail"...)
 
-	db2 := openTruncatedWAL(t, walBytes, len(walBytes))
+	db2, _ := openTruncatedWAL(t, walBytes, len(walBytes))
 	for i := 0; i < n; i++ {
 		mustGet(t, db2.Get, fmt.Sprintf("k%03d", i), strings.Repeat("v", 1024))
 	}
@@ -405,7 +405,7 @@ func TestWALReplayBoundsRecordLength(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	err = replayWAL(db2.opts.FS, path, func([]batchEntry) { records++ })
+	_, _, err = replayWAL(db2.opts.FS, path, func([]batchEntry) { records++ })
 	runtime.ReadMemStats(&after)
 	if err != nil || records != n {
 		t.Fatalf("replay: %d records, %v; want %d", records, err, n)

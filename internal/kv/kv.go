@@ -53,7 +53,7 @@ type Iterator interface {
 type Stats struct {
 	Puts          atomic.Int64 // entries written
 	Gets          atomic.Int64 // point lookups served
-	Scans         atomic.Int64 // range scans started
+	Scans         atomic.Int64 // scan iterators opened (one per ScanRanges, however many ranges)
 	EntriesRead   atomic.Int64 // entries surfaced to callers
 	EntriesWalked atomic.Int64 // entries visited internally (incl. shadowed)
 	BlocksRead    atomic.Int64 // SSTable blocks fetched from disk

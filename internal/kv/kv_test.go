@@ -584,7 +584,7 @@ func TestSkiplistOrdering(t *testing.T) {
 	for _, k := range keys {
 		s.set([]byte(fmt.Sprintf("k%04d", k)), []byte("v"), kindValue)
 	}
-	it := s.iter(nil, nil)
+	it := s.iter()
 	prev := ""
 	n := 0
 	for it.Next() {

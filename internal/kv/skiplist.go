@@ -101,20 +101,27 @@ func (s *skiplist) get(k []byte) *skipNode {
 
 // skipIter iterates the skiplist within [start, end).
 type skipIter struct {
+	list  *skiplist
 	node  *skipNode
 	end   []byte
 	first bool
 }
 
-// iter positions at the first key >= start.
-func (s *skiplist) iter(start, end []byte) *skipIter {
-	var n *skipNode
+// iter returns an iterator over the whole list.
+func (s *skiplist) iter() *skipIter {
+	it := &skipIter{list: s}
+	it.seek(nil, nil)
+	return it
+}
+
+// seek positions at the first key >= start.
+func (it *skipIter) seek(start, end []byte) {
 	if start == nil {
-		n = s.head.next[0]
+		it.node = it.list.head.next[0]
 	} else {
-		n = s.findGreaterOrEqual(start, nil)
+		it.node = it.list.findGreaterOrEqual(start, nil)
 	}
-	return &skipIter{node: n, end: end, first: true}
+	it.end, it.first = end, true
 }
 
 func (it *skipIter) Next() bool {

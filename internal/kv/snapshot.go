@@ -115,38 +115,46 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 }
 
 // Scan returns an iterator over [start, end) as of the snapshot; nil bounds
-// are open. The iterator holds its own table references, so it stays valid
-// even if the snapshot is closed while it is open.
+// are open. It is ScanRanges of one range.
 func (s *Snapshot) Scan(start, end []byte) Iterator {
-	return s.scan(start, end, nil)
+	return s.scanRanges([]Range{{Start: start, End: end}}, nil)
 }
 
-// scan builds the merge iterator; extra (when non-nil) runs at iterator
-// close, after the iterator's own releases — DB.Scan hooks the snapshot's
-// release there so a plain Scan is a self-contained lease.
-func (s *Snapshot) scan(start, end []byte, extra func()) Iterator {
+// ScanRanges returns one iterator over every range in turn, as of the
+// snapshot: what it yields is the concatenation of one Scan per range, in the
+// order given, whether or not the ranges are sorted or overlap. The sources
+// are pinned and merged once for the whole list, and each source seeks from
+// one range to the next. ranges must not change while the iterator is open.
+// The iterator holds its own table references, so it stays valid even if the
+// snapshot is closed while it is open.
+func (s *Snapshot) ScanRanges(ranges []Range) Iterator {
+	return s.scanRanges(ranges, nil)
+}
+
+// scanRanges builds the merge iterator; onClose (when non-nil) runs at
+// iterator close, after the tables are released — DB.Scan hooks the
+// snapshot's release there so a plain Scan is a self-contained lease.
+func (s *Snapshot) scanRanges(ranges []Range, onClose func()) Iterator {
 	mems, tables, err := s.pin()
 	if err != nil {
-		if extra != nil {
-			extra()
+		if onClose != nil {
+			onClose()
 		}
 		return &errIter{err: err}
 	}
 	s.db.stats.Scans.Add(1)
 	sources := make([]kvIter, 0, len(mems)+len(tables))
-	for _, m := range mems {
-		sources = append(sources, m.iter(start, end))
+	skips := make([]skipIter, len(mems))
+	for i, m := range mems {
+		skips[i].list = m
+		sources = append(sources, &skips[i])
 	}
-	releases := make([]func(), 0, len(tables)+1)
-	for _, t := range tables {
-		tt := t
-		releases = append(releases, func() { tt.release() })
-		sources = append(sources, t.iter(start, end))
+	ssts := make([]sstIter, len(tables))
+	for i, t := range tables {
+		ssts[i].sr = t
+		sources = append(sources, &ssts[i])
 	}
-	if extra != nil {
-		releases = append(releases, extra)
-	}
-	return newMergeIter(sources, &s.db.stats, releases)
+	return newMergeIter(sources, ranges, &s.db.stats, tables, onClose)
 }
 
 // Close releases the snapshot's pinned tables. Idempotent; open iterators

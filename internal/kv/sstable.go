@@ -436,62 +436,81 @@ func decodeEntry(block []byte, pos int) (kind byte, key, value []byte, next int,
 	return kind, key, value, pos, nil
 }
 
-// sstIter iterates one SSTable over [start, end).
+// sstIter iterates one SSTable over the range its last seek set. pending
+// marks a current entry Next has not yet yielded: the one seek landed on, or
+// the one that ended a range, which the next range may start at.
 type sstIter struct {
 	sr       *sstReader
 	blockIdx int
 	block    []byte
-	pos      int
-	start    []byte
+	pos      int // offset of the entry after the current one
 	end      []byte
-	kind     byte
-	key      []byte
-	value    []byte
-	err      error
-	started  bool
+	// stop bounds every entry before the current one once a range is walked
+	// out: the larger of the range's start and end; nil when unbounded.
+	stop    []byte
+	kind    byte
+	key     []byte
+	value   []byte
+	err     error
+	pending bool
 }
 
-func (sr *sstReader) iter(start, end []byte) *sstIter {
-	return &sstIter{sr: sr, start: start, end: end}
+func (sr *sstReader) iter() *sstIter { return &sstIter{sr: sr} }
+
+// seek positions the iterator at the first entry >= start, bounded by end.
+// The index names the block start lies in. A start at or past where the last
+// range stopped, in the current block or an earlier one, continues from the
+// current entry; a start in the loaded block otherwise walks it again from its
+// first entry; any other block is read.
+func (it *sstIter) seek(start, end []byte) {
+	forward := it.stop != nil && start != nil && bytes.Compare(start, it.stop) >= 0
+	it.end, it.stop = end, end
+	if end != nil && start != nil && bytes.Compare(start, end) > 0 {
+		it.stop = start
+	}
+	pending := it.pending
+	it.pending = false
+	if it.err != nil {
+		return
+	}
+	bi := 0
+	if start != nil {
+		bi = max(it.sr.blockFor(start), 0)
+	}
+	switch {
+	case forward && bi <= it.blockIdx:
+		if pending && bytes.Compare(it.key, start) >= 0 {
+			it.pending = true
+			return
+		}
+	case bi == it.blockIdx && it.block != nil:
+		it.pos = 0
+	default:
+		if it.blockIdx = bi; !it.loadBlock() {
+			return
+		}
+	}
+	for it.step() {
+		if start == nil || bytes.Compare(it.key, start) >= 0 {
+			it.pending = true
+			return
+		}
+	}
 }
 
 func (it *sstIter) Next() bool {
-	if it.err != nil {
+	if !it.pending && !it.step() {
 		return false
 	}
-	if !it.started {
-		it.started = true
-		bi := 0
-		if it.start != nil {
-			if bi = it.sr.blockFor(it.start); bi < 0 {
-				bi = 0
-			}
-		}
-		it.blockIdx = bi
-		if !it.loadBlock() {
-			return false
-		}
-		// Skip entries before start inside the first block.
-		for {
-			if !it.step() {
-				return false
-			}
-			if it.start == nil || bytes.Compare(it.key, it.start) >= 0 {
-				break
-			}
-		}
-		return it.checkEnd()
-	}
-	if !it.step() {
-		return false
-	}
+	it.pending = false
 	return it.checkEnd()
 }
 
+// checkEnd reports whether the current entry lies below end. An entry at or
+// past it stays pending, with its block loaded, for the next seek.
 func (it *sstIter) checkEnd() bool {
 	if it.end != nil && bytes.Compare(it.key, it.end) >= 0 {
-		it.block = nil
-		it.blockIdx = len(it.sr.index)
+		it.pending = true
 		return false
 	}
 	return true
@@ -514,6 +533,7 @@ func (it *sstIter) loadBlock() bool {
 
 // step advances one entry, crossing block boundaries.
 func (it *sstIter) step() bool {
+	it.pending = false
 	for it.pos >= len(it.block) {
 		it.blockIdx++
 		if !it.loadBlock() {
@@ -533,4 +553,4 @@ func (it *sstIter) Key() []byte   { return it.key }
 func (it *sstIter) Value() []byte { return it.value }
 func (it *sstIter) Kind() byte    { return it.kind }
 func (it *sstIter) Err() error    { return it.err }
-func (it *sstIter) Close() error  { it.block = nil; return nil }
+func (it *sstIter) Close() error  { it.block, it.pending = nil, false; return nil }

@@ -192,18 +192,28 @@ func Open(opts Options) (*DB, error) {
 
 	// Replay the WAL into the memtable.
 	walPath := filepath.Join(opts.Dir, walName)
-	if err := replayWAL(fsys, walPath, func(entries []batchEntry) {
+	valid, size, err := replayWAL(fsys, walPath, func(entries []batchEntry) {
 		for _, e := range entries {
 			db.mem.set(append([]byte(nil), e.key...), append([]byte(nil), e.value...), e.kind)
 		}
-	}); err != nil {
-		db.releaseAll()
-		return nil, err
-	}
-	w, err := openWAL(fsys, walPath)
+	})
 	if err != nil {
 		db.releaseAll()
 		return nil, err
+	}
+	w, err := openWAL(fsys, walPath, nil)
+	if err != nil {
+		db.releaseAll()
+		return nil, err
+	}
+	if valid < size {
+		// Replay stopped at a torn or corrupt tail. A record appended after
+		// it would lie past the point every later replay stops at, lost
+		// though acknowledged, so the log starts out poisoned: the first
+		// write flushes what replay recovered and rotates to a fresh log
+		// (commitGroup), and an Open that writes nothing leaves the file as
+		// it found it.
+		_ = w.poison(fmt.Errorf("kv: %s has a torn tail after byte %d", walPath, valid))
 	}
 	db.wal = w
 	if !haveManifest {
@@ -418,7 +428,7 @@ func (db *DB) Scan(start, end []byte) Iterator {
 	if err != nil {
 		return &errIter{err: err}
 	}
-	return snap.scan(start, end, func() { _ = snap.Close() })
+	return snap.scanRanges([]Range{{Start: start, End: end}}, func() { _ = snap.Close() })
 }
 
 // Flush persists the memtable to a new SSTable and truncates the WAL, then
@@ -477,7 +487,7 @@ func (db *DB) flush() error {
 	sources := make([]kvIter, 0, len(mems))
 	for _, m := range mems {
 		total += m.length
-		sources = append(sources, m.iter(nil, nil))
+		sources = append(sources, m.iter())
 	}
 	sr, err := db.buildTable(seq, total, sources, true, nil)
 	if err != nil {
@@ -577,7 +587,7 @@ func (db *DB) buildTable(seq uint64, expectedKeys int, sources []kvIter, keepTom
 	if err != nil {
 		return nil, err
 	}
-	merged := newMergeIter(sources, nil, nil)
+	merged := newMergeIter(sources, allKeys, nil, nil, nil)
 	merged.keepTombstones = keepTombstones
 	defer merged.Close()
 	rows := 0
@@ -629,7 +639,7 @@ func (db *DB) rotateWAL() error {
 		db.wal = brokenWAL(err)
 		return err
 	}
-	w, err := openWAL(fsys, walPath)
+	w, err := openWAL(fsys, walPath, db.wal.w)
 	if err != nil {
 		db.wal = brokenWAL(err)
 		return err
@@ -735,7 +745,7 @@ func (db *DB) compactTables(n int) error {
 
 	sources := make([]kvIter, 0, n)
 	for _, t := range victims {
-		sources = append(sources, t.iter(nil, nil))
+		sources = append(sources, t.iter())
 	}
 	// The amortized shutdown check means Close never waits out a big merge.
 	sr, err := db.buildTable(seq, int(total), sources, !full, db.bgCtx.Err)

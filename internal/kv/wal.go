@@ -40,7 +40,10 @@ type wal struct {
 	err  error // sticky poison; non-nil after any append/flush/sync failure
 }
 
-func openWAL(fsys vfs.FS, path string) (*wal, error) {
+// openWAL opens the log at path for appending. buf, when non-nil, is a
+// retired wal's writer, reset onto the new file so a rotation reuses its
+// 64 KiB buffer; whatever it still held is discarded.
+func openWAL(fsys vfs.FS, path string, buf *bufio.Writer) (*wal, error) {
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("kv: open wal: %w", err)
@@ -50,7 +53,12 @@ func openWAL(fsys vfs.FS, path string) (*wal, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("kv: size wal: %w", err)
 	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), size: size}, nil
+	if buf == nil {
+		buf = bufio.NewWriterSize(f, 64<<10)
+	} else {
+		buf.Reset(f)
+	}
+	return &wal{f: f, w: buf, size: size}, nil
 }
 
 // brokenWAL stands in for a WAL that could not be rotated: permanently
@@ -132,22 +140,24 @@ func (w *wal) close() error {
 // truncated record, or one that does not decode to exactly its count of
 // entries, ends replay without error: fn never sees part of a record. The
 // entries alias a buffer the next record overwrites; fn copies what it keeps.
-func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) error {
+// It returns the length of the intact prefix and of the file (0 and 0 when
+// there is none); Open never appends after a longer file's prefix.
+func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) (valid, size int64, err error) {
 	f, err := fsys.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("kv: open wal for replay: %w", err)
+		return 0, 0, fmt.Errorf("kv: open wal for replay: %w", err)
 	}
 	defer f.Close()
+	if size, err = f.Size(); err != nil {
+		return 0, 0, fmt.Errorf("kv: size wal for replay: %w", err)
+	}
 	// left is the bytes not yet read: a length the header claims is checked
 	// against it before anything is allocated, so a corrupt header over a
 	// small file cannot make replay allocate what the file does not hold.
-	left, err := f.Size()
-	if err != nil {
-		return fmt.Errorf("kv: size wal for replay: %w", err)
-	}
+	left := size
 
 	r := bufio.NewReaderSize(f, int(min(left, 64<<10)))
 	var hdr [8]byte
@@ -155,13 +165,13 @@ func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) error {
 	var entries []batchEntry // likewise
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil // clean EOF or torn header: stop
+			return valid, size, nil // clean EOF or torn header: stop
 		}
 		left -= int64(len(hdr))
 		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
 		n := binary.LittleEndian.Uint32(hdr[4:8])
 		if int64(n) > left {
-			return nil // longer than the rest of the file: a torn tail
+			return valid, size, nil // longer than the rest of the file: a torn tail
 		}
 		left -= int64(n)
 		if uint32(cap(payload)) < n {
@@ -169,28 +179,29 @@ func replayWAL(fsys vfs.FS, path string, fn func([]batchEntry)) error {
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil
+			return valid, size, nil
 		}
 		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return nil
+			return valid, size, nil
 		}
 		// An all-zero header passes the CRC check; its empty payload has no count.
 		count, pos := binary.Uvarint(payload)
 		if pos <= 0 || count > uint64(len(payload)) {
-			return nil
+			return valid, size, nil
 		}
 		entries = entries[:0]
 		for ; count > 0; count-- {
 			kind, key, value, next, err := decodeEntry(payload, pos)
 			if err != nil {
-				return nil
+				return valid, size, nil
 			}
 			entries = append(entries, batchEntry{kind: kind, key: key, value: value})
 			pos = next
 		}
 		if pos != len(payload) {
-			return nil
+			return valid, size, nil
 		}
 		fn(entries)
+		valid = size - left
 	}
 }

@@ -79,14 +79,16 @@ type Store struct {
 	commitHook func()
 
 	// The table's metadata record. PutBatch and recoverMeta write it, the
-	// value set only through applyValuesLocked.
-	mu     sync.Mutex
-	count  int64           // data rows, one per trajectory id
-	values map[int64]int64 // data rows per index value
+	// value set only through addValuesLocked and removeValuesLocked.
+	mu    sync.Mutex
+	count int64 // data rows, one per trajectory id
 	// sortedValues is the distinct index values, ascending. A published slice
 	// is never mutated — a write that changes the distinct set installs a new
 	// one — so Snapshot shares it instead of copying.
 	sortedValues []int64
+	// shared holds, for each value two or more rows share, its row count
+	// minus one; a value in sortedValues but not here has one row.
+	shared map[int64]int64
 }
 
 // schemaFormat is what a directory records about itself when it is created —
@@ -129,7 +131,7 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, cluster: cl, values: make(map[int64]int64)}
+	s := &Store{cfg: cfg, cluster: cl, shared: make(map[int64]int64)}
 	if err = s.adoptShape(asked); err == nil {
 		err = s.recoverMeta()
 	}
@@ -206,7 +208,7 @@ func (s *Store) recoverMeta() error {
 		return bad
 	}
 	s.mu.Lock()
-	s.applyValuesLocked(values, nil)
+	s.addValuesLocked(values)
 	s.count += int64(len(values))
 	s.mu.Unlock()
 	return nil
@@ -216,38 +218,76 @@ func (s *Store) recoverMeta() error {
 // big-endian bytes).
 func keyValue(key []byte) int64 { return int64(binary.BigEndian.Uint64(key[1:9])) }
 
-// applyValuesLocked records data rows appearing under the index values in
-// added and disappearing from under those in removed. Bulk load, re-put and
-// recovery all end here. When the distinct set changes it is rebuilt into a
-// new slice by one merge, leaving the published one to the snapshots that
-// share it.
-func (s *Store) applyValuesLocked(added, removed []int64) {
-	var crossed []int64 // values whose row count reached or left zero
-	for _, v := range removed {
-		if s.values[v]--; s.values[v] == 0 {
-			delete(s.values, v)
-			crossed = append(crossed, v)
+// addValuesLocked records one data row appearing under each value in vs;
+// removeValuesLocked records one disappearing. Bulk load, re-put and recovery
+// all end here. A value's row count is 1 + shared[v] while it is in
+// sortedValues, so only values held by two or more rows take a map entry.
+// When the distinct set changes it is rebuilt into a new slice by one merge,
+// leaving the published one to the snapshots that share it. vs is not
+// reordered.
+func (s *Store) addValuesLocked(vs []int64) {
+	var joined []int64 // values no row held before, ascending
+	rest := s.sortedValues
+	eachRun(vs, func(v, n int64) {
+		j, held := slices.BinarySearch(rest, v)
+		rest = rest[j:]
+		if !held {
+			joined = append(joined, v)
+			n-- // the first row is counted by v's place in sortedValues
 		}
-	}
-	for _, v := range added {
-		if s.values[v]++; s.values[v] == 1 {
-			crossed = append(crossed, v)
+		if n > 0 {
+			s.shared[v] += n
 		}
+	})
+	s.publishValuesLocked(joined, true)
+}
+
+func (s *Store) removeValuesLocked(vs []int64) {
+	var left []int64 // values whose last row went, ascending
+	eachRun(vs, func(v, n int64) {
+		switch extra := s.shared[v]; {
+		case extra > n:
+			s.shared[v] = extra - n
+		case extra == n:
+			delete(s.shared, v)
+		default:
+			delete(s.shared, v)
+			left = append(left, v)
+		}
+	})
+	s.publishValuesLocked(left, false)
+}
+
+// eachRun calls fn once per distinct value in vs, ascending, with how many
+// times it occurs. It sorts a copy.
+func eachRun(vs []int64, fn func(v, n int64)) {
+	sorted := slices.Clone(vs)
+	slices.Sort(sorted)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		fn(sorted[i], int64(j-i))
+		i = j
 	}
+}
+
+// publishValuesLocked installs a new distinct set: the published one with the
+// values of crossed (ascending, distinct) added, or removed.
+func (s *Store) publishValuesLocked(crossed []int64, add bool) {
 	if len(crossed) == 0 {
 		return
 	}
-	slices.Sort(crossed)
 	rest := s.sortedValues
 	next := make([]int64, 0, len(rest)+len(crossed))
-	for _, c := range slices.Compact(crossed) {
+	for _, c := range crossed {
 		j, stored := slices.BinarySearch(rest, c)
 		next = append(next, rest[:j]...)
 		rest = rest[j:]
-		if stored {
+		if stored && !add {
 			rest = rest[1:]
-		}
-		if s.values[c] > 0 {
+		} else if !stored && add {
 			next = append(next, c)
 		}
 	}
@@ -406,11 +446,11 @@ func (s *Store) putShard(shard byte, group []*traj.Trajectory) error {
 		}
 	}
 	s.mu.Lock()
-	s.applyValuesLocked(added, nil)
+	s.addValuesLocked(added)
 	s.mu.Unlock()
 	if err := s.cluster.Mutate(puts, dels); err != nil {
 		s.mu.Lock()
-		s.applyValuesLocked(nil, added)
+		s.removeValuesLocked(added)
 		s.mu.Unlock()
 		return err
 	}
@@ -418,7 +458,7 @@ func (s *Store) putShard(shard byte, group []*traj.Trajectory) error {
 		s.commitHook()
 	}
 	s.mu.Lock()
-	s.applyValuesLocked(nil, removed)
+	s.removeValuesLocked(removed)
 	s.count += int64(len(added) - len(removed))
 	s.mu.Unlock()
 	return nil
@@ -450,11 +490,12 @@ func (s *Store) Distribution() (resolutions, codes []int64) {
 	codes = make([]int64, 11)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for v, n := range s.values {
+	for _, v := range s.sortedValues {
 		seq, code, err := s.ix.Decode(v)
 		if err != nil {
 			panic(err) // every counted value came from Assign at this resolution
 		}
+		n := 1 + s.shared[v]
 		resolutions[seq.Len()] += n
 		codes[code] += n
 	}
@@ -470,33 +511,41 @@ func (s *Store) Selectivity() float64 {
 	if s.count == 0 {
 		return 0
 	}
-	return float64(len(s.values)) / float64(s.count)
+	return float64(len(s.sortedValues)) / float64(s.count)
 }
 
 // StreamOptions is empty and benchmark-pinned: it exists only because
 // benchmark/trace.go names it in its ScanRangesStream call (see there).
 type StreamOptions struct{}
 
-// keyRanges maps XZ* value ranges onto per-shard row-key ranges.
+// keyRanges maps XZ* value ranges onto per-shard row-key ranges, shard by
+// shard, so sorted value ranges give key-ordered row-key ranges. Every key
+// is a slice of one backing array.
 func (s *Store) keyRanges(ranges []xzstar.ValueRange) []cluster.KeyRange {
-	keyRanges := make([]cluster.KeyRange, 0, len(ranges)*s.cfg.Shards)
+	n := len(ranges) * s.cfg.Shards
+	keyRanges := make([]cluster.KeyRange, 0, n)
+	keys := make([]byte, 0, 2*valueKeyLen*n)
 	for shard := 0; shard < s.cfg.Shards; shard++ {
 		for _, r := range ranges {
+			keys = appendValueKey(keys, byte(shard), r.Lo)
+			keys = appendValueKey(keys, byte(shard), r.Hi)
+			k := len(keys)
 			keyRanges = append(keyRanges, cluster.KeyRange{
-				Start: valueKey(byte(shard), r.Lo),
-				End:   valueKey(byte(shard), r.Hi),
+				Start: keys[k-2*valueKeyLen : k-valueKeyLen : k-valueKeyLen],
+				End:   keys[k-valueKeyLen : k : k],
 			})
 		}
 	}
 	return keyRanges
 }
 
-// valueKey is the smallest row key with the given shard and index value.
-func valueKey(shard byte, value int64) []byte {
-	key := make([]byte, 9)
-	key[0] = shard
-	binary.BigEndian.PutUint64(key[1:], uint64(value))
-	return key
+// valueKeyLen is the length of a value key: shard byte, then the index value.
+const valueKeyLen = 1 + 8
+
+// appendValueKey appends the smallest row key with the given shard and index
+// value.
+func appendValueKey(dst []byte, shard byte, value int64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, shard), uint64(value))
 }
 
 // GetByID fetches one trajectory by its identifier via its id row. It returns

@@ -558,3 +558,151 @@ func TestPutInvalidTrajectory(t *testing.T) {
 		t.Fatalf("unit-square corners must be storable: %v", err)
 	}
 }
+
+// TestValueCountsMatchRecount drives the value set's row counts — one per
+// distinct value in sortedValues, a map entry only for shared values —
+// through random batches of new ids, re-puts that move ids between values,
+// batches that fail and roll back, and reopens, and after each step checks
+// Count, Distribution, Selectivity and HasValuesIn against a recount of the
+// rows on disk. (The store has no delete; a value loses rows by re-puts and
+// by failed batches.)
+func TestValueCountsMatchRecount(t *testing.T) {
+	fsys := vfs.NewFault()
+	cfg := Config{Dir: "/db", FS: fsys, Shards: 2, SyncWrites: true}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+
+	// The value set never reorders a caller's slice, and adding then
+	// removing the same rows restores it.
+	vs := []int64{9, 3, 9, 1, 3, 9}
+	s.mu.Lock()
+	s.addValuesLocked(vs)
+	if !reflect.DeepEqual(s.sortedValues, []int64{1, 3, 9}) || !reflect.DeepEqual(s.shared, map[int64]int64{3: 1, 9: 2}) {
+		t.Fatalf("after adding %v: values %v, shared %v", vs, s.sortedValues, s.shared)
+	}
+	s.removeValuesLocked(vs)
+	if len(s.sortedValues) != 0 || len(s.shared) != 0 {
+		t.Fatalf("after removing %v again: values %v, shared %v", vs, s.sortedValues, s.shared)
+	}
+	s.mu.Unlock()
+	if !reflect.DeepEqual(vs, []int64{9, 3, 9, 1, 3, 9}) {
+		t.Fatalf("the value set reordered its caller's slice: %v", vs)
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	// Twelve fixed spots: trajectories put at one share its index value.
+	spot := func(id string) *traj.Trajectory {
+		x := 0.05 + 0.07*float64(rng.Intn(12))
+		return traj.New(id, []geo.Point{{X: x, Y: 0.5}, {X: x + 0.02, Y: 0.52}})
+	}
+	trajectory := func(id string) *traj.Trajectory {
+		if rng.Intn(2) == 0 {
+			return spot(id)
+		}
+		return walk(rng, id, 8, []float64{0.001, 0.01, 0.1}[rng.Intn(3)])
+	}
+	var ids []string
+	check := func(step string) {
+		t.Helper()
+		res, err := scanRows(s, []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[int64]int64{}
+		for _, e := range res.Entries {
+			rows[keyValue(e.Key)]++
+		}
+		if got := s.Count(); got != int64(len(res.Entries)) {
+			t.Fatalf("%s: Count %d, rows on disk %d", step, got, len(res.Entries))
+		}
+		wantRes := make([]int64, s.cfg.MaxResolution+1)
+		wantCodes := make([]int64, 11)
+		distinct := make([]int64, 0, len(rows))
+		for v, n := range rows {
+			seq, code, err := s.ix.Decode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes[seq.Len()] += n
+			wantCodes[code] += n
+			distinct = append(distinct, v)
+		}
+		gotRes, gotCodes := s.Distribution()
+		if !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotCodes, wantCodes) {
+			t.Fatalf("%s: Distribution %v / %v, recount %v / %v", step, gotRes, gotCodes, wantRes, wantCodes)
+		}
+		want := 0.0
+		if len(res.Entries) > 0 {
+			want = float64(len(rows)) / float64(len(res.Entries))
+		}
+		if got := s.Selectivity(); got != want {
+			t.Fatalf("%s: Selectivity %v, recount %v", step, got, want)
+		}
+		sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		for i := 0; i < 200; i++ {
+			lo := rng.Int63n(s.ix.TotalIndexSpaces())
+			hi := lo + rng.Int63n(1<<uint(rng.Intn(40)))
+			if i < len(distinct) {
+				lo, hi = distinct[i]-int64(rng.Intn(2)), distinct[i]+int64(rng.Intn(2))
+			}
+			j := sort.Search(len(distinct), func(j int) bool { return distinct[j] >= lo })
+			if want := j < len(distinct) && distinct[j] < hi; snap.HasValuesIn(lo, hi) != want {
+				t.Fatalf("%s: HasValuesIn(%d, %d) = %v, recount %v", step, lo, hi, !want, want)
+			}
+		}
+	}
+
+	for round := 0; round < 12; round++ {
+		var batch []*traj.Trajectory
+		for i := 0; i < 10+rng.Intn(30); i++ { // new ids
+			id := fmt.Sprintf("t%03d-%02d", round, i)
+			ids = append(ids, id)
+			batch = append(batch, trajectory(id))
+		}
+		for i := 0; i < len(ids)/4; i++ { // re-puts, some twice in one batch
+			batch = append(batch, trajectory(ids[rng.Intn(len(ids))]))
+		}
+		if err := s.PutBatch(batch); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		check(fmt.Sprintf("round %d put", round))
+
+		switch round % 3 {
+		case 1: // a batch whose WAL writes fail: every shard rolls back
+			fsys.SetInject(func(op vfs.Op) vfs.Fault {
+				if op.Kind == vfs.OpWrite && strings.HasSuffix(op.Path, "wal.log") {
+					return vfs.FaultErr
+				}
+				return vfs.FaultNone
+			})
+			var failing []*traj.Trajectory
+			for i := 0; i < 20; i++ {
+				failing = append(failing, trajectory(ids[rng.Intn(len(ids))]), trajectory(fmt.Sprintf("f%03d-%02d", round, i)))
+			}
+			if err := s.PutBatch(failing); err == nil {
+				t.Fatalf("round %d: a batch whose WAL writes fail succeeded", round)
+			}
+			fsys.SetInject(nil)
+			check(fmt.Sprintf("round %d failed batch", round))
+		case 2: // reopen: the counts are rebuilt from the rows
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("round %d reopen", round))
+		}
+	}
+	if len(s.shared) == 0 {
+		t.Fatal("no value is shared: the test never exercised the shared counts")
+	}
+}

@@ -32,7 +32,9 @@
 #              faults fire at sampled points — crash, injected errors,
 #              close-during-inflight, and WAL poison fan-out — plus the kv
 #              and cluster snapshot suites (point-in-time views while writers,
-#              flushes and compactions race) and the write path's two
+#              flushes and compactions race), one multi-range kv iterator
+#              checked against per-range scans beside a flushing and
+#              compacting writer, and the write path's two
 #              deterministic contracts: one commit group pays one WAL fsync,
 #              and reads return while the committer is inside an fsync
 #              (counts and ordering; no timing). Always -race (the
@@ -42,7 +44,8 @@
 #              ./...), then go test -race ./... and a 10s fuzz smoke of every
 #              native fuzz target. With SHORT=1: the refine-pool,
 #              best-first, streaming-pipeline, served-streaming, pushed-down
-#              filter, kv block cache and store snapshot/write tests alone
+#              filter, kv block cache, kv multi-range iterator and store
+#              snapshot/write tests alone
 #              under -race (the parallel refine pool, the bounded
 #              scan-to-refine stream, the ordered refine and seed of top-k
 #              whose workers share the kth-distance bound, the NDJSON lines
@@ -131,10 +134,10 @@ if [[ "$MODE" == "concurrency" || "$MODE" == "all" ]]; then
     # Always under -race — these suites exist to race the committer.
     if [[ "${SHORT:-0}" == "1" ]]; then
         step "concurrent torture (race, sampled subset)"
-        go test -race -short -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth|Snapshot' ./internal/kv ./internal/cluster
+        go test -race -short -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth|Snapshot|ScanRanges' ./internal/kv ./internal/cluster
     else
         step "concurrent torture (race)"
-        go test -race -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth|Snapshot' ./internal/kv ./internal/cluster
+        go test -race -count=1 -run 'Concurrent|PoisonFanout|ManifestOrder|DegradedHealth|Snapshot|ScanRanges' ./internal/kv ./internal/cluster
     fi
 fi
 
@@ -155,7 +158,9 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # at once, the cluster's
         # scan tests (its one scan entry, Snapshot.ScanStream's region funnel)
         # force mid-stream faults, the kv cache test reads retired tables
-        # through a snapshot, and the store's Snapshot/PutBatch tests hold the
+        # through a snapshot, the kv multi-range iterator seeks its sources
+        # forward while a writer flushes and compacts beneath the snapshot,
+        # and the store's Snapshot/PutBatch tests hold the
         # value slice queries share while writers replace it, so racing just
         # these is the cheapest way to keep that synchronization honest.
         # The full gate races them inside `go test -race ./...` below.
@@ -174,7 +179,7 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # 'Scan|Stream': every cluster scan test runs through ScanStream now,
         # whether or not its name says so.
         go test -race -count=1 -run 'Scan|Stream' ./internal/cluster
-        go test -race -count=1 -run 'Cache' ./internal/kv
+        go test -race -count=1 -run 'Cache|ScanRanges' ./internal/kv
         go test -race -count=1 -run 'Stream|Snapshot|PutBatch' ./internal/store
 
         step "test (short)"
