@@ -12,7 +12,7 @@ type res struct{ n int }
 func (r *res) Close() error { return nil }
 func (r *res) read() int    { return r.n }
 
-func open() *res          { return &res{} }
+func open() *res { return &res{} }
 func openErr() (*res, error) {
 	return nil, errors.New("no")
 }

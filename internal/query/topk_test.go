@@ -268,7 +268,6 @@ func TestTopKWorkCounts(t *testing.T) {
 	}
 }
 
-
 // Refinement in global lower-bound order: with one worker, a best-first
 // search runs the exact computation only on rows whose lower bound is at most
 // the final kth distance; any other row it refined could have been ruled out

@@ -9,12 +9,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sort"
@@ -30,7 +33,7 @@ import (
 // testData builds a small timed T-Drive workload: even-index trajectories
 // live in the [1000, 2000] time band, odd-index ones in [5000, 6000], so a
 // window ending at 2500 selects exactly the even half.
-func testData(t *testing.T) []*trass.Trajectory {
+func testData(t testing.TB) []*trass.Trajectory {
 	t.Helper()
 	data := gen.TDrive(gen.TDriveOptions{Seed: 3, N: 300})
 	for i, tr := range data {
@@ -47,7 +50,7 @@ func testData(t *testing.T) []*trass.Trajectory {
 	return data
 }
 
-func openLoadedDB(t *testing.T) (*trass.DB, []*trass.Trajectory) {
+func openLoadedDB(t testing.TB) (*trass.DB, []*trass.Trajectory) {
 	t.Helper()
 	db, err := trass.Open(t.TempDir())
 	if err != nil {
@@ -407,6 +410,92 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzQueryRequest posts arbitrary bodies to handleQuery over one small
+// store. Whatever the body, the status is 200, 400, 429, 503 or 504, never a
+// 500 or a panic; a 400 is a body that does not decode or an error wrapping
+// trass.ErrInvalidQuery; a collected 200 decodes as a QueryResponse, and a
+// streamed one reads line by line, through parseMatchLine or
+// json.Unmarshal, to a footer.
+func FuzzQueryRequest(f *testing.F) {
+	db, data := openLoadedDB(f)
+	f.Cleanup(func() { _ = db.Close() })
+	srv := New(db, Config{DefaultDeadline: time.Second, MaxDeadline: time.Second})
+	id := data[0].ID
+	for _, body := range []string{
+		`{"kind":"threshold","query_id":"` + id + `","eps":0.01}`,
+		`{"kind":"threshold","points":[[0.5,0.5],[0.51,0.5]],"eps":0.05,"stream":true,"include_points":true}`,
+		`{"kind":"topk","query_id":"` + id + `","k":5,"time_end":2500,"stream":true}`,
+		`{"kind":"range","rect":[0.4,0.4,0.6,0.6],"include_points":true,"stream":true}`,
+		`{"kind":"range","rect":[0.6,0.4,0.4,0.6]}`,
+		`{"kind":"knn","point":[0.5,0.5],"k":3,"deadline_ms":1}`,
+		`{"kind":"knn","point":[0.5,0.5],"k":3,"time_start":9} trailing`,
+		`{"kind":"topk","query_id":"nope","k":0,"page":2}`,
+		`[1,2]`,
+	} {
+		f.Add([]byte(body))
+	}
+	invalidText := trass.ErrInvalidQuery.Error()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		srv.handleQuery(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		var req QueryRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		decoded := dec.Decode(&req) == nil
+		switch w.Code {
+		case http.StatusOK:
+			if !decoded {
+				t.Fatalf("%q: 200 for a body that does not decode", body)
+			}
+		case http.StatusBadRequest:
+			var er ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
+				t.Fatalf("%q: 400 body %q: %v", body, w.Body, err)
+			}
+			if decoded && !strings.Contains(er.Error, invalidText) {
+				t.Fatalf("%q: 400 %q does not wrap trass.ErrInvalidQuery", body, er.Error)
+			}
+			return
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			return
+		default:
+			t.Fatalf("%q: status %d: %s", body, w.Code, w.Body)
+		}
+		if !req.Stream {
+			var qr QueryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &qr); err != nil {
+				t.Fatalf("%q: collected reply does not decode: %v", body, err)
+			}
+			return
+		}
+		lines := bytes.SplitAfter(w.Body.Bytes(), []byte("\n"))
+		if last := lines[len(lines)-1]; len(last) != 0 {
+			t.Fatalf("%q: stream ends without a newline: %q", body, last)
+		}
+		lines = lines[:len(lines)-1]
+		var scratch [][2]float64
+		for i, line := range lines {
+			line = bytes.TrimSuffix(line, []byte("\n"))
+			if _, ok := parseMatchLine(line, &scratch); ok {
+				if i == len(lines)-1 {
+					t.Fatalf("%q: stream ends on a match line", body)
+				}
+				continue
+			}
+			var sl StreamLine
+			if err := json.Unmarshal(line, &sl); err != nil {
+				t.Fatalf("%q: line %d %q: %v", body, i, line, err)
+			}
+			if footer := i == len(lines)-1; sl.Done != footer || !footer && sl.Match == nil {
+				t.Fatalf("%q: line %d of %d is %q", body, i, len(lines), line)
+			}
+		}
+		if len(lines) == 0 {
+			t.Fatalf("%q: streamed 200 with no footer", body)
+		}
+	})
 }
 
 // TestWireSurfacePinned lists the request's JSON names. A name the request

@@ -24,6 +24,10 @@
 // parseMatchLine reads a match line back, declining any line of another
 // shape to json.Unmarshal. Their bytes are encoding/json's, byte for byte;
 // FuzzMatchLine and TestMatchBytesMatchEncodingJSON pin both against it.
+// Their numbers are mostly stored coordinates, each exactly k/2^30 in the
+// codec's resolution: appendDyadic and parseDyadic write and read those
+// with integer arithmetic, and leave any value whose digits they cannot
+// prove to strconv, the formatter and parser encoding/json uses.
 // Requests, footers, stats and errors go through encoding/json.
 //
 // Two things are a 400, on both paths: a body that is not one QueryRequest
@@ -38,6 +42,7 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 
 	trass "repro"
@@ -254,6 +259,9 @@ func appendString(b []byte, s string) []byte {
 // shortest decimal that round-trips, in exponent form below 1e-6 or from
 // 1e21 up, with a two-digit negative exponent cut to one.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	if d, ok := appendDyadic(b, f); ok {
+		return d, nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
@@ -346,6 +354,10 @@ func (p *wireParser) lit(s string) bool {
 // number consumes one number in JSON's grammar and parses it as
 // json.Unmarshal does into a float64; a number out of float64's range fails.
 func (p *wireParser) number() (float64, bool) {
+	if f, n, ok := parseDyadic(p.b[p.i:]); ok {
+		p.i += n
+		return f, true
+	}
 	b, i := p.b, p.i
 	digits := func() bool {
 		j := i
@@ -384,4 +396,145 @@ func (p *wireParser) number() (float64, bool) {
 	}
 	p.i = i
 	return f, true
+}
+
+// Dyadic floats. The codec stores every coordinate as an integer k at
+// resolution 2^-30 (traj.coordScale), so every stored point trassd serves is
+// exactly k/2^30. appendDyadic and parseDyadic format and parse such values
+// with integer arithmetic. A value they cannot prove they handle exactly as
+// strconv does is declined and goes through strconv unchanged, so the bytes
+// and the parsed bits stay encoding/json's (TestWireFloatMatchesStrconv,
+// FuzzWireFloat).
+//
+// Both rest on one fact. Let f = k/2^30 with 0 < k < 2^30 not a power of
+// two, and p = ⌊log2 f⌋ = bits.Len64(k) − 31, so −30 ≤ p ≤ −1. f's
+// neighbours are f ± 2^(p−52), since f is not at a binade edge, and f's
+// 53-bit mantissa is k shifted left, so it is even. Round-to-nearest-even
+// therefore maps a real v to f exactly when |v − f| ≤ 2^(p−53): the interval
+// is symmetric and its ends are included. A power of two has a gap half as
+// wide below it, so it is declined.
+
+// dyadicBits is the codec's coordinate resolution: values are k/2^dyadicBits.
+const dyadicBits = 30
+
+// digitPairs holds "00" through "99".
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// pow5[n] = 5^n for appendDyadic's n ≤ 22, and pow10[n] = 10^n for
+// parseDyadic's n ≤ 19.
+var (
+	pow5 = func() (t [23]uint64) {
+		t[0] = 1
+		for n := 1; n < len(t); n++ {
+			t[n] = t[n-1] * 5
+		}
+		return
+	}()
+	pow10 = func() (t [20]uint64) {
+		t[0] = 1
+		for n := 1; n < len(t); n++ {
+			t[n] = t[n-1] * 10
+		}
+		return
+	}()
+)
+
+// appendDyadic appends f as strconv's shortest 'f' format writes it, which
+// is encoding/json's format for 1e-6 ≤ f < 1, when f = k/2^30 and the digits
+// can be proved; otherwise it returns b and false.
+//
+// strconv writes the fewest digits that parse back to f and, among those,
+// the ones nearest f. With n fractional digits the nearest candidate is
+// D = round(f·10^n) = round(k·5^n / 2^(30−n)), and it parses back to f iff
+// |D·2^(30−n) − k·5^n| ≤ 5^n·2^(p−23) (the interval above, scaled by
+// 10^n·2^(30−n)); the left side is an integer, so the bound may be floored.
+// If any n-digit decimal is in the interval, D is, because the interval is
+// symmetric about f. Let z be the number of zeros after "0." (f lies in
+// [10^−(z+1), 10^−z), and z ≤ 5 as f ≥ 1e-6). For n ≤ 15+z the interval, no
+// wider than f·2^−52 < 10^−(15+z), holds at most one n-digit decimal, so if
+// one with fewer digits round-trips it is D with trailing zeros; at n = 17+z
+// the interval, wider than f·2^−53 > 10^−(17+z), always holds one. So trying
+// n = 15, 16, … and trimming trailing zeros finds strconv's digits by
+// n = 17+z ≤ 22. When f·10^n is exactly halfway between two n-digit
+// decimals, both round-trip or neither does, and strconv takes the even one.
+func appendDyadic(b []byte, f float64) ([]byte, bool) {
+	if !(f >= 1e-6 && f < 1) {
+		return b, false
+	}
+	x := f * (1 << dyadicBits) // exact: a power-of-two scale
+	k := uint64(x)
+	//lint:ignore floatcmp exactness is the test: x is an integer iff the round trip through uint64 is lossless
+	if float64(k) != x || k&(k-1) == 0 {
+		return b, false
+	}
+	p := bits.Len64(k) - (dyadicBits + 1)
+	for n := 15; n < len(pow5); n++ {
+		// k·5^n < 2^30·5^22 < 2^82, s = 30−n ≥ 8, and the loop ends by
+		// n = 17+z, so D < 10^(n−z) ≤ 10^17 fits.
+		s := uint(dyadicBits - n)
+		hi, lo := bits.Mul64(k, pow5[n])
+		d, r := hi<<(64-s)|lo>>s, lo&(1<<s-1)
+		half := uint64(1) << (s - 1)
+		if r > half {
+			d, r = d+1, 1<<s-r
+		}
+		if r > pow5[n]>>(23-p) {
+			continue
+		}
+		if r == half {
+			d += d & 1
+		}
+		// D < 10^n and f < 1, so D is the n digits after "0." once padded.
+		for d%10 == 0 {
+			d /= 10
+			n--
+		}
+		var digits [24]byte
+		i := n
+		for ; i >= 2; i -= 2 {
+			q := d / 100
+			r := (d - q*100) * 2
+			digits[i-2], digits[i-1] = digitPairs[r], digitPairs[r+1]
+			d = q
+		}
+		if i == 1 {
+			digits[0] = byte('0' + d)
+		}
+		return append(append(b, "0."...), digits[:n]...), true
+	}
+	return b, false
+}
+
+// parseDyadic reads a JSON number at the start of b that is "0." and 1 to 19
+// digits, when the float64 it denotes is k/2^30 and that can be proved. It
+// returns the value, the bytes read, and whether it did; any other number is
+// strconv.ParseFloat's.
+//
+// The token is v = m/10^n with m < 10^n ≤ 10^19 < 2^64. Dividing m·2^30 by
+// 10^n and rounding gives k, the nearest integer to v·2^30, and rem =
+// |m·2^30 − k·10^n|. k/2^30 is the float64 nearest v iff k is not 0 or a
+// power of two and rem ≤ 10^n·2^(p−23): the interval above, scaled by
+// 10^n·2^30, floored because rem is an integer. (No k' other than the
+// nearest can pass: its distance from v·2^30 is at least 1/2.)
+func parseDyadic(b []byte) (float64, int, bool) {
+	if len(b) < 3 || b[0] != '0' || b[1] != '.' {
+		return 0, 0, false
+	}
+	i, m := 2, uint64(0)
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	n := i - 2
+	if n == 0 || n > 19 || i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		return 0, 0, false
+	}
+	// m < 10^n, so m·2^30 / 10^n < 2^30 and the divide cannot overflow.
+	k, rem := bits.Div64(m>>(64-dyadicBits), m<<dyadicBits, pow10[n])
+	if rem > pow10[n]-rem {
+		k, rem = k+1, pow10[n]-rem
+	}
+	if k == 0 || k&(k-1) == 0 || rem > pow10[n]>>(23-(bits.Len64(k)-(dyadicBits+1))) {
+		return 0, 0, false
+	}
+	return float64(k) / (1 << dyadicBits), i, true
 }

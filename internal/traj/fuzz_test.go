@@ -215,7 +215,7 @@ func fuzzPoints(data []byte) []geo.Point {
 // on the decoded points. The first qLen points of the input are q, the rest
 // the stored trajectory.
 func FuzzCouplingBound(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))                                // one point each
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))                                   // one point each
 	f.Add([]byte{1, 2, 3, 4, 200, 6, 70, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1)) // one query point, three stored
 	f.Add([]byte{1, 2, 3, 4, 200, 6, 70, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(3)) // three query points, one stored
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255, 0, 128, 0, 128, 9, 9, 9, 9, 40, 0, 0, 40, 7, 7, 70, 70, 1, 1}, uint8(2))

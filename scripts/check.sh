@@ -7,7 +7,8 @@
 # across parallel jobs while one local `./scripts/check.sh` still runs
 # everything:
 #
-#   lint       go build ./..., go vet ./..., trasslint ./... (project-specific
+#   lint       go build ./..., go vet ./..., gofmt -l over every Go file
+#              (any file listed fails), trasslint ./... (project-specific
 #              analyzers, internal/lint: the syntactic checks, the flow-aware
 #              durability/concurrency checks, and the interprocedural
 #              suite — guardedby, golifetime, lockheldio, lockorder,
@@ -96,6 +97,14 @@ if [[ "$MODE" == "lint" || "$MODE" == "all" ]]; then
 
     step vet
     go vet ./...
+
+    step gofmt
+    # Every Go file git tracks or would add, analyzer testdata included.
+    unformatted=$(gofmt -l $(git ls-files -co --exclude-standard '*.go'))
+    if [[ -n "$unformatted" ]]; then
+        printf 'gofmt: not formatted:\n%s\n' "$unformatted" >&2
+        exit 1
+    fi
 
     step trasslint
     go run ./cmd/trasslint -format="${TRASSLINT_FORMAT:-text}" ./...
