@@ -73,7 +73,7 @@ func (db *DB) Apply(b *Batch) error {
 	}
 	if size >= db.opts.MemtableBytes {
 		entries := sortedLastWins(b.entries)
-		return db.runOnCommitter(func() error { return db.ingest(entries) })
+		return db.runOnCommitter(func() error { return db.ingest(entries, size) })
 	}
 	return db.commit.submit(&commitReq{entries: b.entries, done: make(chan error, 1)})
 }

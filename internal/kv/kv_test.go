@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -600,6 +601,54 @@ func TestSkiplistOrdering(t *testing.T) {
 	}
 	if s.length != 500 {
 		t.Fatalf("length = %d", s.length)
+	}
+}
+
+// Heights follow the p = 1/4 geometric law a skiplist's O(log n) search
+// needs: height k has share 3/4 · 4^-(k-1). A seed fixes the sequence.
+func TestSkiplistHeightDistribution(t *testing.T) {
+	const draws = 100000
+	for _, seed := range []int64{0, 1, 2, 1 << 40} {
+		s, again := newSkiplist(seed), newSkiplist(seed)
+		var count [maxHeight + 1]int
+		for i := 0; i < draws; i++ {
+			h := s.randomHeight()
+			if h < 1 || h > maxHeight {
+				t.Fatalf("seed %d: height %d outside 1..%d", seed, h, maxHeight)
+			}
+			if h2 := again.randomHeight(); h2 != h {
+				t.Fatalf("seed %d: draw %d is %d, then %d from the same seed", seed, i, h, h2)
+			}
+			count[h]++
+		}
+		want := 0.75
+		for k := 1; k <= 5; k++ {
+			if got := float64(count[k]) / draws; got < 0.9*want || got > 1.1*want {
+				t.Errorf("seed %d: height %d has share %.5f, want %.5f ± 10%%", seed, k, got, want)
+			}
+			want /= 4
+		}
+	}
+}
+
+// A flush sizes its table writer's buffer to the memtable it writes: a
+// one-entry flush allocates a few kilobytes, not the 256 KiB buffer a large
+// table gets.
+func TestFlushBufferSizedToTable(t *testing.T) {
+	db := newTestDB(t, Options{FS: vfs.NewFault(), Dir: "/db", CompactAt: -1})
+	for round := 0; round < 3; round++ {
+		if err := db.Put([]byte(fmt.Sprintf("key%d", round)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<10 {
+			t.Fatalf("flush %d of a one-entry memtable allocated %d B, want < %d", round, got, 32<<10)
+		}
 	}
 }
 

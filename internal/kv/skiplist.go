@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"bytes"
-	"math/rand"
-)
+import "bytes"
 
 // skiplist is the memtable's ordered map. It is not safe for concurrent use;
 // the DB serializes access with its mutex. Entries are never removed —
@@ -25,21 +22,34 @@ type skiplist struct {
 	height int
 	length int
 	bytes  int // approximate memory footprint of keys+values
-	rng    *rand.Rand
+	// rng is randomHeight's xorshift64* state, never zero. It is kept
+	// inline because a snapshot freezes the memtable and starts a new list,
+	// so a list's generator is paid once per snapshot.
+	rng uint64
 }
 
 func newSkiplist(seed int64) *skiplist {
 	return &skiplist{
 		head:   &skipNode{},
 		height: 1,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    uint64(seed)*0x9E3779B97F4A7C15 | 1, // spread nearby seeds apart
 	}
 }
 
+// randomHeight draws a height with P(h > k) = branching^-k, capped at
+// maxHeight, from one xorshift64* step: each trailing zero digit, in base
+// branching, of the output's top 32 bits adds a level.
 func (s *skiplist) randomHeight() int {
+	x := s.rng
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	s.rng = x
+	r := (x * 0x2545F4914F6CDD1D) >> 32
 	h := 1
-	for h < maxHeight && s.rng.Intn(branching) == 0 {
+	for h < maxHeight && r%branching == 0 {
 		h++
+		r /= branching
 	}
 	return h
 }

@@ -32,6 +32,11 @@ const (
 	footerSize      = 48
 	tableMagic      = 0x7452615353746266 // "tRaSStbf"
 
+	// maxWriteBuffer caps an sstWriter's buffer. A table expected to hold
+	// less gets a buffer of its own size, never below one block, so a flush
+	// of a few rows does not allocate the cap.
+	maxWriteBuffer = 256 << 10
+
 	sstSuffix = ".sst"
 	tmpSuffix = ".tmp"
 )
@@ -65,7 +70,10 @@ type indexEntry struct {
 	crc      uint32
 }
 
-func newSSTWriter(fsys vfs.FS, dir string, seq uint64, expectedKeys int) (*sstWriter, error) {
+// newSSTWriter starts table seq in dir. expectedKeys sizes the bloom filter
+// and srcBytes, the size of the input the table is built from, the write
+// buffer.
+func newSSTWriter(fsys vfs.FS, dir string, seq uint64, expectedKeys int, srcBytes int64) (*sstWriter, error) {
 	final := sstPath(dir, seq)
 	tmp := final + tmpSuffix
 	f, err := fsys.Create(tmp)
@@ -78,7 +86,7 @@ func newSSTWriter(fsys vfs.FS, dir string, seq uint64, expectedKeys int) (*sstWr
 		dir:   dir,
 		tmp:   tmp,
 		final: final,
-		w:     bufio.NewWriterSize(f, 256<<10),
+		w:     bufio.NewWriterSize(f, int(min(max(srcBytes, targetBlockSize), maxWriteBuffer))),
 		bloom: newBloomFilter(expectedKeys),
 		first: true,
 	}, nil
@@ -205,6 +213,7 @@ type sstReader struct {
 	index    []indexEntry
 	bloom    *bloomFilter
 	count    int64
+	size     int64 // file bytes
 	stats    *Stats
 	cache    *blockCache // shared per-DB; nil disables caching
 	refs     atomic.Int32
@@ -315,7 +324,7 @@ func openSSTable(fsys vfs.FS, path string, seq uint64, stats *Stats, cache *bloc
 		_ = f.Close()
 		return nil, fmt.Errorf("kv: sstable %s has corrupt bloom filter", path)
 	}
-	return &sstReader{fs: fsys, f: f, path: path, seq: seq, index: index, bloom: bloom, count: count, stats: stats, cache: cache}, nil
+	return &sstReader{fs: fsys, f: f, path: path, seq: seq, index: index, bloom: bloom, count: count, size: size, stats: stats, cache: cache}, nil
 }
 
 // readBlock fetches and verifies data block i, consulting the block cache

@@ -16,7 +16,7 @@ import (
 func TestSSTableHugeLengthsFail(t *testing.T) {
 	dir := t.TempDir()
 	fsys := vfs.OS{}
-	sw, err := newSSTWriter(fsys, dir, 1, 4)
+	sw, err := newSSTWriter(fsys, dir, 1, 4, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -483,13 +483,14 @@ func (db *DB) flush() error {
 	db.mu.Unlock()
 	// Merge the stack newest first (source order is merge priority) and keep
 	// tombstones: they must continue to shadow versions in older SSTables.
-	total := 0
+	total, srcBytes := 0, int64(0)
 	sources := make([]kvIter, 0, len(mems))
 	for _, m := range mems {
 		total += m.length
+		srcBytes += int64(m.bytes)
 		sources = append(sources, m.iter())
 	}
-	sr, err := db.buildTable(seq, total, sources, true, nil)
+	sr, err := db.buildTable(seq, total, srcBytes, sources, true, nil)
 	if err != nil {
 		return err
 	}
@@ -557,7 +558,7 @@ func (db *DB) installNewest(sr *sstReader, frozen int) error {
 // its own (installNewest): a crash before the manifest lists it leaves the
 // batch absent, after it the batch is whole — and durable, with or without
 // SyncWrites, because the table file and the manifest are both synced.
-func (db *DB) ingest(entries []batchEntry) error {
+func (db *DB) ingest(entries []batchEntry, srcBytes int) error {
 	if err := db.flush(); err != nil {
 		return fmt.Errorf("kv: flush before ingest: %w", err)
 	}
@@ -565,7 +566,7 @@ func (db *DB) ingest(entries []batchEntry) error {
 	seq := db.nextSeq
 	db.nextSeq++
 	db.mu.Unlock()
-	sr, err := db.buildTable(seq, len(entries), []kvIter{&sliceIter{entries: entries}}, true, nil)
+	sr, err := db.buildTable(seq, len(entries), int64(srcBytes), []kvIter{&sliceIter{entries: entries}}, true, nil)
 	if err != nil {
 		return err
 	}
@@ -578,12 +579,13 @@ func (db *DB) ingest(entries []batchEntry) error {
 
 // buildTable merges sources (earlier sources win a key tie) into a new SSTable
 // numbered seq and returns it opened and retained — the one table-build loop,
-// under both flush and compactTables. expectedKeys sizes the bloom filter.
+// under both flush and compactTables. expectedKeys sizes the bloom filter and
+// srcBytes, the size of the sources, the writer's buffer.
 // stop, when non-nil, is polled every 1024 rows and its error abandons the
 // build. A failed build leaves at most an unlisted table file, which the next
 // Open deletes.
-func (db *DB) buildTable(seq uint64, expectedKeys int, sources []kvIter, keepTombstones bool, stop func() error) (*sstReader, error) {
-	sw, err := newSSTWriter(db.opts.FS, db.opts.Dir, seq, expectedKeys)
+func (db *DB) buildTable(seq uint64, expectedKeys int, srcBytes int64, sources []kvIter, keepTombstones bool, stop func() error) (*sstReader, error) {
+	sw, err := newSSTWriter(db.opts.FS, db.opts.Dir, seq, expectedKeys, srcBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -725,10 +727,11 @@ func (db *DB) compactTables(n int) error {
 	full := n == len(db.tables)
 	victims := make([]*sstReader, n)
 	copy(victims, db.tables[:n])
-	var total int64
+	var total, srcBytes int64
 	for _, t := range victims {
 		t.retain()
 		total += t.count
+		srcBytes += t.size
 	}
 	// Allocate the merged table's sequence number now, under the same lock
 	// as the snapshot: tables flushed while the merge runs get higher
@@ -748,7 +751,7 @@ func (db *DB) compactTables(n int) error {
 		sources = append(sources, t.iter())
 	}
 	// The amortized shutdown check means Close never waits out a big merge.
-	sr, err := db.buildTable(seq, int(total), sources, !full, db.bgCtx.Err)
+	sr, err := db.buildTable(seq, int(total), srcBytes, sources, !full, db.bgCtx.Err)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/kv"
@@ -24,9 +23,9 @@ import (
 type Snapshot struct {
 	s    *Store
 	snap *cluster.Snapshot
-	// values is the store's sortedValues as published at snapshot time,
-	// shared and immutable: HasValuesIn binary-searches it without any lock.
-	values []int64
+	// values is the store's value set as published at snapshot time, shared
+	// and immutable: HasValuesIn searches it without any lock.
+	values valueSet
 }
 
 // Snapshot pins the store's current state: one kv snapshot per region and the
@@ -41,7 +40,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{s: s, snap: cs, values: s.sortedValues}, nil
+	return &Snapshot{s: s, snap: cs, values: s.values}, nil
 }
 
 // Store returns the parent store (for its immutable index and config).
@@ -50,8 +49,7 @@ func (sn *Snapshot) Store() *Store { return sn.s }
 // HasValuesIn reports whether any trajectory in the snapshot has an index
 // value in [lo, hi). Lock-free: the value set is immutable.
 func (sn *Snapshot) HasValuesIn(lo, hi int64) bool {
-	i, _ := slices.BinarySearch(sn.values, lo)
-	return i < len(sn.values) && sn.values[i] < hi
+	return sn.values.hasIn(lo, hi)
 }
 
 // ScanRangesStream scans the given index-value ranges across every shard

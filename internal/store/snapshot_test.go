@@ -33,8 +33,8 @@ func TestSnapshotSharesValueSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(snap.values) < 20000 {
-			t.Fatalf("only %d distinct values; the budget below would prove nothing", len(snap.values))
+		if snap.values.size() < 20000 {
+			t.Fatalf("only %d distinct values; the budget below would prove nothing", snap.values.size())
 		}
 		if err := snap.Close(); err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestSnapshotHeldAcrossWrites(t *testing.T) {
 	probe := func(sn *Snapshot) []bool {
 		total := s.Index().TotalIndexSpaces()
 		var out []bool
-		for _, v := range held.values {
+		for _, v := range held.values.flatten() {
 			out = append(out, sn.HasValuesIn(v, v+1), sn.HasValuesIn(v+1, v+1000))
 		}
 		for lo := int64(0); lo < total; lo += total / 512 {
@@ -96,7 +96,7 @@ func TestSnapshotHeldAcrossWrites(t *testing.T) {
 		}
 		return out
 	}
-	wantValues := append([]int64(nil), held.values...)
+	wantValues := held.values.flatten()
 	wantProbe := probe(held)
 	if !held.HasValuesIn(value(solo), value(solo)+1) {
 		t.Fatal("held snapshot misses a stored value")
@@ -158,7 +158,7 @@ func TestSnapshotHeldAcrossWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if !reflect.DeepEqual(held.values, wantValues) {
+	if !reflect.DeepEqual(held.values.flatten(), wantValues) {
 		t.Fatal("held snapshot's value slice changed under writes")
 	}
 	if !reflect.DeepEqual(probe(held), wantProbe) {

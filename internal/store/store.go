@@ -82,12 +82,12 @@ type Store struct {
 	// value set only through addValuesLocked and removeValuesLocked.
 	mu    sync.Mutex
 	count int64 // data rows, one per trajectory id
-	// sortedValues is the distinct index values, ascending. A published slice
-	// is never mutated — a write that changes the distinct set installs a new
-	// one — so Snapshot shares it instead of copying.
-	sortedValues []int64
+	// values is the distinct index values. A published set is never mutated
+	// — a write that changes the distinct set installs a new one, sharing
+	// the chunks it did not touch — so Snapshot shares it instead of copying.
+	values valueSet
 	// shared holds, for each value two or more rows share, its row count
-	// minus one; a value in sortedValues but not here has one row.
+	// minus one; a value in values but not here has one row.
 	shared map[int64]int64
 }
 
@@ -220,26 +220,24 @@ func keyValue(key []byte) int64 { return int64(binary.BigEndian.Uint64(key[1:9])
 
 // addValuesLocked records one data row appearing under each value in vs;
 // removeValuesLocked records one disappearing. Bulk load, re-put and recovery
-// all end here. A value's row count is 1 + shared[v] while it is in
-// sortedValues, so only values held by two or more rows take a map entry.
-// When the distinct set changes it is rebuilt into a new slice by one merge,
+// all end here. A value's row count is 1 + shared[v] while it is in values,
+// so only values held by two or more rows take a map entry. When the
+// distinct set changes, the chunks it changes are rebuilt into a new set,
 // leaving the published one to the snapshots that share it. vs is not
 // reordered.
 func (s *Store) addValuesLocked(vs []int64) {
 	var joined []int64 // values no row held before, ascending
-	rest := s.sortedValues
+	values := s.values
 	eachRun(vs, func(v, n int64) {
-		j, held := slices.BinarySearch(rest, v)
-		rest = rest[j:]
-		if !held {
+		if !values.hasIn(v, v+1) {
 			joined = append(joined, v)
-			n-- // the first row is counted by v's place in sortedValues
+			n-- // the first row is counted by v's place in values
 		}
 		if n > 0 {
 			s.shared[v] += n
 		}
 	})
-	s.publishValuesLocked(joined, true)
+	s.values = s.values.with(joined, true)
 }
 
 func (s *Store) removeValuesLocked(vs []int64) {
@@ -255,7 +253,7 @@ func (s *Store) removeValuesLocked(vs []int64) {
 			left = append(left, v)
 		}
 	})
-	s.publishValuesLocked(left, false)
+	s.values = s.values.with(left, false)
 }
 
 // eachRun calls fn once per distinct value in vs, ascending, with how many
@@ -271,27 +269,6 @@ func eachRun(vs []int64, fn func(v, n int64)) {
 		fn(sorted[i], int64(j-i))
 		i = j
 	}
-}
-
-// publishValuesLocked installs a new distinct set: the published one with the
-// values of crossed (ascending, distinct) added, or removed.
-func (s *Store) publishValuesLocked(crossed []int64, add bool) {
-	if len(crossed) == 0 {
-		return
-	}
-	rest := s.sortedValues
-	next := make([]int64, 0, len(rest)+len(crossed))
-	for _, c := range crossed {
-		j, stored := slices.BinarySearch(rest, c)
-		next = append(next, rest[:j]...)
-		rest = rest[j:]
-		if stored && !add {
-			rest = rest[1:]
-		} else if !stored && add {
-			next = append(next, c)
-		}
-	}
-	s.sortedValues = append(next, rest...)
 }
 
 // Index returns the store's XZ* index (shared, immutable).
@@ -490,14 +467,16 @@ func (s *Store) Distribution() (resolutions, codes []int64) {
 	codes = make([]int64, 11)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, v := range s.sortedValues {
-		seq, code, err := s.ix.Decode(v)
-		if err != nil {
-			panic(err) // every counted value came from Assign at this resolution
+	for _, chunk := range s.values.chunks {
+		for _, v := range chunk {
+			seq, code, err := s.ix.Decode(v)
+			if err != nil {
+				panic(err) // every counted value came from Assign at this resolution
+			}
+			n := 1 + s.shared[v]
+			resolutions[seq.Len()] += n
+			codes[code] += n
 		}
-		n := 1 + s.shared[v]
-		resolutions[seq.Len()] += n
-		codes[code] += n
 	}
 	return resolutions, codes
 }
@@ -511,7 +490,7 @@ func (s *Store) Selectivity() float64 {
 	if s.count == 0 {
 		return 0
 	}
-	return float64(len(s.sortedValues)) / float64(s.count)
+	return float64(s.values.size()) / float64(s.count)
 }
 
 // StreamOptions is empty and benchmark-pinned: it exists only because

@@ -474,7 +474,7 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows[i], sets[i] = res.Entries, snap.values
+		rows[i], sets[i] = res.Entries, snap.values.flatten()
 		// Every id owns exactly one data row, and the value set is the rows'.
 		ids, values := map[string]bool{}, map[int64]bool{}
 		for _, e := range res.Entries {
@@ -488,8 +488,8 @@ func TestPutBatchEquivalentToPut(t *testing.T) {
 			ids[rec.ID] = true
 			values[keyValue(e.Key)] = true
 		}
-		if len(snap.values) != len(values) {
-			t.Fatalf("store %d: snapshot lists %d values, the rows carry %d", i, len(snap.values), len(values))
+		if len(sets[i]) != len(values) {
+			t.Fatalf("store %d: snapshot lists %d values, the rows carry %d", i, len(sets[i]), len(values))
 		}
 	}
 	if !reflect.DeepEqual(rows[0], rows[1]) {
@@ -560,7 +560,7 @@ func TestPutInvalidTrajectory(t *testing.T) {
 }
 
 // TestValueCountsMatchRecount drives the value set's row counts — one per
-// distinct value in sortedValues, a map entry only for shared values —
+// distinct value in the value set, a map entry only for shared values —
 // through random batches of new ids, re-puts that move ids between values,
 // batches that fail and roll back, and reopens, and after each step checks
 // Count, Distribution, Selectivity and HasValuesIn against a recount of the
@@ -580,12 +580,12 @@ func TestValueCountsMatchRecount(t *testing.T) {
 	vs := []int64{9, 3, 9, 1, 3, 9}
 	s.mu.Lock()
 	s.addValuesLocked(vs)
-	if !reflect.DeepEqual(s.sortedValues, []int64{1, 3, 9}) || !reflect.DeepEqual(s.shared, map[int64]int64{3: 1, 9: 2}) {
-		t.Fatalf("after adding %v: values %v, shared %v", vs, s.sortedValues, s.shared)
+	if !reflect.DeepEqual(s.values.flatten(), []int64{1, 3, 9}) || !reflect.DeepEqual(s.shared, map[int64]int64{3: 1, 9: 2}) {
+		t.Fatalf("after adding %v: values %v, shared %v", vs, s.values.flatten(), s.shared)
 	}
 	s.removeValuesLocked(vs)
-	if len(s.sortedValues) != 0 || len(s.shared) != 0 {
-		t.Fatalf("after removing %v again: values %v, shared %v", vs, s.sortedValues, s.shared)
+	if len(s.values.flatten()) != 0 || len(s.shared) != 0 {
+		t.Fatalf("after removing %v again: values %v, shared %v", vs, s.values.flatten(), s.shared)
 	}
 	s.mu.Unlock()
 	if !reflect.DeepEqual(vs, []int64{9, 3, 9, 1, 3, 9}) {

@@ -115,7 +115,7 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	got := snap.values // immutable copy; no lock needed
+	got := snap.values.flatten() // immutable; no lock needed
 
 	// Ground truth: the distinct index values of the data rows in the same
 	// snapshot, decoded from the row keys (shard byte + 8-byte value).
@@ -136,16 +136,16 @@ func TestSortedValuesStayConsistent(t *testing.T) {
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(got) != len(want) {
-		t.Fatalf("sortedValues has %d entries, on-disk rows have %d distinct values", len(got), len(want))
+		t.Fatalf("the value set has %d entries, on-disk rows have %d distinct values", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("sortedValues[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("value %d of the set = %d, want %d", i, got[i], want[i])
 		}
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
-			t.Fatalf("sortedValues not strictly increasing at %d", i)
+			t.Fatalf("the value set is not strictly increasing at %d", i)
 		}
 	}
 	for _, v := range want {

@@ -46,15 +46,16 @@
 #              native fuzz target. With SHORT=1: the refine-pool,
 #              best-first, streaming-pipeline, served-streaming, pushed-down
 #              filter, kv block cache, kv multi-range iterator and store
-#              snapshot/write tests alone
+#              snapshot/write/value-set tests alone
 #              under -race (the parallel refine pool, the bounded
 #              scan-to-refine stream, the ordered refine and seed of top-k
 #              whose workers share the kth-distance bound, the NDJSON lines
 #              trassd writes from those workers, the filter scratch that
 #              concurrent region scans draw from one pool, the block cache
 #              that snapshot reads and compaction installs both touch, and
-#              the value set that queries share with the writers that replace
-#              it are the code most worth racing; the full gate's -race ./...
+#              the chunked value set whose untouched chunks queries share
+#              with the writers that publish its next version are the code
+#              most worth racing; the full gate's -race ./...
 #              already covers them), then plain go test -short ./... and no
 #              fuzz
 #   serve      end-to-end over a real socket: build trassd + trass, generate
@@ -169,8 +170,9 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # force mid-stream faults, the kv cache test reads retired tables
         # through a snapshot, the kv multi-range iterator seeks its sources
         # forward while a writer flushes and compacts beneath the snapshot,
-        # and the store's Snapshot/PutBatch tests hold the
-        # value slice queries share while writers replace it, so racing just
+        # and the store's Snapshot/PutBatch/ValueSet tests hold the
+        # value set's chunks queries share while writers publish a new set
+        # around them, so racing just
         # these is the cheapest way to keep that synchronization honest.
         # The full gate races them inside `go test -race ./...` below.
         step "refine pool, streaming, best-first and pushed-down filters (race)"
@@ -189,7 +191,7 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         # whether or not its name says so.
         go test -race -count=1 -run 'Scan|Stream' ./internal/cluster
         go test -race -count=1 -run 'Cache|ScanRanges' ./internal/kv
-        go test -race -count=1 -run 'Stream|Snapshot|PutBatch' ./internal/store
+        go test -race -count=1 -run 'Stream|Snapshot|PutBatch|ValueSet' ./internal/store
 
         step "test (short)"
         go test -short ./...
