@@ -7,7 +7,7 @@
 //	trass query -db /data/taxis -id td000042 -eps 0.01deg
 //	trass query -db /data/taxis -id td000042 -k 50
 //	trass query -server http://127.0.0.1:7474 -id td000042 -eps 0.01deg
-//	trass query -server http://127.0.0.1:7474 -stream -id td000042 -k 50
+//	trass query -server http://127.0.0.1:7474 -id td000042 -k 50
 //	trass stats -db /data/taxis
 package main
 
@@ -63,7 +63,7 @@ commands:
   gen    generate a synthetic dataset (T-Drive-like or Lorry-like)
   load   load a dataset file into a store
   query  run a threshold or top-k similarity search (embedded, or against a
-         running trassd with -server, optionally -stream)
+         running trassd with -server)
   stats  print store statistics
   export convert a dataset file to GeoJSON for map inspection
 
@@ -156,7 +156,6 @@ func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	dbDir := fs.String("db", "", "store directory (required unless -server)")
 	srvURL := fs.String("server", "", "query a running trassd at this URL instead of opening a store")
-	stream := fs.Bool("stream", false, "with -server: NDJSON streaming delivery (matches print as they arrive)")
 	in := fs.String("in", "", "dataset file holding the query trajectory (default: look -id up in the store)")
 	id := fs.String("id", "", "query trajectory id (required)")
 	epsStr := fs.String("eps", "", "threshold (normalized, or degrees with deg suffix)")
@@ -170,10 +169,7 @@ func cmdQuery(args []string) error {
 		if measureSet {
 			return fmt.Errorf("query: -measure does not apply with -server: the server answers under its own measure (trassd -measure)")
 		}
-		return serverQuery(*srvURL, *stream, *in, *id, *epsStr, *k, *showStats)
-	}
-	if *stream {
-		return fmt.Errorf("query: -stream requires -server")
+		return serverQuery(*srvURL, *in, *id, *epsStr, *k, *showStats)
 	}
 	if *dbDir == "" {
 		return fmt.Errorf("query: -db is required")
@@ -256,13 +252,13 @@ func cmdQuery(args []string) error {
 }
 
 // serverQuery runs the query against a trassd server instead of an embedded
-// store. Match lines print in the exact format the embedded path uses, so a
-// collected server query over the same store is byte-identical to `trass
-// query -db`, and so is a streamed top-k one: its matches arrive in (distance,
-// id) order once the search ends. Streamed threshold matches arrive in
-// refinement-completion order. The serve-e2e check in scripts/check.sh
-// compares them with cmp.
-func serverQuery(srvURL string, stream bool, in, id, epsStr string, k int, showStats bool) error {
+// store, printing each match as its line arrives, in the format the embedded
+// path uses. A top-k query over the same store is byte-identical to `trass
+// query -db`: its matches arrive in (distance, id) order once the search
+// ends. Threshold matches arrive in refinement-completion order, so they are
+// the embedded answer's lines in another order. The serve step of
+// scripts/check.sh compares both with cmp, threshold after sort.
+func serverQuery(srvURL string, in, id, epsStr string, k int, showStats bool) error {
 	if id == "" {
 		return fmt.Errorf("query: -id is required")
 	}
@@ -304,36 +300,15 @@ func serverQuery(srvURL string, stream bool, in, id, epsStr string, k int, showS
 		req.K = k
 	}
 
-	client := server.NewClient(srvURL)
-	ctx := context.Background()
-	printMatch := func(m server.WireMatch) error {
+	n := 0
+	start := time.Now()
+	stats, err := server.NewClient(srvURL).QueryStream(context.Background(), req, func(m server.WireMatch) error {
+		n++
 		_, err := fmt.Printf("%s\t%.9f\n", m.ID, m.Distance)
 		return err
-	}
-	var stats *server.WireStats
-	var n int
-	start := time.Now()
-	if stream {
-		st, err := client.QueryStream(ctx, req, func(m server.WireMatch) error {
-			n++
-			return printMatch(m)
-		})
-		if err != nil {
-			return err
-		}
-		stats = st
-	} else {
-		resp, err := client.Query(ctx, req)
-		if err != nil {
-			return err
-		}
-		for _, m := range resp.Matches {
-			if err := printMatch(m); err != nil {
-				return err
-			}
-		}
-		n = len(resp.Matches)
-		stats = resp.Stats
+	})
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "%d results in %v\n", n, elapsed.Round(time.Microsecond))

@@ -78,40 +78,29 @@ func decodeStatusError(resp *http.Response) error {
 	return &StatusError{Code: resp.StatusCode, Message: msg}
 }
 
-// Query runs one non-streaming query and returns the response: every match
-// plus the QueryStats.
-func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	req.Stream = false
-	body, err := c.post(ctx, "/v1/query", req)
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(body).Decode(&qr); err != nil {
-		return nil, fmt.Errorf("decoding response: %w", err)
-	}
-	return &qr, nil
-}
-
-// QueryStream runs one streaming query, invoking fn per match as lines
-// arrive, and returns the footer's stats. A stream that ends without a
-// footer line was cut off and reports an error; a footer carrying an error
-// surfaces it as-is.
+// QueryStream runs one query, invoking fn per match as lines arrive, and
+// returns the footer's stats. A stream that ends without a footer line was
+// cut off and reports an error; a footer carrying an error surfaces it
+// as-is. A line may be any length: with include_points it carries a whole
+// stored trajectory.
 func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(WireMatch) error) (*WireStats, error) {
-	req.Stream = true
 	body, err := c.post(ctx, "/v1/query", req)
 	if err != nil {
 		return nil, err
 	}
 	defer body.Close()
 
-	sc := bufio.NewScanner(body)
-	// Lines carry whole point sequences with include_points; size accordingly.
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	br := bufio.NewReaderSize(body, 64<<10)
+	var long []byte
 	var scratch [][2]float64
-	for sc.Scan() {
-		line := sc.Bytes()
+	for {
+		line, err := readLine(br, &long)
+		if err == io.EOF {
+			return nil, fmt.Errorf("stream ended without footer (connection cut mid-stream?)")
+		}
+		if err != nil {
+			return nil, err
+		}
 		// A match line as trassd writes it skips encoding/json; the footer,
 		// an escaped id and any other formatting take the general path.
 		if m, ok := parseMatchLine(line, &scratch); ok {
@@ -139,10 +128,31 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Wire
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// readLine returns br's next line without its "\n" or "\r\n", as
+// bufio.ScanLines does, but of any length. A line that fits br's buffer is a
+// slice into it; only a longer one is gathered, into *long, which later
+// calls reuse. Either is valid until the next call. A last line without a
+// newline is returned whole; io.EOF follows it.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		*long = append((*long)[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = br.ReadSlice('\n')
+			*long = append(*long, line...)
+		}
+		line = *long
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("stream ended without footer (connection cut mid-stream?)")
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r")), nil
 }
 
 // Healthz probes liveness; nil means the server answered 200.

@@ -29,7 +29,7 @@ const maxQueryPoints = 10000
 // handleQuery is POST /v1/query: decode, admit (shed with 429 when the
 // in-flight bound is hit), map the deadline onto a context derived from the
 // request's (so client disconnects and drain cancellation both propagate),
-// turn the request into one trass.Query and run it, collected or streamed.
+// turn the request into one trass.Query and stream its reply.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
@@ -62,11 +62,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	if req.Stream {
-		s.streamQuery(ctx, w, q, req.IncludePoints)
-		return
-	}
-	s.collectQuery(ctx, w, q, req.IncludePoints)
+	s.streamQuery(ctx, w, q, req.IncludePoints)
 }
 
 // deadline resolves the request's execution budget: the client's ask in
@@ -161,72 +157,33 @@ func (s *Server) queryTrajectory(req *QueryRequest) (*trass.Trajectory, error) {
 	return q, err
 }
 
-// run executes q through the Backend method for its kind. With a nil sink it
-// returns the matches in the engine's deterministic order (row-key order for
-// threshold and range, ascending (distance, id) for top-k and nearest). With
-// a sink it returns none and passes every match to sink instead: threshold
-// and range matches as refinement confirms them, top-k and nearest matches
-// in (distance, id) order once the search has finished — DB.Search's sink
-// contract.
-func (s *Server) run(ctx context.Context, q trass.Query, sink func(trass.Match) error) ([]trass.Match, *trass.QueryStats, error) {
+// run executes q through the Backend method for its kind and passes every
+// match to sink: threshold and range matches as refinement confirms them,
+// top-k and nearest matches in (distance, id) order once the search has
+// finished — DB.Search's sink contract.
+func (s *Server) run(ctx context.Context, q trass.Query, sink func(trass.Match) error) (*trass.QueryStats, error) {
 	var ms []trass.Match
 	var st *trass.QueryStats
 	var err error
 	switch q.Kind {
 	case trass.KindThreshold:
-		if sink != nil {
-			st, err = s.db.ThresholdSearchWindowFunc(ctx, q.Traj, q.Eps, q.Window, sink)
-			return nil, st, err
-		}
-		return s.db.ThresholdSearchWindowContext(ctx, q.Traj, q.Eps, q.Window)
+		return s.db.ThresholdSearchWindowFunc(ctx, q.Traj, q.Eps, q.Window, sink)
 	case trass.KindRange:
-		if sink != nil {
-			st, err = s.db.RangeSearchWindowFunc(ctx, q.Rect, q.Window, sink)
-			return nil, st, err
-		}
-		return s.db.RangeSearchWindowContext(ctx, q.Rect, q.Window)
+		return s.db.RangeSearchWindowFunc(ctx, q.Rect, q.Window, sink)
 	case trass.KindTopK:
 		ms, st, err = s.db.TopKSearchWindowContext(ctx, q.Traj, q.K, q.Window)
 	default:
 		ms, st, err = s.db.NearestSearchContext(ctx, q.Point, q.K)
 	}
-	if err != nil || sink == nil {
-		return ms, st, err
+	if err != nil {
+		return st, err
 	}
 	for _, m := range ms {
 		if err := sink(m); err != nil {
-			return nil, st, err
+			return st, err
 		}
 	}
-	return nil, st, nil
-}
-
-// collectQuery runs the non-streaming path: one JSON QueryResponse with
-// every match in run's deterministic order, written as encoding/json would
-// write it.
-func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, includePoints bool) {
-	matches, stats, err := s.run(ctx, q, nil)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	b := []byte(`{"matches":[`)
-	for i, m := range matches {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if b, err = appendMatch(b, m, includePoints); err != nil {
-			writeQueryError(w, err)
-			return
-		}
-	}
-	b = append(b, ']')
-	if st := statsToWire(stats); st != nil {
-		js, _ := json.Marshal(st) // integers only: cannot fail
-		b = append(append(b, `,"stats":`...), js...)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(b, "}\n"...))
+	return st, nil
 }
 
 // writeQueryError maps a query failure onto a status code: client mistakes

@@ -14,7 +14,11 @@ import (
 )
 
 // Backend is the query surface the server serves. *trass.DB implements it;
-// tests wrap it to count lifecycle calls and inject faults.
+// tests wrap it to count lifecycle calls and inject faults. The server
+// answers threshold and range through the Func methods and never calls
+// ThresholdSearchWindowContext or RangeSearchWindowContext: those two stay
+// only because the benchmark's timed wrapper calls them through its
+// embedded Backend, until the interface shrinks to one Search method.
 type Backend interface {
 	ThresholdSearchWindowContext(ctx context.Context, q *trass.Trajectory, eps float64, w trass.TimeWindow) ([]trass.Match, *trass.QueryStats, error)
 	ThresholdSearchWindowFunc(ctx context.Context, q *trass.Trajectory, eps float64, w trass.TimeWindow, fn func(trass.Match) error) (*trass.QueryStats, error)

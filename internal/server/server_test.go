@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -52,11 +53,17 @@ func testData(t testing.TB) []*trass.Trajectory {
 
 func openLoadedDB(t testing.TB) (*trass.DB, []*trass.Trajectory) {
 	t.Helper()
+	data := testData(t)
+	return openDB(t, data), data
+}
+
+// openDB stores data in a fresh DB, flushed.
+func openDB(t testing.TB, data []*trass.Trajectory) *trass.DB {
+	t.Helper()
 	db, err := trass.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := testData(t)
 	if err := db.PutBatch(data); err != nil {
 		_ = db.Close()
 		t.Fatal(err)
@@ -65,7 +72,7 @@ func openLoadedDB(t testing.TB) (*trass.DB, []*trass.Trajectory) {
 		_ = db.Close()
 		t.Fatal(err)
 	}
-	return db, data
+	return db
 }
 
 // startServer serves db on a loopback listener; the cleanup drains and
@@ -156,9 +163,8 @@ func checkPoints(t *testing.T, path string, got []WireMatch, want []trass.Match,
 
 // TestWireEquivalence is the tentpole guarantee: every query path served
 // over the wire returns byte-identical results to the same query run
-// embedded — collected responses in the same deterministic order, streamed
-// responses as the same set (top-k and knn in the same order too), every
-// point bit for bit where the request includes them — and footers whose
+// embedded — the same set, top-k and knn in the same order too, every point
+// bit for bit where the request includes them — and footers whose
 // rows_walked is the embedded RowsWalked where that is fixed.
 func TestWireEquivalence(t *testing.T) {
 	db, data := openLoadedDB(t)
@@ -260,24 +266,6 @@ func TestWireEquivalence(t *testing.T) {
 			// the search in (distance, id) order.
 			pipelined := tc.req.Kind == KindThreshold || tc.req.Kind == KindRange
 
-			// Collected: byte-identical, including order.
-			resp, err := client.Query(ctx, tc.req)
-			if err != nil {
-				t.Fatalf("wire: %v", err)
-			}
-			gotText, wantText := formatWire(resp.Matches), formatMatches(want)
-			if gotText != wantText {
-				t.Fatalf("collected wire results differ from embedded\nwire:\n%s\nembedded:\n%s", gotText, wantText)
-			}
-			if resp.Stats == nil {
-				t.Fatal("collected response missing stats footer")
-			}
-			if pipelined && resp.Stats.RowsWalked != wantStats.RowsWalked {
-				t.Fatalf("collected rows_walked %d, embedded RowsWalked %d", resp.Stats.RowsWalked, wantStats.RowsWalked)
-			}
-			checkPoints(t, "collected", resp.Matches, want, tc.req.IncludePoints)
-
-			// Streamed: the same set, and for top-k and knn the same order.
 			var streamed []WireMatch
 			stats, err := client.QueryStream(ctx, tc.req, func(m WireMatch) error {
 				streamed = append(streamed, m)
@@ -294,7 +282,7 @@ func TestWireEquivalence(t *testing.T) {
 			}
 			checkPoints(t, "streamed", streamed, want, tc.req.IncludePoints)
 			if !pipelined {
-				if got := formatWire(streamed); got != wantText {
+				if got, wantText := formatWire(streamed), formatMatches(want); got != wantText {
 					t.Fatalf("streamed %s out of (distance, id) order\nwire:\n%s\nembedded:\n%s", tc.req.Kind, got, wantText)
 				}
 			}
@@ -312,19 +300,20 @@ func TestIncludePoints(t *testing.T) {
 	db, data := openLoadedDB(t)
 	_, client := startServer(t, db, Config{})
 	q := data[7]
-	resp, err := client.Query(context.Background(), QueryRequest{
+	n := 0
+	if _, err := client.QueryStream(context.Background(), QueryRequest{
 		Kind: KindTopK, QueryID: q.ID, K: 3, IncludePoints: true,
-	})
-	if err != nil {
+	}, func(m WireMatch) error {
+		n++
+		if len(m.Points) == 0 {
+			t.Errorf("match %s missing points despite include_points", m.ID)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Matches) == 0 {
+	if n == 0 {
 		t.Fatal("no matches")
-	}
-	for _, m := range resp.Matches {
-		if len(m.Points) == 0 {
-			t.Fatalf("match %s missing points despite include_points", m.ID)
-		}
 	}
 }
 
@@ -394,9 +383,11 @@ func TestBadRequests(t *testing.T) {
 		{"range rect out of plane", QueryRequest{Kind: KindRange, Rect: &[4]float64{0.2, 0.2, 0.4, 1.5}}},
 		{"knn point out of plane", QueryRequest{Kind: KindKNN, Point: &[2]float64{-0.5, 0.5}, K: 3}},
 	}
-	// Every case also runs as its streamed twin: a request that fails
-	// validation gets the same status either way, not a 200 with the error
-	// in the NDJSON footer.
+	// A request that fails validation gets its status before the first
+	// line, not a 200 with the error in the NDJSON footer. Every case also
+	// runs as its twin carrying the ignored "stream":true, which bodies
+	// written for the former collected/streamed choice still send: the
+	// field changes nothing, the status included.
 	for _, tc := range cases {
 		twin := tc
 		twin.name += " (streamed)"
@@ -415,9 +406,9 @@ func TestBadRequests(t *testing.T) {
 // FuzzQueryRequest posts arbitrary bodies to handleQuery over one small
 // store. Whatever the body, the status is 200, 400, 429, 503 or 504, never a
 // 500 or a panic; a 400 is a body that does not decode or an error wrapping
-// trass.ErrInvalidQuery; a collected 200 decodes as a QueryResponse, and a
-// streamed one reads line by line, through parseMatchLine or
-// json.Unmarshal, to a footer.
+// trass.ErrInvalidQuery; a 200 reads line by line, through parseMatchLine
+// or json.Unmarshal, to a footer. Seed bodies with and without the ignored
+// "stream" field read the same way.
 func FuzzQueryRequest(f *testing.F) {
 	db, data := openLoadedDB(f)
 	f.Cleanup(func() { _ = db.Close() })
@@ -463,13 +454,6 @@ func FuzzQueryRequest(f *testing.F) {
 		default:
 			t.Fatalf("%q: status %d: %s", body, w.Code, w.Body)
 		}
-		if !req.Stream {
-			var qr QueryResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &qr); err != nil {
-				t.Fatalf("%q: collected reply does not decode: %v", body, err)
-			}
-			return
-		}
 		lines := bytes.SplitAfter(w.Body.Bytes(), []byte("\n"))
 		if last := lines[len(lines)-1]; len(last) != 0 {
 			t.Fatalf("%q: stream ends without a newline: %q", body, last)
@@ -493,14 +477,15 @@ func FuzzQueryRequest(f *testing.F) {
 			}
 		}
 		if len(lines) == 0 {
-			t.Fatalf("%q: streamed 200 with no footer", body)
+			t.Fatalf("%q: 200 with no footer", body)
 		}
 	})
 }
 
 // TestWireSurfacePinned lists the request's JSON names. A name the request
-// does not have — pagination's among them — is a 400 naming it, on both
-// paths, before any query runs.
+// does not have — pagination's among them — is a 400 naming it, before any
+// query runs. "stream" is accepted and ignored: a body that asks for the
+// collected reply trassd once had gets the streamed one.
 func TestWireSurfacePinned(t *testing.T) {
 	var names []string
 	typ := reflect.TypeOf(QueryRequest{})
@@ -517,24 +502,35 @@ func TestWireSurfacePinned(t *testing.T) {
 	db, data := openLoadedDB(t)
 	_, client := startServer(t, db, Config{})
 	for _, field := range []string{"page_size", "page_token"} {
-		for _, stream := range []bool{false, true} {
-			name := field
-			if stream {
-				name += " (streamed)"
+		t.Run(field, func(t *testing.T) {
+			body := map[string]any{"kind": KindTopK, "query_id": data[0].ID, "k": 3, field: 2}
+			resp, err := client.post(context.Background(), "/v1/query", body)
+			if err == nil {
+				_ = resp.Close()
 			}
-			t.Run(name, func(t *testing.T) {
-				body := map[string]any{"kind": KindTopK, "query_id": data[0].ID, "k": 3, "stream": stream, field: 2}
-				resp, err := client.post(context.Background(), "/v1/query", body)
-				if err == nil {
-					_ = resp.Close()
-				}
-				var se *StatusError
-				if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, field) {
-					t.Fatalf("got %v, want a 400 naming %q", err, field)
-				}
-			})
-		}
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, field) {
+				t.Fatalf("got %v, want a 400 naming %q", err, field)
+			}
+		})
 	}
+	t.Run("stream=false", func(t *testing.T) {
+		body, err := client.post(context.Background(), "/v1/query",
+			map[string]any{"kind": KindTopK, "query_id": data[0].ID, "k": 3, "stream": false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer body.Close()
+		reply, err := io.ReadAll(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(reply), "\n"), "\n")
+		var footer StreamLine
+		if len(lines) != 4 || json.Unmarshal([]byte(lines[3]), &footer) != nil || !footer.Done || footer.Results != 3 {
+			t.Fatalf("reply is not three match lines and a footer:\n%s", reply)
+		}
+	})
 }
 
 // TestHugeDeadlineIsClamped: a deadline_ms beyond what a time.Duration holds
@@ -545,41 +541,33 @@ func TestHugeDeadlineIsClamped(t *testing.T) {
 	_, client := startServer(t, db, Config{})
 	ctx := context.Background()
 	req := QueryRequest{Kind: KindTopK, QueryID: data[42].ID, K: 5}
-	base, err := client.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := formatWire(base.Matches)
-	for _, ms := range []int64{math.MaxInt64, 1 << 62} {
-		req.DeadlineMS = ms
-		resp, err := client.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("deadline_ms %d, collected: %v", ms, err)
-		}
-		if got := formatWire(resp.Matches); got != want {
-			t.Fatalf("deadline_ms %d, collected:\n%swant\n%s", ms, got, want)
-		}
-		var streamed []WireMatch
+	query := func() string {
+		t.Helper()
+		var ms []WireMatch
 		if _, err := client.QueryStream(ctx, req, func(m WireMatch) error {
-			streamed = append(streamed, m)
+			ms = append(ms, m)
 			return nil
 		}); err != nil {
-			t.Fatalf("deadline_ms %d, streamed: %v", ms, err)
+			t.Fatalf("deadline_ms %d: %v", req.DeadlineMS, err)
 		}
-		if got := formatWire(streamed); got != want {
-			t.Fatalf("deadline_ms %d, streamed:\n%swant\n%s", ms, got, want)
+		return formatWire(ms)
+	}
+	want := query()
+	if want == "" {
+		t.Fatal("no matches")
+	}
+	for _, ms := range []int64{math.MaxInt64, 1 << 62} {
+		req.DeadlineMS = ms
+		if got := query(); got != want {
+			t.Fatalf("deadline_ms %d:\n%swant\n%s", ms, got, want)
 		}
 	}
 }
 
-// queryErr issues req over the path its Stream field selects and returns the
-// error; statusOf extracts the HTTP status (0 when err is not a StatusError).
+// queryErr issues req and returns the error; statusOf extracts the HTTP
+// status (0 when err is not a StatusError).
 func queryErr(ctx context.Context, client *Client, req QueryRequest) error {
-	if req.Stream {
-		_, err := client.QueryStream(ctx, req, func(WireMatch) error { return nil })
-		return err
-	}
-	_, err := client.Query(ctx, req)
+	_, err := client.QueryStream(ctx, req, func(WireMatch) error { return nil })
 	return err
 }
 
@@ -599,15 +587,13 @@ func (failingGetBackend) Get(string) (*trass.Trajectory, error) {
 }
 
 // TestQueryIDStorageFailureIs500: a backend failure while resolving query_id
-// is the server's fault on both paths, not a 400.
+// is the server's fault, not a 400.
 func TestQueryIDStorageFailureIs500(t *testing.T) {
 	db, _ := openLoadedDB(t)
 	_, client := startServer(t, failingGetBackend{db}, Config{})
-	for _, stream := range []bool{false, true} {
-		req := QueryRequest{Kind: KindThreshold, QueryID: "any", Eps: 0.01, Stream: stream}
-		if err := queryErr(context.Background(), client, req); statusOf(err) != http.StatusInternalServerError {
-			t.Errorf("stream=%v: got %v, want 500", stream, err)
-		}
+	req := QueryRequest{Kind: KindThreshold, QueryID: "any", Eps: 0.01}
+	if err := queryErr(context.Background(), client, req); statusOf(err) != http.StatusInternalServerError {
+		t.Errorf("got %v, want 500", err)
 	}
 }
 
@@ -669,7 +655,7 @@ func TestStreamDisconnectCancelsQuery(t *testing.T) {
 	// Open a streaming threshold query wide enough to emit many lines, read
 	// the first line, then kill the connection.
 	ctx, cancel := context.WithCancel(context.Background())
-	req := QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(1.0), Stream: true}
+	req := QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(1.0)}
 	body, err := client.post(ctx, "/v1/query", req)
 	if err != nil {
 		cancel()
@@ -760,7 +746,7 @@ func TestDrainGraceful(t *testing.T) {
 	var results int64
 	go func() {
 		_, err := client.QueryStream(context.Background(),
-			QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(0.2), Stream: true},
+			QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(0.2)},
 			func(WireMatch) error { atomic.AddInt64(&results, 1); return nil })
 		streamDone <- err
 	}()
@@ -781,8 +767,7 @@ func TestDrainGraceful(t *testing.T) {
 	// answered with 503 if they sneak in before Draining flips.
 	refusedDeadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := client.Query(context.Background(),
-			QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 1})
+		err := queryErr(context.Background(), client, QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 1})
 		if err != nil {
 			break
 		}
@@ -850,7 +835,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	streamDone := make(chan error, 1)
 	go func() {
 		_, err := client.QueryStream(context.Background(),
-			QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(1.0), Stream: true},
+			QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(1.0)},
 			func(WireMatch) error { return nil })
 		streamDone <- err
 	}()
@@ -900,7 +885,7 @@ func TestShed429(t *testing.T) {
 	holdDone := make(chan error, 1)
 	go func() {
 		_, err := client.QueryStream(context.Background(),
-			QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(0.2), Stream: true},
+			QueryRequest{Kind: KindThreshold, QueryID: data[42].ID, Eps: gen.DegreesToNorm(0.2)},
 			func(WireMatch) error { return nil })
 		holdDone <- err
 	}()
@@ -910,7 +895,7 @@ func TestShed429(t *testing.T) {
 		t.Fatal("holding query never admitted")
 	}
 
-	_, err := client.Query(context.Background(), QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 1})
+	err := queryErr(context.Background(), client, QueryRequest{Kind: KindTopK, QueryID: data[0].ID, K: 1})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("second query at capacity: got %v, want 429", err)

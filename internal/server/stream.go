@@ -9,12 +9,20 @@ import (
 	trass "repro"
 )
 
-// streamQuery runs the streaming path: a 200 header goes out with the first
-// line, then one NDJSON line per match as run's sink receives it, then the
-// footer line with the QueryStats — the trailer a chunked response can't
-// carry in headers. A query that fails before its first line is answered
-// like a collected one, with the status writeQueryError picks.
+// streamQuery writes the one reply /v1/query has: a 200 header goes out with
+// the first line, then one NDJSON line per match as run's sink receives it,
+// then the footer line with the QueryStats — the trailer a chunked response
+// can't carry in headers. A query that fails before its first line is
+// answered with the status writeQueryError picks.
+//
+// No reply outlives ctx's deadline: a Write blocked on a client that stopped
+// reading does not observe ctx, so the connection's write deadline is set to
+// it, and a stalled reader fails the Write and releases the in-flight slot
+// and the query's snapshot. A writer without deadlines (a test recorder)
+// returns http.ErrNotSupported; its writes do not block on a peer.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q trass.Query, includePoints bool) {
+	dl, _ := ctx.Deadline() // handleQuery's ctx always has one
+	_ = http.NewResponseController(w).SetWriteDeadline(dl)
 	sw := &streamWriter{w: w, delay: s.streamDelay}
 	if f, ok := w.(http.Flusher); ok {
 		sw.flush = f.Flush
@@ -37,7 +45,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q trass
 		return nil
 	}
 
-	_, stats, err := s.run(ctx, q, emit)
+	stats, err := s.run(ctx, q, emit)
 	if err != nil && !sw.wrote {
 		// Nothing is on the wire yet, so the status is still ours to set.
 		writeQueryError(w, err)

@@ -5,34 +5,30 @@
 // context plumbing, a bounded in-flight request limit with 429 shedding,
 // and graceful SIGTERM drain.
 //
-// Wire protocol (all under POST /v1/query):
+// Wire protocol: every POST /v1/query reply is chunked NDJSON. Each match
+// is one line {"match":{...}}, written as refinement confirms it for
+// threshold and range, and in (distance, id) order once the search ends for
+// top-k and point-kNN. The last line is a footer {"done":true,...} carrying
+// the result count, the QueryStats (stream backpressure included), and any
+// error — the trailer a chunked response cannot put in headers. A query
+// that fails before its first line gets a 4xx/5xx status and a JSON
+// ErrorResponse instead. No reply holds more than one match line: the
+// server's resident set is the engine's pipeline, not the answer.
 //
-//   - Non-streaming (default): one JSON QueryResponse — every match in the
-//     same deterministic order the embedded *SearchContext variants return
-//     (row-key order for threshold/range, ascending (distance, id) for
-//     top-k/point-kNN), and the QueryStats.
-//   - Streaming (Stream:true): chunked NDJSON. Each match is one line
-//     {"match":{...}} written as refinement produces it (top-k/point-kNN:
-//     in (distance, id) order once the search ends); the final line is a
-//     footer {"done":true,...} carrying the result count, the QueryStats
-//     (stream backpressure included), and any error — the
-//     trailer a chunked response cannot put in headers. A query that fails
-//     before its first line gets the non-streaming error status instead.
-//
-// Match objects, collected or streamed, are the bulk of a reply and are not
-// encoded through reflection: appendMatch writes each one and the client's
-// parseMatchLine reads a match line back, declining any line of another
-// shape to json.Unmarshal. Their bytes are encoding/json's, byte for byte;
-// FuzzMatchLine and TestMatchBytesMatchEncodingJSON pin both against it.
+// Match lines are the bulk of a reply and are not encoded through
+// reflection: appendMatch writes each one and the client's parseMatchLine
+// reads it back, declining any line of another shape to json.Unmarshal.
+// Their bytes are encoding/json's, byte for byte; FuzzMatchLine and
+// TestMatchBytesMatchEncodingJSON pin both against it.
 // Their numbers are mostly stored coordinates, each exactly k/2^30 in the
 // codec's resolution: appendDyadic and parseDyadic write and read those
 // with integer arithmetic, and leave any value whose digits they cannot
 // prove to strconv, the formatter and parser encoding/json uses.
 // Requests, footers, stats and errors go through encoding/json.
 //
-// Two things are a 400, on both paths: a body that is not one QueryRequest
-// (an unknown field included), and a query the engine or the wire cannot run
-// as written, whose error wraps trass.ErrInvalidQuery.
+// Two things are a 400: a body that is not one QueryRequest (an unknown
+// field included), and a query the engine or the wire cannot run as
+// written, whose error wraps trass.ErrInvalidQuery.
 //
 // GET /healthz reports liveness (503 while draining), GET /statsz the
 // server's request counters plus the storage layer's health snapshot,
@@ -86,7 +82,9 @@ type QueryRequest struct {
 	// id+distance is enough for most clients and keeps the wire cheap.
 	IncludePoints bool `json:"include_points,omitempty"`
 
-	// Stream selects chunked NDJSON delivery.
+	// Stream is accepted and ignored: every reply streams. It stays so that
+	// bodies written when a collected reply existed still decode under
+	// DisallowUnknownFields.
 	Stream bool `json:"stream,omitempty"`
 
 	// DeadlineMS is the client's per-request deadline in milliseconds; the
@@ -157,12 +155,6 @@ func statsToWire(st *trass.QueryStats) *WireStats {
 		StreamPeakDepth: st.StreamPeakDepth,
 		StreamStallNS:   st.StreamStallTime.Nanoseconds(),
 	}
-}
-
-// QueryResponse is the non-streaming response body.
-type QueryResponse struct {
-	Matches []WireMatch `json:"matches"`
-	Stats   *WireStats  `json:"stats,omitempty"`
 }
 
 // StreamLine is one NDJSON line of a streaming response: either a match or

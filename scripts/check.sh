@@ -61,11 +61,10 @@
 #   serve      end-to-end over a real socket: build trassd + trass, generate
 #              and load a dataset (at a non-default shape, so every reopen
 #              adopts it), run the same queries embedded and against
-#              the server, and require the wire output byte-identical (cmp);
-#              streamed threshold output must match as a set (sort | cmp),
-#              streamed top-k byte for byte; a client -measure beside
-#              -server must be refused. Finishes with a SIGTERM drain that
-#              must exit 0.
+#              the server, and require the same answer: threshold as a set
+#              (sort | cmp), top-k byte for byte (cmp); a client -measure
+#              beside -server must be refused. Finishes with a SIGTERM drain
+#              that must exit 0.
 #
 # The gate measures nothing. Performance is benchmark/run.sh's job (see
 # benchmark/README.md): four workloads against a checked-in baseline.
@@ -179,7 +178,7 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         go test -race -count=1 -run 'Refine|Stream|TopK|BestFirst|Filter|Window' ./internal/query
 
         step "served streaming (race)"
-        # A streamed reply's NDJSON lines are written by the search's sink,
+        # A reply's NDJSON lines are written by the search's sink,
         # which runs on the refine pool's workers, not on the handler's
         # goroutine: the pool's mutex and Search's join are what keep the
         # response writer, the line count and the per-request line buffer
@@ -216,10 +215,10 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
 fi
 
 if [[ "$MODE" == "serve" || "$MODE" == "all" ]]; then
-    # Served-vs-embedded equivalence over a real socket. The non-streaming
-    # wire path uses the same deterministic result ordering as the embedded
-    # CLI, so the outputs must be byte-identical; streamed threshold delivery
-    # order is the refine pipeline's, so that check compares the sorted sets.
+    # Served-vs-embedded equivalence over a real socket. Every reply streams:
+    # threshold lines arrive in the refine pipeline's completion order, so
+    # that check compares the sorted sets; top-k lines arrive in (distance,
+    # id) order, the embedded CLI's, so that check is byte for byte.
     step "serve e2e (build)"
     SERVE_TMP=$(mktemp -d)
     TRASSD_PID=""
@@ -256,18 +255,13 @@ if [[ "$MODE" == "serve" || "$MODE" == "all" ]]; then
     ADDR=$(cat "$SERVE_TMP/addr")
 
     "$SERVE_TMP/trass" query -server "$ADDR" -id td000042 -eps 0.2deg 2>/dev/null > "$SERVE_TMP/wire-threshold.txt"
-    "$SERVE_TMP/trass" query -server "$ADDR" -id td000042 -k 20 2>/dev/null > "$SERVE_TMP/wire-topk.txt"
-    cmp "$SERVE_TMP/embedded-threshold.txt" "$SERVE_TMP/wire-threshold.txt"
-    cmp "$SERVE_TMP/embedded-topk.txt" "$SERVE_TMP/wire-topk.txt"
-
-    "$SERVE_TMP/trass" query -server "$ADDR" -stream -id td000042 -eps 0.2deg 2>/dev/null > "$SERVE_TMP/stream-threshold.txt"
     sort "$SERVE_TMP/embedded-threshold.txt" > "$SERVE_TMP/embedded-threshold.sorted"
-    sort "$SERVE_TMP/stream-threshold.txt" > "$SERVE_TMP/stream-threshold.sorted"
-    cmp "$SERVE_TMP/embedded-threshold.sorted" "$SERVE_TMP/stream-threshold.sorted"
-    # Streamed top-k is emitted in (distance, id) order after the search, so
-    # it must match the embedded answer byte for byte, unsorted.
-    "$SERVE_TMP/trass" query -server "$ADDR" -stream -id td000042 -k 20 2>/dev/null > "$SERVE_TMP/stream-topk.txt"
-    cmp "$SERVE_TMP/embedded-topk.txt" "$SERVE_TMP/stream-topk.txt"
+    sort "$SERVE_TMP/wire-threshold.txt" > "$SERVE_TMP/wire-threshold.sorted"
+    cmp "$SERVE_TMP/embedded-threshold.sorted" "$SERVE_TMP/wire-threshold.sorted"
+    # Top-k is emitted in (distance, id) order after the search, so it must
+    # match the embedded answer byte for byte, unsorted.
+    "$SERVE_TMP/trass" query -server "$ADDR" -id td000042 -k 20 2>/dev/null > "$SERVE_TMP/wire-topk.txt"
+    cmp "$SERVE_TMP/embedded-topk.txt" "$SERVE_TMP/wire-topk.txt"
 
     # The measure is trassd's: a client-side -measure must be refused, not
     # silently answered under the server's measure.
