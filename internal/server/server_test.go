@@ -501,18 +501,27 @@ func TestWireSurfacePinned(t *testing.T) {
 
 	db, data := openLoadedDB(t)
 	_, client := startServer(t, db, Config{})
+	// Each field is also sent with the ignored "stream":true beside it: the
+	// unknown name is still the 400.
 	for _, field := range []string{"page_size", "page_token"} {
-		t.Run(field, func(t *testing.T) {
+		for _, stream := range []bool{false, true} {
+			name := field
 			body := map[string]any{"kind": KindTopK, "query_id": data[0].ID, "k": 3, field: 2}
-			resp, err := client.post(context.Background(), "/v1/query", body)
-			if err == nil {
-				_ = resp.Close()
+			if stream {
+				name += " (streamed)"
+				body["stream"] = true
 			}
-			var se *StatusError
-			if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, field) {
-				t.Fatalf("got %v, want a 400 naming %q", err, field)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				resp, err := client.post(context.Background(), "/v1/query", body)
+				if err == nil {
+					_ = resp.Close()
+				}
+				var se *StatusError
+				if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, field) {
+					t.Fatalf("got %v, want a 400 naming %q", err, field)
+				}
+			})
+		}
 	}
 	t.Run("stream=false", func(t *testing.T) {
 		body, err := client.post(context.Background(), "/v1/query",
