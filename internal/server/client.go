@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -90,17 +91,12 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Wire
 	}
 	defer body.Close()
 
-	br := bufio.NewReaderSize(body, 64<<10)
-	var long []byte
+	// The scanner starts at 64 kB and doubles only for a longer line.
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64<<10), math.MaxInt)
 	var scratch [][2]float64
-	for {
-		line, err := readLine(br, &long)
-		if err == io.EOF {
-			return nil, fmt.Errorf("stream ended without footer (connection cut mid-stream?)")
-		}
-		if err != nil {
-			return nil, err
-		}
+	for sc.Scan() {
+		line := sc.Bytes()
 		// A match line as trassd writes it skips encoding/json; the footer,
 		// an escaped id and any other formatting take the general path.
 		if m, ok := parseMatchLine(line, &scratch); ok {
@@ -128,31 +124,10 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Wire
 			}
 		}
 	}
-}
-
-// readLine returns br's next line without its "\n" or "\r\n", as
-// bufio.ScanLines does, but of any length. A line that fits br's buffer is a
-// slice into it; only a longer one is gathered, into *long, which later
-// calls reuse. Either is valid until the next call. A last line without a
-// newline is returned whole; io.EOF follows it.
-func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		*long = append((*long)[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = br.ReadSlice('\n')
-			*long = append(*long, line...)
-		}
-		line = *long
-	}
-	if err == io.EOF && len(line) > 0 {
-		err = nil
-	}
-	if err != nil {
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	return bytes.TrimSuffix(line, []byte("\r")), nil
+	return nil, fmt.Errorf("stream ended without footer (connection cut mid-stream?)")
 }
 
 // Healthz probes liveness; nil means the server answered 200.

@@ -85,7 +85,7 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// streamDelay throttles each NDJSON line; tests use it to hold a stream
+	// streamDelay throttles each match line; tests use it to hold a stream
 	// open long enough to cut the connection mid-flight.
 	streamDelay time.Duration
 	// queryCtxHook observes each query's context as it starts; tests use it

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -132,9 +133,15 @@ func TestStreamStalledReaderReleasesSlot(t *testing.T) {
 		len(wholeSquare), wholeSquare); err != nil {
 		t.Fatal(err)
 	}
-	for srv.InFlight() == 0 && time.Since(sent) < deadline {
+	// The request holds its slot from admission until its reply ends, which
+	// a reader that never reads puts off until the deadline at the earliest.
+	for srv.InFlight() == 0 && time.Since(sent) < 10*time.Second {
 		time.Sleep(time.Millisecond)
 	}
+	if srv.InFlight() == 0 {
+		t.Fatalf("the request was never seen in flight")
+	}
+	admitted := time.Now()
 
 	for {
 		st, err := db.StorageStats()
@@ -144,11 +151,55 @@ func TestStreamStalledReaderReleasesSlot(t *testing.T) {
 		if srv.InFlight() == 0 && st.KV.PinnedSnapshots == before.KV.PinnedSnapshots {
 			return
 		}
-		if time.Since(sent) > deadline+2*time.Second {
-			t.Fatalf("%v after a stalled reader's request: in-flight %d, pinned snapshots %d (%d before)",
-				time.Since(sent).Round(time.Millisecond), srv.InFlight(), st.KV.PinnedSnapshots, before.KV.PinnedSnapshots)
+		if time.Since(admitted) > deadline+2*time.Second {
+			t.Fatalf("%v after a stalled reader's request was admitted: in-flight %d, pinned snapshots %d (%d before)",
+				time.Since(admitted).Round(time.Millisecond), srv.InFlight(), st.KV.PinnedSnapshots, before.KV.PinnedSnapshots)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStreamDeadlineBeforeFirstLineIs504: a query whose deadline expires
+// before its first line reaches the client as a 504 over a real socket. The
+// connection's write deadline must not fall before the status is flushed.
+func TestStreamDeadlineBeforeFirstLineIs504(t *testing.T) {
+	db, _ := openLoadedDB(t)
+	const deadline = 200 * time.Millisecond
+	srv, client := startServer(t, db, Config{DefaultDeadline: deadline, MaxDeadline: deadline})
+	srv.streamDelay = time.Minute // the first line waits out the deadline
+
+	req := QueryRequest{Kind: KindRange, Rect: &[4]float64{0, 0, 1, 1}}
+	_, err := client.QueryStream(context.Background(), req, func(WireMatch) error {
+		t.Error("a match line arrived before the deadline expired")
+		return nil
+	})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusGatewayTimeout {
+		t.Fatalf("got %v, want a *StatusError with code 504", err)
+	}
+}
+
+// TestStreamDeadlineMidStreamReachesFooter: a query whose deadline expires
+// after some lines have gone out ends with a footer that carries the expiry,
+// over a real socket, rather than a cut connection.
+func TestStreamDeadlineMidStreamReachesFooter(t *testing.T) {
+	db, _ := openLoadedDB(t)
+	const deadline = time.Second
+	srv, client := startServer(t, db, Config{DefaultDeadline: deadline, MaxDeadline: deadline})
+	srv.streamDelay = deadline / 4 // a few lines go out, then the deadline expires
+
+	req := QueryRequest{Kind: KindRange, Rect: &[4]float64{0, 0, 1, 1}}
+	n := 0
+	_, err := client.QueryStream(context.Background(), req, func(WireMatch) error {
+		n++
+		return nil
+	})
+	// QueryStream reports a footer's error as "server: <error>".
+	if err == nil || err.Error() != "server: "+context.DeadlineExceeded.Error() {
+		t.Fatalf("got %v, want a footer carrying the expired deadline", err)
+	}
+	if n == 0 || int64(n) >= db.Count() {
+		t.Fatalf("%d of %d matches arrived; the deadline should expire mid-stream", n, db.Count())
 	}
 }
 
