@@ -86,6 +86,13 @@ func rangesOverlap(s1, e1, s2, e2 []byte) bool {
 	return true
 }
 
+// crossesBounds reports whether rng reaches below r's start or past its end,
+// where clipRange would cut it.
+func crossesBounds(rng KeyRange, r *Region) bool {
+	return r.start != nil && (rng.Start == nil || bytes.Compare(rng.Start, r.start) < 0) ||
+		r.end != nil && (rng.End == nil || bytes.Compare(rng.End, r.end) > 0)
+}
+
 // clipRange intersects a request range with a region's bounds.
 func clipRange(rng KeyRange, r *Region) KeyRange {
 	out := rng

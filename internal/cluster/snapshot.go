@@ -81,8 +81,10 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // rows) as they are produced. Ranges falling in one region are served by
 // one region call, and region calls run in parallel (bounded by
 // Config.Parallelism). emit is always called from the ScanStream goroutine —
-// never concurrently — and owns the batch it receives; returning an error from
-// emit aborts the stream and surfaces that error verbatim.
+// never concurrently. The batch it receives is valid only during that call
+// (the stream recycles it), while the key and value bytes of its entries are
+// emit's to keep; returning an error from emit aborts the stream and surfaces
+// that error verbatim.
 //
 // A region whose scan fails fails the whole scan with a *RegionError naming
 // the region and its key range; there is no partial answer, since a missing
@@ -113,8 +115,11 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 
 // scanTasks assigns the request's ranges to the regions they overlap, in
 // region (= key) order, each region's ranges clipped to its bounds and sorted
-// by start key. Ranges and regions are both walked in key order, once; all
-// clipped ranges share one backing array.
+// by start key. Ranges and regions are both walked in key order, once. A
+// region whose ranges are a run of the sorted request that all lie within its
+// bounds (every store scan: its ranges are built shard by shard) scans that
+// run in place; the clipped ranges of any other region share one backing
+// array.
 func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 	regions, err := s.pinned()
 	if err != nil {
@@ -126,8 +131,7 @@ func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 		ranges = slices.Clone(ranges)
 		slices.SortStableFunc(ranges, byStart)
 	}
-	// Disjoint ranges cross each region boundary at most once between them.
-	clipped := make([]KeyRange, 0, len(ranges)+len(regions))
+	var clipped []KeyRange
 	var tasks []regionTask
 	lo := 0 // ranges before lo end at or before the current region
 	for _, sr := range regions {
@@ -135,11 +139,28 @@ func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 		for lo < len(ranges) && ranges[lo].End != nil && r.start != nil && bytes.Compare(ranges[lo].End, r.start) <= 0 {
 			lo++
 		}
-		first := len(clipped)
-		for _, rng := range ranges[lo:] {
+		hi, inside := lo, true
+		for ; hi < len(ranges); hi++ {
+			rng := ranges[hi]
 			if r.end != nil && rng.Start != nil && bytes.Compare(rng.Start, r.end) >= 0 {
 				break // this and every later range starts past the region
 			}
+			inside = inside && rangesOverlap(rng.Start, rng.End, r.start, r.end) && !crossesBounds(rng, r)
+		}
+		if hi == lo {
+			continue
+		}
+		if inside {
+			tasks = append(tasks, regionTask{region: r, snap: sr.snap, ranges: ranges[lo:hi:hi]})
+			continue
+		}
+		if clipped == nil {
+			// Disjoint ranges cross each region boundary at most once
+			// between them.
+			clipped = make([]KeyRange, 0, len(ranges)+len(regions))
+		}
+		first := len(clipped)
+		for _, rng := range ranges[lo:hi] {
 			if rangesOverlap(rng.Start, rng.End, r.start, r.end) {
 				clipped = append(clipped, clipRange(rng, r))
 			}

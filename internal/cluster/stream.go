@@ -34,10 +34,26 @@ type StreamRequest struct {
 }
 
 // ScanBatch is one unit of streamed rows, all from a single region, in key
-// order within the batch. The slice is owned by the consumer.
+// order within the batch. Entries is valid only during the emit call that
+// receives it: the stream recycles the slice once emit returns. The key and
+// value bytes of each entry are the consumer's to keep.
 type ScanBatch struct {
 	RegionID int
 	Entries  []kv.Entry
+}
+
+// batchPool recycles scan batches. A batch is taken at a region call's first
+// accepted row and put back once emit has returned, or once the stream has
+// dropped it; its entries are cleared first, so a pooled batch holds no row.
+var batchPool = sync.Pool{New: func() any {
+	return &ScanBatch{Entries: make([]kv.Entry, 0, batchRows)}
+}}
+
+// recycle clears b's entries and returns it to batchPool.
+func recycle(b *ScanBatch) {
+	clear(b.Entries)
+	b.Entries = b.Entries[:0]
+	batchPool.Put(b)
 }
 
 // scanAccount accumulates scan accounting incrementally across concurrent
@@ -80,7 +96,7 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 		parallelism = len(tasks)
 	}
 	acct := &scanAccount{}
-	out := make(chan ScanBatch, streamQueueDepth)
+	out := make(chan *ScanBatch, streamQueueDepth)
 	errs := make([]error, len(tasks))
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
@@ -95,11 +111,12 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 				return
 			}
 			defer func() { <-sem }()
-			errs[i] = c.scanRegion(pctx, t, filter, acct, func(b ScanBatch) error {
+			errs[i] = c.scanRegion(pctx, t, filter, acct, func(b *ScanBatch) error {
 				select {
 				case out <- b:
 					return nil
 				case <-pctx.Done():
+					recycle(b)
 					return pctx.Err()
 				}
 			})
@@ -109,13 +126,13 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 
 	var consumerErr error
 	for b := range out {
-		if consumerErr != nil {
-			continue // drain so blocked producers observe the cancel promptly
+		if consumerErr == nil { // else drain so blocked producers observe the cancel promptly
+			if err := emit(*b); err != nil {
+				consumerErr = err
+				cancel()
+			}
 		}
-		if err := emit(b); err != nil {
-			consumerErr = err
-			cancel()
-		}
+		recycle(b)
 	}
 	if consumerErr != nil {
 		return nil, consumerErr
@@ -136,8 +153,8 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 // the server-side filter applied to each row, accepted rows delivered in
 // batches. ctx is observed between rows (amortized every 256). A
 // consumer-side failure comes back as an *emitError; anything else is the
-// region's own failure.
-func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(ScanBatch) error) error {
+// region's own failure. send takes over each batch it is given.
+func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(*ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -162,22 +179,23 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, a
 	acct.rpcs.Add(1)
 
 	// Most region calls of a best-first search ship nothing, so the batch is
-	// allocated on the first accepted row, not up front.
-	var batch []kv.Entry
+	// taken on the first accepted row, not up front.
+	var batch *ScanBatch
 	flush := func() error {
-		if len(batch) == 0 {
+		if batch == nil {
 			return nil
 		}
-		var shipped int64
-		for _, e := range batch {
+		rows, shipped := int64(len(batch.Entries)), int64(0)
+		for _, e := range batch.Entries {
 			shipped += int64(len(e.Key) + len(e.Value))
 		}
-		if err := send(ScanBatch{RegionID: t.region.id, Entries: batch}); err != nil {
+		err := send(batch)
+		batch = nil // send took it over
+		if err != nil {
 			return &emitError{err}
 		}
-		acct.rowsReturned.Add(int64(len(batch)))
+		acct.rowsReturned.Add(rows)
 		acct.bytesShipped.Add(shipped)
-		batch = nil // the consumer owns the delivered slice
 		return nil
 	}
 
@@ -195,14 +213,17 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, a
 		if filter != nil && !filter(it.Key(), it.Value()) {
 			continue
 		}
+		// The iterator's bytes are the store's own: a shipped row is copied
+		// here, once.
 		e := kv.Entry{
 			Key:   append([]byte(nil), it.Key()...),
 			Value: append([]byte(nil), it.Value()...),
 		}
 		if batch == nil {
-			batch = make([]kv.Entry, 0, batchRows)
+			batch = batchPool.Get().(*ScanBatch)
+			batch.RegionID = t.region.id
 		}
-		if batch = append(batch, e); len(batch) >= batchRows {
+		if batch.Entries = append(batch.Entries, e); len(batch.Entries) >= batchRows {
 			err = flush()
 		}
 	}

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/kv"
 	"repro/internal/vfs"
@@ -313,7 +315,7 @@ func TestScanRegionAllocsFlatInRanges(t *testing.T) {
 	}
 	acct := &scanAccount{}
 	reject := func(_, _ []byte) bool { return false }
-	send := func(ScanBatch) error { return nil }
+	send := func(b *ScanBatch) error { recycle(b); return nil }
 	allocs := func(task regionTask) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if err := c.scanRegion(context.Background(), task, reject, acct, send); err != nil {
@@ -390,5 +392,182 @@ func TestScanTasksMatchPerRegionPlan(t *testing.T) {
 		if after := fmt.Sprintf("%q", ranges); after != before {
 			t.Fatalf("planning reordered the request's ranges: %s, was %s", after, before)
 		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun in bytes: the mean heap bytes one call
+// of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestScanShipsRowWithoutBatchAlloc: a region call pays for the rows it
+// ships, not for a fresh batch. A scan that ships one row allocates less than
+// one 64-entry batch more than the same scan with every row filtered out:
+// batches are recycled once emit returns.
+func TestScanShipsRowWithoutBatchAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under -race, so recycled batches are reallocated")
+	}
+	c := newTestCluster(t, Config{}) // one region
+	loadRows(t, c, 1000)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	req := ScanRequest{Ranges: []KeyRange{{Start: []byte("row00100"), End: []byte("row00200")}}}
+	perCall := func(filter Filter, wantRows int64) float64 {
+		req := StreamRequest{ScanRequest: ScanRequest{Ranges: req.Ranges, Filter: filter}}
+		return bytesPerRun(200, func() {
+			res, err := snap.ScanStream(context.Background(), req, func(ScanBatch) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RowsReturned != wantRows {
+				t.Fatalf("shipped %d rows, want %d", res.RowsReturned, wantRows)
+			}
+		})
+	}
+	target := []byte("row00150")
+	none := perCall(func(_, _ []byte) bool { return false }, 0)
+	one := perCall(func(key, _ []byte) bool { return bytes.Equal(key, target) }, 1)
+	batch := float64(batchRows * unsafe.Sizeof(kv.Entry{}))
+	t.Logf("bytes per scan: %.0f shipping nothing, %.0f shipping one row (a batch is %.0f)", none, one, batch)
+	if one-none >= batch {
+		t.Fatalf("shipping one row costs %.0f bytes, not less than a %.0f-byte batch", one-none, batch)
+	}
+}
+
+// TestScanStreamRecycledBatchesKeepRows: a consumer that keeps the entries of
+// every batch, across several parallel multi-region scans, sees every key and
+// value intact at the end, though each batch's slice is reused once emit
+// returns. Under -race it also checks that no producer touches a batch emit
+// is reading.
+func TestScanStreamRecycledBatchesKeepRows(t *testing.T) {
+	c := newTestCluster(t, Config{
+		SplitKeys:   [][]byte{[]byte("row00500"), []byte("row01000"), []byte("row01500")},
+		Parallelism: 4,
+	})
+	const n = 2000
+	loadRows(t, c, n)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 3 { // newer versions in the memtable
+		if err := c.Put([]byte(fmt.Sprintf("row%05d", i)), []byte(fmt.Sprintf("new%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(key []byte) string {
+		var i int
+		if _, err := fmt.Sscanf(string(key), "row%05d", &i); err != nil {
+			t.Fatalf("unexpected key %q", key)
+		}
+		if i%3 == 0 {
+			return fmt.Sprintf("new%d", i)
+		}
+		return fmt.Sprintf("val%d", i)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	// Every other row ships, so batches fill and part-fill across regions.
+	req := StreamRequest{ScanRequest: ScanRequest{
+		Ranges: []KeyRange{{}},
+		Filter: func(key, _ []byte) bool { return key[len(key)-1]%2 == 0 },
+	}}
+	const scans = 8
+	var kept []kv.Entry
+	for s := 0; s < scans; s++ {
+		if _, err := snap.ScanStream(context.Background(), req, func(b ScanBatch) error {
+			kept = append(kept, b.Entries...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(kept) != scans*n/2 {
+		t.Fatalf("kept %d entries, want %d", len(kept), scans*n/2)
+	}
+	for _, e := range kept {
+		if got := string(e.Value); got != want(e.Key) {
+			t.Fatalf("kept entry %q = %q, want %q", e.Key, got, want(e.Key))
+		}
+	}
+}
+
+// TestScanTasksAliasAlignedRanges: ranges that lie inside their regions, as
+// the store's shard-by-shard ranges do, are scanned from the request's own
+// slice, with no copy; ranges that straddle a region bound are still clipped
+// exactly, and the request's slice is left as it was.
+func TestScanTasksAliasAlignedRanges(t *testing.T) {
+	c := newTestCluster(t, Config{SplitKeys: [][]byte{{1}, {2}, {3}}}) // one region per shard byte
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var aligned []KeyRange
+	for shard := byte(0); shard < 4; shard++ {
+		for v := byte(0); v < 16; v++ {
+			aligned = append(aligned, KeyRange{Start: []byte{shard, 2 * v}, End: []byte{shard, 2*v + 1}})
+		}
+	}
+	tasks, err := snap.scanTasks(ScanRequest{Ranges: aligned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 4 {
+		t.Fatalf("%d tasks, want one per region", len(tasks))
+	}
+	for i, task := range tasks {
+		if len(task.ranges) != 16 || &task.ranges[0] != &aligned[16*i] {
+			t.Fatalf("region %d scans a copy of its %d ranges, not the request's own", task.region.id, len(task.ranges))
+		}
+	}
+
+	// Shard 1's ranges stay inside their region; one range crosses from
+	// shard 2 into shard 3, and an open-ended one runs from shard 3 on.
+	straddle := []KeyRange{
+		{Start: []byte{1, 4}, End: []byte{1, 8}},
+		{Start: []byte{2, 4}, End: []byte{3, 2}},
+		{Start: []byte{3, 6}},
+	}
+	before := fmt.Sprintf("%q", straddle)
+	tasks, err = snap.scanTasks(ScanRequest{Ranges: straddle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, task := range tasks {
+		got = append(got, fmt.Sprintf("%d %q", task.region.id, task.ranges))
+	}
+	want := []string{
+		fmt.Sprintf("%d %q", tasks[0].region.id, []KeyRange{straddle[0]}),
+		fmt.Sprintf("%d %q", tasks[1].region.id, []KeyRange{{Start: []byte{2, 4}, End: []byte{3}}}),
+		fmt.Sprintf("%d %q", tasks[2].region.id, []KeyRange{{Start: []byte{3}, End: []byte{3, 2}}, {Start: []byte{3, 6}}}),
+	}
+	if !equalStrings(got, want) {
+		t.Fatalf("planned %v, want %v", got, want)
+	}
+	if &tasks[0].ranges[0] != &straddle[0] {
+		t.Fatalf("region %d's one range lies inside it but was copied", tasks[0].region.id)
+	}
+	if after := fmt.Sprintf("%q", straddle); after != before {
+		t.Fatalf("planning changed the request's ranges: %s, was %s", after, before)
 	}
 }

@@ -146,16 +146,15 @@ func (m *mergeIter) Next() bool {
 
 		shadowed := m.hasLast && bytes.Equal(key, m.lastKey)
 		if !shadowed {
-			m.lastKey = append(m.lastKey[:0], key...)
+			m.lastKey = key
 			m.hasLast = true
 		}
-		// Copy out before advancing: advancing an SSTable iterator can load a
-		// new block and invalidate the slices it handed us.
+		// The source's slices stay valid after it advances: no byte a source
+		// hands out is ever written again (see Iterator), so nothing is copied
+		// for the rows a caller's filter rejects.
 		emit := !shadowed && (m.keepTombstones || kind != kindTombstone)
 		if emit {
-			m.key = append(m.key[:0], key...)
-			m.value = append(m.value[:0], value...)
-			m.kind = kind
+			m.key, m.value, m.kind = key, value, kind
 		}
 
 		if src.it.Next() {

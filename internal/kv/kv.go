@@ -36,7 +36,11 @@ const (
 )
 
 // Iterator walks entries in ascending key order. The Key/Value slices are
-// only valid until the next call to Next; callers that retain them must copy.
+// the store's own bytes, a memtable node's or a data block's (which the block
+// cache may share with other readers), and must not be written. They are
+// promised only until the next call to Next; callers that retain them must
+// copy. The store never writes bytes it has handed out, so an un-copied slice
+// does not change under its holder, but it keeps its whole block alive.
 type Iterator interface {
 	// Next advances to the next entry, returning false at the end or on
 	// error (check Err).

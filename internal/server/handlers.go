@@ -35,6 +35,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
+	// The body is read before the query's own deadline starts, so a client
+	// that stalls it is cut off at MaxDeadline. The read deadline is not
+	// cleared here: net/http clears it when the body is read to its end (its
+	// background read, which watches for a client that hangs up, starts
+	// then), and a body the decoder did not finish must stay bounded, since
+	// net/http discards the rest of it before the reply's header goes out.
+	// A writer without deadlines (a test recorder) returns
+	// http.ErrNotSupported and has no socket to stall.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.MaxDeadline))
 	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()

@@ -2,14 +2,17 @@ package server
 
 // Tests of the one reply format's bounds: a reply never holds more than one
 // match line, never outlives its deadline when the client stops reading, and
-// reads back whatever the length of a line.
+// reads back whatever the length of a line; a request body that stalls is cut
+// off, and the bound on reading it does not cut a long reply.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -200,6 +203,117 @@ func TestStreamDeadlineMidStreamReachesFooter(t *testing.T) {
 	}
 	if n == 0 || int64(n) >= db.Count() {
 		t.Fatalf("%d of %d matches arrived; the deadline should expire mid-stream", n, db.Count())
+	}
+}
+
+// TestStreamStalledBodyIsCutOff: a client that sends its headers and less
+// body than they announce, then stalls, cannot hold the connection, its
+// goroutine or an in-flight slot past MaxDeadline. A partial JSON value fails
+// the body's read (400). A complete one shorter than its Content-Length
+// starts the query, and net/http's read of the rest of the body, before the
+// reply's header goes out, fails instead; the query's deadline falls at about
+// the same instant, so whether any of the reply gets out first is a race.
+// Either way the server closes the connection.
+func TestStreamStalledBodyIsCutOff(t *testing.T) {
+	db, _ := openLoadedDB(t)
+	const deadline = time.Second
+	srv, client := startServer(t, db, Config{DefaultDeadline: deadline, MaxDeadline: deadline})
+	for _, tc := range []struct{ name, body, status string }{
+		{"partial", `{"kind":`, "400"}, // 8 of the 100 body bytes
+		{"complete", `{"kind":"range","rect":[0,0,1,1]}`, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", strings.TrimPrefix(client.BaseURL, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			sent := time.Now()
+			if _, err := io.WriteString(conn, "POST /v1/query HTTP/1.1\r\nHost: trassd\r\nContent-Type: application/json\r\n"+
+				"Content-Length: 100\r\n\r\n"+tc.body); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.SetReadDeadline(sent.Add(deadline + 2*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("%v after the body stalled, the connection is still open (%v); read %q",
+					time.Since(sent).Round(time.Millisecond), err, reply)
+			}
+			if tc.status != "" && !bytes.HasPrefix(reply, []byte("HTTP/1.1 "+tc.status+" ")) {
+				t.Fatalf("a stalled body was answered %q, want a %s", reply, tc.status)
+			}
+			for srv.InFlight() != 0 {
+				if time.Since(sent) > deadline+2*time.Second {
+					t.Fatalf("%d requests still in flight after the connection closed", srv.InFlight())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestStreamOutlastsBodyReadDeadline: the bound on reading a request's body
+// ends with the body. Half the body arrives MaxDeadline/2 after the headers,
+// then the reply streams for longer than another MaxDeadline/2, past the
+// instant the body read would have timed out, and still reaches its footer.
+func TestStreamOutlastsBodyReadDeadline(t *testing.T) {
+	db, _ := openLoadedDB(t)
+	const deadline = 2 * time.Second
+	srv, client := startServer(t, db, Config{DefaultDeadline: deadline, MaxDeadline: deadline})
+	n := int(db.Count())
+	srv.streamDelay = 6 * deadline / 10 / time.Duration(n) // the reply streams for at least 0.6 × deadline
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(client.BaseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"kind":"range","rect":[0,0,1,1]}`
+	sent := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/query HTTP/1.1\r\nHost: trassd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(deadline / 2)
+	if _, err := io.WriteString(conn, body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(sent.Add(3 * deadline)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	matches := 0
+	var footer StreamLine
+	for sc.Scan() {
+		var line StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("line %q: %v", sc.Bytes(), err)
+		}
+		if line.Match != nil {
+			matches++
+		}
+		if line.Done {
+			footer = line
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("after %d matches: %v", matches, err)
+	}
+	if elapsed := time.Since(sent); elapsed <= deadline {
+		t.Fatalf("the reply ended %v after the headers, before the body read's bound of %v", elapsed, deadline)
+	}
+	if !footer.Done || footer.Error != "" || matches != n {
+		t.Fatalf("%d of %d matches, footer %+v: want every match and a footer without error", matches, n, footer)
 	}
 }
 

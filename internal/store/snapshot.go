@@ -57,18 +57,23 @@ func (sn *Snapshot) HasValuesIn(lo, hi int64) bool {
 // storage half of Algorithm 3 — reading the pinned view only. Rows are
 // delivered to emit in bounded batches as regions produce them, and the
 // returned ScanResult carries the incrementally-accumulated accounting
-// (Entries is nil). emit owns each batch and is never called concurrently; an
-// error from emit aborts the scan and surfaces verbatim. ctx cancels the
-// scan. A failing region fails it with a *cluster.RegionError naming the
-// region and its key range.
+// (Entries is nil). A batch is valid only during the emit call that receives
+// it (the entries' key and value bytes are emit's to keep), and emit is never
+// called concurrently; an error from emit aborts the scan and surfaces
+// verbatim. ctx cancels the scan. A failing region fails it with a
+// *cluster.RegionError naming the region and its key range.
 //
 // The unnamed int and StreamOptions parameters are benchmark-pinned:
 // benchmark/trace.go passes `0, store.StreamOptions{}` positionally and a PR
 // may not edit that module beside other code. Both go when ROADMAP item 1(C)'s
 // benchmark PR moves that call.
 func (sn *Snapshot) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, _ int, _ StreamOptions, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
+	// ScanStream joins every region call before it returns, and neither its
+	// result nor its error refers to the ranges, so the buffer goes back then.
+	buf := keyRangePool.Get().(*keyRangeBuf)
+	defer keyRangePool.Put(buf)
 	return sn.snap.ScanStream(ctx, cluster.StreamRequest{
-		ScanRequest: cluster.ScanRequest{Ranges: sn.s.keyRanges(ranges), Filter: filter},
+		ScanRequest: cluster.ScanRequest{Ranges: sn.s.keyRanges(buf, ranges), Filter: filter},
 	}, func(b cluster.ScanBatch) error { return emit(b.Entries) })
 }
 

@@ -497,13 +497,25 @@ func (s *Store) Selectivity() float64 {
 // benchmark/trace.go names it in its ScanRangesStream call (see there).
 type StreamOptions struct{}
 
+// keyRangeBuf holds one scan's row-key ranges and the key bytes they slice.
+type keyRangeBuf struct {
+	ranges []cluster.KeyRange
+	keys   []byte
+}
+
+// keyRangePool recycles keyRangeBufs: every scan maps its value ranges
+// afresh, and a best-first top-k scans once per drain. A buffer holds only
+// keys it built itself.
+var keyRangePool = sync.Pool{New: func() any { return new(keyRangeBuf) }}
+
 // keyRanges maps XZ* value ranges onto per-shard row-key ranges, shard by
-// shard, so sorted value ranges give key-ordered row-key ranges. Every key
-// is a slice of one backing array.
-func (s *Store) keyRanges(ranges []xzstar.ValueRange) []cluster.KeyRange {
+// shard, so sorted value ranges give key-ordered row-key ranges. The result
+// and every key in it reuse buf's arrays, so they are valid until buf is
+// used again.
+func (s *Store) keyRanges(buf *keyRangeBuf, ranges []xzstar.ValueRange) []cluster.KeyRange {
 	n := len(ranges) * s.cfg.Shards
-	keyRanges := make([]cluster.KeyRange, 0, n)
-	keys := make([]byte, 0, 2*valueKeyLen*n)
+	keyRanges := slices.Grow(buf.ranges[:0], n)
+	keys := slices.Grow(buf.keys[:0], 2*valueKeyLen*n)
 	for shard := 0; shard < s.cfg.Shards; shard++ {
 		for _, r := range ranges {
 			keys = appendValueKey(keys, byte(shard), r.Lo)
@@ -515,6 +527,7 @@ func (s *Store) keyRanges(ranges []xzstar.ValueRange) []cluster.KeyRange {
 			})
 		}
 	}
+	buf.ranges, buf.keys = keyRanges, keys
 	return keyRanges
 }
 

@@ -187,9 +187,11 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
 
         step "stream pipeline (race)"
         # 'Scan|Stream': every cluster scan test runs through ScanStream now,
-        # whether or not its name says so.
+        # whether or not its name says so; the recycled-batch and aliased-range
+        # tests are named TestScan* too. 'Aliasing|Allocs' are kv's pins of
+        # the iterator handing out the store's own bytes.
         go test -race -count=1 -run 'Scan|Stream' ./internal/cluster
-        go test -race -count=1 -run 'Cache|ScanRanges' ./internal/kv
+        go test -race -count=1 -run 'Cache|ScanRanges|Aliasing|Allocs' ./internal/kv
         go test -race -count=1 -run 'Stream|Snapshot|PutBatch|ValueSet' ./internal/store
 
         step "test (short)"
