@@ -71,6 +71,9 @@ type Cluster struct {
 	closed bool
 
 	rpcs atomic.Int64
+	// sorts counts the scans whose ranges scanTasks had to sort: a caller
+	// that hands them over in key order costs none.
+	sorts atomic.Int64
 }
 
 // Region is one key-range partition. start is inclusive, end exclusive; nil

@@ -102,15 +102,92 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // stream nor are blocked by it.
 // Several scans against one snapshot see one consistent view.
 func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(ScanBatch) error) (*ScanResult, error) {
+	return s.scan(ctx, req.ScanRequest, nil, emit)
+}
+
+// Cursor scans one snapshot many times, as a best-first search does: each
+// region's kv iterator is opened at the region's first scan, re-targeted at
+// every later one and closed by Close, where Snapshot.ScanStream opens and
+// closes one per region call. A Cursor is not safe for concurrent use: its
+// scans run one after another. It does not keep the snapshot open; a scan
+// after the snapshot's Close, or the cursor's, fails with kv.ErrClosed.
+type Cursor struct {
+	snap   *Snapshot
+	slots  []cursorSlot // one per region, indexed by region id
+	closed bool
+}
+
+// cursorSlot holds one region's iterator between a cursor's scans; it is nil
+// until the region's first scan.
+type cursorSlot struct {
+	it kv.RangeIterator
+}
+
+// open returns the iterator a region call walks over t's ranges: the slot's,
+// re-targeted at them (and opened at the slot's first call), or with no slot
+// a new one.
+func (sl *cursorSlot) open(t regionTask) kv.RangeIterator {
+	if sl == nil {
+		return t.snap.ScanRanges(t.ranges)
+	}
+	if sl.it == nil {
+		sl.it = t.snap.ScanRanges(t.ranges)
+	} else {
+		sl.it.Reset(t.ranges)
+	}
+	return sl.it
+}
+
+// done ends a region call's use of it: a slot keeps its iterator for the
+// cursor's next scan; with no slot it is closed.
+func (sl *cursorSlot) done(it kv.RangeIterator) {
+	if sl == nil {
+		_ = it.Close()
+	}
+}
+
+// Cursor returns a cursor over the snapshot. Close it when the scans are
+// done: it holds the table references of every region it has scanned.
+func (s *Snapshot) Cursor() *Cursor {
+	return &Cursor{snap: s, slots: make([]cursorSlot, len(s.regions))}
+}
+
+// ScanStream is Snapshot.ScanStream through the cursor's iterators: the same
+// region calls, RPC accounting, batches, errors and guarantees.
+func (c *Cursor) ScanStream(ctx context.Context, req StreamRequest, emit func(ScanBatch) error) (*ScanResult, error) {
+	if c.closed {
+		return nil, kv.ErrClosed
+	}
+	return c.snap.scan(ctx, req.ScanRequest, c, emit)
+}
+
+// Close closes every region iterator the cursor opened. Idempotent.
+func (c *Cursor) Close() error {
+	c.closed = true
+	var first error
+	for i := range c.slots {
+		if it := c.slots[i].it; it != nil {
+			c.slots[i].it = nil
+			if err := it.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
+
+// scan is the one scan path behind ScanStream and Cursor.ScanStream; cur is
+// nil for the first.
+func (s *Snapshot) scan(ctx context.Context, req ScanRequest, cur *Cursor, emit func(ScanBatch) error) (*ScanResult, error) {
 	start := time.Now()
-	tasks, err := s.scanTasks(req.ScanRequest)
+	tasks, err := s.scanTasks(req)
 	if err != nil {
 		return nil, err
 	}
 	if len(tasks) == 0 {
 		return (&scanAccount{}).result(time.Since(start)), nil
 	}
-	return s.c.scanRegions(ctx, req.Filter, tasks, start, emit)
+	return s.c.scanRegions(ctx, req.Filter, tasks, cur, start, emit)
 }
 
 // scanTasks assigns the request's ranges to the regions they overlap, in
@@ -128,6 +205,7 @@ func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 	byStart := func(a, b KeyRange) int { return bytes.Compare(a.Start, b.Start) }
 	ranges := req.Ranges
 	if !slices.IsSortedFunc(ranges, byStart) {
+		s.c.sorts.Add(1)
 		ranges = slices.Clone(ranges)
 		slices.SortStableFunc(ranges, byStart)
 	}

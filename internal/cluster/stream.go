@@ -86,8 +86,9 @@ func (e *emitError) Unwrap() error { return e.err }
 // scanRegions scans the tasks' regions concurrently (bounded by
 // Config.Parallelism, default one worker per region), funneling batches
 // through a bounded channel to the single emit caller. The first failing
-// region, in region order, fails the scan with its *RegionError.
-func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []regionTask, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
+// region, in region order, fails the scan with its *RegionError. With a
+// cursor (cur not nil) each region call walks its region's slot.
+func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []regionTask, cur *Cursor, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -100,9 +101,9 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 	errs := make([]error, len(tasks))
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
-	for i, t := range tasks {
+	for i := range tasks {
 		wg.Add(1)
-		go func(i int, t regionTask) {
+		go func(i int) {
 			defer wg.Done()
 			select {
 			case sem <- struct{}{}:
@@ -111,7 +112,12 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 				return
 			}
 			defer func() { <-sem }()
-			errs[i] = c.scanRegion(pctx, t, filter, acct, func(b *ScanBatch) error {
+			t := tasks[i]
+			var slot *cursorSlot
+			if cur != nil {
+				slot = &cur.slots[t.region.id]
+			}
+			errs[i] = c.scanRegion(pctx, t, slot, filter, acct, func(b *ScanBatch) error {
 				select {
 				case out <- b:
 					return nil
@@ -120,7 +126,7 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 					return pctx.Err()
 				}
 			})
-		}(i, t)
+		}(i)
 	}
 	go func() { wg.Wait(); close(out) }()
 
@@ -153,8 +159,9 @@ func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []region
 // the server-side filter applied to each row, accepted rows delivered in
 // batches. ctx is observed between rows (amortized every 256). A
 // consumer-side failure comes back as an *emitError; anything else is the
-// region's own failure. send takes over each batch it is given.
-func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, acct *scanAccount, send func(*ScanBatch) error) error {
+// region's own failure. send takes over each batch it is given. The call
+// walks slot's iterator when slot is not nil, and a new one otherwise.
+func (c *Cluster) scanRegion(ctx context.Context, t regionTask, slot *cursorSlot, filter Filter, acct *scanAccount, send func(*ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -201,7 +208,7 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, a
 
 	// One iterator walks every range, as one HBase scanner serves a region's
 	// multi-range scan; rows scanned are counted here and added once.
-	it := t.snap.ScanRanges(t.ranges)
+	it := slot.open(t)
 	var scanned int64
 	var err error
 	for err == nil && it.Next() {
@@ -214,11 +221,9 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, a
 			continue
 		}
 		// The iterator's bytes are the store's own: a shipped row is copied
-		// here, once.
-		e := kv.Entry{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		}
+		// here, once, key and value into one array, each slice capped at its
+		// own length.
+		e := shipRow(it.Key(), it.Value())
 		if batch == nil {
 			batch = batchPool.Get().(*ScanBatch)
 			batch.RegionID = t.region.id
@@ -230,10 +235,19 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, filter Filter, a
 	if err == nil {
 		err = it.Err()
 	}
-	_ = it.Close()
+	slot.done(it)
 	acct.rowsScanned.Add(scanned)
 	if err != nil {
 		return err
 	}
 	return flush()
+}
+
+// shipRow copies a row the region ships into one array of exactly its size:
+// the shipped bytes pin neither the block nor the memtable node they came from.
+func shipRow(key, value []byte) kv.Entry {
+	buf := make([]byte, len(key)+len(value))
+	n := copy(buf, key)
+	copy(buf[n:], value)
+	return kv.Entry{Key: buf[:n:n], Value: buf[n:]}
 }

@@ -318,7 +318,7 @@ func TestScanRegionAllocsFlatInRanges(t *testing.T) {
 	send := func(b *ScanBatch) error { recycle(b); return nil }
 	allocs := func(task regionTask) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if err := c.scanRegion(context.Background(), task, reject, acct, send); err != nil {
+			if err := c.scanRegion(context.Background(), task, nil, reject, acct, send); err != nil {
 				t.Fatal(err)
 			}
 		})

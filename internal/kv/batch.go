@@ -104,6 +104,7 @@ type sliceIter struct {
 // seek rewinds to the first entry: the only merge over a sliceIter builds a
 // whole table, so its one range is the full key space.
 func (it *sliceIter) seek(_, _ []byte) { it.pos = 0 }
+func (it *sliceIter) reset()           {}
 
 func (it *sliceIter) Next() bool {
 	if it.pos >= len(it.entries) {

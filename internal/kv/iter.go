@@ -21,9 +21,14 @@ var allKeys = []Range{{}}
 // source per input, not one per range.
 type kvIter interface {
 	// seek positions the source so that Next yields its entries in
-	// [start, end), in key order; nil bounds are open. Any range may follow
-	// any other.
+	// [start, end), in key order; nil bounds are open. Within one list any
+	// range may follow any other, and the source may keep start and end,
+	// which alias the caller's list, until the next seek or reset.
 	seek(start, end []byte)
+	// reset drops every seek state that aliases the current list, whose
+	// bytes the caller may overwrite before the next list's first seek; what
+	// the source owns (an SSTable's loaded block) stays.
+	reset()
 	Next() bool
 	Key() []byte
 	Value() []byte
@@ -105,6 +110,22 @@ func newMergeIter(sources []kvIter, ranges []Range, stats *Stats, tables []*sstR
 		m.srcs[pri] = mergeSource{it: it, priority: pri}
 	}
 	return m
+}
+
+// Reset re-targets the iterator at ranges: what it yields next is what a new
+// ScanRanges over them would yield. The pinned sources and the blocks they
+// hold stay; every source forgets its last range, whose bytes the caller may
+// already have overwritten.
+func (m *mergeIter) Reset(ranges []Range) {
+	if m.closed {
+		return
+	}
+	m.ranges, m.next = ranges, 0
+	m.h = m.h[:0]
+	m.hasLast = false
+	for i := range m.srcs {
+		m.srcs[i].it.reset()
+	}
 }
 
 // startRange seeks every source to the next range and rebuilds the heap.

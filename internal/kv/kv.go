@@ -52,12 +52,22 @@ type Iterator interface {
 	Close() error
 }
 
+// RangeIterator is the Iterator over a list of ranges that
+// Snapshot.ScanRanges returns. Reset re-targets it at another list as if it
+// had been opened afresh on it, keeping its pinned sources and what they
+// have loaded, so a caller that scans one snapshot many times opens it once.
+// Reset after Close does nothing; an error stays.
+type RangeIterator interface {
+	Iterator
+	Reset(ranges []Range)
+}
+
 // Stats are cumulative I/O counters for one store. All fields are updated
 // atomically; read them with the Snapshot method of the owning DB.
 type Stats struct {
 	Puts          atomic.Int64 // entries written
 	Gets          atomic.Int64 // point lookups served
-	Scans         atomic.Int64 // scan iterators opened (one per ScanRanges, however many ranges)
+	Scans         atomic.Int64 // iterators opened: one per ScanRanges however many ranges, none per Reset, so one per region per best-first query
 	EntriesRead   atomic.Int64 // entries surfaced to callers
 	EntriesWalked atomic.Int64 // entries visited internally (incl. shadowed)
 	BlocksRead    atomic.Int64 // SSTable blocks fetched from disk

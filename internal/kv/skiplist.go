@@ -134,6 +134,8 @@ func (it *skipIter) seek(start, end []byte) {
 	it.end, it.first = end, true
 }
 
+func (it *skipIter) reset() { it.node, it.end = nil, nil }
+
 func (it *skipIter) Next() bool {
 	if it.first {
 		it.first = false

@@ -124,17 +124,18 @@ func (s *Snapshot) Scan(start, end []byte) Iterator {
 // snapshot: what it yields is the concatenation of one Scan per range, in the
 // order given, whether or not the ranges are sorted or overlap. The sources
 // are pinned and merged once for the whole list, and each source seeks from
-// one range to the next. ranges must not change while the iterator is open.
-// The iterator holds its own table references, so it stays valid even if the
-// snapshot is closed while it is open.
-func (s *Snapshot) ScanRanges(ranges []Range) Iterator {
+// one range to the next. ranges must not change while the iterator walks
+// them, that is until it is closed or reset to another list. The iterator
+// holds its own table references, so it stays valid even if the snapshot is
+// closed while it is open.
+func (s *Snapshot) ScanRanges(ranges []Range) RangeIterator {
 	return s.scanRanges(ranges, nil)
 }
 
 // scanRanges builds the merge iterator; onClose (when non-nil) runs at
 // iterator close, after the tables are released — DB.Scan hooks the
 // snapshot's release there so a plain Scan is a self-contained lease.
-func (s *Snapshot) scanRanges(ranges []Range, onClose func()) Iterator {
+func (s *Snapshot) scanRanges(ranges []Range, onClose func()) RangeIterator {
 	mems, tables, err := s.pin()
 	if err != nil {
 		if onClose != nil {

@@ -507,6 +507,10 @@ func (it *sstIter) seek(start, end []byte) {
 	}
 }
 
+// reset forgets the last range: stop and end alias it. The loaded block stays,
+// so a seek into it walks it again from its first entry instead of reading it.
+func (it *sstIter) reset() { it.stop, it.end = nil, nil }
+
 func (it *sstIter) Next() bool {
 	if !it.pending && !it.step() {
 		return false

@@ -901,3 +901,4 @@ func (e *errIter) Key() []byte   { return nil }
 func (e *errIter) Value() []byte { return nil }
 func (e *errIter) Err() error    { return e.err }
 func (e *errIter) Close() error  { return nil }
+func (e *errIter) Reset([]Range) {}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,28 +95,39 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 		return ok
 	})
 
+	// Every drain scans through one cursor, so each region's iterator is
+	// opened once per query, not once per drain.
+	cur := snap.Cursor()
+	defer func() { _ = cur.Close() }()
+
 	// drain scans the given index spaces in one request and holds what
 	// ships. No space is ever passed twice: an element is expanded once, and
-	// the seed's spaces are remembered in seeded.
-	var rows []kv.Entry // one drain's shipped rows, reused by the next
+	// the seed's spaces are remembered in seeded. The spaces are sorted in
+	// place, so the row-key ranges reach the cluster in key order.
+	var (
+		rows   []kv.Entry          // one drain's shipped rows, reused by the next
+		ranges []xzstar.ValueRange // one drain's value ranges, likewise
+	)
 	drain := func(spaces []int64) error {
 		if len(spaces) == 0 {
 			return nil
 		}
 		stats.Ranges += len(spaces)
-		ranges := make([]xzstar.ValueRange, len(spaces))
-		for i, v := range spaces {
-			ranges[i] = xzstar.ValueRange{Lo: v, Hi: v + 1}
+		slices.Sort(spaces)
+		ranges = ranges[:0]
+		for _, v := range spaces {
+			ranges = append(ranges, xzstar.ValueRange{Lo: v, Hi: v + 1})
 		}
 		var err error
-		rows, err = e.hold(ctx, snap, stats, ranges, filter, f, top, held, rows[:0])
+		rows, err = e.hold(ctx, cur, stats, ranges, filter, f, top, held, rows[:0])
 		return err
 	}
 
 	seeded := map[int64]bool{}
+	var spaces []int64 // the seed's spaces, then the ready ones of each drain
 	t0 := time.Now()
 	for s := f.seed; s.Len() > 0 && math.IsInf(top.bound.get(), 1); s = parentSeq(s) {
-		var spaces []int64
+		spaces = spaces[:0]
 		f.spaces(s, math.Inf(1), func(value int64, _ float64) {
 			if snap.HasValuesIn(value, value+1) {
 				seeded[value] = true
@@ -176,11 +188,11 @@ search:
 		case iq.len() > 0 && space <= bound && space < elem:
 			// Scan every index space that no unexpanded element and no held
 			// row can match.
-			var ready []int64
+			spaces = spaces[:0]
 			for iq.len() > 0 && iq.items[0].dist < min(elem, row) && iq.items[0].dist <= bound {
-				ready = append(ready, iq.pop().value)
+				spaces = append(spaces, iq.pop().value)
 			}
-			if err := drain(ready); err != nil {
+			if err := drain(spaces); err != nil {
 				return nil, nil, err
 			}
 		case eq.len() > 0 && elem <= bound:
@@ -240,10 +252,10 @@ func heldBefore(a, b heldRow) bool {
 // by its decode. Scan and refinement never overlap, so the bound is constant
 // while a scan's filter runs, and what ships does not depend on timing. The
 // shipped rows are appended to rows, which is returned for reuse.
-func (e *Engine) hold(ctx context.Context, snap *store.Snapshot, stats *Stats, ranges []xzstar.ValueRange,
+func (e *Engine) hold(ctx context.Context, cur *store.Cursor, stats *Stats, ranges []xzstar.ValueRange,
 	filter func(key, value []byte) bool, f frontier, top *topResults, held *binHeap[heldRow], rows []kv.Entry) ([]kv.Entry, error) {
 	t0 := time.Now()
-	res, err := snap.ScanRangesStream(ctx, ranges, filter, 0, store.StreamOptions{}, func(batch []kv.Entry) error {
+	res, err := cur.ScanRangesStream(ctx, ranges, filter, func(batch []kv.Entry) error {
 		stats.StreamBatches++
 		rows = append(rows, batch...)
 		return nil

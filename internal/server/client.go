@@ -114,6 +114,10 @@ func (c *Client) QueryStream(ctx context.Context, req QueryRequest, fn func(Wire
 		}
 		switch {
 		case sl.Done:
+			// Nothing but the chunked terminator follows the footer. Reading
+			// the body to its end (bounded, in case a server sends more) lets
+			// the transport reuse the connection for the next call.
+			_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10))
 			if sl.Error != "" {
 				return sl.Stats, fmt.Errorf("server: %s", sl.Error)
 			}

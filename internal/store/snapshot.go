@@ -77,5 +77,45 @@ func (sn *Snapshot) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueR
 	}, func(b cluster.ScanBatch) error { return emit(b.Entries) })
 }
 
+// Cursor scans the snapshot many times, as a best-first search does, keeping
+// one kv iterator per region between its scans (see cluster.Cursor). It is
+// not safe for concurrent use. Close releases the table references its
+// iterators hold, whether or not the snapshot is still open; a scan after
+// Close fails with kv.ErrClosed.
+type Cursor struct {
+	s   *Store
+	cur *cluster.Cursor
+	// buf holds the row-key ranges of the scan in progress; the next scan
+	// overwrites them. It comes from keyRangePool and goes back at Close, so
+	// a query starts with a buffer an earlier one grew.
+	buf *keyRangeBuf
+}
+
+// Cursor returns a cursor over the snapshot; Close releases it.
+func (sn *Snapshot) Cursor() *Cursor {
+	return &Cursor{s: sn.s, cur: sn.snap.Cursor(), buf: keyRangePool.Get().(*keyRangeBuf)}
+}
+
+// ScanRangesStream is Snapshot.ScanRangesStream through the cursor: the same
+// rows, batches, accounting and errors.
+func (c *Cursor) ScanRangesStream(ctx context.Context, ranges []xzstar.ValueRange, filter cluster.Filter, emit func([]kv.Entry) error) (*cluster.ScanResult, error) {
+	if c.buf == nil {
+		return nil, kv.ErrClosed // Close took the buffer back
+	}
+	return c.cur.ScanStream(ctx, cluster.StreamRequest{
+		ScanRequest: cluster.ScanRequest{Ranges: c.s.keyRanges(c.buf, ranges), Filter: filter},
+	}, func(b cluster.ScanBatch) error { return emit(b.Entries) })
+}
+
+// Close closes the cursor's region iterators. Idempotent.
+func (c *Cursor) Close() error {
+	err := c.cur.Close()
+	if c.buf != nil {
+		keyRangePool.Put(c.buf)
+		c.buf = nil
+	}
+	return err
+}
+
 // Close releases the pinned cluster snapshot. Idempotent.
 func (sn *Snapshot) Close() error { return sn.snap.Close() }

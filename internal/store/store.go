@@ -503,9 +503,9 @@ type keyRangeBuf struct {
 	keys   []byte
 }
 
-// keyRangePool recycles keyRangeBufs: every scan maps its value ranges
-// afresh, and a best-first top-k scans once per drain. A buffer holds only
-// keys it built itself.
+// keyRangePool recycles keyRangeBufs: every one-shot scan maps its value
+// ranges afresh, and every best-first query's cursor holds one for all its
+// drains. A buffer holds only keys it built itself.
 var keyRangePool = sync.Pool{New: func() any { return new(keyRangeBuf) }}
 
 // keyRanges maps XZ* value ranges onto per-shard row-key ranges, shard by

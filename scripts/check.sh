@@ -188,10 +188,13 @@ if [[ "$MODE" == "test" || "$MODE" == "all" ]]; then
         step "stream pipeline (race)"
         # 'Scan|Stream': every cluster scan test runs through ScanStream now,
         # whether or not its name says so; the recycled-batch and aliased-range
-        # tests are named TestScan* too. 'Aliasing|Allocs' are kv's pins of
-        # the iterator handing out the store's own bytes.
+        # tests are named TestScan* too, and so are the cursor's (its region
+        # iterators are reset on one drain's goroutines and read on the
+        # next's), the shipped-row copy pin and the best-first sorted-range
+        # check. 'Aliasing|Allocs' are kv's pins of the iterator handing out
+        # the store's own bytes; 'Reset' its re-targeting at overwritten ranges.
         go test -race -count=1 -run 'Scan|Stream' ./internal/cluster
-        go test -race -count=1 -run 'Cache|ScanRanges|Aliasing|Allocs' ./internal/kv
+        go test -race -count=1 -run 'Cache|ScanRanges|Aliasing|Allocs|Reset' ./internal/kv
         go test -race -count=1 -run 'Stream|Snapshot|PutBatch|ValueSet' ./internal/store
 
         step "test (short)"
