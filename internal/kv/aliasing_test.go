@@ -50,7 +50,7 @@ func TestScanKeyAliasing(t *testing.T) {
 				}
 			}
 
-			it := db.Scan(nil, nil)
+			it := scanDB(db, nil, nil)
 			defer it.Close()
 			var keys, vals [][]byte
 			for i := 0; it.Next(); i++ {
@@ -162,7 +162,7 @@ func TestScanCopySurvives(t *testing.T) {
 		}
 	}
 
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	var keys, vals [][]byte
 	for it.Next() {

@@ -85,7 +85,7 @@ func TestCacheServesRepeatedScans(t *testing.T) {
 	}
 	db.Flush()
 	scan := func() {
-		it := db.Scan([]byte("k00100"), []byte("k00500"))
+		it := scanDB(db, []byte("k00100"), []byte("k00500"))
 		for it.Next() {
 		}
 		it.Close()
@@ -123,7 +123,7 @@ func TestCacheHoldsNoBlocksOfRetiredTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := 0
-	it := snap.Scan(nil, nil) // reads the three victims, which the snapshot pins
+	it := snap.ScanRanges([]Range{{}}) // reads the three victims, which the snapshot pins
 	for it.Next() {
 		rows++
 	}

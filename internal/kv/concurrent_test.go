@@ -171,7 +171,7 @@ func checkConcurrentRecovered(t *testing.T, fsys *vfs.FaultFS, models []*vfstest
 	}
 	// Nothing outside the writers' key spaces may appear, and every surfaced
 	// value must be legal for its owner's model.
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	for it.Next() {
 		key := string(it.Key())

@@ -207,7 +207,7 @@ func checkRecovered(t *testing.T, fsys *vfs.FaultFS, model *vfstest.Model, point
 	}
 	// A full scan must not surface anything the model never saw, and every
 	// surfaced value must be a legal (acked or in-flight) value for its key.
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	for it.Next() {
 		if err := model.Check(string(it.Key()), string(it.Value()), true); err != nil {

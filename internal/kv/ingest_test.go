@@ -113,7 +113,7 @@ func TestIngestShadowsOlderVersions(t *testing.T) {
 	mustGet(t, before.Get, "zfill00000", "")
 
 	// A scan agrees.
-	it := db.Scan([]byte("a"), []byte("u"))
+	it := scanDB(db, []byte("a"), []byte("u"))
 	var keys []string
 	for it.Next() {
 		keys = append(keys, string(it.Key())+"="+string(it.Value()))

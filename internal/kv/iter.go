@@ -87,9 +87,8 @@ type mergeIter struct {
 	hasLast bool
 	err     error
 	closed  bool
-	// tables are released and onClose run at Close.
-	tables  []*sstReader
-	onClose func()
+	// tables are released at Close.
+	tables []*sstReader
 	// keepTombstones surfaces tombstones instead of dropping them — the
 	// partial-compaction path needs them to keep shadowing older tables.
 	keepTombstones bool
@@ -97,14 +96,13 @@ type mergeIter struct {
 
 // newMergeIter merges sources (earlier sources win a key tie) over ranges.
 // Nothing is read until the first Next.
-func newMergeIter(sources []kvIter, ranges []Range, stats *Stats, tables []*sstReader, onClose func()) *mergeIter {
+func newMergeIter(sources []kvIter, ranges []Range, stats *Stats, tables []*sstReader) *mergeIter {
 	m := &mergeIter{
-		srcs:    make([]mergeSource, len(sources)),
-		h:       make(mergeHeap, 0, len(sources)),
-		ranges:  ranges,
-		stats:   stats,
-		tables:  tables,
-		onClose: onClose,
+		srcs:   make([]mergeSource, len(sources)),
+		h:      make(mergeHeap, 0, len(sources)),
+		ranges: ranges,
+		stats:  stats,
+		tables: tables,
 	}
 	for pri, it := range sources {
 		m.srcs[pri] = mergeSource{it: it, priority: pri}
@@ -225,9 +223,5 @@ func (m *mergeIter) Close() error {
 		t.release()
 	}
 	m.tables = nil
-	if m.onClose != nil {
-		m.onClose()
-		m.onClose = nil
-	}
 	return first
 }

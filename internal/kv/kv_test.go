@@ -28,6 +28,18 @@ func newTestDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// scanDB returns an iterator over [start, end) of db as it is now; nil bounds
+// are open. It is a one-range ScanRanges on a snapshot closed at once: the
+// iterator holds its own table references.
+func scanDB(db *DB, start, end []byte) Iterator {
+	snap, err := db.Snapshot()
+	if err != nil {
+		return &errIter{err: err}
+	}
+	defer snap.Close()
+	return snap.ScanRanges([]Range{{Start: start, End: end}})
+}
+
 func TestPutGet(t *testing.T) {
 	db := newTestDB(t, Options{})
 	if err := db.Put([]byte("alpha"), []byte("1")); err != nil {
@@ -80,7 +92,7 @@ func TestDeleteShadowsFlushedValue(t *testing.T) {
 	if _, err := db.Get([]byte("k")); err != ErrNotFound {
 		t.Fatalf("tombstone in newer table must shadow older value: %v", err)
 	}
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	for it.Next() {
 		if string(it.Key()) == "k" {
@@ -101,7 +113,7 @@ func TestScanRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprintf("val%d", i)))
 	}
-	it := db.Scan([]byte("key010"), []byte("key020"))
+	it := scanDB(db, []byte("key010"), []byte("key020"))
 	defer it.Close()
 	var got []string
 	for it.Next() {
@@ -132,7 +144,7 @@ func TestScanAcrossMemtableAndTables(t *testing.T) {
 	for i := 2; i < 90; i += 3 {
 		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("mem"))
 	}
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	count := 0
 	prev := ""
@@ -160,7 +172,7 @@ func TestNewestVersionWinsAcrossTables(t *testing.T) {
 	if err != nil || string(got) != "v3" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	n := 0
 	for it.Next() {
@@ -341,7 +353,7 @@ func TestCompactionDropsTombstones(t *testing.T) {
 	db.Delete([]byte("gone"))
 	db.Flush()
 	db.Compact()
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	var keys []string
 	for it.Next() {
@@ -358,7 +370,7 @@ func TestScanSurvivesConcurrentCompaction(t *testing.T) {
 		db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
 	}
 	db.Flush()
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	// Read a few entries, compact underneath, keep reading.
 	for i := 0; i < 10; i++ {
@@ -406,7 +418,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				it := db.Scan(nil, nil)
+				it := scanDB(db, nil, nil)
 				prev := ""
 				for it.Next() {
 					k := string(it.Key())
@@ -426,7 +438,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 	wg.Wait()
 	// Final integrity check.
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	n := 0
 	for it.Next() {
@@ -444,7 +456,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 	db.Flush()
 	before := db.Stats()
-	it := db.Scan([]byte("k010"), []byte("k050"))
+	it := scanDB(db, []byte("k010"), []byte("k050"))
 	for it.Next() {
 	}
 	it.Close()
@@ -489,9 +501,8 @@ func TestClosedStore(t *testing.T) {
 	if _, err := db.Get([]byte("k")); err != ErrClosed {
 		t.Errorf("Get after close: %v", err)
 	}
-	it := db.Scan(nil, nil)
-	if it.Next() || it.Err() != ErrClosed {
-		t.Error("Scan after close must fail")
+	if _, err := db.Snapshot(); err != ErrClosed {
+		t.Errorf("Snapshot after close: %v", err)
 	}
 	if err := db.Close(); err != nil {
 		t.Errorf("double close: %v", err)
@@ -528,7 +539,7 @@ func TestRandomOpsMatchModel(t *testing.T) {
 		}
 	}
 	// Full scan equals the model.
-	it := db.Scan(nil, nil)
+	it := scanDB(db, nil, nil)
 	defer it.Close()
 	got := map[string]string{}
 	for it.Next() {
@@ -678,7 +689,7 @@ func TestSSTableCorruptBlockDetected(t *testing.T) {
 		t.Fatal(err) // index+footer intact, open succeeds
 	}
 	defer db2.Close()
-	it := db2.Scan(nil, nil)
+	it := scanDB(db2, nil, nil)
 	defer it.Close()
 	for it.Next() {
 	}
@@ -717,7 +728,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := db.Scan([]byte("key00002000"), []byte("key00003000"))
+		it := scanDB(db, []byte("key00002000"), []byte("key00003000"))
 		for it.Next() {
 		}
 		it.Close()

@@ -38,12 +38,12 @@ func drain(t *testing.T, it Iterator) []string {
 	return out
 }
 
-// perRangeScans is the concatenation of one Scan per range.
+// perRangeScans is the concatenation of one single-range ScanRanges per range.
 func perRangeScans(t *testing.T, snap *Snapshot, ranges []Range) []string {
 	t.Helper()
 	var out []string
 	for _, r := range ranges {
-		out = append(out, drain(t, snap.Scan(r.Start, r.End))...)
+		out = append(out, drain(t, snap.ScanRanges([]Range{r}))...)
 	}
 	return out
 }
@@ -111,9 +111,10 @@ func scanRangeLists(rng *rand.Rand, n int) map[string][]Range {
 }
 
 // TestScanRangesMatchesPerRange checks that one ScanRanges iterator yields
-// exactly the concatenation of one Scan per range, over three tables and two
-// frozen memtables holding overwrites and tombstones; then that it still
-// does while a writer flushes and compacts under the snapshots it reads.
+// exactly the concatenation of one single-range iterator per range, over
+// three tables and two frozen memtables holding overwrites and tombstones;
+// then that it still does while a writer flushes and compacts under the
+// snapshots it reads.
 func TestScanRangesMatchesPerRange(t *testing.T) {
 	const n = 3000
 	rng := rand.New(rand.NewSource(38))
@@ -224,7 +225,7 @@ func TestScanRangesMatchesPerRange(t *testing.T) {
 			}
 			// The oracle is one open scan of the same snapshot.
 			model := map[string]string{}
-			for _, kv := range drain(t, snap.Scan(nil, nil)) {
+			for _, kv := range drain(t, snap.ScanRanges([]Range{{}})) {
 				k, v, _ := strings.Cut(kv, "=")
 				model[k] = v
 			}

@@ -114,33 +114,17 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	return lookup(key, mems, tables)
 }
 
-// Scan returns an iterator over [start, end) as of the snapshot; nil bounds
-// are open. It is ScanRanges of one range.
-func (s *Snapshot) Scan(start, end []byte) Iterator {
-	return s.scanRanges([]Range{{Start: start, End: end}}, nil)
-}
-
 // ScanRanges returns one iterator over every range in turn, as of the
-// snapshot: what it yields is the concatenation of one Scan per range, in the
-// order given, whether or not the ranges are sorted or overlap. The sources
-// are pinned and merged once for the whole list, and each source seeks from
-// one range to the next. ranges must not change while the iterator walks
-// them, that is until it is closed or reset to another list. The iterator
-// holds its own table references, so it stays valid even if the snapshot is
-// closed while it is open.
+// snapshot; nil bounds are open. It yields each range's entries in key order,
+// range after range in the order given, whether or not the ranges are sorted
+// or overlap. The sources are pinned and merged once for the whole list, and
+// each source seeks from one range to the next. ranges must not change while
+// the iterator walks them, that is until it is closed or reset to another
+// list. The iterator holds its own table references, so it stays valid even
+// if the snapshot is closed while it is open.
 func (s *Snapshot) ScanRanges(ranges []Range) RangeIterator {
-	return s.scanRanges(ranges, nil)
-}
-
-// scanRanges builds the merge iterator; onClose (when non-nil) runs at
-// iterator close, after the tables are released — DB.Scan hooks the
-// snapshot's release there so a plain Scan is a self-contained lease.
-func (s *Snapshot) scanRanges(ranges []Range, onClose func()) RangeIterator {
 	mems, tables, err := s.pin()
 	if err != nil {
-		if onClose != nil {
-			onClose()
-		}
 		return &errIter{err: err}
 	}
 	s.db.stats.Scans.Add(1)
@@ -155,11 +139,11 @@ func (s *Snapshot) scanRanges(ranges []Range, onClose func()) RangeIterator {
 		ssts[i].sr = t
 		sources = append(sources, &ssts[i])
 	}
-	return newMergeIter(sources, ranges, &s.db.stats, tables, onClose)
+	return newMergeIter(sources, ranges, &s.db.stats, tables)
 }
 
 // Close releases the snapshot's pinned tables. Idempotent; open iterators
-// from Scan keep their own references and stay valid.
+// from ScanRanges keep their own references and stay valid.
 func (s *Snapshot) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -63,7 +63,7 @@ func TestKVSnapshotWriterRace(t *testing.T) {
 
 	scanAll := func(snap *Snapshot) ([]string, []string) {
 		var keys, vals []string
-		it := snap.Scan(nil, nil)
+		it := snap.ScanRanges([]Range{{}})
 		defer it.Close()
 		for it.Next() {
 			keys = append(keys, string(it.Key()))

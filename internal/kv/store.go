@@ -419,18 +419,6 @@ func lookup(key []byte, mems []*skiplist, tables []*sstReader) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Scan returns an iterator over [start, end); nil bounds are open. The
-// iterator reads from a pinned snapshot taken at the call — a point-in-time
-// view that later writes, flushes and compactions cannot disturb — and
-// releases it when closed.
-func (db *DB) Scan(start, end []byte) Iterator {
-	snap, err := db.Snapshot()
-	if err != nil {
-		return &errIter{err: err}
-	}
-	return snap.scanRanges([]Range{{Start: start, End: end}}, func() { _ = snap.Close() })
-}
-
 // Flush persists the memtable to a new SSTable and truncates the WAL, then
 // waits for any compaction the flush scheduled to finish, so the table count
 // a caller sees after Flush is settled. A failed background compaction does
@@ -589,7 +577,7 @@ func (db *DB) buildTable(seq uint64, expectedKeys int, srcBytes int64, sources [
 	if err != nil {
 		return nil, err
 	}
-	merged := newMergeIter(sources, allKeys, nil, nil, nil)
+	merged := newMergeIter(sources, allKeys, nil, nil)
 	merged.keepTombstones = keepTombstones
 	defer merged.Close()
 	rows := 0

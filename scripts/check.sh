@@ -14,7 +14,7 @@
 #              suite — guardedby, golifetime, lockheldio, lockorder,
 #              mustclose — built on call-graph summaries, plus waiverhygiene
 #              policing the lint:ignore inventory). One trasslint run: the
-#              ./... walk covers internal/lint, cmd/... and examples/... too.
+#              ./... walk covers internal/lint and cmd/... too.
 #              trasslint supports -only to bisect a finding to one analyzer
 #              locally; the gate always runs all of them.
 #   torture    deterministic crash/error-injection suites (kv + cluster, the

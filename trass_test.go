@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"math"
@@ -825,5 +826,23 @@ func TestConfigSurfacePinned(t *testing.T) {
 	wantRtree := []string{"Item", "New", "Tree", "Tree.Insert", "Tree.Len", "Tree.Search"}
 	if got := exportedNames(t, "internal/rtree/rtree.go"); !reflect.DeepEqual(got, wantRtree) {
 		t.Errorf("internal/rtree exports:\n got %v\nwant %v", got, wantRtree)
+	}
+}
+
+// Every Example in example_test.go has an output comment: go test compiles an
+// example without one but never runs it, and reports nothing.
+func TestExamplesHaveOutput(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "example_test.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples := doc.Examples(file)
+	if len(examples) == 0 {
+		t.Error("example_test.go declares no examples")
+	}
+	for _, ex := range examples {
+		if ex.Output == "" && !ex.EmptyOutput {
+			t.Errorf("Example%s has no // Output: or // Unordered output: comment, so go test never runs it", ex.Name)
+		}
 	}
 }
