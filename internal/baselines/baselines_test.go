@@ -2,13 +2,12 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/oracle"
 	"repro/internal/traj"
 )
 
@@ -47,28 +46,25 @@ func dataset(seed int64, n int) []*traj.Trajectory {
 	return out
 }
 
-func bruteThreshold(measure dist.Measure, trajs []*traj.Trajectory, q *traj.Trajectory, eps float64) map[string]float64 {
-	fn := dist.For(measure)
-	out := map[string]float64{}
-	for _, t := range trajs {
-		if d := fn(q.Points, t.Points); d <= eps {
-			out[t.ID] = d
+// answer puts a system's answer in the oracle's terms. The systems order
+// matches by distance but promise no order among equal distances, so each
+// run of equal distances is put in id order, as in the oracle's ranking.
+// The order by distance is left as the system returned it, so Diff still
+// sees a top-k answer out of distance order.
+func answer(rs []Result) []oracle.Match {
+	ms := make([]oracle.Match, len(rs))
+	for i, r := range rs {
+		ms[i] = oracle.Match{ID: r.ID, Distance: r.Distance}
+	}
+	for i := 0; i < len(ms); {
+		j := i + 1
+		for j < len(ms) && !(ms[j].Distance < ms[i].Distance || ms[j].Distance > ms[i].Distance) {
+			j++
 		}
+		oracle.ByID(ms[i:j])
+		i = j
 	}
-	return out
-}
-
-func bruteTopK(measure dist.Measure, trajs []*traj.Trajectory, q *traj.Trajectory, k int) []float64 {
-	fn := dist.For(measure)
-	ds := make([]float64, 0, len(trajs))
-	for _, t := range trajs {
-		ds = append(ds, fn(q.Points, t.Points))
-	}
-	sort.Float64s(ds)
-	if len(ds) > k {
-		ds = ds[:k]
-	}
-	return ds
+	return ms
 }
 
 // newSystem builds a fresh system of the named kind over the dataset.
@@ -95,7 +91,7 @@ func newSystem(t *testing.T, name string, measure dist.Measure, trajs []*traj.Tr
 }
 
 func TestThresholdCorrectness(t *testing.T) {
-	trajs := dataset(7, 150)
+	trajs := oracle.Stored(dataset(7, 150))
 	rng := rand.New(rand.NewSource(8))
 	for _, name := range []string{"DFT", "DITA", "JUST"} {
 		name := name
@@ -111,14 +107,9 @@ func TestThresholdCorrectness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := bruteThreshold(dist.Frechet, trajs, q, eps)
-				if len(got) != len(want) {
-					t.Fatalf("query %d: got %d results, want %d (stats %+v)", qi, len(got), len(want), stats)
-				}
-				for _, r := range got {
-					if wd, ok := want[r.ID]; !ok || math.Abs(wd-r.Distance) > 1e-6 {
-						t.Fatalf("query %d: result %s dist %v, want %v (ok=%v)", qi, r.ID, r.Distance, wd, ok)
-					}
+				want := oracle.Threshold(dist.Frechet, trajs, q.Points, eps, oracle.Window{})
+				if d := oracle.Diff(oracle.ByID(answer(got)), want); d != "" {
+					t.Fatalf("query %d: %s (stats %+v)", qi, d, stats)
 				}
 			}
 		})
@@ -126,7 +117,7 @@ func TestThresholdCorrectness(t *testing.T) {
 }
 
 func TestTopKCorrectness(t *testing.T) {
-	trajs := dataset(9, 120)
+	trajs := oracle.Stored(dataset(9, 120))
 	rng := rand.New(rand.NewSource(10))
 	for _, name := range []string{"DFT", "DITA", "REPOSE", "JUST"} {
 		name := name
@@ -139,14 +130,9 @@ func TestTopKCorrectness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := bruteTopK(dist.Frechet, trajs, q, k)
-				if len(got) != len(want) {
-					t.Fatalf("query %d k=%d: got %d, want %d (stats %+v)", qi, k, len(got), len(want), stats)
-				}
-				for i := range got {
-					if math.Abs(got[i].Distance-want[i]) > 1e-6 {
-						t.Fatalf("query %d k=%d rank %d: %v, want %v", qi, k, i, got[i].Distance, want[i])
-					}
+				want := oracle.TopK(dist.Frechet, trajs, q.Points, k, oracle.Window{})
+				if d := oracle.Diff(answer(got), want); d != "" {
+					t.Fatalf("query %d k=%d: %s (stats %+v)", qi, k, d, stats)
 				}
 			}
 		})
@@ -177,19 +163,19 @@ func TestMeasureSupportMatrix(t *testing.T) {
 }
 
 func TestHausdorffSystems(t *testing.T) {
-	trajs := dataset(12, 80)
+	trajs := oracle.Stored(dataset(12, 80))
 	rng := rand.New(rand.NewSource(13))
 	q := traj.New("q", trajs[rng.Intn(len(trajs))].Points)
 
+	want := oracle.Threshold(dist.Hausdorff, trajs, q.Points, 0.01, oracle.Window{})
 	for _, name := range []string{"DFT", "JUST"} {
 		sys := newSystem(t, name, dist.Hausdorff, trajs)
 		got, _, err := sys.Threshold(q, 0.01)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := bruteThreshold(dist.Hausdorff, trajs, q, 0.01)
-		if len(got) != len(want) {
-			t.Fatalf("%s hausdorff: got %d, want %d", name, len(got), len(want))
+		if d := oracle.Diff(oracle.ByID(answer(got)), want); d != "" {
+			t.Fatalf("%s hausdorff: %s", name, d)
 		}
 	}
 	rp := newSystem(t, "REPOSE", dist.Hausdorff, trajs)
@@ -197,27 +183,24 @@ func TestHausdorffSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteTopK(dist.Hausdorff, trajs, q, 5)
-	for i := range got {
-		if math.Abs(got[i].Distance-want[i]) > 1e-6 {
-			t.Fatalf("REPOSE hausdorff rank %d: %v want %v", i, got[i].Distance, want[i])
-		}
+	if d := oracle.Diff(answer(got), oracle.TopK(dist.Hausdorff, trajs, q.Points, 5, oracle.Window{})); d != "" {
+		t.Fatalf("REPOSE hausdorff: %s", d)
 	}
 }
 
 func TestDTWSystems(t *testing.T) {
-	trajs := dataset(14, 80)
+	trajs := oracle.Stored(dataset(14, 80))
 	rng := rand.New(rand.NewSource(15))
 	q := traj.New("q", trajs[rng.Intn(len(trajs))].Points)
+	want := oracle.Threshold(dist.DTW, trajs, q.Points, 0.05, oracle.Window{})
 	for _, name := range []string{"DITA", "JUST"} {
 		sys := newSystem(t, name, dist.DTW, trajs)
 		got, _, err := sys.Threshold(q, 0.05)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := bruteThreshold(dist.DTW, trajs, q, 0.05)
-		if len(got) != len(want) {
-			t.Fatalf("%s dtw: got %d, want %d", name, len(got), len(want))
+		if d := oracle.Diff(oracle.ByID(answer(got)), want); d != "" {
+			t.Fatalf("%s dtw: %s", name, d)
 		}
 	}
 }
@@ -237,7 +220,8 @@ func TestDuplicateIDsRejected(t *testing.T) {
 }
 
 func TestTopKEdgeCases(t *testing.T) {
-	trajs := dataset(17, 25)
+	trajs := oracle.Stored(dataset(17, 25))
+	everything := oracle.TopK(dist.Frechet, trajs, trajs[0].Points, len(trajs), oracle.Window{})
 	for _, name := range []string{"DFT", "DITA", "REPOSE", "JUST"} {
 		sys := newSystem(t, name, dist.Frechet, trajs)
 		// k = 0.
@@ -250,8 +234,8 @@ func TestTopKEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(trajs) {
-			t.Fatalf("%s k>n: got %d, want %d", name, len(got), len(trajs))
+		if d := oracle.Diff(answer(got), everything); d != "" {
+			t.Fatalf("%s k>n: %s", name, d)
 		}
 	}
 }

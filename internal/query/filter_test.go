@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -103,7 +102,7 @@ func TestUnparseableRowContract(t *testing.T) {
 
 			// Every fifth row is damaged in place: near ones, which the
 			// filters must read deep into, and far ones, which fall early.
-			var good []*traj.Record
+			var good []*traj.Trajectory
 			for i, row := range allRows(t, st) {
 				if i%5 == 0 {
 					if err := st.Cluster().Put(row.Key, dm.damage(t, row.Value)); err != nil {
@@ -115,7 +114,7 @@ func TestUnparseableRowContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				good = append(good, rec)
+				good = append(good, &traj.Trajectory{ID: rec.ID, Points: rec.Points, Times: rec.Times})
 			}
 			if err := st.Flush(); err != nil {
 				t.Fatal(err)
@@ -126,38 +125,20 @@ func TestUnparseableRowContract(t *testing.T) {
 			window := geo.MBRPoints(base.Points)
 			everything := TimeWindow{Start: 1, End: math.MaxInt64}
 			lone := good[len(good)-1] // a well-formed far row
-			within := func(q []geo.Point, eps float64) func(*traj.Record) (float64, bool) {
-				return func(rec *traj.Record) (float64, bool) {
-					d := dist.DiscreteFrechet(q, rec.Points)
-					return d, d <= eps
-				}
-			}
 			const either, fails, answers = 0, 1, 2
 			for _, tc := range []struct {
 				name    string
 				q       Query
 				outcome int
-				want    func(rec *traj.Record) (float64, bool) // distance, and whether rec can be in the answer
 			}{
-				{"threshold", Query{Kind: KindThreshold, Traj: base, Eps: 0.005}, fails, within(base.Points, 0.005)},
-				{"threshold windowed", Query{Kind: KindThreshold, Traj: base, Eps: 0.005, Window: everything}, fails, within(base.Points, 0.005)},
-				{"threshold nowhere near", Query{Kind: KindThreshold, Traj: traj.New("q", []geo.Point{{X: 0.99, Y: 0.01}}), Eps: 1e-6}, answers,
-					func(*traj.Record) (float64, bool) { return 0, false }},
-				{"threshold on a lone row", Query{Kind: KindThreshold, Traj: &traj.Trajectory{ID: "q", Points: lone.Points}, Eps: 1e-6}, answers,
-					within(lone.Points, 1e-6)},
-				{"top-k", Query{Kind: KindTopK, Traj: base, K: 10}, either, within(base.Points, math.Inf(1))},
-				{"top-k windowed", Query{Kind: KindTopK, Traj: base, K: 10, Window: everything}, either, within(base.Points, math.Inf(1))},
-				{"range", Query{Kind: KindRange, Rect: window}, either, func(rec *traj.Record) (float64, bool) {
-					for _, p := range rec.Points {
-						if window.ContainsPoint(p) {
-							return 0, true
-						}
-					}
-					return 0, false
-				}},
-				{"nearest", Query{Kind: KindNearest, Point: base.Points[0], K: 10}, either, func(rec *traj.Record) (float64, bool) {
-					return closestApproach(base.Points[0], rec.Points, nil, math.Inf(1)), true
-				}},
+				{"threshold", Query{Kind: KindThreshold, Traj: base, Eps: 0.005}, fails},
+				{"threshold windowed", Query{Kind: KindThreshold, Traj: base, Eps: 0.005, Window: everything}, fails},
+				{"threshold nowhere near", Query{Kind: KindThreshold, Traj: traj.New("q", []geo.Point{{X: 0.99, Y: 0.01}}), Eps: 1e-6}, answers},
+				{"threshold on a lone row", Query{Kind: KindThreshold, Traj: &traj.Trajectory{ID: "q", Points: lone.Points}, Eps: 1e-6}, answers},
+				{"top-k", Query{Kind: KindTopK, Traj: base, K: 10}, either},
+				{"top-k windowed", Query{Kind: KindTopK, Traj: base, K: 10, Window: everything}, either},
+				{"range", Query{Kind: KindRange, Rect: window}, either},
+				{"nearest", Query{Kind: KindNearest, Point: base.Points[0], K: 10}, either},
 			} {
 				got, _, err := eng.Search(bg, tc.q, nil)
 				if (err != nil && tc.outcome == answers) || (err == nil && tc.outcome == fails) {
@@ -169,30 +150,8 @@ func TestUnparseableRowContract(t *testing.T) {
 					}
 					continue
 				}
-				var want []Result
-				for _, rec := range good {
-					if d, ok := tc.want(rec); ok {
-						want = append(want, Result{ID: rec.ID, Distance: d})
-					}
-				}
-				if tc.q.K > 0 {
-					sort.Slice(want, func(i, j int) bool { return resultBefore(want[i], want[j]) })
-					want = want[:min(tc.q.K, len(want))]
-				} else {
-					for i := range got {
-						got[i].Distance = 0 // threshold distances are checked elsewhere; here it is the set
-					}
-					for i := range want {
-						want[i].Distance = 0
-					}
-					sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
-					sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
-				}
-				for i := range got {
-					got[i].Points = nil
-				}
-				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("%s: answered without an error, but not with the answer over the well-formed rows:\n got %v\nwant %v", tc.name, got, want)
+				if d := diffOracle(dist.Frechet, good, tc.q, got); d != "" {
+					t.Errorf("%s: answered without an error, but not with the answer over the well-formed rows: %s", tc.name, d)
 				}
 			}
 		})

@@ -3,13 +3,13 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/oracle"
 	"repro/internal/store"
 	"repro/internal/traj"
 )
@@ -42,6 +42,7 @@ func nearWalk(rng *rand.Rand, base *traj.Trajectory, id string, jitter float64) 
 type fixture struct {
 	store  *store.Store
 	trajs  []*traj.Trajectory
+	stored []*traj.Trajectory // trajs as the store holds them
 	engine *Engine
 }
 
@@ -76,33 +77,68 @@ func newFixture(t testing.TB, measure dist.Measure, n int, seed int64) *fixture 
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{store: st, trajs: trajs, engine: New(st, measure)}
+	return &fixture{store: st, trajs: trajs, stored: oracle.Stored(trajs), engine: New(st, measure)}
 }
 
-// bruteThreshold is the ground truth: compute the full measure against every
-// stored trajectory.
-func (f *fixture) bruteThreshold(q *traj.Trajectory, eps float64, measure dist.Measure) map[string]float64 {
-	fn := dist.For(measure)
-	out := map[string]float64{}
-	for _, tr := range f.trajs {
-		if d := fn(q.Points, tr.Points); d <= eps {
-			out[tr.ID] = d
+// diffOracle compares an engine's answer to q with the oracle's over data,
+// exactly, and describes the first difference ("" when they are equal). Each
+// match must also carry its trajectory's stored points.
+func diffOracle(measure dist.Measure, data []*traj.Trajectory, q Query, got []Result) string {
+	if d := oracle.Diff(answerOf(q, got), oracleAnswer(measure, data, q)); d != "" {
+		return d
+	}
+	points := make(map[string][]geo.Point, len(data))
+	for _, tr := range data {
+		points[tr.ID] = tr.Points
+	}
+	for _, r := range got {
+		if !slices.Equal(r.Points, points[r.ID]) {
+			return fmt.Sprintf("%s carries %d points that are not its %d stored ones", r.ID, len(r.Points), len(points[r.ID]))
 		}
 	}
-	return out
+	return ""
 }
 
-func (f *fixture) bruteTopK(q *traj.Trajectory, k int, measure dist.Measure) []float64 {
-	fn := dist.For(measure)
-	ds := make([]float64, 0, len(f.trajs))
-	for _, tr := range f.trajs {
-		ds = append(ds, fn(q.Points, tr.Points))
+// oracleAnswer is the oracle's answer to q over data.
+func oracleAnswer(measure dist.Measure, data []*traj.Trajectory, q Query) []oracle.Match {
+	w := oracle.Window(q.Window)
+	switch q.Kind {
+	case KindThreshold:
+		return oracle.Threshold(measure, data, q.Traj.Points, q.Eps, w)
+	case KindTopK:
+		return oracle.TopK(measure, data, q.Traj.Points, q.K, w)
+	case KindRange:
+		return oracle.Range(data, q.Rect, w)
+	default:
+		return oracle.Nearest(data, q.Point, q.K)
 	}
-	sort.Float64s(ds)
-	if len(ds) > k {
-		ds = ds[:k]
+}
+
+// answerOf puts an engine's answer to q in the oracle's terms. A threshold or
+// range answer is a set, put in id order.
+func answerOf(q Query, got []Result) []oracle.Match {
+	ms := make([]oracle.Match, len(got))
+	for i, r := range got {
+		ms[i] = oracle.Match{ID: r.ID, Distance: r.Distance}
 	}
-	return ds
+	if q.Kind == KindThreshold || q.Kind == KindRange {
+		oracle.ByID(ms)
+	}
+	return ms
+}
+
+// search runs q on the fixture's engine and compares its answer with the
+// oracle's.
+func (f *fixture) search(t *testing.T, q Query) (got []Result, stats *Stats) {
+	t.Helper()
+	got, stats, err := f.engine.Search(bg, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffOracle(f.engine.measure, f.stored, q, got); d != "" {
+		t.Fatalf("%s: %s (stats %+v)", searchCase{f.engine.measure, q}, d, stats)
+	}
+	return got, stats
 }
 
 func TestThresholdMatchesBruteForce(t *testing.T) {
@@ -128,28 +164,7 @@ func TestThresholdMatchesBruteForce(t *testing.T) {
 				if measure == dist.DTW {
 					eps *= 10 // DTW accumulates; use a looser threshold
 				}
-				got, stats, err := f.engine.ThresholdContext(bg, q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := f.bruteThreshold(q, eps, measure)
-				gotIDs := map[string]float64{}
-				for _, r := range got {
-					gotIDs[r.ID] = r.Distance
-				}
-				if len(gotIDs) != len(want) {
-					t.Fatalf("query %d eps=%v: got %d results, want %d (stats %+v)",
-						qi, eps, len(gotIDs), len(want), stats)
-				}
-				for id, d := range want {
-					gd, ok := gotIDs[id]
-					if !ok {
-						t.Fatalf("query %d: missing result %s (dist %v)", qi, id, d)
-					}
-					if math.Abs(gd-d) > 1e-6 {
-						t.Fatalf("query %d: result %s distance %v, want %v", qi, id, gd, d)
-					}
-				}
+				f.search(t, Query{Kind: KindThreshold, Traj: q, Eps: eps})
 			}
 		})
 	}
@@ -173,24 +188,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 					q = walk(rng, "q", 15, 0.01)
 				}
 				k := []int{1, 5, 20}[rng.Intn(3)]
-				got, stats, err := f.engine.TopKContext(bg, q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := f.bruteTopK(q, k, measure)
-				if len(got) != len(want) {
-					t.Fatalf("query %d k=%d: got %d results, want %d (stats %+v)",
-						qi, k, len(got), len(want), stats)
-				}
-				for i := range got {
-					if math.Abs(got[i].Distance-want[i]) > 1e-6 {
-						t.Fatalf("query %d k=%d: rank %d distance %v, want %v",
-							qi, k, i, got[i].Distance, want[i])
-					}
-					if i > 0 && got[i].Distance < got[i-1].Distance {
-						t.Fatalf("results not ascending at rank %d", i)
-					}
-				}
+				f.search(t, Query{Kind: KindTopK, Traj: q, K: k})
 			}
 		})
 	}
@@ -199,11 +197,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 func TestTopKMoreThanStored(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 20, 46)
 	q := walk(rand.New(rand.NewSource(47)), "q", 10, 0.01)
-	got, _, err := f.engine.TopKContext(bg, q, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(f.trajs) {
+	if got, _ := f.search(t, Query{Kind: KindTopK, Traj: q, K: 10000}); len(got) != len(f.trajs) {
 		t.Fatalf("got %d results, want all %d", len(got), len(f.trajs))
 	}
 }

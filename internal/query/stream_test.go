@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"math"
-
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/geo"
@@ -22,8 +20,8 @@ import (
 // The streaming pipeline's core contract: for every query kind, windowed or
 // not, every worker count and every queue depth returns exactly what the
 // one-worker, depth-one run returns — and that reference
-// is itself checked against the brute-force ground truth, so the runs cannot
-// all agree on a wrong answer.
+// is itself checked against the oracle, so the runs cannot all agree on a
+// wrong answer.
 func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 200, 81)
 	rng := rand.New(rand.NewSource(82))
@@ -59,35 +57,13 @@ func TestStreamDeterminismMatchesCollectAll(t *testing.T) {
 	f.engine.streamDepth = 1
 	ref := exec()
 
-	wantThr := f.bruteThreshold(q, eps, dist.Frechet)
-	if len(wantThr) == 0 || len(ref[0]) != len(wantThr) {
-		t.Fatalf("reference threshold returned %d results, brute force %d", len(ref[0]), len(wantThr))
-	}
-	for _, r := range ref[0] {
-		if _, ok := wantThr[r.ID]; !ok {
-			t.Fatalf("reference threshold returned %s, which brute force rejects", r.ID)
+	for i, qry := range queries {
+		if d := diffOracle(dist.Frechet, f.stored, qry, ref[i]); d != "" {
+			t.Fatalf("reference run of %+v: %s", qry, d)
 		}
 	}
-	wantTop := f.bruteTopK(q, 25, dist.Frechet)
-	if len(ref[1]) != len(wantTop) {
-		t.Fatalf("reference top-k returned %d results, brute force %d", len(ref[1]), len(wantTop))
-	}
-	for i, r := range ref[1] {
-		if math.Abs(r.Distance-wantTop[i]) > 1e-6 {
-			t.Fatalf("reference top-k rank %d: distance %v, brute force %v", i, r.Distance, wantTop[i])
-		}
-	}
-	if want := bruteRange(f, window); len(ref[2]) != len(want) || len(want) == 0 {
-		t.Fatalf("reference range returned %d results, brute force %d", len(ref[2]), len(want))
-	}
-	wantKNN := bruteNearest(f, point, 25)
-	if len(ref[3]) != len(wantKNN) {
-		t.Fatalf("reference point-kNN returned %d results, brute force %d", len(ref[3]), len(wantKNN))
-	}
-	for i, r := range ref[3] {
-		if math.Abs(r.Distance-wantKNN[i]) > 1e-6 {
-			t.Fatalf("reference point-kNN rank %d: distance %v, brute force %v", i, r.Distance, wantKNN[i])
-		}
+	if len(ref[0]) == 0 || len(ref[2]) == 0 {
+		t.Fatalf("reference threshold and range returned %d and %d results: the comparison is vacuous", len(ref[0]), len(ref[2]))
 	}
 
 	for _, workers := range []int{1, 2, 8} {

@@ -5,12 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/oracle"
 	"repro/internal/store"
 	"repro/internal/traj"
 )
@@ -44,7 +44,7 @@ func tieEngines(t *testing.T, measure dist.Measure, trajs []*traj.Trajectory) ma
 }
 
 // When the kth position falls inside a group of exact duplicates, the answer
-// is still a function of the stored set alone: brute force sorted by
+// is still a function of the stored set alone: the oracle's, ranked by
 // (distance, id), whatever the worker count, shard count or run.
 func TestRefineTiesStraddlingK(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -80,34 +80,24 @@ func TestRefineTiesStraddlingK(t *testing.T) {
 		measure dist.Measure
 		trajs   []*traj.Trajectory
 		query   Query
-		dist    func(tr *traj.Trajectory) float64
 	}{
-		{"topk-frechet", dist.Frechet, topkTrajs, Query{Kind: KindTopK, Traj: q},
-			func(tr *traj.Trajectory) float64 { return dist.For(dist.Frechet)(q.Points, tr.Points) }},
-		{"topk-dtw", dist.DTW, topkTrajs, Query{Kind: KindTopK, Traj: q},
-			func(tr *traj.Trajectory) float64 { return dist.For(dist.DTW)(q.Points, tr.Points) }},
-		{"nearest", dist.Frechet, nearestTrajs, Query{Kind: KindNearest, Point: p},
-			func(tr *traj.Trajectory) float64 { return closestApproach(p, tr.Points, nil, math.Inf(1)) }},
+		{"topk-frechet", dist.Frechet, topkTrajs, Query{Kind: KindTopK, Traj: q}},
+		{"topk-dtw", dist.DTW, topkTrajs, Query{Kind: KindTopK, Traj: q}},
+		{"nearest", dist.Frechet, nearestTrajs, Query{Kind: KindNearest, Point: p}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want := make([]Result, len(tc.trajs))
-			for i, tr := range tc.trajs {
-				want[i] = Result{ID: tr.ID, Distance: tc.dist(tr)}
-			}
-			sort.Slice(want, func(i, j int) bool {
-				if want[i].Distance != want[j].Distance {
-					return want[i].Distance < want[j].Distance
-				}
-				return want[i].ID < want[j].ID
-			})
+			data := oracle.Stored(tc.trajs)
+			full := tc.query
+			full.K = len(data)
+			all := oracleAnswer(tc.measure, data, full)
 			lo := 0
-			for !strings.HasPrefix(want[lo].ID, "dup-") {
+			for !strings.HasPrefix(all[lo].ID, "dup-") {
 				lo++
 			}
 			for i := lo; i < lo+len(tieDupIDs); i++ {
-				if want[i].ID != "dup-"+string(rune('a'+i-lo)) {
-					t.Fatalf("brute-force rank %d is %s: the duplicates are not one tie group starting at %d", i, want[i].ID, lo)
+				if all[i].ID != "dup-"+string(rune('a'+i-lo)) {
+					t.Fatalf("oracle rank %d is %s: the duplicates are not one tie group starting at %d", i, all[i].ID, lo)
 				}
 			}
 			if lo == 0 {
@@ -115,7 +105,6 @@ func TestRefineTiesStraddlingK(t *testing.T) {
 			}
 			qry := tc.query
 			qry.K = lo + len(tieDupIDs)/2 // the kth position splits the tie group
-			want = want[:qry.K]
 
 			var ref []Result
 			engines := tieEngines(t, tc.measure, tc.trajs)
@@ -130,14 +119,8 @@ func TestRefineTiesStraddlingK(t *testing.T) {
 						}
 						if ref == nil {
 							ref = got
-							if len(got) != len(want) {
-								t.Fatalf("got %d results, brute force %d", len(got), len(want))
-							}
-							for i := range want {
-								if got[i].ID != want[i].ID || math.Abs(got[i].Distance-want[i].Distance) > 1e-6 { // the stored codec is lossy below that
-									t.Fatalf("rank %d: got (%s, %v), brute force by (distance, id) has (%s, %v)",
-										i, got[i].ID, got[i].Distance, want[i].ID, want[i].Distance)
-								}
+							if d := diffOracle(tc.measure, data, qry, got); d != "" {
+								t.Fatal(d)
 							}
 						} else if !reflect.DeepEqual(ref, got) {
 							t.Fatalf("shards=%d workers=%d run=%d: answer differs from the first run", shards, workers, run)

@@ -5,50 +5,30 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/geo"
+	"repro/internal/oracle"
 	"repro/internal/store"
 	"repro/internal/traj"
 	"repro/internal/xzstar"
 )
 
-// storedTable reads back what a store holds: its records as stored (the
-// codec quantizes coordinates, so brute force over these is bit-exact against
-// the engine) and how many distinct index spaces they occupy.
-func storedTable(t *testing.T, st *store.Store) (recs []*traj.Record, spaces int) {
+// storedSpaces counts the rows a store holds and the distinct index spaces
+// they occupy.
+func storedSpaces(t *testing.T, st *store.Store) (rows, spaces int) {
 	t.Helper()
 	values := map[uint64]bool{}
-	for _, row := range allRows(t, st) {
-		rec, err := store.DecodeRow(row.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
+	all := allRows(t, st)
+	for _, row := range all {
 		values[binary.BigEndian.Uint64(row.Key[1:9])] = true // shard ‖ value ‖ id
 	}
-	return recs, len(values)
+	return len(all), len(values)
 }
 
-// bruteTopKStored is the answer's definition: every admitted stored record's
-// exact distance, the k smallest under (distance, id).
-func bruteTopKStored(recs []*traj.Record, q *traj.Trajectory, k int, measure dist.Measure, w TimeWindow) []Result {
-	fn := dist.For(measure)
-	var all []Result
-	for _, rec := range recs {
-		if w.admits(rec.TimeBounds()) {
-			all = append(all, Result{ID: rec.ID, Distance: fn(q.Points, rec.Points), Points: rec.Points})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return resultBefore(all[i], all[j]) })
-	return all[:min(k, len(all))]
-}
-
-// Top-k where seeding can go wrong, against brute force, as exact
+// Top-k where seeding can go wrong, against the oracle, as exact
 // (distance, id) sequences, for 1 and 8 shards and 1 and 4 refine workers —
 // and in every run no index space, hence no row, is scanned twice.
 func TestTopKSeedEdgesMatchBruteForce(t *testing.T) {
@@ -129,13 +109,13 @@ func TestTopKSeedEdgesMatchBruteForce(t *testing.T) {
 		q       *traj.Trajectory
 		k       int
 		window  TimeWindow
-		premise func(t *testing.T, eng *Engine, want []Result)
+		premise func(t *testing.T, eng *Engine, all []oracle.Match)
 	}{
 		{name: "k above N", measure: dist.Frechet, trajs: walks, q: walks[3], k: 100},
 		{name: "k equals N", measure: dist.DTW, trajs: walks, q: walks[3], k: 40},
 		{name: "empty store", measure: dist.Frechet, q: walks[3], k: 5},
 		{name: "own element and ancestors empty", measure: dist.Frechet, trajs: idlers, q: trip, k: 10,
-			premise: func(t *testing.T, eng *Engine, _ []Result) {
+			premise: func(t *testing.T, eng *Engine, _ []oracle.Match) {
 				ix := eng.store.Index()
 				xq := xzstar.NewQuery(trip.Points, nil)
 				snap, err := eng.store.Snapshot()
@@ -156,7 +136,7 @@ func TestTopKSeedEdgesMatchBruteForce(t *testing.T) {
 		{name: "ties through the seed", measure: dist.Frechet, trajs: dups, q: likeDup, k: 50, premise: tiesStraddle},
 		{name: "ties through the main loop", measure: dist.Frechet, trajs: dups, q: traj.New("big", big), k: 50, premise: tiesStraddle},
 		{name: "ties straddling the seed and the main loop", measure: dist.Frechet, trajs: mirrored, q: traj.New("line", line), k: 50,
-			premise: func(t *testing.T, eng *Engine, all []Result) {
+			premise: func(t *testing.T, eng *Engine, all []oracle.Match) {
 				tiesStraddle(t, eng, all)
 				ix := eng.store.Index()
 				own, l, r := ix.SEE(geo.MBRPoints(line)), ix.Assign(left).Seq, ix.Assign(right).Seq
@@ -168,35 +148,35 @@ func TestTopKSeedEdgesMatchBruteForce(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			data := oracle.Stored(tc.trajs)
+			qry := Query{Kind: KindTopK, Traj: tc.q, K: tc.k, Window: tc.window}
 			for shards, eng := range tieEngines(t, tc.measure, tc.trajs) {
-				recs, spaces := storedTable(t, eng.store)
-				want := bruteTopKStored(recs, tc.q, tc.k, tc.measure, tc.window)
+				rows, spaces := storedSpaces(t, eng.store)
 				if tc.premise != nil {
-					tc.premise(t, eng, bruteTopKStored(recs, tc.q, len(recs), tc.measure, tc.window))
+					tc.premise(t, eng, oracle.TopK(tc.measure, data, tc.q.Points, len(data), oracle.Window(tc.window)))
 				}
 				for _, workers := range []int{1, 4} {
 					eng.refineWorkers = workers
-					got, stats, err := eng.Search(bg, Query{Kind: KindTopK, Traj: tc.q, K: tc.k, Window: tc.window}, nil)
+					got, stats, err := eng.Search(bg, qry, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(want) == 0 && len(got) == 0 {
-						continue
+					if d := diffOracle(tc.measure, data, qry, got); d != "" {
+						t.Fatalf("shards=%d workers=%d: %s", shards, workers, d)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d workers=%d: got %d results, brute force %d; first difference at rank %d",
-							shards, workers, len(got), len(want), firstDiff(got, want))
+					if len(got) == 0 {
+						continue // an empty store: nothing to count
 					}
-					if stats.Ranges > spaces || stats.RowsScanned > int64(len(recs)) {
+					if stats.Ranges > spaces || stats.RowsScanned > int64(rows) {
 						t.Errorf("shards=%d workers=%d: scanned %d spaces and %d rows of a store holding %d and %d: something was scanned twice",
-							shards, workers, stats.Ranges, stats.RowsScanned, spaces, len(recs))
+							shards, workers, stats.Ranges, stats.RowsScanned, spaces, rows)
 					}
 					// With fewer than k admitted rows the bound never turns
 					// finite, nothing is pruned, and every space is scanned:
 					// exactly once each.
-					if len(want) < tc.k && tc.window.Unbounded() && (stats.Ranges != spaces || stats.RowsScanned != int64(len(recs))) {
+					if len(got) < tc.k && tc.window.Unbounded() && (stats.Ranges != spaces || stats.RowsScanned != int64(rows)) {
 						t.Errorf("shards=%d workers=%d: scanned %d spaces and %d rows, want every one of %d and %d exactly once",
-							shards, workers, stats.Ranges, stats.RowsScanned, spaces, len(recs))
+							shards, workers, stats.Ranges, stats.RowsScanned, spaces, rows)
 					}
 				}
 			}
@@ -204,24 +184,15 @@ func TestTopKSeedEdgesMatchBruteForce(t *testing.T) {
 	}
 }
 
-// tiesStraddle requires the kth and (k+1)th brute-force distances to be one
-// tie group of the 60 copies, cut at 50.
-func tiesStraddle(t *testing.T, _ *Engine, all []Result) {
+// tiesStraddle requires the kth and (k+1)th oracle distances to be one tie
+// group of the 60 copies, cut at 50.
+func tiesStraddle(t *testing.T, _ *Engine, all []oracle.Match) {
 	t.Helper()
 	for i := 0; i < 60; i++ {
 		if all[i].ID != fmt.Sprintf("dup-%02d", i) || all[i].Distance > all[0].Distance {
-			t.Fatalf("fixture: brute-force rank %d is (%s, %v); the copies are not the nearest tie group in id order", i, all[i].ID, all[i].Distance)
+			t.Fatalf("fixture: oracle rank %d is (%s, %v); the copies are not the nearest tie group in id order", i, all[i].ID, all[i].Distance)
 		}
 	}
-}
-
-func firstDiff(a, b []Result) int {
-	for i := 0; i < min(len(a), len(b)); i++ {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			return i
-		}
-	}
-	return min(len(a), len(b))
 }
 
 // The work a top-k query does, as counts: losing the seed (rows shipped x 3),

@@ -103,14 +103,15 @@ func AllCodes(atMaxRes bool) []PosCode {
 }
 
 // quadOf returns the quad bit for point p inside the enlarged element of s.
-// Points on the far (upper/right) boundary clamp inward so every covered
-// point maps to a quad it actually lies in.
+// Points on the plane's far (upper/right) edge clamp inward, as the cell
+// they anchor does (seqForPoint), so a coordinate of exactly 1 falls in the
+// quad whose closed edge it lies on.
 func quadOf(p geo.Point, origin geo.Point, w float64) QuadMask {
 	var ixd, iyd int
-	if p.X >= origin.X+w {
+	if clampCoord(p.X) >= origin.X+w {
 		ixd = 1
 	}
-	if p.Y >= origin.Y+w {
+	if clampCoord(p.Y) >= origin.Y+w {
 		iyd = 1
 	}
 	switch {

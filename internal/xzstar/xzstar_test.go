@@ -3,6 +3,7 @@ package xzstar
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -167,6 +168,29 @@ func mustPoints(rng *rand.Rand, n int, box geo.Rect) []geo.Point {
 		}
 	}
 	return pts
+}
+
+// A trajectory anchored on the plane's far edge (a coordinate of exactly 1,
+// which the plane admits) is assigned like any other: its cell is clamped
+// inward, and so are its points, so the lower-left point lies in quad a and
+// every quad of the code holds a point. Unclamped points fell outside quad a
+// and Assign panicked.
+func TestAssignOnFarEdge(t *testing.T) {
+	ix := MustNew(16)
+	for _, pts := range [][]geo.Point{
+		{{X: 1, Y: 1}},
+		{{X: 1, Y: 0.4}, {X: 1, Y: 0.41}},
+		{{X: 0.3, Y: 1}, {X: 0.31, Y: 1}},
+		{{X: 1 - 1.0/(1<<16), Y: 0.5}, {X: 1, Y: 0.5}},
+	} {
+		e := ix.Assign(pts)
+		quads := e.Seq.Quads()
+		for i := 0; i < 4; i++ {
+			if e.Code.Mask()&(1<<i) != 0 && !slices.ContainsFunc(pts, quads[i].ContainsPoint) {
+				t.Errorf("%v: quad %d in code %d of %v holds no point", pts, i, e.Code, e.Seq)
+			}
+		}
+	}
 }
 
 func TestAssignInvariants(t *testing.T) {

@@ -11,12 +11,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -24,6 +25,15 @@ import (
 // withStore sets store.Config fields that no public option exposes.
 func withStore(set func(*store.Config)) Option {
 	return func(sc *store.Config, _ *config) { set(sc) }
+}
+
+// oracleMatches puts a public answer in the oracle's terms.
+func oracleMatches(ms []Match) []oracle.Match {
+	out := make([]oracle.Match, len(ms))
+	for i, m := range ms {
+		out[i] = oracle.Match{ID: m.ID, Distance: m.Distance}
+	}
+	return out
 }
 
 func openTestDB(t *testing.T, opts ...Option) *DB {
@@ -105,15 +115,9 @@ func TestThresholdMatchesBruteOnPublicAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fn := dist.For(m)
-			want := 0
-			for _, tr := range data {
-				if fn(q.Points, tr.Points) <= eps {
-					want++
-				}
-			}
-			if len(got) != want {
-				t.Fatalf("measure %v: got %d, want %d", m, len(got), want)
+			want := oracle.Threshold(m, oracle.Stored(data), q.Points, eps, oracle.Window{})
+			if d := oracle.Diff(oracle.ByID(oracleMatches(got)), want); d != "" {
+				t.Fatalf("measure %v: %s", m, d)
 			}
 		})
 	}
@@ -190,24 +194,10 @@ func TestRangeSearchPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, m := range matches {
-		if m.ID == data[17].ID {
-			found = true
-		}
-		// Every match genuinely has a point in the window.
-		hit := false
-		for _, pt := range m.Points {
-			if window.ContainsPoint(pt) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			t.Fatalf("match %s has no point in the window", m.ID)
-		}
+	if d := oracle.Diff(oracle.ByID(oracleMatches(matches)), oracle.Range(oracle.Stored(data), window, oracle.Window{})); d != "" {
+		t.Fatal(d)
 	}
-	if !found {
+	if !slices.ContainsFunc(matches, func(m Match) bool { return m.ID == data[17].ID }) {
 		t.Fatal("anchor trajectory not found by range search")
 	}
 }
@@ -280,7 +270,7 @@ func TestRandomizedPublicAPIAgainstBrute(t *testing.T) {
 	if err := db.PutBatch(data); err != nil {
 		t.Fatal(err)
 	}
-	fn := dist.For(Frechet)
+	stored := oracle.Stored(data)
 	for i := 0; i < 3; i++ {
 		q := data[rng.Intn(len(data))]
 		k := 1 + rng.Intn(20)
@@ -288,15 +278,8 @@ func TestRandomizedPublicAPIAgainstBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := make([]float64, len(data))
-		for j, tr := range data {
-			ds[j] = fn(q.Points, tr.Points)
-		}
-		sort.Float64s(ds)
-		for j := range got {
-			if math.Abs(got[j].Distance-ds[j]) > 1e-6 {
-				t.Fatalf("rank %d: %v want %v", j, got[j].Distance, ds[j])
-			}
+		if d := oracle.Diff(oracleMatches(got), oracle.TopK(Frechet, stored, q.Points, k, oracle.Window{})); d != "" {
+			t.Fatalf("top-%d of %s: %s", k, q.ID, d)
 		}
 	}
 }
@@ -348,7 +331,7 @@ func TestReopenWithDifferentShapeFails(t *testing.T) {
 
 // A directory reopened with no shape option is served at the shape it
 // records, not at the defaults: written at 4 shards and resolution 12, top-k
-// equals brute force and every id is found.
+// equals the oracle's answer and every id is found.
 func TestReopenAdoptsRecordedShape(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, WithShards(4), WithMaxResolution(12))
@@ -373,24 +356,17 @@ func TestReopenAdoptsRecordedShape(t *testing.T) {
 			t.Fatalf("Get(%s) after reopen: %v, %v", tr.ID, got, err)
 		}
 	}
-	fn := dist.For(Frechet)
+	stored := oracle.Stored(data)
 	for _, q := range []*Trajectory{data[0], data[77], data[199]} {
 		got, err := db.TopKSearch(q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := make([]float64, len(data))
-		for j, tr := range data {
-			ds[j] = fn(q.Points, tr.Points)
+		if d := oracle.Diff(oracleMatches(got), oracle.TopK(Frechet, stored, q.Points, 5, oracle.Window{})); d != "" {
+			t.Fatalf("top-5 of %s: %s", q.ID, d)
 		}
-		sort.Float64s(ds)
-		if len(got) != 5 || got[0].ID != q.ID {
-			t.Fatalf("top-5 of %s returned %d matches, want 5 led by the query's own row", q.ID, len(got))
-		}
-		for j := range got {
-			if math.Abs(got[j].Distance-ds[j]) > 1e-6 {
-				t.Fatalf("query %s rank %d: distance %v, brute force %v", q.ID, j, got[j].Distance, ds[j])
-			}
+		if got[0].ID != q.ID {
+			t.Fatalf("top-5 of %s is led by %s, not by the query's own row", q.ID, got[0].ID)
 		}
 	}
 }
