@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -154,9 +153,8 @@ func (j *JUST) Threshold(q *traj.Trajectory, eps float64) ([]Result, *Stats, err
 	if err != nil {
 		return nil, nil, err
 	}
-	// Regions answer in no particular order; refine in key order so equal
+	// The ranges are disjoint, so the rows arrive in key order and equal
 	// distances keep one output order from run to run.
-	sort.Slice(rows, func(a, b int) bool { return bytes.Compare(rows[a].Key, rows[b].Key) < 0 })
 	stats.Scanned = res.RowsScanned
 	stats.Candidates = res.RowsReturned
 

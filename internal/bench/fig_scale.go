@@ -68,8 +68,9 @@ func (c Config) buildSystemsAt(prefix string, kind datasetKind, measure dist.Mea
 // simulated deployment — 200µs per region RPC and a bounded handler pool per
 // region (an HBase region server's RPC handlers), with several concurrent
 // query clients. Too few shards serialize on the handler pool (the paper's
-// data-skew effect); too many multiply RPC fan-out. The paper's sweet spot
-// on its five-node cluster is 8 shards.
+// data-skew effect); too many add region RPCs, which a query's scan makes
+// one after another. The paper's sweet spot on its five-node cluster is 8
+// shards.
 func Fig19(cfg Config) ([]*Table, error) {
 	tab := &Table{
 		Title:   "Fig 19 — effect of shards (200µs RPC, 2 handlers/region, 8 concurrent clients, ε=0.01°)",
@@ -85,7 +86,6 @@ func Fig19(cfg Config) ([]*Table, error) {
 			DPTolerance:       gen.DegreesToNorm(0.01),
 			RPCLatency:        200 * time.Microsecond,
 			HandlersPerRegion: 2,
-			Parallelism:       5 * 8, // five nodes × handler pool headroom
 		})
 		if err != nil {
 			return nil, err

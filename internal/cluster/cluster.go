@@ -1,13 +1,14 @@
 // Package cluster simulates the HBase deployment TraSS runs on: a table is
 // range-partitioned into regions, each region is backed by its own embedded
-// kv store, and scans are routed by row-key range and executed per region in
-// parallel. Server-side filters play the role of HBase coprocessors: the
-// paper pushes local filtering down into the region servers so that only
-// matching rows cross the network, and this package accounts for exactly
-// that (rows scanned vs rows shipped, RPC count, bytes shipped).
+// kv store, and scans are routed by row-key range and executed region by
+// region, in key order, on the caller. Server-side filters play the role of
+// HBase coprocessors: the paper pushes local filtering down into the region
+// servers so that only matching rows cross the network, and this package
+// accounts for exactly that (rows scanned vs rows shipped, RPC count, bytes
+// shipped).
 //
-// An optional per-RPC latency models the network cost that makes the paper's
-// shard-count experiment (Fig. 19) a trade-off rather than free parallelism.
+// An optional per-RPC latency models the network cost of each region call,
+// which grows with the shard count in the paper's Fig. 19.
 package cluster
 
 import (
@@ -37,9 +38,6 @@ type Config struct {
 	// is ignored on reopen. The caller writes into it whatever a reopen must
 	// agree with (the store: shards, resolution, row format).
 	Schema string
-	// Parallelism bounds concurrent region scans per request. Default: the
-	// number of regions.
-	Parallelism int
 	// RPCLatency is added to every region scan call to model network round
 	// trips. Default 0 (pure in-process).
 	RPCLatency time.Duration

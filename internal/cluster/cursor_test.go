@@ -20,8 +20,7 @@ func rowKey(i int) []byte { return []byte(fmt.Sprintf("row%05d", i)) }
 func layeredCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c := newTestCluster(t, Config{
-		SplitKeys:   [][]byte{rowKey(500), rowKey(1000), rowKey(1500)},
-		Parallelism: 2,
+		SplitKeys: [][]byte{rowKey(500), rowKey(1000), rowKey(1500)},
 	})
 	const n = 2000
 	loadRows(t, c, n)

@@ -13,9 +13,8 @@ import (
 type KeyRange = kv.Range
 
 // Filter is a server-side row predicate, the coprocessor push-down hook.
-// It runs inside the region scan; rejected rows never leave the region.
-// Implementations must be safe for concurrent use: regions evaluate the
-// filter in parallel.
+// It runs inside the region scan, on the goroutine that called ScanStream;
+// rejected rows never leave the region.
 type Filter func(key, value []byte) bool
 
 // ScanRequest describes a multi-range filtered scan, the access pattern

@@ -79,12 +79,12 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // ScanStream is the cluster's one scan entry. It executes the request across
 // every region it overlaps, delivering rows to emit in batches (at most 64
 // rows) as they are produced. Ranges falling in one region are served by
-// one region call, and region calls run in parallel (bounded by
-// Config.Parallelism). emit is always called from the ScanStream goroutine —
-// never concurrently. The batch it receives is valid only during that call
-// (the stream recycles it), while the key and value bytes of its entries are
-// emit's to keep; returning an error from emit aborts the stream and surfaces
-// that error verbatim.
+// one region call, and the region calls run one after another, in region
+// (= key) order, on the calling goroutine: the scan starts no goroutine, and
+// emit runs on the caller. The batch emit receives is valid only during that
+// call (the stream recycles it), while the key and value bytes of its entries
+// are emit's to keep; returning an error from emit aborts the stream and
+// surfaces that error verbatim.
 //
 // A region whose scan fails fails the whole scan with a *RegionError naming
 // the region and its key range; there is no partial answer, since a missing
@@ -93,9 +93,10 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // cancellation is returned as ctx's error, never as a RegionError. After
 // Close the error is kv.ErrClosed.
 //
-// Regions scan concurrently, so batches of different regions arrive in no
-// particular order; within a region they arrive in key order. The returned
-// ScanResult carries the accounting.
+// Batches arrive region by region, in key order, and a region walks its
+// ranges in order of start key, each in key order; so for disjoint ranges,
+// as every store scan's are, the batches, concatenated, are in key order.
+// The returned ScanResult carries the accounting.
 //
 // Everything is read from the snapshot: rows committed after it was taken are
 // invisible, and concurrent ingest, flushes and compactions neither block the
@@ -114,6 +115,7 @@ func (s *Snapshot) ScanStream(ctx context.Context, req StreamRequest, emit func(
 type Cursor struct {
 	snap   *Snapshot
 	slots  []cursorSlot // one per region, indexed by region id
+	tasks  []regionTask // the last scan's region tasks, reused by the next
 	closed bool
 }
 
@@ -180,14 +182,23 @@ func (c *Cursor) Close() error {
 // nil for the first.
 func (s *Snapshot) scan(ctx context.Context, req ScanRequest, cur *Cursor, emit func(ScanBatch) error) (*ScanResult, error) {
 	start := time.Now()
-	tasks, err := s.scanTasks(req)
+	var tasks []regionTask
+	if cur != nil {
+		tasks = cur.tasks[:0]
+	}
+	tasks, err := s.scanTasks(req, tasks)
 	if err != nil {
 		return nil, err
 	}
-	if len(tasks) == 0 {
-		return (&scanAccount{}).result(time.Since(start)), nil
+	if cur != nil {
+		cur.tasks = tasks
 	}
-	return s.c.scanRegions(ctx, req.Filter, tasks, cur, start, emit)
+	res := &ScanResult{}
+	if err := s.c.scanRegions(ctx, req.Filter, tasks, cur, res, emit); err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // scanTasks assigns the request's ranges to the regions they overlap, in
@@ -196,8 +207,9 @@ func (s *Snapshot) scan(ctx context.Context, req ScanRequest, cur *Cursor, emit 
 // region whose ranges are a run of the sorted request that all lie within its
 // bounds (every store scan: its ranges are built shard by shard) scans that
 // run in place; the clipped ranges of any other region share one backing
-// array.
-func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
+// array. The tasks are appended to tasks, which is first grown to hold one
+// per region if it cannot.
+func (s *Snapshot) scanTasks(req ScanRequest, tasks []regionTask) ([]regionTask, error) {
 	regions, err := s.pinned()
 	if err != nil {
 		return nil, err
@@ -209,8 +221,10 @@ func (s *Snapshot) scanTasks(req ScanRequest) ([]regionTask, error) {
 		ranges = slices.Clone(ranges)
 		slices.SortStableFunc(ranges, byStart)
 	}
+	if cap(tasks) < len(regions) {
+		tasks = make([]regionTask, 0, len(regions))
+	}
 	var clipped []KeyRange
-	var tasks []regionTask
 	lo := 0 // ranges before lo end at or before the current region
 	for _, sr := range regions {
 		r := sr.region

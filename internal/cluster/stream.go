@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kv"
@@ -14,16 +12,10 @@ import (
 // (snapshot.go) delivers rows in bounded batches as regions produce them, so a
 // consumer (the refinement stage) can overlap its work with the scan instead
 // of waiting behind a collect-everything barrier, and per-scan memory stays
-// O(batch × queue) instead of O(rows shipped).
+// one batch instead of O(rows shipped).
 
 // batchRows caps the rows delivered per emit call.
 const batchRows = 64
-
-// streamQueueDepth is the buffer (in batches) between the parallel region
-// producers and the emit callback. It is the only buffering in the stream: a
-// stalled consumer blocks the region scans after at most this many in-queue
-// batches plus one in-flight batch per region.
-const streamQueueDepth = 2
 
 // StreamRequest is ScanRequest under the name benchmark/trace.go compiles
 // against (`cluster.StreamRequest{ScanRequest: …}`); it has no fields of its
@@ -56,112 +48,46 @@ func recycle(b *ScanBatch) {
 	batchPool.Put(b)
 }
 
-// scanAccount accumulates scan accounting incrementally across concurrent
-// region producers; scanRegions folds it into the final ScanResult.
-type scanAccount struct {
-	rowsScanned  atomic.Int64
-	rowsReturned atomic.Int64
-	bytesShipped atomic.Int64
-	rpcs         atomic.Int64
-}
-
-func (a *scanAccount) result(elapsed time.Duration) *ScanResult {
-	return &ScanResult{
-		RowsScanned:  a.rowsScanned.Load(),
-		RowsReturned: a.rowsReturned.Load(),
-		BytesShipped: a.bytesShipped.Load(),
-		RPCs:         a.rpcs.Load(),
-		Elapsed:      elapsed,
-	}
-}
-
-// emitError marks an error that came from the consumer (the emit callback or
-// the stream plumbing), not from the region itself: it is never reported as a
-// RegionError.
-type emitError struct{ err error }
-
-func (e *emitError) Error() string { return e.err.Error() }
-func (e *emitError) Unwrap() error { return e.err }
-
-// scanRegions scans the tasks' regions concurrently (bounded by
-// Config.Parallelism, default one worker per region), funneling batches
-// through a bounded channel to the single emit caller. The first failing
-// region, in region order, fails the scan with its *RegionError. With a
-// cursor (cur not nil) each region call walks its region's slot.
-func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []regionTask, cur *Cursor, start time.Time, emit func(ScanBatch) error) (*ScanResult, error) {
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	parallelism := c.cfg.Parallelism
-	if parallelism <= 0 {
-		parallelism = len(tasks)
-	}
-	acct := &scanAccount{}
-	out := make(chan *ScanBatch, streamQueueDepth)
-	errs := make([]error, len(tasks))
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for i := range tasks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-pctx.Done():
-				errs[i] = &emitError{pctx.Err()}
-				return
-			}
-			defer func() { <-sem }()
-			t := tasks[i]
-			var slot *cursorSlot
-			if cur != nil {
-				slot = &cur.slots[t.region.id]
-			}
-			errs[i] = c.scanRegion(pctx, t, slot, filter, acct, func(b *ScanBatch) error {
-				select {
-				case out <- b:
-					return nil
-				case <-pctx.Done():
-					recycle(b)
-					return pctx.Err()
-				}
-			})
-		}(i)
-	}
-	go func() { wg.Wait(); close(out) }()
-
-	var consumerErr error
-	for b := range out {
-		if consumerErr == nil { // else drain so blocked producers observe the cancel promptly
-			if err := emit(*b); err != nil {
-				consumerErr = err
-				cancel()
-			}
-		}
+// scanRegions walks the tasks' regions one after another, in region (= key)
+// order, on the calling goroutine, as an HBase client scanner walks a
+// table's regions, and hands each full batch straight to emit. It adds each
+// region call's accounting to res. The first failing region fails the scan
+// with its *RegionError; an emit error comes back as it is, and cancellation
+// as ctx's error. With a cursor (cur not nil) each region call walks its
+// region's slot.
+func (c *Cluster) scanRegions(ctx context.Context, filter Filter, tasks []regionTask, cur *Cursor, res *ScanResult, emit func(ScanBatch) error) error {
+	var emitErr error
+	send := func(b *ScanBatch) error {
+		emitErr = emit(*b)
 		recycle(b)
+		return emitErr
 	}
-	if consumerErr != nil {
-		return nil, consumerErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		var ee *emitError
-		if err != nil && !errors.As(err, &ee) { // an emitError is a stream-side abort
-			return nil, regionError(tasks[i].region, err)
+	for _, t := range tasks {
+		var slot *cursorSlot
+		if cur != nil {
+			slot = &cur.slots[t.region.id]
+		}
+		err := c.scanRegion(ctx, t, slot, filter, res, send)
+		if emitErr != nil {
+			return emitErr
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if err != nil {
+			return regionError(t.region, err)
 		}
 	}
-	return acct.result(time.Since(start)), nil
+	return nil
 }
 
 // scanRegion is one region "RPC": one iterator over every clipped range,
 // the server-side filter applied to each row, accepted rows delivered in
-// batches. ctx is observed between rows (amortized every 256). A
-// consumer-side failure comes back as an *emitError; anything else is the
-// region's own failure. send takes over each batch it is given. The call
-// walks slot's iterator when slot is not nil, and a new one otherwise.
-func (c *Cluster) scanRegion(ctx context.Context, t regionTask, slot *cursorSlot, filter Filter, acct *scanAccount, send func(*ScanBatch) error) error {
+// batches, the call's accounting added to res. ctx is observed between rows
+// (amortized every 256). send takes over each batch it is given, and its
+// error comes back as it is. The call walks slot's iterator when slot is not
+// nil, and a new one otherwise.
+func (c *Cluster) scanRegion(ctx context.Context, t regionTask, slot *cursorSlot, filter Filter, res *ScanResult, send func(*ScanBatch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -183,7 +109,7 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, slot *cursorSlot
 		defer func() { <-t.region.handlers }()
 	}
 	c.rpcs.Add(1)
-	acct.rpcs.Add(1)
+	res.RPCs++
 
 	// Most region calls of a best-first search ship nothing, so the batch is
 	// taken on the first accepted row, not up front.
@@ -199,10 +125,10 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, slot *cursorSlot
 		err := send(batch)
 		batch = nil // send took it over
 		if err != nil {
-			return &emitError{err}
+			return err
 		}
-		acct.rowsReturned.Add(rows)
-		acct.bytesShipped.Add(shipped)
+		res.RowsReturned += rows
+		res.BytesShipped += shipped
 		return nil
 	}
 
@@ -236,7 +162,7 @@ func (c *Cluster) scanRegion(ctx context.Context, t regionTask, slot *cursorSlot
 		err = it.Err()
 	}
 	slot.done(it)
-	acct.rowsScanned.Add(scanned)
+	res.RowsScanned += scanned
 	if err != nil {
 		return err
 	}

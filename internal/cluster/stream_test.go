@@ -54,8 +54,9 @@ func scanStream(ctx context.Context, t *testing.T, c *Cluster, req ScanRequest, 
 }
 
 // TestScanStreamDeliversAllRows: the scan must deliver exactly the loaded
-// rows, each once, in batches of at most batchRows from both regions, and its
-// accounting must add up to what emit saw.
+// rows, each once, in batches of at most batchRows from both regions, the
+// batches concatenated in key order, and its accounting must add up to what
+// emit saw.
 func TestScanStreamDeliversAllRows(t *testing.T) {
 	c := newTestCluster(t, Config{SplitKeys: [][]byte{[]byte("row00200")}})
 	const n = 400 // 200 rows per region: several batches each
@@ -74,8 +75,9 @@ func TestScanStreamDeliversAllRows(t *testing.T) {
 	if len(sc.regions) != 2 {
 		t.Fatalf("batches came from %d regions, want 2", len(sc.regions))
 	}
-	got := append([]string(nil), sc.entries...)
-	sort.Strings(got)
+	if !sort.StringsAreSorted(sc.entries) {
+		t.Fatal("the batches of a two-region scan, concatenated, are not in key order")
+	}
 	var want []string
 	var wantBytes int64
 	for i := 0; i < n; i++ {
@@ -83,7 +85,7 @@ func TestScanStreamDeliversAllRows(t *testing.T) {
 		want = append(want, k)
 		wantBytes += int64(len(k) + len(v))
 	}
-	if !equalStrings(got, want) {
+	if !equalStrings(sc.entries, want) {
 		t.Fatal("streamed row set differs from the loaded rows")
 	}
 	if res.RowsScanned != n || res.RowsReturned != n || res.BytesShipped != wantBytes || res.RPCs != 2 {
@@ -92,12 +94,47 @@ func TestScanStreamDeliversAllRows(t *testing.T) {
 	}
 }
 
+// TestScanStartsNoGoroutine: a scan walks its regions on the calling
+// goroutine, one-shot or through a cursor, so no goroutine is live inside
+// emit that was not live before the call.
+func TestScanStartsNoGoroutine(t *testing.T) {
+	c := newTestCluster(t, Config{SplitKeys: [][]byte{rowKey(100), rowKey(200), rowKey(300)}})
+	loadRows(t, c, 400)
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	cur := snap.Cursor()
+	defer cur.Close()
+	req := StreamRequest{ScanRequest: ScanRequest{Ranges: []KeyRange{{}}}}
+	for _, scan := range []struct {
+		name string
+		run  func(context.Context, StreamRequest, func(ScanBatch) error) (*ScanResult, error)
+	}{{"Snapshot.ScanStream", snap.ScanStream}, {"Cursor.ScanStream", cur.ScanStream}} {
+		before := runtime.NumGoroutine()
+		regions, most := map[int]bool{}, 0
+		if _, err := scan.run(context.Background(), req, func(b ScanBatch) error {
+			regions[b.RegionID] = true
+			most = max(most, runtime.NumGoroutine())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(regions) != 4 {
+			t.Fatalf("%s: batches came from %d regions, want 4", scan.name, len(regions))
+		}
+		if most > before {
+			t.Errorf("%s: %d goroutines inside emit, %d before the call", scan.name, most, before)
+		}
+	}
+}
+
 // streamFaultCluster is scanFaultCluster with enough rows per region for
 // several batches (400 rows at batchRows = 64) and values fat enough that each
 // region spans dozens of 4 KiB SSTable blocks: block reads then interleave
 // with batch emission, so injected faults fire mid-stream, after rows have
-// already been delivered — even with the producer running its full queue
-// depth (three batches) ahead of the consumer.
+// already been delivered.
 func streamFaultCluster(t *testing.T) (*Cluster, *vfs.FaultFS, []string) {
 	t.Helper()
 	fsys := vfs.NewFault()
@@ -313,12 +350,12 @@ func TestScanRegionAllocsFlatInRanges(t *testing.T) {
 		}
 		return regionTask{region: snap.regions[0].region, snap: snap.regions[0].snap, ranges: ranges}
 	}
-	acct := &scanAccount{}
+	res := &ScanResult{}
 	reject := func(_, _ []byte) bool { return false }
 	send := func(b *ScanBatch) error { recycle(b); return nil }
 	allocs := func(task regionTask) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if err := c.scanRegion(context.Background(), task, nil, reject, acct, send); err != nil {
+			if err := c.scanRegion(context.Background(), task, nil, reject, res, send); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -328,7 +365,7 @@ func TestScanRegionAllocsFlatInRanges(t *testing.T) {
 	if many > one+2 {
 		t.Fatalf("64 ranges allocate %.0f per region call, 1 range %.0f: want within 2", many, one)
 	}
-	if rows := acct.rowsScanned.Load(); rows != 21*(3+64*3) {
+	if rows := res.RowsScanned; rows != 21*(3+64*3) {
 		t.Fatalf("rows scanned = %d, want %d", rows, 21*(3+64*3))
 	}
 }
@@ -378,7 +415,7 @@ func TestScanTasksMatchPerRegionPlan(t *testing.T) {
 				want = append(want, fmt.Sprintf("%d %q", sr.region.id, rs))
 			}
 		}
-		tasks, err := snap.scanTasks(ScanRequest{Ranges: ranges})
+		tasks, err := snap.scanTasks(ScanRequest{Ranges: ranges}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,14 +488,11 @@ func TestScanShipsRowWithoutBatchAlloc(t *testing.T) {
 }
 
 // TestScanStreamRecycledBatchesKeepRows: a consumer that keeps the entries of
-// every batch, across several parallel multi-region scans, sees every key and
-// value intact at the end, though each batch's slice is reused once emit
-// returns. Under -race it also checks that no producer touches a batch emit
-// is reading.
+// every batch, across several multi-region scans, sees every key and value
+// intact at the end, though each batch's slice is reused once emit returns.
 func TestScanStreamRecycledBatchesKeepRows(t *testing.T) {
 	c := newTestCluster(t, Config{
-		SplitKeys:   [][]byte{[]byte("row00500"), []byte("row01000"), []byte("row01500")},
-		Parallelism: 4,
+		SplitKeys: [][]byte{[]byte("row00500"), []byte("row01000"), []byte("row01500")},
 	})
 	const n = 2000
 	loadRows(t, c, n)
@@ -527,7 +561,7 @@ func TestScanTasksAliasAlignedRanges(t *testing.T) {
 			aligned = append(aligned, KeyRange{Start: []byte{shard, 2 * v}, End: []byte{shard, 2*v + 1}})
 		}
 	}
-	tasks, err := snap.scanTasks(ScanRequest{Ranges: aligned})
+	tasks, err := snap.scanTasks(ScanRequest{Ranges: aligned}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +582,7 @@ func TestScanTasksAliasAlignedRanges(t *testing.T) {
 		{Start: []byte{3, 6}},
 	}
 	before := fmt.Sprintf("%q", straddle)
-	tasks, err = snap.scanTasks(ScanRequest{Ranges: straddle})
+	tasks, err = snap.scanTasks(ScanRequest{Ranges: straddle}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,9 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 	// the seed's spaces are remembered in seeded. The spaces are sorted in
 	// place, so the row-key ranges reach the cluster in key order.
 	var (
-		rows   []kv.Entry          // one drain's shipped rows, reused by the next
-		ranges []xzstar.ValueRange // one drain's value ranges, likewise
+		rows    []kv.Entry           // one drain's shipped rows, reused by the next
+		ranges  []xzstar.ValueRange  // one drain's value ranges, likewise
+		scratch = new(filterScratch) // what hold bounds every drain's rows in
 	)
 	drain := func(spaces []int64) error {
 		if len(spaces) == 0 {
@@ -119,7 +120,7 @@ func (e *Engine) bestFirst(ctx context.Context, snap *store.Snapshot, k int, f f
 			ranges = append(ranges, xzstar.ValueRange{Lo: v, Hi: v + 1})
 		}
 		var err error
-		rows, err = e.hold(ctx, cur, stats, ranges, filter, f, top, held, rows[:0])
+		rows, err = e.hold(ctx, cur, stats, ranges, filter, f, scratch, top, held, rows[:0])
 		return err
 	}
 
@@ -213,7 +214,7 @@ search:
 
 	out := top.ascending()
 	stats.Results = len(out)
-	stats.RowsWalked = walked.Load()
+	stats.RowsWalked = *walked
 	if sink == nil {
 		return out, stats, nil
 	}
@@ -251,9 +252,10 @@ func heldBefore(a, b heldRow) bool {
 // is held at bound 0, like one bounds cannot parse: refined first, reported
 // by its decode. Scan and refinement never overlap, so the bound is constant
 // while a scan's filter runs, and what ships does not depend on timing. The
-// shipped rows are appended to rows, which is returned for reuse.
+// rows are bounded in s. The shipped rows are appended to rows, which is
+// returned for reuse.
 func (e *Engine) hold(ctx context.Context, cur *store.Cursor, stats *Stats, ranges []xzstar.ValueRange,
-	filter func(key, value []byte) bool, f frontier, top *topResults, held *binHeap[heldRow], rows []kv.Entry) ([]kv.Entry, error) {
+	filter func(key, value []byte) bool, f frontier, s *filterScratch, top *topResults, held *binHeap[heldRow], rows []kv.Entry) ([]kv.Entry, error) {
 	t0 := time.Now()
 	res, err := cur.ScanRangesStream(ctx, ranges, filter, func(batch []kv.Entry) error {
 		stats.StreamBatches++
@@ -267,7 +269,6 @@ func (e *Engine) hold(ctx context.Context, cur *store.Cursor, stats *Stats, rang
 	stats.absorbScan(res)
 
 	t1 := time.Now()
-	s := scratchPool.Get().(*filterScratch)
 	for _, row := range rows {
 		r := heldRow{value: row.Value}
 		if v, err := traj.ViewRecord(row.Value); err == nil {
@@ -280,8 +281,6 @@ func (e *Engine) hold(ctx context.Context, cur *store.Cursor, stats *Stats, rang
 		}
 		held.push(r)
 	}
-	s.walked = false
-	scratchPool.Put(s)
 	stats.StreamPeakDepth = max(stats.StreamPeakDepth, held.len())
 	bounding := time.Since(t1)
 	stats.RefineTime += bounding

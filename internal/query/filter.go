@@ -2,7 +2,6 @@ package query
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/geo"
@@ -14,8 +13,8 @@ import (
 // Checks run cheapest-first, as the paper prescribes.
 
 // filterScratch is what the pushed-down filters decode a row's features and
-// picked points into. Region scans run a query's filter concurrently, so
-// each call takes its own from scratchPool.
+// picked points into. A query's filter runs on the goroutine that scans, one
+// row at a time, so one scratch serves all its rows.
 type filterScratch struct {
 	idx    []int
 	boxes  []geo.Rect
@@ -23,8 +22,6 @@ type filterScratch struct {
 	one    [1]geo.Point // a single-point row's whole point set
 	walked bool         // the row's point stream was walked; wrapWithWindow counts and clears it
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(filterScratch) }}
 
 // rowFilter is a pushed-down predicate over one located row: true ships it.
 type rowFilter func(v traj.RecordView, s *filterScratch) bool

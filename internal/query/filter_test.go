@@ -6,9 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -158,12 +156,12 @@ func TestUnparseableRowContract(t *testing.T) {
 	}
 }
 
-// Region scans run one query's filter concurrently. Were its scratch shared
-// between them, -race would say so and the shipped set would drift from what
-// the same predicate decides row by row on one goroutine.
+// A query's filter decodes every row it sees into one scratch. Were the
+// scratch to carry anything from one row to the next, the set a scan ships
+// would drift from what the same predicate decides row by row with a fresh
+// start: the filter is run over every region of the store, twice.
 func TestFilterScratchIsNotSharedBetweenRegions(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	st, err := store.Open(store.Config{Dir: t.TempDir(), Shards: 8, Parallelism: 8})
+	st, err := store.Open(store.Config{Dir: t.TempDir(), Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +175,12 @@ func TestFilterScratchIsNotSharedBetweenRegions(t *testing.T) {
 	pushed := serverFilter(qg, dist.Frechet, gen.DegreesToNorm(0.05))
 
 	want := map[string]bool{}
-	scratch := new(filterScratch)
 	for _, row := range allRows(t, st) {
 		v, err := traj.ViewRecord(row.Value)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pushed(v, scratch) {
+		if pushed(v, new(filterScratch)) {
 			want[string(row.Key)] = true
 		}
 	}
@@ -197,36 +194,27 @@ func TestFilterScratchIsNotSharedBetweenRegions(t *testing.T) {
 	}
 	defer snap.Close()
 	all := []xzstar.ValueRange{{Lo: 0, Hi: math.MaxInt64}}
-	var wg sync.WaitGroup
-	for scan := 0; scan < 4; scan++ { // four scans at once, eight regions each
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			filter, _ := wrapWithWindow(TimeWindow{}, pushed)
-			got := map[string]bool{}
-			_, err := snap.ScanRangesStream(bg, all, filter, 0, store.StreamOptions{}, func(batch []kv.Entry) error {
-				for _, en := range batch {
-					got[string(en.Key)] = true
-				}
-				return nil
-			})
-			if err != nil {
-				t.Error(err)
-			} else if !reflect.DeepEqual(got, want) {
-				t.Errorf("concurrent region scans shipped %d rows, the predicate keeps %d", len(got), len(want))
+	filter, _ := wrapWithWindow(TimeWindow{}, pushed)
+	for scan := 0; scan < 2; scan++ { // one filter, one scratch: eight regions, twice
+		got := map[string]bool{}
+		if _, err := snap.ScanRangesStream(bg, all, filter, 0, store.StreamOptions{}, func(batch []kv.Entry) error {
+			for _, en := range batch {
+				got[string(en.Key)] = true
 			}
-		}()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("scan %d shipped %d rows, the predicate keeps %d", scan, len(got), len(want))
+		}
 	}
-	wg.Wait()
 }
 
 // The pushed-down filters allocate nothing per row once their scratch is
 // warm — neither on the row most rows are (rejected on its first point) nor
 // on one that passes every check and has its point stream walked.
 func TestFilterAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a share of its Puts under -race, so the pooled scratch is reallocated")
-	}
 	rng := rand.New(rand.NewSource(223))
 	near := walk(rng, "near", 60, 0.01)
 	times := make([]int64, near.Len())
@@ -264,13 +252,13 @@ func TestFilterAllocatesNothing(t *testing.T) {
 			if got := filter(nil, r.value); got != r.keep {
 				t.Fatalf("%s on %s: kept = %v", tc.name, r.name, got)
 			}
-			if got := walked.Swap(0); (got == 1) != r.keep {
-				t.Errorf("%s on %s: walked %d point streams", tc.name, r.name, got)
+			if (*walked == 1) != r.keep {
+				t.Errorf("%s on %s: walked %d point streams", tc.name, r.name, *walked)
 			}
 			if n := testing.AllocsPerRun(200, func() { filter(nil, r.value) }); n != 0 {
 				t.Errorf("%s on %s: %v allocations per row", tc.name, r.name, n)
 			}
-			walked.Store(0)
+			*walked = 0
 		}
 	}
 }

@@ -53,14 +53,11 @@ type refineWork func(rec *traj.Record, row []float64) (refineOutcome, []float64)
 type refineMerge func(o refineOutcome) error
 
 // refineParallelism resolves the worker count: refineWorkers if a test set
-// it, otherwise the store's scan parallelism, otherwise GOMAXPROCS. Results
-// are identical for any value; only the wall-clock changes.
+// it, otherwise GOMAXPROCS. Results are identical for any value; only the
+// wall-clock changes.
 func (e *Engine) refineParallelism() int {
 	if e.refineWorkers > 0 {
 		return e.refineWorkers
-	}
-	if p := e.store.Config().Parallelism; p > 0 {
-		return p
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -265,8 +265,8 @@ func TestRefineStatsAccounting(t *testing.T) {
 	}
 }
 
-// refineWorkers 0 resolves to the default (store parallelism, else
-// GOMAXPROCS) and negative values are treated as the default, never a hang.
+// refineWorkers 0 resolves to the default (GOMAXPROCS) and negative values
+// are treated as the default, never a hang.
 func TestRefineParallelismKnob(t *testing.T) {
 	f := newFixture(t, dist.Frechet, 30, 78)
 	for _, n := range []int{0, -3} {

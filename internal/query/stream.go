@@ -72,7 +72,7 @@ func (e *Engine) refineRanges(ctx context.Context, snap *store.Snapshot, stats *
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.RowsWalked = walked.Load()
+	stats.RowsWalked = *walked
 	if len(out) == 0 {
 		return nil, stats, nil
 	}

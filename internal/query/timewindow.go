@@ -1,10 +1,6 @@
 package query
 
-import (
-	"sync/atomic"
-
-	"repro/internal/traj"
-)
+import "repro/internal/traj"
 
 // TimeWindow restricts a query to trajectories observed within [Start, End]
 // (Unix seconds, inclusive). A zero Start or End leaves that side unbounded.
@@ -36,29 +32,29 @@ func (w TimeWindow) admits(min, max int64, timed bool) bool {
 
 // wrapWithWindow makes the filter a region scan runs out of a time window
 // and a spatial push-down (either may be absent; with neither there is no
-// filter). It locates the row's sections once, for both, and lends inner a
-// pooled scratch. The spatial check goes first — most rows fall at their
+// filter). It locates the row's sections once, for both, and lends inner one
+// scratch for every row. The spatial check goes first — most rows fall at their
 // first point, two varints, where the time check reads one per point. A row
 // whose framing or timestamps do not parse ships, so that the worker's decode
 // reports it. walked counts the rows whose point stream inner had to walk.
-func wrapWithWindow(w TimeWindow, inner rowFilter) (filter func(key, value []byte) bool, walked *atomic.Int64) {
-	walked = new(atomic.Int64)
+// The filter runs one row at a time: a scan calls it on its own goroutine.
+func wrapWithWindow(w TimeWindow, inner rowFilter) (filter func(key, value []byte) bool, walked *int64) {
+	walked = new(int64)
 	if w.Unbounded() && inner == nil {
 		return nil, walked
 	}
+	s := new(filterScratch)
 	return func(_, value []byte) bool {
 		v, err := traj.ViewRecord(value)
 		if err != nil {
 			return true
 		}
 		if inner != nil {
-			s := scratchPool.Get().(*filterScratch)
 			keep := inner(v, s)
 			if s.walked {
 				s.walked = false
-				walked.Add(1)
+				*walked++
 			}
-			scratchPool.Put(s)
 			if !keep {
 				return false
 			}

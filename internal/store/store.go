@@ -40,10 +40,8 @@ type Config struct {
 	// (their MBR). The figures pass 0.01°; trass.Open, trassd and cmd/trass
 	// run the default (DESIGN.md §2).
 	DPTolerance float64
-	// RPCLatency, Parallelism and HandlersPerRegion pass through to the
-	// cluster layer.
+	// RPCLatency and HandlersPerRegion pass through to the cluster layer.
 	RPCLatency        time.Duration
-	Parallelism       int
 	HandlersPerRegion int
 	// FS is the filesystem the store runs on (default the real one). Tests
 	// use it to inject faults.
@@ -121,7 +119,6 @@ func Open(cfg Config) (*Store, error) {
 		Dir:               cfg.Dir,
 		SplitKeys:         splits,
 		Schema:            fmt.Sprintf(schemaFormat, cfg.Shards, cfg.MaxResolution, rowFormat),
-		Parallelism:       cfg.Parallelism,
 		RPCLatency:        cfg.RPCLatency,
 		HandlersPerRegion: cfg.HandlersPerRegion,
 		FS:                cfg.FS,

@@ -50,8 +50,8 @@
 #              under -race (the parallel refine pool, the bounded
 #              scan-to-refine stream, the ordered refine and seed of top-k
 #              whose workers share the kth-distance bound, the NDJSON lines
-#              trassd writes from those workers, the filter scratch that
-#              concurrent region scans draw from one pool, the block cache
+#              trassd writes from those workers, the pushed-down filter
+#              that runs on the scanning goroutine beside them, the block cache
 #              that snapshot reads and compaction installs both touch, and
 #              the chunked value set whose untouched chunks queries share
 #              with the writers that publish its next version are the code

@@ -204,7 +204,7 @@ func TestRangeSearchPublicAPI(t *testing.T) {
 
 func TestCompactAndOptions(t *testing.T) {
 	db := openTestDB(t,
-		withStore(func(sc *store.Config) { sc.DPTolerance = gen.DegreesToNorm(0.005); sc.Parallelism = 2 }),
+		withStore(func(sc *store.Config) { sc.DPTolerance = gen.DegreesToNorm(0.005) }),
 		WithShards(2),
 		WithMaxResolution(14),
 	)
@@ -225,41 +225,6 @@ func TestCompactAndOptions(t *testing.T) {
 	}
 	if len(top) != 1 || top[0].ID != data[3].ID {
 		t.Fatalf("post-compaction top-1: %+v", top)
-	}
-}
-
-// The refinement pool defaults to the store's Parallelism. Its size must change
-// only wall-clock, never results, and QueryStats must report it.
-func TestRefineParallelismOption(t *testing.T) {
-	data := gen.TDrive(gen.TDriveOptions{Seed: 11, N: 200})
-	q := data[7]
-	var baseline []Match
-	for i, workers := range []int{1, 4} {
-		db := openTestDB(t, WithShards(2), withStore(func(sc *store.Config) { sc.Parallelism = workers }))
-		if err := db.PutBatch(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		ms, stats, err := db.ThresholdSearchContext(context.Background(), q, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ms) == 0 {
-			t.Fatal("query must match at least itself")
-		}
-		if stats.Refined > 0 && stats.RefineWorkers < 1 {
-			t.Fatalf("RefineWorkers = %d after refining %d candidates", stats.RefineWorkers, stats.Refined)
-		}
-		if workers == 1 && stats.RefineWorkers > 1 {
-			t.Fatalf("RefineWorkers = %d with Parallelism 1", stats.RefineWorkers)
-		}
-		if i == 0 {
-			baseline = ms
-		} else if !reflect.DeepEqual(baseline, ms) {
-			t.Fatalf("results differ between 1 and %d refinement workers", workers)
-		}
 	}
 }
 
